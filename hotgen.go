@@ -57,11 +57,13 @@
 // bottom-up BFS levels and sharded Dijkstra bucket windows
 // (CSR.BFSParallel / CSR.DijkstraParallel force a width) — and the
 // per-source fan-outs split the worker budget with the intra-source
-// shards so the two levels compose without oversubscription. The
-// routing, metric, robustness and experiment layers all run on this
-// kernel, with every parallel reduction performed in a fixed order and
-// deterministic tie-breaks inside each traversal, so results are
-// byte-identical at any worker count (see ExperimentOptions.Workers).
+// shards so the two levels compose without oversubscription.
+// CSR.DijkstraTo stops a traversal once a target list is settled, which
+// is how routing pins each source's paths. The routing, metric,
+// robustness and experiment layers all run on this kernel, with every
+// parallel reduction performed in a fixed order and deterministic
+// tie-breaks inside each traversal, so results are byte-identical at
+// any worker count (see ExperimentOptions.Workers).
 //
 // Everything is deterministic given explicit seeds and uses only the Go
 // standard library.

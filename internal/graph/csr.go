@@ -35,6 +35,8 @@ import (
 // property of the graph alone, not of traversal order, so the
 // direction-optimizing BFS, the bucketed Dijkstra, and the reference
 // kernels (BFSTopDown, DijkstraHeap) all produce bit-identical trees.
+// Across zero-weight edges the rule can make two nodes at the same
+// distance each other's parent, so a parent walk must bound its length.
 type CSR struct {
 	n        int
 	m        int
@@ -202,19 +204,11 @@ func (c *CSR) Neighbors(u int, fn func(v, edgeID int, w float64)) {
 // either way, but the fan-out machinery allocates a little per call, so
 // small graphs keep the allocation-free serial path.
 func (c *CSR) Dijkstra(ws *Workspace, src int) {
-	if !c.bucketOK {
-		c.DijkstraHeap(ws, src)
-		return
-	}
 	workers := 1
 	if c.n >= dijkstraParallelMinNodes {
-		workers = par.Workers(0, c.n)
+		workers = 0
 	}
-	if workers > 1 {
-		c.dijkstraBucketParallel(ws, src, workers, dijkstraParMinFrontier)
-		return
-	}
-	c.dijkstraBucket(ws, src)
+	c.DijkstraTo(ws, src, nil, workers)
 }
 
 // DijkstraParallel is Dijkstra with an explicit worker count for the
@@ -227,6 +221,24 @@ func (c *CSR) Dijkstra(ws *Workspace, src int) {
 // DijkstraHeap at any worker count. Snapshots whose weights disqualify
 // bucketing fall back to the heap kernel, which is serial.
 func (c *CSR) DijkstraParallel(ws *Workspace, src, workers int) {
+	c.DijkstraTo(ws, src, nil, workers)
+}
+
+// DijkstraTo is the entry point behind Dijkstra and DijkstraParallel
+// (workers as in DijkstraParallel; 1 runs the allocation-free serial
+// kernel) that may stop before the whole graph is settled. With a
+// non-empty targets list the bucketed kernels stop after the bucket
+// window in which the last distinct target was dequeued has drained.
+// Every later relaxation starts from a node in a later bucket, hence at
+// a strictly larger distance, so at that point each target's Dist,
+// Parent and ParentEdge — and those of every node on its parent chain,
+// which sit at no larger distance — are final and bit-identical to a
+// full run, zero-weight ties included. Entries of other nodes may be
+// tentative. Unreachable targets simply run the traversal to
+// completion. Empty targets is a full run, and snapshots that take the
+// heap fallback always run in full. Targets must be valid node ids;
+// duplicates are allowed.
+func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int, workers int) {
 	if !c.bucketOK {
 		c.DijkstraHeap(ws, src)
 		return
@@ -235,10 +247,10 @@ func (c *CSR) DijkstraParallel(ws *Workspace, src, workers int) {
 		workers = par.Workers(0, c.n)
 	}
 	if workers > 1 {
-		c.dijkstraBucketParallel(ws, src, workers, dijkstraParMinFrontier)
+		c.dijkstraBucketParallel(ws, src, targets, workers, dijkstraParMinFrontier)
 		return
 	}
-	c.dijkstraBucket(ws, src)
+	c.dijkstraBucket(ws, src, targets)
 }
 
 // DijkstraHeap is the reference shortest-path kernel: a lazy binary heap
@@ -306,9 +318,11 @@ const (
 // rather than enqueueing a stale duplicate, and re-relaxation within the
 // current window re-inserts an already-dequeued node. The structure is
 // therefore bounded by n and allocates nothing after ws.Reserve. Only
-// applicable when c.bucketOK.
-func (c *CSR) dijkstraBucket(ws *Workspace, src int) {
+// applicable when c.bucketOK. targets bounds the run (see DijkstraTo).
+func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 	ws.Reserve(c.n)
+	epoch, pending := ws.markTargets(targets)
+	visited := ws.visited
 	dist := ws.Dist[:c.n]
 	parent := ws.Parent[:c.n]
 	parentEdge := ws.ParentEdge[:c.n]
@@ -345,6 +359,10 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int) {
 			}
 			bOf[u] = -1
 			live--
+			if pending > 0 && visited[u] == epoch {
+				visited[u] = 0 // count each target once, at its first dequeue
+				pending--
+			}
 			du := dist[u]
 			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
 				v := c.nbr[j]
@@ -380,6 +398,9 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int) {
 					parentEdge[v] = c.edgeID[j]
 				}
 			}
+		}
+		if pending == 0 {
+			return // every target settled with this window
 		}
 	}
 }
@@ -480,10 +501,12 @@ func (bs *bucketState) relax(u, v, e int32, nd float64) {
 // Windows smaller than minFrontier (dijkstraParMinFrontier from the
 // exported entry points; tests pass 1 to force every window through the
 // scan/merge machinery) skip the fan-out and settle serially through
-// the same relax routine.
-func (c *CSR) dijkstraBucketParallel(ws *Workspace, src, workers, minFrontier int) {
+// the same relax routine. targets bounds the run as in dijkstraBucket.
+func (c *CSR) dijkstraBucketParallel(ws *Workspace, src int, targets []int, workers, minFrontier int) {
 	ws.Reserve(c.n)
 	ws.reserveRelax(workers)
+	epoch, pending := ws.markTargets(targets)
+	visited := ws.visited
 	bs := &bucketState{
 		dist:       ws.Dist[:c.n],
 		parent:     ws.Parent[:c.n],
@@ -523,6 +546,10 @@ func (c *CSR) dijkstraBucketParallel(ws *Workspace, src, workers, minFrontier in
 			for u := bs.head[s]; u >= 0; u = bs.bNext[u] {
 				frontier = append(frontier, u)
 				bs.bOf[u] = -1
+				if pending > 0 && visited[u] == epoch {
+					visited[u] = 0
+					pending--
+				}
 			}
 			bs.head[s] = -1
 			bs.live -= len(frontier)
@@ -536,6 +563,9 @@ func (c *CSR) dijkstraBucketParallel(ws *Workspace, src, workers, minFrontier in
 				continue
 			}
 			c.settleWindowParallel(ws, bs, frontier, workers)
+		}
+		if pending == 0 {
+			break
 		}
 	}
 	ws.queue = frontier

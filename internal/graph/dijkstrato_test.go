@@ -1,0 +1,105 @@
+package graph
+
+import (
+	"math"
+	"testing"
+)
+
+// checkTargetChains pins the bounded kernel's guarantee: at every
+// target, Dist and the whole Parent/ParentEdge chain back to the source
+// equal the full reference run's. The walk follows the reference
+// parents and stops after n steps, so a zero-weight parent cycle is
+// compared node by node instead of looping.
+func checkTargetChains(t *testing.T, label string, n int, targets []int, ref, got *Workspace) {
+	t.Helper()
+	for _, tg := range targets {
+		for v, hops := int32(tg), 0; v >= 0 && hops <= n; v, hops = ref.Parent[v], hops+1 {
+			if got.Dist[v] != ref.Dist[v] || got.Parent[v] != ref.Parent[v] || got.ParentEdge[v] != ref.ParentEdge[v] {
+				t.Fatalf("%s target %d: chain node %d = (%v,%d,%d), full run (%v,%d,%d)",
+					label, tg, v, got.Dist[v], got.Parent[v], got.ParentEdge[v], ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
+			}
+		}
+	}
+}
+
+// TestDijkstraToMatchesHeap runs the bounded serial kernel, the bounded
+// parallel kernel with every window forced through the scan/merge
+// machinery, and the exported entry point across the bucket-binning
+// weight regimes with parallel edges, and pins every target chain to
+// DijkstraHeap. Target
+// sets: a far node, a source-adjacent node, the source itself, a
+// duplicated pair, an isolated node (unreachable: the run goes to
+// completion), and every node.
+func TestDijkstraToMatchesHeap(t *testing.T) {
+	for _, reg := range dijkstraRegimes {
+		for _, seed := range []int64{1, 2} {
+			g := regimeGraph(seed, reg.weight)
+			isolated := g.AddNode(Node{})
+			c := g.Freeze()
+			n := c.NumNodes()
+			all := make([]int, n)
+			for i := range all {
+				all[i] = i
+			}
+			ref := NewWorkspace(n)
+			ws := NewWorkspace(n)
+			for src := 0; src < n-1; src += 13 {
+				c.DijkstraHeap(ref, src)
+				adjacent := int(c.nbr[c.rowStart[src]])
+				far := (src + n/2) % (n - 1)
+				for _, targets := range [][]int{{far}, {adjacent}, {src}, {far, far}, {isolated}, all} {
+					runs := map[string]func(){
+						"serial":        func() { c.dijkstraBucket(ws, src, targets) },
+						"forced-par3":   func() { c.dijkstraBucketParallel(ws, src, targets, 3, 1) },
+						"DijkstraTo-w1": func() { c.DijkstraTo(ws, src, targets, 1) },
+						"DijkstraTo-w2": func() { c.DijkstraTo(ws, src, targets, 2) },
+						"DijkstraTo-w8": func() { c.DijkstraTo(ws, src, targets, 8) },
+					}
+					for name, run := range runs {
+						run()
+						checkTargetChains(t, reg.name+"/"+name, n, targets, ref, ws)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDijkstraToStopsAtTarget checks that the bound takes effect: on a
+// 100-node unit-weight path from node 0, settling target 1 must leave
+// the far end untouched, while an unbounded run reaches it.
+func TestDijkstraToStopsAtTarget(t *testing.T) {
+	const n = 100
+	c := pathGraph(n).Freeze()
+	ws := NewWorkspace(n)
+	runs := map[string]func(targets []int){
+		"serial":      func(tg []int) { c.DijkstraTo(ws, 0, tg, 1) },
+		"parallel":    func(tg []int) { c.DijkstraTo(ws, 0, tg, 2) },
+		"forced-par2": func(tg []int) { c.dijkstraBucketParallel(ws, 0, tg, 2, 1) },
+	}
+	for name, run := range runs {
+		run([]int{1})
+		if ws.Dist[1] != 1 || ws.Parent[1] != 0 {
+			t.Fatalf("%s: target (dist %v, parent %d), want (1, 0)", name, ws.Dist[1], ws.Parent[1])
+		}
+		if !math.IsInf(ws.Dist[n-1], 1) {
+			t.Fatalf("%s: bounded run settled dist[%d] = %v, want Inf", name, n-1, ws.Dist[n-1])
+		}
+		run(nil)
+		if ws.Dist[n-1] != n-1 {
+			t.Fatalf("%s: full run dist[%d] = %v, want %d", name, n-1, ws.Dist[n-1], n-1)
+		}
+	}
+}
+
+// TestDijkstraToZeroAllocs pins the serial bounded kernel at 0
+// allocations per call on a warm workspace.
+func TestDijkstraToZeroAllocs(t *testing.T) {
+	c := randomTestGraph(500, 1500, 7).Freeze()
+	ws := NewWorkspace(c.NumNodes())
+	targets := []int{3, 250, 499}
+	c.DijkstraTo(ws, 0, targets, 1)
+	if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets, 1) }); allocs != 0 {
+		t.Fatalf("bounded serial DijkstraTo allocates %v per call, want 0", allocs)
+	}
+}

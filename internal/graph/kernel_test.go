@@ -120,47 +120,53 @@ func TestBFSParentMinIDContract(t *testing.T) {
 	}
 }
 
+// dijkstraRegimes are the weight regimes that stress bucket binning:
+// generic uniform, unit weights (all entries land in one bucket edge), a
+// few exact zero weights (same-bucket re-relaxation), and tiny weights
+// against one huge outlier (everything bins into bucket 0).
+var dijkstraRegimes = []struct {
+	name   string
+	weight func(r *rand.Rand) float64
+}{
+	{"uniform", func(r *rand.Rand) float64 { return 0.1 + r.Float64() }},
+	{"unit", func(*rand.Rand) float64 { return 1 }},
+	{"sparse-zeros", func(r *rand.Rand) float64 {
+		if r.Intn(4) == 0 {
+			return 0
+		}
+		return r.Float64()
+	}},
+	{"huge-outlier", func(r *rand.Rand) float64 {
+		if r.Intn(64) == 0 {
+			return 1e9
+		}
+		return 1e-6 * (1 + r.Float64())
+	}},
+}
+
+// regimeGraph builds a 150-node graph of one weight regime plus heavy
+// parallel edges with distinct weights and ids between the same
+// endpoints, to exercise the (parent, edge) tie-break.
+func regimeGraph(seed int64, weight func(r *rand.Rand) float64) *Graph {
+	g := weightedTestGraph(150, 400, seed, weight)
+	r := rand.New(rand.NewSource(seed + 100))
+	for k := 0; k < 60; k++ {
+		u, v := r.Intn(150), r.Intn(150)
+		if u == v {
+			continue
+		}
+		g.AddEdge(Edge{U: u, V: v, Weight: weight(r), Cable: -1})
+	}
+	return g
+}
+
 // TestDijkstraBucketMatchesHeap pins the bucketed kernel bit-for-bit to
 // the heap reference — distances, parents, and parent edges — across
-// weight regimes that stress bucket binning: generic uniform, unit
-// weights (all entries land in one bucket edge), a few exact zero
-// weights (same-bucket re-relaxation), tiny weights against one huge
-// outlier (everything bins into bucket 0), and heavy parallel edges
-// (edge-id tie-breaks).
+// the bucket-binning weight regimes.
 func TestDijkstraBucketMatchesHeap(t *testing.T) {
-	regimes := []struct {
-		name   string
-		weight func(r *rand.Rand) float64
-	}{
-		{"uniform", func(r *rand.Rand) float64 { return 0.1 + r.Float64() }},
-		{"unit", func(*rand.Rand) float64 { return 1 }},
-		{"sparse-zeros", func(r *rand.Rand) float64 {
-			if r.Intn(4) == 0 {
-				return 0
-			}
-			return r.Float64()
-		}},
-		{"huge-outlier", func(r *rand.Rand) float64 {
-			if r.Intn(64) == 0 {
-				return 1e9
-			}
-			return 1e-6 * (1 + r.Float64())
-		}},
-	}
-	for _, reg := range regimes {
+	for _, reg := range dijkstraRegimes {
 		for _, seed := range []int64{1, 2} {
-			g := weightedTestGraph(150, 400, seed, reg.weight)
-			// Parallel edges with distinct weights and ids between the same
-			// endpoints, to exercise the (parent, edge) tie-break.
-			r := rand.New(rand.NewSource(seed + 100))
-			for k := 0; k < 60; k++ {
-				u, v := r.Intn(150), r.Intn(150)
-				if u == v {
-					continue
-				}
-				g.AddEdge(Edge{U: u, V: v, Weight: reg.weight(r), Cable: -1})
-			}
-			c := g.Freeze()
+			c := regimeGraph(seed, reg.weight).Freeze()
 			if !c.bucketOK {
 				t.Fatalf("regime %s: expected bucketOK snapshot", reg.name)
 			}
@@ -168,7 +174,7 @@ func TestDijkstraBucketMatchesHeap(t *testing.T) {
 			ws := NewWorkspace(c.NumNodes())
 			for src := 0; src < c.NumNodes(); src += 11 {
 				c.DijkstraHeap(ref, src)
-				c.dijkstraBucket(ws, src)
+				c.dijkstraBucket(ws, src, nil)
 				for v := 0; v < c.NumNodes(); v++ {
 					if ref.Dist[v] != ws.Dist[v] {
 						t.Fatalf("regime %s seed %d src %d: dist[%d] = %v bucket vs %v heap", reg.name, seed, src, v, ws.Dist[v], ref.Dist[v])
@@ -186,47 +192,18 @@ func TestDijkstraBucketMatchesHeap(t *testing.T) {
 // TestDijkstraParallelMatchesSerial forces every bucket window through
 // the parallel scan/merge machinery (minFrontier 1) at worker widths
 // 2/3/8 and pins dist/parent/parentEdge bit-for-bit to the serial
-// bucketed kernel across the same weight regimes that stress bucket
-// binning, plus the heap reference.
+// bucketed kernel across the bucket-binning weight regimes.
 func TestDijkstraParallelMatchesSerial(t *testing.T) {
-	regimes := []struct {
-		name   string
-		weight func(r *rand.Rand) float64
-	}{
-		{"uniform", func(r *rand.Rand) float64 { return 0.1 + r.Float64() }},
-		{"unit", func(*rand.Rand) float64 { return 1 }},
-		{"sparse-zeros", func(r *rand.Rand) float64 {
-			if r.Intn(4) == 0 {
-				return 0
-			}
-			return r.Float64()
-		}},
-		{"huge-outlier", func(r *rand.Rand) float64 {
-			if r.Intn(64) == 0 {
-				return 1e9
-			}
-			return 1e-6 * (1 + r.Float64())
-		}},
-	}
-	for _, reg := range regimes {
+	for _, reg := range dijkstraRegimes {
 		for _, seed := range []int64{1, 2} {
-			g := weightedTestGraph(150, 400, seed, reg.weight)
-			r := rand.New(rand.NewSource(seed + 100))
-			for k := 0; k < 60; k++ {
-				u, v := r.Intn(150), r.Intn(150)
-				if u == v {
-					continue
-				}
-				g.AddEdge(Edge{U: u, V: v, Weight: reg.weight(r), Cable: -1})
-			}
-			c := g.Freeze()
+			c := regimeGraph(seed, reg.weight).Freeze()
 			n := c.NumNodes()
 			ref := NewWorkspace(n)
 			ws := NewWorkspace(n)
 			for src := 0; src < n; src += 11 {
-				c.dijkstraBucket(ref, src)
+				c.dijkstraBucket(ref, src, nil)
 				for _, workers := range []int{2, 3, 8} {
-					c.dijkstraBucketParallel(ws, src, workers, 1)
+					c.dijkstraBucketParallel(ws, src, nil, workers, 1)
 					for v := 0; v < n; v++ {
 						if ref.Dist[v] != ws.Dist[v] {
 							t.Fatalf("regime %s seed %d src %d w%d: dist[%d] = %v parallel vs %v serial",
@@ -432,7 +409,7 @@ func FuzzDijkstraBucketGate(f *testing.F) {
 				}
 			}
 			if c.bucketOK {
-				c.dijkstraBucketParallel(ws, src, 3, 1)
+				c.dijkstraBucketParallel(ws, src, nil, 3, 1)
 				for v := 0; v < n; v++ {
 					if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
 						t.Fatalf("parallel src %d node %d: (%v,%d,%d) vs heap (%v,%d,%d)",

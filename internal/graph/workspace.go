@@ -10,8 +10,10 @@ import "sync"
 // multi-source sweeps run allocation-free after warmup.
 //
 // The exported slices hold kernel outputs. After CSR.Dijkstra: Dist,
-// Parent, ParentEdge. After CSR.BFS: Hop, Parent. Their contents are valid
-// until the next kernel call on the same Workspace.
+// Parent, ParentEdge (after a bounded CSR.DijkstraTo, only at the
+// targets and along their parent chains). After CSR.BFS: Hop, Parent.
+// Their contents are valid until the next kernel call on the same
+// Workspace.
 type Workspace struct {
 	// Dist is the weighted distance per node (Inf when unreachable).
 	Dist []float64
@@ -215,6 +217,24 @@ func (ws *Workspace) nextEpoch() uint32 {
 		ws.epoch = 1
 	}
 	return ws.epoch
+}
+
+// markTargets stamps the distinct ids of targets under a fresh visited
+// epoch — the bounded Dijkstra's stopping state — and returns the epoch
+// with the number of distinct targets, or -1 when targets is empty (a
+// full run, whose pending count never reaches 0).
+func (ws *Workspace) markTargets(targets []int) (epoch uint32, pending int) {
+	if len(targets) == 0 {
+		return 0, -1
+	}
+	epoch = ws.nextEpoch()
+	for _, t := range targets {
+		if ws.visited[t] != epoch {
+			ws.visited[t] = epoch
+			pending++
+		}
+	}
+	return epoch, pending
 }
 
 var wsPool = sync.Pool{New: func() any { return new(Workspace) }}

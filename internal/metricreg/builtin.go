@@ -3,7 +3,6 @@ package metricreg
 import (
 	"context"
 	"math"
-	"sort"
 
 	"repro/internal/errs"
 	"repro/internal/graph"
@@ -387,14 +386,16 @@ type distortionAcc struct {
 	val    Value
 }
 
-func (a *distortionAcc) Run(ctx context.Context, src *Source, workers int) error {
+func (a *distortionAcc) Run(ctx context.Context, src *Source, _ int) error {
 	g := src.Graph()
 	m := g.NumEdges()
 	n := g.NumNodes()
 	if m == 0 || n == 0 {
 		return nil
 	}
-	// Build MST as its own graph.
+	if err := errs.Ctx(ctx); err != nil {
+		return err
+	}
 	mstIDs, _ := g.KruskalMST()
 	tree := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -404,6 +405,7 @@ func (a *distortionAcc) Run(ctx context.Context, src *Source, workers int) error
 		e := g.Edge(id)
 		tree.AddEdge(graph.Edge{U: e.U, V: e.V, Weight: e.Weight})
 	}
+	depth, parent := rootForest(tree)
 	// Sample non-tree edges (tree edges have distortion exactly 1).
 	edges := make([]int, 0, m)
 	for i := 0; i < m; i++ {
@@ -414,63 +416,71 @@ func (a *distortionAcc) Run(ctx context.Context, src *Source, workers int) error
 		r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 		edges = edges[:a.sample]
 	}
-	// Group queries by source to share BFS runs.
-	bySrc := map[int][]int{}
-	for _, id := range edges {
-		e := g.Edge(id)
-		bySrc[e.U] = append(bySrc[e.U], e.V)
-	}
-	srcs := make([]int, 0, len(bySrc))
-	for s := range bySrc {
-		srcs = append(srcs, s)
-	}
-	sort.Ints(srcs)
-	tc := tree.Freeze()
-	type partial struct {
-		total float64
-		count int
-	}
-	perSrc := make([]partial, len(srcs))
-	// Split the budget between the per-source fan-out and each tree
-	// traversal's bottom-up shards; IntraWorkers clamps the inner width
-	// to 1 below the engagement threshold, so small trees stay serial.
-	nw, inner := par.Split(workers, len(srcs))
-	inner = tc.IntraWorkers(inner)
-	wss := make([]*graph.Workspace, nw)
-	for w := range wss {
-		wss[w] = graph.GetWorkspace(n)
-		defer wss[w].Release()
-	}
-	err := par.ForEachWorkerErr(nw, len(srcs), func(w, si int) error {
-		if err := errs.Ctx(ctx); err != nil {
-			return err
-		}
-		ws := wss[w]
-		tc.BFSParallel(ws, srcs[si], inner)
-		p := partial{}
-		for _, v := range bySrc[srcs[si]] {
-			if ws.Hop[v] > 0 {
-				p.total += float64(ws.Hop[v])
-				p.count++
-			}
-		}
-		perSrc[si] = p
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	// Hop counts are integers, so the float sum is exact in any order.
 	total := 0.0
 	count := 0
-	for _, p := range perSrc {
-		total += p.total
-		count += p.count
+	for _, id := range edges {
+		e := g.Edge(id)
+		if h := treeHops(depth, parent, int32(e.U), int32(e.V)); h > 0 {
+			total += float64(h)
+			count++
+		}
 	}
 	if count == 0 {
 		return nil
 	}
 	a.val = Value{Scalar: total / float64(count)}
 	return nil
+}
+
+// rootForest roots every tree of the forest t at its smallest node id
+// with one BFS per tree, returning each node's depth and tree parent
+// (-1 at the roots).
+func rootForest(t *graph.Graph) (depth, parent []int32) {
+	n := t.NumNodes()
+	depth = make([]int32, n)
+	parent = make([]int32, n)
+	for i := range depth {
+		depth[i] = -1
+	}
+	queue := make([]int32, 0, n)
+	for root := 0; root < n; root++ {
+		if depth[root] >= 0 {
+			continue
+		}
+		depth[root], parent[root] = 0, -1
+		queue = append(queue[:0], int32(root))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			t.Neighbors(int(u), func(v, _ int) {
+				if depth[v] < 0 {
+					depth[v], parent[v] = depth[u]+1, u
+					queue = append(queue, int32(v))
+				}
+			})
+		}
+	}
+	return depth, parent
+}
+
+// treeHops returns the hop distance between u and v in the rooted
+// forest, depth(u) + depth(v) - 2·depth(lca), by walking both up to
+// their lowest common ancestor; -1 when they lie in different trees.
+func treeHops(depth, parent []int32, u, v int32) int32 {
+	h := int32(0)
+	for ; depth[u] > depth[v]; h++ {
+		u = parent[u]
+	}
+	for ; depth[v] > depth[u]; h++ {
+		v = parent[v]
+	}
+	for ; u != v; h += 2 {
+		if parent[u] < 0 {
+			return -1 // two distinct roots
+		}
+		u, v = parent[u], parent[v]
+	}
+	return h
 }
 
 func (a *distortionAcc) Finalize() Value { return a.val }

@@ -173,13 +173,13 @@ func TestTimelineEpochEdgeCases(t *testing.T) {
 			{Op: OpRepairEdge, ID: 3},
 		}, frac(8, 4, 4, 8)},
 		{"repair then fail adjacent", []TimelineEvent{
-			{Op: OpFailNode, ID: 4},       // {0..3} best
-			{Op: OpRepairNode, ID: 4},     // whole line back
-			{Op: OpFailNode, ID: 4},       // single-event epochs on both sides
-			{Op: OpFailNode, ID: 1},       // {2,3} and {5,6,7}
-			{Op: OpRepairNode, ID: 1},     // {0..3}
-			{Op: OpRepairNode, ID: 4},     // whole line
-			{Op: OpFailEdge, ID: 0},       // {1..7}
+			{Op: OpFailNode, ID: 4},   // {0..3} best
+			{Op: OpRepairNode, ID: 4}, // whole line back
+			{Op: OpFailNode, ID: 4},   // single-event epochs on both sides
+			{Op: OpFailNode, ID: 1},   // {2,3} and {5,6,7}
+			{Op: OpRepairNode, ID: 1}, // {0..3}
+			{Op: OpRepairNode, ID: 4}, // whole line
+			{Op: OpFailEdge, ID: 0},   // {1..7}
 			{Op: OpRepairEdge, ID: 0},
 		}, frac(8, 4, 8, 4, 3, 4, 8, 7, 8)},
 		{"repair node with failed incident edge", []TimelineEvent{

@@ -58,8 +58,11 @@ type pathSet struct {
 
 // pinPaths computes every positive-volume demand's shortest path on the
 // frozen snapshot. Distinct sources are distributed across the worker
-// pool; each source's Dijkstra runs on a pooled workspace and writes only
-// its own demands' slots, so the result does not depend on scheduling.
+// pool; each source's Dijkstra runs on a pooled workspace, stops once
+// that source's destinations are settled, and writes only its own
+// demands' slots, so the result does not depend on scheduling. A parent
+// walk longer than n-1 hops (a parent cycle, which the smallest-id
+// tie-break can form across zero-weight edges) is an error.
 func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand, needEdges bool) (*pathSet, error) {
 	ps := &pathSet{dist: make([]float64, len(demands))}
 	for i := range ps.dist {
@@ -83,25 +86,33 @@ func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand, needEdges boo
 	// disjoint); sorting just keeps the dispatch order stable for
 	// debugging and costs O(S log S) against S Dijkstra runs.
 	sort.Ints(srcs)
-	// One pooled workspace per worker, reserved up front: the per-source
-	// loop then allocates nothing, however many sources fan out. The
-	// GOMAXPROCS budget is split between the source fan-out and each
-	// traversal's intra-source shards, so few large sources still use
-	// the whole machine without the two levels oversubscribing it.
+	// One pooled workspace and target buffer per worker, reserved up
+	// front: the per-source loop then allocates nothing beyond the
+	// paths, however many sources fan out. The GOMAXPROCS budget is
+	// split between the source fan-out and each traversal's intra-source
+	// shards, so few large sources still use the whole machine without
+	// the two levels oversubscribing it.
 	workers, inner := par.Split(0, len(srcs))
 	inner = c.IntraWorkers(inner)
 	wss := make([]*graph.Workspace, workers)
+	targets := make([][]int, workers)
 	for w := range wss {
 		wss[w] = graph.GetWorkspace(c.NumNodes())
 		defer wss[w].Release()
 	}
+	maxHops := c.NumNodes() - 1
 	err := par.ForEachWorkerErr(workers, len(srcs), func(w, si int) error {
 		if err := errs.Ctx(ctx); err != nil {
 			return fmt.Errorf("routing: pin paths: %w", err)
 		}
 		s := srcs[si]
 		ws := wss[w]
-		c.DijkstraParallel(ws, s, inner)
+		tg := targets[w][:0]
+		for _, i := range bySrc[s] {
+			tg = append(tg, demands[i].Dst)
+		}
+		targets[w] = tg
+		c.DijkstraTo(ws, s, tg, inner)
 		for _, i := range bySrc[s] {
 			dst := demands[i].Dst
 			if math.IsInf(ws.Dist[dst], 1) {
@@ -113,6 +124,9 @@ func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand, needEdges boo
 			}
 			var path []int32
 			for v := int32(dst); v != int32(s); v = ws.Parent[v] {
+				if len(path) == maxHops {
+					return fmt.Errorf("routing: path %d->%d: parent walk exceeds %d hops (a parent cycle across zero-weight edges)", s, dst, maxHops)
+				}
 				path = append(path, ws.ParentEdge[v])
 			}
 			ps.edges[i] = path
@@ -208,16 +222,24 @@ func RouteAndAllocateContext(ctx context.Context, g *graph.Graph, c *graph.CSR, 
 // admitting each demand only up to the remaining bottleneck capacity
 // along its path (partial delivery allowed). It is a greedy online
 // admission model: earlier demands grab capacity first — inherently
-// sequential, so only the per-source shortest-path trees are kernelized.
+// sequential, so only the path pinning runs in parallel.
 func RouteCapacitated(g *graph.Graph, demands []Demand) (*Result, error) {
 	return RouteCapacitatedContext(context.Background(), g, nil, demands)
 }
 
 // RouteCapacitatedContext is RouteCapacitated with cancellation and an
-// optional pre-frozen snapshot (nil freezes internally). The admission
-// loop checks ctx once per demand.
+// optional pre-frozen snapshot (nil freezes internally). Cancellation is
+// checked during the parallel path-pinning phase; the admission pass
+// over the pinned paths runs to completion.
 func RouteCapacitatedContext(ctx context.Context, g *graph.Graph, c *graph.CSR, demands []Demand) (*Result, error) {
 	if err := checkDemands(g, demands); err != nil {
+		return nil, err
+	}
+	if c == nil {
+		c = g.Freeze()
+	}
+	ps, err := pinPaths(ctx, c, demands, true)
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Load: make([]float64, g.NumEdges())}
@@ -225,61 +247,35 @@ func RouteCapacitatedContext(ctx context.Context, g *graph.Graph, c *graph.CSR, 
 	for i, e := range g.Edges() {
 		remaining[i] = e.Capacity
 	}
-	if c == nil {
-		c = g.Freeze()
-	}
-	ws := graph.GetWorkspace(c.NumNodes())
-	defer ws.Release()
 	var totalW, totalHops float64
-	// Cache SP trees per source; demands often share sources.
-	type spt struct {
-		dist       []float64
-		parent     []int32
-		parentEdge []int32
-	}
-	cache := map[int]spt{}
-	for _, d := range demands {
-		if err := errs.Ctx(ctx); err != nil {
-			return nil, fmt.Errorf("routing: capacitated admission: %w", err)
-		}
+	for i, d := range demands {
 		if d.Volume <= 0 {
 			continue
 		}
-		tr, ok := cache[d.Src]
-		if !ok {
-			c.Dijkstra(ws, d.Src)
-			tr = spt{
-				dist:       append([]float64(nil), ws.Dist...),
-				parent:     append([]int32(nil), ws.Parent...),
-				parentEdge: append([]int32(nil), ws.ParentEdge...),
-			}
-			cache[d.Src] = tr
-		}
-		if math.IsInf(tr.dist[d.Dst], 1) {
+		path := ps.edges[i]
+		if path == nil {
 			res.Dropped += d.Volume
 			continue
 		}
 		// Bottleneck along path.
 		admit := d.Volume
-		hops := 0
-		for v := int32(d.Dst); v != int32(d.Src); v = tr.parent[v] {
-			if r := remaining[tr.parentEdge[v]]; r < admit {
+		for _, e := range path {
+			if r := remaining[e]; r < admit {
 				admit = r
 			}
-			hops++
 		}
 		if admit < 0 {
 			admit = 0
 		}
-		for v := int32(d.Dst); v != int32(d.Src); v = tr.parent[v] {
-			remaining[tr.parentEdge[v]] -= admit
-			res.Load[tr.parentEdge[v]] += admit
+		for _, e := range path {
+			remaining[e] -= admit
+			res.Load[e] += admit
 		}
 		res.Delivered += admit
 		res.Dropped += d.Volume - admit
 		if admit > 0 {
-			totalW += admit * tr.dist[d.Dst]
-			totalHops += admit * float64(hops)
+			totalW += admit * ps.dist[i]
+			totalHops += admit * float64(len(path))
 		}
 	}
 	if res.Delivered > 0 {

@@ -1,8 +1,11 @@
 package routing
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -193,5 +196,53 @@ func TestMultiSourceLoadsAccumulate(t *testing.T) {
 	// Edge 0 (0-1) carries 2 + 3 + 1 = 6.
 	if res.Load[0] != 6 {
 		t.Fatalf("edge 0 load = %v, want 6", res.Load[0])
+	}
+}
+
+// TestParentCycleIsAnError is the regression test for the path walk's
+// hop cap. Node 3 joins node 2 by a weight-1 edge and nodes 0, 1 and 2
+// form a zero-weight triangle. From source 3 the smallest-id tie-break
+// gives Parent = [1 0 0 -1]: node 2's parent is 0, and 0 and 1 are each
+// other's parents, so the walk from 2 never reaches 3. Every path-walking
+// entry point must return an error naming the demand's endpoints instead
+// of looping; a deadline turns a regression into a failure rather than a
+// hang.
+func TestParentCycleIsAnError(t *testing.T) {
+	g := graph.New(4)
+	for i := 0; i < 4; i++ {
+		g.AddNode(graph.Node{})
+	}
+	g.AddEdge(graph.Edge{U: 3, V: 2, Weight: 1, Capacity: 1})
+	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 0, Capacity: 1})
+	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 0, Capacity: 1})
+	g.AddEdge(graph.Edge{U: 0, V: 2, Weight: 0, Capacity: 1})
+	c := g.Freeze()
+	ws := graph.NewWorkspace(4)
+	for name, kernel := range map[string]func(){
+		"heap":     func() { c.DijkstraHeap(ws, 3) },
+		"bucketed": func() { c.Dijkstra(ws, 3) },
+	} {
+		kernel()
+		if got := fmt.Sprint(ws.Parent); got != "[1 0 0 -1]" {
+			t.Fatalf("%s kernel parents from 3 = %s, want the cycle [1 0 0 -1] this test exercises", name, got)
+		}
+	}
+	demands := []Demand{{Src: 3, Dst: 2, Volume: 1}}
+	entries := map[string]func() error{
+		"shortest":    func() error { _, err := RouteShortestPaths(g, demands); return err },
+		"capacitated": func() error { _, err := RouteCapacitated(g, demands); return err },
+		"maxmin":      func() error { _, err := MaxMinFair(g, demands); return err },
+	}
+	for name, run := range entries {
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "3->2") {
+				t.Errorf("%s: err = %v, want a parent-walk error naming 3->2", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: parent walk did not return", name)
+		}
 	}
 }

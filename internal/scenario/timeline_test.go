@@ -170,19 +170,19 @@ func TestTimelineRejectsBadSpecs(t *testing.T) {
 	cases := []Scenario{
 		tl(TimelineSpec{}), // no events
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "melt-down", Node: ip(1)}}}),
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node"}}}),                                     // missing node
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Edge: ip(1)}}}),           // stray edge
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-edge", Node: ip(1)}}}),                        // wrong target
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "repair"}}}),                                        // no target
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "repair", Node: ip(1), Edge: ip(2)}}}),              // both targets
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(-1)}}}),                       // negative id
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1)}}}),                     // missing capacity
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1), Capacity: fp(0)}}}),    // zero capacity
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1), Capacity: fp(-2)}}}),   // negative
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Capacity: fp(1)}}}),       // stray capacity
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Model: "gravity"}}}),      // stray model
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "demand-switch", Model: "teleport"}}}),              // unknown model
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "demand-switch", Params: Params{"bogus": 1}}}}),     // bad params
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node"}}}),                                      // missing node
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Edge: ip(1)}}}),            // stray edge
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-edge", Node: ip(1)}}}),                         // wrong target
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "repair"}}}),                                         // no target
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "repair", Node: ip(1), Edge: ip(2)}}}),               // both targets
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(-1)}}}),                        // negative id
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1)}}}),                      // missing capacity
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1), Capacity: fp(0)}}}),     // zero capacity
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "capacity-set", Edge: ip(1), Capacity: fp(-2)}}}),    // negative
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Capacity: fp(1)}}}),        // stray capacity
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), Model: "gravity"}}}),       // stray model
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "demand-switch", Model: "teleport"}}}),               // unknown model
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "demand-switch", Params: Params{"bogus": 1}}}}),      // bad params
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1), At: fp(1), Step: ip(1)}}}), // both clocks
 		tl(TimelineSpec{Events: []TimelineEventSpec{ // at sequence decreases
 			{Event: "fail-node", Node: ip(1), At: fp(2)},
@@ -197,7 +197,7 @@ func TestTimelineRejectsBadSpecs(t *testing.T) {
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1)}}, Repeat: maxTimelineEvents + 1}),
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1)}}, Mode: "psychic"}),
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1)}}, Metrics: []string{"lcc", "lcc"}}),
-		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1)}}, Metrics: []string{"spectral-gap"}}), // not CapMasked
+		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(1)}}, Metrics: []string{"spectral-gap"}}),       // not CapMasked
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-edge", Edge: ip(1)}}, Metrics: []string{"lcc", "mean-degree"}}), // edge events beyond lcc
 		// Runtime range failures: ids past the generated topology.
 		tl(TimelineSpec{Events: []TimelineEventSpec{{Event: "fail-node", Node: ip(40)}}}),

@@ -306,3 +306,67 @@ func TestMaskedLCCTrajectoryMatchesSubgraphs(t *testing.T) {
 		}
 	}
 }
+
+// disjointUnion returns g beside a relabelled copy of itself, so node
+// v+n is unreachable from every node v < n.
+func disjointUnion(g *graph.Graph) *graph.Graph {
+	n := g.NumNodes()
+	out := graph.New(2 * n)
+	for k := 0; k < 2; k++ {
+		for i := 0; i < n; i++ {
+			out.AddNode(*g.Node(i))
+		}
+	}
+	for k := 0; k < 2; k++ {
+		for _, e := range g.Edges() {
+			e.U, e.V = e.U+k*n, e.V+k*n
+			out.AddEdge(e)
+		}
+	}
+	return out
+}
+
+// TestDijkstraToParityAcrossModels pins the target-bounded Dijkstra to
+// the heap reference on every model: at each target, Dist and the whole
+// Parent/ParentEdge chain back to the source, bit for bit, at worker
+// counts 1, 2 and 8. Target sets: one far node, a source-adjacent node,
+// a node in the other component of a two-component graph, and all nodes.
+func TestDijkstraToParityAcrossModels(t *testing.T) {
+	for _, m := range parityModels() {
+		for _, seed := range []int64{1, 2} {
+			g, err := m.build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.name, seed, err)
+			}
+			n := g.NumNodes()
+			c := disjointUnion(g).Freeze()
+			all := make([]int, 2*n)
+			for i := range all {
+				all[i] = i
+			}
+			ref := graph.GetWorkspace(2 * n)
+			ws := graph.GetWorkspace(2 * n)
+			for src := 0; src < n; src += n/8 + 1 {
+				c.DijkstraHeap(ref, src)
+				sets := map[string][]int{"far": {(src + n/2) % n}, "unreachable": {src + n}, "all": all}
+				c.Neighbors(src, func(v, _ int, _ float64) { sets["adjacent"] = []int{v} })
+				for name, targets := range sets {
+					for _, w := range []int{1, 2, 8} {
+						c.DijkstraTo(ws, src, targets, w)
+						for _, tg := range targets {
+							for v, hops := int32(tg), 0; v >= 0 && hops <= 2*n; v, hops = ref.Parent[v], hops+1 {
+								if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
+									t.Fatalf("%s seed %d src %d %s w%d: chain of %d at node %d = (%v, %d, %d), heap (%v, %d, %d)",
+										m.name, seed, src, name, w, tg, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v],
+										ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
+								}
+							}
+						}
+					}
+				}
+			}
+			ref.Release()
+			ws.Release()
+		}
+	}
+}
