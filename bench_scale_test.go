@@ -84,25 +84,6 @@ func hot100k(b *testing.B) *scaleTopo {
 	})
 }
 
-// reorderedCSR caches cache-reordered snapshots of a benchmark topology
-// alongside the plain ones.
-var (
-	scaleReorderMu sync.Mutex
-	scaleReorders  = map[string]*graph.CSR{}
-)
-
-func reorderedCSR(b *testing.B, key string, t *scaleTopo, mode graph.ReorderMode) *graph.CSR {
-	b.Helper()
-	scaleReorderMu.Lock()
-	defer scaleReorderMu.Unlock()
-	if c, ok := scaleReorders[key]; ok {
-		return c
-	}
-	c := t.g.FreezeWithOptions(graph.FreezeOptions{Reorder: mode})
-	scaleReorders[key] = c
-	return c
-}
-
 // benchSources picks a deterministic rotation of BFS/SSSP sources so
 // successive iterations do not hit one warm source.
 func benchSources(n int, seed int64) [64]int {
@@ -156,19 +137,6 @@ func benchBFSParallel(b *testing.B, t *scaleTopo, workers int) {
 		bottomUp += ws.BFSBottomUpLevels
 	}
 	b.ReportMetric(float64(bottomUp)/float64(b.N), "bu-levels/op")
-}
-
-// benchBFSOn is benchBFS against an explicit (e.g. reordered) snapshot.
-func benchBFSOn(b *testing.B, c *graph.CSR) {
-	srcs := benchSources(c.NumNodes(), 42)
-	ws := graph.GetWorkspace(c.NumNodes())
-	defer ws.Release()
-	c.BFS(ws, srcs[0])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.BFS(ws, srcs[i%len(srcs)])
-	}
 }
 
 // benchHOTGrow measures whole-topology growth (the generator hot path)
@@ -250,16 +218,6 @@ func BenchmarkScaleBFSTopDownER100k(b *testing.B) {
 func BenchmarkScaleBFSParallelBA100k(b *testing.B) {
 	skipUnlessScale(b)
 	benchBFSParallel(b, ba100k(b), 0)
-}
-
-func BenchmarkScaleBFSDirOptBA100kRCM(b *testing.B) {
-	skipUnlessScale(b)
-	benchBFSOn(b, reorderedCSR(b, "ba-100k-rcm", ba100k(b), graph.ReorderRCM))
-}
-
-func BenchmarkScaleBFSDirOptER100kRCM(b *testing.B) {
-	skipUnlessScale(b)
-	benchBFSOn(b, reorderedCSR(b, "er-100k-rcm", er100k(b), graph.ReorderRCM))
 }
 
 func BenchmarkScaleBFSDirOptHOT100k(b *testing.B) {

@@ -13,6 +13,7 @@ package hotgen
 // prints, so `-bench E2 -v` doubles as a quick reproduction check.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -203,10 +204,10 @@ func BenchmarkRobustnessSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fracs := []float64{0.05, 0.1, 0.2}
+	spec := robust.SweepSpec{Attack: "degree", Fracs: []float64{0.05, 0.1, 0.2}, Trials: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := robust.Sweep(g, robust.DegreeAttack, fracs, 1, 1); err != nil {
+		if _, err := robust.RunSweepContext(context.Background(), g, nil, spec, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

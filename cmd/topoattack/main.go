@@ -1,23 +1,25 @@
 // Command topoattack runs registry-driven robustness sweeps: generate a
 // topology with any registered model, then trace metric curves along
 // one or more named attack schedules — the attack mirror of
-// `topostats`, on the sweep engine whose incremental reverse union-find
-// path computes whole LCC trajectories in near-linear time.
+// `topostats`, on the sweep engine whose reverse union-find replay
+// computes whole LCC trajectories in near-linear time.
 //
 // Usage:
 //
 //	topoattack -model ba -n 2000 -gparam m=2 -attacks degree,random-failure
 //	topoattack -model fkp -attacks geographic -param geographic.x=0.2 -param geographic.y=0.8
 //	topoattack -model waxman -attacks random-edge,bottleneck-edge -fracs 0.1,0.3,0.5,1
-//	topoattack -model ba -attacks degree -metrics lcc,mean-degree -mode masked
+//	topoattack -model ba -attacks degree -metrics lcc,mean-degree
 //	topoattack -gap -model fkp -attacks adaptive-degree,preferential
 //	topoattack -list
 //
 // Attacks are selected like topostats metrics: a comma-separated
 // -attacks list plus repeatable -param attack.key=value assignments,
 // both validated against the attack registry (run -list for the full
-// set with typed parameters). Output is byte-identical for any -workers
-// value and either evaluation path.
+// set with typed parameters). The metric set picks the evaluation path:
+// a plain lcc set replays each schedule through union-find, any other
+// set re-evaluates masked metrics per fraction. Output is
+// byte-identical for any -workers value.
 package main
 
 import (
@@ -47,7 +49,6 @@ func main() {
 		fracs   = flag.String("fracs", "0.01,0.05,0.1,0.2,0.5", "comma-separated removal fractions in [0,1]")
 		metrics = flag.String("metrics", "lcc", "comma-separated masked metric set traced along each schedule")
 		trials  = flag.Int("trials", 3, "trials averaged for randomized attacks (deterministic attacks use one pass)")
-		mode    = flag.String("mode", "auto", "evaluation path: auto|masked|incremental")
 		gap     = flag.Bool("gap", false, "also report each attack's gap vs the random-failure baseline")
 		workers = flag.Int("workers", 0, "worker pool bound (<= 0 = GOMAXPROCS); output is identical for any value")
 		format  = flag.String("format", "table", "output format: table|json")
@@ -69,7 +70,7 @@ func main() {
 	cfg := config{
 		model: *model, n: *n, seed: *seed,
 		attacks: *attacks, aparams: aparams, gparams: gparams,
-		fracs: *fracs, metrics: *metrics, trials: *trials, mode: *mode,
+		fracs: *fracs, metrics: *metrics, trials: *trials,
 		gap: *gap, workers: *workers, format: *format, out: *out,
 	}
 	if err := run(ctx, cfg); err != nil {
@@ -97,7 +98,6 @@ type config struct {
 	fracs            string
 	metrics          string
 	trials           int
-	mode             string
 	gap              bool
 	workers          int
 	format           string
@@ -120,10 +120,6 @@ func run(ctx context.Context, cfg config) error {
 		return err
 	}
 	fracList, err := parseFracs(cfg.fracs)
-	if err != nil {
-		return err
-	}
-	evalMode, err := robust.ParseMode(cfg.mode)
 	if err != nil {
 		return err
 	}
@@ -192,7 +188,6 @@ func run(ctx context.Context, cfg config) error {
 			Fracs:   fracList,
 			Trials:  cfg.trials,
 			Metrics: metricNames,
-			Mode:    evalMode,
 			Workers: cfg.workers,
 		}
 		curves, err := robust.RunSweepContext(ctx, g, c, spec, cfg.seed)
@@ -218,7 +213,7 @@ func run(ctx context.Context, cfg config) error {
 			}
 			if atkLCC == nil {
 				lccSpec := spec
-				lccSpec.Metrics, lccSpec.Mode = nil, robust.ModeAuto
+				lccSpec.Metrics = nil
 				lccCurves, err := robust.RunSweepContext(ctx, g, c, lccSpec, cfg.seed)
 				if err != nil {
 					return err

@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 func baseConfig() config {
 	return config{
 		model: "ba", n: 120, seed: 1, attacks: "degree,random-failure",
-		fracs: "0.05,0.2,1", metrics: "lcc", trials: 2, mode: "auto",
+		fracs: "0.05,0.2,1", metrics: "lcc", trials: 2,
 		workers: 2, format: "table", out: "-",
 	}
 }
@@ -60,19 +62,34 @@ func TestRunJSONAndAttackParams(t *testing.T) {
 }
 
 // TestModesAgreeAndWorkersDeterministic pins the CLI-visible halves of
-// the engine contract: masked and incremental output bytes are
-// identical, as are any two worker counts.
+// the engine contract: the lcc curves are identical whichever
+// evaluation path the metric set picks (the union-find replay for
+// "lcc", masked re-evaluation for "lcc,mean-degree"), and output bytes
+// are identical for any two worker counts.
 func TestModesAgreeAndWorkersDeterministic(t *testing.T) {
 	cfg := baseConfig()
-	cfg.attacks = "degree,random-failure,random-edge,preferential"
-	cfg.mode = "masked"
-	masked := runToFile(t, cfg)
-	cfg.mode = "incremental"
-	incr := runToFile(t, cfg)
-	if masked != incr {
-		t.Fatalf("masked vs incremental output differs:\n--- masked ---\n%s\n--- incremental ---\n%s", masked, incr)
+	cfg.attacks = "degree,random-failure,preferential"
+	cfg.format = "json"
+	lccCurves := func(cfg config) [][]float64 {
+		var results []attackResult
+		if err := json.Unmarshal([]byte(runToFile(t, cfg)), &results); err != nil {
+			t.Fatal(err)
+		}
+		var out [][]float64
+		for _, r := range results {
+			out = append(out, r.Curves[0].Values)
+		}
+		return out
 	}
-	cfg.mode = "auto"
+	replay := lccCurves(cfg)
+	cfg.metrics = "lcc,mean-degree"
+	masked := lccCurves(cfg)
+	if !reflect.DeepEqual(replay, masked) {
+		t.Fatalf("lcc curves differ between paths:\nreplay: %v\nmasked: %v", replay, masked)
+	}
+
+	cfg = baseConfig()
+	cfg.attacks = "degree,random-failure,random-edge,preferential"
 	cfg.workers = 1
 	one := runToFile(t, cfg)
 	cfg.workers = 8
@@ -121,7 +138,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		func(c *config) { c.aparams = []string{"geographic.x=1"} }, // outside selected set
 		func(c *config) { c.fracs = "0.1,abc" },
 		func(c *config) { c.fracs = "1.5" },
-		func(c *config) { c.mode = "teleport" },
 		func(c *config) { c.model = "nope" },
 		func(c *config) { c.gparams = []string{"bogus=1"} },
 		func(c *config) { c.metrics = "nope" },

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -78,6 +79,7 @@ func main() {
 
 	// §3.1 robust yet fragile: failure vs attack on the HOT topology and
 	// the density-matched random graph.
+	ctx := context.Background()
 	fracs := []float64{0.02, 0.05, 0.1}
 	fmt.Printf("\n%-14s %12s %12s\n", "topology", "LCC@5%fail", "LCC@5%attack")
 	for _, e := range []struct {
@@ -86,14 +88,18 @@ func main() {
 	}{
 		{"hot(fkp,m=2)", hot}, {"er(gnm)", er},
 	} {
-		fail, err := hotgen.RobustnessSweep(e.g, hotgen.RandomFailure, fracs, 10, 11)
+		fail, err := hotgen.RunRobustnessSweep(ctx, e.g, nil, hotgen.RobustnessSweepSpec{
+			Attack: "random-failure", Fracs: fracs, Trials: 10,
+		}, 11)
 		if err != nil {
 			log.Fatal(err)
 		}
-		atk, err := hotgen.RobustnessSweep(e.g, hotgen.DegreeAttack, fracs, 1, 11)
+		atk, err := hotgen.RunRobustnessSweep(ctx, e.g, nil, hotgen.RobustnessSweepSpec{
+			Attack: "degree", Fracs: fracs,
+		}, 11)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-14s %12.3f %12.3f\n", e.name, fail[1].LCCFrac, atk[1].LCCFrac)
+		fmt.Printf("%-14s %12.3f %12.3f\n", e.name, fail[0].Values[1], atk[0].Values[1])
 	}
 }

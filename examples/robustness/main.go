@@ -1,7 +1,7 @@
 // Attack registry walkthrough: enumerate registered attacks, trace
-// robustness curves with the incremental (reverse union-find) sweep
-// engine, compare an edge-targeted attack, and summarize robust-yet-
-// fragile with the attack gap — the paper's §3.1 claim as a five-minute
+// robustness curves with the sweep engine's reverse union-find replay,
+// compare an edge-targeted attack, and summarize robust-yet-fragile
+// with the attack gap — the paper's §3.1 claim as a five-minute
 // program.
 package main
 
@@ -27,9 +27,9 @@ func main() {
 	}
 	c := g.Freeze() // one snapshot shared by every sweep below
 
-	// 2. Trace LCC curves for several named attacks. The engine's auto
-	// mode rides the incremental path: the whole trajectory costs one
-	// near-linear reverse union-find pass per schedule, so a dense
+	// 2. Trace LCC curves for several named attacks. A plain LCC sweep
+	// replays each schedule backwards through union-find: the whole
+	// trajectory costs one near-linear pass per schedule, so a dense
 	// fraction grid is effectively free.
 	fracs := []float64{0.01, 0.05, 0.1, 0.2, 0.5, 1}
 	attacks := []struct {
@@ -79,13 +79,12 @@ func main() {
 		fmt.Printf("attack gap vs uniform removal, %-12s %+.4f\n", name+":", gap)
 	}
 
-	// 4. The masked path generalizes beyond LCC: trace any masked-capable
-	// metric set along the same schedule.
+	// 4. Sweeps generalize beyond LCC: any masked-capable metric set is
+	// re-evaluated along the same schedule.
 	curves, err := hotgen.RunRobustnessSweep(ctx, g, c, hotgen.RobustnessSweepSpec{
 		Attack:  "degree",
 		Fracs:   []float64{0.05, 0.2},
 		Metrics: []string{"lcc", "mean-degree"},
-		Mode:    hotgen.SweepMasked,
 	}, 1)
 	if err != nil {
 		log.Fatal(err)

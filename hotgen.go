@@ -20,10 +20,11 @@
 // `topostats -list`. Attacks mirror both: every failure/attack strategy
 // (node- or edge-removal, deterministic or randomized) is registered by
 // name with typed parameters, and the robustness sweep engine traces
-// metric curves along each schedule — via masked re-evaluation or a
-// reverse union-find incremental path that computes whole LCC
-// trajectories in near-linear time — see Attack, RunRobustnessSweep,
-// and `topoattack -list`. Traffic completes the registry quartet: every
+// metric curves along each schedule — the plain LCC curve through a
+// reverse union-find pass that computes the whole trajectory in
+// near-linear time, other masked metric sets through masked
+// re-evaluation — see Attack, RunRobustnessSweep, and
+// `topoattack -list`. Traffic completes the registry quartet: every
 // demand model (§2.2 makes population-gravity demand the canonical
 // evaluation input) is registered by name with typed parameters, feeds
 // the ISP provisioner and the peering optimizer, and drives the
@@ -321,25 +322,6 @@ type (
 	// Workspace owns the scratch buffers (distances, parents, heap,
 	// queue, visited epochs) one goroutine's kernel calls run in.
 	Workspace = graph.Workspace
-	// FreezeOptions tune Graph.FreezeWithOptions (cache-conscious
-	// traversal reordering); the zero value is a plain Freeze.
-	FreezeOptions = graph.FreezeOptions
-	// ReorderMode selects the internal traversal-layout permutation of a
-	// reordered snapshot. Every exported result (parents, distances,
-	// Neighbors, all metrics) stays in original node ids, bit-identical
-	// to an unreordered snapshot.
-	ReorderMode = graph.ReorderMode
-)
-
-// Reorder modes for FreezeOptions.
-const (
-	// ReorderNone keeps arrival order (identical to Graph.Freeze).
-	ReorderNone = graph.ReorderNone
-	// ReorderDegree lays nodes out by descending degree (hub locality).
-	ReorderDegree = graph.ReorderDegree
-	// ReorderRCM lays nodes out in reverse Cuthill–McKee order
-	// (bandwidth reduction).
-	ReorderRCM = graph.ReorderRCM
 )
 
 // GetWorkspace takes a pooled Workspace sized for n-node graphs; pair
@@ -675,25 +657,15 @@ type (
 	Demand = routing.Demand
 	// RouteResult reports a routing evaluation.
 	RouteResult = routing.Result
-	// AttackStrategy orders node removals (the four original attacks;
-	// the attack registry below generalizes it).
-	AttackStrategy = robust.Strategy
-)
-
-// Attack strategies.
-const (
-	RandomFailure        = robust.RandomFailure
-	DegreeAttack         = robust.DegreeAttack
-	BetweennessAttack    = robust.BetweennessAttack
-	AdaptiveDegreeAttack = robust.AdaptiveDegreeAttack
 )
 
 // Attack registry: the failure/attack mirror of the generator and
 // metric registries. Every node- or edge-removal strategy is registered
 // by name with typed parameters, and the sweep engine traces metric
-// curves along each schedule — via masked re-evaluation or the reverse
-// union-find incremental path (bit-for-bit identical, near-linear in
-// the whole schedule).
+// curves along each schedule — the plain LCC curve through one reverse
+// union-find pass (near-linear in the whole schedule), any other masked
+// metric set through masked re-evaluation, bit-for-bit identical on the
+// LCC curve.
 type (
 	// Attack is one registered removal strategy: name, typed parameter
 	// specs, a node/edge target, and a schedule function.
@@ -712,9 +684,6 @@ type (
 	AttackCaps = attackreg.Caps
 	// RobustnessSweepSpec declares one registry-driven robustness sweep.
 	RobustnessSweepSpec = robust.SweepSpec
-	// RobustnessMode selects the sweep evaluation path (auto, masked,
-	// incremental).
-	RobustnessMode = robust.Mode
 	// TimelineEvent is one connectivity event of a failure/repair
 	// timeline: an op applied to a node or edge id.
 	TimelineEvent = robust.TimelineEvent
@@ -736,18 +705,6 @@ const (
 	AttackCapRandomized = attackreg.CapRandomized
 	// AttackCapAdaptive marks attacks that re-score the residual graph.
 	AttackCapAdaptive = attackreg.CapAdaptive
-)
-
-// Sweep evaluation modes.
-const (
-	// SweepAuto picks the incremental path for plain LCC curves and the
-	// masked path otherwise.
-	SweepAuto = robust.ModeAuto
-	// SweepMasked re-evaluates masked accumulators at every fraction.
-	SweepMasked = robust.ModeMasked
-	// SweepIncremental replays the schedule backwards through a reverse
-	// union-find (LCC only).
-	SweepIncremental = robust.ModeIncremental
 )
 
 // Timeline event kinds and evaluation modes.
@@ -782,9 +739,10 @@ func LookupAttack(name string) (Attack, error) { return attackreg.Lookup(name) }
 
 // RunRobustnessSweep executes one registry-driven sweep spec: the named
 // attack's schedule is computed per trial and the metric set traced
-// along it, with curves byte-identical for any worker count and either
-// evaluation path. Pass a pre-frozen CSR to skip re-freezing (nil
-// freezes internally).
+// along it, with curves byte-identical for any worker count. Any
+// masked-capable metric set (MetricCapMasked, e.g. "lcc",
+// "mean-degree") can be traced; edge attacks trace only "lcc". Pass a
+// pre-frozen CSR to skip re-freezing (nil freezes internally).
 func RunRobustnessSweep(ctx context.Context, g *Graph, c *CSR, spec RobustnessSweepSpec, seed int64) ([]RobustnessMetricCurve, error) {
 	return robust.RunSweepContext(ctx, g, c, spec, seed)
 }
@@ -808,7 +766,8 @@ func ParseTimelineMode(name string) (TimelineMode, error) {
 
 // RobustnessAttackGap summarizes robust-yet-fragile for any registered
 // attack: the mean gap between the random-failure curve and the named
-// attack's curve over the given fractions.
+// attack's curve over the given fractions. An empty fraction list wraps
+// ErrBadParam.
 func RobustnessAttackGap(ctx context.Context, g *Graph, c *CSR, attack string, p AttackParams, fracs []float64, trials int, seed int64, workers int) (float64, error) {
 	return robust.AttackGapContext(ctx, g, c, attack, p, fracs, trials, seed, workers)
 }
@@ -870,36 +829,9 @@ func ExactAccessOPT(in *AccessInstance) (float64, []int, error) {
 	return access.ExactTreeOPT(in)
 }
 
-// RobustnessSweep reports the largest-component curve under removals.
-func RobustnessSweep(g *Graph, strat AttackStrategy, fracs []float64, trials int, seed int64) ([]robust.SweepPoint, error) {
-	return robust.Sweep(g, strat, fracs, trials, seed)
-}
-
-// RobustnessSweepContext is RobustnessSweep with cancellation, an
-// optional pre-frozen snapshot (nil freezes internally), and an
-// explicit worker bound (<= 0 = GOMAXPROCS).
-func RobustnessSweepContext(ctx context.Context, g *Graph, c *CSR, strat AttackStrategy, fracs []float64, trials int, seed int64, workers int) ([]robust.SweepPoint, error) {
-	return robust.SweepContext(ctx, g, c, strat, fracs, trials, seed, workers)
-}
-
 // RobustnessMetricCurve is one masked metric's values across a sweep's
 // removal fractions.
 type RobustnessMetricCurve = robust.MetricCurve
-
-// RobustnessMetricSweep generalizes the robustness sweep to any set of
-// masked-capable registry metrics (MetricCapMasked, e.g. "lcc",
-// "mean-degree"): each metric is re-evaluated under the same mask
-// schedule, reusing one accumulator per trial across attack steps.
-func RobustnessMetricSweep(ctx context.Context, g *Graph, c *CSR, strat AttackStrategy, fracs []float64, trials int, seed int64, workers int, metricNames []string) ([]RobustnessMetricCurve, error) {
-	return robust.MetricSweepContext(ctx, g, c, strat, fracs, trials, seed, workers, metricNames)
-}
-
-// ParseAttackStrategy maps a strategy name ("random", "degree",
-// "betweenness", "adaptive-degree", with or without the
-// "-attack"/"-failure" suffix) to its AttackStrategy.
-func ParseAttackStrategy(name string) (AttackStrategy, error) {
-	return robust.ParseStrategy(name)
-}
 
 // Experiments: the E1–E9 harness used by cmd/experiments and the benches.
 type (

@@ -104,12 +104,14 @@ func TestFacadeRoutingAndRobustness(t *testing.T) {
 	if _, err := RouteCapacitated(g, []Demand{{Src: 0, Dst: 10, Volume: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := RobustnessSweep(g, DegreeAttack, []float64{0.1}, 1, 8)
+	curves, err := RunRobustnessSweep(context.Background(), g, nil, RobustnessSweepSpec{
+		Attack: "degree", Fracs: []float64{0.1}, Trials: 1,
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].LCCFrac <= 0 || pts[0].LCCFrac > 1 {
-		t.Fatalf("sweep out of range: %v", pts)
+	if lcc := curves[0].Values[0]; lcc <= 0 || lcc > 1 {
+		t.Fatalf("sweep out of range: %v", curves)
 	}
 }
 

@@ -11,7 +11,7 @@
 // resolved parameters and a seed. The sweep engine (internal/robust)
 // consumes schedules two ways: re-evaluating masked metrics at each
 // removal fraction, or replaying the whole schedule backwards through a
-// reverse union-find for the near-linear incremental LCC trajectory.
+// reverse union-find for the near-linear LCC trajectory.
 package attackreg
 
 import (
@@ -106,10 +106,10 @@ func Resolve(a Attack, p params.Params) (params.Params, error) {
 	return params.Resolve(fmt.Sprintf("attackreg: attack %q", a.Name()), a.Params(), p)
 }
 
-// aliases maps the historical strategy spellings (robust.Strategy
-// String() output and the short forms scenario specs used) onto the
-// canonical registry names, so every spec that validated before the
-// registry existed still validates.
+// aliases maps the historical strategy spellings ("random",
+// "degree-attack", ... — the forms scenario specs were written with
+// before the registry existed) onto the canonical registry names, so
+// every such spec still validates.
 var aliases = map[string]string{
 	"":                       "random-failure",
 	"random":                 "random-failure",

@@ -65,16 +65,17 @@ func E10Level2Rings(opts Options) (*Table, error) {
 		if err != nil {
 			return repStat{}, err
 		}
-		tc, err := robust.Sweep(tree.Graph, robust.RandomFailure, []float64{0.1}, 3, opts.Seed)
+		spec := robust.SweepSpec{Attack: "random-failure", Fracs: []float64{0.1}, Trials: 3, Workers: opts.Workers}
+		tc, err := robust.RunSweepContext(opts.ctx(), tree.Graph, nil, spec, opts.Seed)
 		if err != nil {
 			return repStat{}, err
 		}
-		rc, err := robust.Sweep(ring.Graph, robust.RandomFailure, []float64{0.1}, 3, opts.Seed)
+		rc, err := robust.RunSweepContext(opts.ctx(), ring.Graph, nil, spec, opts.Seed)
 		if err != nil {
 			return repStat{}, err
 		}
-		rs.treeLCC = tc[0].LCCFrac
-		rs.ringLCC = rc[0].LCCFrac
+		rs.treeLCC = tc[0].Values[0]
+		rs.ringLCC = rc[0].Values[0]
 		return rs, nil
 	})
 	if err != nil {

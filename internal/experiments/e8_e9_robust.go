@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/access"
 	"repro/internal/attackreg"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -63,8 +65,7 @@ func E8Robustness(opts Options) (*Table, error) {
 	// Sweep the four topologies concurrently through the attack
 	// registry, one frozen snapshot per topology shared by every named
 	// attack; each sweep additionally parallelizes its randomized trials
-	// internally (and the LCC curves ride the incremental union-find
-	// path).
+	// internally (and the LCC curves ride the union-find replay).
 	ctx := opts.ctx()
 	type sweeps struct {
 		fail, atk, geo, gap, crit float64
@@ -97,7 +98,7 @@ func E8Robustness(opts Options) (*Table, error) {
 		if err != nil {
 			return sweeps{}, err
 		}
-		crit, err := robust.CriticalFraction(g, robust.DegreeAttack, 0.1, 25, 1, opts.Seed)
+		crit, err := criticalFraction(ctx, g, c, "degree", 0.1, 25, 1, opts.Seed, opts.Workers)
 		if err != nil {
 			return sweeps{}, err
 		}
@@ -114,6 +115,32 @@ func E8Robustness(opts Options) (*Table, error) {
 		"LCC@5%geo: localized (geographic) failure at the map center — between random failure and hub targeting",
 		"trees fragment under any removal; the HOT signature is the spread between the failure and attack columns")
 	return t, nil
+}
+
+// criticalFraction estimates the removal fraction at which the largest
+// component first drops below threshold of the original size, by a
+// linear scan over a uniform grid of steps fractions in [0, 1). Returns
+// 1 if the network never degrades below the threshold within the grid.
+func criticalFraction(ctx context.Context, g *graph.Graph, c *graph.CSR, attack string, threshold float64, steps, trials int, seed int64, workers int) (float64, error) {
+	if steps < 1 {
+		return 0, errs.BadParamf("experiments: need steps >= 1")
+	}
+	fracs := make([]float64, steps)
+	for i := range fracs {
+		fracs[i] = float64(i) / float64(steps)
+	}
+	curves, err := robust.RunSweepContext(ctx, g, c, robust.SweepSpec{
+		Attack: attack, Fracs: fracs, Trials: trials, Workers: workers,
+	}, seed)
+	if err != nil {
+		return 0, err
+	}
+	for i, lcc := range curves[0].Values {
+		if lcc < threshold {
+			return fracs[i], nil
+		}
+	}
+	return 1, nil
 }
 
 // E9Redundancy regenerates footnote 7 of §4: "adding a path redundancy

@@ -49,24 +49,8 @@ type CSR struct {
 	// The BFS kernels traverse it instead of nbr: the bottom-up step can
 	// then claim a node at its first frontier neighbour and still honour
 	// the smallest-id parent contract, and the sorted rows scan with
-	// fewer cache-line switches on id-clustered generators. nil on
-	// reordered snapshots, where permNbr replaces it.
+	// fewer cache-line switches on id-clustered generators.
 	bfsNbr []int32
-
-	// Cache reordering (FreezeWithOptions with Reorder != ReorderNone):
-	// perm maps original -> internal ids, inv maps internal -> original,
-	// and permRowStart/permNbr are the BFS mirror in internal id space
-	// with each row still sorted ascending by ORIGINAL neighbour id, so
-	// the bottom-up first-match claim keeps the smallest-original-id
-	// parent contract. All nil when the snapshot is unreordered; only the
-	// BFS kernels consult them — Neighbors, Degree, Dijkstra and every
-	// metric read the original-order arrays and are byte-identical either
-	// way.
-	perm         []int32
-	inv          []int32
-	permRowStart []int32
-	permNbr      []int32
-	reorder      ReorderMode
 
 	// minW/maxW summarize the weight range (0/0 for edgeless snapshots);
 	// bucketOK records whether the bucketed Dijkstra applies: weights
@@ -99,16 +83,6 @@ func checkCSRBounds(nodes, edges int) {
 // beyond the int32 index space (MaxCSRNodes nodes or MaxCSRHalfEdges/2
 // edges) panic with a documented message.
 func (g *Graph) Freeze() *CSR {
-	return g.FreezeWithOptions(FreezeOptions{})
-}
-
-// freezeBase builds the unreordered snapshot; FreezeWithOptions layers
-// the optional traversal reordering on top. sortedMirror=false skips the
-// bfsNbr build: the reordered path derives its permuted mirror straight
-// from nbr, so materializing bfsNbr there would only raise peak memory
-// by a second 2m-int32 array — at the 10^7-node scale that is hundreds
-// of megabytes of transient allocation for nothing.
-func (g *Graph) freezeBase(sortedMirror bool) *CSR {
 	n := len(g.nodes)
 	checkCSRBounds(n, len(g.edges))
 	c := &CSR{
@@ -131,16 +105,14 @@ func (g *Graph) freezeBase(sortedMirror bool) *CSR {
 	}
 	c.rowStart[n] = pos
 
-	if sortedMirror {
-		// Build the mirror row by row — copy then sort each chunk — so
-		// the pass streams through one row at a time instead of a
-		// whole-array copy followed by a second full sweep.
-		c.bfsNbr = make([]int32, len(c.nbr))
-		for u := 0; u < n; u++ {
-			row := c.bfsNbr[c.rowStart[u]:c.rowStart[u+1]]
-			copy(row, c.nbr[c.rowStart[u]:c.rowStart[u+1]])
-			slices.Sort(row)
-		}
+	// Build the mirror row by row — copy then sort each chunk — so the
+	// pass streams through one row at a time instead of a whole-array
+	// copy followed by a second full sweep.
+	c.bfsNbr = make([]int32, len(c.nbr))
+	for u := 0; u < n; u++ {
+		row := c.bfsNbr[c.rowStart[u]:c.rowStart[u+1]]
+		copy(row, c.nbr[c.rowStart[u]:c.rowStart[u+1]])
+		slices.Sort(row)
 	}
 
 	c.minW, c.maxW = math.Inf(1), math.Inf(-1)
@@ -696,25 +668,14 @@ func (c *CSR) BFSTopDown(ws *Workspace, src int) {
 	c.bfs(ws, src, 0, 0, 1)
 }
 
-// bfs is the shared level-synchronous traversal; alpha <= 0 disables
-// direction switching (pure top-down), workers > 1 parallelizes the
-// bottom-up levels. On reordered snapshots the traversal runs over the
-// permuted mirror in internal id space and scatters Hop/Parent back to
-// original ids at the end; parent values are stored as original ids
-// throughout, so tie-breaks compare the same numbers as the unreordered
-// kernel and the outputs are bit-identical.
+// bfs is the shared level-synchronous traversal over the sorted bfsNbr
+// mirror; alpha <= 0 disables direction switching (pure top-down),
+// workers > 1 parallelizes the bottom-up levels.
 func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 	ws.Reserve(c.n)
 	rowStart, nbrs := c.rowStart, c.bfsNbr
 	hop := ws.Hop[:c.n]
 	parent := ws.Parent[:c.n]
-	permuted := c.perm != nil
-	if permuted {
-		rowStart, nbrs = c.permRowStart, c.permNbr
-		ws.reservePerm(c.n)
-		hop = ws.permHop[:c.n]
-		parent = ws.permParent[:c.n]
-	}
 	for i := range hop {
 		hop[i] = -1
 		parent[i] = -1
@@ -723,17 +684,13 @@ func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 	if c.n == 0 {
 		return
 	}
-	isrc := src
-	if permuted {
-		isrc = int(c.perm[src])
-	}
-	hop[isrc] = 0
+	hop[src] = 0
 	queue := ws.queue[:0]
-	queue = append(queue, int32(isrc))
+	queue = append(queue, int32(src))
 	lo, hi := 0, 1
-	nf := 1                                      // nodes in the current frontier
-	mf := int(rowStart[isrc+1] - rowStart[isrc]) // half-edges out of the current frontier
-	mu := len(nbrs) - mf                         // half-edges out of still-unvisited nodes
+	nf := 1                                    // nodes in the current frontier
+	mf := int(rowStart[src+1] - rowStart[src]) // half-edges out of the current frontier
+	mu := len(nbrs) - mf                       // half-edges out of still-unvisited nodes
 	bottomUp := false
 	words := (c.n + 63) / 64
 	front := ws.front[:words]
@@ -769,28 +726,24 @@ func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 				next[i] = 0
 			}
 			if workers > 1 {
-				nfNext, mfNext = c.bottomUpParallel(ws, rowStart, nbrs, hop, parent, front, next, level, workers)
+				nfNext, mfNext = c.bottomUpParallel(ws, hop, parent, front, next, level, workers)
 			} else {
-				snf, smf := c.bottomUpRange(rowStart, nbrs, hop, parent, front, next, level, 0, c.n)
+				snf, smf := c.bottomUpRange(hop, parent, front, next, level, 0, c.n)
 				nfNext, mfNext = int(snf), int(smf)
 			}
 			front, next = next, front
 		} else {
 			for i := lo; i < hi; i++ {
 				u := queue[i]
-				pu := u
-				if permuted {
-					pu = c.inv[u]
-				}
 				for j := rowStart[u]; j < rowStart[u+1]; j++ {
 					v := nbrs[j]
 					if hop[v] < 0 {
 						hop[v] = level + 1
-						parent[v] = pu
+						parent[v] = u
 						queue = append(queue, v)
 						mfNext += int(rowStart[v+1] - rowStart[v])
-					} else if hop[v] == level+1 && pu < parent[v] {
-						parent[v] = pu
+					} else if hop[v] == level+1 && u < parent[v] {
+						parent[v] = u
 					}
 				}
 			}
@@ -801,26 +754,16 @@ func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 		mu -= mf
 	}
 	ws.queue = queue
-	if permuted {
-		// Scatter internal-space hops/parents back to original ids.
-		// Parents already hold original ids.
-		outHop := ws.Hop[:c.n]
-		outParent := ws.Parent[:c.n]
-		for v, o := range c.inv {
-			outHop[o] = hop[v]
-			outParent[o] = parent[v]
-		}
-	}
 }
 
 // bottomUpRange runs one bottom-up level over nodes [vlo, vhi): every
 // still-unvisited node scans its sorted row and claims its first (hence
-// smallest-original-id) in-frontier neighbour. The outcome per node
-// depends only on front and the row — never on other nodes of the level
-// — which is what makes the sharded parallel variant bit-identical.
-// Returns the nodes and out-half-edges added to the next frontier.
-func (c *CSR) bottomUpRange(rowStart, nbrs []int32, hop, parent []int32, front, next []uint64, level int32, vlo, vhi int) (int32, int64) {
-	permuted := c.perm != nil
+// smallest-id) in-frontier neighbour. The outcome per node depends only
+// on front and the row — never on other nodes of the level — which is
+// what makes the sharded parallel variant bit-identical. Returns the
+// nodes and out-half-edges added to the next frontier.
+func (c *CSR) bottomUpRange(hop, parent []int32, front, next []uint64, level int32, vlo, vhi int) (int32, int64) {
+	rowStart, nbrs := c.rowStart, c.bfsNbr
 	var nf int32
 	var mf int64
 	for v := vlo; v < vhi; v++ {
@@ -833,11 +776,7 @@ func (c *CSR) bottomUpRange(rowStart, nbrs []int32, hop, parent []int32, front, 
 				// Sorted row: the first in-frontier neighbour is
 				// the smallest-id one, honouring the contract.
 				hop[v] = level + 1
-				if permuted {
-					parent[v] = c.inv[u]
-				} else {
-					parent[v] = u
-				}
+				parent[v] = u
 				next[v>>6] |= 1 << (uint(v) & 63)
 				nf++
 				mf += int64(rowStart[v+1] - rowStart[v])
@@ -854,7 +793,7 @@ func (c *CSR) bottomUpRange(rowStart, nbrs []int32, hop, parent []int32, front, 
 // is read-only, so there are no write conflicts; per-shard frontier
 // counters are summed in shard order, keeping the level's results and
 // the direction-switch inputs bit-identical to the serial loop.
-func (c *CSR) bottomUpParallel(ws *Workspace, rowStart, nbrs []int32, hop, parent []int32, front, next []uint64, level int32, workers int) (int, int) {
+func (c *CSR) bottomUpParallel(ws *Workspace, hop, parent []int32, front, next []uint64, level int32, workers int) (int, int) {
 	shards := (c.n + bfsShardSpan - 1) / bfsShardSpan
 	ws.reserveShards(shards)
 	snf := ws.shardNF[:shards]
@@ -865,7 +804,7 @@ func (c *CSR) bottomUpParallel(ws *Workspace, rowStart, nbrs []int32, hop, paren
 		if vhi > c.n {
 			vhi = c.n
 		}
-		snf[s], smf[s] = c.bottomUpRange(rowStart, nbrs, hop, parent, front, next, level, vlo, vhi)
+		snf[s], smf[s] = c.bottomUpRange(hop, parent, front, next, level, vlo, vhi)
 		return nil
 	})
 	nf, mf := 0, 0

@@ -84,6 +84,35 @@ func TestBFSDirectionSwitchingParity(t *testing.T) {
 	}
 }
 
+// TestParallelBottomUpParity pins the sharded parallel bottom-up level
+// bit-identical to the serial kernel across worker counts, with the
+// bottom-up regime forced so every level exercises the parallel path.
+func TestParallelBottomUpParity(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		g := randomTestGraph(400, 900, seed)
+		c := g.Freeze()
+		ref := NewWorkspace(c.NumNodes())
+		ws := NewWorkspace(c.NumNodes())
+		for src := 0; src < c.NumNodes(); src += 13 {
+			c.bfs(ref, src, forceBottomUp, forceBottomUp, 1)
+			if ref.BFSBottomUpLevels == 0 {
+				t.Fatalf("seed %d src %d: forced regime ran no bottom-up level", seed, src)
+			}
+			for _, workers := range []int{2, 4, 8} {
+				c.bfs(ws, src, forceBottomUp, forceBottomUp, workers)
+				checkBFSEqual(t, "parallel", c.NumNodes(), ref, ws)
+				if ws.BFSBottomUpLevels != ref.BFSBottomUpLevels {
+					t.Fatalf("seed %d src %d workers %d: %d bottom-up levels, serial %d",
+						seed, src, workers, ws.BFSBottomUpLevels, ref.BFSBottomUpLevels)
+				}
+			}
+			c.BFSParallel(ws, src, 4)
+			c.BFS(ref, src)
+			checkBFSEqual(t, "exported-parallel", c.NumNodes(), ref, ws)
+		}
+	}
+}
+
 // TestBFSParentMinIDContract checks the documented tie-break directly:
 // Parent[v] must be the smallest-id neighbour one hop closer to the
 // source, independent of which kernel or direction produced it.

@@ -21,19 +21,14 @@ func (g *Graph) MemBytes() int64 {
 }
 
 // MemBytes reports the snapshot's heap footprint in bytes: the int32 CSR
-// arrays (rowStart, nbr, edgeID, the sorted bfsNbr mirror, and — on
-// reordered snapshots — the permutation, its inverse, and the permuted
-// mirror's row offsets and neighbours) plus the float64 weights. Freeze
-// allocates every array at its final length, so for a graph of n nodes
-// and m edges this is exactly 4(n+1) + 40m unreordered, and
-// 8(n+1) + 8n + 40m reordered (the permuted mirror replaces bfsNbr, so
-// the mirrors net out and only the permutations and the second offset
-// array are new). Pooled per-workspace scratch (including the parallel
-// BFS shard counters) is deliberately not charged — it is shared across
+// arrays (rowStart, nbr, edgeID and the sorted bfsNbr mirror) plus the
+// float64 weights. Freeze allocates every array at its final length, so
+// for a graph of n nodes and m edges this is exactly 4(n+1) + 40m.
+// Pooled per-workspace scratch (including the parallel BFS shard
+// counters) is deliberately not charged — it is shared across
 // snapshots, not retained per snapshot.
 func (c *CSR) MemBytes() int64 {
 	const i32, f64 = 4, 8
-	n := cap(c.rowStart) + cap(c.nbr) + cap(c.edgeID) + cap(c.bfsNbr) +
-		cap(c.perm) + cap(c.inv) + cap(c.permRowStart) + cap(c.permNbr)
+	n := cap(c.rowStart) + cap(c.nbr) + cap(c.edgeID) + cap(c.bfsNbr)
 	return i32*int64(n) + f64*int64(cap(c.weight))
 }

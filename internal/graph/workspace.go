@@ -40,14 +40,6 @@ type Workspace struct {
 	front []uint64
 	next  []uint64
 
-	// permHop/permParent are the internal-id-space traversal arrays used
-	// when the snapshot carries a cache reordering (FreezeWithOptions):
-	// the kernel traverses the permuted mirror into these, then scatters
-	// back to Hop/Parent in original ids at the boundary. Reserved lazily
-	// so unreordered traversals pay nothing.
-	permHop    []int32
-	permParent []int32
-
 	// shardNF/shardMF hold the per-shard frontier counters of a parallel
 	// bottom-up BFS level; they are summed in shard order after the
 	// fan-out so the direction-switch decisions stay deterministic.
@@ -141,19 +133,6 @@ func (ws *Workspace) Reserve(n int) {
 		ws.bktOf = make([]int32, n)
 	}
 	ws.bktOf = ws.bktOf[:n]
-}
-
-// reservePerm grows the permuted-traversal arrays to n nodes. Split out
-// of Reserve so only reordered snapshots carry the extra 8n bytes.
-func (ws *Workspace) reservePerm(n int) {
-	if cap(ws.permHop) < n {
-		ws.permHop = make([]int32, n)
-	}
-	ws.permHop = ws.permHop[:n]
-	if cap(ws.permParent) < n {
-		ws.permParent = make([]int32, n)
-	}
-	ws.permParent = ws.permParent[:n]
 }
 
 // relaxBuf is one worker's candidate buffer of the parallel bucketed

@@ -16,18 +16,18 @@ func TestAdaptiveAttackAtLeastAsDeadly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.05, 0.1, 0.2, 0.3}
-	static, err := Sweep(g, DegreeAttack, fracs, 1, 1)
+	static, err := lccSweep(g, "degree", fracs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Sweep(g, AdaptiveDegreeAttack, fracs, 1, 1)
+	adaptive, err := lccSweep(g, "adaptive-degree", fracs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range fracs {
-		if adaptive[i].LCCFrac > static[i].LCCFrac+0.05 {
+		if adaptive[i] > static[i]+0.05 {
 			t.Fatalf("frac %v: adaptive %v notably weaker than static %v",
-				fracs[i], adaptive[i].LCCFrac, static[i].LCCFrac)
+				fracs[i], adaptive[i], static[i])
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestAdaptiveAttackOrderIsPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk, err := attackreg.Lookup(AdaptiveDegreeAttack.AttackName())
+	atk, err := attackreg.Lookup("adaptive-degree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,5 @@ func TestAdaptiveAttackOrderIsPermutation(t *testing.T) {
 		if d > deg[order[0]] {
 			t.Fatal("adaptive attack did not start at the max-degree hub")
 		}
-	}
-}
-
-func TestAdaptiveStrategyString(t *testing.T) {
-	if AdaptiveDegreeAttack.String() != "adaptive-degree-attack" {
-		t.Fatal("bad strategy string")
 	}
 }

@@ -11,9 +11,9 @@ import (
 // The sweep benches pit the two evaluation paths against each other on
 // the same 10k-node schedule at a 2% fraction grid (the resolution a
 // real resilience curve wants): the masked path pays one masked BFS per
-// removal fraction, the incremental path one reverse union-find pass
-// for the whole trajectory regardless of grid density. The acceptance
-// bar for the incremental engine is >= 3x on this workload.
+// removal fraction, the union-find replay (the path RunSweepContext
+// takes for the plain LCC curve) one reverse pass for the whole
+// trajectory regardless of grid density.
 
 func benchSweepInputs(b *testing.B) (*graph.Graph, *graph.CSR, []float64) {
 	b.Helper()
@@ -28,23 +28,23 @@ func benchSweepInputs(b *testing.B) (*graph.Graph, *graph.CSR, []float64) {
 	return g, g.Freeze(), fracs
 }
 
-func benchSweep(b *testing.B, mode Mode) {
+func benchSweep(b *testing.B, masked bool) {
 	g, c, fracs := benchSweepInputs(b)
-	spec := SweepSpec{Attack: "degree", Fracs: fracs, Mode: mode, Workers: 1}
+	spec := SweepSpec{Attack: "degree", Fracs: fracs, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSweepContext(context.Background(), g, c, spec, 1); err != nil {
+		if _, err := sweep(context.Background(), g, c, spec, 1, masked); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkSweepMasked10k(b *testing.B)      { benchSweep(b, ModeMasked) }
-func BenchmarkSweepIncremental10k(b *testing.B) { benchSweep(b, ModeIncremental) }
+func BenchmarkSweepMasked10k(b *testing.B)      { benchSweep(b, true) }
+func BenchmarkSweepIncremental10k(b *testing.B) { benchSweep(b, false) }
 
-// BenchmarkSweepRandomFailure10k measures the default (auto) path under
-// the trial-averaged random-failure sweep the experiments run hottest.
+// BenchmarkSweepRandomFailure10k measures the default path under the
+// trial-averaged random-failure sweep the experiments run hottest.
 func BenchmarkSweepRandomFailure10k(b *testing.B) {
 	g, c, fracs := benchSweepInputs(b)
 	spec := SweepSpec{Attack: "random-failure", Fracs: fracs, Trials: 4}
@@ -91,7 +91,7 @@ func benchTimeline(b *testing.B, mode TimelineMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunTimeline(c, events, nil, mode, 1); err != nil {
+		if _, err := RunTimelineContext(context.Background(), c, events, nil, mode, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // parityModels builds the generator-model spread the parity tests pin:
@@ -42,8 +43,8 @@ func parityModels(t *testing.T) map[string]*graph.Graph {
 
 // TestIncrementalParity is the engine's core contract: for every
 // generator model, seed, and attack — node- and edge-targeted,
-// deterministic and randomized — the reverse union-find trajectory must
-// be bit-for-bit identical to the masked-BFS path, full removal
+// deterministic and randomized — the union-find replay of the LCC curve
+// must be bit-for-bit identical to the masked-BFS path, full removal
 // included.
 func TestIncrementalParity(t *testing.T) {
 	fracs := []float64{0, 0.03, 0.1, 0.25, 0.5, 0.8, 1}
@@ -55,45 +56,118 @@ func TestIncrementalParity(t *testing.T) {
 		c := g.Freeze()
 		for _, attack := range attacks {
 			spec := SweepSpec{Attack: attack, Fracs: fracs, Trials: 3}
-			spec.Mode = ModeMasked
-			masked, err := RunSweepContext(context.Background(), g, c, spec, 11)
+			masked, err := sweep(context.Background(), g, c, spec, 11, true)
 			if err != nil {
 				t.Fatalf("%s/%s masked: %v", name, attack, err)
 			}
-			spec.Mode = ModeIncremental
-			incr, err := RunSweepContext(context.Background(), g, c, spec, 11)
+			replay, err := RunSweepContext(context.Background(), g, c, spec, 11)
 			if err != nil {
-				t.Fatalf("%s/%s incremental: %v", name, attack, err)
+				t.Fatalf("%s/%s replay: %v", name, attack, err)
 			}
-			if !reflect.DeepEqual(masked, incr) {
-				t.Fatalf("%s/%s: paths diverged\nmasked:      %v\nincremental: %v",
-					name, attack, masked[0].Values, incr[0].Values)
+			if !reflect.DeepEqual(masked, replay) {
+				t.Fatalf("%s/%s: paths diverged\nmasked: %v\nreplay: %v",
+					name, attack, masked[0].Values, replay[0].Values)
 			}
 		}
 	}
 }
 
-// TestAutoModeMatchesLegacySweep pins that the default (auto,
-// incremental) SweepContext path reproduces the masked MetricSweep
-// curve exactly — the compatibility guarantee for every caller that
-// upgraded for free.
+// lccByDFS is the certificate side of TestSweepLCCCertificate: the
+// largest component of g with the marked nodes and edges removed, found
+// by an iterative DFS over Graph.Neighbors — no CSR snapshot, no
+// union-find, no masked kernel.
+func lccByDFS(g *graph.Graph, removedNode, removedEdge []bool) int {
+	seen := make([]bool, g.NumNodes())
+	best := 0
+	var stack []int
+	for s := range seen {
+		if seen[s] || removedNode[s] {
+			continue
+		}
+		seen[s] = true
+		stack = append(stack[:0], s)
+		size := 0
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			g.Neighbors(u, func(v, e int) {
+				if !seen[v] && !removedNode[v] && !removedEdge[e] {
+					seen[v] = true
+					stack = append(stack, v)
+				}
+			})
+		}
+		best = max(best, size)
+	}
+	return best
+}
+
+// TestSweepLCCCertificate recomputes every sweep point independently of
+// both evaluation paths: the attack's own single-trial schedule, its
+// prefix int(frac*total) removed, and the largest component found by
+// lccByDFS, divided by n. RunSweepContext must match bit for bit.
+func TestSweepLCCCertificate(t *testing.T) {
+	ctx := context.Background()
+	fracs := []float64{0, 0.1, 0.5, 1}
+	const seed = 5
+	for name, g := range parityModels(t) {
+		n, m := g.NumNodes(), g.NumEdges()
+		for _, attack := range []string{"degree", "random-failure", "random-edge"} {
+			atk, err := attackreg.Lookup(attack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := attackreg.Resolve(atk, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, err := atk.Schedule(ctx, g, p, rng.Derive(seed, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			curves, err := RunSweepContext(ctx, g, nil, SweepSpec{Attack: attack, Fracs: fracs, Trials: 1}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range fracs {
+				removedNode, removedEdge := make([]bool, n), make([]bool, m)
+				removed, total := removedNode, n
+				if atk.Target() == attackreg.Edges {
+					removed, total = removedEdge, m
+				}
+				for _, id := range order[:int(f*float64(total))] {
+					removed[id] = true
+				}
+				want := float64(lccByDFS(g, removedNode, removedEdge)) / float64(n)
+				if got := curves[0].Values[i]; got != want {
+					t.Fatalf("%s/%s frac %v: sweep LCC %v, DFS certificate %v", name, attack, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestAutoModeMatchesLegacySweep pins that the path RunSweepContext
+// picks for the plain LCC curve (the union-find replay) reproduces the
+// masked path's curve exactly.
 func TestAutoModeMatchesLegacySweep(t *testing.T) {
 	g, err := gen.BarabasiAlbert(180, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs := []float64{0.05, 0.2, 0.6}
-	pts, err := Sweep(g, RandomFailure, fracs, 4, 5)
+	spec := SweepSpec{Attack: "random-failure", Fracs: []float64{0.05, 0.2, 0.6}, Trials: 4}
+	auto, err := RunSweepContext(context.Background(), g, nil, spec, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := MetricSweepContext(context.Background(), g, nil, RandomFailure, fracs, 4, 5, 0, []string{"lcc"})
+	masked, err := sweep(context.Background(), g, nil, spec, 5, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range fracs {
-		if pts[i].LCCFrac != curves[0].Values[i] {
-			t.Fatalf("frac %v: auto %v != masked %v", fracs[i], pts[i].LCCFrac, curves[0].Values[i])
+	for i, f := range spec.Fracs {
+		if auto[0].Values[i] != masked[0].Values[i] {
+			t.Fatalf("frac %v: auto %v != masked %v", f, auto[0].Values[i], masked[0].Values[i])
 		}
 	}
 }
@@ -106,53 +180,51 @@ func TestSweepEdgeCasesBothPaths(t *testing.T) {
 	pair.AddNode(graph.Node{})
 	pair.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1})
 
-	for _, mode := range []Mode{ModeMasked, ModeIncremental} {
+	for _, masked := range []bool{true, false} {
+		run := func(g *graph.Graph, spec SweepSpec, seed int64) ([]MetricCurve, error) {
+			return sweep(context.Background(), g, nil, spec, seed, masked)
+		}
 		// Empty graph: rejected on both paths.
-		_, err := RunSweepContext(context.Background(), graph.New(0), nil,
-			SweepSpec{Attack: "random-failure", Fracs: []float64{0.1}, Mode: mode}, 1)
+		_, err := run(graph.New(0), SweepSpec{Attack: "random-failure", Fracs: []float64{0.1}}, 1)
 		if !errors.Is(err, errs.ErrBadParam) {
-			t.Fatalf("%v: empty graph gave %v, want ErrBadParam", mode, err)
+			t.Fatalf("masked=%v: empty graph gave %v, want ErrBadParam", masked, err)
 		}
 
 		// Single node: frac 0 keeps it (LCC 1), frac 1 removes it (LCC 0).
-		curves, err := RunSweepContext(context.Background(), single, nil,
-			SweepSpec{Attack: "degree", Fracs: []float64{0, 1}, Mode: mode}, 1)
+		curves, err := run(single, SweepSpec{Attack: "degree", Fracs: []float64{0, 1}}, 1)
 		if err != nil {
-			t.Fatalf("%v: single node: %v", mode, err)
+			t.Fatalf("masked=%v: single node: %v", masked, err)
 		}
 		if got := curves[0].Values; got[0] != 1 || got[1] != 0 {
-			t.Fatalf("%v: single-node curve = %v, want [1 0]", mode, got)
+			t.Fatalf("masked=%v: single-node curve = %v, want [1 0]", masked, got)
 		}
 
 		// Single node under an edge attack: no edges exist, so every
 		// fraction leaves the intact graph.
-		curves, err = RunSweepContext(context.Background(), single, nil,
-			SweepSpec{Attack: "random-edge", Fracs: []float64{0, 0.5, 1}, Mode: mode}, 1)
+		curves, err = run(single, SweepSpec{Attack: "random-edge", Fracs: []float64{0, 0.5, 1}}, 1)
 		if err != nil {
-			t.Fatalf("%v: single node edge attack: %v", mode, err)
+			t.Fatalf("masked=%v: single node edge attack: %v", masked, err)
 		}
 		for i, v := range curves[0].Values {
 			if v != 1 {
-				t.Fatalf("%v: edgeless edge-attack value[%d] = %v, want 1", mode, i, v)
+				t.Fatalf("masked=%v: edgeless edge-attack value[%d] = %v, want 1", masked, i, v)
 			}
 		}
 
 		// frac 0 and frac 1 on a 2-node graph, node and edge targets.
-		curves, err = RunSweepContext(context.Background(), pair, nil,
-			SweepSpec{Attack: "random-failure", Fracs: []float64{0, 1}, Trials: 2, Mode: mode}, 3)
+		curves, err = run(pair, SweepSpec{Attack: "random-failure", Fracs: []float64{0, 1}, Trials: 2}, 3)
 		if err != nil {
-			t.Fatalf("%v: pair: %v", mode, err)
+			t.Fatalf("masked=%v: pair: %v", masked, err)
 		}
 		if got := curves[0].Values; got[0] != 1 || got[1] != 0 {
-			t.Fatalf("%v: pair node curve = %v, want [1 0]", mode, got)
+			t.Fatalf("masked=%v: pair node curve = %v, want [1 0]", masked, got)
 		}
-		curves, err = RunSweepContext(context.Background(), pair, nil,
-			SweepSpec{Attack: "random-edge", Fracs: []float64{0, 1}, Trials: 2, Mode: mode}, 3)
+		curves, err = run(pair, SweepSpec{Attack: "random-edge", Fracs: []float64{0, 1}, Trials: 2}, 3)
 		if err != nil {
-			t.Fatalf("%v: pair edges: %v", mode, err)
+			t.Fatalf("masked=%v: pair edges: %v", masked, err)
 		}
 		if got := curves[0].Values; got[0] != 1 || got[1] != 0.5 {
-			t.Fatalf("%v: pair edge curve = %v, want [1 0.5]", mode, got)
+			t.Fatalf("masked=%v: pair edge curve = %v, want [1 0.5]", masked, got)
 		}
 	}
 }
@@ -187,24 +259,31 @@ func TestRunSweepSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// gap cases run the spec's attack and fractions through
+	// AttackGapContext instead of RunSweepContext.
 	cases := []struct {
 		name string
 		spec SweepSpec
+		gap  bool
 	}{
-		{"unknown attack", SweepSpec{Attack: "nope", Fracs: []float64{0.1}}},
-		{"bad attack param", SweepSpec{Attack: "geographic", Params: attackreg.Params{"z": 1}, Fracs: []float64{0.1}}},
-		{"fraction above 1", SweepSpec{Attack: "degree", Fracs: []float64{1.5}}},
-		{"negative fraction", SweepSpec{Attack: "degree", Fracs: []float64{-0.5}}},
-		{"incremental non-lcc", SweepSpec{Attack: "degree", Fracs: []float64{0.1},
-			Metrics: []string{"mean-degree"}, Mode: ModeIncremental}},
+		{"unknown attack", SweepSpec{Attack: "nope", Fracs: []float64{0.1}}, false},
+		{"bad attack param", SweepSpec{Attack: "geographic", Params: attackreg.Params{"z": 1}, Fracs: []float64{0.1}}, false},
+		{"fraction above 1", SweepSpec{Attack: "degree", Fracs: []float64{1.5}}, false},
+		{"negative fraction", SweepSpec{Attack: "degree", Fracs: []float64{-0.5}}, false},
 		{"edge attack non-lcc", SweepSpec{Attack: "random-edge", Fracs: []float64{0.1},
-			Metrics: []string{"lcc", "mean-degree"}}},
+			Metrics: []string{"lcc", "mean-degree"}}, false},
 		{"unknown metric", SweepSpec{Attack: "degree", Fracs: []float64{0.1},
-			Metrics: []string{"nope"}, Mode: ModeMasked}},
-		{"bad mode", SweepSpec{Attack: "degree", Fracs: []float64{0.1}, Mode: Mode(99)}},
+			Metrics: []string{"nope"}}, false},
+		{"attack gap without fractions", SweepSpec{Attack: "degree"}, true},
 	}
 	for _, tc := range cases {
-		if _, err := RunSweepContext(context.Background(), g, nil, tc.spec, 1); !errors.Is(err, errs.ErrBadParam) {
+		var err error
+		if tc.gap {
+			_, err = AttackGapContext(context.Background(), g, nil, tc.spec.Attack, tc.spec.Params, tc.spec.Fracs, 1, 1, 0)
+		} else {
+			_, err = RunSweepContext(context.Background(), g, nil, tc.spec, 1)
+		}
+		if !errors.Is(err, errs.ErrBadParam) {
 			t.Errorf("%s: got %v, want ErrBadParam", tc.name, err)
 		}
 	}
@@ -226,26 +305,5 @@ func TestCheckScheduleRejectsNonPermutations(t *testing.T) {
 	}
 	if err := checkSchedule([]int{2, 0, 1}, 3, "x"); err != nil {
 		t.Fatalf("valid permutation rejected: %v", err)
-	}
-}
-
-func TestModeStringAndParse(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mode Mode
-	}{{"auto", ModeAuto}, {"masked", ModeMasked}, {"incremental", ModeIncremental}} {
-		m, err := ParseMode(tc.name)
-		if err != nil || m != tc.mode {
-			t.Fatalf("ParseMode(%q) = %v, %v", tc.name, m, err)
-		}
-		if m.String() != tc.name {
-			t.Fatalf("%v.String() = %q", m, m.String())
-		}
-	}
-	if m, err := ParseMode(""); err != nil || m != ModeAuto {
-		t.Fatalf("empty mode = %v, %v", m, err)
-	}
-	if _, err := ParseMode("nope"); !errors.Is(err, errs.ErrBadParam) {
-		t.Fatalf("unknown mode gave %v, want ErrBadParam", err)
 	}
 }

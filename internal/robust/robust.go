@@ -7,12 +7,12 @@
 // Attacks live in the attack registry (internal/attackreg): every node-
 // or edge-removal strategy is registered by name with typed parameters,
 // mirroring the generator and metric registries. The sweep engine
-// (RunSweepContext) traces a metric set along each attack schedule via
-// one of two bit-for-bit identical evaluation paths: masked-metric
-// re-evaluation (any CapMasked metric set) or the reverse union-find
-// incremental trajectory (LCC only, near-linear in the whole schedule).
-// The Strategy enum below remains as a stable shorthand for the four
-// original attacks.
+// (RunSweepContext) traces a metric set along each attack schedule. The
+// metric set picks the evaluation path: the plain LCC curve replays the
+// whole schedule backwards through the timeline engine's union-find
+// (near-linear in the schedule), and any other CapMasked set
+// re-evaluates masked accumulators at each removal fraction. The two
+// paths are bit-for-bit identical on the LCC curve.
 package robust
 
 import (
@@ -22,63 +22,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/graph"
 )
-
-// Strategy selects the node-removal order of the four original attacks;
-// the attack registry generalizes it to arbitrary named attacks with
-// parameters.
-type Strategy int
-
-// Removal strategies.
-const (
-	// RandomFailure removes nodes uniformly at random.
-	RandomFailure Strategy = iota
-	// DegreeAttack removes nodes in decreasing degree order (recomputed
-	// statically from the intact graph).
-	DegreeAttack
-	// BetweennessAttack removes nodes in decreasing betweenness order
-	// (static, computed once on the intact graph).
-	BetweennessAttack
-	// AdaptiveDegreeAttack recomputes degrees after every removal and
-	// always removes the currently highest-degree node — strictly
-	// deadlier than the static version on hub topologies.
-	AdaptiveDegreeAttack
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case DegreeAttack:
-		return "degree-attack"
-	case BetweennessAttack:
-		return "betweenness-attack"
-	case AdaptiveDegreeAttack:
-		return "adaptive-degree-attack"
-	default:
-		return "random-failure"
-	}
-}
-
-// AttackName returns the strategy's attack-registry name.
-func (s Strategy) AttackName() string { return attackreg.Canonical(s.String()) }
-
-// ParseStrategy maps a strategy name (as produced by String, with the
-// "-attack"/"-failure" suffix optional) back to its Strategy value,
-// wrapping errs.ErrBadParam for unknown names. Registry attacks outside
-// the original four have no Strategy; parse those with attackreg.Lookup.
-func ParseStrategy(name string) (Strategy, error) {
-	switch attackreg.Canonical(name) {
-	case "random-failure":
-		return RandomFailure, nil
-	case "degree":
-		return DegreeAttack, nil
-	case "betweenness":
-		return BetweennessAttack, nil
-	case "adaptive-degree":
-		return AdaptiveDegreeAttack, nil
-	default:
-		return 0, errs.BadParamf("robust: unknown attack strategy %q", name)
-	}
-}
 
 // SweepPoint is connectivity after removing a fraction of nodes.
 type SweepPoint struct {
@@ -97,81 +40,22 @@ type MetricCurve struct {
 	Values []float64 `json:"values"`
 }
 
-// Sweep removes nodes per the strategy at each fraction in fracs
-// (cumulatively consistent: larger fractions are supersets) and reports
-// the largest-component curve. Randomized attacks average over trials;
-// the deterministic attacks use a single pass.
-func Sweep(g *graph.Graph, strat Strategy, fracs []float64, trials int, seed int64) ([]SweepPoint, error) {
-	return SweepContext(context.Background(), g, nil, strat, fracs, trials, seed, 0)
-}
-
-// SweepContext is Sweep with cancellation, an optional pre-frozen
-// snapshot, and an explicit worker bound. Pass the CSR from an earlier
-// Freeze of g to skip re-freezing (nil freezes internally); workers <= 0
-// means GOMAXPROCS.
-//
-// It is a thin composition over the sweep engine (RunSweepContext) in
-// its default ModeAuto — the LCC curve rides the incremental reverse
-// union-find path, bit-for-bit identical to (and much faster than) the
-// masked path.
-func SweepContext(ctx context.Context, g *graph.Graph, c *graph.CSR, strat Strategy, fracs []float64, trials int, seed int64, workers int) ([]SweepPoint, error) {
-	curves, err := RunSweepContext(ctx, g, c, SweepSpec{
-		Attack:  strat.AttackName(),
-		Fracs:   fracs,
-		Trials:  trials,
-		Workers: workers,
-	}, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(fracs))
-	for i, f := range fracs {
-		out[i] = SweepPoint{FracRemoved: f, LCCFrac: curves[0].Values[i]}
-	}
-	return out, nil
-}
-
-// MetricSweepContext generalizes the robustness sweep to any set of
-// masked-capable registry metrics (CapMasked, e.g. "lcc",
-// "mean-degree"): per trial, one node-removal mask is extended through
-// the fractions (smallest first) and every metric's accumulator —
-// built once per trial and reused across the attack steps — re-reads
-// the shared snapshot in place. Trials fan out across the worker pool
-// and are reduced in trial order, so every curve is byte-identical for
-// any level of parallelism. Unknown or non-masked metrics wrap
-// errs.ErrBadParam. This is the engine's masked path; SweepContext
-// takes the incremental path for the plain LCC curve.
-func MetricSweepContext(ctx context.Context, g *graph.Graph, c *graph.CSR, strat Strategy, fracs []float64, trials int, seed int64, workers int, metricNames []string) ([]MetricCurve, error) {
-	if len(metricNames) == 0 {
-		return nil, errs.BadParamf("robust: empty metric set")
-	}
-	return RunSweepContext(ctx, g, c, SweepSpec{
-		Attack:  strat.AttackName(),
-		Fracs:   fracs,
-		Trials:  trials,
-		Metrics: metricNames,
-		Mode:    ModeMasked,
-		Workers: workers,
-	}, seed)
-}
-
-// AttackGap summarizes robust-yet-fragile in one number: the area between
-// the random-failure curve and the attack curve over the given fractions
-// (positive = attacks hurt more than failures; larger = more fragile to
-// targeting).
-func AttackGap(g *graph.Graph, attack Strategy, fracs []float64, trials int, seed int64) (float64, error) {
-	return AttackGapContext(context.Background(), g, nil, attack.AttackName(), nil, fracs, trials, seed, 0)
-}
-
-// AttackGapContext is AttackGap for any registered attack (by registry
-// name, with optional parameters), with cancellation, an optional
-// pre-frozen snapshot, and a worker bound. The baseline is the uniform
-// random removal over the attack's own target — random-failure for
-// node attacks, random-edge for edge attacks, so both curves share one
-// removal denominator — averaged over trials; the attack side uses a
-// single pass when the attack is deterministic and the same trial count
-// otherwise.
+// AttackGapContext summarizes robust-yet-fragile in one number: the
+// mean, over fracs, of the LCC under uniform random removal minus the
+// LCC under the named attack (positive = the attack hurts more than
+// failures; larger = more fragile to targeting). The attack is a
+// registry name with optional parameters; pass the CSR from an earlier
+// Freeze of g to skip re-freezing (nil freezes internally), and workers
+// bounds the trial fan-out. The baseline is the uniform random removal
+// over the attack's own target — random-failure for node attacks,
+// random-edge for edge attacks, so both curves share one removal
+// denominator — averaged over trials; the attack side uses a single
+// pass when the attack is deterministic and the same trial count
+// otherwise. An empty fracs list wraps errs.ErrBadParam.
 func AttackGapContext(ctx context.Context, g *graph.Graph, c *graph.CSR, attack string, p attackreg.Params, fracs []float64, trials int, seed int64, workers int) (float64, error) {
+	if len(fracs) == 0 {
+		return 0, errs.BadParamf("robust: attack gap needs at least one removal fraction")
+	}
 	atk, err := attackreg.Lookup(attack)
 	if err != nil {
 		return 0, err
@@ -203,28 +87,4 @@ func BaselineFor(target attackreg.Target) string {
 		return "random-edge"
 	}
 	return "random-failure"
-}
-
-// CriticalFraction estimates the removal fraction at which the largest
-// component first drops below `threshold` of the original size, by linear
-// scan over a uniform grid of `steps` fractions. Returns 1 if the network
-// never degrades below the threshold within the grid.
-func CriticalFraction(g *graph.Graph, strat Strategy, threshold float64, steps, trials int, seed int64) (float64, error) {
-	if steps < 1 {
-		return 0, errs.BadParamf("robust: need steps >= 1")
-	}
-	fracs := make([]float64, steps)
-	for i := range fracs {
-		fracs[i] = float64(i) / float64(steps)
-	}
-	curve, err := Sweep(g, strat, fracs, trials, seed)
-	if err != nil {
-		return 0, err
-	}
-	for _, pt := range curve {
-		if pt.LCCFrac < threshold {
-			return pt.FracRemoved, nil
-		}
-	}
-	return 1, nil
 }

@@ -13,6 +13,15 @@ import (
 	"repro/internal/params"
 )
 
+// lccSweep runs the plain LCC sweep of one registered attack.
+func lccSweep(g *graph.Graph, attack string, fracs []float64, trials int, seed int64) ([]float64, error) {
+	curves, err := RunSweepContext(context.Background(), g, nil, SweepSpec{Attack: attack, Fracs: fracs, Trials: trials}, seed)
+	if err != nil {
+		return nil, err
+	}
+	return curves[0].Values, nil
+}
+
 func star(n int) *graph.Graph {
 	g := graph.New(n)
 	for i := 0; i < n; i++ {
@@ -25,52 +34,52 @@ func star(n int) *graph.Graph {
 }
 
 func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(graph.New(0), RandomFailure, []float64{0.1}, 1, 1); err == nil {
+	if _, err := lccSweep(graph.New(0), "random-failure", []float64{0.1}, 1, 1); err == nil {
 		t.Fatal("empty graph should error")
 	}
 	g := star(10)
-	if _, err := Sweep(g, RandomFailure, []float64{1.1}, 1, 1); err == nil {
+	if _, err := lccSweep(g, "random-failure", []float64{1.1}, 1, 1); err == nil {
 		t.Fatal("fraction > 1 should error")
 	}
-	if _, err := Sweep(g, RandomFailure, []float64{-0.1}, 1, 1); err == nil {
+	if _, err := lccSweep(g, "random-failure", []float64{-0.1}, 1, 1); err == nil {
 		t.Fatal("negative fraction should error")
 	}
 	// Full removal is a legal sweep point: the curve ends at zero.
-	pts, err := Sweep(g, RandomFailure, []float64{1.0}, 2, 1)
+	lcc, err := lccSweep(g, "random-failure", []float64{1.0}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].LCCFrac != 0 {
-		t.Fatalf("full removal LCC frac = %v, want 0", pts[0].LCCFrac)
+	if lcc[0] != 0 {
+		t.Fatalf("full removal LCC frac = %v, want 0", lcc[0])
 	}
 }
 
 func TestSweepZeroRemovalIsIntact(t *testing.T) {
 	g := star(20)
-	pts, err := Sweep(g, RandomFailure, []float64{0}, 3, 1)
+	lcc, err := lccSweep(g, "random-failure", []float64{0}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pts[0].LCCFrac != 1 {
-		t.Fatalf("intact LCC frac = %v, want 1", pts[0].LCCFrac)
+	if lcc[0] != 1 {
+		t.Fatalf("intact LCC frac = %v, want 1", lcc[0])
 	}
 }
 
 func TestDegreeAttackKillsStarInstantly(t *testing.T) {
 	g := star(100)
-	pts, err := Sweep(g, DegreeAttack, []float64{0.02}, 1, 1)
+	lcc, err := lccSweep(g, "degree", []float64{0.02}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Removing 2 nodes, the first being the hub, shatters the star.
-	if pts[0].LCCFrac > 0.02 {
-		t.Fatalf("star survived degree attack: LCC %v", pts[0].LCCFrac)
+	if lcc[0] > 0.02 {
+		t.Fatalf("star survived degree attack: LCC %v", lcc[0])
 	}
 }
 
 func TestRandomFailureGentlerThanAttackOnStar(t *testing.T) {
 	g := star(100)
-	gap, err := AttackGap(g, DegreeAttack, []float64{0.02, 0.05, 0.1}, 20, 2)
+	gap, err := AttackGapContext(context.Background(), g, nil, "degree", nil, []float64{0.02, 0.05, 0.1}, 20, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +107,13 @@ func TestBetweennessAttack(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 3, V: 4, Weight: 1})
 	g.AddEdge(graph.Edge{U: 4, V: 5, Weight: 1})
-	pts, err := Sweep(g, BetweennessAttack, []float64{0.12}, 1, 1) // removes 1 node
+	lcc, err := lccSweep(g, "betweenness", []float64{0.12}, 1, 1) // removes 1 node
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Removing the relay leaves LCC of 4/9.
-	if pts[0].LCCFrac > 0.5 {
-		t.Fatalf("betweenness attack failed to cut the dumbbell: %v", pts[0].LCCFrac)
+	if lcc[0] > 0.5 {
+		t.Fatalf("betweenness attack failed to cut the dumbbell: %v", lcc[0])
 	}
 }
 
@@ -113,14 +122,14 @@ func TestSweepMonotoneNonIncreasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []Strategy{RandomFailure, DegreeAttack, BetweennessAttack} {
-		pts, err := Sweep(g, strat, []float64{0, 0.1, 0.2, 0.4, 0.6}, 5, 4)
+	for _, attack := range []string{"random-failure", "degree", "betweenness"} {
+		lcc, err := lccSweep(g, attack, []float64{0, 0.1, 0.2, 0.4, 0.6}, 5, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 1; i < len(pts); i++ {
-			if pts[i].LCCFrac > pts[i-1].LCCFrac+1e-9 {
-				t.Fatalf("%v curve not non-increasing: %v", strat, pts)
+		for i := 1; i < len(lcc); i++ {
+			if lcc[i] > lcc[i-1]+1e-9 {
+				t.Fatalf("%v curve not non-increasing: %v", attack, lcc)
 			}
 		}
 	}
@@ -140,60 +149,16 @@ func TestScaleFreeMoreFragileThanRandomGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.05, 0.1, 0.2, 0.3}
-	gapBA, err := AttackGap(ba, DegreeAttack, fracs, 10, 6)
+	gapBA, err := AttackGapContext(context.Background(), ba, nil, "degree", nil, fracs, 10, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gapER, err := AttackGap(er, DegreeAttack, fracs, 10, 6)
+	gapER, err := AttackGapContext(context.Background(), er, nil, "degree", nil, fracs, 10, 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gapBA <= gapER {
 		t.Fatalf("BA attack gap %v should exceed ER %v", gapBA, gapER)
-	}
-}
-
-func TestCriticalFraction(t *testing.T) {
-	g := star(100)
-	// Degree attack destroys the star immediately.
-	f, err := CriticalFraction(g, DegreeAttack, 0.5, 20, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f > 0.1 {
-		t.Fatalf("star critical fraction under attack = %v, want tiny", f)
-	}
-	if _, err := CriticalFraction(g, DegreeAttack, 0.5, 0, 1, 7); err == nil {
-		t.Fatal("steps=0 should error")
-	}
-}
-
-func TestCriticalFractionNeverDegrades(t *testing.T) {
-	// A complete graph only loses what is removed; with threshold 0.01
-	// no grid fraction below 1 drops it under threshold.
-	g := graph.New(20)
-	for i := 0; i < 20; i++ {
-		g.AddNode(graph.Node{})
-	}
-	for u := 0; u < 20; u++ {
-		for v := u + 1; v < 20; v++ {
-			g.AddEdge(graph.Edge{U: u, V: v, Weight: 1})
-		}
-	}
-	f, err := CriticalFraction(g, RandomFailure, 0.01, 10, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 1 {
-		t.Fatalf("complete graph critical fraction = %v, want 1", f)
-	}
-}
-
-func TestStrategyStrings(t *testing.T) {
-	for _, s := range []Strategy{RandomFailure, DegreeAttack, BetweennessAttack} {
-		if s.String() == "" {
-			t.Fatal("empty strategy string")
-		}
 	}
 }
 
@@ -203,8 +168,9 @@ func TestMetricSweepMultiMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.05, 0.2, 0.4}
-	curves, err := MetricSweepContext(context.Background(), g, nil, DegreeAttack, fracs, 1, 7, 0,
-		[]string{"lcc", "mean-degree"})
+	curves, err := RunSweepContext(context.Background(), g, nil, SweepSpec{
+		Attack: "degree", Fracs: fracs, Trials: 1, Metrics: []string{"lcc", "mean-degree"},
+	}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,24 +190,26 @@ func TestMetricSweepMultiMetric(t *testing.T) {
 }
 
 func TestMetricSweepMatchesSweep(t *testing.T) {
-	// Sweep is a thin composition over MetricSweepContext with "lcc";
-	// the two paths must agree exactly.
+	// The plain LCC sweep replays through union-find; the masked
+	// metric sweep of {"lcc"} must agree with it exactly.
 	g, err := gen.BarabasiAlbert(120, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.1, 0.3}
-	pts, err := Sweep(g, RandomFailure, fracs, 3, 11)
+	lcc, err := lccSweep(g, "random-failure", fracs, 3, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := MetricSweepContext(context.Background(), g, nil, RandomFailure, fracs, 3, 11, 0, []string{"lcc"})
+	curves, err := sweep(context.Background(), g, nil, SweepSpec{
+		Attack: "random-failure", Fracs: fracs, Trials: 3, Metrics: []string{"lcc"},
+	}, 11, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range fracs {
-		if pts[i].LCCFrac != curves[0].Values[i] {
-			t.Fatalf("frac %v: Sweep %v != MetricSweep %v", fracs[i], pts[i].LCCFrac, curves[0].Values[i])
+		if lcc[i] != curves[0].Values[i] {
+			t.Fatalf("frac %v: replay %v != masked %v", fracs[i], lcc[i], curves[0].Values[i])
 		}
 	}
 }
@@ -254,10 +222,11 @@ func TestMetricSweepRejections(t *testing.T) {
 	}{
 		{"unknown metric", []string{"nope"}},
 		{"non-masked metric", []string{"clustering"}},
-		{"empty set", nil},
 	}
 	for _, tc := range cases {
-		_, err := MetricSweepContext(context.Background(), g, nil, RandomFailure, []float64{0.1}, 1, 1, 0, tc.metrics)
+		_, err := RunSweepContext(context.Background(), g, nil, SweepSpec{
+			Attack: "random-failure", Fracs: []float64{0.1}, Trials: 1, Metrics: tc.metrics,
+		}, 1)
 		if !errors.Is(err, errs.ErrBadParam) {
 			t.Errorf("%s: got %v, want ErrBadParam", tc.name, err)
 		}
@@ -269,14 +238,16 @@ func TestMetricSweepWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fracs := []float64{0.05, 0.15, 0.35}
-	one, err := MetricSweepContext(context.Background(), g, nil, RandomFailure, fracs, 6, 3, 1,
-		[]string{"lcc", "mean-degree"})
+	spec := SweepSpec{
+		Attack: "random-failure", Fracs: []float64{0.05, 0.15, 0.35}, Trials: 6,
+		Metrics: []string{"lcc", "mean-degree"}, Workers: 1,
+	}
+	one, err := RunSweepContext(context.Background(), g, nil, spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := MetricSweepContext(context.Background(), g, nil, RandomFailure, fracs, 6, 3, 8,
-		[]string{"lcc", "mean-degree"})
+	spec.Workers = 8
+	eight, err := RunSweepContext(context.Background(), g, nil, spec, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +257,8 @@ func TestMetricSweepWorkerDeterminism(t *testing.T) {
 }
 
 // inertAcc implements only the bulk role — a metric registering it
-// while declaring CapMasked is misregistered, and MetricSweepContext
-// must reject it rather than panic.
+// while declaring CapMasked is misregistered, and the masked sweep must
+// reject it rather than panic.
 type inertAcc struct{}
 
 func (inertAcc) Finalize() metricreg.Value                                         { return metricreg.Value{} }
@@ -303,8 +274,9 @@ func TestMetricSweepRejectsMisregisteredMaskedMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := star(12)
-	_, err = MetricSweepContext(context.Background(), g, nil, RandomFailure, []float64{0.1}, 2, 1, 0,
-		[]string{"test-bad-masked"})
+	_, err = RunSweepContext(context.Background(), g, nil, SweepSpec{
+		Attack: "random-failure", Fracs: []float64{0.1}, Trials: 2, Metrics: []string{"test-bad-masked"},
+	}, 1)
 	if !errors.Is(err, errs.ErrBadParam) {
 		t.Fatalf("misregistered masked metric gave %v, want ErrBadParam", err)
 	}

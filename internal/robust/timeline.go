@@ -8,22 +8,24 @@ import (
 	"repro/internal/metricreg"
 )
 
-// Timeline engine: the fully-dynamic generalization of the reverse
-// union-find sweep. A removal schedule only ever destroys connectivity,
-// so one backwards pass replays it; a failure/repair timeline also
-// re-inserts, which plain union-find cannot undo. The engine therefore
-// splits the timeline at direction switches into monotone epochs — a
-// maximal run of fail events, or a maximal run of repair events — and
-// pays one O((n+m) α) disjoint-set rebuild per epoch:
+// Timeline engine: reverse union-find over failure/repair timelines.
+// Deletions are hard for union-find but insertions are trivial, so a
+// run of failures is replayed backwards — start from the state after
+// it, re-add the failed items in reverse order, and record the largest
+// component after each re-addition. A failure/repair timeline also
+// re-inserts going forward, which plain union-find cannot undo, so the
+// engine splits the timeline at direction switches into monotone epochs
+// — a maximal run of fail events, or a maximal run of repair events —
+// and pays one O((n+m) α) disjoint-set rebuild per epoch:
 //
 //   - A repair epoch is pure insertion, union-find's native direction:
 //     rebuild the forest at the epoch's entry state, then union each
 //     repaired item forward, recording the largest component after each
 //     event.
-//   - A fail epoch is replayed in reverse, exactly like the sweep
-//     engine: rebuild the forest at the epoch's *exit* state, re-add
-//     the failed items backwards recording sizes, then restore the exit
-//     masks.
+//   - A fail epoch is replayed in reverse: rebuild the forest at the
+//     epoch's *exit* state, re-add the failed items backwards recording
+//     sizes, then restore the exit masks. A robustness sweep's removal
+//     schedule is a single fail epoch.
 //
 // An entire outage-and-recovery trajectory of E epochs costs
 // O(E·(n+m)α + events) instead of one full masked traversal per event —
@@ -119,12 +121,6 @@ func ParseTimelineMode(name string) (TimelineMode, error) {
 	default:
 		return 0, errs.BadParamf("robust: unknown timeline mode %q", name)
 	}
-}
-
-// RunTimeline evaluates the timeline with a background context; see
-// RunTimelineContext.
-func RunTimeline(c *graph.CSR, events []TimelineEvent, metricNames []string, mode TimelineMode, seed int64) ([]MetricCurve, error) {
-	return RunTimelineContext(context.Background(), c, events, metricNames, mode, seed)
 }
 
 // RunTimelineContext traces a metric set along a failure/repair
@@ -250,8 +246,12 @@ func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEven
 		}
 	}
 
-	rebuild()
-	sizes[0] = d.best
+	// Every epoch below also records the size at its entry state, so
+	// only an empty timeline needs a rebuild of its own for sizes[0].
+	if len(events) == 0 {
+		rebuild()
+		sizes[0] = d.best
+	}
 	// eff[k-i] records, per epoch, whether event k changed state when
 	// applied forward — the reverse replay must skip forward no-ops.
 	var eff []bool
@@ -287,6 +287,7 @@ func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEven
 					unapply(events[k])
 				}
 			}
+			sizes[i] = d.best // the replay ends at the entry state
 			// The reverse replay restored the entry masks; put the epoch's
 			// exit state back (the forest stays stale until the next
 			// rebuild).
@@ -301,6 +302,7 @@ func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEven
 			// Repairs are insertions — union-find's native direction:
 			// rebuild at the entry state and walk forward.
 			rebuild()
+			sizes[i] = d.best
 			for k := i; k < j; k++ {
 				ev := events[k]
 				var failed bool

@@ -79,11 +79,11 @@ func TestTimelineParity(t *testing.T) {
 		c := g.Freeze()
 		for _, includeEdges := range []bool{false, true} {
 			events := timelineSchedule(g, 7, includeEdges)
-			masked, err := RunTimeline(c, events, nil, TimelineMasked, 3)
+			masked, err := RunTimelineContext(context.Background(), c, events, nil, TimelineMasked, 3)
 			if err != nil {
 				t.Fatalf("%s masked: %v", name, err)
 			}
-			epoch, err := RunTimeline(c, events, nil, TimelineEpoch, 3)
+			epoch, err := RunTimelineContext(context.Background(), c, events, nil, TimelineEpoch, 3)
 			if err != nil {
 				t.Fatalf("%s epoch: %v", name, err)
 			}
@@ -91,7 +91,7 @@ func TestTimelineParity(t *testing.T) {
 				t.Fatalf("%s (edges=%v): paths diverged\nmasked: %v\nepoch:  %v",
 					name, includeEdges, masked[0].Values, epoch[0].Values)
 			}
-			auto, err := RunTimeline(c, events, []string{"lcc"}, TimelineAuto, 3)
+			auto, err := RunTimelineContext(context.Background(), c, events, []string{"lcc"}, TimelineAuto, 3)
 			if err != nil {
 				t.Fatalf("%s auto: %v", name, err)
 			}
@@ -113,7 +113,7 @@ func TestTimelineMultiMetricMasked(t *testing.T) {
 		{Op: OpFailNode, ID: 6},
 		{Op: OpRepairNode, ID: 5},
 	}
-	curves, err := RunTimeline(c, events, []string{"lcc", "mean-degree"}, TimelineAuto, 1)
+	curves, err := RunTimelineContext(context.Background(), c, events, []string{"lcc", "mean-degree"}, TimelineAuto, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTimelineEpochEdgeCases(t *testing.T) {
 	c := g.Freeze()
 	run := func(events []TimelineEvent, mode TimelineMode) []float64 {
 		t.Helper()
-		curves, err := RunTimeline(c, events, nil, mode, 1)
+		curves, err := RunTimelineContext(context.Background(), c, events, nil, mode, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,18 +218,18 @@ func TestTimelineRepeatDeterminism(t *testing.T) {
 	c := g.Freeze()
 	base := timelineSchedule(g, 13, true)
 	doubled := append(append([]TimelineEvent{}, base...), base...)
-	first, err := RunTimeline(c, doubled, nil, TimelineEpoch, 1)
+	first, err := RunTimelineContext(context.Background(), c, doubled, nil, TimelineEpoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunTimeline(c, doubled, nil, TimelineEpoch, 1)
+	second, err := RunTimelineContext(context.Background(), c, doubled, nil, TimelineEpoch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("repeat schedule replayed twice diverged")
 	}
-	masked, err := RunTimeline(c, doubled, nil, TimelineMasked, 1)
+	masked, err := RunTimelineContext(context.Background(), c, doubled, nil, TimelineMasked, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,12 @@ func TestTimelineValidation(t *testing.T) {
 		{"unknown mode", []TimelineEvent{{Op: OpFailNode, ID: 0}}, nil, TimelineMode(99)},
 	}
 	for _, tc := range cases {
-		if _, err := RunTimeline(c, tc.events, tc.metrics, tc.mode, 1); !errors.Is(err, errs.ErrBadParam) {
+		if _, err := RunTimelineContext(context.Background(), c, tc.events, tc.metrics, tc.mode, 1); !errors.Is(err, errs.ErrBadParam) {
 			t.Fatalf("%s: err = %v, want ErrBadParam", tc.name, err)
 		}
 	}
 	empty := graph.New(0)
-	if _, err := RunTimeline(empty.Freeze(), nil, nil, TimelineAuto, 1); !errors.Is(err, errs.ErrBadParam) {
+	if _, err := RunTimelineContext(context.Background(), empty.Freeze(), nil, nil, TimelineAuto, 1); !errors.Is(err, errs.ErrBadParam) {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -328,7 +328,7 @@ func TestValidateFracs(t *testing.T) {
 	}
 	g := lineGraph(t, 4)
 	spec := SweepSpec{Fracs: []float64{0, math.NaN()}}
-	if _, err := RunSweep(g, spec, 1); !errors.Is(err, errs.ErrBadParam) {
+	if _, err := RunSweepContext(context.Background(), g, nil, spec, 1); !errors.Is(err, errs.ErrBadParam) {
 		t.Fatalf("sweep with NaN frac: err = %v, want ErrBadParam", err)
 	}
 }

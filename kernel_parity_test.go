@@ -114,11 +114,9 @@ func TestKernelParityAcrossModels(t *testing.T) {
 	}
 }
 
-// checkBFSVariantsParity pins every BFS execution strategy — the sharded
-// parallel bottom-up at worker counts 1/2/8 and cache-reordered
-// snapshots (degree-descending and RCM) — to the serial
-// direction-optimizing traversal on the plain snapshot: hops, parents,
-// and the bottom-up level count, bit for bit.
+// checkBFSVariantsParity pins the sharded parallel bottom-up BFS at
+// worker counts 1/2/8 to the serial direction-optimizing traversal:
+// hops, parents, and the bottom-up level count, bit for bit.
 func checkBFSVariantsParity(t *testing.T, label string, g *graph.Graph) {
 	t.Helper()
 	c := g.Freeze()
@@ -131,49 +129,26 @@ func checkBFSVariantsParity(t *testing.T, label string, g *graph.Graph) {
 	ws := graph.GetWorkspace(n)
 	defer ws.Release()
 
-	type variant struct {
-		name string
-		run  func(ws *graph.Workspace, src int)
-	}
-	var variants []variant
-	for _, w := range []int{1, 2, 8} {
-		w := w
-		variants = append(variants, variant{
-			name: fmt.Sprintf("par%d", w),
-			run:  func(ws *graph.Workspace, src int) { c.BFSParallel(ws, src, w) },
-		})
-	}
-	for _, m := range []struct {
-		name string
-		mode graph.ReorderMode
-	}{{"degree", graph.ReorderDegree}, {"rcm", graph.ReorderRCM}} {
-		rc := g.FreezeWithOptions(graph.FreezeOptions{Reorder: m.mode})
-		variants = append(variants, variant{
-			name: "reorder-" + m.name,
-			run:  rc.BFS,
-		})
-	}
-
 	stride := n/10 + 1
 	for src := 0; src < n; src += stride {
 		c.BFS(ref, src)
-		for _, v := range variants {
-			v.run(ws, src)
+		for _, w := range []int{1, 2, 8} {
+			c.BFSParallel(ws, src, w)
 			if ws.BFSBottomUpLevels != ref.BFSBottomUpLevels {
-				t.Fatalf("%s/%s src %d: %d bottom-up levels, serial dir-opt %d",
-					label, v.name, src, ws.BFSBottomUpLevels, ref.BFSBottomUpLevels)
+				t.Fatalf("%s/par%d src %d: %d bottom-up levels, serial dir-opt %d",
+					label, w, src, ws.BFSBottomUpLevels, ref.BFSBottomUpLevels)
 			}
 			for u := 0; u < n; u++ {
 				if ref.Hop[u] != ws.Hop[u] || ref.Parent[u] != ws.Parent[u] {
-					t.Fatalf("%s/%s src %d: node %d = (hop %d, parent %d), serial dir-opt (%d, %d)",
-						label, v.name, src, u, ws.Hop[u], ws.Parent[u], ref.Hop[u], ref.Parent[u])
+					t.Fatalf("%s/par%d src %d: node %d = (hop %d, parent %d), serial dir-opt (%d, %d)",
+						label, w, src, u, ws.Hop[u], ws.Parent[u], ref.Hop[u], ref.Parent[u])
 				}
 			}
 		}
 	}
 }
 
-func TestParallelReorderedBFSParityAcrossModels(t *testing.T) {
+func TestParallelBFSParityAcrossModels(t *testing.T) {
 	for _, m := range parityModels() {
 		for _, seed := range []int64{1, 2} {
 			g, err := m.build(seed)
@@ -187,12 +162,87 @@ func TestParallelReorderedBFSParityAcrossModels(t *testing.T) {
 	}
 }
 
+// checkBFSCertificate verifies one BFS result from src against the
+// graph alone, reading only CSR.Neighbors: hop[src] = 0 with no parent;
+// no edge joins a reached node to an unreached one; the ends of every
+// edge differ by at most one hop; every other reached node's parent is
+// its smallest-id neighbour one hop closer; unreached nodes hold -1/-1.
+// Together these prove the hops are exact distances and the parents
+// follow the tie-break contract, in O(n+m) and independently of how
+// the kernel traversed.
+func checkBFSCertificate(t *testing.T, label string, c *graph.CSR, src int, hop, parent []int32) {
+	t.Helper()
+	if hop[src] != 0 || parent[src] != -1 {
+		t.Fatalf("%s src %d: source holds (hop %d, parent %d), want (0, -1)", label, src, hop[src], parent[src])
+	}
+	for v := 0; v < c.NumNodes(); v++ {
+		if hop[v] < 0 {
+			if hop[v] != -1 || parent[v] != -1 {
+				t.Fatalf("%s src %d: unreached node %d holds (hop %d, parent %d), want (-1, -1)", label, src, v, hop[v], parent[v])
+			}
+			continue
+		}
+		best := int32(-1) // smallest-id neighbour one hop closer
+		c.Neighbors(v, func(u, _ int, _ float64) {
+			switch {
+			case hop[u] < 0:
+				t.Fatalf("%s src %d: edge %d-%d joins a reached node to an unreached one", label, src, v, u)
+			case hop[u] > hop[v]+1 || hop[u] < hop[v]-1:
+				t.Fatalf("%s src %d: edge %d-%d spans hops %d and %d", label, src, v, u, hop[v], hop[u])
+			case hop[u] == hop[v]-1 && (best < 0 || int32(u) < best):
+				best = int32(u)
+			}
+		})
+		if v != src && (best < 0 || parent[v] != best) {
+			t.Fatalf("%s src %d: node %d (hop %d) has parent %d, want smallest closer neighbour %d", label, src, v, hop[v], parent[v], best)
+		}
+	}
+}
+
+// TestBFSCertificateAcrossModels checks every BFS entry point against
+// the certificate above, from a spread of sources, on the plain and the
+// degree-masked graph of each model.
+func TestBFSCertificateAcrossModels(t *testing.T) {
+	kernels := []struct {
+		name string
+		run  func(c *graph.CSR, ws *graph.Workspace, src int)
+	}{
+		{"BFS", (*graph.CSR).BFS},
+		{"BFSTopDown", (*graph.CSR).BFSTopDown},
+		{"BFSParallel/2", func(c *graph.CSR, ws *graph.Workspace, src int) { c.BFSParallel(ws, src, 2) }},
+		{"BFSParallel/8", func(c *graph.CSR, ws *graph.Workspace, src int) { c.BFSParallel(ws, src, 8) }},
+	}
+	for _, m := range parityModels() {
+		for _, seed := range []int64{1, 2} {
+			g, err := m.build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.name, seed, err)
+			}
+			sub, _ := g.RemoveNodes(degreeMask(g, 0.10))
+			for _, variant := range []struct {
+				name string
+				g    *graph.Graph
+			}{{"plain", g}, {"masked", sub}} {
+				c := variant.g.Freeze()
+				n := c.NumNodes()
+				ws := graph.GetWorkspace(n)
+				for _, k := range kernels {
+					label := fmt.Sprintf("%s/seed=%d/%s/%s", m.name, seed, variant.name, k.name)
+					for src := 0; src < n; src += n/40 + 1 {
+						k.run(c, ws, src)
+						checkBFSCertificate(t, label, c, src, ws.Hop[:n], ws.Parent[:n])
+					}
+				}
+				ws.Release()
+			}
+		}
+	}
+}
+
 // checkDijkstraVariantsParity pins every Dijkstra execution strategy to
-// the heap reference on the plain snapshot: the parallel bucketed
-// kernel at worker counts 1/2/8 on the plain, degree-reordered, and
-// RCM-reordered snapshots (the weighted kernels read the original-order
-// arrays, so a reordering must be invisible to them), plus the serial
-// bucketed kernel. dist, parent, and parentEdge, bit for bit.
+// the heap reference: the serial bucketed kernel and the parallel
+// bucketed kernel at worker counts 2/8. dist, parent, and parentEdge,
+// bit for bit.
 func checkDijkstraVariantsParity(t *testing.T, label string, g *graph.Graph, stride int) {
 	t.Helper()
 	c := g.Freeze()
@@ -205,40 +255,18 @@ func checkDijkstraVariantsParity(t *testing.T, label string, g *graph.Graph, str
 	ws := graph.GetWorkspace(n)
 	defer ws.Release()
 
-	type variant struct {
-		name string
-		run  func(ws *graph.Workspace, src int)
-	}
-	variants := []variant{{"bucket-serial", func(ws *graph.Workspace, src int) { c.DijkstraParallel(ws, src, 1) }}}
-	snaps := []struct {
-		name string
-		c    *graph.CSR
-	}{
-		{"plain", c},
-		{"degree", g.FreezeWithOptions(graph.FreezeOptions{Reorder: graph.ReorderDegree})},
-		{"rcm", g.FreezeWithOptions(graph.FreezeOptions{Reorder: graph.ReorderRCM})},
-	}
-	for _, s := range snaps {
-		for _, w := range []int{2, 8} {
-			s, w := s, w
-			variants = append(variants, variant{
-				name: fmt.Sprintf("%s/par%d", s.name, w),
-				run:  func(ws *graph.Workspace, src int) { s.c.DijkstraParallel(ws, src, w) },
-			})
-		}
-	}
-
 	if stride <= 0 {
 		stride = n/10 + 1
 	}
 	for src := 0; src < n; src += stride {
 		c.DijkstraHeap(ref, src)
-		for _, v := range variants {
-			v.run(ws, src)
+		// Workers 1 is the serial bucketed kernel.
+		for _, w := range []int{1, 2, 8} {
+			c.DijkstraParallel(ws, src, w)
 			for u := 0; u < n; u++ {
 				if ref.Dist[u] != ws.Dist[u] || ref.Parent[u] != ws.Parent[u] || ref.ParentEdge[u] != ws.ParentEdge[u] {
-					t.Fatalf("%s/%s src %d: node %d = (%v, %d, %d), heap (%v, %d, %d)",
-						label, v.name, src, u, ws.Dist[u], ws.Parent[u], ws.ParentEdge[u],
+					t.Fatalf("%s/par%d src %d: node %d = (%v, %d, %d), heap (%v, %d, %d)",
+						label, w, src, u, ws.Dist[u], ws.Parent[u], ws.ParentEdge[u],
 						ref.Dist[u], ref.Parent[u], ref.ParentEdge[u])
 				}
 			}
