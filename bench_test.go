@@ -14,6 +14,7 @@ package hotgen
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -252,6 +253,46 @@ func BenchmarkDijkstraCSRPooled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Dijkstra(ws, i%c.NumNodes())
 	}
+}
+
+// BenchmarkDijkstraToSingleTarget routes 100 seeded (source, target)
+// pairs of a BA-20k graph through single-target DijkstraTo, the
+// bidirectional kernel, on one pooled workspace; one op is all 100
+// pairs. scanned/op is the exact Workspace.DijkstraScanned total.
+func BenchmarkDijkstraToSingleTarget(b *testing.B) {
+	g, err := gen.BarabasiAlbert(20000, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := g.Freeze()
+	n := c.NumNodes()
+	r := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 100)
+	for i := range pairs {
+		src, tgt := r.Intn(n), r.Intn(n)
+		for tgt == src {
+			tgt = r.Intn(n)
+		}
+		pairs[i] = [2]int{src, tgt}
+	}
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
+	target := make([]int, 1)
+	route := func() (scanned int) {
+		for _, p := range pairs {
+			target[0] = p[1]
+			c.DijkstraTo(ws, p[0], target, 1)
+			scanned += ws.DijkstraScanned
+		}
+		return scanned
+	}
+	scanned := route() // warm the workspace before measuring
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		route()
+	}
+	b.ReportMetric(float64(scanned), "scanned/op")
 }
 
 func BenchmarkBFSAdjacencyAlloc(b *testing.B) {

@@ -60,7 +60,8 @@
 // per-source fan-outs split the worker budget with the intra-source
 // shards so the two levels compose without oversubscription.
 // CSR.DijkstraTo stops a traversal once a target list is settled, which
-// is how routing pins each source's paths. The routing, metric,
+// is how routing pins each source's paths; a single target is found by a
+// bidirectional search that meets in the middle. The routing, metric,
 // robustness and experiment layers all run on this kernel, with every
 // parallel reduction performed in a fixed order and deterministic
 // tie-breaks inside each traversal, so results are byte-identical at

@@ -206,13 +206,25 @@ func (c *CSR) DijkstraParallel(ws *Workspace, src, workers int) {
 // Parent and ParentEdge — and those of every node on its parent chain,
 // which sit at no larger distance — are final and bit-identical to a
 // full run, zero-weight ties included. Entries of other nodes may be
-// tentative. Unreachable targets simply run the traversal to
-// completion. Empty targets is a full run, and snapshots that take the
+// tentative. Empty targets is a full run, and snapshots that take the
 // heap fallback always run in full. Targets must be valid node ids;
 // duplicates are allowed.
+//
+// When targets names exactly one node other than src, the serial
+// bidirectional kernel runs instead, whatever workers says: a backward
+// search from the target meets the forward search in the middle and
+// prunes the forward search to nodes that can lie on a shortest path
+// (see dijkstraBidir), with the same guarantee at the target. An
+// unreachable single target ends the run as soon as either search
+// exhausts its component. With several distinct targets an unreachable
+// one runs the traversal to completion.
 func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int, workers int) {
 	if !c.bucketOK {
 		c.DijkstraHeap(ws, src)
+		return
+	}
+	if t := singleTarget(src, targets); t >= 0 {
+		c.dijkstraBidir(ws, src, t)
 		return
 	}
 	if workers <= 0 {
@@ -223,6 +235,22 @@ func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int, workers int) {
 		return
 	}
 	c.dijkstraBucket(ws, src, targets)
+}
+
+// singleTarget returns the one node other than src that targets names,
+// however often, or -1 when it names none or several.
+func singleTarget(src int, targets []int) int {
+	t := -1
+	for _, v := range targets {
+		if v == src || v == t {
+			continue
+		}
+		if t >= 0 {
+			return -1
+		}
+		t = v
+	}
+	return t
 }
 
 // DijkstraHeap is the reference shortest-path kernel: a lazy binary heap
@@ -240,6 +268,7 @@ func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 		parent[i] = -1
 		parentEdge[i] = -1
 	}
+	ws.DijkstraScanned = 0
 	if c.n == 0 {
 		return
 	}
@@ -247,12 +276,14 @@ func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 	hn := ws.heapNode[:0]
 	hd := ws.heapDist[:0]
 	hn, hd = heapPush(hn, hd, int32(src), 0)
+	scanned := 0
 	for len(hn) > 0 {
 		u, du := hn[0], hd[0]
 		hn, hd = heapPop(hn, hd)
 		if du > dist[u] {
 			continue // stale lazy-heap entry
 		}
+		scanned++
 		for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
 			w := c.weight[j]
 			if w < 0 {
@@ -271,6 +302,7 @@ func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 		}
 	}
 	ws.heapNode, ws.heapDist = hn, hd
+	ws.DijkstraScanned = scanned
 }
 
 // bucketSpan is the number of delta-width buckets spanning [0, maxW]:
@@ -295,32 +327,11 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 	ws.Reserve(c.n)
 	epoch, pending := ws.markTargets(targets)
 	visited := ws.visited
-	dist := ws.Dist[:c.n]
-	parent := ws.Parent[:c.n]
-	parentEdge := ws.ParentEdge[:c.n]
-	bNext := ws.bktNext[:c.n]
-	bPrev := ws.bktPrev[:c.n]
-	bOf := ws.bktOf[:c.n]
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-		parentEdge[i] = -1
-		bOf[i] = -1
-	}
-	if c.n == 0 {
-		return
-	}
-	head := &ws.bktHead
-	for i := range head {
-		head[i] = -1
-	}
-	delta := c.maxW / bucketSpan
-	dist[src] = 0
-	bOf[src] = 0
-	bPrev[src] = -1
-	bNext[src] = -1
-	head[0] = int32(src)
-	live := 1
+	bs := c.startBuckets(ws, src)
+	dist, parent, parentEdge := bs.dist, bs.parent, bs.parentEdge
+	bNext, bPrev, bOf := bs.bNext, bs.bPrev, bs.bOf
+	head, delta, live := bs.head, bs.delta, bs.live
+	scanned := 0
 	for k := 0; live > 0; k++ {
 		s := k % nBuckets
 		for head[s] >= 0 {
@@ -335,6 +346,7 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 				visited[u] = 0 // count each target once, at its first dequeue
 				pending--
 			}
+			scanned++
 			du := dist[u]
 			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
 				v := c.nbr[j]
@@ -372,9 +384,132 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 			}
 		}
 		if pending == 0 {
-			return // every target settled with this window
+			break // every target settled with this window
 		}
 	}
+	ws.DijkstraScanned = scanned
+}
+
+// bidirSlack widens dijkstraBidir's pruning bound μ by a relative
+// 2^-16. The forward labels, the backward labels and μ add up the same
+// path's weights in different orders, so they can disagree by rounding —
+// at most a relative n·2^-52 on n-hop paths; the slack absorbs that, so
+// no node of the target's parent chain is ever pruned.
+const bidirSlack = 1 + 0x1p-16
+
+// dijkstraBidir is the single-target kernel behind DijkstraTo
+// (bidirectional search: Pohl 1971; Goldberg & Harrelson, SODA 2005).
+// It runs in two phases:
+//
+//  1. Meet: the forward bucket search from src and a backward lazy-heap
+//     search from tgt alternate one node at a time, always advancing the
+//     smaller queue. μ, the shortest src–tgt path seen, is the least sum
+//     of a node's forward and backward labels, updated whenever either
+//     label improves. The phase ends once the forward queue's lower bound
+//     (its current bucket's floor) plus the backward queue's minimum
+//     reaches μ, or the backward queue runs dry.
+//  2. Complete: only the forward search continues. It skips the row of
+//     any node whose forward label plus a lower bound on its distance to
+//     tgt — its backward label, or the backward queue's minimum if that
+//     is smaller — exceeds μ·bidirSlack, and it stops by
+//     dijkstraBucket's rule, once the window in which tgt was first
+//     dequeued has drained.
+//
+// A node on tgt's parent chain lies on a shortest path, so its forward
+// label plus its distance to tgt is within rounding of μ and it is never
+// skipped; neither is a tight predecessor of a chain node. Every chain
+// node is therefore scanned at its final label, and tgt's Dist, Parent
+// and ParentEdge, with its whole parent chain, are bit-identical to a
+// full run. A backward search that exhausts tgt's component without
+// reaching src proves tgt unreachable and ends the run. Backward labels
+// live in ws.distB, valid where ws.visited carries this run's epoch, and
+// the backward queue reuses the heap buffers.
+func (c *CSR) dijkstraBidir(ws *Workspace, src, tgt int) {
+	ws.Reserve(c.n)
+	ws.reserveBackward(c.n)
+	bs := c.startBuckets(ws, src)
+	epoch := ws.nextEpoch()
+	seen, distB := ws.visited, ws.distB[:c.n]
+	seen[tgt] = epoch
+	distB[tgt] = 0
+	hn, hd := heapPush(ws.heapNode[:0], ws.heapDist[:0], int32(tgt), 0)
+	mu := Inf              // shortest src–tgt path seen so far
+	meeting := true        // phase 1
+	bound, lbB := Inf, Inf // phase 2's pruning bound and backward queue minimum
+	tgtSeen := false
+	scanned := 0
+search:
+	for k := 0; bs.live > 0; k++ {
+		s := k % nBuckets
+		floor := float64(k) * bs.delta
+		for bs.head[s] >= 0 {
+			if meeting {
+				if len(hn) == 0 || floor+hd[0] >= mu {
+					meeting = false
+					if len(hn) > 0 {
+						lbB = hd[0]
+					} else if seen[src] != epoch {
+						break search // tgt's component holds no path to src
+					}
+					bound = mu * bidirSlack
+				} else if len(hn) < bs.live {
+					u, du := hn[0], hd[0]
+					hn, hd = heapPop(hn, hd)
+					if du > distB[u] {
+						continue // stale lazy-heap entry
+					}
+					scanned++
+					for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
+						v := c.nbr[j]
+						nd := du + c.weight[j]
+						if nd < Inf && (seen[v] != epoch || nd < distB[v]) {
+							seen[v] = epoch
+							distB[v] = nd
+							hn, hd = heapPush(hn, hd, v, nd)
+							if m := nd + bs.dist[v]; m < mu {
+								mu = m
+							}
+						}
+					}
+					continue
+				}
+			}
+			u := bs.pop(s)
+			if int(u) == tgt {
+				tgtSeen = true
+			}
+			du := bs.dist[u]
+			if !meeting {
+				lb := lbB
+				if seen[u] == epoch && distB[u] < lb {
+					lb = distB[u]
+				}
+				if du+lb > bound {
+					continue // on no path shorter than μ
+				}
+			}
+			scanned++
+			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
+				v := c.nbr[j]
+				nd := du + c.weight[j]
+				old := bs.dist[v]
+				if nd > old {
+					continue
+				}
+				bs.relax(u, v, c.edgeID[j], nd)
+				if nd < old && seen[v] == epoch {
+					if m := nd + distB[v]; m < mu {
+						mu = m
+					}
+				}
+			}
+		}
+		if tgtSeen {
+			break // the window that dequeued tgt has drained
+		}
+	}
+	ws.heapNode, ws.heapDist = hn, hd
+	ws.DijkstraScanned = scanned
 }
 
 // betterParent applies the smallest-id tie-break: candidate (u, e)
@@ -398,8 +533,9 @@ const (
 )
 
 // bucketState bundles the bucketed kernel's queue bookkeeping so the
-// parallel kernel's merge phase and its serial small-window path share
-// one relaxation routine. All fields alias Workspace storage.
+// parallel kernel's merge phase, its serial small-window path and the
+// bidirectional kernel's forward search share one relaxation routine.
+// All fields alias Workspace storage.
 type bucketState struct {
 	dist               []float64
 	parent, parentEdge []int32
@@ -407,6 +543,54 @@ type bucketState struct {
 	head               *[nBuckets]int32
 	delta              float64
 	live               int
+}
+
+// startBuckets resets ws's labels and bucket queue for a run from src —
+// every node at Inf with no parent, src alone in bucket 0 — and returns
+// the queue state over that storage. ws must be reserved to c.n.
+func (c *CSR) startBuckets(ws *Workspace, src int) bucketState {
+	bs := bucketState{
+		dist:       ws.Dist[:c.n],
+		parent:     ws.Parent[:c.n],
+		parentEdge: ws.ParentEdge[:c.n],
+		bNext:      ws.bktNext[:c.n],
+		bPrev:      ws.bktPrev[:c.n],
+		bOf:        ws.bktOf[:c.n],
+		head:       &ws.bktHead,
+		delta:      c.maxW / bucketSpan,
+	}
+	for i := range bs.dist {
+		bs.dist[i] = Inf
+		bs.parent[i] = -1
+		bs.parentEdge[i] = -1
+		bs.bOf[i] = -1
+	}
+	if c.n == 0 {
+		return bs // live 0: nothing to settle
+	}
+	for i := range bs.head {
+		bs.head[i] = -1
+	}
+	bs.dist[src] = 0
+	bs.bOf[src] = 0
+	bs.bPrev[src] = -1
+	bs.bNext[src] = -1
+	bs.head[0] = int32(src)
+	bs.live = 1
+	return bs
+}
+
+// pop unlinks and returns the first node of bucket slot s, which must
+// be non-empty.
+func (bs *bucketState) pop(s int) int32 {
+	u := bs.head[s]
+	bs.head[s] = bs.bNext[u]
+	if bs.bNext[u] >= 0 {
+		bs.bPrev[bs.bNext[u]] = -1
+	}
+	bs.bOf[u] = -1
+	bs.live--
+	return u
 }
 
 // relax applies one candidate edge (u -> v via half-edge j of weight
@@ -479,34 +663,8 @@ func (c *CSR) dijkstraBucketParallel(ws *Workspace, src int, targets []int, work
 	ws.reserveRelax(workers)
 	epoch, pending := ws.markTargets(targets)
 	visited := ws.visited
-	bs := &bucketState{
-		dist:       ws.Dist[:c.n],
-		parent:     ws.Parent[:c.n],
-		parentEdge: ws.ParentEdge[:c.n],
-		bNext:      ws.bktNext[:c.n],
-		bPrev:      ws.bktPrev[:c.n],
-		bOf:        ws.bktOf[:c.n],
-		head:       &ws.bktHead,
-		delta:      c.maxW / bucketSpan,
-	}
-	for i := range bs.dist {
-		bs.dist[i] = Inf
-		bs.parent[i] = -1
-		bs.parentEdge[i] = -1
-		bs.bOf[i] = -1
-	}
-	if c.n == 0 {
-		return
-	}
-	for i := range bs.head {
-		bs.head[i] = -1
-	}
-	bs.dist[src] = 0
-	bs.bOf[src] = 0
-	bs.bPrev[src] = -1
-	bs.bNext[src] = -1
-	bs.head[0] = int32(src)
-	bs.live = 1
+	bs := c.startBuckets(ws, src)
+	scanned := 0
 	frontier := ws.queue[:0]
 	for k := 0; bs.live > 0; k++ {
 		s := k % nBuckets
@@ -525,6 +683,7 @@ func (c *CSR) dijkstraBucketParallel(ws *Workspace, src int, targets []int, work
 			}
 			bs.head[s] = -1
 			bs.live -= len(frontier)
+			scanned += len(frontier)
 			if len(frontier) < minFrontier {
 				for _, u := range frontier {
 					du := bs.dist[u]
@@ -534,13 +693,14 @@ func (c *CSR) dijkstraBucketParallel(ws *Workspace, src int, targets []int, work
 				}
 				continue
 			}
-			c.settleWindowParallel(ws, bs, frontier, workers)
+			c.settleWindowParallel(ws, &bs, frontier, workers)
 		}
 		if pending == 0 {
 			break
 		}
 	}
 	ws.queue = frontier
+	ws.DijkstraScanned = scanned
 }
 
 // settleWindowParallel runs the scan/merge phases of one large bucket

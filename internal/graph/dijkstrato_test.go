@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -28,8 +30,9 @@ func checkTargetChains(t *testing.T, label string, n int, targets []int, ref, go
 // weight regimes with parallel edges, and pins every target chain to
 // DijkstraHeap. Target
 // sets: a far node, a source-adjacent node, the source itself, a
-// duplicated pair, an isolated node (unreachable: the run goes to
-// completion), and every node.
+// duplicated pair, an isolated node (unreachable), and every node.
+// Through DijkstraTo, the sets naming one node other than the source
+// run the bidirectional kernel.
 func TestDijkstraToMatchesHeap(t *testing.T) {
 	for _, reg := range dijkstraRegimes {
 		for _, seed := range []int64{1, 2} {
@@ -65,6 +68,58 @@ func TestDijkstraToMatchesHeap(t *testing.T) {
 	}
 }
 
+// tieRegimes are weight regimes where many paths tie: small integers
+// with zeros, and thirds, whose sums also round differently when the
+// forward and backward searches add the same path in opposite orders.
+var tieRegimes = []struct {
+	name   string
+	weight func(r *rand.Rand) float64
+}{
+	{"ints-0-1-2", func(r *rand.Rand) float64 { return float64(r.Intn(3)) }},
+	{"thirds", func(r *rand.Rand) float64 { return float64(1+r.Intn(3)) / 3 }},
+}
+
+// raceEnabled is set by race_test.go when the tests run under the race
+// detector.
+var raceEnabled bool
+
+// TestDijkstraToSingleTargetAllPairs pins the bidirectional kernel
+// behind single-target DijkstraTo to DijkstraHeap for every ordered
+// (source, target) pair of the regime graph, plus an isolated
+// (unreachable) target, under every bucket-binning and tie-heavy weight
+// regime: the target's Dist and its whole Parent/ParentEdge chain, bit
+// for bit. The test runs on one goroutine, so the race detector, which
+// slows it about tenfold, checks only every seventh source.
+func TestDijkstraToSingleTargetAllPairs(t *testing.T) {
+	stride := 1
+	if raceEnabled {
+		stride = 7
+	}
+	for _, reg := range append(slices.Clone(dijkstraRegimes), tieRegimes...) {
+		g := regimeGraph(1, reg.weight)
+		g.AddNode(Node{})
+		c := g.Freeze()
+		if !c.bucketOK {
+			t.Fatalf("regime %s: expected bucketOK snapshot", reg.name)
+		}
+		n := c.NumNodes()
+		ref := NewWorkspace(n)
+		ws := NewWorkspace(n)
+		targets := make([]int, 1)
+		for src := 0; src < n-1; src += stride {
+			c.DijkstraHeap(ref, src)
+			for tg := 0; tg < n; tg++ {
+				if tg == src {
+					continue
+				}
+				targets[0] = tg
+				c.DijkstraTo(ws, src, targets, 1)
+				checkTargetChains(t, reg.name+"/bidir", n, targets, ref, ws)
+			}
+		}
+	}
+}
+
 // TestDijkstraToStopsAtTarget checks that the bound takes effect: on a
 // 100-node unit-weight path from node 0, settling target 1 must leave
 // the far end untouched, while an unbounded run reaches it.
@@ -92,14 +147,16 @@ func TestDijkstraToStopsAtTarget(t *testing.T) {
 	}
 }
 
-// TestDijkstraToZeroAllocs pins the serial bounded kernel at 0
-// allocations per call on a warm workspace.
+// TestDijkstraToZeroAllocs pins the serial bounded kernel and the
+// single-target bidirectional kernel at 0 allocations per call on a
+// warm workspace.
 func TestDijkstraToZeroAllocs(t *testing.T) {
 	c := randomTestGraph(500, 1500, 7).Freeze()
 	ws := NewWorkspace(c.NumNodes())
-	targets := []int{3, 250, 499}
-	c.DijkstraTo(ws, 0, targets, 1)
-	if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets, 1) }); allocs != 0 {
-		t.Fatalf("bounded serial DijkstraTo allocates %v per call, want 0", allocs)
+	for _, targets := range [][]int{{3, 250, 499}, {250}} {
+		c.DijkstraTo(ws, 0, targets, 1)
+		if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets, 1) }); allocs != 0 {
+			t.Fatalf("bounded serial DijkstraTo to %v allocates %v per call, want 0", targets, allocs)
+		}
 	}
 }

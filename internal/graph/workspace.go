@@ -13,7 +13,9 @@ import "sync"
 // Parent, ParentEdge (after a bounded CSR.DijkstraTo, only at the
 // targets and along their parent chains). After CSR.BFS: Hop, Parent.
 // Their contents are valid until the next kernel call on the same
-// Workspace.
+// Workspace. A single-target CSR.DijkstraTo also keeps its backward
+// search's distances here, in one more float64 per node grown on its
+// first run.
 type Workspace struct {
 	// Dist is the weighted distance per node (Inf when unreachable).
 	Dist []float64
@@ -28,12 +30,24 @@ type Workspace struct {
 	// bottom-up — a diagnostic for tests and benchmarks of the
 	// direction-optimizing kernel; 0 after a pure top-down traversal.
 	BFSBottomUpLevels int
+	// DijkstraScanned reports how many adjacency rows the last Dijkstra
+	// call scanned, whichever kernel ran: a node scanned again after a
+	// later improvement counts again, and the single-target kernel counts
+	// its forward and backward searches together. An exact work count for
+	// tests and benchmarks.
+	DijkstraScanned int
 
 	heapNode []int32
 	heapDist []float64
 	queue    []int32
 	visited  []uint32
 	epoch    uint32
+
+	// distB holds the single-target Dijkstra's backward distances to its
+	// target. An entry is valid only where visited carries that run's
+	// epoch, so the buffer is never cleared. It is grown by the first
+	// single-target run, so workspaces that never make one do not carry it.
+	distB []float64
 
 	// front/next are the dense bitset frontiers of the
 	// direction-optimizing BFS, one bit per node.
@@ -133,6 +147,15 @@ func (ws *Workspace) Reserve(n int) {
 		ws.bktOf = make([]int32, n)
 	}
 	ws.bktOf = ws.bktOf[:n]
+}
+
+// reserveBackward grows the single-target Dijkstra's backward distance
+// buffer to n nodes.
+func (ws *Workspace) reserveBackward(n int) {
+	if cap(ws.distB) < n {
+		ws.distB = make([]float64, n)
+	}
+	ws.distB = ws.distB[:n]
 }
 
 // relaxBuf is one worker's candidate buffer of the parallel bucketed

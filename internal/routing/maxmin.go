@@ -61,7 +61,7 @@ func MaxMinFairContext(ctx context.Context, g *graph.Graph, c *graph.CSR, demand
 	if c == nil {
 		c = g.Freeze()
 	}
-	ps, err := pinPaths(ctx, c, demands, true)
+	ps, err := pinPaths(ctx, c, demands)
 	if err != nil {
 		return nil, err
 	}

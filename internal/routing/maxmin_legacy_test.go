@@ -21,7 +21,7 @@ func maxMinFairLegacy(g *graph.Graph, demands []Demand) (*MaxMinResult, error) {
 	res := &MaxMinResult{Rate: make([]float64, nd)}
 
 	c := g.Freeze()
-	ps, err := pinPaths(context.Background(), c, demands, true)
+	ps, err := pinPaths(context.Background(), c, demands)
 	if err != nil {
 		return nil, err
 	}

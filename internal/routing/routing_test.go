@@ -153,33 +153,6 @@ func TestZeroVolumeIgnored(t *testing.T) {
 	}
 }
 
-func TestPathStretch(t *testing.T) {
-	// Straight line 0-(0,0) to 1-(1,0) but routed via detour node at
-	// (0.5, 0.5): path weight ~1.414, straight 1.0.
-	g := graph.New(3)
-	g.AddNode(graph.Node{X: 0, Y: 0})
-	g.AddNode(graph.Node{X: 1, Y: 0})
-	g.AddNode(graph.Node{X: 0.5, Y: 0.5})
-	g.AddEdge(graph.Edge{U: 0, V: 2})
-	g.AddEdge(graph.Edge{U: 2, V: 1})
-	g.EuclideanWeights()
-	s := PathStretch(g, []Demand{{Src: 0, Dst: 1, Volume: 1}})
-	want := math.Sqrt2
-	if math.Abs(s-want) > 1e-9 {
-		t.Fatalf("stretch = %v, want %v", s, want)
-	}
-}
-
-func TestPathStretchSkipsDegenerate(t *testing.T) {
-	g := graph.New(2)
-	g.AddNode(graph.Node{X: 0.5, Y: 0.5})
-	g.AddNode(graph.Node{X: 0.5, Y: 0.5}) // co-located
-	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1})
-	if s := PathStretch(g, []Demand{{Src: 0, Dst: 1, Volume: 1}}); s != 0 {
-		t.Fatalf("degenerate stretch = %v, want 0", s)
-	}
-}
-
 func TestMultiSourceLoadsAccumulate(t *testing.T) {
 	g := diamond()
 	res, err := RouteShortestPaths(g, []Demand{

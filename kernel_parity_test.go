@@ -239,6 +239,113 @@ func TestBFSCertificateAcrossModels(t *testing.T) {
 	}
 }
 
+// checkSPCertificate verifies one full Dijkstra result from src against
+// the graph alone, reading only CSR.Neighbors: Dist[src] = 0 with no
+// parent; Dist[v] <= Dist[u]+w on every half-edge; every other reached
+// node's parent edge joins it to its parent and is tight; Parent[v] is
+// the smallest-id tight neighbour and ParentEdge[v] the smallest tight
+// edge id from it; Dist[v] is Inf exactly when Parent[v] is -1; and
+// every reached node is reached from src along tight edges. The tight
+// paths bound each distance from above and the edge inequalities from
+// below, so the distances are exact, and the parents follow the
+// tie-break contract, in O(n+m) and independently of the kernel.
+func checkSPCertificate(t *testing.T, label string, c *graph.CSR, src int, dist []float64, parent, parentEdge []int32) {
+	t.Helper()
+	n := c.NumNodes()
+	if dist[src] != 0 || parent[src] != -1 || parentEdge[src] != -1 {
+		t.Fatalf("%s src %d: source holds (%v, %d, %d), want (0, -1, -1)", label, src, dist[src], parent[src], parentEdge[src])
+	}
+	for v := 0; v < n; v++ {
+		if v != src && math.IsInf(dist[v], 1) != (parent[v] == -1) {
+			t.Fatalf("%s src %d: node %d holds dist %v with parent %d", label, src, v, dist[v], parent[v])
+		}
+		if math.IsInf(dist[v], 1) && parentEdge[v] != -1 {
+			t.Fatalf("%s src %d: unreached node %d has parent edge %d", label, src, v, parentEdge[v])
+		}
+		bestU, bestE := -1, -1 // smallest tight (neighbour, edge)
+		c.Neighbors(v, func(u, e int, w float64) {
+			if dist[u]+w < dist[v] {
+				t.Fatalf("%s src %d: edge %d (%d-%d, w %v) shortens dist[%d] %v via dist[%d] %v", label, src, e, u, v, w, v, dist[v], u, dist[u])
+			}
+			if dist[u]+w == dist[v] && (bestU < 0 || u < bestU || (u == bestU && e < bestE)) {
+				bestU, bestE = u, e
+			}
+		})
+		if v == src || math.IsInf(dist[v], 1) {
+			continue
+		}
+		if int(parent[v]) != bestU || int(parentEdge[v]) != bestE {
+			t.Fatalf("%s src %d: node %d has parent (%d, edge %d), want the smallest tight (%d, edge %d)", label, src, v, parent[v], parentEdge[v], bestU, bestE)
+		}
+	}
+	// Every reached node must hang off src by tight edges; a zero-weight
+	// parent cycle alone could otherwise hold a too-small distance.
+	onTight := make([]bool, n)
+	onTight[src] = true
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		c.Neighbors(u, func(v, _ int, w float64) {
+			if !onTight[v] && dist[u]+w == dist[v] {
+				onTight[v] = true
+				queue = append(queue, v)
+			}
+		})
+	}
+	for v := 0; v < n; v++ {
+		if !math.IsInf(dist[v], 1) && !onTight[v] {
+			t.Fatalf("%s src %d: node %d (dist %v) is on no tight path from the source", label, src, v, dist[v])
+		}
+	}
+}
+
+// TestSPCertificateAcrossModels checks every full Dijkstra entry point
+// against the certificate above, from a spread of sources, on the plain
+// and the degree-masked graph of each model, and on a unit-weight copy:
+// the models' Euclidean weights almost never tie, so only the copy puts
+// the tie-break under test.
+func TestSPCertificateAcrossModels(t *testing.T) {
+	kernels := []struct {
+		name string
+		run  func(c *graph.CSR, ws *graph.Workspace, src int)
+	}{
+		{"Dijkstra", (*graph.CSR).Dijkstra},
+		{"DijkstraParallel/2", func(c *graph.CSR, ws *graph.Workspace, src int) { c.DijkstraParallel(ws, src, 2) }},
+		{"DijkstraParallel/8", func(c *graph.CSR, ws *graph.Workspace, src int) { c.DijkstraParallel(ws, src, 8) }},
+		{"DijkstraHeap", (*graph.CSR).DijkstraHeap},
+	}
+	for _, m := range parityModels() {
+		for _, seed := range []int64{1, 2} {
+			g, err := m.build(seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.name, seed, err)
+			}
+			sub, _ := g.RemoveNodes(degreeMask(g, 0.10))
+			unit := g.Clone()
+			for i := range unit.Edges() {
+				unit.Edge(i).Weight = 1
+			}
+			for _, variant := range []struct {
+				name string
+				g    *graph.Graph
+			}{{"plain", g}, {"masked", sub}, {"unit", unit}} {
+				c := variant.g.Freeze()
+				n := c.NumNodes()
+				ws := graph.GetWorkspace(n)
+				for _, k := range kernels {
+					label := fmt.Sprintf("%s/seed=%d/%s/%s", m.name, seed, variant.name, k.name)
+					for src := 0; src < n; src += n/40 + 1 {
+						k.run(c, ws, src)
+						checkSPCertificate(t, label, c, src, ws.Dist[:n], ws.Parent[:n], ws.ParentEdge[:n])
+					}
+				}
+				ws.Release()
+			}
+		}
+	}
+}
+
 // checkDijkstraVariantsParity pins every Dijkstra execution strategy to
 // the heap reference: the serial bucketed kernel and the parallel
 // bucketed kernel at worker counts 2/8. dist, parent, and parentEdge,
@@ -358,7 +465,8 @@ func disjointUnion(g *graph.Graph) *graph.Graph {
 // the heap reference on every model: at each target, Dist and the whole
 // Parent/ParentEdge chain back to the source, bit for bit, at worker
 // counts 1, 2 and 8. Target sets: one far node, a source-adjacent node,
-// a node in the other component of a two-component graph, and all nodes.
+// a node in the other component of a two-component graph, and all nodes;
+// the three single-node sets run the bidirectional kernel.
 func TestDijkstraToParityAcrossModels(t *testing.T) {
 	for _, m := range parityModels() {
 		for _, seed := range []int64{1, 2} {
