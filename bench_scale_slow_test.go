@@ -90,19 +90,10 @@ func BenchmarkScaleHOTGrow1M(b *testing.B) { benchHOTGrow(b, 1_000_000, core.Sea
 func BenchmarkScaleDijkstraBucketBA1M(b *testing.B) { benchDijkstra(b, ba1m(b), false) }
 func BenchmarkScaleDijkstraHeapBA1M(b *testing.B)   { benchDijkstra(b, ba1m(b), true) }
 
-// BenchmarkScaleDijkstraParallelBA1M pairs with
-// BenchmarkScaleDijkstraBucketBA1M: the same traversal with each bucket
-// window's frontier settled in parallel shards at GOMAXPROCS width (the
-// width CSR.Dijkstra auto-engages at this size).
-func BenchmarkScaleDijkstraParallelBA1M(b *testing.B) { benchDijkstraParallel(b, ba1m(b), 0) }
-
 // The 10M slices: both kernels at the top of the int32 CSR range.
 func BenchmarkScaleBFSDirOptBA10M(b *testing.B)      { benchBFS(b, ba10m(b), false) }
 func BenchmarkScaleBFSParallelBA10M(b *testing.B)    { benchBFSParallel(b, ba10m(b), 0) }
 func BenchmarkScaleDijkstraBucketBA10M(b *testing.B) { benchDijkstra(b, ba10m(b), false) }
-func BenchmarkScaleDijkstraParallelBA10M(b *testing.B) {
-	benchDijkstraParallel(b, ba10m(b), 0)
-}
 
 func BenchmarkScaleRoutingFanoutBA1M(b *testing.B) {
 	t := ba1m(b)

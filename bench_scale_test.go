@@ -163,10 +163,7 @@ func benchDijkstra(b *testing.B, t *scaleTopo, heap bool) {
 	srcs := benchSources(t.c.NumNodes(), 43)
 	ws := graph.GetWorkspace(t.c.NumNodes())
 	defer ws.Release()
-	// Workers pinned to 1: this pair is the serial bucketed-vs-heap
-	// comparison, so the bucket leg must not drift into the parallel
-	// kernel when the snapshot crosses the auto-engagement threshold.
-	t.c.DijkstraParallel(ws, srcs[0], 1)
+	t.c.Dijkstra(ws, srcs[0])
 	t.c.DijkstraHeap(ws, srcs[0])
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -174,24 +171,8 @@ func benchDijkstra(b *testing.B, t *scaleTopo, heap bool) {
 		if heap {
 			t.c.DijkstraHeap(ws, srcs[i%len(srcs)])
 		} else {
-			t.c.DijkstraParallel(ws, srcs[i%len(srcs)], 1)
+			t.c.Dijkstra(ws, srcs[i%len(srcs)])
 		}
-	}
-}
-
-// benchDijkstraParallel measures the sharded parallel bucketed Dijkstra
-// at a forced width (0 = GOMAXPROCS, the width CSR.Dijkstra auto-engages
-// above dijkstraParallelMinNodes). Pairs with benchDijkstra's serial
-// bucket leg for the speedup ratio.
-func benchDijkstraParallel(b *testing.B, t *scaleTopo, workers int) {
-	srcs := benchSources(t.c.NumNodes(), 43)
-	ws := graph.GetWorkspace(t.c.NumNodes())
-	defer ws.Release()
-	t.c.DijkstraParallel(ws, srcs[0], workers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.c.DijkstraParallel(ws, srcs[i%len(srcs)], workers)
 	}
 }
 
@@ -248,14 +229,6 @@ func BenchmarkScaleDijkstraBucketBA100k(b *testing.B) {
 func BenchmarkScaleDijkstraHeapBA100k(b *testing.B) {
 	skipUnlessScale(b)
 	benchDijkstra(b, ba100k(b), true)
-}
-
-// BenchmarkScaleDijkstraParallelBA100k pairs with
-// BenchmarkScaleDijkstraBucketBA100k: the same traversal with each
-// bucket window's frontier sharded over GOMAXPROCS workers.
-func BenchmarkScaleDijkstraParallelBA100k(b *testing.B) {
-	skipUnlessScale(b)
-	benchDijkstraParallel(b, ba100k(b), 0)
 }
 
 // scaleDemands draws a deterministic random demand set for the routing

@@ -151,20 +151,6 @@ func BenchmarkMetricProfile(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxFlowBackbone(b *testing.B) {
-	g, err := gen.ErdosRenyiGNM(300, 900, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range g.Edges() {
-		g.Edge(i).Capacity = 10
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.MaxFlow(0, 299)
-	}
-}
-
 func BenchmarkMaxMinFair(b *testing.B) {
 	g, err := gen.BarabasiAlbert(400, 2, 1)
 	if err != nil {
@@ -216,8 +202,8 @@ func BenchmarkRobustnessSweep(b *testing.B) {
 
 // --- CSR kernel micro-benchmarks ----------------------------------------
 //
-// These pairs quantify the two tentpole effects: the CSR layout vs the
-// slice-of-slices adjacency, and pooled workspaces vs per-call
+// The BFS pair quantifies the two tentpole effects: the CSR layout vs
+// the slice-of-slices adjacency, and pooled workspaces vs per-call
 // allocation. The pooled variants must report 0 allocs/op.
 
 // benchGraph is a 4k-node weighted graph shared by the kernel benches.
@@ -231,15 +217,6 @@ func benchGraph(b *testing.B) *graph.Graph {
 		g.Edge(i).Weight = float64(i%17) + 1
 	}
 	return g
-}
-
-func BenchmarkDijkstraAdjacencyAlloc(b *testing.B) {
-	g := benchGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Dijkstra(i % g.NumNodes())
-	}
 }
 
 func BenchmarkDijkstraCSRPooled(b *testing.B) {
@@ -281,7 +258,7 @@ func BenchmarkDijkstraToSingleTarget(b *testing.B) {
 	route := func() (scanned int) {
 		for _, p := range pairs {
 			target[0] = p[1]
-			c.DijkstraTo(ws, p[0], target, 1)
+			c.DijkstraTo(ws, p[0], target)
 			scanned += ws.DijkstraScanned
 		}
 		return scanned

@@ -53,11 +53,10 @@
 // Under all of it sits a high-performance graph kernel: Freeze snapshots
 // a Graph into an immutable CSR (compressed sparse row) layout, and
 // pooled Workspace buffers make the Dijkstra/BFS/eccentricity kernels
-// allocation-free and safe to fan out across goroutines. Both traversal
-// kernels parallelize inside a single source above 2^18 nodes — sharded
-// bottom-up BFS levels and sharded Dijkstra bucket windows
-// (CSR.BFSParallel / CSR.DijkstraParallel force a width) — and the
-// per-source fan-outs split the worker budget with the intra-source
+// allocation-free and safe to fan out across goroutines. BFS also
+// parallelizes inside a single source above 2^18 nodes, sharding its
+// bottom-up levels (CSR.BFSParallel forces a width), and the metric
+// engine's per-source fan-out splits the worker budget with those
 // shards so the two levels compose without oversubscription.
 // CSR.DijkstraTo stops a traversal once a target list is settled, which
 // is how routing pins each source's paths; a single target is found by a

@@ -59,64 +59,6 @@ func (g *Graph) Betweenness() []float64 {
 	return bc
 }
 
-// KCore returns each node's core number: the largest k such that the node
-// belongs to a subgraph in which every node has degree >= k.
-func (g *Graph) KCore() []int {
-	n := g.NumNodes()
-	deg := g.Degrees()
-	core := make([]int, n)
-	// Bucket sort nodes by degree (Batagelj–Zaveršnik).
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	bin := make([]int, maxDeg+1)
-	for _, d := range deg {
-		bin[d]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		count := bin[d]
-		bin[d] = start
-		start += count
-	}
-	pos := make([]int, n)
-	vert := make([]int, n)
-	for v, d := range deg {
-		pos[v] = bin[d]
-		vert[pos[v]] = v
-		bin[d]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
-	}
-	bin[0] = 0
-
-	curDeg := append([]int(nil), deg...)
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		core[v] = curDeg[v]
-		for _, h := range g.adj[v] {
-			u := h.to
-			if curDeg[u] > curDeg[v] {
-				du := curDeg[u]
-				pu := pos[u]
-				pw := bin[du]
-				w := vert[pw]
-				if u != w {
-					pos[u], pos[w] = pw, pu
-					vert[pu], vert[pw] = w, u
-				}
-				bin[du]++
-				curDeg[u]--
-			}
-		}
-	}
-	return core
-}
-
 // BridgeEdges returns the indices of all bridge edges (edges whose removal
 // disconnects their component) via Tarjan's low-link DFS, iterative to
 // avoid stack overflow on long path graphs.

@@ -59,6 +59,9 @@ type CSR struct {
 	bucketOK   bool
 }
 
+// Inf is the distance reported for unreachable nodes.
+var Inf = math.Inf(1)
+
 // Limits of the int32 CSR index space. One id (^int32(0) territory) is
 // kept out of range so sentinel values like -1 never collide.
 const (
@@ -169,37 +172,13 @@ func (c *CSR) Neighbors(u int, fn func(v, edgeID int, w float64)) {
 // with no per-relaxation log factor; otherwise it falls back to
 // DijkstraHeap, which preserves the historical lazy panic on reaching a
 // negative edge.
-//
-// On snapshots of at least dijkstraParallelMinNodes nodes the bucketed
-// kernel additionally settles large bucket windows in parallel across
-// GOMAXPROCS workers (see DijkstraParallel); results are bit-identical
-// either way, but the fan-out machinery allocates a little per call, so
-// small graphs keep the allocation-free serial path.
 func (c *CSR) Dijkstra(ws *Workspace, src int) {
-	workers := 1
-	if c.n >= dijkstraParallelMinNodes {
-		workers = 0
-	}
-	c.DijkstraTo(ws, src, nil, workers)
+	c.DijkstraTo(ws, src, nil)
 }
 
-// DijkstraParallel is Dijkstra with an explicit worker count for the
-// bucketed kernel's window settling (workers <= 0 means GOMAXPROCS),
-// engaged regardless of graph size. Each bucket window's frontier is
-// sharded across workers, relaxations are recorded in per-worker
-// buffers, and the buffers are merged serially in shard order under the
-// documented smallest-id/smallest-edge-id tie-break — so dist, parent,
-// and parentEdge are bit-identical to the serial bucketed kernel and to
-// DijkstraHeap at any worker count. Snapshots whose weights disqualify
-// bucketing fall back to the heap kernel, which is serial.
-func (c *CSR) DijkstraParallel(ws *Workspace, src, workers int) {
-	c.DijkstraTo(ws, src, nil, workers)
-}
-
-// DijkstraTo is the entry point behind Dijkstra and DijkstraParallel
-// (workers as in DijkstraParallel; 1 runs the allocation-free serial
-// kernel) that may stop before the whole graph is settled. With a
-// non-empty targets list the bucketed kernels stop after the bucket
+// DijkstraTo is Dijkstra that may stop before the whole graph is
+// settled, and like it allocates nothing once ws has warmed up. With a
+// non-empty targets list the bucketed kernel stops after the bucket
 // window in which the last distinct target was dequeued has drained.
 // Every later relaxation starts from a node in a later bucket, hence at
 // a strictly larger distance, so at that point each target's Dist,
@@ -210,28 +189,20 @@ func (c *CSR) DijkstraParallel(ws *Workspace, src, workers int) {
 // heap fallback always run in full. Targets must be valid node ids;
 // duplicates are allowed.
 //
-// When targets names exactly one node other than src, the serial
-// bidirectional kernel runs instead, whatever workers says: a backward
-// search from the target meets the forward search in the middle and
-// prunes the forward search to nodes that can lie on a shortest path
-// (see dijkstraBidir), with the same guarantee at the target. An
-// unreachable single target ends the run as soon as either search
-// exhausts its component. With several distinct targets an unreachable
-// one runs the traversal to completion.
-func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int, workers int) {
+// When targets names exactly one node other than src, the bidirectional
+// kernel runs instead: a backward search from the target meets the
+// forward search in the middle and prunes the forward search to nodes
+// that can lie on a shortest path (see dijkstraBidir), with the same
+// guarantee at the target. An unreachable single target ends the run as
+// soon as either search exhausts its component. With several distinct
+// targets an unreachable one runs the traversal to completion.
+func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int) {
 	if !c.bucketOK {
 		c.DijkstraHeap(ws, src)
 		return
 	}
 	if t := singleTarget(src, targets); t >= 0 {
 		c.dijkstraBidir(ws, src, t)
-		return
-	}
-	if workers <= 0 {
-		workers = par.Workers(0, c.n)
-	}
-	if workers > 1 {
-		c.dijkstraBucketParallel(ws, src, targets, workers, dijkstraParMinFrontier)
 		return
 	}
 	c.dijkstraBucket(ws, src, targets)
@@ -257,7 +228,7 @@ func singleTarget(src int, targets []int) int {
 // over ws-owned parallel arrays. It produces bit-identical results to
 // the bucketed kernel behind Dijkstra and is kept exported for parity
 // tests and for snapshots whose weights disqualify bucketing. Negative
-// edge weights panic when reached, matching Graph.Dijkstra.
+// edge weights panic when reached.
 func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 	ws.Reserve(c.n)
 	dist := ws.Dist[:c.n]
@@ -518,24 +489,11 @@ func betterParent(u, e, p, pe int32) bool {
 	return u < p || (u == p && e < pe)
 }
 
-// Parallel bucketed Dijkstra tuning. Bucket windows are settled in
-// parallel when the drained frontier holds at least
-// dijkstraParMinFrontier nodes — below that the fan-out overhead
-// outweighs the window's relaxation work and the window runs serially.
-// Frontiers are sharded into dijkstraShardSpan-node chunks claimed
-// dynamically by the workers. Dijkstra auto-engages the parallel path
-// at dijkstraParallelMinNodes nodes (the same threshold as the parallel
-// BFS; DijkstraParallel overrides).
-const (
-	dijkstraParallelMinNodes = bfsParallelMinNodes
-	dijkstraShardSpan        = 1024
-	dijkstraParMinFrontier   = 4096
-)
-
-// bucketState bundles the bucketed kernel's queue bookkeeping so the
-// parallel kernel's merge phase, its serial small-window path and the
-// bidirectional kernel's forward search share one relaxation routine.
-// All fields alias Workspace storage.
+// bucketState bundles the bucketed queue's bookkeeping. startBuckets
+// resets it for both bucketed kernels; the bidirectional kernel's
+// forward search advances it through pop and relax, while
+// dijkstraBucket inlines the same steps in its hot loop, since the
+// compiler does not inline relax. All fields alias Workspace storage.
 type bucketState struct {
 	dist               []float64
 	parent, parentEdge []int32
@@ -597,9 +555,8 @@ func (bs *bucketState) pop(s int) int32 {
 // sum nd): a strict improvement updates the distance and moves v to its
 // new bucket (decrease-key), an equal distance applies the
 // smallest-id/smallest-edge-id parent tie-break. The end state after a
-// set of relaxations does not depend on their order — improvements are
-// strict and the tie-break is a total order — which is what lets the
-// parallel kernel merge per-worker buffers without re-sorting.
+// set of relaxations does not depend on their order: improvements are
+// strict and the tie-break is a total order.
 func (bs *bucketState) relax(u, v, e int32, nd float64) {
 	if nd < bs.dist[v] {
 		bs.dist[v] = nd
@@ -634,126 +591,12 @@ func (bs *bucketState) relax(u, v, e int32, nd float64) {
 	}
 }
 
-// dijkstraBucketParallel is the bucket-level parallel variant of
-// dijkstraBucket. Each non-empty window of the current bucket is
-// drained into a flat frontier and settled in two phases:
-//
-//  1. Scan (parallel): the frontier is sharded into dijkstraShardSpan
-//     chunks claimed dynamically via par.ForEachWorkerErr. Workers scan
-//     their nodes' rows against the pre-window dist/parent arrays —
-//     which no one writes during the phase, so the scan is race-free —
-//     and append surviving candidates (u, half-edge, tentative dist) to
-//     per-worker relaxation buffers, recording each shard's buffer
-//     segment.
-//  2. Merge (serial): segments are applied in shard order through
-//     bucketState.relax. The filter in phase 1 only drops candidates
-//     that can never win (nd above the node's current dist, or an
-//     equal-dist parent no better than the current one), and relax
-//     re-checks every survivor against the live state, so the final
-//     dist/parent/parentEdge fixed point — hence every subsequent
-//     bucket decision — is identical to the serial kernel's at any
-//     worker count and any shard-to-worker assignment.
-//
-// Windows smaller than minFrontier (dijkstraParMinFrontier from the
-// exported entry points; tests pass 1 to force every window through the
-// scan/merge machinery) skip the fan-out and settle serially through
-// the same relax routine. targets bounds the run as in dijkstraBucket.
-func (c *CSR) dijkstraBucketParallel(ws *Workspace, src int, targets []int, workers, minFrontier int) {
-	ws.Reserve(c.n)
-	ws.reserveRelax(workers)
-	epoch, pending := ws.markTargets(targets)
-	visited := ws.visited
-	bs := c.startBuckets(ws, src)
-	scanned := 0
-	frontier := ws.queue[:0]
-	for k := 0; bs.live > 0; k++ {
-		s := k % nBuckets
-		for bs.head[s] >= 0 {
-			// Drain the window. Nodes relaxed to a better distance
-			// during the settle re-enter a bucket (possibly this one)
-			// and are drained again on the next pass.
-			frontier = frontier[:0]
-			for u := bs.head[s]; u >= 0; u = bs.bNext[u] {
-				frontier = append(frontier, u)
-				bs.bOf[u] = -1
-				if pending > 0 && visited[u] == epoch {
-					visited[u] = 0
-					pending--
-				}
-			}
-			bs.head[s] = -1
-			bs.live -= len(frontier)
-			scanned += len(frontier)
-			if len(frontier) < minFrontier {
-				for _, u := range frontier {
-					du := bs.dist[u]
-					for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
-						bs.relax(u, c.nbr[j], c.edgeID[j], du+c.weight[j])
-					}
-				}
-				continue
-			}
-			c.settleWindowParallel(ws, &bs, frontier, workers)
-		}
-		if pending == 0 {
-			break
-		}
-	}
-	ws.queue = frontier
-	ws.DijkstraScanned = scanned
-}
-
-// settleWindowParallel runs the scan/merge phases of one large bucket
-// window (see dijkstraBucketParallel).
-func (c *CSR) settleWindowParallel(ws *Workspace, bs *bucketState, frontier []int32, workers int) {
-	shards := (len(frontier) + dijkstraShardSpan - 1) / dijkstraShardSpan
-	ws.reserveRelaxShards(shards)
-	for w := range ws.relax[:workers] {
-		b := &ws.relax[w]
-		b.u = b.u[:0]
-		b.j = b.j[:0]
-		b.d = b.d[:0]
-	}
-	dist, parent, parentEdge := bs.dist, bs.parent, bs.parentEdge
-	par.ForEachWorkerErr(workers, shards, func(w, sh int) error {
-		lo := sh * dijkstraShardSpan
-		hi := lo + dijkstraShardSpan
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
-		b := &ws.relax[w]
-		ws.relaxShardW[sh] = int32(w)
-		ws.relaxShardLo[sh] = int32(len(b.u))
-		for _, u := range frontier[lo:hi] {
-			du := dist[u]
-			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
-				v := c.nbr[j]
-				nd := du + c.weight[j]
-				if nd < dist[v] || (nd == dist[v] && betterParent(u, c.edgeID[j], parent[v], parentEdge[v])) {
-					b.u = append(b.u, u)
-					b.j = append(b.j, j)
-					b.d = append(b.d, nd)
-				}
-			}
-		}
-		ws.relaxShardHi[sh] = int32(len(b.u))
-		return nil
-	})
-	for sh := 0; sh < shards; sh++ {
-		b := &ws.relax[ws.relaxShardW[sh]]
-		for i := ws.relaxShardLo[sh]; i < ws.relaxShardHi[sh]; i++ {
-			j := b.j[i]
-			bs.relax(b.u[i], c.nbr[j], c.edgeID[j], b.d[i])
-		}
-	}
-}
-
 // IntraWorkers clamps a per-traversal inner worker width for this
-// snapshot: below the parallel auto-engagement threshold (shared by BFS
-// and Dijkstra) one traversal is too small for the fan-out overhead to
-// pay, so callers composing an outer per-source fan-out with
-// intra-traversal parallelism (internal/routing, internal/metricreg)
-// get 1 back and stay on the allocation-free serial kernels.
+// snapshot: below the parallel BFS's auto-engagement threshold one
+// traversal is too small for the fan-out overhead to pay, so a caller
+// composing an outer per-source fan-out with BFSParallel
+// (internal/metricreg) gets 1 back and stays on the allocation-free
+// serial kernel.
 func (c *CSR) IntraWorkers(inner int) int {
 	if inner < 1 || c.n < bfsParallelMinNodes {
 		return 1
@@ -985,19 +828,6 @@ func (c *CSR) Eccentricity(ws *Workspace, src int) int {
 		}
 	}
 	return int(max)
-}
-
-// WeightedEccentricity returns the maximum finite weighted distance from
-// src.
-func (c *CSR) WeightedEccentricity(ws *Workspace, src int) float64 {
-	c.Dijkstra(ws, src)
-	max := 0.0
-	for _, d := range ws.Dist[:c.n] {
-		if d > max && d < Inf {
-			max = d
-		}
-	}
-	return max
 }
 
 // LargestComponentMasked returns the size of the largest connected

@@ -24,11 +24,9 @@ func checkTargetChains(t *testing.T, label string, n int, targets []int, ref, go
 	}
 }
 
-// TestDijkstraToMatchesHeap runs the bounded serial kernel, the bounded
-// parallel kernel with every window forced through the scan/merge
-// machinery, and the exported entry point across the bucket-binning
-// weight regimes with parallel edges, and pins every target chain to
-// DijkstraHeap. Target
+// TestDijkstraToMatchesHeap runs the bounded bucketed kernel and the
+// exported entry point across the bucket-binning weight regimes with
+// parallel edges, and pins every target chain to DijkstraHeap. Target
 // sets: a far node, a source-adjacent node, the source itself, a
 // duplicated pair, an isolated node (unreachable), and every node.
 // Through DijkstraTo, the sets naming one node other than the source
@@ -52,11 +50,8 @@ func TestDijkstraToMatchesHeap(t *testing.T) {
 				far := (src + n/2) % (n - 1)
 				for _, targets := range [][]int{{far}, {adjacent}, {src}, {far, far}, {isolated}, all} {
 					runs := map[string]func(){
-						"serial":        func() { c.dijkstraBucket(ws, src, targets) },
-						"forced-par3":   func() { c.dijkstraBucketParallel(ws, src, targets, 3, 1) },
-						"DijkstraTo-w1": func() { c.DijkstraTo(ws, src, targets, 1) },
-						"DijkstraTo-w2": func() { c.DijkstraTo(ws, src, targets, 2) },
-						"DijkstraTo-w8": func() { c.DijkstraTo(ws, src, targets, 8) },
+						"bucket":     func() { c.dijkstraBucket(ws, src, targets) },
+						"DijkstraTo": func() { c.DijkstraTo(ws, src, targets) },
 					}
 					for name, run := range runs {
 						run()
@@ -113,24 +108,24 @@ func TestDijkstraToSingleTargetAllPairs(t *testing.T) {
 					continue
 				}
 				targets[0] = tg
-				c.DijkstraTo(ws, src, targets, 1)
+				c.DijkstraTo(ws, src, targets)
 				checkTargetChains(t, reg.name+"/bidir", n, targets, ref, ws)
 			}
 		}
 	}
 }
 
-// TestDijkstraToStopsAtTarget checks that the bound takes effect: on a
-// 100-node unit-weight path from node 0, settling target 1 must leave
-// the far end untouched, while an unbounded run reaches it.
+// TestDijkstraToStopsAtTarget checks that the bound takes effect in the
+// bucketed and the bidirectional kernel: on a 100-node unit-weight path
+// from node 0, settling target 1 must leave the far end untouched, while
+// an unbounded run reaches it.
 func TestDijkstraToStopsAtTarget(t *testing.T) {
 	const n = 100
 	c := pathGraph(n).Freeze()
 	ws := NewWorkspace(n)
 	runs := map[string]func(targets []int){
-		"serial":      func(tg []int) { c.DijkstraTo(ws, 0, tg, 1) },
-		"parallel":    func(tg []int) { c.DijkstraTo(ws, 0, tg, 2) },
-		"forced-par2": func(tg []int) { c.dijkstraBucketParallel(ws, 0, tg, 2, 1) },
+		"bucket":     func(tg []int) { c.dijkstraBucket(ws, 0, tg) },
+		"DijkstraTo": func(tg []int) { c.DijkstraTo(ws, 0, tg) },
 	}
 	for name, run := range runs {
 		run([]int{1})
@@ -147,16 +142,16 @@ func TestDijkstraToStopsAtTarget(t *testing.T) {
 	}
 }
 
-// TestDijkstraToZeroAllocs pins the serial bounded kernel and the
+// TestDijkstraToZeroAllocs pins the bounded bucketed kernel and the
 // single-target bidirectional kernel at 0 allocations per call on a
 // warm workspace.
 func TestDijkstraToZeroAllocs(t *testing.T) {
 	c := randomTestGraph(500, 1500, 7).Freeze()
 	ws := NewWorkspace(c.NumNodes())
 	for _, targets := range [][]int{{3, 250, 499}, {250}} {
-		c.DijkstraTo(ws, 0, targets, 1)
-		if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets, 1) }); allocs != 0 {
-			t.Fatalf("bounded serial DijkstraTo to %v allocates %v per call, want 0", targets, allocs)
+		c.DijkstraTo(ws, 0, targets)
+		if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets) }); allocs != 0 {
+			t.Fatalf("bounded DijkstraTo to %v allocates %v per call, want 0", targets, allocs)
 		}
 	}
 }

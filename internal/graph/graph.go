@@ -1,7 +1,8 @@
 // Package graph provides the undirected weighted graph substrate shared by
 // every topology model in this repository: adjacency storage with node and
-// edge attributes, traversals, shortest paths, minimum spanning trees,
-// centrality, and structural predicates (tree, connected, bi-connected).
+// edge attributes, the frozen CSR snapshot with its BFS, Dijkstra and
+// masked-component kernels, minimum spanning trees, betweenness, and
+// structural predicates (tree, forest, connected, 2-edge-connected).
 //
 // Graphs are node-indexed: nodes are dense integers [0, N). This matches
 // how the generators work (nodes arrive incrementally and never leave) and
@@ -209,26 +210,6 @@ func (g *Graph) findEdge(u, v int) int {
 		}
 	}
 	return -1
-}
-
-// TotalWeight returns the sum of edge weights.
-func (g *Graph) TotalWeight() float64 {
-	s := 0.0
-	for i := range g.edges {
-		s += g.edges[i].Weight
-	}
-	return s
-}
-
-// NodesOfKind returns the ids of all nodes with the given kind, ascending.
-func (g *Graph) NodesOfKind(k NodeKind) []int {
-	var out []int
-	for i := range g.nodes {
-		if g.nodes[i].Kind == k {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // InducedSubgraph returns the subgraph on the given nodes (deduplicated)

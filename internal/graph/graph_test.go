@@ -90,8 +90,8 @@ func TestAddNodeEdgeBasics(t *testing.T) {
 	if g.FindEdge(0, 5) != -1 {
 		t.Fatal("FindEdge out of range should be -1")
 	}
-	if g.TotalWeight() != 2.5 {
-		t.Fatalf("TotalWeight = %v", g.TotalWeight())
+	if g.Edge(id).Weight != 2.5 {
+		t.Fatalf("edge weight = %v", g.Edge(id).Weight)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestConnectedComponents(t *testing.T) {
 	if label[5] == label[0] || label[5] == label[2] {
 		t.Fatal("isolated node merged into a component")
 	}
-	if g.LargestComponentSize() != 3 {
-		t.Fatalf("LargestComponentSize = %d, want 3", g.LargestComponentSize())
+	if got := largestComponent(g); got != 3 {
+		t.Fatalf("largest component = %d, want 3", got)
 	}
 }
 
@@ -242,23 +242,22 @@ func TestHopDiameterAndEccentricity(t *testing.T) {
 	}
 }
 
-func TestAverageHopDistance(t *testing.T) {
-	g := pathGraph(3) // pairs: (0,1)=1 (0,2)=2 (1,2)=1, ordered doubles
-	avg, pairs := g.AverageHopDistance()
-	if pairs != 6 {
-		t.Fatalf("pairs = %d, want 6", pairs)
-	}
-	if math.Abs(avg-8.0/6.0) > 1e-12 {
-		t.Fatalf("avg = %v, want %v", avg, 8.0/6.0)
-	}
-}
-
 func TestLeaves(t *testing.T) {
 	g := starGraph(5)
 	leaves := g.Leaves()
 	if len(leaves) != 4 {
 		t.Fatalf("star has %d leaves, want 4", len(leaves))
 	}
+}
+
+// csrDijkstra freezes g and returns CSR.Dijkstra's distances and
+// shortest-path tree from src.
+func csrDijkstra(g *Graph, src int) (dist []float64, parent, parentEdge []int32) {
+	c := g.Freeze()
+	n := c.NumNodes()
+	ws := NewWorkspace(n)
+	c.Dijkstra(ws, src)
+	return ws.Dist[:n], ws.Parent[:n], ws.ParentEdge[:n]
 }
 
 func TestDijkstraSimple(t *testing.T) {
@@ -270,26 +269,20 @@ func TestDijkstraSimple(t *testing.T) {
 	g.AddEdge(Edge{U: 1, V: 2, Weight: 1})
 	g.AddEdge(Edge{U: 0, V: 2, Weight: 5})
 	g.AddEdge(Edge{U: 2, V: 3, Weight: 1})
-	dist, parent, parentEdge := g.Dijkstra(0)
+	dist, parent, parentEdge := csrDijkstra(g, 0)
 	if dist[2] != 2 {
 		t.Fatalf("dist[2] = %v, want 2 (via node 1)", dist[2])
 	}
 	if dist[3] != 3 {
 		t.Fatalf("dist[3] = %v, want 3", dist[3])
 	}
-	path := PathTo(parent, 0, 3)
-	want := []int{0, 1, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
+	// The tree path 3 -> 2 -> 1 -> 0 over edges 3, 1, 0.
+	wantParent := []int32{-1, 0, 1, 2}
+	wantEdge := []int32{-1, 0, 1, 3}
+	for v := range wantParent {
+		if parent[v] != wantParent[v] || parentEdge[v] != wantEdge[v] {
+			t.Fatalf("tree = %v / %v, want %v / %v", parent, parentEdge, wantParent, wantEdge)
 		}
-	}
-	edges := ShortestPathDAGEdges(parent, parentEdge, 0, 3)
-	if len(edges) != 3 {
-		t.Fatalf("path edges = %v", edges)
 	}
 }
 
@@ -297,12 +290,12 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := New(2)
 	g.AddNode(Node{})
 	g.AddNode(Node{})
-	dist, parent, _ := g.Dijkstra(0)
+	dist, parent, parentEdge := csrDijkstra(g, 0)
 	if !math.IsInf(dist[1], 1) {
 		t.Fatal("unreachable distance should be +Inf")
 	}
-	if PathTo(parent, 0, 1) != nil {
-		t.Fatal("path to unreachable node should be nil")
+	if parent[1] != -1 || parentEdge[1] != -1 {
+		t.Fatalf("unreachable node has parent %d edge %d, want -1 -1", parent[1], parentEdge[1])
 	}
 }
 
@@ -312,7 +305,7 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 		g.Edge(i).Weight = 1
 	}
 	hop, _ := g.BFS(0)
-	dist, _, _ := g.Dijkstra(0)
+	dist, _, _ := csrDijkstra(g, 0)
 	for v := range hop {
 		if float64(hop[v]) != dist[v] {
 			t.Fatalf("node %d: BFS=%d Dijkstra=%v", v, hop[v], dist[v])
@@ -320,25 +313,56 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	}
 }
 
+// TestDijkstraNegativeWeightPanics checks that the target-bounded entry
+// point keeps the heap fallback's panic on a negative weight, for a
+// single target and for several.
 func TestDijkstraNegativeWeightPanics(t *testing.T) {
-	g := New(2)
-	g.AddNode(Node{})
-	g.AddNode(Node{})
+	g := New(3)
+	for i := 0; i < 3; i++ {
+		g.AddNode(Node{})
+	}
 	g.AddEdge(Edge{U: 0, V: 1, Weight: -1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative weight should panic")
+	g.AddEdge(Edge{U: 1, V: 2, Weight: 1})
+	c := g.Freeze()
+	ws := NewWorkspace(3)
+	for _, targets := range [][]int{{2}, {1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("targets %v: negative weight should panic", targets)
+				}
+			}()
+			c.DijkstraTo(ws, 0, targets)
+		}()
+	}
+}
+
+// primWeight is an independent MST oracle: Prim's algorithm from node 0,
+// each step scanning every edge for the lightest one leaving the tree.
+// g must be connected.
+func primWeight(g *Graph) float64 {
+	in := make([]bool, g.NumNodes())
+	in[0] = true
+	total := 0.0
+	edges := g.Edges()
+	for k := 1; k < g.NumNodes(); k++ {
+		best := -1
+		for i, e := range edges {
+			if in[e.U] != in[e.V] && (best < 0 || e.Weight < edges[best].Weight) {
+				best = i
+			}
 		}
-	}()
-	g.Dijkstra(0)
+		in[edges[best].U], in[edges[best].V] = true, true
+		total += edges[best].Weight
+	}
+	return total
 }
 
 func TestMSTAgreement(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomConnectedGraph(t, seed, 100, 200)
 		_, wk := g.KruskalMST()
-		_, wp := g.PrimMST()
-		if math.Abs(wk-wp) > 1e-9 {
+		if wp := primWeight(g); math.Abs(wk-wp) > 1e-9 {
 			t.Fatalf("seed %d: Kruskal %v != Prim %v", seed, wk, wp)
 		}
 	}
@@ -504,34 +528,6 @@ func TestBetweennessPath(t *testing.T) {
 	}
 }
 
-func TestKCore(t *testing.T) {
-	// Triangle with a pendant: triangle nodes are 2-core, pendant 1-core.
-	g := New(4)
-	for i := 0; i < 4; i++ {
-		g.AddNode(Node{})
-	}
-	g.AddEdge(Edge{U: 0, V: 1})
-	g.AddEdge(Edge{U: 1, V: 2})
-	g.AddEdge(Edge{U: 2, V: 0})
-	g.AddEdge(Edge{U: 2, V: 3})
-	core := g.KCore()
-	want := []int{2, 2, 2, 1}
-	for i := range want {
-		if core[i] != want[i] {
-			t.Fatalf("core = %v, want %v", core, want)
-		}
-	}
-}
-
-func TestKCoreTree(t *testing.T) {
-	core := pathGraph(10).KCore()
-	for i, c := range core {
-		if c != 1 {
-			t.Fatalf("tree node %d core = %d, want 1", i, c)
-		}
-	}
-}
-
 func TestBridges(t *testing.T) {
 	// Two triangles joined by one bridge edge.
 	g := New(6)
@@ -600,17 +596,6 @@ func TestRemoveNodes(t *testing.T) {
 	sub, _ := g.RemoveNodes([]int{0}) // remove hub
 	if sub.NumNodes() != 5 || sub.NumEdges() != 0 {
 		t.Fatalf("after hub removal: %d nodes %d edges", sub.NumNodes(), sub.NumEdges())
-	}
-}
-
-func TestNodesOfKind(t *testing.T) {
-	g := New(3)
-	g.AddNode(Node{Kind: KindCore})
-	g.AddNode(Node{Kind: KindCustomer})
-	g.AddNode(Node{Kind: KindCore})
-	cores := g.NodesOfKind(KindCore)
-	if len(cores) != 2 || cores[0] != 0 || cores[1] != 2 {
-		t.Fatalf("cores = %v", cores)
 	}
 }
 

@@ -218,93 +218,11 @@ func TestDijkstraBucketMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestDijkstraParallelMatchesSerial forces every bucket window through
-// the parallel scan/merge machinery (minFrontier 1) at worker widths
-// 2/3/8 and pins dist/parent/parentEdge bit-for-bit to the serial
-// bucketed kernel across the bucket-binning weight regimes.
-func TestDijkstraParallelMatchesSerial(t *testing.T) {
-	for _, reg := range dijkstraRegimes {
-		for _, seed := range []int64{1, 2} {
-			c := regimeGraph(seed, reg.weight).Freeze()
-			n := c.NumNodes()
-			ref := NewWorkspace(n)
-			ws := NewWorkspace(n)
-			for src := 0; src < n; src += 11 {
-				c.dijkstraBucket(ref, src, nil)
-				for _, workers := range []int{2, 3, 8} {
-					c.dijkstraBucketParallel(ws, src, nil, workers, 1)
-					for v := 0; v < n; v++ {
-						if ref.Dist[v] != ws.Dist[v] {
-							t.Fatalf("regime %s seed %d src %d w%d: dist[%d] = %v parallel vs %v serial",
-								reg.name, seed, src, workers, v, ws.Dist[v], ref.Dist[v])
-						}
-						if ref.Parent[v] != ws.Parent[v] || ref.ParentEdge[v] != ws.ParentEdge[v] {
-							t.Fatalf("regime %s seed %d src %d w%d: tree at %d = (%d,%d) parallel vs (%d,%d) serial",
-								reg.name, seed, src, workers, v, ws.Parent[v], ws.ParentEdge[v], ref.Parent[v], ref.ParentEdge[v])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDijkstraParallelSmallShapes runs the parallel entry point over
-// degenerate shapes — empty, single node, disconnected pair — and on a
-// heap-fallback snapshot (all-zero weights), at forced widths.
-func TestDijkstraParallelSmallShapes(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 5} {
-		g := New(n)
-		for i := 0; i < n; i++ {
-			g.AddNode(Node{})
-		}
-		if n >= 4 {
-			g.AddEdge(Edge{U: 0, V: 1, Weight: 1, Cable: -1})
-			g.AddEdge(Edge{U: 2, V: 3, Weight: 0.5, Cable: -1})
-		}
-		c := g.Freeze()
-		ws := NewWorkspace(n)
-		ref := NewWorkspace(n)
-		for src := 0; src < n; src++ {
-			c.DijkstraHeap(ref, src)
-			for _, workers := range []int{1, 2, 8} {
-				c.DijkstraParallel(ws, src, workers)
-				for v := 0; v < n; v++ {
-					if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] {
-						t.Fatalf("n=%d src=%d w%d: node %d = (%v,%d) vs heap (%v,%d)",
-							n, src, workers, v, ws.Dist[v], ws.Parent[v], ref.Dist[v], ref.Parent[v])
-					}
-				}
-			}
-		}
-	}
-	// All-zero weights disqualify bucketing: DijkstraParallel must fall
-	// back to the (serial) heap kernel and still match it.
-	g := New(3)
-	for i := 0; i < 3; i++ {
-		g.AddNode(Node{})
-	}
-	g.AddEdge(Edge{U: 0, V: 1, Weight: 0, Cable: -1})
-	g.AddEdge(Edge{U: 1, V: 2, Weight: 0, Cable: -1})
-	c := g.Freeze()
-	if c.bucketOK {
-		t.Fatal("all-zero snapshot unexpectedly bucketOK")
-	}
-	ws := NewWorkspace(3)
-	ref := NewWorkspace(3)
-	c.DijkstraHeap(ref, 0)
-	c.DijkstraParallel(ws, 0, 4)
-	for v := 0; v < 3; v++ {
-		if ws.Dist[v] != ref.Dist[v] {
-			t.Fatalf("zero-weight fallback: dist[%d] = %v vs heap %v", v, ws.Dist[v], ref.Dist[v])
-		}
-	}
-}
-
 // TestDijkstraBucketGate pins the Freeze-time bucketOK classification:
 // snapshots whose weights cannot be binned (all zero, an infinite
 // weight, a NaN, a negative weight, or no edges at all) must fall back
-// to the heap kernel, and Dijkstra must still terminate on them.
+// to the heap kernel, and Dijkstra and DijkstraTo, with one target or
+// several, must still terminate on them and run in full.
 func TestDijkstraBucketGate(t *testing.T) {
 	mk := func(ws ...float64) *CSR {
 		g := New(len(ws) + 1)
@@ -340,21 +258,26 @@ func TestDijkstraBucketGate(t *testing.T) {
 		}
 	}
 	// The fallback still terminates and matches the heap on the
-	// non-negative disqualified shapes. ("negative" is excluded: the
-	// heap kernel's panic on negative weights is its own contract.)
+	// non-negative disqualified shapes, bounded or not. ("negative" is
+	// excluded: the heap kernel's panic on negative weights is its own
+	// contract.)
 	for _, tc := range cases {
 		if tc.ok || tc.name == "negative" {
 			continue
 		}
-		ws := NewWorkspace(tc.c.NumNodes())
-		ref := NewWorkspace(tc.c.NumNodes())
-		tc.c.Dijkstra(ws, 0)
+		n := tc.c.NumNodes()
+		ws := NewWorkspace(n)
+		ref := NewWorkspace(n)
 		tc.c.DijkstraHeap(ref, 0)
-		for v := 0; v < tc.c.NumNodes(); v++ {
-			same := ref.Dist[v] == ws.Dist[v] ||
-				(math.IsNaN(ref.Dist[v]) && math.IsNaN(ws.Dist[v]))
-			if !same {
-				t.Fatalf("%s: fallback dist[%d] = %v, heap %v", tc.name, v, ws.Dist[v], ref.Dist[v])
+		for _, targets := range [][]int{nil, {n - 1}, {0, n - 1}} {
+			tc.c.DijkstraTo(ws, 0, targets)
+			for v := 0; v < n; v++ {
+				same := ref.Dist[v] == ws.Dist[v] ||
+					(math.IsNaN(ref.Dist[v]) && math.IsNaN(ws.Dist[v]))
+				if !same || ref.Parent[v] != ws.Parent[v] {
+					t.Fatalf("%s targets %v: fallback node %d = (%v, %d), heap (%v, %d)",
+						tc.name, targets, v, ws.Dist[v], ws.Parent[v], ref.Dist[v], ref.Parent[v])
+				}
 			}
 		}
 	}
@@ -365,8 +288,8 @@ func TestDijkstraBucketGate(t *testing.T) {
 // float64, so NaNs, infinities, subnormals, and negative zeros all
 // occur naturally). Invariants: Freeze never panics; bucketOK is
 // exactly the documented predicate (no NaN, minW >= 0, 0 < maxW < Inf);
-// and on every non-negative input the bucketed/parallel kernels
-// terminate and match the heap reference bit-for-bit.
+// and on every non-negative input Dijkstra terminates and matches the
+// heap reference bit-for-bit.
 func FuzzDijkstraBucketGate(f *testing.F) {
 	enc := func(ws ...float64) []byte {
 		b := make([]byte, 0, 8*len(ws))
@@ -435,15 +358,6 @@ func FuzzDijkstraBucketGate(f *testing.F) {
 				if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
 					t.Fatalf("Dijkstra src %d node %d: (%v,%d,%d) vs heap (%v,%d,%d)",
 						src, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v], ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
-				}
-			}
-			if c.bucketOK {
-				c.dijkstraBucketParallel(ws, src, nil, 3, 1)
-				for v := 0; v < n; v++ {
-					if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
-						t.Fatalf("parallel src %d node %d: (%v,%d,%d) vs heap (%v,%d,%d)",
-							src, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v], ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
-					}
 				}
 			}
 		}
@@ -523,7 +437,8 @@ func TestFreezeBFSNbrSorted(t *testing.T) {
 }
 
 // TestBFSSmallShapes runs every kernel over degenerate shapes — empty,
-// single node, disconnected pair — under forced bottom-up parameters.
+// single node, disconnected pair — under forced bottom-up parameters,
+// and pins Dijkstra to the heap reference on the same shapes.
 func TestBFSSmallShapes(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5} {
 		g := New(n)
@@ -544,8 +459,8 @@ func TestBFSSmallShapes(t *testing.T) {
 			c.Dijkstra(ws, src)
 			c.DijkstraHeap(ref, src)
 			for v := 0; v < n; v++ {
-				if ws.Dist[v] != ref.Dist[v] {
-					t.Fatalf("n=%d src=%d: dist[%d] = %v vs %v", n, src, v, ws.Dist[v], ref.Dist[v])
+				if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] {
+					t.Fatalf("n=%d src=%d: node %d = (%v,%d) vs heap (%v,%d)", n, src, v, ws.Dist[v], ws.Parent[v], ref.Dist[v], ref.Parent[v])
 				}
 			}
 		}

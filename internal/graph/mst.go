@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // UnionFind is a disjoint-set forest with union by rank and path
 // compression.
@@ -75,49 +72,6 @@ func (g *Graph) KruskalMST() (edgeIDs []int, total float64) {
 		if uf.Union(e.U, e.V) {
 			edgeIDs = append(edgeIDs, id)
 			total += e.Weight
-		}
-	}
-	return edgeIDs, total
-}
-
-// PrimMST returns a minimum spanning forest via Prim's algorithm with a
-// binary heap, as edge indices plus total weight. Matches KruskalMST's
-// weight on any graph (tie-broken arbitrarily).
-func (g *Graph) PrimMST() (edgeIDs []int, total float64) {
-	n := g.NumNodes()
-	inTree := make([]bool, n)
-	bestEdge := make([]int, n)
-	bestW := make([]float64, n)
-	for i := range bestEdge {
-		bestEdge[i] = -1
-		bestW[i] = Inf
-	}
-	pq := &distHeap{}
-	for start := 0; start < n; start++ {
-		if inTree[start] {
-			continue
-		}
-		bestW[start] = 0
-		heap.Push(pq, distItem{node: start, dist: 0})
-		for pq.Len() > 0 {
-			item := heap.Pop(pq).(distItem)
-			u := item.node
-			if inTree[u] || item.dist > bestW[u] {
-				continue
-			}
-			inTree[u] = true
-			if bestEdge[u] >= 0 {
-				edgeIDs = append(edgeIDs, bestEdge[u])
-				total += g.edges[bestEdge[u]].Weight
-			}
-			for _, h := range g.adj[u] {
-				w := g.edges[h.edge].Weight
-				if !inTree[h.to] && w < bestW[h.to] {
-					bestW[h.to] = w
-					bestEdge[h.to] = h.edge
-					heap.Push(pq, distItem{node: h.to, dist: w})
-				}
-			}
 		}
 	}
 	return edgeIDs, total

@@ -33,7 +33,7 @@ func TestPropertyDijkstraTriangle(t *testing.T) {
 	// d(s,v) <= d(s,u) + w(u,v) for every edge (u,v).
 	err := quick.Check(func(seed int64) bool {
 		g := randomGraphFromSeed(seed, 60, 120)
-		dist, _, _ := g.Dijkstra(0)
+		dist, _, _ := csrDijkstra(g, 0)
 		for _, e := range g.Edges() {
 			if dist[e.V] > dist[e.U]+e.Weight+1e-9 {
 				return false
@@ -53,10 +53,12 @@ func TestPropertyDijkstraSymmetry(t *testing.T) {
 	// On an undirected graph, d(a,b) == d(b,a).
 	err := quick.Check(func(seed int64) bool {
 		g := randomGraphFromSeed(seed, 40, 60)
-		d0, _, _ := g.Dijkstra(0)
-		for v := 1; v < g.NumNodes(); v++ {
-			dv, _, _ := g.Dijkstra(v)
-			if math.Abs(d0[v]-dv[0]) > 1e-9 {
+		c := g.Freeze()
+		ref, ws := NewWorkspace(c.NumNodes()), NewWorkspace(c.NumNodes())
+		c.Dijkstra(ref, 0)
+		for v := 1; v < c.NumNodes(); v++ {
+			c.Dijkstra(ws, v)
+			if math.Abs(ref.Dist[v]-ws.Dist[0]) > 1e-9 {
 				return false
 			}
 		}
@@ -72,7 +74,11 @@ func TestPropertyMSTWeightLEQAnySpanningSubset(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		g := randomGraphFromSeed(seed, 30, 60)
 		_, mst := g.KruskalMST()
-		return mst <= g.TotalWeight()+1e-9
+		total := 0.0
+		for _, e := range g.Edges() {
+			total += e.Weight
+		}
+		return mst <= total+1e-9
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -123,30 +129,6 @@ func TestPropertyBetweennessSumPath(t *testing.T) {
 		if math.Abs(total-want) > 1e-9 {
 			t.Fatalf("n=%d: total betweenness %v, want %v", n, total, want)
 		}
-	}
-}
-
-func TestPropertyKCoreMonotoneUnderEdgeAddition(t *testing.T) {
-	// Adding an edge never decreases any node's core number.
-	err := quick.Check(func(seed int64) bool {
-		g := randomGraphFromSeed(seed, 25, 20)
-		before := g.KCore()
-		r := rng.New(seed + 1)
-		u, v := r.Intn(25), r.Intn(25)
-		if u == v {
-			return true
-		}
-		g.AddEdge(Edge{U: u, V: v, Weight: 1})
-		after := g.KCore()
-		for i := range before {
-			if after[i] < before[i] {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -205,15 +187,6 @@ func TestPropertyComponentsPartition(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPathToSelf(t *testing.T) {
-	g := randomGraphFromSeed(1, 10, 10)
-	_, parent, _ := g.Dijkstra(3)
-	path := PathTo(parent, 3, 3)
-	if len(path) != 1 || path[0] != 3 {
-		t.Fatalf("self path = %v", path)
 	}
 }
 

@@ -55,9 +55,9 @@ func TestDijkstraScanned(t *testing.T) {
 				tgt = r.Intn(n)
 			}
 			targets := []int{tgt}
-			c.DijkstraTo(ws, src, targets, 1)
+			c.DijkstraTo(ws, src, targets)
 			got := ws.DijkstraScanned
-			c.DijkstraTo(ws, src, targets, 1)
+			c.DijkstraTo(ws, src, targets)
 			if ws.DijkstraScanned != got {
 				t.Fatalf("%s pair %d->%d: scanned %d then %d rows", gr.name, src, tgt, got, ws.DijkstraScanned)
 			}

@@ -63,19 +63,6 @@ func (g *Graph) ConnectedComponents() (label []int, sizes []int) {
 	return label, sizes
 }
 
-// LargestComponentSize returns the size of the largest connected
-// component, or 0 for the empty graph.
-func (g *Graph) LargestComponentSize() int {
-	_, sizes := g.ConnectedComponents()
-	max := 0
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // IsConnected reports whether the graph is connected. The empty graph is
 // considered connected.
 func (g *Graph) IsConnected() bool {
@@ -143,40 +130,6 @@ func (g *Graph) HopDiameter() int {
 		}
 	}
 	return max
-}
-
-// AverageHopDistance returns the mean hop distance over all connected
-// ordered pairs, and the number of such pairs, from one freeze and n
-// pooled-workspace BFS sweeps. Returns (0, 0) when no two nodes are
-// connected.
-func (g *Graph) AverageHopDistance() (float64, int) {
-	c := g.Freeze()
-	n := c.NumNodes()
-	ws := GetWorkspace(n)
-	defer ws.Release()
-	total := 0
-	pairs := 0
-	for u := 0; u < n; u++ {
-		c.BFS(ws, u)
-		for v, d := range ws.Hop[:n] {
-			if v != u && d > 0 {
-				total += int(d)
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0, 0
-	}
-	return float64(total) / float64(pairs), pairs
-}
-
-// TreeDepths returns, for a tree rooted at root, each node's depth. It is
-// BFS distance; callers should ensure the graph is a tree if they need
-// tree semantics.
-func (g *Graph) TreeDepths(root int) []int {
-	dist, _ := g.BFS(root)
-	return dist
 }
 
 // Leaves returns the ids of all degree-1 nodes.

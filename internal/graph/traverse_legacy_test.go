@@ -1,12 +1,9 @@
 package graph
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // Verbatim copies of the pre-kernelization traversal helpers (one
-// allocating BFS/Dijkstra per source, no CSR, no workspace pooling).
+// allocating BFS per source, no CSR, no workspace pooling).
 // The exported methods now freeze once and sweep pooled kernels; these
 // references pin their results.
 
@@ -31,46 +28,10 @@ func legacyHopDiameter(g *Graph) int {
 	return max
 }
 
-func legacyAverageHopDistance(g *Graph) (float64, int) {
-	total := 0
-	pairs := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		dist, _ := g.BFS(u)
-		for v, d := range dist {
-			if v != u && d > 0 {
-				total += d
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0, 0
-	}
-	return float64(total) / float64(pairs), pairs
-}
-
-func legacyAverageWeightedDistance(g *Graph) (float64, int) {
-	total := 0.0
-	pairs := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		dist, _, _ := g.Dijkstra(u)
-		for v, d := range dist {
-			if v != u && !math.IsInf(d, 1) {
-				total += d
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0, 0
-	}
-	return total / float64(pairs), pairs
-}
-
 // TestKernelizedTraversalsMatchLegacy pins the freeze-once pooled
-// implementations of Eccentricity, HopDiameter, AverageHopDistance and
-// AverageWeightedDistance to the original per-source allocating
-// versions, on connected, disconnected, and degenerate graphs.
+// implementations of Eccentricity and HopDiameter to the original
+// per-source allocating versions, on connected, disconnected, and
+// degenerate graphs.
 func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 	graphs := map[string]*Graph{
 		"connected":    randomTestGraph(90, 150, 21),
@@ -91,16 +52,6 @@ func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 	for name, g := range graphs {
 		if got, want := g.HopDiameter(), legacyHopDiameter(g); got != want {
 			t.Fatalf("%s: HopDiameter = %d, legacy %d", name, got, want)
-		}
-		gotAvg, gotPairs := g.AverageHopDistance()
-		wantAvg, wantPairs := legacyAverageHopDistance(g)
-		if gotAvg != wantAvg || gotPairs != wantPairs {
-			t.Fatalf("%s: AverageHopDistance = (%v, %d), legacy (%v, %d)", name, gotAvg, gotPairs, wantAvg, wantPairs)
-		}
-		gotW, gotWP := g.AverageWeightedDistance()
-		wantW, wantWP := legacyAverageWeightedDistance(g)
-		if gotW != wantW || gotWP != wantWP {
-			t.Fatalf("%s: AverageWeightedDistance = (%v, %d), legacy (%v, %d)", name, gotW, gotWP, wantW, wantWP)
 		}
 		for src := 0; src < g.NumNodes(); src++ {
 			if got, want := g.Eccentricity(src), legacyEccentricity(g, src); got != want {

@@ -4,10 +4,10 @@ import "sync"
 
 // Workspace owns every scratch buffer a traversal kernel needs: weighted
 // and hop distances, shortest-path-tree parents, the Dijkstra heap and
-// distance buckets, the BFS queue and dense bitset frontiers, and an
-// epoch-stamped visited array. One Workspace serves one goroutine at a
-// time; a sync.Pool (GetWorkspace / Release) recycles them so
-// multi-source sweeps run allocation-free after warmup.
+// distance buckets, the BFS queue, dense bitset frontiers and per-shard
+// counters, and an epoch-stamped visited array. One Workspace serves one
+// traversal at a time; a sync.Pool (GetWorkspace / Release) recycles
+// them so multi-source sweeps run allocation-free after warmup.
 //
 // The exported slices hold kernel outputs. After CSR.Dijkstra: Dist,
 // Parent, ParentEdge (after a bounded CSR.DijkstraTo, only at the
@@ -59,16 +59,6 @@ type Workspace struct {
 	// fan-out so the direction-switch decisions stay deterministic.
 	shardNF []int32
 	shardMF []int64
-
-	// relax holds the parallel bucketed Dijkstra's per-worker deferred
-	// relaxation buffers; relaxShardW/Lo/Hi record, per frontier shard,
-	// which worker's buffer holds its candidates and the segment bounds,
-	// so the serial merge replays the shards in order whatever the
-	// dynamic shard-to-worker assignment was.
-	relax        []relaxBuf
-	relaxShardW  []int32
-	relaxShardLo []int32
-	relaxShardHi []int32
 
 	// bktNext/bktPrev/bktOf plus bktHead form the bucketed Dijkstra's
 	// circular monotone priority queue as intrusive doubly-linked lists:
@@ -156,44 +146,6 @@ func (ws *Workspace) reserveBackward(n int) {
 		ws.distB = make([]float64, n)
 	}
 	ws.distB = ws.distB[:n]
-}
-
-// relaxBuf is one worker's candidate buffer of the parallel bucketed
-// Dijkstra scan phase: the settled endpoint, the half-edge index into
-// the CSR arrays (v and the edge id are recovered from it at merge
-// time), and the tentative distance.
-type relaxBuf struct {
-	u []int32
-	j []int32
-	d []float64
-}
-
-// reserveRelax grows the per-worker relaxation buffer set to k workers.
-// The buffers themselves grow by append and are retained across calls,
-// so a pooled Workspace settles to zero steady-state allocation.
-func (ws *Workspace) reserveRelax(k int) {
-	if cap(ws.relax) < k {
-		nb := make([]relaxBuf, k)
-		copy(nb, ws.relax)
-		ws.relax = nb
-	}
-	ws.relax = ws.relax[:cap(ws.relax)]
-}
-
-// reserveRelaxShards grows the shard segment bookkeeping to k shards.
-func (ws *Workspace) reserveRelaxShards(k int) {
-	if cap(ws.relaxShardW) < k {
-		ws.relaxShardW = make([]int32, k)
-	}
-	ws.relaxShardW = ws.relaxShardW[:k]
-	if cap(ws.relaxShardLo) < k {
-		ws.relaxShardLo = make([]int32, k)
-	}
-	ws.relaxShardLo = ws.relaxShardLo[:k]
-	if cap(ws.relaxShardHi) < k {
-		ws.relaxShardHi = make([]int32, k)
-	}
-	ws.relaxShardHi = ws.relaxShardHi[:k]
 }
 
 // reserveShards grows the parallel bottom-up counter arrays to k shards.

@@ -18,6 +18,17 @@ func testGeo(t *testing.T, cities int, seed int64) *traffic.Geography {
 	return g
 }
 
+// nodesOfKind returns the ids of g's nodes of kind k, ascending.
+func nodesOfKind(g *graph.Graph, k graph.NodeKind) []int {
+	var out []int
+	for u := 0; u < g.NumNodes(); u++ {
+		if g.Node(u).Kind == k {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
 func baseConfig(t *testing.T, seed int64) Config {
 	return Config{
 		Geography:             testGeo(t, 20, seed),
@@ -58,8 +69,8 @@ func TestBuildHierarchyKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pops := d.Graph.NodesOfKind(graph.KindPOP)
-	custs := d.Graph.NodesOfKind(graph.KindCustomer)
+	pops := nodesOfKind(d.Graph, graph.KindPOP)
+	custs := nodesOfKind(d.Graph, graph.KindCustomer)
 	if len(pops) != 6 {
 		t.Fatalf("POP nodes = %d", len(pops))
 	}
@@ -159,7 +170,7 @@ func TestMaxPortsRespectedInMetros(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range d.Graph.NodesOfKind(graph.KindCustomer) {
+	for _, u := range nodesOfKind(d.Graph, graph.KindCustomer) {
 		if d.Graph.Degree(u) > 8 {
 			t.Fatalf("customer node %d exceeds port cap: %d", u, d.Graph.Degree(u))
 		}

@@ -20,7 +20,7 @@ func TestMetroRingsBuild(t *testing.T) {
 		t.Fatal("ring ISP must be connected")
 	}
 	// No customer leaves: every customer sits on a ring.
-	for _, u := range d.Graph.NodesOfKind(graph.KindCustomer) {
+	for _, u := range nodesOfKind(d.Graph, graph.KindCustomer) {
 		if d.Graph.Degree(u) < 2 {
 			t.Fatalf("customer %d has degree %d, want >= 2 on a ring", u, d.Graph.Degree(u))
 		}

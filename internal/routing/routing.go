@@ -62,11 +62,11 @@ type pathSet struct {
 
 // pinPaths computes every positive-volume demand's shortest path on the
 // frozen snapshot. Distinct sources are distributed across the worker
-// pool; each source's Dijkstra runs on a pooled workspace, stops once
-// that source's destinations are settled, and writes only its own
-// demands' slots, so the result does not depend on scheduling. A parent
-// walk longer than n-1 hops (a parent cycle, which the smallest-id
-// tie-break can form across zero-weight edges) is an error.
+// pool; each source's Dijkstra runs serially on a pooled workspace,
+// stops once that source's destinations are settled, and writes only
+// its own demands' slots, so the result does not depend on scheduling.
+// A parent walk longer than n-1 hops (a parent cycle, which the
+// smallest-id tie-break can form across zero-weight edges) is an error.
 func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand) (*pathSet, error) {
 	ps := &pathSet{dist: make([]float64, len(demands)), edges: make([][]int32, len(demands))}
 	for i := range ps.dist {
@@ -89,12 +89,8 @@ func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand) (*pathSet, er
 	sort.Ints(srcs)
 	// One pooled workspace and target buffer per worker, reserved up
 	// front: the per-source loop then allocates nothing beyond the
-	// paths, however many sources fan out. The GOMAXPROCS budget is
-	// split between the source fan-out and each traversal's intra-source
-	// shards, so few large sources still use the whole machine without
-	// the two levels oversubscribing it.
-	workers, inner := par.Split(0, len(srcs))
-	inner = c.IntraWorkers(inner)
+	// paths, however many sources fan out.
+	workers := par.Workers(0, len(srcs))
 	wss := make([]*graph.Workspace, workers)
 	targets := make([][]int, workers)
 	for w := range wss {
@@ -113,7 +109,7 @@ func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand) (*pathSet, er
 			tg = append(tg, demands[i].Dst)
 		}
 		targets[w] = tg
-		c.DijkstraTo(ws, s, tg, inner)
+		c.DijkstraTo(ws, s, tg)
 		for _, i := range bySrc[s] {
 			dst := demands[i].Dst
 			if math.IsInf(ws.Dist[dst], 1) {

@@ -390,6 +390,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.reps[i] = make([]scenario.RepResult, specs[i].NumReps())
 		j.done[i] = make([]bool, specs[i].NumReps())
 	}
+	// Render the reply before the enqueue: an executor may pick the job
+	// up at once and finish it before this handler writes, and the 202
+	// must report the state the job was accepted in.
+	accepted := j.status(false)
 	select {
 	case s.queue <- j:
 	default:
@@ -403,7 +407,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, j.id)
 	s.mu.Unlock()
 
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 func (s *Server) lookup(id string) *job {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -92,6 +93,40 @@ func TestSubmitPollResultsMatchLocalEngine(t *testing.T) {
 	if string(remoteJSON) != string(localJSON) {
 		t.Fatalf("service results differ from local engine:\n--- remote ---\n%s\n--- local ---\n%s",
 			remoteJSON, localJSON)
+	}
+}
+
+// TestSubmitReportsQueued pins the 202 body to the state the job was
+// accepted in. A trivial job on a server with several idle executors
+// can finish before the handler writes its response, and the body must
+// still read queued.
+func TestSubmitReportsQueued(t *testing.T) {
+	const clients, submits = 16, 300
+	_, c := newTestServer(t, Config{Executors: 4, MaxQueue: clients * submits})
+	ctx := context.Background()
+	spec := []scenario.Scenario{{Generate: scenario.GenerateSpec{Model: "ba", Params: scenario.Params{"n": 10}}}}
+	var wg sync.WaitGroup
+	errsCh := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < submits; k++ {
+				st, err := c.Submit(ctx, spec)
+				if err == nil && st.State != StateQueued {
+					err = fmt.Errorf("submit returned state %q, want %q", st.State, StateQueued)
+				}
+				if err != nil {
+					errsCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errsCh)
+	for err := range errsCh {
+		t.Fatal(err)
 	}
 }
 

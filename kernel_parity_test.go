@@ -112,6 +112,13 @@ func TestKernelParityAcrossModels(t *testing.T) {
 			checkKernelParity(t, m.name+"/masked", sub)
 		}
 	}
+	// One larger graph, so each Dijkstra bucket window holds hundreds of
+	// nodes rather than a handful.
+	g, err := gen.BarabasiAlbert(30_000, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernelParity(t, "ba-30k", g)
 }
 
 // checkBFSVariantsParity pins the sharded parallel bottom-up BFS at
@@ -300,19 +307,26 @@ func checkSPCertificate(t *testing.T, label string, c *graph.CSR, src int, dist 
 	}
 }
 
+// unitCopy returns a copy of g with every edge weight set to 1. The
+// models' Euclidean weights almost never tie, so only such a copy puts
+// the Dijkstra tie-break under test.
+func unitCopy(g *graph.Graph) *graph.Graph {
+	unit := g.Clone()
+	for i := range unit.Edges() {
+		unit.Edge(i).Weight = 1
+	}
+	return unit
+}
+
 // TestSPCertificateAcrossModels checks every full Dijkstra entry point
 // against the certificate above, from a spread of sources, on the plain
-// and the degree-masked graph of each model, and on a unit-weight copy:
-// the models' Euclidean weights almost never tie, so only the copy puts
-// the tie-break under test.
+// and the degree-masked graph of each model, and on a unit-weight copy.
 func TestSPCertificateAcrossModels(t *testing.T) {
 	kernels := []struct {
 		name string
 		run  func(c *graph.CSR, ws *graph.Workspace, src int)
 	}{
 		{"Dijkstra", (*graph.CSR).Dijkstra},
-		{"DijkstraParallel/2", func(c *graph.CSR, ws *graph.Workspace, src int) { c.DijkstraParallel(ws, src, 2) }},
-		{"DijkstraParallel/8", func(c *graph.CSR, ws *graph.Workspace, src int) { c.DijkstraParallel(ws, src, 8) }},
 		{"DijkstraHeap", (*graph.CSR).DijkstraHeap},
 	}
 	for _, m := range parityModels() {
@@ -322,14 +336,10 @@ func TestSPCertificateAcrossModels(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", m.name, seed, err)
 			}
 			sub, _ := g.RemoveNodes(degreeMask(g, 0.10))
-			unit := g.Clone()
-			for i := range unit.Edges() {
-				unit.Edge(i).Weight = 1
-			}
 			for _, variant := range []struct {
 				name string
 				g    *graph.Graph
-			}{{"plain", g}, {"masked", sub}, {"unit", unit}} {
+			}{{"plain", g}, {"masked", sub}, {"unit", unitCopy(g)}} {
 				c := variant.g.Freeze()
 				n := c.NumNodes()
 				ws := graph.GetWorkspace(n)
@@ -346,67 +356,15 @@ func TestSPCertificateAcrossModels(t *testing.T) {
 	}
 }
 
-// checkDijkstraVariantsParity pins every Dijkstra execution strategy to
-// the heap reference: the serial bucketed kernel and the parallel
-// bucketed kernel at worker counts 2/8. dist, parent, and parentEdge,
-// bit for bit.
-func checkDijkstraVariantsParity(t *testing.T, label string, g *graph.Graph, stride int) {
-	t.Helper()
-	c := g.Freeze()
-	n := c.NumNodes()
-	if n == 0 {
-		return
+// largestComponent is the size of g's largest connected component (0
+// for the empty graph), from the builder graph's own component labels.
+func largestComponent(g *graph.Graph) int {
+	_, sizes := g.ConnectedComponents()
+	best := 0
+	for _, s := range sizes {
+		best = max(best, s)
 	}
-	ref := graph.GetWorkspace(n)
-	defer ref.Release()
-	ws := graph.GetWorkspace(n)
-	defer ws.Release()
-
-	if stride <= 0 {
-		stride = n/10 + 1
-	}
-	for src := 0; src < n; src += stride {
-		c.DijkstraHeap(ref, src)
-		// Workers 1 is the serial bucketed kernel.
-		for _, w := range []int{1, 2, 8} {
-			c.DijkstraParallel(ws, src, w)
-			for u := 0; u < n; u++ {
-				if ref.Dist[u] != ws.Dist[u] || ref.Parent[u] != ws.Parent[u] || ref.ParentEdge[u] != ws.ParentEdge[u] {
-					t.Fatalf("%s/par%d src %d: node %d = (%v, %d, %d), heap (%v, %d, %d)",
-						label, w, src, u, ws.Dist[u], ws.Parent[u], ws.ParentEdge[u],
-						ref.Dist[u], ref.Parent[u], ref.ParentEdge[u])
-				}
-			}
-		}
-	}
-}
-
-func TestParallelDijkstraParityAcrossModels(t *testing.T) {
-	for _, m := range parityModels() {
-		for _, seed := range []int64{1, 2} {
-			g, err := m.build(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", m.name, seed, err)
-			}
-			checkDijkstraVariantsParity(t, m.name, g, 0)
-			sub, _ := g.RemoveNodes(degreeMask(g, 0.10))
-			checkDijkstraVariantsParity(t, m.name+"/masked", sub, 0)
-		}
-	}
-}
-
-// TestParallelDijkstraParityLargeFrontier runs the same pin on a
-// 30k-node unit-weight BA graph: with unit weights a whole BFS level
-// lands in one bucket window, so the peak frontier comfortably exceeds
-// the parallel kernel's minimum-frontier floor and the sharded
-// scan/merge path — not just the serial per-window fallback — is what
-// actually executes.
-func TestParallelDijkstraParityLargeFrontier(t *testing.T) {
-	g, err := gen.BarabasiAlbert(30_000, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDijkstraVariantsParity(t, "ba-30k-unit", g, 7001)
+	return best
 }
 
 // TestMaskedLCCTrajectoryMatchesSubgraphs walks a degree-attack removal
@@ -431,11 +389,7 @@ func TestMaskedLCCTrajectoryMatchesSubgraphs(t *testing.T) {
 				removed[u] = true
 			}
 			sub, _ := g.RemoveNodes(ids)
-			want := 0
-			if sub.NumNodes() > 0 {
-				want = sub.LargestComponentSize()
-			}
-			if got := c.LargestComponentMasked(ws, removed); got != want {
+			if got, want := c.LargestComponentMasked(ws, removed), largestComponent(sub); got != want {
 				t.Fatalf("%s frac %v: masked LCC %d vs subgraph %d", m.name, frac, got, want)
 			}
 		}
@@ -462,11 +416,16 @@ func disjointUnion(g *graph.Graph) *graph.Graph {
 }
 
 // TestDijkstraToParityAcrossModels pins the target-bounded Dijkstra to
-// the heap reference on every model: at each target, Dist and the whole
-// Parent/ParentEdge chain back to the source, bit for bit, at worker
-// counts 1, 2 and 8. Target sets: one far node, a source-adjacent node,
-// a node in the other component of a two-component graph, and all nodes;
-// the three single-node sets run the bidirectional kernel.
+// certified labels on every model, plain and on a unit-weight copy: the
+// heap reference run from each source must pass checkSPCertificate, and
+// at each target DijkstraTo's Dist and whole Parent/ParentEdge chain
+// back to the source must equal the reference, bit for bit. Target sets:
+// one far node, a source-adjacent node, a node in the other component of
+// a two-component graph, four nodes scattered over the source's
+// component, and all nodes. The three single-node sets run the
+// bidirectional kernel; the scattered set is the shape routing and the
+// traffic metrics hand the bucketed kernel, which stops once its
+// targets settle.
 func TestDijkstraToParityAcrossModels(t *testing.T) {
 	for _, m := range parityModels() {
 		for _, seed := range []int64{1, 2} {
@@ -474,35 +433,45 @@ func TestDijkstraToParityAcrossModels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", m.name, seed, err)
 			}
-			n := g.NumNodes()
-			c := disjointUnion(g).Freeze()
-			all := make([]int, 2*n)
-			for i := range all {
-				all[i] = i
-			}
-			ref := graph.GetWorkspace(2 * n)
-			ws := graph.GetWorkspace(2 * n)
-			for src := 0; src < n; src += n/8 + 1 {
-				c.DijkstraHeap(ref, src)
-				sets := map[string][]int{"far": {(src + n/2) % n}, "unreachable": {src + n}, "all": all}
-				c.Neighbors(src, func(v, _ int, _ float64) { sets["adjacent"] = []int{v} })
-				for name, targets := range sets {
-					for _, w := range []int{1, 2, 8} {
-						c.DijkstraTo(ws, src, targets, w)
+			for _, variant := range []struct {
+				name string
+				g    *graph.Graph
+			}{{"plain", g}, {"unit", unitCopy(g)}} {
+				n := variant.g.NumNodes()
+				c := disjointUnion(variant.g).Freeze()
+				all := make([]int, 2*n)
+				for i := range all {
+					all[i] = i
+				}
+				ref := graph.GetWorkspace(2 * n)
+				ws := graph.GetWorkspace(2 * n)
+				for src := 0; src < n; src += n/8 + 1 {
+					label := fmt.Sprintf("%s/seed=%d/%s", m.name, seed, variant.name)
+					c.DijkstraHeap(ref, src)
+					checkSPCertificate(t, label, c, src, ref.Dist[:2*n], ref.Parent[:2*n], ref.ParentEdge[:2*n])
+					sets := map[string][]int{
+						"far":         {(src + n/2) % n},
+						"unreachable": {src + n},
+						"scattered":   {(src + n/5) % n, (src + 2*n/5) % n, (src + 3*n/5) % n, (src + 4*n/5) % n},
+						"all":         all,
+					}
+					c.Neighbors(src, func(v, _ int, _ float64) { sets["adjacent"] = []int{v} })
+					for name, targets := range sets {
+						c.DijkstraTo(ws, src, targets)
 						for _, tg := range targets {
 							for v, hops := int32(tg), 0; v >= 0 && hops <= 2*n; v, hops = ref.Parent[v], hops+1 {
 								if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
-									t.Fatalf("%s seed %d src %d %s w%d: chain of %d at node %d = (%v, %d, %d), heap (%v, %d, %d)",
-										m.name, seed, src, name, w, tg, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v],
+									t.Fatalf("%s src %d %s: chain of %d at node %d = (%v, %d, %d), certified (%v, %d, %d)",
+										label, src, name, tg, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v],
 										ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
 								}
 							}
 						}
 					}
 				}
+				ref.Release()
+				ws.Release()
 			}
-			ref.Release()
-			ws.Release()
 		}
 	}
 }
