@@ -63,6 +63,32 @@ func TestRunSmokeSpecJSONAndWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunSmokeSpecGolden pins the smoke run's numbers, not just its
+// shape: the table and JSON outputs of testdata/smoke.json must equal
+// the recorded goldens byte for byte. Its outage-and-recovery scenario
+// replays a multi-epoch node and edge timeline twice (repeat 2), so the
+// timeline engine's output is pinned here too. An intended output
+// change is recorded by copying the new output over the golden.
+func TestRunSmokeSpecGolden(t *testing.T) {
+	for _, format := range []string{"table", "json"} {
+		out := filepath.Join(t.TempDir(), "out")
+		if err := runLocal(context.Background(), "testdata/smoke.json", 4, format, out, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "smoke."+format+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("-format %s output differs from testdata/smoke.%s.golden:\n--- got ---\n%s\n--- want ---\n%s", format, format, got, want)
+		}
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.json")

@@ -689,8 +689,10 @@ type (
 	TimelineEvent = robust.TimelineEvent
 	// TimelineOp is a timeline event kind (fail/repair × node/edge).
 	TimelineOp = robust.TimelineOp
-	// TimelineMode selects the timeline evaluation path (auto, masked,
-	// epoch).
+	// TimelineMode selects the timeline evaluation path: auto traces
+	// the lcc curve through the epoch engine and any other metric
+	// masked, masked evaluates every metric from scratch per event, and
+	// epoch traces lcc alone through the epoch engine.
 	TimelineMode = robust.TimelineMode
 )
 
@@ -717,8 +719,8 @@ const (
 	TimelineRepairNode = robust.OpRepairNode
 	// TimelineRepairEdge restores a failed edge.
 	TimelineRepairEdge = robust.OpRepairEdge
-	// TimelineAuto picks the epoch engine for plain LCC trajectories
-	// and the masked path otherwise.
+	// TimelineAuto traces every lcc curve through the epoch engine and
+	// evaluates only the other metrics masked.
 	TimelineAuto = robust.TimelineAuto
 	// TimelineMasked re-evaluates every metric from scratch per event.
 	TimelineMasked = robust.TimelineMasked
@@ -749,11 +751,15 @@ func RunRobustnessSweep(ctx context.Context, g *Graph, c *CSR, spec RobustnessSw
 
 // RunConnectivityTimeline traces a metric set along a failure/repair
 // timeline over a frozen snapshot: Values[0] is the intact topology,
-// Values[k] the state after the first k events. Monotone runs of fails
-// or repairs are replayed through one near-linear reverse union-find
-// pass each (the epoch-based dynamic-connectivity engine), pinned
-// bit-identical to per-event from-scratch evaluation by the parity
-// tests. See also ScenarioTimelineSpec for the declarative surface.
+// Values[k] the state after the first k events. The lcc curve comes
+// from the epoch-based dynamic-connectivity engine: monotone runs of
+// fails or repairs are replayed through a union-find that, between
+// runs, rolls back to a base forest of the items no event touches, so
+// each run costs work in the items the events touch rather than in the
+// whole graph. Other masked metrics are evaluated from scratch per
+// event. Both are pinned bit-identical to per-event from-scratch
+// evaluation by the parity tests. See also ScenarioTimelineSpec for the
+// declarative surface.
 func RunConnectivityTimeline(ctx context.Context, c *CSR, events []TimelineEvent, metrics []string, mode TimelineMode, seed int64) ([]RobustnessMetricCurve, error) {
 	return robust.RunTimelineContext(ctx, c, events, metrics, mode, seed)
 }

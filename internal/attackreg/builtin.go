@@ -145,37 +145,86 @@ func orderByScoreDesc(n int, score func(int) float64) []int {
 	return order
 }
 
-// adaptiveDegreeOrder greedily removes the currently highest-degree node
-// (ties to the lowest id), maintaining residual degrees incrementally.
+// adaptiveDegreeOrder greedily removes the node of highest residual
+// degree, ties to the lowest id. Residual degrees live in a lazy
+// max-heap keyed by (degree descending, id ascending): each decrement
+// pushes the node's new key and leaves the old one behind, and a popped
+// key that no longer matches its node's degree, or names a removed
+// node, is skipped. Every key is one of the n initial pushes or one of
+// at most m decrements (an edge decrements only the end removed last),
+// so the order costs O((n+m) log(n+m)).
 func adaptiveDegreeOrder(ctx context.Context, g *graph.Graph) ([]int, error) {
 	n := g.NumNodes()
 	deg := g.Degrees()
 	removed := make([]bool, n)
 	order := make([]int, 0, n)
+	h := make(degreeHeap, 0, n)
+	for v := 0; v < n; v++ {
+		h.push(deg[v], v)
+	}
 	for len(order) < n {
 		if len(order)%1024 == 0 {
 			if err := errs.Ctx(ctx); err != nil {
 				return nil, err
 			}
 		}
-		best := -1
-		for v := 0; v < n; v++ {
-			if removed[v] {
-				continue
-			}
-			if best == -1 || deg[v] > deg[best] {
-				best = v
-			}
+		d, best := h.pop()
+		if removed[best] || d != deg[best] {
+			continue
 		}
 		removed[best] = true
 		order = append(order, best)
 		g.Neighbors(best, func(u, _ int) {
 			if !removed[u] {
 				deg[u]--
+				h.push(deg[u], u)
 			}
 		})
 	}
 	return order, nil
+}
+
+// degreeHeap is a binary max-heap of (degree, node) keys packed into
+// one uint64: the degree in the high 32 bits and the complemented id in
+// the low 32, so a larger key is a higher degree or, at equal degree, a
+// smaller id.
+type degreeHeap []uint64
+
+func (h *degreeHeap) push(deg, v int) {
+	*h = append(*h, uint64(deg)<<32|uint64(^uint32(v)))
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if s[p] >= s[i] {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
+	}
+}
+
+func (h *degreeHeap) pop() (deg, v int) {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1] > s[c] {
+			c++
+		}
+		if s[i] >= s[c] {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return int(top >> 32), int(^uint32(top))
 }
 
 // preferentialOrder samples a removal order without replacement with

@@ -57,18 +57,40 @@ func BenchmarkSweepRandomFailure10k(b *testing.B) {
 	}
 }
 
-// The timeline benches pit the epoch-based engine against per-event
-// from-scratch recompute on a 50-event outage-and-recovery schedule:
-// five cycles of eight fails and two repairs (~10 monotone epochs). The
-// epoch engine pays one near-linear rebuild per epoch; the recompute
-// path one full masked traversal per event. The acceptance bar for the
-// epoch engine is >= 3x on this workload.
-
-func benchTimelineInputs(b *testing.B) (*graph.CSR, []TimelineEvent) {
-	b.Helper()
+// BenchmarkSweepAdaptiveDegree10k measures the adaptive-degree sweep,
+// whose cost is the attack's schedule: the union-find replay after it
+// is one near-linear pass.
+func BenchmarkSweepAdaptiveDegree10k(b *testing.B) {
 	g, err := gen.BarabasiAlbert(10000, 2, 1)
 	if err != nil {
 		b.Fatal(err)
+	}
+	c := g.Freeze()
+	spec := SweepSpec{Attack: "adaptive-degree", Fracs: []float64{0.005, 0.01, 0.02}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunSweepContext(context.Background(), g, c, spec, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The timeline benches pit the epoch-based engine against per-event
+// from-scratch recompute on a 50-event outage-and-recovery schedule:
+// five cycles of eight fails and two repairs (10 monotone epochs). The
+// recompute path pays one full masked traversal per event. The epoch
+// engine builds one base forest over the items no event touches and
+// then, per epoch, rolls back to it and re-adds the few dozen touched
+// items; the epoch leg reports that exact work as dsu-ops/op, the
+// node activations plus union calls of one run
+// (TestTimelineForestOps pins the count).
+
+func benchTimelineInputs(tb testing.TB) (*graph.CSR, []TimelineEvent) {
+	tb.Helper()
+	g, err := gen.BarabasiAlbert(10000, 2, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	n := g.NumNodes()
 	events := make([]TimelineEvent, 0, 50)
@@ -94,6 +116,13 @@ func benchTimeline(b *testing.B, mode TimelineMode) {
 		if _, err := RunTimelineContext(context.Background(), c, events, nil, mode, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if mode == TimelineEpoch {
+		_, ops, err := epochLCCTrajectory(context.Background(), c, events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(ops), "dsu-ops/op")
 	}
 }
 

@@ -5,27 +5,59 @@ import (
 )
 
 // dsu is the union-find under the timeline engine (and so under every
-// LCC sweep): a union-by-size disjoint-set forest with path halving
-// over int32 ids, tracking the largest set size seen so far (which only
-// grows as items are re-added — exactly the reverse-LCC invariant).
+// LCC sweep): a union-by-size disjoint-set forest over int32 ids that
+// tracks best, the largest set size. Adds and unions only grow sets, so
+// best only grows until a reset or a rollback sets it back.
+//
+// A forest is either plain or journaled. A plain forest compresses
+// paths by halving and cannot undo anything; it serves one-epoch
+// timelines, which build it once. A journaled forest records each link
+// so rollback can restore an earlier base, and its finds leave paths
+// alone: halving could re-point a node past a link that rollback later
+// cuts. Union by size alone keeps every path O(log n).
 type dsu struct {
 	parent []int32
 	size   []int32
 	best   int
+	// ops counts forest operations: add calls plus union calls.
+	ops int
+	// journaled marks a forest that records links in log; setting it
+	// makes the forest as it stands the base that rollback restores.
+	journaled bool
+	// log holds the child root of every link made since the base, in
+	// link order.
+	log []int32
 }
 
 func newDSU(n int) *dsu {
 	return &dsu{parent: make([]int32, n), size: make([]int32, n)}
 }
 
-// reset forgets every set so the forest can be rebuilt over a new base
-// state — the per-epoch rebuild of the timeline engine. Stale parent
-// entries are left in place: add re-initializes each node that is part
-// of the new state, and find/union are only ever called on added nodes.
+// reset forgets every set so the forest can be built over a new state:
+// the one rebuild of a plain forest, or the base of a journaled one.
+// Stale parent entries are left in place: add re-initializes each node
+// that is part of the new state, and find/union are only ever called on
+// added nodes.
 func (d *dsu) reset() { d.best = 0 }
+
+// rollback undoes every journaled link, newest first, and sets best to
+// base, the largest set size of the forest when journaling began.
+// Nodes added since then are left as stale singletons: the caller
+// re-adds whichever of them are live before using them.
+func (d *dsu) rollback(base int) {
+	for i := len(d.log) - 1; i >= 0; i-- {
+		rv := d.log[i]
+		ru := d.parent[rv]
+		d.size[ru] -= d.size[rv]
+		d.parent[rv] = rv
+	}
+	d.log = d.log[:0]
+	d.best = base
+}
 
 // add activates v as a singleton set.
 func (d *dsu) add(v int) {
+	d.ops++
 	d.parent[v] = int32(v)
 	d.size[v] = 1
 	if d.best < 1 {
@@ -41,9 +73,23 @@ func (d *dsu) find(v int32) int32 {
 	return v
 }
 
+// root is find without path compression, for journaled forests.
+func (d *dsu) root(v int32) int32 {
+	for d.parent[v] != v {
+		v = d.parent[v]
+	}
+	return v
+}
+
 // union merges the sets of u and v, updating best.
 func (d *dsu) union(u, v int32) {
-	ru, rv := d.find(u), d.find(v)
+	d.ops++
+	var ru, rv int32
+	if d.journaled {
+		ru, rv = d.root(u), d.root(v)
+	} else {
+		ru, rv = d.find(u), d.find(v)
+	}
 	if ru == rv {
 		return
 	}
@@ -52,6 +98,9 @@ func (d *dsu) union(u, v int32) {
 	}
 	d.parent[rv] = ru
 	d.size[ru] += d.size[rv]
+	if d.journaled {
+		d.log = append(d.log, rv)
+	}
 	if int(d.size[ru]) > d.best {
 		d.best = int(d.size[ru])
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -142,6 +143,159 @@ func TestSweepLCCCertificate(t *testing.T) {
 				want := float64(lccByDFS(g, removedNode, removedEdge)) / float64(n)
 				if got := curves[0].Values[i]; got != want {
 					t.Fatalf("%s/%s frac %v: sweep LCC %v, DFS certificate %v", name, attack, f, got, want)
+				}
+			}
+		}
+	}
+}
+
+// certSchedules builds the fail/repair schedules that
+// TestTimelineComponentCertificate walks on g. Each mixes node and edge
+// events and steers into one corner of the epoch engine:
+//   - no-ops: repeated fails and repairs of present items;
+//   - hub: the top-degree node fails and comes back, twice;
+//   - all-nodes: every node fails, then part of the graph returns;
+//   - mixed and doubled: timelineSchedule's interleaving, alone and
+//     concatenated with itself as a timeline's repeat: 2 unrolls it.
+func certSchedules(g *graph.Graph) map[string][]TimelineEvent {
+	n, m := g.NumNodes(), g.NumEdges()
+	r := rand.New(rand.NewSource(int64(n + m)))
+	hub := 0
+	for v := 1; v < n; v++ {
+		if g.Degree(v) > g.Degree(hub) {
+			hub = v
+		}
+	}
+	ev := func(op TimelineOp, id int) TimelineEvent { return TimelineEvent{Op: op, ID: id} }
+	a, b, ea, eb := r.Intn(n), r.Intn(n), r.Intn(m), r.Intn(m)
+	noops := []TimelineEvent{
+		ev(OpRepairNode, b), ev(OpRepairEdge, eb),
+		ev(OpFailNode, a), ev(OpFailNode, a), ev(OpFailEdge, ea), ev(OpFailEdge, ea),
+		ev(OpRepairNode, b), ev(OpRepairEdge, eb),
+		ev(OpRepairNode, a), ev(OpRepairNode, a), ev(OpRepairEdge, ea), ev(OpRepairEdge, ea),
+		ev(OpFailEdge, ea), ev(OpRepairNode, a),
+	}
+
+	hubCycle := []TimelineEvent{ev(OpFailNode, hub)}
+	var downNodes, downEdges []int
+	for i := 0; i < 5; i++ {
+		v, e := r.Intn(n), r.Intn(m)
+		downNodes, downEdges = append(downNodes, v), append(downEdges, e)
+		hubCycle = append(hubCycle, ev(OpFailEdge, e), ev(OpFailNode, v))
+	}
+	hubCycle = append(hubCycle, ev(OpRepairNode, hub), ev(OpRepairNode, downNodes[0]),
+		ev(OpFailNode, hub), ev(OpRepairEdge, downEdges[0]), ev(OpRepairEdge, downEdges[1]),
+		ev(OpRepairNode, hub))
+
+	var allNodes []TimelineEvent
+	for i, v := range r.Perm(n) {
+		allNodes = append(allNodes, ev(OpFailNode, v))
+		if i%50 == 0 {
+			allNodes = append(allNodes, ev(OpFailEdge, r.Intn(m)))
+		}
+	}
+	for i, v := range r.Perm(n)[:n/2] {
+		allNodes = append(allNodes, ev(OpRepairNode, v))
+		if i%25 == 0 {
+			allNodes = append(allNodes, ev(OpRepairEdge, r.Intn(m)))
+		}
+	}
+	allNodes = append(allNodes, ev(OpFailNode, hub), ev(OpRepairNode, hub))
+
+	mixed := timelineSchedule(g, 7, true)
+	return map[string][]TimelineEvent{
+		"no-ops":    noops,
+		"hub":       hubCycle,
+		"all-nodes": allNodes,
+		"mixed":     mixed,
+		"doubled":   append(append([]TimelineEvent{}, mixed...), mixed...),
+	}
+}
+
+// certifyTrajectory returns the certificate side of a timeline: row k
+// is lccByDFS after events[:k], divided by n. At every row it also
+// certifies the three masked-LCC kernels on the same masks: the node
+// mask alone, the edge mask alone, and both together.
+func certifyTrajectory(t *testing.T, g *graph.Graph, c *graph.CSR, events []TimelineEvent) []float64 {
+	t.Helper()
+	n, m := g.NumNodes(), g.NumEdges()
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
+	removedNode, removedEdge := make([]bool, n), make([]bool, m)
+	noNode, noEdge := make([]bool, n), make([]bool, m)
+	rows := make([]float64, len(events)+1)
+	for k := 0; ; k++ {
+		both := lccByDFS(g, removedNode, removedEdge)
+		rows[k] = float64(both) / float64(n)
+		if got := c.LargestComponentMixedMasked(ws, removedNode, removedEdge); got != both {
+			t.Fatalf("row %d: LargestComponentMixedMasked %d, DFS %d", k, got, both)
+		}
+		if got, want := c.LargestComponentMasked(ws, removedNode), lccByDFS(g, removedNode, noEdge); got != want {
+			t.Fatalf("row %d: LargestComponentMasked %d, DFS %d", k, got, want)
+		}
+		if got, want := c.LargestComponentEdgeMasked(ws, removedEdge), lccByDFS(g, noNode, removedEdge); got != want {
+			t.Fatalf("row %d: LargestComponentEdgeMasked %d, DFS %d", k, got, want)
+		}
+		if k == len(events) {
+			return rows
+		}
+		switch ev := events[k]; ev.Op {
+		case OpFailNode, OpRepairNode:
+			removedNode[ev.ID] = ev.Op == OpFailNode
+		case OpFailEdge, OpRepairEdge:
+			removedEdge[ev.ID] = ev.Op == OpFailEdge
+		}
+	}
+}
+
+// TestTimelineComponentCertificate certifies every row of every
+// timeline path against lccByDFS, which shares no code with the
+// union-find or the CSR kernels. Mixed schedules run in auto, epoch and
+// masked mode. Their node-only restrictions also run in auto mode with
+// "mean-degree" riding along on either side of "lcc": the curves must
+// come back in the caller's order, lcc certified and mean-degree equal
+// to the masked path's.
+func TestTimelineComponentCertificate(t *testing.T) {
+	ctx := context.Background()
+	run := func(c *graph.CSR, events []TimelineEvent, metrics []string, mode TimelineMode) []MetricCurve {
+		t.Helper()
+		curves, err := RunTimelineContext(ctx, c, events, metrics, mode, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curves
+	}
+	for name, g := range parityModels(t) {
+		c := g.Freeze()
+		for sname, events := range certSchedules(g) {
+			want := certifyTrajectory(t, g, c, events)
+			for _, mode := range []TimelineMode{TimelineAuto, TimelineEpoch, TimelineMasked} {
+				if got := run(c, events, nil, mode)[0].Values; !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s (%s): lcc curve %v, DFS certificate %v", name, sname, mode, got, want)
+				}
+			}
+
+			var nodeOnly []TimelineEvent
+			for _, ev := range events {
+				if ev.Op == OpFailNode || ev.Op == OpRepairNode {
+					nodeOnly = append(nodeOnly, ev)
+				}
+			}
+			want = certifyTrajectory(t, g, c, nodeOnly)
+			meanDeg := run(c, nodeOnly, []string{"mean-degree"}, TimelineMasked)[0].Values
+			for _, metrics := range [][]string{{"lcc", "mean-degree"}, {"mean-degree", "lcc"}} {
+				curves := run(c, nodeOnly, metrics, TimelineAuto)
+				for i, cv := range curves {
+					if cv.Name != metrics[i] {
+						t.Fatalf("%s/%s %v: curve %d is %q", name, sname, metrics, i, cv.Name)
+					}
+					ref := meanDeg
+					if cv.Name == "lcc" {
+						ref = want
+					}
+					if !reflect.DeepEqual(cv.Values, ref) {
+						t.Fatalf("%s/%s node-only %v: %s curve %v, want %v", name, sname, metrics, cv.Name, cv.Values, ref)
+					}
 				}
 			}
 		}

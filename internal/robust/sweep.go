@@ -139,7 +139,7 @@ func sweep(ctx context.Context, g *graph.Graph, c *graph.CSR, spec SweepSpec, se
 			for k, id := range order {
 				events[k] = TimelineEvent{Op: op, ID: id}
 			}
-			sizes, err := epochLCCTrajectory(ctx, c, events)
+			sizes, _, err := epochLCCTrajectory(ctx, c, events)
 			if err != nil {
 				return fmt.Errorf("robust: sweep trial %d: %w", trial, err)
 			}

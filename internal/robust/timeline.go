@@ -16,22 +16,33 @@ import (
 // re-inserts going forward, which plain union-find cannot undo, so the
 // engine splits the timeline at direction switches into monotone epochs
 // — a maximal run of fail events, or a maximal run of repair events —
-// and pays one O((n+m) α) disjoint-set rebuild per epoch:
+// and starts each epoch from a forest of its boundary state:
 //
 //   - A repair epoch is pure insertion, union-find's native direction:
-//     rebuild the forest at the epoch's entry state, then union each
+//     start from the forest at the epoch's entry state, then union each
 //     repaired item forward, recording the largest component after each
 //     event.
-//   - A fail epoch is replayed in reverse: rebuild the forest at the
+//   - A fail epoch is replayed in reverse: start from the forest at the
 //     epoch's *exit* state, re-add the failed items backwards recording
-//     sizes, then restore the exit masks. A robustness sweep's removal
-//     schedule is a single fail epoch.
+//     sizes, then restore the exit masks.
 //
-// An entire outage-and-recovery trajectory of E epochs costs
-// O(E·(n+m)α + events) instead of one full masked traversal per event —
-// TestTimelineParity pins it bit-identical to that per-event masked
-// reference path, and BenchmarkTimelineEpochVsRecompute measures the
-// gap.
+// How an epoch gets its starting forest depends on the epoch count. A
+// one-epoch timeline — every robustness sweep trial is one fail epoch —
+// builds it once, in O((n+m) α) with path halving. A longer timeline
+// builds one base forest per call over the items no event touches: the
+// nodes no node event names and the edges that no edge event names and
+// that have no such node as an end. The base is always live. Each epoch
+// then rolls the previous epoch's journaled unions back to the base and
+// re-adds only the touched items live at its boundary, so an epoch
+// costs O(K log n) in its K touched items instead of a rebuild over
+// every node and edge; the outage-and-recovery timelines of a large
+// topology touch a few dozen items across a hundred epochs.
+//
+// TestTimelineParity pins both engines bit-identical to the per-event
+// masked reference path, TestTimelineComponentCertificate certifies
+// every row against an independent DFS, and
+// BenchmarkTimelineEpochVsRecompute reports the forest operations an
+// outage-and-recovery schedule costs.
 
 // TimelineOp is one connectivity event kind of a timeline.
 type TimelineOp int
@@ -79,13 +90,18 @@ type TimelineEvent struct {
 	ID int
 }
 
-// TimelineMode selects the timeline engine's evaluation path.
+// TimelineMode selects the timeline engine's evaluation path for each
+// curve: the epoch engine, which traces only "lcc", or per-event masked
+// re-evaluation, which traces any CapMasked metric. Every mode yields
+// the same values.
 type TimelineMode int
 
 // Evaluation paths.
 const (
-	// TimelineAuto uses the epoch-based engine when the metric set is
-	// exactly {"lcc"} and the masked path otherwise.
+	// TimelineAuto traces every "lcc" curve through the epoch-based
+	// engine and evaluates only the other metrics masked, so a
+	// node-only timeline that adds "mean-degree" to "lcc" still gets
+	// its lcc curve from the union-find.
 	TimelineAuto TimelineMode = iota
 	// TimelineMasked re-evaluates every metric from scratch after each
 	// event — one masked traversal per metric per event. The reference
@@ -126,13 +142,14 @@ func ParseTimelineMode(name string) (TimelineMode, error) {
 // RunTimelineContext traces a metric set along a failure/repair
 // timeline: curves[mi].Values[0] is metric mi on the intact snapshot
 // and Values[k] the value after applying events[:k], so each curve has
-// len(events)+1 rows. The metric set defaults to {"lcc"}; timelines
-// containing edge events support only {"lcc"} (masked accumulators
-// evaluate node masks), node-only timelines any CapMasked set. The two
-// evaluation paths are bit-identical (TestTimelineParity); both are
-// deterministic, so one timeline replayed twice produces byte-identical
-// trajectories. Out-of-range ids and invalid modes wrap
-// errs.ErrBadParam; cancellation wraps errs.ErrCanceled.
+// len(events)+1 rows, in the caller's metric order. The metric set
+// defaults to {"lcc"}; timelines containing edge events support only
+// {"lcc"} (masked accumulators evaluate node masks), node-only
+// timelines any CapMasked set. The evaluation paths are bit-identical
+// (TestTimelineParity); all are deterministic, so one timeline replayed
+// twice produces byte-identical trajectories. Out-of-range ids and
+// invalid modes wrap errs.ErrBadParam; cancellation wraps
+// errs.ErrCanceled.
 func RunTimelineContext(ctx context.Context, c *graph.CSR, events []TimelineEvent, metricNames []string, mode TimelineMode, seed int64) ([]MetricCurve, error) {
 	n, m := c.NumNodes(), c.NumEdges()
 	if n == 0 {
@@ -161,66 +178,101 @@ func RunTimelineContext(ctx context.Context, c *graph.CSR, events []TimelineEven
 	if hasEdgeEvents && !onlyLCC {
 		return nil, errs.BadParamf("robust: timelines with edge events trace only the \"lcc\" metric, got %v", metricNames)
 	}
-	var epoch bool
 	switch mode {
-	case TimelineAuto:
-		epoch = onlyLCC
+	case TimelineAuto, TimelineMasked:
 	case TimelineEpoch:
 		if !onlyLCC {
 			return nil, errs.BadParamf("robust: epoch path traces only the \"lcc\" metric, got %v", metricNames)
 		}
-		epoch = true
-	case TimelineMasked:
 	default:
 		return nil, errs.BadParamf("robust: unknown timeline mode %d", mode)
 	}
 
+	// Outside masked mode the epoch engine traces every "lcc" curve;
+	// the other curves are evaluated masked.
 	out := make([]MetricCurve, len(metricNames))
+	var lccCurves, masked []int
 	for mi, name := range metricNames {
 		out[mi] = MetricCurve{Name: name, Values: make([]float64, len(events)+1)}
+		if mode != TimelineMasked && name == "lcc" {
+			lccCurves = append(lccCurves, mi)
+		} else {
+			masked = append(masked, mi)
+		}
 	}
-	if epoch {
-		sizes, err := epochLCCTrajectory(ctx, c, events)
+	if len(masked) > 0 {
+		curves := make([]MetricCurve, len(masked))
+		for i, mi := range masked {
+			curves[i] = out[mi]
+		}
+		if err := maskedTimeline(ctx, c, events, seed, curves); err != nil {
+			return nil, err
+		}
+	}
+	if len(lccCurves) > 0 {
+		sizes, _, err := epochLCCTrajectory(ctx, c, events)
 		if err != nil {
 			return nil, err
 		}
-		for k, sz := range sizes {
-			out[0].Values[k] = float64(sz) / float64(n)
+		for _, mi := range lccCurves {
+			for k, sz := range sizes {
+				out[mi].Values[k] = float64(sz) / float64(n)
+			}
 		}
-		return out, nil
-	}
-	if err := maskedTimeline(ctx, c, events, metricNames, onlyLCC, seed, out); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
 
 // epochLCCTrajectory is the epoch-based engine: sizes[k] = largest
-// component size after applying events[:k], with one disjoint-set
-// rebuild per monotone epoch. Events are grouped into epochs purely by
-// direction (fail vs repair); no-op events stay inside their epoch and
-// repeat the neighboring size.
-func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEvent) ([]int, error) {
-	n := c.NumNodes()
-	sizes := make([]int, len(events)+1)
+// component size after applying events[:k]. Events are grouped into
+// epochs purely by direction (fail vs repair); no-op events stay inside
+// their epoch and repeat the neighboring size. ops is the number of
+// forest operations the run made, node activations plus union calls —
+// an exact work count that depends only on the snapshot and the events.
+func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEvent) (sizes []int, ops int, err error) {
+	n, m := c.NumNodes(), c.NumEdges()
+	sizes = make([]int, len(events)+1)
 	nodeFailed := make([]bool, n)
-	edgeFailed := make([]bool, c.NumEdges())
+	edgeFailed := make([]bool, m)
 	endU, endV := edgeEndpoints(c)
 	d := newDSU(n)
 
-	// rebuild re-seeds the forest with the current live state: every
-	// present node a singleton, every live edge unioned. After it,
+	epochs := 0
+	for k := range events {
+		if k == 0 || events[k].Op.isRemoval() != events[k-1].Op.isRemoval() {
+			epochs++
+		}
+	}
+	// rebuild brings the forest to the current live state. After it,
 	// d.best is the LCC of the current masks.
-	rebuild := func() {
-		d.reset()
-		for v := 0; v < n; v++ {
-			if !nodeFailed[v] {
-				d.add(v)
+	var rebuild func()
+	if epochs <= 1 {
+		rebuild = func() {
+			d.reset()
+			for v := 0; v < n; v++ {
+				if !nodeFailed[v] {
+					d.add(v)
+				}
+			}
+			for e := range edgeFailed {
+				if !edgeFailed[e] && !nodeFailed[endU[e]] && !nodeFailed[endV[e]] {
+					d.union(endU[e], endV[e])
+				}
 			}
 		}
-		for e := range edgeFailed {
-			if !edgeFailed[e] && !nodeFailed[endU[e]] && !nodeFailed[endV[e]] {
-				d.union(endU[e], endV[e])
+	} else {
+		touchedNodes, touchedEdges, base := baseForest(c, d, events, endU, endV)
+		rebuild = func() {
+			d.rollback(base)
+			for _, v := range touchedNodes {
+				if !nodeFailed[v] {
+					d.add(int(v))
+				}
+			}
+			for _, e := range touchedEdges {
+				if !edgeFailed[e] && !nodeFailed[endU[e]] && !nodeFailed[endV[e]] {
+					d.union(endU[e], endV[e])
+				}
 			}
 		}
 	}
@@ -257,7 +309,7 @@ func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEven
 	var eff []bool
 	for i := 0; i < len(events); {
 		if err := errs.Ctx(ctx); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		removal := events[i].Op.isRemoval()
 		j := i
@@ -319,24 +371,74 @@ func epochLCCTrajectory(ctx context.Context, c *graph.CSR, events []TimelineEven
 		}
 		i = j
 	}
-	return sizes, nil
+	return sizes, d.ops, nil
+}
+
+// baseForest builds d over the items no event touches and turns on its
+// journal. A node is touched when a node event names it; an edge when
+// an edge event names it or a node event names one of its ends. No
+// untouched item ever fails, so the base is part of every state of the
+// timeline. It returns the touched nodes and edges, each listed once in
+// order of first touch, and the base's largest set size, the value
+// rollback restores.
+func baseForest(c *graph.CSR, d *dsu, events []TimelineEvent, endU, endV []int32) (touchedNodes, touchedEdges []int32, base int) {
+	touchedNode := make([]bool, c.NumNodes())
+	touchedEdge := make([]bool, c.NumEdges())
+	touchEdge := func(e int) {
+		if !touchedEdge[e] {
+			touchedEdge[e] = true
+			touchedEdges = append(touchedEdges, int32(e))
+		}
+	}
+	for _, ev := range events {
+		switch ev.Op {
+		case OpFailNode, OpRepairNode:
+			if touchedNode[ev.ID] {
+				continue
+			}
+			touchedNode[ev.ID] = true
+			touchedNodes = append(touchedNodes, int32(ev.ID))
+			c.Neighbors(ev.ID, func(_, e int, _ float64) { touchEdge(e) })
+		default:
+			touchEdge(ev.ID)
+		}
+	}
+	d.reset()
+	for v, t := range touchedNode {
+		if !t {
+			d.add(v)
+		}
+	}
+	for e, t := range touchedEdge {
+		if !t {
+			d.union(endU[e], endV[e])
+		}
+	}
+	d.journaled = true
+	return touchedNodes, touchedEdges, d.best
 }
 
 // maskedTimeline is the reference path: apply each event to the masks
-// and re-evaluate every metric from scratch. With edge events the set
-// is {"lcc"} via the combined-mask kernel; node-only timelines reuse
-// one CapMasked accumulator per metric across all events, exactly like
-// the sweep engine.
-func maskedTimeline(ctx context.Context, c *graph.CSR, events []TimelineEvent, metricNames []string, onlyLCC bool, seed int64, out []MetricCurve) error {
+// and re-evaluate every curve from scratch, filling curves[i].Values.
+// A lone "lcc" curve uses the combined-mask kernel, so it also covers
+// edge events; any other set is node-only and reuses one CapMasked
+// accumulator per metric across all events, exactly like the sweep
+// engine.
+func maskedTimeline(ctx context.Context, c *graph.CSR, events []TimelineEvent, seed int64, curves []MetricCurve) error {
 	n := c.NumNodes()
 	nodeFailed := make([]bool, n)
 	edgeFailed := make([]bool, c.NumEdges())
 	ws := graph.GetWorkspace(n)
 	defer ws.Release()
 
+	onlyLCC := len(curves) == 1 && curves[0].Name == "lcc"
 	var accs []metricreg.MaskedAccumulator
 	if !onlyLCC {
-		mset, err := metricreg.ResolveMasked(metricNames, seed)
+		names := make([]string, len(curves))
+		for i, cv := range curves {
+			names[i] = cv.Name
+		}
+		mset, err := metricreg.ResolveMasked(names, seed)
 		if err != nil {
 			return err
 		}
@@ -346,11 +448,11 @@ func maskedTimeline(ctx context.Context, c *graph.CSR, events []TimelineEvent, m
 	}
 	evaluate := func(row int) {
 		if onlyLCC {
-			out[0].Values[row] = float64(c.LargestComponentMixedMasked(ws, nodeFailed, edgeFailed)) / float64(n)
+			curves[0].Values[row] = float64(c.LargestComponentMixedMasked(ws, nodeFailed, edgeFailed)) / float64(n)
 			return
 		}
-		for mi, acc := range accs {
-			out[mi].Values[row] = acc.EvaluateMasked(ws, c, nodeFailed)
+		for i, acc := range accs {
+			curves[i].Values[row] = acc.EvaluateMasked(ws, c, nodeFailed)
 		}
 	}
 	evaluate(0)

@@ -102,9 +102,10 @@ func TestTimelineParity(t *testing.T) {
 	}
 }
 
-// TestTimelineMultiMetricMasked pins that node-only timelines trace a
-// CapMasked metric set through the masked path and that row 0 matches
-// the intact snapshot.
+// TestTimelineMultiMetricMasked pins a node-only timeline traced with a
+// CapMasked metric set in auto mode, where the lcc curve comes from the
+// epoch engine and mean-degree from the masked path: both curves keep
+// the caller's order, and row 0 matches the intact snapshot.
 func TestTimelineMultiMetricMasked(t *testing.T) {
 	g := lineGraph(t, 12)
 	c := g.Freeze()
@@ -135,6 +136,26 @@ func TestTimelineMultiMetricMasked(t *testing.T) {
 	// Repairing node 5 reattaches 0..5 (edge 5-6 still dead with 6 failed).
 	if got := curves[0].Values[3]; got != 6.0/12.0 {
 		t.Fatalf("lcc after repair = %v, want %v", got, 6.0/12.0)
+	}
+}
+
+// TestTimelineForestOps pins the epoch engine's exact work on the
+// 50-event, 10-epoch outage-and-recovery schedule of
+// BenchmarkTimelineEpochVsRecompute: one base forest over the untouched
+// items plus a few dozen touched items per epoch. A rebuild per epoch
+// would cost about 10(n+m) operations; the count must stay below
+// 2(n+m).
+func TestTimelineForestOps(t *testing.T) {
+	c, events := benchTimelineInputs(t)
+	_, ops, err := epochLCCTrajectory(context.Background(), c, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 2 * (c.NumNodes() + c.NumEdges()); ops >= limit {
+		t.Fatalf("%d forest operations, want below 2(n+m) = %d", ops, limit)
+	}
+	if want := 30952; ops != want {
+		t.Fatalf("%d forest operations, want exactly %d", ops, want)
 	}
 }
 

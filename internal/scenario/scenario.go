@@ -146,8 +146,9 @@ const maxTimelineEvents = 1 << 20
 // against the generated topology — the temporal stage. Connectivity
 // events run through the epoch-based reverse union-find engine
 // (internal/robust), so a whole outage-and-recovery trajectory costs
-// one near-linear pass per monotone epoch instead of a full traversal
-// per event; capacity-set/demand-switch events re-evaluate the
+// one near-linear pass over the items no event touches plus, per
+// monotone epoch, work in the touched items, instead of a full
+// traversal per event; capacity-set/demand-switch events re-evaluate the
 // CapTraffic metric set with the current capacities and demand model.
 // Traffic rows evaluate the intact (provisioned) topology — failures
 // feed the connectivity metrics, capacity/demand events the traffic
@@ -164,7 +165,7 @@ type TimelineSpec struct {
 	// support only {"lcc"}.
 	Metrics []string `json:"metrics,omitempty"`
 	// Mode selects the connectivity evaluation path: "auto" (default),
-	// "epoch", or "masked" — the parity tests pin the two bit-identical.
+	// "epoch", or "masked" — the parity tests pin them bit-identical.
 	Mode string `json:"mode,omitempty"`
 }
 
