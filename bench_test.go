@@ -147,7 +147,7 @@ func BenchmarkMetricProfile(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.ComputeProfile(g, 1)
+		metrics.ProfileContext(context.Background(), g, nil, 1, 0)
 	}
 }
 
@@ -311,7 +311,7 @@ func BenchmarkProfileSequential(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.ComputeProfileParallel(g, 1, 1)
+		metrics.ProfileContext(context.Background(), g, nil, 1, 1)
 	}
 }
 
@@ -322,7 +322,7 @@ func BenchmarkProfileParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.ComputeProfileParallel(g, 1, runtime.NumCPU())
+		metrics.ProfileContext(context.Background(), g, nil, 1, runtime.NumCPU())
 	}
 }
 

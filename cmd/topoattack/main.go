@@ -61,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		attackreg.Default().FormatAttacks(os.Stdout, "-param ")
+		listAttacks(os.Stdout)
 		return
 	}
 
@@ -78,6 +78,10 @@ func main() {
 		os.Exit(1)
 	}
 }
+
+// listAttacks prints every registered attack with its traits and
+// parameters, sorted by name.
+func listAttacks(w io.Writer) { attackreg.Default().Format(w, "-param ", true) }
 
 // stringList collects a repeatable flag.
 type stringList []string
@@ -115,7 +119,7 @@ type attackResult struct {
 }
 
 func run(ctx context.Context, cfg config) error {
-	set, err := attackreg.ParseSelections(cfg.attacks, cfg.aparams)
+	set, err := attackreg.Default().ParseSelections(cfg.attacks, cfg.aparams)
 	if err != nil {
 		return err
 	}

@@ -155,7 +155,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 func TestListAttacksSortedAndComplete(t *testing.T) {
 	var b strings.Builder
-	attackreg.Default().FormatAttacks(&b, "-param ")
+	listAttacks(&b)
 	out := b.String()
 	var listed []string
 	for _, line := range strings.Split(out, "\n") {
@@ -178,5 +178,20 @@ func TestListAttacksSortedAndComplete(t *testing.T) {
 		if listed[i] < listed[i-1] {
 			t.Fatalf("-list output not sorted: %v", listed)
 		}
+	}
+}
+
+// TestListGolden pins the -list output byte for byte. An intended change
+// to a registration is recorded by copying the new output over
+// testdata/list.golden.
+func TestListGolden(t *testing.T) {
+	var b strings.Builder
+	listAttacks(&b)
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -120,7 +120,7 @@ func main() {
 }
 
 func listModels(w io.Writer) {
-	scenario.Default().FormatModels(w, "-param ")
+	scenario.Default().Format(w, "-param ", false)
 }
 
 type genParams struct {

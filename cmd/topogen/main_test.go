@@ -2,6 +2,8 @@ package main
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -150,5 +152,20 @@ func TestListModelsSorted(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("-list output not sorted: %v", names)
+	}
+}
+
+// TestListGolden pins the -list output byte for byte. An intended change
+// to a registration is recorded by copying the new output over
+// testdata/list.golden.
+func TestListGolden(t *testing.T) {
+	var b strings.Builder
+	listModels(&b)
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

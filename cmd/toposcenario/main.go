@@ -235,11 +235,11 @@ func openOut(path string) (io.Writer, func() error, error) {
 // (measure.metrics).
 func listModels(w io.Writer) {
 	fmt.Fprintln(w, "models:")
-	scenario.Default().FormatModels(w, "  ")
+	scenario.Default().Format(w, "  ", false)
 	fmt.Fprintln(w, "traffic:")
-	trafficreg.Default().FormatModels(w, "  ")
+	trafficreg.Default().Format(w, "  ", true)
 	fmt.Fprintln(w, "attacks:")
-	attackreg.Default().FormatAttacks(w, "  ")
+	attackreg.Default().Format(w, "  ", true)
 	fmt.Fprintln(w, "metrics:")
-	metricreg.Default().FormatMetrics(w, "  ")
+	metricreg.Default().Format(w, "  ", true)
 }

@@ -245,3 +245,18 @@ func TestServerModeMatchesLocalRun(t *testing.T) {
 		t.Fatalf("statusz after two jobs: %+v", z.Jobs)
 	}
 }
+
+// TestListGolden pins the -list output byte for byte. An intended change
+// to a registration is recorded by copying the new output over
+// testdata/list.golden.
+func TestListGolden(t *testing.T) {
+	var b strings.Builder
+	listModels(&b)
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

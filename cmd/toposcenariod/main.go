@@ -32,6 +32,18 @@ import (
 	"repro/internal/service"
 )
 
+// Server timeouts bound what one connection can hold: a client gets
+// readHeaderTimeout to send its request headers and readTimeout for the
+// whole request, a response must be written within writeTimeout, and an
+// idle keep-alive connection is closed after idleTimeout. Submits and
+// polls are short requests, so none of them comes near these bounds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
 type config struct {
 	addr          string
 	cacheBudgetMB int
@@ -84,7 +96,13 @@ func run(ctx context.Context, out io.Writer, cfg config) error {
 	fmt.Fprintf(out, "toposcenariod: listening on %s (queue=%d executors=%d cache_budget=%d)\n",
 		ln.Addr(), cfg.maxQueue, cfg.executors, eng.CacheStats().Budget)
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

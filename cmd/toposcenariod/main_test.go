@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -116,5 +118,42 @@ func TestDaemonRejectsBadListenAddr(t *testing.T) {
 	err := run(context.Background(), &log, config{addr: "999.999.999.999:1", drainTimeout: time.Second})
 	if err == nil {
 		t.Fatal("bogus listen address accepted")
+	}
+}
+
+// TestDaemonDropsStalledClient: a client that sends part of a request
+// line and then stalls is disconnected once the header timeout passes,
+// instead of holding its connection for as long as it likes.
+func TestDaemonDropsStalledClient(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	var log syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, &log, config{addr: "127.0.0.1:0", drainTimeout: 10 * time.Second})
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	addr := waitForAddr(t, &log)
+	start := time.Now() // before the accept, where the header timeout starts
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/statusz HT")); err != nil {
+		t.Fatal(err)
+	}
+	bound := readHeaderTimeout + 2*time.Second
+	if err := conn.SetReadDeadline(start.Add(bound)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled connection still open after %v", bound)
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout {
+		t.Fatalf("stalled connection closed after %v, before the %v header timeout", elapsed, readHeaderTimeout)
 	}
 }

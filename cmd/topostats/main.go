@@ -92,9 +92,9 @@ func (l *stringList) Set(s string) error {
 // listMetrics prints the metric registry and the traffic-model
 // registry, both sorted by name.
 func listMetrics(w io.Writer) {
-	metricreg.Default().FormatMetrics(w, "-param ")
+	metricreg.Default().Format(w, "-param ", true)
 	fmt.Fprintln(w, "traffic models (-traffic):")
-	trafficreg.Default().FormatModels(w, "-tparam ")
+	trafficreg.Default().Format(w, "-tparam ", true)
 }
 
 // runConfig carries the parsed flag set.
@@ -119,7 +119,7 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 	var set []metricreg.Selection
 	if cfg.metrics != "" {
 		var err error
-		if set, err = metricreg.ParseSelections(cfg.metrics, cfg.mparams); err != nil {
+		if set, err = metricreg.Default().ParseSelections(cfg.metrics, cfg.mparams); err != nil {
 			return err
 		}
 		if cfg.ccdf {
@@ -133,7 +133,7 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 		if set == nil {
 			return fmt.Errorf("-traffic requires -metrics")
 		}
-		sels, err := trafficreg.ParseSelections(cfg.traffic, cfg.tparams)
+		sels, err := trafficreg.Default().ParseSelections(cfg.traffic, cfg.tparams)
 		if err != nil {
 			return err
 		}
@@ -199,7 +199,10 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 	fmt.Fprintf(w, "classification: %s\n", core.Classify(g))
 	fmt.Fprintf(w, "clustering: %.4f\nassortativity: %.4f\n",
 		stats.ClusteringCoefficient(g), stats.DegreeAssortativity(g))
-	prof := metrics.ComputeProfile(g, seed)
+	prof, err := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "expansion@3: %.4f\nresilience: %.4f\ndistortion: %.3f\nhierarchy depth: %.3f\nspectral gap: %.4f\n",
 		prof.ExpansionAt3, prof.Resilience, prof.Distortion, prof.HierarchyDepth, prof.SpectralGap)
 	if g.NumNodes() <= 2000 {

@@ -270,3 +270,18 @@ func TestCCDFConflictsWithMetricSelection(t *testing.T) {
 		t.Fatal("conflicting flags produced partial output")
 	}
 }
+
+// TestListGolden pins the -list output byte for byte. An intended change
+// to a registration is recorded by copying the new output over
+// testdata/list.golden.
+func TestListGolden(t *testing.T) {
+	var b strings.Builder
+	listMetrics(&b)
+	want, err := os.ReadFile(filepath.Join("testdata", "list.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}

@@ -778,8 +778,12 @@ func RobustnessAttackGap(ctx context.Context, g *Graph, c *CSR, attack string, p
 	return robust.AttackGapContext(ctx, g, c, attack, p, fracs, trials, seed, workers)
 }
 
-// ComputeProfile evaluates the full [30]-style metric suite.
-func ComputeProfile(g *Graph, seed int64) Profile { return metrics.ComputeProfile(g, seed) }
+// ComputeProfile evaluates the full [30]-style metric suite, using
+// every available core.
+func ComputeProfile(g *Graph, seed int64) Profile {
+	p, _ := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
+	return p
+}
 
 // ComputeProfileContext is ComputeProfile with cancellation and an
 // optional pre-frozen snapshot (nil freezes internally).

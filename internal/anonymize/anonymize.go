@@ -8,6 +8,7 @@
 package anonymize
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -129,6 +130,7 @@ type Summary struct {
 // Summarize computes the aggregate characterization of g.
 func Summarize(g *graph.Graph, seed int64) Summary {
 	ds := stats.AnalyzeDegrees(g)
+	prof, _ := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
 	return Summary{
 		Nodes:         g.NumNodes(),
 		Edges:         g.NumEdges(),
@@ -140,7 +142,7 @@ func Summarize(g *graph.Graph, seed int64) Summary {
 		ExpLambda:     ds.Classification.Exponential.Lambda,
 		Clustering:    stats.ClusteringCoefficient(g),
 		Assortativity: stats.DegreeAssortativity(g),
-		Profile:       metrics.ComputeProfile(g, seed),
+		Profile:       prof,
 	}
 }
 

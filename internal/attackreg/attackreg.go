@@ -16,13 +16,8 @@ package attackreg
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/params"
 )
@@ -98,89 +93,35 @@ type Attack interface {
 // also under the metric and traffic registries).
 type Selection = params.Selection
 
-// Resolve validates user-supplied params against the attack's specs and
-// returns a complete parameter set with defaults filled in, wrapping
-// errs.ErrBadParam on unknown names, non-integral Int values and
-// out-of-bounds values.
-func Resolve(a Attack, p params.Params) (params.Params, error) {
-	return params.Resolve(fmt.Sprintf("attackreg: attack %q", a.Name()), a.Params(), p)
+// Registry maps attack names to Attacks (the shared params registry;
+// its listings label each attack with its target and caps). Build one
+// with NewRegistry; Default() holds every built-in attack.
+type Registry = params.Registry[Attack]
+
+// NewRegistry returns an empty registry that also resolves the
+// historical strategy spellings ("random", "degree-attack", ... — the
+// forms scenario specs were written with before the registry existed)
+// onto their registry names, so every such spec still validates.
+func NewRegistry() *Registry {
+	return params.NewRegistry("attackreg", "attack", map[string]string{
+		"":                       "random-failure",
+		"random":                 "random-failure",
+		"degree-attack":          "degree",
+		"betweenness-attack":     "betweenness",
+		"adaptive-degree-attack": "adaptive-degree",
+	}, traits)
 }
 
-// aliases maps the historical strategy spellings ("random",
-// "degree-attack", ... — the forms scenario specs were written with
-// before the registry existed) onto the canonical registry names, so
-// every such spec still validates.
-var aliases = map[string]string{
-	"":                       "random-failure",
-	"random":                 "random-failure",
-	"degree-attack":          "degree",
-	"betweenness-attack":     "betweenness",
-	"adaptive-degree-attack": "adaptive-degree",
-}
-
-// Canonical maps a possibly-aliased attack name to its registry key.
-// Unknown names pass through unchanged (Lookup reports them).
-func Canonical(name string) string {
-	if c, ok := aliases[name]; ok {
-		return c
+// traits labels an attack in listings: its target, then its caps.
+func traits(a Attack) string {
+	out := []string{a.Target().String()}
+	if a.Caps()&CapRandomized != 0 {
+		out = append(out, "randomized")
 	}
-	return name
-}
-
-// Registry maps attack names to Attacks. The zero value is ready to
-// use; Default() holds every built-in attack.
-type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]Attack
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds an attack, rejecting duplicate or empty names.
-func (r *Registry) Register(a Attack) error {
-	name := a.Name()
-	if name == "" {
-		return errs.BadParamf("attackreg: attack with empty name")
+	if a.Caps()&CapAdaptive != 0 {
+		out = append(out, "adaptive")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byName == nil {
-		r.byName = map[string]Attack{}
-	}
-	if _, dup := r.byName[name]; dup {
-		return errs.BadParamf("attackreg: attack %q already registered", name)
-	}
-	r.byName[name] = a
-	return nil
-}
-
-// Lookup resolves an attack by name (aliases included), wrapping
-// errs.ErrBadParam for unknown names.
-func (r *Registry) Lookup(name string) (Attack, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	a, ok := r.byName[Canonical(name)]
-	if !ok {
-		return nil, errs.BadParamf("attackreg: unknown attack %q (have %v)", name, r.namesLocked())
-	}
-	return a, nil
-}
-
-// Names lists every registered attack name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
-func (r *Registry) namesLocked() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return "[" + strings.Join(out, ", ") + "]"
 }
 
 var defaultRegistry = NewRegistry()
@@ -228,40 +169,4 @@ func (f *FuncAttack) Caps() Caps { return f.AttackCaps }
 // Schedule implements Attack.
 func (f *FuncAttack) Schedule(ctx context.Context, g *graph.Graph, p params.Params, seed int64) ([]int, error) {
 	return f.Fn(ctx, g, p, seed)
-}
-
-// FormatAttacks writes a human-readable listing of every registered
-// attack and its parameters (sorted by name), prefixing each parameter
-// line with paramPrefix — CLIs share this for their -list flags.
-func (r *Registry) FormatAttacks(w io.Writer, paramPrefix string) {
-	for _, name := range r.Names() {
-		a, err := r.Lookup(name)
-		if err != nil {
-			continue
-		}
-		traits := []string{a.Target().String()}
-		if a.Caps()&CapRandomized != 0 {
-			traits = append(traits, "randomized")
-		}
-		if a.Caps()&CapAdaptive != 0 {
-			traits = append(traits, "adaptive")
-		}
-		fmt.Fprintf(w, "%s  [%s]\n", name, strings.Join(traits, ", "))
-		specs := a.Params()
-		sort.Slice(specs, func(x, y int) bool { return specs[x].Name < specs[y].Name })
-		for _, s := range specs {
-			fmt.Fprintf(w, "  %s%s.%s=<%s>  (default %g)  %s\n", paramPrefix, name, s.Name, s.Kind, s.Default, s.Help)
-		}
-	}
-}
-
-// ParseSelections builds an attack set from a comma-separated name list
-// plus "attack.param=value" assignments (the cmd/topoattack flag
-// syntax, via the shared internal/params parser; the index is keyed by
-// canonical name, so an alias and its canonical spelling are caught as
-// duplicates and a param assignment reaches its attack through either
-// spelling). Every failure wraps errs.ErrBadParam; assignments naming
-// an attack outside the selected set are rejected so typos fail loudly.
-func ParseSelections(names string, kvs []string) ([]Selection, error) {
-	return params.ParseSelections("attackreg", "attack", Canonical, names, kvs)
 }

@@ -15,11 +15,7 @@ import (
 
 func schedule(t *testing.T, name string, g *graph.Graph, p params.Params, seed int64) []int {
 	t.Helper()
-	a, err := Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resolved, err := Resolve(a, p)
+	a, resolved, err := Default().Resolve(Selection{Name: name, Params: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +244,10 @@ func TestBottleneckEdgeCutsBridgeFirst(t *testing.T) {
 }
 
 func TestResolveRejectsBadParams(t *testing.T) {
-	a, err := Lookup("preferential")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Resolve(a, params.Params{"nope": 1}); !errors.Is(err, errs.ErrBadParam) {
+	if _, _, err := Default().Resolve(Selection{Name: "preferential", Params: params.Params{"nope": 1}}); !errors.Is(err, errs.ErrBadParam) {
 		t.Fatalf("unknown param gave %v, want ErrBadParam", err)
 	}
-	if _, err := Resolve(a, params.Params{"alpha": -1}); !errors.Is(err, errs.ErrBadParam) {
+	if _, _, err := Default().Resolve(Selection{Name: "preferential", Params: params.Params{"alpha": -1}}); !errors.Is(err, errs.ErrBadParam) {
 		t.Fatalf("out-of-bounds param gave %v, want ErrBadParam", err)
 	}
 }
@@ -276,7 +268,7 @@ func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
 
 func TestFormatAttacksListsParamsAndTraits(t *testing.T) {
 	var b strings.Builder
-	Default().FormatAttacks(&b, "-param ")
+	Default().Format(&b, "-param ", true)
 	out := b.String()
 	for _, want := range []string{
 		"geographic  [nodes]",
@@ -286,13 +278,13 @@ func TestFormatAttacksListsParamsAndTraits(t *testing.T) {
 		"preferential  [nodes, randomized]",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("FormatAttacks output missing %q:\n%s", want, out)
+			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
 	}
 }
 
 func TestParseSelections(t *testing.T) {
-	set, err := ParseSelections("degree,geographic", []string{"geographic.x=0.2", "geographic.y=0.9"})
+	set, err := Default().ParseSelections("degree,geographic", []string{"geographic.x=0.2", "geographic.y=0.9"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +296,10 @@ func TestParseSelections(t *testing.T) {
 	}
 	// Aliases dedup against their canonical spelling, and a param
 	// assignment reaches its attack through either spelling.
-	if _, err := ParseSelections("random,random-failure", nil); !errors.Is(err, errs.ErrBadParam) {
+	if _, err := Default().ParseSelections("random,random-failure", nil); !errors.Is(err, errs.ErrBadParam) {
 		t.Errorf("alias+canonical duplicate gave %v, want ErrBadParam", err)
 	}
-	set, err = ParseSelections("degree-attack", []string{"degree.k=1"})
+	set, err = Default().ParseSelections("degree-attack", []string{"degree.k=1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +317,7 @@ func TestParseSelections(t *testing.T) {
 		if tc.kv != "" {
 			kvs = append(kvs, tc.kv)
 		}
-		if _, err := ParseSelections(tc.names, kvs); !errors.Is(err, errs.ErrBadParam) {
+		if _, err := Default().ParseSelections(tc.names, kvs); !errors.Is(err, errs.ErrBadParam) {
 			t.Errorf("ParseSelections(%q, %q) gave %v, want ErrBadParam", tc.names, tc.kv, err)
 		}
 	}
@@ -339,11 +331,7 @@ func TestScheduleHonorsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range Names() {
-		a, err := Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resolved, err := Resolve(a, nil)
+		a, resolved, err := Default().Resolve(Selection{Name: name})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func FuzzParseSelections(f *testing.F) {
 	f.Add("a,a", "a.b=c")
 	f.Add("random-failure", "random-failure.seed=-1")
 	f.Fuzz(func(t *testing.T, names, kv string) {
-		set, err := ParseSelections(names, []string{kv})
+		set, err := Default().ParseSelections(names, []string{kv})
 		if err != nil {
 			if !errors.Is(err, errs.ErrBadParam) {
 				t.Fatalf("ParseSelections(%q, %q) error %v does not wrap ErrBadParam", names, kv, err)
@@ -34,15 +34,8 @@ func FuzzParseSelections(f *testing.F) {
 		// must then resolve or reject through the registry without
 		// panicking.
 		for _, sel := range set {
-			a, err := Lookup(sel.Name)
-			if err != nil {
-				if !errors.Is(err, errs.ErrBadParam) {
-					t.Fatalf("Lookup(%q) error %v does not wrap ErrBadParam", sel.Name, err)
-				}
-				continue
-			}
-			if _, err := Resolve(a, sel.Params); err != nil && !errors.Is(err, errs.ErrBadParam) {
-				t.Fatalf("Resolve(%q, %v) error %v does not wrap ErrBadParam", sel.Name, sel.Params, err)
+			if _, _, err := Default().Resolve(sel); err != nil && !errors.Is(err, errs.ErrBadParam) {
+				t.Fatalf("Resolve(%+v) error %v does not wrap ErrBadParam", sel, err)
 			}
 		}
 	})

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/access"
 	"repro/internal/graph"
 	"repro/internal/isp"
-	"repro/internal/metrics"
+	"repro/internal/metricreg"
+	"repro/internal/params"
 	"repro/internal/traffic"
 )
 
@@ -118,8 +120,14 @@ func E5NationalISP(opts Options) (*Table, error) {
 			return nil, err
 		}
 		g := des.Graph
-		hd := metrics.HierarchyDepth(g, des.POPs[0])
-		dist := metrics.Distortion(g, 2000, opts.Seed)
+		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), []metricreg.Selection{
+			{Name: "hierarchy-depth", Params: params.Params{"root": float64(des.POPs[0])}},
+			{Name: "distortion", Params: params.Params{"sample": 2000}},
+		}, metricreg.Options{Seed: opts.Seed})
+		if err != nil {
+			return nil, err
+		}
+		hd, dist := vals["hierarchy-depth"].Scalar, vals["distortion"].Scalar
 		// Fraction of customers attached (via access subtree) to the 3
 		// biggest POP metros.
 		share := topMetroShare(des, 3)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -95,11 +96,12 @@ func E7GeneratorComparison(opts Options) (*Table, error) {
 	}
 	profs, err := mapUnits(opts, len(entries), func(i int) (profiled, error) {
 		g := entries[i].g
+		prof, err := metrics.ProfileContext(context.Background(), g, nil, opts.Seed, opts.Workers)
 		return profiled{
-			prof:  metrics.ComputeProfileParallel(g, opts.Seed, opts.Workers),
+			prof:  prof,
 			tail:  stats.ClassifyTail(g.Degrees()).Kind.String(),
 			clust: stats.ClusteringCoefficient(g),
-		}, nil
+		}, err
 	})
 	if err != nil {
 		return nil, err

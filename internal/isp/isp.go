@@ -145,14 +145,8 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	// Validate the demand model up front so a bad selection fails before
 	// any buildout.
-	dm, err := trafficreg.Lookup(out.Demand.Name)
-	if err != nil {
-		return out, err
-	}
-	if _, err := trafficreg.Resolve(dm, out.Demand.Params); err != nil {
-		return out, err
-	}
-	return out, nil
+	_, _, err := trafficreg.Default().Resolve(out.Demand)
+	return out, err
 }
 
 // Design is a fully built ISP.

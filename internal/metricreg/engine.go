@@ -224,23 +224,19 @@ func (r *Registry) Evaluate(ctx context.Context, src *Source, set []Selection, o
 	accs := make([]Accumulator, len(set))
 	seen := make(map[string]bool, len(set))
 	for i, sel := range set {
-		m, err := r.Lookup(sel.Name)
-		if err != nil {
-			return nil, err
-		}
 		if seen[sel.Name] {
 			return nil, errs.BadParamf("metricreg: duplicate metric %q in set", sel.Name)
 		}
 		seen[sel.Name] = true
+		m, resolved, err := r.Resolve(sel)
+		if err != nil {
+			return nil, err
+		}
 		if m.Caps()&CapGraph != 0 && src.g == nil {
 			return nil, errs.BadParamf("metricreg: metric %q needs the full graph, source holds only a CSR snapshot", sel.Name)
 		}
 		if m.Caps()&CapTraffic != 0 && !src.HasTraffic() {
 			return nil, errs.BadParamf("metricreg: metric %q needs a demand set, source has no traffic attached (SetTraffic)", sel.Name)
-		}
-		resolved, err := Resolve(m, sel.Params)
-		if err != nil {
-			return nil, err
 		}
 		accs[i] = m.New(resolved, opt.Seed)
 	}

@@ -18,7 +18,7 @@ func FuzzParseSelections(f *testing.F) {
 	f.Add("lcc", "lcc.steps=1e999")
 	f.Add("a,a", "a.b=c")
 	f.Fuzz(func(t *testing.T, names, kv string) {
-		set, err := ParseSelections(names, []string{kv})
+		set, err := Default().ParseSelections(names, []string{kv})
 		if err != nil {
 			if !errors.Is(err, errs.ErrBadParam) {
 				t.Fatalf("ParseSelections(%q, %q) error %v does not wrap ErrBadParam", names, kv, err)

@@ -28,16 +28,12 @@ func (r *Registry) ResolveMasked(names []string, seed int64) (*MaskedSet, error)
 	}
 	for i, name := range names {
 		name := name
-		m, err := r.Lookup(name)
+		m, resolved, err := r.Resolve(Selection{Name: name})
 		if err != nil {
 			return nil, err
 		}
 		if m.Caps()&CapMasked == 0 {
 			return nil, errs.BadParamf("metricreg: metric %q does not support masked evaluation", name)
-		}
-		resolved, err := Resolve(m, nil)
-		if err != nil {
-			return nil, err
 		}
 		set.factories[i] = func() (MaskedAccumulator, error) {
 			// A metric that declares CapMasked but whose accumulator

@@ -21,15 +21,7 @@
 //     order, so results are byte-identical for any worker count.
 package metricreg
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-
-	"repro/internal/errs"
-	"repro/internal/params"
-)
+import "repro/internal/params"
 
 // Caps declares what a metric needs from the evaluation source beyond
 // the frozen CSR snapshot every metric gets.
@@ -86,68 +78,16 @@ type Metric interface {
 // shape, also under the attack and traffic registries).
 type Selection = params.Selection
 
-// Resolve validates user-supplied params against the metric's specs
-// and returns a complete parameter set with defaults filled in,
-// wrapping errs.ErrBadParam on unknown names, non-integral Int values
-// and out-of-bounds values.
-func Resolve(m Metric, p params.Params) (params.Params, error) {
-	return params.Resolve(fmt.Sprintf("metricreg: metric %q", m.Name()), m.Params(), p)
-}
-
-// Registry maps metric names to Metrics. The zero value is ready to
-// use; Default() holds every built-in metric.
+// Registry maps metric names to Metrics: the shared params registry
+// plus the fused Evaluate and ResolveMasked. Build one with
+// NewRegistry; Default() holds every built-in metric.
 type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]Metric
+	*params.Registry[Metric]
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a metric, rejecting duplicate or empty names.
-func (r *Registry) Register(m Metric) error {
-	name := m.Name()
-	if name == "" {
-		return errs.BadParamf("metricreg: metric with empty name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byName == nil {
-		r.byName = map[string]Metric{}
-	}
-	if _, dup := r.byName[name]; dup {
-		return errs.BadParamf("metricreg: metric %q already registered", name)
-	}
-	r.byName[name] = m
-	return nil
-}
-
-// Lookup resolves a metric by name, wrapping errs.ErrBadParam for
-// unknown names.
-func (r *Registry) Lookup(name string) (Metric, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, ok := r.byName[name]
-	if !ok {
-		return nil, errs.BadParamf("metricreg: unknown metric %q (have %v)", name, r.namesLocked())
-	}
-	return m, nil
-}
-
-// Names lists every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
-func (r *Registry) namesLocked() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+func NewRegistry() *Registry {
+	return &Registry{params.NewRegistry[Metric]("metricreg", "metric", nil, nil)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -190,30 +130,3 @@ func (f *FuncMetric) Caps() Caps { return f.MetricCaps }
 
 // New implements Metric.
 func (f *FuncMetric) New(p params.Params, seed int64) Accumulator { return f.NewFn(p, seed) }
-
-// FormatMetrics writes a human-readable listing of every registered
-// metric and its parameters (sorted by name), prefixing each parameter
-// line with paramPrefix — CLIs share this for their -list flags.
-func (r *Registry) FormatMetrics(w io.Writer, paramPrefix string) {
-	for _, name := range r.Names() {
-		m, err := r.Lookup(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "%s\n", name)
-		specs := m.Params()
-		sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
-		for _, s := range specs {
-			fmt.Fprintf(w, "  %s%s.%s=<%s>  (default %g)  %s\n", paramPrefix, name, s.Name, s.Kind, s.Default, s.Help)
-		}
-	}
-}
-
-// ParseSelections builds a metric set from a comma-separated name list
-// plus "metric.param=value" assignments (the cmd/topostats flag syntax,
-// via the shared internal/params parser). Every failure wraps
-// errs.ErrBadParam; assignments naming a metric outside the selected
-// set are rejected so typos fail loudly.
-func ParseSelections(names string, kvs []string) ([]Selection, error) {
-	return params.ParseSelections("metricreg", "metric", nil, names, kvs)
-}

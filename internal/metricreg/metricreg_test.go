@@ -186,16 +186,12 @@ func TestMaskedEvaluation(t *testing.T) {
 	g := ladder(40, 40) // pure path: removing the middle halves the LCC
 	c := g.Freeze()
 	for _, name := range []string{"lcc", "mean-degree"} {
-		m, err := Lookup(name)
+		m, resolved, err := Default().Resolve(Selection{Name: name})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Caps()&CapMasked == 0 {
 			t.Fatalf("%s lost CapMasked", name)
-		}
-		resolved, err := Resolve(m, nil)
-		if err != nil {
-			t.Fatal(err)
 		}
 		acc, ok := m.New(resolved, 1).(MaskedAccumulator)
 		if !ok {
@@ -263,7 +259,7 @@ func TestSourceConnectedCSROnly(t *testing.T) {
 }
 
 func TestParseSelections(t *testing.T) {
-	set, err := ParseSelections("expansion,clustering", []string{"expansion.maxh=5", "expansion.sources=10"})
+	set, err := Default().ParseSelections("expansion,clustering", []string{"expansion.maxh=5", "expansion.sources=10"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +283,7 @@ func TestParseSelections(t *testing.T) {
 		{"expansion", []string{"expansion.=1"}},     // empty param
 	}
 	for _, tc := range bad {
-		if _, err := ParseSelections(tc.names, tc.kvs); !errors.Is(err, errs.ErrBadParam) {
+		if _, err := Default().ParseSelections(tc.names, tc.kvs); !errors.Is(err, errs.ErrBadParam) {
 			t.Errorf("ParseSelections(%q, %v) gave %v, want ErrBadParam", tc.names, tc.kvs, err)
 		}
 	}
@@ -295,9 +291,9 @@ func TestParseSelections(t *testing.T) {
 
 func TestFormatMetricsListsParams(t *testing.T) {
 	var b strings.Builder
-	Default().FormatMetrics(&b, "-param ")
+	Default().Format(&b, "-param ", true)
 	out := b.String()
 	if !strings.Contains(out, "resilience\n") || !strings.Contains(out, "-param resilience.trials=<int>") {
-		t.Fatalf("FormatMetrics output incomplete:\n%s", out)
+		t.Fatalf("Format output incomplete:\n%s", out)
 	}
 }

@@ -1,4 +1,4 @@
-// Package metrics implements the topology comparison metrics the paper
+// Package metrics bundles the topology comparison metrics the paper
 // points to (reference [30], Tangmunarunkit et al., "Network topology
 // generators: Degree-based vs. structural"): expansion, resilience, and
 // distortion, plus hierarchy depth and a spectral characterization.
@@ -7,17 +7,14 @@
 // §1 claim: a generator tuned to match one metric (the degree
 // distribution) can still "look very dissimilar on others."
 //
-// Since the metric-registry refactor this package is a thin composition
-// over internal/metricreg: every metric here is registered by name
+// Every metric is registered by name in internal/metricreg
 // ("expansion", "resilience", "distortion", "hierarchy-depth",
-// "spectral-gap", ...), and ComputeProfile evaluates the whole suite as
-// one fused metric set — shared frozen CSR, shared BFS sweeps, pooled
-// workspaces, reductions in fixed order so results are identical for
-// any worker count. The free functions below keep their historical
-// signatures and exact numerical behavior (pinned by the golden parity
-// test); ProfileContext is the cancellable variant the scenario engine
-// uses, accepting a caller-provided frozen snapshot so cached
-// topologies are never re-frozen.
+// "spectral-gap", ...), which is the one way to evaluate it. This
+// package only names the comparison battery: ProfileSet is the metric
+// set with its sampling budgets, and ProfileContext evaluates it as one
+// fused schedule on a shared frozen snapshot (reductions in fixed
+// order, so results are identical for any worker count) and bundles the
+// values into a Profile. The golden parity test pins its numbers.
 package metrics
 
 import (
@@ -27,110 +24,6 @@ import (
 	"repro/internal/metricreg"
 	"repro/internal/params"
 )
-
-// Expansion measures how rapidly BFS balls grow: the average, over sample
-// source nodes, of the fraction of nodes reachable within h hops, for each
-// h up to maxH. High expansion ⇒ the graph "spreads" quickly (low
-// diameter); trees expand slowly, well-connected meshes fast.
-//
-// sampleSources bounds the number of BFS sources (all nodes if <= 0 or
-// larger than n); sources are chosen deterministically from seed.
-func Expansion(g *graph.Graph, maxH, sampleSources int, seed int64) []float64 {
-	if g.NumNodes() == 0 || maxH <= 0 {
-		return nil
-	}
-	vals, err := evalOne(context.Background(), g, nil, seed, 0, metricreg.Selection{
-		Name:   "expansion",
-		Params: params.Params{"maxh": float64(maxH), "sources": float64(sampleSources)},
-	})
-	if err != nil {
-		return nil
-	}
-	return vals.Series
-}
-
-// Resilience measures how gracefully connectivity degrades under random
-// node removal: it returns the area under the curve of (largest component
-// fraction) vs (fraction removed), estimated over `trials` random removal
-// orders at `steps` removal fractions. 1.0 would mean the graph never
-// fragments; lower is less resilient.
-//
-// Each trial incrementally extends one removal mask and re-measures the
-// largest component on the shared snapshot — no subgraph copies — and
-// trials run in parallel.
-func Resilience(g *graph.Graph, steps, trials int, seed int64) float64 {
-	if g.NumNodes() == 0 || steps <= 0 || trials <= 0 {
-		return 0
-	}
-	vals, err := evalOne(context.Background(), g, nil, seed, 0, metricreg.Selection{
-		Name:   "resilience",
-		Params: params.Params{"steps": float64(steps), "trials": float64(trials)},
-	})
-	if err != nil {
-		return 0
-	}
-	return vals.Scalar
-}
-
-// Distortion measures how well the graph's own spanning structure
-// preserves graph distances: following [30], it is the average, over
-// edges of a minimum spanning tree of the graph, of the tree distance
-// between the edge's endpoints — equivalently how much the tree "stretches"
-// adjacent pairs. A tree has distortion 1; meshes with much redundancy
-// have higher distortion.
-func Distortion(g *graph.Graph, sampleEdges int, seed int64) float64 {
-	vals, err := evalOne(context.Background(), g, nil, seed, 0, metricreg.Selection{
-		Name:   "distortion",
-		Params: params.Params{"sample": float64(sampleEdges)},
-	})
-	if err != nil {
-		return 0
-	}
-	return vals.Scalar
-}
-
-// HierarchyDepth classifies how tree-like / layered a rooted topology is:
-// the mean depth of all nodes below the root divided by log2(n), so a
-// balanced binary tree scores ~1, a star ~1/log2(n), and a path ~n/(2
-// log2 n). Root is the node with maximum betweenness when root < 0.
-func HierarchyDepth(g *graph.Graph, root int) float64 {
-	if root < -1 {
-		root = -1
-	}
-	vals, err := evalOne(context.Background(), g, nil, 0, 0, metricreg.Selection{
-		Name:   "hierarchy-depth",
-		Params: params.Params{"root": float64(root)},
-	})
-	if err != nil {
-		return 0
-	}
-	return vals.Scalar
-}
-
-// SpectralGap estimates the second-smallest eigenvalue of the normalized
-// Laplacian (the algebraic connectivity proxy) via inverse power iteration
-// on the deflated matrix. Larger gap ⇒ better expansion / harder to cut.
-// Returns 0 for disconnected or trivial graphs.
-func SpectralGap(g *graph.Graph, iters int) float64 {
-	vals, err := evalOne(context.Background(), g, nil, 0, 0, metricreg.Selection{
-		Name:   "spectral-gap",
-		Params: params.Params{"iters": float64(iters)},
-	})
-	if err != nil {
-		return 0
-	}
-	return vals.Scalar
-}
-
-// evalOne runs a single-metric set through the default registry.
-func evalOne(ctx context.Context, g *graph.Graph, c *graph.CSR, seed int64, workers int, sel metricreg.Selection) (metricreg.Value, error) {
-	vals, err := metricreg.Evaluate(ctx, metricreg.NewSource(g, c), []metricreg.Selection{sel},
-		metricreg.Options{Workers: workers, Seed: seed})
-	if err != nil {
-		return metricreg.Value{}, err
-	}
-	return vals[sel.Name], nil
-}
 
 // Profile bundles the comparison metrics for one topology, as used by
 // experiment E7.
@@ -144,7 +37,7 @@ type Profile struct {
 	SpectralGap    float64
 }
 
-// ProfileSet is the metric set ComputeProfile evaluates: the [30]-style
+// ProfileSet is the metric set ProfileContext evaluates: the [30]-style
 // comparison battery with deterministic sampling budgets suitable for
 // graphs up to a few thousand nodes. Callers composing their own sets
 // (scenario Measure stages, cmd/topostats -metrics) can start from it.
@@ -158,31 +51,12 @@ func ProfileSet() []metricreg.Selection {
 	}
 }
 
-// ComputeProfile evaluates the full metric suite with deterministic
-// sampling budgets suitable for graphs up to a few thousand nodes, using
-// every available core. Equivalent to ComputeProfileParallel(g, seed, 0).
-func ComputeProfile(g *graph.Graph, seed int64) Profile {
-	return ComputeProfileParallel(g, seed, 0)
-}
-
-// ComputeProfileParallel is ComputeProfile with an explicit worker count
-// (<= 0 means GOMAXPROCS). The graph is frozen once and the metric set
-// is evaluated as one fused schedule on the shared snapshot; results
-// are identical for any worker count. workers bounds each fan-out level
-// (the task group and each task's internal sweep) rather than the total
-// goroutine count — excess goroutines are cheap and the Go scheduler
-// time-shares them, so workers=1 is the meaningful sequential baseline
-// and larger values trade precision of the bound for scaling.
-func ComputeProfileParallel(g *graph.Graph, seed int64, workers int) Profile {
-	p, _ := ProfileContext(context.Background(), g, nil, seed, workers)
-	return p
-}
-
-// ProfileContext is ComputeProfileParallel with cancellation and an
+// ProfileContext evaluates ProfileSet on g with cancellation and an
 // optional pre-frozen snapshot: pass the CSR from an earlier Freeze of g
-// to skip re-freezing (nil freezes internally). Every metric checks ctx
-// at its iteration boundaries; the first (lowest task index)
-// cancellation or failure is returned.
+// to skip re-freezing (nil freezes internally). workers bounds each
+// fan-out level (<= 0 means GOMAXPROCS); results are identical for any
+// value. Every metric checks ctx at its iteration boundaries; the first
+// (lowest task index) cancellation or failure is returned.
 func ProfileContext(ctx context.Context, g *graph.Graph, c *graph.CSR, seed int64, workers int) (Profile, error) {
 	vals, err := metricreg.Evaluate(ctx, metricreg.NewSource(g, c), ProfileSet(),
 		metricreg.Options{Workers: workers, Seed: seed})

@@ -1,12 +1,27 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/metricreg"
+	"repro/internal/params"
 	"repro/internal/rng"
 )
+
+// eval evaluates one registry metric on g as a single-metric set, the
+// path every caller of a [30]-style metric takes.
+func eval(t *testing.T, g *graph.Graph, seed int64, name string, p params.Params) metricreg.Value {
+	t.Helper()
+	vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil),
+		[]metricreg.Selection{{Name: name, Params: p}}, metricreg.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals[name]
+}
 
 func path(n int) *graph.Graph {
 	g := graph.New(n)
@@ -60,7 +75,7 @@ func randomGraph(seed int64, n int, p float64) *graph.Graph {
 }
 
 func TestExpansionCompleteReachesAllAtOneHop(t *testing.T) {
-	exp := Expansion(complete(20), 2, 0, 1)
+	exp := eval(t, complete(20), 1, "expansion", params.Params{"maxh": 2, "sources": 0}).Series
 	if math.Abs(exp[1]-1) > 1e-12 {
 		t.Fatalf("complete graph expansion at h=1 is %v, want 1", exp[1])
 	}
@@ -68,7 +83,7 @@ func TestExpansionCompleteReachesAllAtOneHop(t *testing.T) {
 
 func TestExpansionPathSlow(t *testing.T) {
 	n := 100
-	exp := Expansion(path(n), 3, 0, 1)
+	exp := eval(t, path(n), 1, "expansion", params.Params{"maxh": 3, "sources": 0}).Series
 	// On a long path, a ball of radius 3 holds at most 7 of 100 nodes.
 	if exp[3] > 7.0/float64(n)+1e-9 {
 		t.Fatalf("path expansion at h=3 is %v, too high", exp[3])
@@ -82,22 +97,22 @@ func TestExpansionPathSlow(t *testing.T) {
 }
 
 func TestExpansionStarFast(t *testing.T) {
-	exp := Expansion(star(50), 2, 0, 1)
+	exp := eval(t, star(50), 1, "expansion", params.Params{"maxh": 2, "sources": 0}).Series
 	if math.Abs(exp[2]-1) > 1e-12 {
 		t.Fatalf("star expansion at h=2 = %v, want 1", exp[2])
 	}
 }
 
 func TestExpansionEmpty(t *testing.T) {
-	if Expansion(graph.New(0), 3, 0, 1) != nil {
+	if eval(t, graph.New(0), 1, "expansion", params.Params{"maxh": 3, "sources": 0}).Series != nil {
 		t.Fatal("empty graph expansion should be nil")
 	}
 }
 
 func TestResilienceOrdering(t *testing.T) {
 	// A complete graph must be more resilient than a star of the same n.
-	rc := Resilience(complete(40), 8, 3, 7)
-	rs := Resilience(star(40), 8, 3, 7)
+	rc := eval(t, complete(40), 7, "resilience", params.Params{"steps": 8, "trials": 3}).Scalar
+	rs := eval(t, star(40), 7, "resilience", params.Params{"steps": 8, "trials": 3}).Scalar
 	if rc <= rs {
 		t.Fatalf("complete resilience %v should exceed star %v", rc, rs)
 	}
@@ -110,8 +125,8 @@ func TestResilienceStarVsPath(t *testing.T) {
 	// A star dies when the hub dies; a path degrades more gradually in
 	// expectation under random removal — but early hub loss is only 1/n
 	// likely, so star should actually beat path. Just check both in range.
-	rs := Resilience(star(30), 8, 5, 3)
-	rp := Resilience(path(30), 8, 5, 3)
+	rs := eval(t, star(30), 3, "resilience", params.Params{"steps": 8, "trials": 5}).Scalar
+	rp := eval(t, path(30), 3, "resilience", params.Params{"steps": 8, "trials": 5}).Scalar
 	for _, v := range []float64{rs, rp} {
 		if v <= 0 || v > 1 {
 			t.Fatalf("resilience %v out of range", v)
@@ -120,30 +135,30 @@ func TestResilienceStarVsPath(t *testing.T) {
 }
 
 func TestDistortionTreeIsOne(t *testing.T) {
-	if d := Distortion(path(30), 0, 1); math.Abs(d-1) > 1e-12 {
+	if d := eval(t, path(30), 1, "distortion", params.Params{"sample": 0}).Scalar; math.Abs(d-1) > 1e-12 {
 		t.Fatalf("tree distortion = %v, want 1", d)
 	}
-	if d := Distortion(star(30), 0, 1); math.Abs(d-1) > 1e-12 {
+	if d := eval(t, star(30), 1, "distortion", params.Params{"sample": 0}).Scalar; math.Abs(d-1) > 1e-12 {
 		t.Fatalf("star distortion = %v, want 1", d)
 	}
 }
 
 func TestDistortionMeshAboveOne(t *testing.T) {
-	d := Distortion(complete(15), 0, 1)
+	d := eval(t, complete(15), 1, "distortion", params.Params{"sample": 0}).Scalar
 	if d <= 1 {
 		t.Fatalf("complete graph distortion = %v, want > 1", d)
 	}
 }
 
 func TestDistortionEmpty(t *testing.T) {
-	if Distortion(graph.New(0), 0, 1) != 0 {
+	if eval(t, graph.New(0), 1, "distortion", params.Params{"sample": 0}).Scalar != 0 {
 		t.Fatal("empty graph distortion should be 0")
 	}
 }
 
 func TestHierarchyDepthStarVsPath(t *testing.T) {
-	hs := HierarchyDepth(star(64), 0)
-	hp := HierarchyDepth(path(64), 0)
+	hs := eval(t, star(64), 0, "hierarchy-depth", params.Params{"root": 0}).Scalar
+	hp := eval(t, path(64), 0, "hierarchy-depth", params.Params{"root": 0}).Scalar
 	if hs >= hp {
 		t.Fatalf("star depth %v should be below path depth %v", hs, hp)
 	}
@@ -156,28 +171,28 @@ func TestHierarchyDepthStarVsPath(t *testing.T) {
 func TestHierarchyDepthAutoRoot(t *testing.T) {
 	// With root=-1 the max-betweenness node is used; for a path that is
 	// the middle, halving the mean depth vs rooting at an end.
-	h := HierarchyDepth(path(33), -1)
-	hEnd := HierarchyDepth(path(33), 0)
+	h := eval(t, path(33), 0, "hierarchy-depth", params.Params{"root": -1}).Scalar
+	hEnd := eval(t, path(33), 0, "hierarchy-depth", params.Params{"root": 0}).Scalar
 	if h >= hEnd {
 		t.Fatalf("auto-rooted depth %v should be below end-rooted %v", h, hEnd)
 	}
 }
 
 func TestHierarchyDepthTrivial(t *testing.T) {
-	if HierarchyDepth(graph.New(0), -1) != 0 {
+	if eval(t, graph.New(0), 0, "hierarchy-depth", params.Params{"root": -1}).Scalar != 0 {
 		t.Fatal("empty hierarchy depth should be 0")
 	}
 	g := graph.New(1)
 	g.AddNode(graph.Node{})
-	if HierarchyDepth(g, 0) != 0 {
+	if eval(t, g, 0, "hierarchy-depth", params.Params{"root": 0}).Scalar != 0 {
 		t.Fatal("single-node hierarchy depth should be 0")
 	}
 }
 
 func TestSpectralGapOrdering(t *testing.T) {
 	// Complete graph has the largest possible gap; a path has a tiny one.
-	gc := SpectralGap(complete(20), 300)
-	gp := SpectralGap(path(20), 300)
+	gc := eval(t, complete(20), 0, "spectral-gap", params.Params{"iters": 300}).Scalar
+	gp := eval(t, path(20), 0, "spectral-gap", params.Params{"iters": 300}).Scalar
 	if gc <= gp {
 		t.Fatalf("complete gap %v should exceed path gap %v", gc, gp)
 	}
@@ -189,7 +204,7 @@ func TestSpectralGapOrdering(t *testing.T) {
 func TestSpectralGapCompleteKnown(t *testing.T) {
 	// Normalized Laplacian of K_n has lambda_2 = n/(n-1).
 	n := 12
-	got := SpectralGap(complete(n), 500)
+	got := eval(t, complete(n), 0, "spectral-gap", params.Params{"iters": 500}).Scalar
 	want := float64(n) / float64(n-1)
 	if math.Abs(got-want) > 0.05 {
 		t.Fatalf("K_%d spectral gap = %v, want ~%v", n, got, want)
@@ -203,14 +218,17 @@ func TestSpectralGapDisconnected(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1})
 	g.AddEdge(graph.Edge{U: 2, V: 3})
-	if SpectralGap(g, 100) != 0 {
+	if eval(t, g, 0, "spectral-gap", params.Params{"iters": 100}).Scalar != 0 {
 		t.Fatal("disconnected graph should report zero gap")
 	}
 }
 
 func TestComputeProfileSane(t *testing.T) {
 	g := randomGraph(5, 120, 0.05)
-	p := ComputeProfile(g, 11)
+	p, err := ProfileContext(context.Background(), g, nil, 11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Nodes != 120 {
 		t.Fatalf("profile nodes = %d", p.Nodes)
 	}
@@ -224,8 +242,11 @@ func TestComputeProfileSane(t *testing.T) {
 
 func TestProfileDeterministic(t *testing.T) {
 	g := randomGraph(6, 80, 0.08)
-	a := ComputeProfile(g, 3)
-	b := ComputeProfile(g, 3)
+	a, errA := ProfileContext(context.Background(), g, nil, 3, 0)
+	b, errB := ProfileContext(context.Background(), g, nil, 3, 0)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if a != b {
 		t.Fatalf("profile not deterministic: %+v vs %+v", a, b)
 	}

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/params"
 	"repro/internal/rng"
 )
 
@@ -309,7 +311,10 @@ func TestProfileRegistryParity(t *testing.T) {
 		g := g
 		t.Run(name, func(t *testing.T) {
 			want := legacyComputeProfile(g, 42)
-			got := ComputeProfile(g, 42)
+			got, err := ProfileContext(context.Background(), g, nil, 42, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got != want {
 				t.Fatalf("registry profile diverged from legacy:\n got %+v\nwant %+v", got, want)
 			}
@@ -317,15 +322,15 @@ func TestProfileRegistryParity(t *testing.T) {
 	}
 }
 
-// TestFreeFunctionRegistryParity pins the individual free functions to
-// their legacy values too (they now route through the registry).
+// TestFreeFunctionRegistryParity pins each metric, evaluated alone
+// through the registry, to the legacy free function's value too.
 func TestFreeFunctionRegistryParity(t *testing.T) {
 	g, err := gen.BarabasiAlbert(250, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := g.Freeze()
-	gotExp := Expansion(g, 4, 30, 9)
+	gotExp := eval(t, g, 9, "expansion", params.Params{"maxh": 4, "sources": 30}).Series
 	wantExp := legacyExpansion(c, 4, 30, 9)
 	if len(gotExp) != len(wantExp) {
 		t.Fatalf("expansion length %d vs %d", len(gotExp), len(wantExp))
@@ -335,16 +340,16 @@ func TestFreeFunctionRegistryParity(t *testing.T) {
 			t.Fatalf("expansion[%d] = %v, legacy %v", i, gotExp[i], wantExp[i])
 		}
 	}
-	if got, want := Resilience(g, 8, 2, 5), legacyResilience(c, 8, 2, 5); got != want {
+	if got, want := eval(t, g, 5, "resilience", params.Params{"steps": 8, "trials": 2}).Scalar, legacyResilience(c, 8, 2, 5); got != want {
 		t.Fatalf("resilience %v, legacy %v", got, want)
 	}
-	if got, want := Distortion(g, 500, 5), legacyDistortion(g, 500, 5); got != want {
+	if got, want := eval(t, g, 5, "distortion", params.Params{"sample": 500}).Scalar, legacyDistortion(g, 500, 5); got != want {
 		t.Fatalf("distortion %v, legacy %v", got, want)
 	}
-	if got, want := HierarchyDepth(g, -1), legacyHierarchyDepth(g, -1); got != want {
+	if got, want := eval(t, g, 0, "hierarchy-depth", params.Params{"root": -1}).Scalar, legacyHierarchyDepth(g, -1); got != want {
 		t.Fatalf("hierarchy depth %v, legacy %v", got, want)
 	}
-	if got, want := SpectralGap(g, 100), legacySpectralGap(c, 100); got != want {
+	if got, want := eval(t, g, 0, "spectral-gap", params.Params{"iters": 100}).Scalar, legacySpectralGap(c, 100); got != want {
 		t.Fatalf("spectral gap %v, legacy %v", got, want)
 	}
 }

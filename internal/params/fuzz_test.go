@@ -38,10 +38,12 @@ func FuzzResolve(f *testing.F) {
 	f.Add("bogus", 1.5)
 	f.Add("", math.NaN())
 	f.Add("n", -1e308)
+	f.Add("seed", 1e19)
 	one, ten := 1.0, 10.0
 	specs := []Spec{
 		{Name: "n", Kind: Int, Default: 5, Min: &one, Max: &ten},
 		{Name: "alpha", Kind: Float, Default: 0.5},
+		{Name: "seed", Kind: Int, Default: 1},
 	}
 	f.Fuzz(func(t *testing.T, name string, v float64) {
 		out, err := Resolve("fuzz", specs, Params{name: v})
@@ -53,6 +55,12 @@ func FuzzResolve(f *testing.F) {
 		}
 		if math.IsNaN(out[name]) || math.IsInf(out[name], 0) {
 			t.Fatalf("Resolve accepted non-finite %q=%v", name, v)
+		}
+		// Every accepted Int value reads back exactly through Int.
+		for _, s := range specs {
+			if s.Kind == Int && float64(out.Int(s.Name)) != out[s.Name] {
+				t.Fatalf("Resolve accepted %q=%v, which Int reads as %d", s.Name, out[s.Name], out.Int(s.Name))
+			}
 		}
 	})
 }

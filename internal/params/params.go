@@ -1,11 +1,13 @@
-// Package params is the shared typed-parameter machinery under both
-// registries: generators (internal/scenario) and metrics
-// (internal/metricreg) declare their interfaces as []Spec, carry
-// arguments as Params (a JSON-number map, so every parameter set
-// round-trips through JSON verbatim), and validate user input through
-// Resolve. All rejections wrap errs.ErrBadParam, never panic —
-// malformed CLI flags and fuzzer garbage alike surface as classifiable
-// errors.
+// Package params is the shared typed-parameter and registry machinery
+// under every component family: generators (internal/scenario),
+// metrics (internal/metricreg), attacks (internal/attackreg) and demand
+// models (internal/trafficreg). Components declare their interfaces as
+// []Spec, carry arguments as Params (a JSON-number map, so every
+// parameter set round-trips through JSON verbatim), and live in a
+// Registry, the one place names are registered, looked up, resolved
+// against their specs, parsed from CLI flags and listed. All rejections
+// wrap errs.ErrBadParam, never panic — malformed CLI flags and fuzzer
+// garbage alike surface as classifiable errors.
 package params
 
 import (
@@ -21,11 +23,18 @@ import (
 type Kind string
 
 // Parameter kinds. Values travel as JSON numbers (float64); Int-kind
-// parameters additionally require an integral value.
+// parameters additionally require an integral value no larger in
+// magnitude than 2^53.
 const (
 	Int   Kind = "int"
 	Float Kind = "float"
 )
+
+// maxExactInt is 2^53: every integer of at most this magnitude is
+// exactly a float64. Int values beyond it are rejected, since a JSON
+// number such as 1e19 is integral but does not fit an int, and
+// Params.Int would wrap it.
+const maxExactInt = 1 << 53
 
 // Spec declares one named parameter: its kind, default, and optional
 // closed bounds. Specs are JSON-serializable so tooling can enumerate a
@@ -41,13 +50,17 @@ type Spec struct {
 }
 
 // Check validates one value against the spec, wrapping errs.ErrBadParam
-// on NaN/Inf, non-integral Int values, and bound violations.
+// on NaN/Inf, non-integral Int values, Int values beyond ±2^53, and
+// bound violations.
 func (s *Spec) Check(v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return errs.BadParamf("parameter %q = %v", s.Name, v)
 	}
 	if s.Kind == Int && v != math.Trunc(v) {
 		return errs.BadParamf("parameter %q = %v, want an integer", s.Name, v)
+	}
+	if s.Kind == Int && math.Abs(v) > maxExactInt {
+		return errs.BadParamf("parameter %q = %v, want an integer within ±2^53", s.Name, v)
 	}
 	if s.Min != nil && v < *s.Min {
 		return errs.BadParamf("parameter %q = %v below minimum %v", s.Name, v, *s.Min)
@@ -63,8 +76,8 @@ func (s *Spec) Check(v float64) error {
 // Int-kind parameters are validated to hold integral values.
 type Params map[string]float64
 
-// Int reads a parameter as an int (the value is validated integral
-// before a component sees it).
+// Int reads a parameter as an int (the value is validated integral and
+// within ±2^53 before a component sees it, so the conversion is exact).
 func (p Params) Int(name string) int { return int(p[name]) }
 
 // Float reads a parameter as a float64.
@@ -149,57 +162,9 @@ func ParseKVs(pairs []string) (Params, error) {
 }
 
 // Selection names one registered component with optional parameters —
-// the unit every registry (metrics, attacks, traffic models) validates
-// and the CLIs parse. It round-trips through JSON.
+// the unit Registry.Resolve validates and Registry.ParseSelections
+// builds from CLI flags. It round-trips through JSON.
 type Selection struct {
 	Name   string `json:"name"`
 	Params Params `json:"params,omitempty"`
-}
-
-// ParseSelections builds a component set from a comma-separated name
-// list plus "component.param=value" assignments — the shared CLI flag
-// syntax of every registry. owner prefixes error messages (e.g.
-// "metricreg"), noun names the component kind (e.g. "metric"), and
-// canonical maps aliased spellings onto registry keys (nil = identity),
-// so an alias and its canonical form are caught as duplicates and a
-// parameter assignment reaches its component through either spelling.
-// Every failure wraps errs.ErrBadParam; assignments naming a component
-// outside the selected set are rejected so typos fail loudly.
-func ParseSelections(owner, noun string, canonical func(string) string, names string, kvs []string) ([]Selection, error) {
-	if canonical == nil {
-		canonical = func(s string) string { return s }
-	}
-	var set []Selection
-	index := map[string]int{}
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, errs.BadParamf("%s: empty %s name in %q", owner, noun, names)
-		}
-		key := canonical(name)
-		if _, dup := index[key]; dup {
-			return nil, errs.BadParamf("%s: duplicate %s %q in %q", owner, noun, name, names)
-		}
-		index[key] = len(set)
-		set = append(set, Selection{Name: name})
-	}
-	for _, kv := range kvs {
-		full, v, err := ParseKV(kv)
-		if err != nil {
-			return nil, err
-		}
-		component, param, ok := strings.Cut(full, ".")
-		if !ok || component == "" || param == "" {
-			return nil, errs.BadParamf("%s: want %s.param=value, got %q", owner, noun, kv)
-		}
-		i, ok := index[canonical(component)]
-		if !ok {
-			return nil, errs.BadParamf("%s: parameter %q names %s %q outside the selected set", owner, kv, noun, component)
-		}
-		if set[i].Params == nil {
-			set[i].Params = Params{}
-		}
-		set[i].Params[param] = v
-	}
-	return set, nil
 }

@@ -54,6 +54,28 @@ func TestResolveRejections(t *testing.T) {
 	}
 }
 
+// TestResolveRejectsInexactInt: an integral Int value beyond ±2^53 is
+// rejected even without declared bounds, since Params.Int cannot
+// convert it exactly (1e19 would wrap to a negative int); ±2^53 itself
+// is exact and accepted.
+func TestResolveRejectsInexactInt(t *testing.T) {
+	unbounded := []Spec{{Name: "seed", Kind: Int, Default: 1}}
+	for _, v := range []float64{1e19, -1e19, 1<<53 + 2, math.MaxFloat64} {
+		if _, err := Resolve("test", unbounded, Params{"seed": v}); !errors.Is(err, errs.ErrBadParam) {
+			t.Errorf("seed=%v gave %v, want ErrBadParam", v, err)
+		}
+	}
+	for _, v := range []float64{1 << 53, -(1 << 53)} {
+		out, err := Resolve("test", unbounded, Params{"seed": v})
+		if err != nil {
+			t.Fatalf("seed=%v rejected: %v", v, err)
+		}
+		if float64(out.Int("seed")) != v || float64(out.Seed()) != v {
+			t.Fatalf("seed=%v read back as %d", v, out.Int("seed"))
+		}
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	var p Params
 	c := p.Clone()

@@ -115,11 +115,7 @@ func TestSweepLCCCertificate(t *testing.T) {
 	for name, g := range parityModels(t) {
 		n, m := g.NumNodes(), g.NumEdges()
 		for _, attack := range []string{"degree", "random-failure", "random-edge"} {
-			atk, err := attackreg.Lookup(attack)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := attackreg.Resolve(atk, nil)
+			atk, p, err := attackreg.Default().Resolve(attackreg.Selection{Name: attack})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,11 +64,7 @@ func sweep(ctx context.Context, g *graph.Graph, c *graph.CSR, spec SweepSpec, se
 	if err := ValidateFracs(spec.Fracs); err != nil {
 		return nil, err
 	}
-	atk, err := attackreg.Lookup(spec.Attack)
-	if err != nil {
-		return nil, err
-	}
-	resolved, err := attackreg.Resolve(atk, spec.Params)
+	atk, resolved, err := attackreg.Default().Resolve(attackreg.Selection{Name: spec.Attack, Params: spec.Params})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/errs"
 	"repro/internal/gen"
@@ -399,5 +400,53 @@ func TestRunBatchPartialResultsOnCancel(t *testing.T) {
 	}
 	if got := res[0].Format(); !strings.Contains(got, "PARTIAL") {
 		t.Fatalf("formatted partial table missing the PARTIAL marker:\n%s", got)
+	}
+}
+
+// TestGeneratorPanicFailsCoalescedWaiter: a generator that panics while
+// a second batch of the same identity waits on it fails both batches
+// with the generation error. The leader finishes the entry on the panic
+// path too, so the waiter wakes instead of blocking on it forever (its
+// context deadline turns a wedged entry into a test failure, not a
+// hang) and nothing stays in flight.
+func TestGeneratorPanicFailsCoalescedWaiter(t *testing.T) {
+	reg := NewRegistry()
+	var e *Engine
+	if err := reg.Register(&FuncGenerator{
+		GenName:   "panicky",
+		GenParams: []ParamSpec{seedSpec},
+		Fn: func(ctx context.Context, p Params) (*graph.Graph, error) {
+			for deadline := time.Now().Add(10 * time.Second); e.CacheStats().Coalesced < 1 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			panic("generator exploded")
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e = NewEngine(reg)
+	sc := []Scenario{{Generate: GenerateSpec{Model: "panicky"}, Measure: &MeasureSpec{Degrees: true}}}
+	run := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_, err := e.RunBatch(ctx, sc, Options{Workers: 1})
+		return err
+	}
+	leader := make(chan error, 1)
+	go func() { leader <- run() }()
+	for deadline := time.Now().Add(10 * time.Second); e.CacheStats().InFlight < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("first batch never started generating")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waiter := run()
+	for name, err := range map[string]error{"waiter": waiter, "leader": <-leader} {
+		if err == nil || errors.Is(err, errs.ErrCanceled) || !strings.Contains(err.Error(), `model "panicky" panicked: generator exploded`) {
+			t.Errorf("%s got %v, want the generation error", name, err)
+		}
+	}
+	if st := e.CacheStats(); st.Coalesced != 1 || st.InFlight != 0 || st.Failures != 1 || st.Entries != 0 {
+		t.Fatalf("cache after a panicking generation = %+v", st)
 	}
 }

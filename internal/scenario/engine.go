@@ -74,20 +74,29 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 // (generate-spec, seed) identity, generating at most once per identity
 // even under concurrent replications. Failed generations (including
 // cancellations) are never retained, so a later run with a live context
-// retries.
+// retries. A generator that panics fails its generation like one that
+// returns an error: the leader finishes the entry on every path, so
+// coalesced waiters wake with the same error instead of blocking.
 func (e *Engine) snapshot(ctx context.Context, gen Generator, resolved Params, seed int64) (*graph.Graph, *graph.CSR, error) {
 	key := identityKey(gen.Name(), resolved, seed)
 	ent, leader := e.cache.lookup(key)
 	if leader {
-		p := resolved.Clone()
-		p["seed"] = float64(seed)
-		g, err := gen.Generate(ctx, p)
-		if err != nil {
-			ent.err = err
-		} else {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					ent.err = fmt.Errorf("scenario: model %q panicked: %v", gen.Name(), r)
+				}
+				e.cache.finish(ent)
+			}()
+			p := resolved.Clone()
+			p["seed"] = float64(seed)
+			g, err := gen.Generate(ctx, p)
+			if err != nil {
+				ent.err = err
+				return
+			}
 			ent.g, ent.c = g, g.Freeze()
-		}
-		e.cache.finish(ent)
+		}()
 		return ent.g, ent.c, ent.err
 	}
 	select {

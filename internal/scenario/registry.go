@@ -22,21 +22,17 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"io"
-	"sort"
-	"sync"
 
-	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/params"
 )
 
 // ParamKind is the declared type of one generator parameter (the shared
-// internal/params machinery, also under the metric registry).
+// internal/params machinery, also under the other three registries).
 type ParamKind = params.Kind
 
 // Parameter kinds. Values travel as JSON numbers (float64); Int-kind
-// parameters additionally require an integral value.
+// parameters additionally require an integral value within ±2^53.
 const (
 	Int   = params.Int
 	Float = params.Float
@@ -70,66 +66,22 @@ type Generator interface {
 
 // Resolve validates user-supplied params against the generator's specs
 // and returns a complete parameter set with defaults filled in. Unknown
-// names, non-integral Int values and out-of-bounds values are rejected
-// with errs.ErrBadParam-wrapping errors.
+// names, non-integral or inexact Int values and out-of-bounds values
+// are rejected with errs.ErrBadParam-wrapping errors.
 func Resolve(g Generator, p Params) (Params, error) {
-	return params.Resolve(fmt.Sprintf("scenario: generator %q", g.Name()), g.Params(), p)
+	return params.Resolve(fmt.Sprintf("scenario: model %q", g.Name()), g.Params(), p)
 }
 
-// Registry maps generator names to Generators. The zero value is ready
-// to use; Default() holds every built-in model.
+// Registry maps model names to Generators: the shared params registry
+// plus GenerateByName. Build one with NewRegistry; Default() holds
+// every built-in model.
 type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]Generator
+	*params.Registry[Generator]
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a generator, rejecting duplicate or empty names.
-func (r *Registry) Register(g Generator) error {
-	name := g.Name()
-	if name == "" {
-		return errs.BadParamf("scenario: generator with empty name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byName == nil {
-		r.byName = map[string]Generator{}
-	}
-	if _, dup := r.byName[name]; dup {
-		return errs.BadParamf("scenario: generator %q already registered", name)
-	}
-	r.byName[name] = g
-	return nil
-}
-
-// Lookup resolves a generator by name, wrapping errs.ErrBadParam for
-// unknown names.
-func (r *Registry) Lookup(name string) (Generator, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	g, ok := r.byName[name]
-	if !ok {
-		return nil, errs.BadParamf("scenario: unknown model %q (have %v)", name, r.namesLocked())
-	}
-	return g, nil
-}
-
-// Names lists every registered generator name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
-func (r *Registry) namesLocked() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+func NewRegistry() *Registry {
+	return &Registry{params.NewRegistry[Generator]("scenario", "model", nil, nil)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -171,32 +123,10 @@ func (f *FuncGenerator) Generate(ctx context.Context, p Params) (*graph.Graph, e
 	return f.Fn(ctx, p)
 }
 
-// FormatModels writes a human-readable listing of every registered
-// model and its parameters (sorted by name), prefixing each parameter
-// line with paramPrefix — CLIs share this for their -list flags.
-func (r *Registry) FormatModels(w io.Writer, paramPrefix string) {
-	for _, name := range r.Names() {
-		g, err := r.Lookup(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "%s\n", name)
-		specs := g.Params()
-		sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
-		for _, s := range specs {
-			fmt.Fprintf(w, "  %s%s=<%s>  (default %g)  %s\n", paramPrefix, s.Name, s.Kind, s.Default, s.Help)
-		}
-	}
-}
-
 // GenerateByName resolves name in the registry, validates params, and
 // generates — the one-call path CLIs use.
 func (r *Registry) GenerateByName(ctx context.Context, name string, p Params) (*graph.Graph, error) {
-	g, err := r.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	resolved, err := Resolve(g, p)
+	g, resolved, err := r.Resolve(params.Selection{Name: name, Params: p})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
+	"repro/internal/params"
 	"repro/internal/rng"
 	"repro/internal/robust"
 	"repro/internal/trafficreg"
@@ -257,11 +258,7 @@ func (s *Scenario) Validate(reg *Registry) error {
 // and its complete parameter set. The engine runs exactly what
 // validation checked.
 func (s *Scenario) prepare(reg *Registry) (Generator, Params, error) {
-	g, err := reg.Lookup(s.Generate.Model)
-	if err != nil {
-		return nil, nil, err
-	}
-	resolved, err := Resolve(g, s.Generate.Params)
+	g, resolved, err := reg.Resolve(params.Selection{Name: s.Generate.Model, Params: s.Generate.Params})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -275,22 +272,19 @@ func (s *Scenario) checkStages() error {
 	if m := s.Measure; m != nil && len(m.Metrics) > 0 {
 		seen := map[string]bool{}
 		for _, sel := range m.Metrics {
-			mt, err := metricreg.Lookup(sel.Name)
-			if err != nil {
-				return err
-			}
 			if seen[sel.Name] {
 				return errs.BadParamf("scenario %q: duplicate metric %q", s.describe(), sel.Name)
 			}
 			seen[sel.Name] = true
+			mt, _, err := metricreg.Default().Resolve(sel)
+			if err != nil {
+				return err
+			}
 			// The measure stage's source never carries a demand set, so
 			// a traffic-capable metric there could only fail per-rep at
 			// runtime; reject it up front.
 			if mt.Caps()&metricreg.CapTraffic != 0 {
 				return errs.BadParamf("scenario %q: metric %q needs a demand set — use the traffic stage, not measure.metrics", s.describe(), sel.Name)
-			}
-			if _, err := metricreg.Resolve(mt, sel.Params); err != nil {
-				return err
 			}
 		}
 	}
@@ -308,11 +302,7 @@ func (s *Scenario) checkStages() error {
 		}
 	}
 	if s.Traffic != nil {
-		dm, err := trafficreg.Lookup(s.Traffic.Model)
-		if err != nil {
-			return err
-		}
-		if _, err := trafficreg.Resolve(dm, s.Traffic.Params); err != nil {
+		if _, _, err := trafficreg.Default().Resolve(trafficreg.Selection{Name: s.Traffic.Model, Params: s.Traffic.Params}); err != nil {
 			return err
 		}
 		if s.Traffic.Sites < 0 || s.Traffic.Sites == 1 {
@@ -323,11 +313,7 @@ func (s *Scenario) checkStages() error {
 		}
 	}
 	if s.Attack != nil {
-		atk, err := attackreg.Lookup(s.Attack.Strategy)
-		if err != nil {
-			return err
-		}
-		if _, err := attackreg.Resolve(atk, s.Attack.Params); err != nil {
+		if _, _, err := attackreg.Default().Resolve(attackreg.Selection{Name: s.Attack.Strategy, Params: s.Attack.Params}); err != nil {
 			return err
 		}
 		if err := robust.ValidateFracs(s.Attack.Fracs); err != nil {
@@ -425,11 +411,7 @@ func (s *Scenario) checkTimeline(tl *TimelineSpec) error {
 			return where("capacity must be positive and finite, got %v", *ev.Capacity)
 		}
 		if ev.Event == "demand-switch" {
-			dm, err := trafficreg.Lookup(ev.Model)
-			if err != nil {
-				return where("%v", err)
-			}
-			if _, err := trafficreg.Resolve(dm, ev.Params); err != nil {
+			if _, _, err := trafficreg.Default().Resolve(trafficreg.Selection{Name: ev.Model, Params: ev.Params}); err != nil {
 				return where("%v", err)
 			}
 		}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -465,39 +464,24 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) registryInfo() *RegistryInfo {
-	info := &RegistryInfo{}
-	for _, name := range s.eng.Registry().Names() {
-		g, err := s.eng.Registry().Lookup(name)
-		if err != nil {
-			continue
+	return &RegistryInfo{
+		Models:  components(s.eng.Registry().Registry),
+		Metrics: components(metricreg.Default().Registry),
+		Attacks: components(attackreg.Default()),
+		Traffic: components(trafficreg.Default().Registry),
+	}
+}
+
+// components lists a registry's components with their parameter specs,
+// sorted by name.
+func components[T params.Component](r *params.Registry[T]) []ComponentInfo {
+	var out []ComponentInfo
+	for _, name := range r.Names() {
+		if c, err := r.Lookup(name); err == nil {
+			out = append(out, ComponentInfo{Name: name, Params: c.Params()})
 		}
-		info.Models = append(info.Models, ComponentInfo{Name: name, Params: g.Params()})
 	}
-	for _, name := range metricreg.Names() {
-		m, err := metricreg.Lookup(name)
-		if err != nil {
-			continue
-		}
-		info.Metrics = append(info.Metrics, ComponentInfo{Name: name, Params: m.Params()})
-	}
-	for _, name := range attackreg.Names() {
-		a, err := attackreg.Lookup(name)
-		if err != nil {
-			continue
-		}
-		info.Attacks = append(info.Attacks, ComponentInfo{Name: name, Params: a.Params()})
-	}
-	for _, name := range trafficreg.Names() {
-		m, err := trafficreg.Lookup(name)
-		if err != nil {
-			continue
-		}
-		info.Traffic = append(info.Traffic, ComponentInfo{Name: name, Params: m.Params()})
-	}
-	for _, list := range [][]ComponentInfo{info.Models, info.Metrics, info.Attacks, info.Traffic} {
-		sort.Slice(list, func(i, k int) bool { return list[i].Name < list[k].Name })
-	}
-	return info
+	return out
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {

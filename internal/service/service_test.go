@@ -544,3 +544,65 @@ func TestJobStatusJSONShape(t *testing.T) {
 		t.Fatal("Terminal misclassifies a state")
 	}
 }
+
+// TestSubmitRejectsInexactInt: an Int parameter a float64 cannot hold
+// exactly is a 400 at submit. 1e19 is integral, but read as an int it
+// wraps to a negative size, and the generator's allocation would panic
+// on the executor.
+func TestSubmitRejectsInexactInt(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	spec := `{"generate":{"model":"configmodel","params":{"n":1e19}}}`
+	// The client maps exactly the 400 responses onto ErrBadParam.
+	if _, err := c.SubmitSpec(context.Background(), []byte(spec)); !errors.Is(err, errs.ErrBadParam) {
+		t.Fatalf("spec %s gave %v, want HTTP 400", spec, err)
+	}
+}
+
+// TestGeneratorPanicFailsJob: a generator panic fails the jobs that
+// reach it, not the server, and later jobs still run.
+func TestGeneratorPanicFailsJob(t *testing.T) {
+	reg := scenario.NewRegistry()
+	ba, err := scenario.Lookup("ba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []scenario.Generator{ba, &scenario.FuncGenerator{
+		GenName: "panicky",
+		Fn: func(ctx context.Context, p scenario.Params) (*graph.Graph, error) {
+			panic("generator exploded")
+		},
+	}} {
+		if err := reg.Register(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, c := newTestServer(t, Config{Engine: scenario.NewEngine(reg)})
+	ctx := context.Background()
+	submit := func(model string) string {
+		t.Helper()
+		st, err := c.Submit(ctx, []scenario.Scenario{{
+			Generate: scenario.GenerateSpec{Model: model},
+			Measure:  &scenario.MeasureSpec{Degrees: true},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	for _, id := range []string{submit("panicky"), submit("panicky")} {
+		final, err := c.Wait(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateFailed || !strings.Contains(final.Error, `model "panicky" panicked`) {
+			t.Errorf("job %s ended %s (%q), want failed with the panic", id, final.State, final.Error)
+		}
+	}
+	final, err := c.Wait(ctx, submit("ba"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone {
+		t.Fatalf("ba job after the panics ended %s (%q), want done", final.State, final.Error)
+	}
+}

@@ -24,7 +24,7 @@ func FuzzParseSelections(f *testing.F) {
 		if kv != "" {
 			kvs = strings.Split(kv, ";")
 		}
-		set, err := ParseSelections(names, kvs)
+		set, err := Default().ParseSelections(names, kvs)
 		if err != nil {
 			if !errors.Is(err, errs.ErrBadParam) {
 				t.Fatalf("ParseSelections(%q, %q) error %v does not wrap ErrBadParam", names, kv, err)
@@ -50,14 +50,7 @@ func FuzzLookupResolve(f *testing.F) {
 	f.Add("", "exponent", -1.0)
 	f.Add("bimodal", "topfrac", 2.0)
 	f.Fuzz(func(t *testing.T, name, param string, v float64) {
-		m, err := Lookup(name)
-		if err != nil {
-			if !errors.Is(err, errs.ErrBadParam) {
-				t.Fatalf("Lookup(%q) error %v does not wrap ErrBadParam", name, err)
-			}
-			return
-		}
-		if _, err := Resolve(m, Params{param: v}); err != nil && !errors.Is(err, errs.ErrBadParam) {
+		if _, _, err := Default().Resolve(Selection{Name: name, Params: Params{param: v}}); err != nil && !errors.Is(err, errs.ErrBadParam) {
 			t.Fatalf("Resolve(%q, {%q: %v}) error %v does not wrap ErrBadParam", name, param, v, err)
 		}
 	})

@@ -19,10 +19,6 @@ package trafficreg
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 
 	"repro/internal/errs"
 	"repro/internal/params"
@@ -61,84 +57,18 @@ type DemandModel interface {
 // shared internal/params shape, also under the other registries).
 type Selection = params.Selection
 
-// Resolve validates user-supplied params against the model's specs and
-// returns a complete parameter set with defaults filled in, wrapping
-// errs.ErrBadParam on unknown names, non-integral Int values and
-// out-of-bounds values.
-func Resolve(m DemandModel, p params.Params) (params.Params, error) {
-	return params.Resolve(fmt.Sprintf("trafficreg: model %q", m.Name()), m.Params(), p)
-}
-
-// aliases maps historical spellings onto canonical registry names. The
-// empty name resolves to gravity — the paper's canonical demand model —
-// so a zero Selection reproduces the pre-registry hardcoded behavior.
-var aliases = map[string]string{
-	"": "gravity",
-}
-
-// Canonical maps a possibly-aliased model name to its registry key.
-// Unknown names pass through unchanged (Lookup reports them).
-func Canonical(name string) string {
-	if c, ok := aliases[name]; ok {
-		return c
-	}
-	return name
-}
-
-// Registry maps demand-model names to DemandModels. The zero value is
-// ready to use; Default() holds every built-in model.
+// Registry maps demand-model names to DemandModels: the shared params
+// registry plus GenerateDemand. Build one with NewRegistry; Default()
+// holds every built-in model.
 type Registry struct {
-	mu     sync.RWMutex
-	byName map[string]DemandModel
+	*params.Registry[DemandModel]
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Register adds a model, rejecting duplicate or empty names.
-func (r *Registry) Register(m DemandModel) error {
-	name := m.Name()
-	if name == "" {
-		return errs.BadParamf("trafficreg: model with empty name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byName == nil {
-		r.byName = map[string]DemandModel{}
-	}
-	if _, dup := r.byName[name]; dup {
-		return errs.BadParamf("trafficreg: model %q already registered", name)
-	}
-	r.byName[name] = m
-	return nil
-}
-
-// Lookup resolves a model by name (aliases included; "" is gravity),
-// wrapping errs.ErrBadParam for unknown names.
-func (r *Registry) Lookup(name string) (DemandModel, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	m, ok := r.byName[Canonical(name)]
-	if !ok {
-		return nil, errs.BadParamf("trafficreg: unknown demand model %q (have %v)", name, r.namesLocked())
-	}
-	return m, nil
-}
-
-// Names lists every registered model name, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
-func (r *Registry) namesLocked() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// NewRegistry returns an empty registry in which the empty name is
+// gravity — the paper's canonical demand model — so a zero Selection
+// reproduces the pre-registry hardcoded behavior.
+func NewRegistry() *Registry {
+	return &Registry{params.NewRegistry[DemandModel]("trafficreg", "model", map[string]string{"": "gravity"}, nil)}
 }
 
 var defaultRegistry = NewRegistry()
@@ -152,6 +82,11 @@ func Register(m DemandModel) error { return defaultRegistry.Register(m) }
 
 // Lookup resolves a name (aliases included) in the default registry.
 func Lookup(name string) (DemandModel, error) { return defaultRegistry.Lookup(name) }
+
+// Canonical maps a possibly-aliased model name to its default-registry
+// key ("" is gravity). Unknown names pass through unchanged (Lookup
+// reports them).
+func Canonical(name string) string { return defaultRegistry.Canonical(name) }
 
 // Names lists the default registry, sorted.
 func Names() []string { return defaultRegistry.Names() }
@@ -189,11 +124,7 @@ func (r *Registry) GenerateDemand(ctx context.Context, geo *traffic.Geography, s
 	if geo == nil {
 		return nil, errs.BadParamf("trafficreg: missing geography")
 	}
-	m, err := r.Lookup(sel.Name)
-	if err != nil {
-		return nil, err
-	}
-	resolved, err := Resolve(m, sel.Params)
+	m, resolved, err := r.Resolve(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -203,32 +134,4 @@ func (r *Registry) GenerateDemand(ctx context.Context, geo *traffic.Geography, s
 // GenerateDemand generates with the default registry.
 func GenerateDemand(ctx context.Context, geo *traffic.Geography, sel Selection, seed int64) (traffic.DemandMatrix, error) {
 	return defaultRegistry.GenerateDemand(ctx, geo, sel, seed)
-}
-
-// FormatModels writes a human-readable listing of every registered
-// demand model and its parameters (sorted by name), prefixing each
-// parameter line with paramPrefix — CLIs share this for their -list
-// flags.
-func (r *Registry) FormatModels(w io.Writer, paramPrefix string) {
-	for _, name := range r.Names() {
-		m, err := r.Lookup(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "%s\n", name)
-		specs := m.Params()
-		sort.Slice(specs, func(a, b int) bool { return specs[a].Name < specs[b].Name })
-		for _, s := range specs {
-			fmt.Fprintf(w, "  %s%s.%s=<%s>  (default %g)  %s\n", paramPrefix, name, s.Name, s.Kind, s.Default, s.Help)
-		}
-	}
-}
-
-// ParseSelections builds a demand-model set from a comma-separated name
-// list plus "model.param=value" assignments (the CLI flag syntax, via
-// the shared internal/params parser). Every failure wraps
-// errs.ErrBadParam; assignments naming a model outside the selected set
-// are rejected so typos fail loudly.
-func ParseSelections(names string, kvs []string) ([]Selection, error) {
-	return params.ParseSelections("trafficreg", "model", Canonical, names, kvs)
 }

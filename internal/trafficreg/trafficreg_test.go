@@ -240,7 +240,7 @@ func TestSelectionJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseSelections(t *testing.T) {
-	set, err := ParseSelections("gravity,uniform", []string{"gravity.scale=2", "uniform.volume=3"})
+	set, err := Default().ParseSelections("gravity,uniform", []string{"gravity.scale=2", "uniform.volume=3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestParseSelections(t *testing.T) {
 		{"gravity", []string{"notakv"}},
 		{"gravity", []string{"scale=2"}},
 	} {
-		if _, err := ParseSelections(bad[0].(string), bad[1].([]string)); !errors.Is(err, errs.ErrBadParam) {
+		if _, err := Default().ParseSelections(bad[0].(string), bad[1].([]string)); !errors.Is(err, errs.ErrBadParam) {
 			t.Errorf("ParseSelections(%q, %v) gave %v, want ErrBadParam", bad[0], bad[1], err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
+	"repro/internal/params"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -253,7 +254,12 @@ func BootstrapMetric(g *graph.Graph, metric func(*graph.Graph, int64) float64, r
 
 // ResilienceCI is a convenience bootstrap for the resilience metric.
 func ResilienceCI(g *graph.Graph, reps int, seed int64) Interval {
+	set := []metricreg.Selection{{Name: "resilience", Params: params.Params{"steps": 10, "trials": 3}}}
 	return BootstrapMetric(g, func(g *graph.Graph, s int64) float64 {
-		return metrics.Resilience(g, 10, 3, s)
+		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), set, metricreg.Options{Seed: s})
+		if err != nil {
+			return 0
+		}
+		return vals["resilience"].Scalar
 	}, reps, 0.05, seed)
 }
