@@ -233,43 +233,62 @@ func BenchmarkDijkstraCSRPooled(b *testing.B) {
 }
 
 // BenchmarkDijkstraToSingleTarget routes 100 seeded (source, target)
-// pairs of a BA-20k graph through single-target DijkstraTo, the
-// bidirectional kernel, on one pooled workspace; one op is all 100
-// pairs. scanned/op is the exact Workspace.DijkstraScanned total.
+// pairs through single-target DijkstraTo on one pooled workspace; one op
+// is all 100 pairs. On BA-20k, whose edges join random node pairs, the
+// search is the undirected bidirectional one; on HOT-20k, whose edges
+// are local, it is goal-directed. scanned/op is the exact
+// Workspace.DijkstraScanned total.
 func BenchmarkDijkstraToSingleTarget(b *testing.B) {
-	g, err := gen.BarabasiAlbert(20000, 2, 1)
-	if err != nil {
-		b.Fatal(err)
+	graphs := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"ba20k", func() (*graph.Graph, error) { return gen.BarabasiAlbert(20000, 2, 1) }},
+		{"hot20k", func() (*graph.Graph, error) {
+			g, _, err := core.GrowHOT(core.HOTConfig{
+				N: 20000, Seed: 1, LinksPerArrival: 2,
+				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+			})
+			return g, err
+		}},
 	}
-	c := g.Freeze()
-	n := c.NumNodes()
-	r := rand.New(rand.NewSource(1))
-	pairs := make([][2]int, 100)
-	for i := range pairs {
-		src, tgt := r.Intn(n), r.Intn(n)
-		for tgt == src {
-			tgt = r.Intn(n)
-		}
-		pairs[i] = [2]int{src, tgt}
+	for _, gr := range graphs {
+		b.Run(gr.name, func(b *testing.B) {
+			g, err := gr.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := g.Freeze()
+			n := c.NumNodes()
+			r := rand.New(rand.NewSource(1))
+			pairs := make([][2]int, 100)
+			for i := range pairs {
+				src, tgt := r.Intn(n), r.Intn(n)
+				for tgt == src {
+					tgt = r.Intn(n)
+				}
+				pairs[i] = [2]int{src, tgt}
+			}
+			ws := graph.GetWorkspace(n)
+			defer ws.Release()
+			target := make([]int, 1)
+			route := func() (scanned int) {
+				for _, p := range pairs {
+					target[0] = p[1]
+					c.DijkstraTo(ws, p[0], target)
+					scanned += ws.DijkstraScanned
+				}
+				return scanned
+			}
+			scanned := route() // warm the workspace before measuring
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				route()
+			}
+			b.ReportMetric(float64(scanned), "scanned/op")
+		})
 	}
-	ws := graph.GetWorkspace(n)
-	defer ws.Release()
-	target := make([]int, 1)
-	route := func() (scanned int) {
-		for _, p := range pairs {
-			target[0] = p[1]
-			c.DijkstraTo(ws, p[0], target)
-			scanned += ws.DijkstraScanned
-		}
-		return scanned
-	}
-	scanned := route() // warm the workspace before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		route()
-	}
-	b.ReportMetric(float64(scanned), "scanned/op")
 }
 
 func BenchmarkBFSAdjacencyAlloc(b *testing.B) {

@@ -5,6 +5,11 @@
 //
 //   - a kernel the baseline records as allocation-free (allocs/op == 0)
 //     now allocates — gated exactly, any alloc is a regression;
+//   - a work counter rises above its baseline — gated exactly, like the
+//     allocation gate. A counter is any per-op column a benchmark adds
+//     with b.ReportMetric (`scanned/op`, `bu-levels/op`, `dsu-ops/op`):
+//     rows scanned, levels run or union-find operations, which are the
+//     same on every machine;
 //   - a benchmark's ns/op exceeds baseline * (1 + tolerance).
 //
 // Improvements and new benchmarks never fail. Benchmarks present in the
@@ -48,6 +53,19 @@ type benchResult struct {
 	BytesOp   *float64 `json:"bytes_per_op"`
 	AllocsOp  *float64 `json:"allocs_per_op"`
 	Iteration int64    `json:"iterations"`
+	// Counters holds the b.ReportMetric work counters by unit, e.g.
+	// {"scanned/op": 1234}.
+	Counters map[string]float64 `json:"counters,omitempty"`
+}
+
+// isCounter reports whether a benchmark output unit is a work counter:
+// a per-op unit other than go test's own ns/op, B/op and allocs/op.
+func isCounter(unit string) bool {
+	switch unit {
+	case "ns/op", "B/op", "allocs/op":
+		return false
+	}
+	return strings.HasSuffix(unit, "/op")
 }
 
 // benchMeta is the recording-environment stamp scripts/bench.sh embeds
@@ -104,12 +122,12 @@ func parseFile(path string) (map[string]benchResult, *benchMeta, error) {
 	return out, nil, err
 }
 
-// keep records r under its normalized name. A `go test -cpu 1,4` run
+// keep records r under its normalized name. A `go test -cpu 1,2` run
 // produces one line per GOMAXPROCS value that normalize to the same
 // name; the gate keeps the WORST measurement of the set (max ns/op, max
-// allocations), so a single-thread regression cannot hide behind a
-// faster parallel leg and an allocation picked up at any width still
-// trips the exact allocs gate.
+// allocations, max of each counter), so a single-thread regression
+// cannot hide behind a faster parallel leg and an allocation or extra
+// work picked up at any width still trips the exact gates.
 func keep(out map[string]benchResult, r benchResult) {
 	name := normalizeName(r.Name)
 	r.Name = name
@@ -124,6 +142,14 @@ func keep(out map[string]benchResult, r benchResult) {
 	}
 	prev.BytesOp = maxPtr(prev.BytesOp, r.BytesOp)
 	prev.AllocsOp = maxPtr(prev.AllocsOp, r.AllocsOp)
+	for unit, v := range r.Counters {
+		if old, ok := prev.Counters[unit]; !ok || v > old {
+			if prev.Counters == nil {
+				prev.Counters = map[string]float64{}
+			}
+			prev.Counters[unit] = v
+		}
+	}
 	out[name] = prev
 }
 
@@ -140,7 +166,7 @@ func maxPtr(a, b *float64) *float64 {
 // parseBenchText parses raw `go test -bench -benchmem` output lines of
 // the form:
 //
-//	BenchmarkX-8   100   12345 ns/op   64 B/op   2 allocs/op
+//	BenchmarkX-8   100   12345 ns/op   64 B/op   2 allocs/op   4500 scanned/op
 func parseBenchText(data []byte) (map[string]benchResult, error) {
 	out := map[string]benchResult{}
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -172,6 +198,13 @@ func parseBenchText(data []byte) (map[string]benchResult, error) {
 			case "allocs/op":
 				a := v
 				r.AllocsOp = &a
+			default:
+				if isCounter(fields[i+1]) {
+					if r.Counters == nil {
+						r.Counters = map[string]float64{}
+					}
+					r.Counters[fields[i+1]] = v
+				}
 			}
 		}
 		if ok {
@@ -223,6 +256,19 @@ func compare(baseline, fresh map[string]benchResult, tolerance float64, requireA
 				fail: true,
 			})
 			continue
+		}
+		units := make([]string, 0, len(base.Counters))
+		for unit := range base.Counters {
+			units = append(units, unit)
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			if v, ok := got.Counters[unit]; ok && v > base.Counters[unit] {
+				out = append(out, diffLine{
+					text: fmt.Sprintf("FAIL    %s: %s %g exceeds baseline %g (work counter regressed)", name, unit, v, base.Counters[unit]),
+					fail: true,
+				})
+			}
 		}
 		limit := base.NsPerOp * (1 + tolerance)
 		switch {

@@ -245,3 +245,75 @@ func TestGeomeanLine(t *testing.T) {
 		t.Fatalf("no-overlap geomean = %q", line)
 	}
 }
+
+func TestParseCounters(t *testing.T) {
+	raw := `BenchmarkRoute-1   20   5000 ns/op   0 B/op   0 allocs/op   4500 scanned/op
+BenchmarkRoute-2   40   3000 ns/op   0 B/op   0 allocs/op   4600 scanned/op
+BenchmarkBFS-2     10   9000 ns/op   12.50 bu-levels/op   80.0 MB/s
+BenchmarkPlain-2   10   100 ns/op
+`
+	got, err := parseBenchText([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := got["BenchmarkRoute"].Counters; len(c) != 1 || c["scanned/op"] != 4600 {
+		t.Fatalf("route counters %v, want the larger leg's scanned/op 4600", c)
+	}
+	if c := got["BenchmarkBFS"].Counters; len(c) != 1 || c["bu-levels/op"] != 12.5 {
+		t.Fatalf("bfs counters %v, want bu-levels/op 12.5 and no MB/s", c)
+	}
+	if c := got["BenchmarkPlain"].Counters; c != nil {
+		t.Fatalf("plain bench has counters %v", c)
+	}
+
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := os.WriteFile(path, []byte(`{
+  "meta": {"gomaxprocs": 2},
+  "benchmarks": [
+    {"name": "BenchmarkTimeline/epoch", "iterations": 5, "ns_per_op": 100, "counters": {"dsu-ops/op": 153944}},
+    {"name": "BenchmarkTimeline/epoch-2", "iterations": 5, "ns_per_op": 90, "counters": {"dsu-ops/op": 153944}}
+  ]
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := parseFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := base["BenchmarkTimeline/epoch"].Counters; c["dsu-ops/op"] != 153944 {
+		t.Fatalf("json counters %v", c)
+	}
+}
+
+func TestCompareCounterGate(t *testing.T) {
+	counters := func(kv ...float64) map[string]float64 {
+		return map[string]float64{"scanned/op": kv[0], "bu-levels/op": kv[1]}
+	}
+	baseline := map[string]benchResult{
+		"BenchmarkK": {Name: "BenchmarkK", NsPerOp: 1000, Counters: counters(5000, 3)},
+	}
+	cases := []struct {
+		name     string
+		counters map[string]float64
+		fails    []string
+	}{
+		{"equal", counters(5000, 3), nil},
+		{"fewer", counters(4000, 2), nil},
+		{"one more row", counters(5001, 3), []string{"scanned/op 5001 exceeds baseline 5000"}},
+		{"both up", counters(5001, 4), []string{"bu-levels/op 4", "scanned/op 5001"}},
+		{"not reported", nil, nil},
+	}
+	for _, tc := range cases {
+		// ns/op within tolerance: only the counter gate can fail.
+		fresh := map[string]benchResult{"BenchmarkK": {Name: "BenchmarkK", NsPerOp: 900, Counters: tc.counters}}
+		fails := failures(compare(baseline, fresh, 0.25, false))
+		if len(fails) != len(tc.fails) {
+			t.Fatalf("%s: failures %q, want %d", tc.name, fails, len(tc.fails))
+		}
+		for i, want := range tc.fails {
+			if !strings.Contains(fails[i], want) || !strings.Contains(fails[i], "work counter regressed") {
+				t.Fatalf("%s: failure %q, want it to name %q", tc.name, fails[i], want)
+			}
+		}
+	}
+}

@@ -60,7 +60,10 @@
 // shards so the two levels compose without oversubscription.
 // CSR.DijkstraTo stops a traversal once a target list is settled, which
 // is how routing pins each source's paths; a single target is found by a
-// bidirectional search that meets in the middle. The routing, metric,
+// bidirectional search that meets in the middle, steered by the
+// remaining Euclidean distance on geographic designs whose edges are
+// short (HOT, FKP, ISP, internet, ring, Waxman), and the next search
+// resets only the labels it touched. The routing, metric,
 // robustness and experiment layers all run on this kernel, with every
 // parallel reduction performed in a fixed order and deterministic
 // tie-breaks inside each traversal, so results are byte-identical at
@@ -320,7 +323,8 @@ type (
 	// across goroutines.
 	CSR = graph.CSR
 	// Workspace owns the scratch buffers (distances, parents, heap,
-	// queue, visited epochs) one goroutine's kernel calls run in.
+	// queue, visited epochs) one goroutine's kernel calls run in; its
+	// label slices are read-only to callers.
 	Workspace = graph.Workspace
 )
 

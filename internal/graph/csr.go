@@ -37,6 +37,16 @@ import (
 // kernels (BFSTopDown, DijkstraHeap) all produce bit-identical trees.
 // Across zero-weight edges the rule can make two nodes at the same
 // distance each other's parent, so a parent walk must bound its length.
+//
+// Geometric snapshots: Freeze measures κ, the least weight/length ratio
+// over positive-length edges (1 on every generator here, which weight
+// edges by Euclidean length), and the locality of the edges, their mean
+// weight over κ times the RMS distance between node pairs. A local
+// snapshot (locality below goalLocality: HOT, FKP, ISP, internet, mmp,
+// ring, Waxman) with κ > 0 keeps its node coordinates, and
+// single-target DijkstraTo on it is goal-directed (see dijkstraBidir).
+// Every other snapshot keeps no coordinates and runs the undirected
+// search; there is no option.
 type CSR struct {
 	n        int
 	m        int
@@ -57,6 +67,16 @@ type CSR struct {
 	// all finite, non-negative, not NaN, with maxW > 0.
 	minW, maxW float64
 	bucketOK   bool
+
+	// kappa is κ', the bound of the goal-directed single-target search:
+	// κ = min over positive-length edges of weight/length, shaved by
+	// goalShave, so κ'·|v−t| never exceeds the weight of a path from v
+	// to t. It is 0, and xy nil, unless the snapshot is geometric and
+	// local (see setGoal); single-target DijkstraTo then runs the
+	// undirected bidirectional search. xy holds node v's coordinates at
+	// xy[2v] and xy[2v+1].
+	kappa float64
+	xy    []float64
 }
 
 // Inf is the distance reported for unreachable nodes.
@@ -141,7 +161,78 @@ func (g *Graph) Freeze() *CSR {
 	// kernel like any other unbinnable weight distribution.
 	c.bucketOK = ok && c.minW >= 0 && c.maxW > 0 && !math.IsInf(c.maxW, 1) &&
 		c.maxW/bucketSpan > 0
+	c.setGoal(g)
 	return c
+}
+
+// Goal-directed search switches. goalShave scales κ down by 2^-20, far
+// more than the relative rounding of an n-hop weight sum (n·2^-53 with
+// n < 2^31) or of a computed length, so κ'·|v−t| stays below every
+// computed path weight from v to t. goalLocality is the locality (mean
+// edge weight ÷ κ·RMS node-pair distance) below which a snapshot counts
+// as local: designed and geographic topologies measure 0.016–0.125
+// (HOT, FKP, ISP, internet, mmp) and 0.35–0.39 (ring, Waxman), while
+// models that join random node pairs (BA, ER, GLP) measure about 0.9,
+// and on those the potential costs rows: it scanned 1.1–1.6x more on
+// BA, ER and GLP routes, against 7.3x fewer on Waxman. goalMaxSpan keeps
+// a goal-directed bucket index, key/delta with keys up to 2κ'·diagonal
+// above the path weights, far inside the int range.
+const (
+	goalShave    = 1 - 0x1p-20
+	goalLocality = 0.6
+	goalMaxSpan  = 0x1p40
+)
+
+// setGoal decides whether single-target searches on c may be
+// goal-directed, and if so records the coordinates and κ'. It needs a
+// bucketable snapshot of at least two nodes with finite coordinates and
+// a positive κ: a positive-length edge lighter than its length times a
+// positive constant (a zero weight, say) leaves no Euclidean bound.
+func (c *CSR) setGoal(g *Graph) {
+	if !c.bucketOK || c.n < 2 {
+		return
+	}
+	kappa, sumW := math.Inf(1), 0.0
+	for _, e := range g.edges {
+		a, b := &g.nodes[e.U], &g.nodes[e.V]
+		dx, dy := a.X-b.X, a.Y-b.Y
+		if l := math.Sqrt(float64(dx*dx) + float64(dy*dy)); l > 0 {
+			kappa = min(kappa, e.Weight/l)
+		}
+		sumW += e.Weight
+	}
+	if !(kappa > 0) || math.IsInf(kappa, 1) {
+		return
+	}
+	var mx, my float64
+	minX, minY, maxX, maxY := math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1)
+	for i := range g.nodes {
+		x, y := g.nodes[i].X, g.nodes[i].Y
+		if !(math.Abs(x) <= 1e150 && math.Abs(y) <= 1e150) {
+			return // NaN, infinite or squaring out of range
+		}
+		mx, my = mx+x, my+y
+		minX, minY, maxX, maxY = min(minX, x), min(minY, y), max(maxX, x), max(maxY, y)
+	}
+	mx, my = mx/float64(c.n), my/float64(c.n)
+	var v float64
+	for i := range g.nodes {
+		dx, dy := g.nodes[i].X-mx, g.nodes[i].Y-my
+		v += float64(dx*dx) + float64(dy*dy)
+	}
+	// The mean of |u−v|² over ordered node pairs is twice the summed
+	// coordinate variances, so the RMS pair distance costs one pass.
+	rms := math.Sqrt(2 * v / float64(c.n))
+	locality := sumW / float64(c.m) / (kappa * rms)
+	diag := math.Hypot(maxX-minX, maxY-minY)
+	if !(locality < goalLocality) || kappa*diag > goalMaxSpan*c.maxW {
+		return
+	}
+	c.kappa = kappa * goalShave
+	c.xy = make([]float64, 2*c.n)
+	for i := range g.nodes {
+		c.xy[2*i], c.xy[2*i+1] = g.nodes[i].X, g.nodes[i].Y
+	}
 }
 
 // NumNodes returns the snapshot's node count.
@@ -160,6 +251,11 @@ func (c *CSR) Neighbors(u int, fn func(v, edgeID int, w float64)) {
 		fn(int(c.nbr[j]), int(c.edgeID[j]), c.weight[j])
 	}
 }
+
+// SortedRow returns the neighbour ids of u sorted ascending, a parallel
+// edge once per edge. The slice aliases the snapshot and must not be
+// modified.
+func (c *CSR) SortedRow(u int) []int32 { return c.bfsNbr[c.rowStart[u]:c.rowStart[u+1]] }
 
 // Dijkstra computes single-source shortest paths by edge weight from src
 // into ws.Dist (Inf if unreachable), ws.Parent and ws.ParentEdge (-1 for
@@ -184,18 +280,25 @@ func (c *CSR) Dijkstra(ws *Workspace, src int) {
 // a strictly larger distance, so at that point each target's Dist,
 // Parent and ParentEdge — and those of every node on its parent chain,
 // which sit at no larger distance — are final and bit-identical to a
-// full run, zero-weight ties included. Entries of other nodes may be
-// tentative. Empty targets is a full run, and snapshots that take the
-// heap fallback always run in full. Targets must be valid node ids;
-// duplicates are allowed.
+// full run, zero-weight ties included. Entries of other nodes the run
+// reached may be tentative; every node it did not reach, an unreachable
+// target included, reads Inf and -1. Empty targets is a full run, and
+// snapshots that take the heap fallback always run in full. Targets
+// must be valid node ids; duplicates are allowed.
 //
 // When targets names exactly one node other than src, the bidirectional
 // kernel runs instead: a backward search from the target meets the
 // forward search in the middle and prunes the forward search to nodes
 // that can lie on a shortest path (see dijkstraBidir), with the same
-// guarantee at the target. An unreachable single target ends the run as
-// soon as either search exhausts its component. With several distinct
-// targets an unreachable one runs the traversal to completion.
+// guarantee at the target. On a local geometric snapshot (see CSR) both
+// searches are goal-directed by a Euclidean potential scaled by κ, and
+// scan several times fewer rows. An unreachable single target ends the
+// run as soon as either search exhausts its component. With several
+// distinct targets an unreachable one runs the traversal to completion.
+//
+// A single-target run records the nodes it labels in ws, and the next
+// bucketed run on ws resets only those labels instead of all n (see
+// Workspace).
 func (c *CSR) DijkstraTo(ws *Workspace, src int, targets []int) {
 	if !c.bucketOK {
 		c.DijkstraHeap(ws, src)
@@ -231,6 +334,7 @@ func singleTarget(src int, targets []int) int {
 // edge weights panic when reached.
 func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 	ws.Reserve(c.n)
+	ws.labelsN = -1
 	dist := ws.Dist[:c.n]
 	parent := ws.Parent[:c.n]
 	parentEdge := ws.ParentEdge[:c.n]
@@ -278,11 +382,15 @@ func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
 
 // bucketSpan is the number of delta-width buckets spanning [0, maxW]:
 // the bucket width is maxW/bucketSpan, so one relaxation can jump at
-// most bucketSpan+1 buckets ahead and a circular array of
-// nBuckets = bucketSpan+2 slots always separates live windows.
+// most bucketSpan+1 buckets ahead. A goal-directed search keys nodes by
+// reduced weights, which reach 2·maxW, and needs finer buckets, since
+// its keys crowd near the shortest path: goalSpan buckets span
+// [0, 2·maxW]. A circular array of nBuckets = goalSpan+2 slots always
+// separates live windows of either search.
 const (
 	bucketSpan = 64
-	nBuckets   = bucketSpan + 2
+	goalSpan   = 512
+	nBuckets   = goalSpan + 2
 )
 
 // dijkstraBucket is the bucketed monotone-priority-queue kernel behind
@@ -298,7 +406,7 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 	ws.Reserve(c.n)
 	epoch, pending := ws.markTargets(targets)
 	visited := ws.visited
-	bs := c.startBuckets(ws, src)
+	bs := c.startBuckets(ws, src, c.maxW/bucketSpan)
 	dist, parent, parentEdge := bs.dist, bs.parent, bs.parentEdge
 	bNext, bPrev, bOf := bs.bNext, bs.bPrev, bs.bOf
 	head, delta, live := bs.head, bs.delta, bs.live
@@ -358,6 +466,10 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 			break // every target settled with this window
 		}
 	}
+	// This loop does not record the nodes it labels: the bookkeeping cost
+	// it about a tenth on HOT and ER traffic sets, whose runs label most
+	// of the graph, so the next run sweeps all n instead.
+	ws.labelsN = -1
 	ws.DijkstraScanned = scanned
 }
 
@@ -365,7 +477,8 @@ func (c *CSR) dijkstraBucket(ws *Workspace, src int, targets []int) {
 // 2^-16. The forward labels, the backward labels and μ add up the same
 // path's weights in different orders, so they can disagree by rounding —
 // at most a relative n·2^-52 on n-hop paths; the slack absorbs that, so
-// no node of the target's parent chain is ever pruned.
+// no node of the target's parent chain is ever pruned. The
+// goal-directed stop rule widens the target's key by the same margin.
 const bidirSlack = 1 + 0x1p-16
 
 // dijkstraBidir is the single-target kernel behind DijkstraTo
@@ -381,10 +494,26 @@ const bidirSlack = 1 + 0x1p-16
 //     reaches μ, or the backward queue runs dry.
 //  2. Complete: only the forward search continues. It skips the row of
 //     any node whose forward label plus a lower bound on its distance to
-//     tgt — its backward label, or the backward queue's minimum if that
-//     is smaller — exceeds μ·bidirSlack, and it stops by
-//     dijkstraBucket's rule, once the window in which tgt was first
-//     dequeued has drained.
+//     tgt — its backward label, or the bound the backward queue's
+//     minimum gives if that is smaller — exceeds μ·bidirSlack, and it
+//     stops by dijkstraBucket's rule, once the window in which tgt was
+//     first dequeued has drained.
+//
+// On a goal-directed snapshot (c.kappa > 0) both searches are A*
+// searches (Ikeda et al. 1994; Goldberg & Harrelson) under the averaged
+// potential p(v) = κ'(|v−t| − |v−s|)/2: the forward queue is keyed by
+// d(v) + p(v) − p(s) and the backward queue by dB(v) + p(t) − p(v).
+// Both potentials are feasible, since |p(u) − p(v)| ≤ κ'|u−v| never
+// exceeds the weight of an edge u–v, and they sum to a constant, so
+// phase 1 ends by the same test with μ shifted by p(t) − p(s). Reduced
+// edge weights lie in [0, 2w], so goalSpan buckets span [0, 2·maxW]; a
+// key that rounding puts below the current bucket is queued in the
+// current one. Phase 2 also prunes by the Euclidean bound κ'|v−t| and
+// reads the backward queue's bound through the potential; it stops
+// after the first window whose end exceeds the target's key widened by
+// bidirSlack. A node on a shortest path to tgt has a key no larger than
+// tgt's, up to rounding that the widening covers, so that window holds
+// every such node.
 //
 // A node on tgt's parent chain lies on a shortest path, so its forward
 // label plus its distance to tgt is within rounding of μ and it is never
@@ -398,7 +527,17 @@ const bidirSlack = 1 + 0x1p-16
 func (c *CSR) dijkstraBidir(ws *Workspace, src, tgt int) {
 	ws.Reserve(c.n)
 	ws.reserveBackward(c.n)
-	bs := c.startBuckets(ws, src)
+	goal := c.kappa > 0
+	delta := c.maxW / bucketSpan
+	var pot potential
+	var ps, pt float64 // p(s), p(t)
+	if goal {
+		pot = c.potential(src, tgt)
+		ps, _ = pot.at(int32(src))
+		pt, _ = pot.at(int32(tgt))
+		delta = 2 * c.maxW / goalSpan
+	}
+	bs := c.startBuckets(ws, src, delta)
 	epoch := ws.nextEpoch()
 	seen, distB := ws.visited, ws.distB[:c.n]
 	seen[tgt] = epoch
@@ -415,7 +554,7 @@ search:
 		floor := float64(k) * bs.delta
 		for bs.head[s] >= 0 {
 			if meeting {
-				if len(hn) == 0 || floor+hd[0] >= mu {
+				if len(hn) == 0 || floor+hd[0] >= mu+(pt-ps) {
 					meeting = false
 					if len(hn) > 0 {
 						lbB = hd[0]
@@ -424,9 +563,15 @@ search:
 					}
 					bound = mu * bidirSlack
 				} else if len(hn) < bs.live {
-					u, du := hn[0], hd[0]
+					u, ku := hn[0], hd[0]
 					hn, hd = heapPop(hn, hd)
-					if du > distB[u] {
+					du := distB[u]
+					if goal {
+						pu, _ := pot.at(u)
+						if ku > du+(pt-pu) {
+							continue // stale lazy-heap entry
+						}
+					} else if ku > du {
 						continue // stale lazy-heap entry
 					}
 					scanned++
@@ -436,7 +581,12 @@ search:
 						if nd < Inf && (seen[v] != epoch || nd < distB[v]) {
 							seen[v] = epoch
 							distB[v] = nd
-							hn, hd = heapPush(hn, hd, v, nd)
+							key := nd
+							if goal {
+								pv, _ := pot.at(v)
+								key = nd + (pt - pv)
+							}
+							hn, hd = heapPush(hn, hd, v, key)
 							if m := nd + bs.dist[v]; m < mu {
 								mu = m
 							}
@@ -452,10 +602,16 @@ search:
 			du := bs.dist[u]
 			if !meeting {
 				lb := lbB
+				var toT float64
+				if goal {
+					var pu float64
+					pu, toT = pot.at(u)
+					lb += pu - pt
+				}
 				if seen[u] == epoch && distB[u] < lb {
 					lb = distB[u]
 				}
-				if du+lb > bound {
+				if du+max(lb, c.kappa*toT) > bound {
 					continue // on no path shorter than μ
 				}
 			}
@@ -467,20 +623,63 @@ search:
 				if nd > old {
 					continue
 				}
-				bs.relax(u, v, c.edgeID[j], nd)
-				if nd < old && seen[v] == epoch {
+				if nd == old {
+					bs.tie(u, v, c.edgeID[j])
+					continue
+				}
+				b := int(nd / bs.delta)
+				if goal {
+					pv, _ := pot.at(v)
+					b = max(int((nd+(pv-ps))/bs.delta), k)
+				}
+				bs.improve(u, v, c.edgeID[j], nd, b)
+				if seen[v] == epoch {
 					if m := nd + distB[v]; m < mu {
 						mu = m
 					}
 				}
 			}
 		}
-		if tgtSeen {
+		if goal {
+			if dt := bs.dist[tgt]; dt < Inf && dt+(pt-ps)+float64(dt*(bidirSlack-1)) < float64(k+1)*bs.delta {
+				break // every node of a shortest path has a key in a drained window
+			}
+		} else if tgtSeen {
 			break // the window that dequeued tgt has drained
 		}
 	}
 	ws.heapNode, ws.heapDist = hn, hd
+	ws.queue = bs.touched
 	ws.DijkstraScanned = scanned
+}
+
+// potential evaluates the averaged Euclidean potential of one
+// goal-directed single-target run from s to t.
+type potential struct {
+	xy             []float64
+	sx, sy, tx, ty float64
+	half           float64 // κ'/2
+}
+
+// potential returns the potential of a run from src to tgt; c.kappa
+// must be positive.
+func (c *CSR) potential(src, tgt int) potential {
+	return potential{
+		xy: c.xy,
+		sx: c.xy[2*src], sy: c.xy[2*src+1],
+		tx: c.xy[2*tgt], ty: c.xy[2*tgt+1],
+		half: c.kappa / 2,
+	}
+}
+
+// at returns p(v) = κ'(|v−t| − |v−s|)/2 and the distance |v−t|. The
+// conversions round each square, so no platform fuses a multiply-add
+// and the potential, hence the work a run does, is the same everywhere.
+func (p *potential) at(v int32) (pv, toT float64) {
+	x, y := p.xy[2*v], p.xy[2*v+1]
+	tx, ty, sx, sy := x-p.tx, y-p.ty, x-p.sx, y-p.sy
+	toT = math.Sqrt(float64(tx*tx) + float64(ty*ty))
+	return p.half * (toT - math.Sqrt(float64(sx*sx)+float64(sy*sy))), toT
 }
 
 // betterParent applies the smallest-id tie-break: candidate (u, e)
@@ -491,9 +690,9 @@ func betterParent(u, e, p, pe int32) bool {
 
 // bucketState bundles the bucketed queue's bookkeeping. startBuckets
 // resets it for both bucketed kernels; the bidirectional kernel's
-// forward search advances it through pop and relax, while
+// forward search advances it through pop, improve and tie, while
 // dijkstraBucket inlines the same steps in its hot loop, since the
-// compiler does not inline relax. All fields alias Workspace storage.
+// compiler does not inline improve. All fields alias Workspace storage.
 type bucketState struct {
 	dist               []float64
 	parent, parentEdge []int32
@@ -501,12 +700,19 @@ type bucketState struct {
 	head               *[nBuckets]int32
 	delta              float64
 	live               int
+	// touched lists every node whose label this run has set, in the
+	// order it was first set. It is ws.queue, which no Dijkstra kernel
+	// uses as a queue, reserved to n, so appends never reallocate.
+	touched []int32
 }
 
-// startBuckets resets ws's labels and bucket queue for a run from src —
-// every node at Inf with no parent, src alone in bucket 0 — and returns
-// the queue state over that storage. ws must be reserved to c.n.
-func (c *CSR) startBuckets(ws *Workspace, src int) bucketState {
+// startBuckets resets ws's labels and bucket queue for a run from src
+// with bucket width delta — every node at Inf with no parent, src alone
+// in bucket 0 — and returns the queue state over that storage. ws must
+// be reserved to c.n. When the labels are as the last single-target run
+// on ws left them (ws.labelsN == c.n), only the nodes that run touched
+// are reset; every other entry still holds Inf and -1.
+func (c *CSR) startBuckets(ws *Workspace, src int, delta float64) bucketState {
 	bs := bucketState{
 		dist:       ws.Dist[:c.n],
 		parent:     ws.Parent[:c.n],
@@ -515,14 +721,25 @@ func (c *CSR) startBuckets(ws *Workspace, src int) bucketState {
 		bPrev:      ws.bktPrev[:c.n],
 		bOf:        ws.bktOf[:c.n],
 		head:       &ws.bktHead,
-		delta:      c.maxW / bucketSpan,
+		delta:      delta,
+		touched:    ws.queue[:0],
 	}
-	for i := range bs.dist {
-		bs.dist[i] = Inf
-		bs.parent[i] = -1
-		bs.parentEdge[i] = -1
-		bs.bOf[i] = -1
+	if ws.labelsN == c.n {
+		for _, v := range ws.queue {
+			bs.dist[v] = Inf
+			bs.parent[v] = -1
+			bs.parentEdge[v] = -1
+			bs.bOf[v] = -1
+		}
+	} else {
+		for i := range bs.dist {
+			bs.dist[i] = Inf
+			bs.parent[i] = -1
+			bs.parentEdge[i] = -1
+			bs.bOf[i] = -1
+		}
 	}
+	ws.labelsN = c.n
 	if c.n == 0 {
 		return bs // live 0: nothing to settle
 	}
@@ -535,6 +752,7 @@ func (c *CSR) startBuckets(ws *Workspace, src int) bucketState {
 	bs.bNext[src] = -1
 	bs.head[0] = int32(src)
 	bs.live = 1
+	bs.touched = append(bs.touched, int32(src))
 	return bs
 }
 
@@ -551,41 +769,46 @@ func (bs *bucketState) pop(s int) int32 {
 	return u
 }
 
-// relax applies one candidate edge (u -> v via half-edge j of weight
-// sum nd): a strict improvement updates the distance and moves v to its
-// new bucket (decrease-key), an equal distance applies the
-// smallest-id/smallest-edge-id parent tie-break. The end state after a
-// set of relaxations does not depend on their order: improvements are
-// strict and the tie-break is a total order.
-func (bs *bucketState) relax(u, v, e int32, nd float64) {
-	if nd < bs.dist[v] {
-		bs.dist[v] = nd
-		bs.parent[v] = u
-		bs.parentEdge[v] = e
-		t := int32(int(nd/bs.delta) % nBuckets)
-		if bs.bOf[v] == t {
-			return // queued in the right bucket already
-		}
-		if bs.bOf[v] >= 0 { // decrease-key: unlink from old bucket
-			if bs.bPrev[v] >= 0 {
-				bs.bNext[bs.bPrev[v]] = bs.bNext[v]
-			} else {
-				bs.head[bs.bOf[v]] = bs.bNext[v]
-			}
-			if bs.bNext[v] >= 0 {
-				bs.bPrev[bs.bNext[v]] = bs.bPrev[v]
-			}
+// improve lowers v's label to nd, reached from u over edge e, and moves
+// v to bucket index b (decrease-key). nd must be below v's label.
+// Improvements are strict and tie applies a total order, so the end
+// state after a set of relaxations does not depend on their order.
+func (bs *bucketState) improve(u, v, e int32, nd float64, b int) {
+	if bs.dist[v] == Inf {
+		bs.touched = append(bs.touched, v)
+	}
+	bs.dist[v] = nd
+	bs.parent[v] = u
+	bs.parentEdge[v] = e
+	t := int32(b % nBuckets)
+	if bs.bOf[v] == t {
+		return // queued in the right bucket already
+	}
+	if bs.bOf[v] >= 0 { // decrease-key: unlink from old bucket
+		if bs.bPrev[v] >= 0 {
+			bs.bNext[bs.bPrev[v]] = bs.bNext[v]
 		} else {
-			bs.live++
+			bs.head[bs.bOf[v]] = bs.bNext[v]
 		}
-		bs.bOf[v] = t
-		bs.bPrev[v] = -1
-		bs.bNext[v] = bs.head[t]
-		if bs.head[t] >= 0 {
-			bs.bPrev[bs.head[t]] = v
+		if bs.bNext[v] >= 0 {
+			bs.bPrev[bs.bNext[v]] = bs.bPrev[v]
 		}
-		bs.head[t] = v
-	} else if nd == bs.dist[v] && betterParent(u, e, bs.parent[v], bs.parentEdge[v]) {
+	} else {
+		bs.live++
+	}
+	bs.bOf[v] = t
+	bs.bPrev[v] = -1
+	bs.bNext[v] = bs.head[t]
+	if bs.head[t] >= 0 {
+		bs.bPrev[bs.head[t]] = v
+	}
+	bs.head[t] = v
+}
+
+// tie applies the smallest-id/smallest-edge-id parent tie-break for a
+// candidate (u, e) at v's current distance.
+func (bs *bucketState) tie(u, v, e int32) {
+	if betterParent(u, e, bs.parent[v], bs.parentEdge[v]) {
 		bs.parent[v] = u
 		bs.parentEdge[v] = e
 	}
@@ -676,6 +899,7 @@ func (c *CSR) BFSTopDown(ws *Workspace, src int) {
 // workers > 1 parallelizes the bottom-up levels.
 func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 	ws.Reserve(c.n)
+	ws.labelsN = -1 // BFS overwrites Parent and queue
 	rowStart, nbrs := c.rowStart, c.bfsNbr
 	hop := ws.Hop[:c.n]
 	parent := ws.Parent[:c.n]
@@ -838,6 +1062,7 @@ func (c *CSR) Eccentricity(ws *Workspace, src int) int {
 // epochs, so repeated calls do not re-clear an O(n) array.
 func (c *CSR) LargestComponentMasked(ws *Workspace, removed []bool) int {
 	ws.Reserve(c.n)
+	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
 	epoch := ws.nextEpoch()
 	visited := ws.visited
 	best := 0
@@ -876,6 +1101,7 @@ func (c *CSR) LargestComponentMasked(ws *Workspace, removed []bool) int {
 // its id space (the missing tail is present) or nil.
 func (c *CSR) LargestComponentMixedMasked(ws *Workspace, removedNode, removedEdge []bool) int {
 	ws.Reserve(c.n)
+	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
 	epoch := ws.nextEpoch()
 	visited := ws.visited
 	best := 0
@@ -917,6 +1143,7 @@ func (c *CSR) LargestComponentMixedMasked(ws *Workspace, removedNode, removedEdg
 // missing tail as present.
 func (c *CSR) LargestComponentEdgeMasked(ws *Workspace, removedEdge []bool) int {
 	ws.Reserve(c.n)
+	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
 	epoch := ws.nextEpoch()
 	visited := ws.visited
 	best := 0

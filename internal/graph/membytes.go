@@ -22,13 +22,14 @@ func (g *Graph) MemBytes() int64 {
 
 // MemBytes reports the snapshot's heap footprint in bytes: the int32 CSR
 // arrays (rowStart, nbr, edgeID and the sorted bfsNbr mirror) plus the
-// float64 weights. Freeze allocates every array at its final length, so
-// for a graph of n nodes and m edges this is exactly 4(n+1) + 40m.
+// float64 weights and, on a goal-directed snapshot, coordinates. Freeze
+// allocates every array at its final length, so for a graph of n nodes
+// and m edges this is exactly 4(n+1) + 40m, plus 16n with coordinates.
 // Pooled per-workspace scratch (including the parallel BFS shard
 // counters) is deliberately not charged — it is shared across
 // snapshots, not retained per snapshot.
 func (c *CSR) MemBytes() int64 {
 	const i32, f64 = 4, 8
 	n := cap(c.rowStart) + cap(c.nbr) + cap(c.edgeID) + cap(c.bfsNbr)
-	return i32*int64(n) + f64*int64(cap(c.weight))
+	return i32*int64(n) + f64*int64(cap(c.weight)+cap(c.xy))
 }

@@ -7,12 +7,24 @@ import (
 
 func TestCSRMemBytesExact(t *testing.T) {
 	for _, n := range []int{2, 10, 100} {
-		c := pathGraph(n).Freeze()
+		g := pathGraph(n)
+		c := g.Freeze()
 		m := int64(n - 1)
 		// rowStart: 4(n+1); nbr+edgeID+bfsNbr: 3 * 4 * 2m; weight: 8 * 2m.
 		want := 4*int64(n+1) + 40*m
 		if got := c.MemBytes(); got != want {
 			t.Errorf("n=%d: CSR.MemBytes = %d, want %d", n, got, want)
+		}
+		if n < 10 {
+			continue // two nodes on a line are one edge apart: not local
+		}
+		// The same path laid out on a line is local and keeps its
+		// coordinates, 16 B per node.
+		for i := 0; i < n; i++ {
+			g.Node(i).X = float64(i)
+		}
+		if got := g.Freeze().MemBytes(); got != want+16*int64(n) {
+			t.Errorf("n=%d on a line: CSR.MemBytes = %d, want %d", n, got, want+16*int64(n))
 		}
 	}
 }

@@ -5,23 +5,35 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
 // TestDijkstraScanned pins the Workspace.DijkstraScanned work count on
-// a 10k-node BA and ER graph. A full heap run scans each reachable row
-// exactly once, and the bucketed full run at least once. Over 50 seeded
-// (source, target) pairs, single-target DijkstraTo reports the same
-// count when repeated and scans at most a tenth of the rows the
-// unidirectional bounded kernel scans for the same pairs.
+// a 10k-node BA, ER and HOT graph. A full heap run scans each reachable
+// row exactly once, and the bucketed full run at least once. Over 50
+// seeded (source, target) pairs, single-target DijkstraTo reports the
+// same count when repeated and scans at most a tenth of the rows the
+// unidirectional bounded kernel scans for the same pairs. The totals
+// are pinned exactly: BA and ER, whose edges join random node pairs,
+// keep the undirected bidirectional search, and HOT, whose edges are
+// local, runs the goal-directed one.
 func TestDijkstraScanned(t *testing.T) {
 	graphs := []struct {
 		name  string
 		build func() (*graph.Graph, error)
+		rows  int // single-target rows over the 50 pairs
 	}{
-		{"ba", func() (*graph.Graph, error) { return gen.BarabasiAlbert(10000, 2, 1) }},
-		{"er", func() (*graph.Graph, error) { return gen.ErdosRenyiGNM(10000, 20000, 1) }},
+		{"ba", func() (*graph.Graph, error) { return gen.BarabasiAlbert(10000, 2, 1) }, 5314},
+		{"er", func() (*graph.Graph, error) { return gen.ErdosRenyiGNM(10000, 20000, 1) }, 8645},
+		{"hot", func() (*graph.Graph, error) {
+			g, _, err := core.GrowHOT(core.HOTConfig{
+				N: 10000, Seed: 1, LinksPerArrival: 2,
+				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+			})
+			return g, err
+		}, 15303},
 	}
 	for _, gr := range graphs {
 		g, err := gr.build()
@@ -69,6 +81,9 @@ func TestDijkstraScanned(t *testing.T) {
 			gr.name, bidir, uni, float64(uni)/float64(bidir))
 		if 10*bidir > uni {
 			t.Fatalf("%s: single-target DijkstraTo scanned %d rows, more than a tenth of the unidirectional %d", gr.name, bidir, uni)
+		}
+		if bidir != gr.rows {
+			t.Fatalf("%s: single-target DijkstraTo scanned %d rows over 50 pairs, pinned at %d", gr.name, bidir, gr.rows)
 		}
 	}
 }

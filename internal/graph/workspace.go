@@ -10,12 +10,17 @@ import "sync"
 // them so multi-source sweeps run allocation-free after warmup.
 //
 // The exported slices hold kernel outputs. After CSR.Dijkstra: Dist,
-// Parent, ParentEdge (after a bounded CSR.DijkstraTo, only at the
-// targets and along their parent chains). After CSR.BFS: Hop, Parent.
-// Their contents are valid until the next kernel call on the same
-// Workspace. A single-target CSR.DijkstraTo also keeps its backward
-// search's distances here, in one more float64 per node grown on its
-// first run.
+// Parent, ParentEdge. After a bounded CSR.DijkstraTo the same entries
+// are final at the targets and along their parent chains, tentative at
+// other nodes the run reached, and Inf and -1 at every node it did not
+// reach. After CSR.BFS: Hop, Parent. Their contents are valid until the
+// next kernel call on the same Workspace, and callers must not write
+// them: after a single-target CSR.DijkstraTo, the next bucketed run
+// resets only the labels that one set, trusting every other entry to
+// still hold Inf and -1 (after any other kernel, or buffer growth, it
+// resets all n). A
+// single-target CSR.DijkstraTo also keeps its backward search's
+// distances here, in one more float64 per node grown on its first run.
 type Workspace struct {
 	// Dist is the weighted distance per node (Inf when unreachable).
 	Dist []float64
@@ -39,9 +44,12 @@ type Workspace struct {
 
 	heapNode []int32
 	heapDist []float64
-	queue    []int32
-	visited  []uint32
-	epoch    uint32
+	// queue is the BFS and masked-component queue, and after a
+	// single-target Dijkstra run the list of nodes it labelled (see
+	// labelsN).
+	queue   []int32
+	visited []uint32
+	epoch   uint32
 
 	// distB holds the single-target Dijkstra's backward distances to its
 	// target. An entry is valid only where visited carries that run's
@@ -70,6 +78,17 @@ type Workspace struct {
 	bktPrev []int32
 	bktOf   []int32
 	bktHead [nBuckets]int32
+
+	// labelsN is the node count of the last single-target Dijkstra run
+	// while that run's labels are intact: queue then lists the nodes
+	// whose Dist, Parent, ParentEdge or bktOf entry it set, and every
+	// other entry of those arrays still holds Inf or -1, so the next
+	// bucketed run resets only the listed nodes instead of all n. It is
+	// -1 once another kernel or a reallocation may have broken that:
+	// BFS and the masked-component kernels reuse queue, and the heap
+	// kernel and the multi-target bucketed kernel write labels they do
+	// not list.
+	labelsN int
 }
 
 // NewWorkspace returns a Workspace sized for n-node graphs.
@@ -85,6 +104,9 @@ func NewWorkspace(n int) *Workspace {
 // some buffers (or a future partial-growth path) can never leave another
 // kernel with a short one.
 func (ws *Workspace) Reserve(n int) {
+	if cap(ws.Dist) < n || cap(ws.Parent) < n || cap(ws.ParentEdge) < n || cap(ws.bktOf) < n || cap(ws.queue) < n {
+		ws.labelsN = -1 // fresh arrays hold zeros, not Inf and -1
+	}
 	if cap(ws.Dist) < n {
 		ws.Dist = make([]float64, n)
 	}

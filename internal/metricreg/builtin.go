@@ -549,11 +549,22 @@ func (a *spectralAcc) Run(ctx context.Context, src *Source, _ int) error {
 		return nil
 	}
 	c := src.CSR()
-	n := c.NumNodes()
-	if n < 2 {
+	if c.NumNodes() < 2 {
 		return nil
 	}
-	iters := a.iters
+	gap, err := spectralGap(ctx, c, a.iters)
+	if err != nil {
+		return err
+	}
+	a.val = Value{Scalar: gap}
+	return nil
+}
+
+// spectralGap runs the power iteration behind spectralAcc on c, which
+// must have at least two nodes; it reports 0 when the iteration
+// degenerates.
+func spectralGap(ctx context.Context, c *graph.CSR, iters int) (float64, error) {
+	n := c.NumNodes()
 	if iters <= 0 {
 		iters = 200
 	}
@@ -582,10 +593,11 @@ func (a *spectralAcc) Run(ctx context.Context, src *Source, _ int) error {
 		x[i] = r.Float64() - 0.5
 	}
 	y := make([]float64, n)
+	xs := make([]float64, n) // x[u] / sqrt(deg u)
 	var mu float64
 	for it := 0; it < iters; it++ {
 		if err := errs.Ctx(ctx); err != nil {
-			return err
+			return 0, err
 		}
 		// Deflate: x ← x - (v1·x) v1.
 		dot := 0.0
@@ -596,18 +608,18 @@ func (a *spectralAcc) Run(ctx context.Context, src *Source, _ int) error {
 			x[i] -= dot * v1[i]
 		}
 		// y = (N + I)/2 * x  — shift to make all eigenvalues non-negative,
-		// preserving order. (N's spectrum lies in [-1, 1].)
-		for i := range y {
-			y[i] = 0
+		// preserving order. (N's spectrum lies in [-1, 1].) Each y[v]
+		// gathers (x[u]·invSqrtDeg[u])·invSqrtDeg[v] over v's sorted row:
+		// the terms, in the order, of a scatter over u = 0..n-1.
+		for u := range xs {
+			xs[u] = x[u] * invSqrtDeg[u]
 		}
-		for u := 0; u < n; u++ {
-			if invSqrtDeg[u] == 0 {
-				continue
+		for v := range y {
+			w, acc := invSqrtDeg[v], 0.0
+			for _, u := range c.SortedRow(v) {
+				acc += xs[u] * w
 			}
-			xu := x[u]
-			c.Neighbors(u, func(v int, _ int, _ float64) {
-				y[v] += xu * invSqrtDeg[u] * invSqrtDeg[v]
-			})
+			y[v] = acc
 		}
 		for i := range y {
 			y[i] = (y[i] + x[i]) / 2
@@ -619,7 +631,7 @@ func (a *spectralAcc) Run(ctx context.Context, src *Source, _ int) error {
 			den += x[i] * x[i]
 		}
 		if den == 0 {
-			return nil
+			return 0, nil
 		}
 		shifted := num / den
 		mu = 2*shifted - 1
@@ -630,18 +642,13 @@ func (a *spectralAcc) Run(ctx context.Context, src *Source, _ int) error {
 		}
 		ynorm = math.Sqrt(ynorm)
 		if ynorm == 0 {
-			return nil
+			return 0, nil
 		}
 		for i := range y {
 			x[i] = y[i] / ynorm
 		}
 	}
-	lambda2 := 1 - mu
-	if lambda2 < 0 {
-		lambda2 = 0
-	}
-	a.val = Value{Scalar: lambda2}
-	return nil
+	return max(1-mu, 0), nil
 }
 
 func (a *spectralAcc) Finalize() Value { return a.val }
@@ -659,48 +666,53 @@ func (a *clusteringAcc) Run(ctx context.Context, src *Source, _ int) error {
 	if err := errs.Ctx(ctx); err != nil {
 		return err
 	}
-	c := src.CSR()
+	if cc, ok := avgClustering(src.CSR()); ok {
+		a.val = Value{Scalar: cc}
+	}
+	return nil
+}
+
+// avgClustering returns the average local clustering coefficient of c,
+// with ok false when no node has two distinct neighbours. It marks u's
+// distinct neighbours, then counts each marked id in each neighbour's
+// deduplicated sorted row, which finds every linked neighbour pair
+// twice.
+func avgClustering(c *graph.CSR) (float64, bool) {
 	n := c.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	// Build deduplicated neighbour sets once.
-	nbrs := make([]map[int]bool, n)
-	for u := 0; u < n; u++ {
-		set := make(map[int]bool)
-		c.Neighbors(u, func(v, _ int, _ float64) {
-			set[v] = true
-		})
-		nbrs[u] = set
-	}
+	mark := make([]int32, n) // mark[w] == u+1: w neighbours u
 	total := 0.0
 	counted := 0
 	for u := 0; u < n; u++ {
-		deg := len(nbrs[u])
+		row := c.SortedRow(u)
+		deg := 0
+		for i, w := range row {
+			if i == 0 || w != row[i-1] {
+				mark[w] = int32(u + 1)
+				deg++
+			}
+		}
 		if deg < 2 {
 			continue
 		}
 		links := 0
-		// Count edges among neighbours.
-		neighbors := make([]int, 0, deg)
-		for v := range nbrs[u] {
-			neighbors = append(neighbors, v)
-		}
-		for i := 0; i < len(neighbors); i++ {
-			for j := i + 1; j < len(neighbors); j++ {
-				if nbrs[neighbors[i]][neighbors[j]] {
+		for i, a := range row {
+			if i > 0 && a == row[i-1] {
+				continue
+			}
+			nr := c.SortedRow(int(a))
+			for j, b := range nr {
+				if (j == 0 || b != nr[j-1]) && mark[b] == int32(u+1) {
 					links++
 				}
 			}
 		}
-		total += 2 * float64(links) / (float64(deg) * float64(deg-1))
+		total += float64(links) / (float64(deg) * float64(deg-1))
 		counted++
 	}
 	if counted == 0 {
-		return nil
+		return 0, false
 	}
-	a.val = Value{Scalar: total / float64(counted)}
-	return nil
+	return total / float64(counted), true
 }
 
 func (a *clusteringAcc) Finalize() Value { return a.val }

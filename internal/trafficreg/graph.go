@@ -25,18 +25,7 @@ func SiteGeography(g *graph.Graph, k int) (*traffic.Geography, []int) {
 	if k <= 0 || k > n {
 		k = n
 	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		da, db := g.Degree(ids[a]), g.Degree(ids[b])
-		if da != db {
-			return da > db
-		}
-		return ids[a] < ids[b]
-	})
-	ids = ids[:k]
+	ids := topDegree(g, k)
 	geo := &traffic.Geography{Region: geom.UnitSquare}
 	for rank, id := range ids {
 		nd := g.Node(id)
@@ -47,6 +36,51 @@ func SiteGeography(g *graph.Graph, k int) (*traffic.Geography, []int) {
 		})
 	}
 	return geo, ids
+}
+
+// topDegree returns the k highest-degree node ids of g, ties to the
+// lower id, in that order. It keeps the best k seen so far in a heap
+// whose root is the worst of them, so it costs O(n log k) rather than a
+// sort of all n ids; 1 <= k <= n.
+func topDegree(g *graph.Graph, k int) []int {
+	better := func(a, b int) bool {
+		da, db := g.Degree(a), g.Degree(b)
+		return da > db || (da == db && a < b)
+	}
+	h := make([]int, 0, k)
+	for u := 0; u < g.NumNodes(); u++ {
+		if len(h) < k {
+			h = append(h, u)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if !better(h[p], h[i]) {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
+		}
+		if !better(u, h[0]) {
+			continue
+		}
+		h[0] = u
+		for i := 0; ; {
+			w := i // the worst of i and its children
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < k && better(h[w], h[c]) {
+					w = c
+				}
+			}
+			if w == i {
+				break
+			}
+			h[i], h[w] = h[w], h[i]
+			i = w
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return better(h[a], h[b]) })
+	return h
 }
 
 // EnsureCapacities returns a topology whose every edge has positive

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/errs"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/traffic"
 )
 
@@ -325,6 +328,49 @@ func TestSiteGeographyRanksByDegree(t *testing.T) {
 	for i, id := range ids {
 		if geo.Cities[i].Population != float64(g.Degree(id)+1) {
 			t.Fatalf("site %d population %v, want degree+1 = %d", i, geo.Cities[i].Population, g.Degree(id)+1)
+		}
+	}
+}
+
+// TestTopDegreeMatchesSort pins the bounded site selection to a stable
+// sort of every node id by (degree descending, id ascending), the way
+// sites were picked before, on graphs full of degree ties (a path, a
+// star with equal leaves, BA, an edgeless graph) for every k from 1 to
+// n.
+func TestTopDegreeMatchesSort(t *testing.T) {
+	ba, err := gen.BarabasiAlbert(60, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, star, empty := graph.New(9), graph.New(9), graph.New(5)
+	for i := 0; i < 9; i++ {
+		path.AddNode(graph.Node{})
+		star.AddNode(graph.Node{})
+	}
+	for i := 0; i < 5; i++ {
+		empty.AddNode(graph.Node{})
+	}
+	for i := 1; i < 9; i++ {
+		path.AddEdge(graph.Edge{U: i - 1, V: i})
+		star.AddEdge(graph.Edge{U: 4, V: i - 1 + i/5})
+	}
+	for _, g := range []*graph.Graph{ba, path, star, empty} {
+		n := g.NumNodes()
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool {
+			da, db := g.Degree(want[a]), g.Degree(want[b])
+			if da != db {
+				return da > db
+			}
+			return want[a] < want[b]
+		})
+		for k := 1; k <= n; k++ {
+			if got := topDegree(g, k); !slices.Equal(got, want[:k]) {
+				t.Fatalf("n=%d k=%d: topDegree %v, sorted %v", n, k, got, want[:k])
+			}
 		}
 	}
 }

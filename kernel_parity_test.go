@@ -1,6 +1,7 @@
 package hotgen
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
 // Kernel parity suite: the direction-optimizing BFS and the bucketed
@@ -30,6 +32,43 @@ func parityModels() []parityModel {
 		{"waxman", func(seed int64) (*graph.Graph, error) { return gen.Waxman(300, 0.1, 0.5, seed) }},
 		{"fkp", func(seed int64) (*graph.Graph, error) { return core.FKP(core.FKPConfig{N: 300, Alpha: 8, Seed: seed}) }},
 	}
+}
+
+// geoModels are small geographic designs for the goal-directed
+// single-target search, drawn through the scenario registry: HOT, ISP,
+// the multi-ISP internet (whose co-located customers add zero-length,
+// zero-weight edges) and the SONET ring design. parityModels already
+// holds FKP and Waxman, which run it too, and BA and ER, which do not.
+func geoModels() []parityModel {
+	byName := func(name string, p scenario.Params) func(seed int64) (*graph.Graph, error) {
+		return func(seed int64) (*graph.Graph, error) {
+			q := scenario.Params{"seed": float64(seed)}
+			for k, v := range p {
+				q[k] = v
+			}
+			return scenario.Default().GenerateByName(context.Background(), name, q)
+		}
+	}
+	return []parityModel{
+		{"hot", byName("hot", scenario.Params{"n": 300, "links": 2})},
+		{"isp", byName("isp", scenario.Params{"cities": 8, "pops": 4, "customers": 250})},
+		{"internet", byName("internet", scenario.Params{"cities": 8, "isps": 3, "pops": 3, "customers": 60})},
+		{"ring", byName("ring", scenario.Params{"n": 250})},
+	}
+}
+
+// raceEnabled is set by race_test.go when the tests run under the race
+// detector.
+var raceEnabled bool
+
+// originCopy returns a copy of g with every node at the origin, which
+// leaves no positive-length edge and so no goal-directed search.
+func originCopy(g *graph.Graph) *graph.Graph {
+	o := g.Clone()
+	for i := 0; i < o.NumNodes(); i++ {
+		o.Node(i).X, o.Node(i).Y = 0, 0
+	}
+	return o
 }
 
 // degreeMask returns the ids of the ceil(frac*n) highest-degree nodes
@@ -416,18 +455,19 @@ func disjointUnion(g *graph.Graph) *graph.Graph {
 }
 
 // TestDijkstraToParityAcrossModels pins the target-bounded Dijkstra to
-// certified labels on every model, plain and on a unit-weight copy: the
-// heap reference run from each source must pass checkSPCertificate, and
-// at each target DijkstraTo's Dist and whole Parent/ParentEdge chain
-// back to the source must equal the reference, bit for bit. Target sets:
-// one far node, a source-adjacent node, a node in the other component of
-// a two-component graph, four nodes scattered over the source's
-// component, and all nodes. The three single-node sets run the
-// bidirectional kernel; the scattered set is the shape routing and the
-// traffic metrics hand the bucketed kernel, which stops once its
-// targets settle.
+// certified labels on every model and geographic design, plain, on a
+// unit-weight copy that keeps the coordinates, and on a copy with every
+// node at the origin: the heap reference run from each source must pass
+// checkSPCertificate, and at each target DijkstraTo's Dist and whole
+// Parent/ParentEdge chain back to the source must equal the reference,
+// bit for bit. Target sets: one far node, a source-adjacent node, a node
+// in the other component of a two-component graph, four nodes scattered
+// over the source's component, and all nodes. The three single-node sets
+// run the bidirectional kernel, goal-directed on the local designs; the
+// scattered set is the shape routing and the traffic metrics hand the
+// bucketed kernel, which stops once its targets settle.
 func TestDijkstraToParityAcrossModels(t *testing.T) {
-	for _, m := range parityModels() {
+	for _, m := range append(parityModels(), geoModels()...) {
 		for _, seed := range []int64{1, 2} {
 			g, err := m.build(seed)
 			if err != nil {
@@ -436,7 +476,7 @@ func TestDijkstraToParityAcrossModels(t *testing.T) {
 			for _, variant := range []struct {
 				name string
 				g    *graph.Graph
-			}{{"plain", g}, {"unit", unitCopy(g)}} {
+			}{{"plain", g}, {"unit", unitCopy(g)}, {"origin", originCopy(g)}} {
 				n := variant.g.NumNodes()
 				c := disjointUnion(variant.g).Freeze()
 				all := make([]int, 2*n)
@@ -472,6 +512,55 @@ func TestDijkstraToParityAcrossModels(t *testing.T) {
 				ref.Release()
 				ws.Release()
 			}
+		}
+	}
+}
+
+// TestDijkstraToSingleTargetModelPairs runs single-target DijkstraTo
+// for every ordered pair of nodes on each geographic design: the heap
+// reference run from each source must pass checkSPCertificate, and each
+// target's Dist and whole Parent/ParentEdge chain must equal it bit for
+// bit. Their plain snapshots run the goal-directed search. The race
+// detector, which slows the test about tenfold, checks every seventh
+// source.
+func TestDijkstraToSingleTargetModelPairs(t *testing.T) {
+	stride := 1
+	if raceEnabled {
+		stride = 7
+	}
+	models := append(geoModels(), parityModels()[2:]...) // + waxman, fkp
+	for _, m := range models {
+		g, err := m.build(1)
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		{
+			c := g.Freeze()
+			n := c.NumNodes()
+			ref := graph.GetWorkspace(n)
+			ws := graph.GetWorkspace(n)
+			label := m.name
+			target := make([]int, 1)
+			for src := 0; src < n; src += stride {
+				c.DijkstraHeap(ref, src)
+				checkSPCertificate(t, label, c, src, ref.Dist[:n], ref.Parent[:n], ref.ParentEdge[:n])
+				for tg := 0; tg < n; tg++ {
+					if tg == src {
+						continue
+					}
+					target[0] = tg
+					c.DijkstraTo(ws, src, target)
+					for v, hops := int32(tg), 0; v >= 0 && hops <= n; v, hops = ref.Parent[v], hops+1 {
+						if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
+							t.Fatalf("%s %d->%d: chain node %d = (%v, %d, %d), certified (%v, %d, %d)",
+								label, src, tg, v, ws.Dist[v], ws.Parent[v], ws.ParentEdge[v],
+								ref.Dist[v], ref.Parent[v], ref.ParentEdge[v])
+						}
+					}
+				}
+			}
+			ref.Release()
+			ws.Release()
 		}
 	}
 }

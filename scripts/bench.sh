@@ -8,7 +8,7 @@
 # Environment:
 #   BENCH_TAGS    extra build tags, e.g. BENCH_TAGS=slowbench to include
 #                 the million-node/HOT scaling slice in the baseline
-#   BENCH_CPU     -cpu list for the per-commit tier, e.g. BENCH_CPU=1,4
+#   BENCH_CPU     -cpu list for the per-commit tier, e.g. BENCH_CPU=1,2
 #   BENCH_COUNT   -count for the per-commit tier (default 1). cmd/benchdiff
 #                 keeps the WORST line per benchmark name, so -count 3
 #                 records each baseline entry at its observed noise
@@ -22,18 +22,20 @@
 # them) and a 20-iteration 10M-node sweep would take hours. To record a
 # baseline the gate can hold to its tolerance, match its conditions:
 #
-#   BENCH_TAGS=slowbench BENCH_CPU=1,4 BENCH_COUNT=3 scripts/bench.sh 20x
+#   BENCH_CPU=1,2 BENCH_COUNT=3 scripts/bench.sh 20x
 #
-# (-cpu 1,4 matters on small machines: the worst-leg normalization in
-# cmd/benchdiff keeps the GOMAXPROCS=4 measurement, which a
-# single-width baseline can never match when cores < 4.)
+# (-cpu 1,2 matches scripts/benchdiff.sh: the worst-leg normalization in
+# cmd/benchdiff keeps the slower of the two widths on both sides.)
 #
 # Output: BENCH_<yyyymmdd>.json in the repo root:
 #   {"meta": {commit, go_version, gomaxprocs, goos, goarch, date},
 #    "benchmarks": [{"name": ..., "iterations": N, "ns_per_op": ...,
-#                    "bytes_per_op": ..., "allocs_per_op": ...}, ...]}
-# (bytes/allocs present only for benchmarks that report them). The meta
-# stamp lets cmd/benchdiff refuse cross-machine comparisons.
+#                    "bytes_per_op": ..., "allocs_per_op": ...,
+#                    "counters": {"scanned/op": ...}}, ...]}
+# (bytes/allocs present only for benchmarks that report them; counters
+# are the b.ReportMetric per-op work counts, which cmd/benchdiff gates
+# exactly). The meta stamp lets cmd/benchdiff refuse cross-machine
+# comparisons.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,18 +77,21 @@ BEGIN {
 }
 /^Benchmark/ {
     name = $1; iters = $2; ns = ""
-    bytes = ""; allocs = ""
+    bytes = ""; allocs = ""; counters = ""
     for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op")     ns = $i
-        if ($(i+1) == "B/op")      bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
+        unit = $(i+1)
+        if (unit == "ns/op")          ns = $i
+        else if (unit == "B/op")      bytes = $i
+        else if (unit == "allocs/op") allocs = $i
+        else if (unit ~ /\/op$/)      counters = counters (counters == "" ? "" : ", ") sprintf("\"%s\": %s", unit, $i)
     }
     if (ns == "") next
     if (!first) printf(",\n")
     first = 0
     printf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
-    if (bytes != "")  printf(", \"bytes_per_op\": %s", bytes)
-    if (allocs != "") printf(", \"allocs_per_op\": %s", allocs)
+    if (bytes != "")    printf(", \"bytes_per_op\": %s", bytes)
+    if (allocs != "")   printf(", \"allocs_per_op\": %s", allocs)
+    if (counters != "") printf(", \"counters\": {%s}", counters)
     printf("}")
 }
 END { print "\n  ]\n}" }

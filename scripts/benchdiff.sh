@@ -5,7 +5,7 @@
 # scaling tier is skipped), then compares against the lexically-latest
 # BENCH_*.json in the repo root with cmd/benchdiff. Fails when a kernel
 # recorded as allocation-free now allocates, or when ns/op regresses
-# beyond the tolerance.
+# beyond the tolerance, or when a b.ReportMetric work counter rises.
 #
 # Usage:
 #   scripts/benchdiff.sh [baseline.json]
@@ -38,15 +38,16 @@ FRESH="$(mktemp)"
 trap 'rm -f "$FRESH"' EXIT
 
 echo "benchdiff.sh: baseline $BASELINE, tolerance $TOLERANCE"
-# -cpu 1,4 runs every benchmark at both widths; benchdiff normalizes the
-# two lines to one name and keeps the worst measurement, so a
-# single-thread regression cannot hide behind a faster parallel leg.
+# -cpu 1,2 runs every benchmark at both widths, the legs the baseline
+# records; benchdiff normalizes the two lines to one name and keeps the
+# worst measurement, so a single-thread regression cannot hide behind a
+# faster parallel leg.
 # -benchtime 20x (not 1x): switching GOMAXPROCS between legs makes the
 # runtime allocate a handful of objects one time, which a 1-iteration
 # run would misreport as allocs/op and trip the exact gate; 20
 # iterations amortize one-time noise to 0 while any real per-op
 # allocation still reads >= 1.
-go test -run '^$' -bench "$BENCH" -benchtime 20x -benchmem -short -cpu 1,4 ./... | tee "$FRESH"
+go test -run '^$' -bench "$BENCH" -benchtime 20x -benchmem -short -cpu 1,2 ./... | tee "$FRESH"
 
 CROSS_FLAG=""
 if [[ "${BENCHDIFF_ALLOW_CROSS:-0}" == "1" ]]; then
