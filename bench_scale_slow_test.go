@@ -25,11 +25,13 @@ import (
 )
 
 func ba1m(b *testing.B) *scaleTopo {
-	return scaleTopoFor(b, "ba-1m", func() (*graph.Graph, error) { return gen.BarabasiAlbert(1_000_000, 2, 1) })
+	return scaleTopoFor(b, "ba-1m", func() (*graph.Graph, error) { return gen.BarabasiAlbertContext(context.Background(), 1_000_000, 2, 1) })
 }
 
 func er1m(b *testing.B) *scaleTopo {
-	return scaleTopoFor(b, "er-1m", func() (*graph.Graph, error) { return gen.ErdosRenyiGNM(1_000_000, 2_000_000, 1) })
+	return scaleTopoFor(b, "er-1m", func() (*graph.Graph, error) {
+		return gen.ErdosRenyiGNMContext(context.Background(), 1_000_000, 2_000_000, 1)
+	})
 }
 
 // ba10m is the 10^7-node slice of the scaling tier. At m=2 the snapshot
@@ -39,12 +41,12 @@ func er1m(b *testing.B) *scaleTopo {
 // path and both traversal kernels hold up there, not for per-commit
 // gating.
 func ba10m(b *testing.B) *scaleTopo {
-	return scaleTopoFor(b, "ba-10m", func() (*graph.Graph, error) { return gen.BarabasiAlbert(10_000_000, 2, 1) })
+	return scaleTopoFor(b, "ba-10m", func() (*graph.Graph, error) { return gen.BarabasiAlbertContext(context.Background(), 10_000_000, 2, 1) })
 }
 
 func hot25k(b *testing.B) *scaleTopo {
 	return scaleTopoFor(b, "hot-25k", func() (*graph.Graph, error) {
-		g, _, err := core.GrowHOT(core.HOTConfig{
+		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               25_000,
 			Seed:            1,
 			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
@@ -56,7 +58,7 @@ func hot25k(b *testing.B) *scaleTopo {
 
 func hot1m(b *testing.B) *scaleTopo {
 	return scaleTopoFor(b, "hot-1m", func() (*graph.Graph, error) {
-		g, _, err := core.GrowHOT(core.HOTConfig{
+		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               1_000_000,
 			Seed:            1,
 			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
@@ -85,7 +87,7 @@ func BenchmarkScaleBFSParallelBA1M(b *testing.B) { benchBFSParallel(b, ba1m(b), 
 // BenchmarkScaleHOTGrow1M grows a million-node HOT topology per
 // iteration on the grid-index path — infeasible on the O(n^2)
 // exhaustive scan, which is exactly the point.
-func BenchmarkScaleHOTGrow1M(b *testing.B) { benchHOTGrow(b, 1_000_000, core.SearchGrid) }
+func BenchmarkScaleHOTGrow1M(b *testing.B) { benchHOTGrow(b, 1_000_000) }
 
 func BenchmarkScaleDijkstraBucketBA1M(b *testing.B) { benchDijkstra(b, ba1m(b), false) }
 func BenchmarkScaleDijkstraHeapBA1M(b *testing.B)   { benchDijkstra(b, ba1m(b), true) }

@@ -62,11 +62,13 @@ func skipUnlessScale(b *testing.B) {
 }
 
 func ba100k(b *testing.B) *scaleTopo {
-	return scaleTopoFor(b, "ba-100k", func() (*graph.Graph, error) { return gen.BarabasiAlbert(100_000, 2, 1) })
+	return scaleTopoFor(b, "ba-100k", func() (*graph.Graph, error) { return gen.BarabasiAlbertContext(context.Background(), 100_000, 2, 1) })
 }
 
 func er100k(b *testing.B) *scaleTopo {
-	return scaleTopoFor(b, "er-100k", func() (*graph.Graph, error) { return gen.ErdosRenyiGNM(100_000, 200_000, 1) })
+	return scaleTopoFor(b, "er-100k", func() (*graph.Graph, error) {
+		return gen.ErdosRenyiGNMContext(context.Background(), 100_000, 200_000, 1)
+	})
 }
 
 // hot100k is an optimization-grown topology at the 100k tier — feasible
@@ -74,7 +76,7 @@ func er100k(b *testing.B) *scaleTopo {
 // index's ~O(n log n) path.
 func hot100k(b *testing.B) *scaleTopo {
 	return scaleTopoFor(b, "hot-100k", func() (*graph.Graph, error) {
-		g, _, err := core.GrowHOT(core.HOTConfig{
+		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               100_000,
 			Seed:            1,
 			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
@@ -139,21 +141,22 @@ func benchBFSParallel(b *testing.B, t *scaleTopo, workers int) {
 	b.ReportMetric(float64(bottomUp)/float64(b.N), "bu-levels/op")
 }
 
-// benchHOTGrow measures whole-topology growth (the generator hot path)
-// with a forced candidate-scan implementation; the Grid/Exhaustive pair
-// at the same N records the grid index's measured speedup.
-func benchHOTGrow(b *testing.B, n int, search core.GrowthSearch) {
+// benchHOTGrow measures whole-topology growth (the generator hot path),
+// which runs on the grid index at these sizes; with
+// BenchmarkScaleHOTGrow25kExhaustive in internal/core, which forces the
+// exhaustive scan, the 25k slice records the grid index's measured
+// speedup.
+func benchHOTGrow(b *testing.B, n int) {
 	cfg := core.HOTConfig{
 		N:               n,
 		Seed:            1,
 		Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
 		LinksPerArrival: 2,
-		Search:          search,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.GrowHOT(cfg); err != nil {
+		if _, _, err := core.GrowHOTContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,12 +216,7 @@ func BenchmarkScaleBFSTopDownHOT100k(b *testing.B) {
 
 func BenchmarkScaleHOTGrow25kGrid(b *testing.B) {
 	skipUnlessScale(b)
-	benchHOTGrow(b, 25_000, core.SearchGrid)
-}
-
-func BenchmarkScaleHOTGrow25kExhaustive(b *testing.B) {
-	skipUnlessScale(b)
-	benchHOTGrow(b, 25_000, core.SearchExhaustive)
+	benchHOTGrow(b, 25_000)
 }
 
 func BenchmarkScaleDijkstraBucketBA100k(b *testing.B) {
@@ -285,6 +283,6 @@ func BenchmarkScaleLCCMaskedSweepBA100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.c.LargestComponentMasked(ws, removed)
+		t.c.LargestComponentMasked(ws, removed, nil)
 	}
 }

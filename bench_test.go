@@ -65,7 +65,7 @@ func BenchmarkE11Performance(b *testing.B) { runExperiment(b, experiments.E11Per
 
 func BenchmarkFKPGrowth1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FKP(core.FKPConfig{N: 1000, Alpha: 8, Seed: int64(i)}); err != nil {
+		if _, err := core.FKPContext(context.Background(), core.FKPConfig{N: 1000, Alpha: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func BenchmarkFKPGrowth1k(b *testing.B) {
 
 func BenchmarkFKPGrowth4k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.FKP(core.FKPConfig{N: 4000, Alpha: 8, Seed: int64(i)}); err != nil {
+		if _, err := core.FKPContext(context.Background(), core.FKPConfig{N: 4000, Alpha: 8, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,14 +111,14 @@ func BenchmarkSampleAndAugment1k(b *testing.B) {
 
 func BenchmarkBarabasiAlbert10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := gen.BarabasiAlbert(10000, 2, int64(i)); err != nil {
+		if _, err := gen.BarabasiAlbertContext(context.Background(), 10000, 2, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkTailClassification(b *testing.B) {
-	g, err := gen.BarabasiAlbert(5000, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 5000, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkTailClassification(b *testing.B) {
 }
 
 func BenchmarkBetweenness500(b *testing.B) {
-	g, err := gen.BarabasiAlbert(500, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 500, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func BenchmarkBetweenness500(b *testing.B) {
 }
 
 func BenchmarkMetricProfile(b *testing.B) {
-	g, err := gen.BarabasiAlbert(800, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func BenchmarkMetricProfile(b *testing.B) {
 }
 
 func BenchmarkMaxMinFair(b *testing.B) {
-	g, err := gen.BarabasiAlbert(400, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 400, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func BenchmarkMaxMinFair(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := routing.MaxMinFair(g, demands); err != nil {
+		if _, err := routing.MaxMinFairContext(context.Background(), g, nil, demands); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func BenchmarkExactAccessOPT(b *testing.B) {
 }
 
 func BenchmarkRobustnessSweep(b *testing.B) {
-	g, err := gen.BarabasiAlbert(800, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func BenchmarkRobustnessSweep(b *testing.B) {
 // benchGraph is a 4k-node weighted graph shared by the kernel benches.
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
-	g, err := gen.BarabasiAlbert(4000, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 4000, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,9 +243,9 @@ func BenchmarkDijkstraToSingleTarget(b *testing.B) {
 		name  string
 		build func() (*graph.Graph, error)
 	}{
-		{"ba20k", func() (*graph.Graph, error) { return gen.BarabasiAlbert(20000, 2, 1) }},
+		{"ba20k", func() (*graph.Graph, error) { return gen.BarabasiAlbertContext(context.Background(), 20000, 2, 1) }},
 		{"hot20k", func() (*graph.Graph, error) {
-			g, _, err := core.GrowHOT(core.HOTConfig{
+			g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 				N: 20000, Seed: 1, LinksPerArrival: 2,
 				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
 			})
@@ -324,7 +324,7 @@ func BenchmarkBFSCSRPooled(b *testing.B) {
 // always on — so its ratio understates the kernel's scaling.
 
 func BenchmarkProfileSequential(b *testing.B) {
-	g, err := gen.BarabasiAlbert(800, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func BenchmarkProfileSequential(b *testing.B) {
 }
 
 func BenchmarkProfileParallel(b *testing.B) {
-	g, err := gen.BarabasiAlbert(800, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -38,6 +38,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/robust"
 	"repro/internal/scenario"
+	"repro/internal/table"
 )
 
 func main() {
@@ -307,33 +308,5 @@ func writeTable(w io.Writer, nodes, edges int, model string, results []attackRes
 			rows = append(rows, row)
 		}
 	}
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				fmt.Fprint(w, "  ")
-			}
-			fmt.Fprintf(w, "%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w)
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range rows {
-		line(row)
-	}
+	table.Write(w, header, rows)
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cmp := validate.Compare(rg, cg, *seed)
+	cmp, err := validate.CompareContext(context.Background(), rg, cg, *seed)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Print(cmp.Format())
 }
 

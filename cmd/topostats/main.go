@@ -197,9 +197,15 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 		ds.Classification.Exponential.Lambda, ds.Classification.Exponential.KS,
 		ds.Classification.LogLikRatio)
 	fmt.Fprintf(w, "classification: %s\n", core.Classify(g))
+	c := g.Freeze()
+	vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c),
+		[]metricreg.Selection{{Name: "clustering"}, {Name: "assortativity"}}, metricreg.Options{Workers: 1})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "clustering: %.4f\nassortativity: %.4f\n",
-		stats.ClusteringCoefficient(g), stats.DegreeAssortativity(g))
-	prof, err := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
+		vals["clustering"].Scalar, vals["assortativity"].Scalar)
+	prof, err := metrics.ProfileContext(context.Background(), g, c, seed, 0)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package hotgen_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -10,7 +11,7 @@ import (
 // The FKP model in its three alpha regimes — the §3.1 spectrum.
 func Example_fkpRegimes() {
 	for _, alpha := range []float64{0.3, 8, 8000} {
-		g, err := hotgen.FKP(hotgen.FKPConfig{N: 2000, Alpha: alpha, Seed: 1})
+		g, err := hotgen.FKPContext(context.Background(), hotgen.FKPConfig{N: 2000, Alpha: alpha, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func Example_buyAtBulk() {
 
 // The generalized HOT framework: objectives + constraints ⇒ topology.
 func Example_hotFramework() {
-	g, _, err := hotgen.GrowHOT(hotgen.HOTConfig{
+	g, _, err := hotgen.GrowHOTContext(context.Background(), hotgen.HOTConfig{
 		N:    1000,
 		Seed: 3,
 		Terms: []hotgen.ObjectiveTerm{

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	des, err := hotgen.BuildISP(hotgen.ISPConfig{
+	des, err := hotgen.BuildISP(context.Background(), hotgen.ISPConfig{
 		Geography:             geo,
 		NumPOPs:               6,
 		Customers:             1200,

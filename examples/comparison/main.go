@@ -16,7 +16,8 @@ import (
 
 func main() {
 	const n = 1000
-	hot, _, err := hotgen.GrowHOT(hotgen.HOTConfig{
+	ctx := context.Background()
+	hot, _, err := hotgen.GrowHOTContext(ctx, hotgen.HOTConfig{
 		N:    n,
 		Seed: 11,
 		Terms: []hotgen.ObjectiveTerm{
@@ -28,27 +29,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ba, err := hotgen.GenBarabasiAlbert(n, 2, 11)
+	ba, err := hotgen.GenBarabasiAlbert(ctx, n, 2, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	glp, err := hotgen.GenGLP(n, 2, 0.3, 0.6, 11)
+	glp, err := hotgen.GenGLP(ctx, n, 2, 0.3, 0.6, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	er, err := hotgen.GenErdosRenyiGNM(n, hot.NumEdges(), 11)
+	er, err := hotgen.GenErdosRenyiGNM(ctx, n, hot.NumEdges(), 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	wax, err := hotgen.GenWaxman(n, 0.04, 0.35, 11)
+	wax, err := hotgen.GenWaxman(ctx, n, 0.04, 0.35, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cm, _, err := hotgen.GenConfigurationModel(hot.Degrees(), 11)
+	cm, _, err := hotgen.GenConfigurationModel(ctx, hot.Degrees(), 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ts, err := hotgen.GenTransitStub(hotgen.TransitStubConfig{
+	ts, err := hotgen.GenTransitStub(ctx, hotgen.TransitStubConfig{
 		TransitDomains:  4,
 		TransitSize:     4,
 		StubsPerTransit: 3,
@@ -70,7 +71,10 @@ func main() {
 		{"er(gnm)", er}, {"waxman", wax},
 		{"config(hot)", cm}, {"transit-stub", ts},
 	} {
-		p := hotgen.ComputeProfile(e.g, 11)
+		p, err := hotgen.ComputeProfileContext(ctx, e.g, nil, 11, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		tail := hotgen.ClassifyTail(e.g.Degrees())
 		fmt.Printf("%-14s %6d %7d %-13s %8.3f %8.3f %9.2f %9.2f\n",
 			e.name, p.Edges, p.MaxDegree, tail.Kind,
@@ -79,7 +83,6 @@ func main() {
 
 	// §3.1 robust yet fragile: failure vs attack on the HOT topology and
 	// the density-matched random graph.
-	ctx := context.Background()
 	fracs := []float64{0.02, 0.05, 0.1}
 	fmt.Printf("\n%-14s %12s %12s\n", "topology", "LCC@5%fail", "LCC@5%attack")
 	for _, e := range []struct {

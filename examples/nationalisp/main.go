@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	geo, err := hotgen.GenerateGeography(hotgen.GeographyConfig{
 		NumCities:     25,
 		Seed:          3,
@@ -36,7 +38,7 @@ func main() {
 		DemandMin:             1,
 		DemandMax:             8,
 	}
-	cost, err := hotgen.BuildISP(base)
+	cost, err := hotgen.BuildISP(ctx, base)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		cfg := base
 		cfg.Formulation = hotgen.ProfitBased
 		cfg.PricePerDemand = price
-		des, err := hotgen.BuildISP(cfg)
+		des, err := hotgen.BuildISP(ctx, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 			price, des.CustomersServed, des.CustomersOffered, des.Revenue, des.Profit)
 	}
 
-	inet, err := hotgen.AssembleInternet(hotgen.InternetConfig{
+	inet, err := hotgen.AssembleInternet(ctx, hotgen.InternetConfig{
 		Geography:        geo,
 		NumISPs:          8,
 		Seed:             3,

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,7 @@ import (
 
 func main() {
 	const n = 2000
+	ctx := context.Background()
 	cases := []struct {
 		label string
 		alpha float64
@@ -21,7 +23,7 @@ func main() {
 		{"huge alpha (distance dominates)", 4 * n},
 	}
 	for _, c := range cases {
-		g, err := hotgen.FKP(hotgen.FKPConfig{N: n, Alpha: c.alpha, Seed: 1})
+		g, err := hotgen.FKPContext(ctx, hotgen.FKPConfig{N: n, Alpha: c.alpha, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,7 +35,7 @@ func main() {
 	// The same model through the generalized HOT framework, with a router
 	// port constraint (§2.1 technology limit): the star regime is now
 	// impossible and the optimizer spreads the hub.
-	g, stats, err := hotgen.GrowHOT(hotgen.HOTConfig{
+	g, stats, err := hotgen.GrowHOTContext(ctx, hotgen.HOTConfig{
 		N:    n,
 		Seed: 1,
 		Terms: []hotgen.ObjectiveTerm{

@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("registered attacks: %s\n\n", strings.Join(hotgen.AttackNames(), ", "))
 
 	// One optimization-designed topology (FKP tree: geography + hubs).
-	g, err := hotgen.FKP(hotgen.FKPConfig{N: 1500, Alpha: 8, Seed: 1})
+	g, err := hotgen.FKPContext(ctx, hotgen.FKPConfig{N: 1500, Alpha: 8, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 	// 3. Provision an ISP backbone against a chosen demand model: the
 	// demand model is a first-class stage of the buildout, not a
 	// hardcoded gravity call.
-	des, err := hotgen.BuildISP(hotgen.ISPConfig{
+	des, err := hotgen.BuildISP(ctx, hotgen.ISPConfig{
 		Geography: geo, NumPOPs: 6, Customers: 400, Seed: 1,
 		PerfWeight: 50, MaxExtraBackboneLinks: 3, DemandMin: 1,
 	})

@@ -31,14 +31,15 @@
 // scenario engine's traffic stage, whose volume-aware max-min fair
 // allocator reports throughput/fairness through traffic-capable
 // registry metrics — see DemandModel, GenerateDemandMatrix,
-// TrafficSpec, and `toposcenario -list`. The free functions below
-// remain as direct, stable wrappers over the same internals.
+// TrafficSpec, and `toposcenario -list`. The free functions below call
+// the same internals directly, with one entry point per operation; every
+// operation that can run long takes a context.Context first.
 //
 // The library is organized as the paper is:
 //
 //   - FKP and the generalized HOT growth framework (the paper's §3.1
-//     theoretical support and the core modeling idea) — see FKP, GrowHOT,
-//     ObjectiveTerm, Constraint.
+//     theoretical support and the core modeling idea) — see FKPContext,
+//     GrowHOTContext, ObjectiveTerm, Constraint.
 //   - Buy-at-bulk access network design with a randomized incremental
 //     approximation and baselines (§4) — see AccessInstance,
 //     MMPIncremental, SampleAndAugment.
@@ -47,7 +48,7 @@
 //   - Multi-ISP assembly with optimized peering and AS-graph extraction
 //     (§2.3) — see AssembleInternet.
 //   - The comparison metric suite and descriptive baseline generators the
-//     paper argues against (§1) — see ComputeProfile and the Gen*
+//     paper argues against (§1) — see ComputeProfileContext and the Gen*
 //     functions.
 //
 // Under all of it sits a high-performance graph kernel: Freeze snapshots
@@ -259,8 +260,8 @@ func EvaluateMetrics(ctx context.Context, src *MetricSource, set []MetricSelecti
 	return metricreg.Evaluate(ctx, src, set, opt)
 }
 
-// ProfileMetricSet is the metric set ComputeProfile evaluates, as a
-// starting point for custom sets.
+// ProfileMetricSet is the metric set ComputeProfileContext evaluates, as
+// a starting point for custom sets.
 func ProfileMetricSet() []MetricSelection { return metrics.ProfileSet() }
 
 // NewEngine returns a scenario engine over reg (nil = the default
@@ -349,7 +350,7 @@ type (
 	ObjectiveTerm = core.ObjectiveTerm
 	// Constraint filters infeasible attachments.
 	Constraint = core.Constraint
-	// GrowthStats summarizes a GrowHOT run.
+	// GrowthStats summarizes a GrowHOTContext run.
 	GrowthStats = core.GrowthStats
 	// TopologyClass is the star / power-law tree / exponential tree
 	// classification.
@@ -366,36 +367,16 @@ type (
 	MaxDegreeConstraint = core.MaxDegreeConstraint
 	// MaxLengthConstraint is the link reach limit.
 	MaxLengthConstraint = core.MaxLengthConstraint
-	// GrowthSearch selects the candidate-scan implementation of the
-	// growth loops (FKPConfig.Search, HOTConfig.Search); results are
-	// bit-identical whichever scan runs.
-	GrowthSearch = core.GrowthSearch
 )
 
-// Growth candidate-scan implementations.
-const (
-	// SearchAuto (the zero value) uses the grid index when eligible and
-	// large enough to amortize it.
-	SearchAuto = core.SearchAuto
-	// SearchExhaustive forces the O(n) per-arrival reference scan.
-	SearchExhaustive = core.SearchExhaustive
-	// SearchGrid forces the ~O(log n) per-arrival grid index where
-	// eligible.
-	SearchGrid = core.SearchGrid
-)
-
-// FKP grows a tree per the FKP model.
-func FKP(cfg FKPConfig) (*Graph, error) { return core.FKP(cfg) }
-
-// FKPContext is FKP with cancellation checked at every arrival.
+// FKPContext grows a tree per the FKP model, checking ctx at every
+// arrival.
 func FKPContext(ctx context.Context, cfg FKPConfig) (*Graph, error) {
 	return core.FKPContext(ctx, cfg)
 }
 
-// GrowHOT runs the generalized incremental optimization growth.
-func GrowHOT(cfg HOTConfig) (*Graph, *GrowthStats, error) { return core.GrowHOT(cfg) }
-
-// GrowHOTContext is GrowHOT with cancellation checked at every arrival.
+// GrowHOTContext runs the generalized incremental optimization growth,
+// checking ctx at every arrival.
 func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*Graph, *GrowthStats, error) {
 	return core.GrowHOTContext(ctx, cfg)
 }
@@ -566,23 +547,22 @@ const (
 	ProfitBased = isp.ProfitBased
 )
 
-// BuildISP designs a single ISP's router-level topology.
-func BuildISP(cfg ISPConfig) (*ISPDesign, error) { return isp.Build(cfg) }
+// BuildISP designs a single ISP's router-level topology, checking ctx
+// between design stages.
+func BuildISP(ctx context.Context, cfg ISPConfig) (*ISPDesign, error) {
+	return isp.BuildContext(ctx, cfg)
+}
 
 // BackboneReport describes routed load and cable provisioning on the WAN.
 type BackboneReport = isp.BackboneReport
 
-// ProvisionBackbone routes inter-metro gravity demand over a built ISP
+// ProvisionBackboneContext routes inter-metro demand over a built ISP
 // and installs adequate cable configurations on the backbone links
-// (footnote 1: topology = connectivity + capacity).
-func ProvisionBackbone(des *ISPDesign, geo *Geography, cat Catalog, demandScale float64) (*BackboneReport, error) {
-	return isp.ProvisionBackbone(des, geo, cat, demandScale)
-}
-
-// ProvisionBackboneContext is ProvisionBackbone under any registered
-// demand model (the zero TrafficSelection is gravity with its
-// defaults), with cancellation; seed feeds seed-dependent demand models
-// (pass the ISPConfig.Seed the design was built with).
+// (footnote 1: topology = connectivity + capacity), with cancellation.
+// The demand comes from any registered demand model (the zero
+// TrafficSelection is gravity with its defaults); seed feeds
+// seed-dependent demand models (pass the ISPConfig.Seed the design was
+// built with).
 func ProvisionBackboneContext(ctx context.Context, des *ISPDesign, geo *Geography, cat Catalog, demandScale float64, model TrafficSelection, seed int64) (*BackboneReport, error) {
 	return isp.ProvisionBackboneContext(ctx, des, geo, cat, demandScale, model, seed)
 }
@@ -603,9 +583,10 @@ type (
 	TransitLink = peering.TransitLink
 )
 
-// AssembleInternet builds the multi-ISP internet model.
-func AssembleInternet(cfg InternetConfig) (*Internet, error) {
-	return peering.Assemble(cfg)
+// AssembleInternet builds the multi-ISP internet model, checking ctx
+// before each member ISP buildout.
+func AssembleInternet(ctx context.Context, cfg InternetConfig) (*Internet, error) {
+	return peering.AssembleContext(ctx, cfg)
 }
 
 // AssignTransit layers customer-provider relationships (and tiers) onto
@@ -624,28 +605,29 @@ func ValleyFree(tr *TransitResult) (*ValleyFreeResult, error) {
 	return peering.ValleyFree(tr)
 }
 
-// Descriptive baseline generators (§1).
+// Descriptive baseline generators (§1). Each takes a leading context,
+// checked as the graph grows.
 var (
 	// GenErdosRenyiGNP samples G(n,p).
-	GenErdosRenyiGNP = gen.ErdosRenyiGNP
+	GenErdosRenyiGNP = gen.ErdosRenyiGNPContext
 	// GenErdosRenyiGNM samples G(n,m).
-	GenErdosRenyiGNM = gen.ErdosRenyiGNM
+	GenErdosRenyiGNM = gen.ErdosRenyiGNMContext
 	// GenWaxman samples the Waxman geographic random graph.
-	GenWaxman = gen.Waxman
+	GenWaxman = gen.WaxmanContext
 	// GenBarabasiAlbert grows a preferential-attachment graph.
-	GenBarabasiAlbert = gen.BarabasiAlbert
+	GenBarabasiAlbert = gen.BarabasiAlbertContext
 	// GenGLP grows a generalized-linear-preference graph.
-	GenGLP = gen.GLP
+	GenGLP = gen.GLPContext
 	// GenTransitStub builds a GT-ITM style hierarchy.
-	GenTransitStub = gen.TransitStub
+	GenTransitStub = gen.TransitStubContext
 	// GenRandomGeometric connects points within a radius.
-	GenRandomGeometric = gen.RandomGeometric
+	GenRandomGeometric = gen.RandomGeometricContext
 	// GenConfigurationModel rewires a given degree sequence at random —
 	// the purest descriptive generator.
-	GenConfigurationModel = gen.ConfigurationModel
+	GenConfigurationModel = gen.ConfigurationModelContext
 	// GenInetLike samples a power-law degree sequence and realizes it,
 	// patching connectivity (the paper's reference [21] pipeline).
-	GenInetLike = gen.InetLike
+	GenInetLike = gen.InetLikeContext
 )
 
 // TransitStubConfig parameterizes GenTransitStub.
@@ -782,15 +764,9 @@ func RobustnessAttackGap(ctx context.Context, g *Graph, c *CSR, attack string, p
 	return robust.AttackGapContext(ctx, g, c, attack, p, fracs, trials, seed, workers)
 }
 
-// ComputeProfile evaluates the full [30]-style metric suite, using
-// every available core.
-func ComputeProfile(g *Graph, seed int64) Profile {
-	p, _ := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
-	return p
-}
-
-// ComputeProfileContext is ComputeProfile with cancellation and an
-// optional pre-frozen snapshot (nil freezes internally).
+// ComputeProfileContext evaluates the full [30]-style metric suite with
+// cancellation and an optional pre-frozen snapshot (nil freezes
+// internally); workers <= 0 uses every available core.
 func ComputeProfileContext(ctx context.Context, g *Graph, c *CSR, seed int64, workers int) (Profile, error) {
 	return metrics.ProfileContext(ctx, g, c, seed, workers)
 }
@@ -798,24 +774,16 @@ func ComputeProfileContext(ctx context.Context, g *Graph, c *CSR, seed int64, wo
 // ClassifyTail decides power-law vs exponential on a degree sample.
 func ClassifyTail(degrees []int) TailClassification { return stats.ClassifyTail(degrees) }
 
-// RouteShortestPaths routes demands ignoring capacity.
-func RouteShortestPaths(g *Graph, demands []Demand) (*RouteResult, error) {
-	return routing.RouteShortestPaths(g, demands)
-}
-
-// RouteShortestPathsContext is RouteShortestPaths with cancellation and
-// an optional pre-frozen snapshot (nil freezes internally).
+// RouteShortestPathsContext routes demands ignoring capacity, with
+// cancellation and an optional pre-frozen snapshot (nil freezes
+// internally).
 func RouteShortestPathsContext(ctx context.Context, g *Graph, c *CSR, demands []Demand) (*RouteResult, error) {
 	return routing.RouteShortestPathsContext(ctx, g, c, demands)
 }
 
-// RouteCapacitated routes demands with greedy admission control.
-func RouteCapacitated(g *Graph, demands []Demand) (*RouteResult, error) {
-	return routing.RouteCapacitated(g, demands)
-}
-
-// RouteCapacitatedContext is RouteCapacitated with cancellation and an
-// optional pre-frozen snapshot (nil freezes internally).
+// RouteCapacitatedContext routes demands with greedy admission control,
+// with cancellation and an optional pre-frozen snapshot (nil freezes
+// internally).
 func RouteCapacitatedContext(ctx context.Context, g *Graph, c *CSR, demands []Demand) (*RouteResult, error) {
 	return routing.RouteCapacitatedContext(ctx, g, c, demands)
 }
@@ -823,14 +791,10 @@ func RouteCapacitatedContext(ctx context.Context, g *Graph, c *CSR, demands []De
 // MaxMinResult is the outcome of fair rate allocation.
 type MaxMinResult = routing.MaxMinResult
 
-// MaxMinFair computes the max-min fair (water-filling) rate allocation
-// of elastic demands over their shortest paths.
-func MaxMinFair(g *Graph, demands []Demand) (*MaxMinResult, error) {
-	return routing.MaxMinFair(g, demands)
-}
-
-// MaxMinFairContext is MaxMinFair with cancellation and an optional
-// pre-frozen snapshot (nil freezes internally).
+// MaxMinFairContext computes the max-min fair (water-filling) rate
+// allocation of elastic demands over their shortest paths, with
+// cancellation and an optional pre-frozen snapshot (nil freezes
+// internally).
 func MaxMinFairContext(ctx context.Context, g *Graph, c *CSR, demands []Demand) (*MaxMinResult, error) {
 	return routing.MaxMinFairContext(ctx, g, c, demands)
 }
@@ -887,13 +851,17 @@ type (
 	Interval = validate.Interval
 )
 
-// MeasureTopology computes the validation metric vector.
-func MeasureTopology(g *Graph, seed int64) MetricVector { return validate.Measure(g, seed) }
+// MeasureTopology computes the validation metric vector; an empty
+// topology wraps ErrBadParam.
+func MeasureTopology(ctx context.Context, g *Graph, seed int64) (MetricVector, error) {
+	return validate.MeasureContext(ctx, g, seed)
+}
 
 // CompareTopologies scores how structurally dissimilar two topologies
-// are across the full metric suite (plus degree-distribution KS).
-func CompareTopologies(ref, cand *Graph, seed int64) TopologyComparison {
-	return validate.Compare(ref, cand, seed)
+// are across the full metric suite (plus degree-distribution KS); an
+// empty topology wraps ErrBadParam.
+func CompareTopologies(ctx context.Context, ref, cand *Graph, seed int64) (TopologyComparison, error) {
+	return validate.CompareContext(ctx, ref, cand, seed)
 }
 
 // ResilienceCI bootstraps a confidence interval for the resilience

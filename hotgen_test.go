@@ -2,6 +2,7 @@ package hotgen
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // entry points exactly as the examples use them.
 
 func TestFacadeFKPPipeline(t *testing.T) {
-	g, err := FKP(FKPConfig{N: 400, Alpha: 8, Seed: 1})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 400, Alpha: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,10 @@ func TestFacadeFKPPipeline(t *testing.T) {
 	if c := Classify(g); c.String() == "" {
 		t.Fatal("classification missing")
 	}
-	prof := ComputeProfile(g, 1)
+	prof, err := ComputeProfileContext(context.Background(), g, nil, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if prof.Nodes != 400 {
 		t.Fatal("profile nodes mismatch")
 	}
@@ -64,7 +68,7 @@ func TestFacadeISPAndInternet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := BuildISP(ISPConfig{
+	des, err := BuildISP(context.Background(), ISPConfig{
 		Geography: geo, NumPOPs: 4, Customers: 150, Seed: 5,
 		PerfWeight: 40, MaxExtraBackboneLinks: 2, DemandMin: 1,
 	})
@@ -74,7 +78,7 @@ func TestFacadeISPAndInternet(t *testing.T) {
 	if !des.Graph.IsConnected() {
 		t.Fatal("ISP not connected")
 	}
-	inet, err := AssembleInternet(InternetConfig{
+	inet, err := AssembleInternet(context.Background(), InternetConfig{
 		Geography: geo, NumISPs: 4, Seed: 6,
 		POPsPerISP: 4, CustomersPerISP: 40, PeeringSetupCost: 1e-9,
 	})
@@ -87,21 +91,21 @@ func TestFacadeISPAndInternet(t *testing.T) {
 }
 
 func TestFacadeRoutingAndRobustness(t *testing.T) {
-	g, err := GenBarabasiAlbert(300, 2, 7)
+	g, err := GenBarabasiAlbert(context.Background(), 300, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range g.Edges() {
 		g.Edge(i).Capacity = 100
 	}
-	res, err := RouteShortestPaths(g, []Demand{{Src: 0, Dst: 299, Volume: 5}})
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 299, Volume: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Delivered != 5 {
 		t.Fatal("demand not delivered")
 	}
-	if _, err := RouteCapacitated(g, []Demand{{Src: 0, Dst: 10, Volume: 1}}); err != nil {
+	if _, err := RouteCapacitatedContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 10, Volume: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	curves, err := RunRobustnessSweep(context.Background(), g, nil, RobustnessSweepSpec{
@@ -116,22 +120,22 @@ func TestFacadeRoutingAndRobustness(t *testing.T) {
 }
 
 func TestFacadeGenerators(t *testing.T) {
-	if _, err := GenErdosRenyiGNP(100, 0.05, 1); err != nil {
+	if _, err := GenErdosRenyiGNP(context.Background(), 100, 0.05, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenErdosRenyiGNM(100, 200, 1); err != nil {
+	if _, err := GenErdosRenyiGNM(context.Background(), 100, 200, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenWaxman(100, 0.1, 0.5, 1); err != nil {
+	if _, err := GenWaxman(context.Background(), 100, 0.1, 0.5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenGLP(100, 1, 0.3, 0.5, 1); err != nil {
+	if _, err := GenGLP(context.Background(), 100, 1, 0.3, 0.5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenRandomGeometric(100, 0.15, 1); err != nil {
+	if _, err := GenRandomGeometric(context.Background(), 100, 0.15, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GenTransitStub(TransitStubConfig{
+	if _, err := GenTransitStub(context.Background(), TransitStubConfig{
 		TransitDomains: 2, TransitSize: 3, StubsPerTransit: 1, StubSize: 4, Seed: 1,
 	}); err != nil {
 		t.Fatal(err)
@@ -154,7 +158,7 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 }
 
 func TestFacadeHOTConstraints(t *testing.T) {
-	g, st, err := GrowHOT(HOTConfig{
+	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:    200,
 		Seed: 9,
 		Terms: []ObjectiveTerm{
@@ -173,20 +177,24 @@ func TestFacadeHOTConstraints(t *testing.T) {
 }
 
 func TestFacadeValidationAndAnonymization(t *testing.T) {
-	a, err := GenBarabasiAlbert(200, 2, 11)
+	a, err := GenBarabasiAlbert(context.Background(), 200, 2, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenErdosRenyiGNM(200, a.NumEdges(), 11)
+	b, err := GenErdosRenyiGNM(context.Background(), 200, a.NumEdges(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp := CompareTopologies(a, b, 1)
+	ctx := context.Background()
+	cmp, err := CompareTopologies(ctx, a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if cmp.Distance <= 0 {
 		t.Fatal("BA vs ER should differ")
 	}
-	if CompareTopologies(a, a, 1).Distance > 1e-9 {
-		t.Fatal("self comparison should be ~0")
+	if self, err := CompareTopologies(ctx, a, a, 1); err != nil || self.Distance > 1e-9 {
+		t.Fatalf("self comparison should be ~0: %v, %v", self.Distance, err)
 	}
 	iv := ResilienceCI(a, 10, 2)
 	if iv.Low > iv.High {
@@ -196,8 +204,11 @@ func TestFacadeValidationAndAnonymization(t *testing.T) {
 	if SummarizeTopology(scrubbed, 4).MaxDegree != SummarizeTopology(a, 4).MaxDegree {
 		t.Fatal("anonymization changed structure")
 	}
-	if MeasureTopology(a, 5).MeanDegree <= 0 {
-		t.Fatal("metric vector broken")
+	if v, err := MeasureTopology(ctx, a, 5); err != nil || v.MeanDegree <= 0 {
+		t.Fatalf("metric vector broken: %+v, %v", v, err)
+	}
+	if _, err := MeasureTopology(ctx, NewGraph(0), 5); !errors.Is(err, ErrBadParam) {
+		t.Fatalf("empty topology gave %v, want ErrBadParam", err)
 	}
 }
 
@@ -206,7 +217,7 @@ func TestFacadeTransitAndRings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inet, err := AssembleInternet(InternetConfig{
+	inet, err := AssembleInternet(context.Background(), InternetConfig{
 		Geography: geo, NumISPs: 8, Seed: 7, POPsPerISP: 8,
 		PeeringSetupCost: 1e-7, SizeSkew: 1,
 	})
@@ -297,7 +308,7 @@ func TestFacadeTrafficRegistry(t *testing.T) {
 }
 
 func TestFacadeConnectivityTimeline(t *testing.T) {
-	g, err := GenBarabasiAlbert(200, 2, 3)
+	g, err := GenBarabasiAlbert(context.Background(), 200, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,11 +152,15 @@ func TestRandomInstanceClustered(t *testing.T) {
 	// distance than uniform ones.
 	mean := func(in *Instance) float64 {
 		pts := customerPoints(in)
-		tr := geom.NewKDTree(pts)
 		total := 0.0
-		for _, p := range pts {
-			nb := tr.KNearest(p, 2) // first is the point itself
-			total += nb[1].Dist
+		for i, p := range pts {
+			nn := math.Inf(1)
+			for j, q := range pts {
+				if j != i && p.Dist(q) < nn {
+					nn = p.Dist(q)
+				}
+			}
+			total += nn
 		}
 		return total / float64(len(pts))
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -130,7 +131,12 @@ type Summary struct {
 // Summarize computes the aggregate characterization of g.
 func Summarize(g *graph.Graph, seed int64) Summary {
 	ds := stats.AnalyzeDegrees(g)
-	prof, _ := metrics.ProfileContext(context.Background(), g, nil, seed, 0)
+	// With these fixed metric sets on a graph source, both evaluations
+	// fail only when their context ends, and Background never does.
+	c := g.Freeze()
+	prof, _ := metrics.ProfileContext(context.Background(), g, c, seed, 0)
+	vals, _ := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c),
+		[]metricreg.Selection{{Name: "clustering"}, {Name: "assortativity"}}, metricreg.Options{Workers: 1})
 	return Summary{
 		Nodes:         g.NumNodes(),
 		Edges:         g.NumEdges(),
@@ -140,8 +146,8 @@ func Summarize(g *graph.Graph, seed int64) Summary {
 		TailKind:      ds.Classification.Kind.String(),
 		PowerLawAlpha: ds.Classification.PowerLaw.Alpha,
 		ExpLambda:     ds.Classification.Exponential.Lambda,
-		Clustering:    stats.ClusteringCoefficient(g),
-		Assortativity: stats.DegreeAssortativity(g),
+		Clustering:    vals["clustering"].Scalar,
+		Assortativity: vals["assortativity"].Scalar,
 		Profile:       prof,
 	}
 }

@@ -1,18 +1,18 @@
 package anonymize
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/stats"
 )
 
 func sample(t *testing.T) *graph.Graph {
 	t.Helper()
-	g, err := gen.BarabasiAlbert(300, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 300, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func TestScrubPreservesStructure(t *testing.T) {
 	}
 	// Clustering is isomorphism-invariant (up to float summation order,
 	// which the id permutation changes).
-	ca := stats.ClusteringCoefficient(g)
-	cb := stats.ClusteringCoefficient(out)
+	ca := Summarize(g, 1).Clustering
+	cb := Summarize(out, 1).Clustering
 	if math.Abs(ca-cb) > 1e-9 {
 		t.Fatalf("clustering changed: %v vs %v", ca, cb)
 	}

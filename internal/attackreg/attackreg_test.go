@@ -123,7 +123,7 @@ func TestTieBreakIsStableByNodeID(t *testing.T) {
 }
 
 func TestDegreeAttackOrdersHubsFirst(t *testing.T) {
-	g, err := gen.BarabasiAlbert(200, 2, 3)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 200, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestDegreeAttackOrdersHubsFirst(t *testing.T) {
 }
 
 func TestRandomSchedulesArePermutationsAndSeedDeterministic(t *testing.T) {
-	g, err := gen.BarabasiAlbert(120, 2, 7)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 120, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestParseSelections(t *testing.T) {
 }
 
 func TestScheduleHonorsCanceledContext(t *testing.T) {
-	g, err := gen.BarabasiAlbert(80, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 80, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

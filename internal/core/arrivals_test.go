@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -14,7 +15,7 @@ func TestGrowHOTFixedArrivals(t *testing.T) {
 		c := centers[i%3]
 		arrivals = append(arrivals, geom.Point{X: c.X + float64(i)*1e-4, Y: c.Y})
 	}
-	g, _, err := GrowHOT(HOTConfig{
+	g, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:        100,
 		Seed:     1,
 		Terms:    []ObjectiveTerm{DistanceTerm{Weight: 100}, CentralityTerm{Weight: 1}},
@@ -36,7 +37,7 @@ func TestGrowHOTFixedArrivals(t *testing.T) {
 }
 
 func TestGrowHOTArrivalsTooShort(t *testing.T) {
-	_, _, err := GrowHOT(HOTConfig{
+	_, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:        10,
 		Terms:    []ObjectiveTerm{DistanceTerm{Weight: 1}},
 		Arrivals: make([]geom.Point, 3),
@@ -54,14 +55,14 @@ func TestGrowHOTArrivalsDeterministicVsUniform(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = geom.Point{X: float64(i+1) / 51.0, Y: 0.3}
 	}
-	a, _, err := GrowHOT(HOTConfig{
+	a, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N: 50, Seed: 1, Arrivals: arrivals,
 		Terms: []ObjectiveTerm{DistanceTerm{Weight: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := GrowHOT(HOTConfig{
+	b, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N: 50, Seed: 99, Arrivals: arrivals,
 		Terms: []ObjectiveTerm{DistanceTerm{Weight: 1}},
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestFKPValidate(t *testing.T) {
 		{N: 10, Alpha: 1, MaxDegree: -2},
 	}
 	for i, cfg := range bad {
-		if _, err := FKP(cfg); err == nil {
+		if _, err := FKPContext(context.Background(), cfg); err == nil {
 			t.Fatalf("config %d should have failed validation", i)
 		}
 	}
@@ -24,7 +25,7 @@ func TestFKPValidate(t *testing.T) {
 
 func TestFKPProducesSpanningTree(t *testing.T) {
 	for _, mode := range []CentralityMode{HopsToRoot, DistToRoot} {
-		g, err := FKP(FKPConfig{N: 300, Alpha: 10, Seed: 1, Centrality: mode})
+		g, err := FKPContext(context.Background(), FKPConfig{N: 300, Alpha: 10, Seed: 1, Centrality: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestFKPProducesSpanningTree(t *testing.T) {
 }
 
 func TestFKPAvgHopsMode(t *testing.T) {
-	g, err := FKP(FKPConfig{N: 120, Alpha: 5, Seed: 2, Centrality: AvgHops})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 120, Alpha: 5, Seed: 2, Centrality: AvgHops})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFKPAvgHopsMode(t *testing.T) {
 func TestFKPSmallAlphaIsStar(t *testing.T) {
 	// Alpha below 1/sqrt(2): every node prefers the root regardless of
 	// distance (max distance gain < centrality cost of leaving the root).
-	g, err := FKP(FKPConfig{N: 500, Alpha: 0.3, Seed: 3})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 500, Alpha: 0.3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestFKPSmallAlphaIsStar(t *testing.T) {
 
 func TestFKPLargeAlphaIsNotStar(t *testing.T) {
 	n := 1000
-	g, err := FKP(FKPConfig{N: n, Alpha: RegimeAlpha(RegimeExponential, n), Seed: 4})
+	g, err := FKPContext(context.Background(), FKPConfig{N: n, Alpha: RegimeAlpha(RegimeExponential, n), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestFKPIntermediateAlphaSkewed(t *testing.T) {
 	// Intermediate regime: a few big hubs, many leaves — max degree far
 	// above the large-alpha regime but not a star.
 	n := 1500
-	gMid, err := FKP(FKPConfig{N: n, Alpha: RegimeAlpha(RegimePowerLaw, n), Seed: 5})
+	gMid, err := FKPContext(context.Background(), FKPConfig{N: n, Alpha: RegimeAlpha(RegimePowerLaw, n), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gBig, err := FKP(FKPConfig{N: n, Alpha: RegimeAlpha(RegimeExponential, n), Seed: 5})
+	gBig, err := FKPContext(context.Background(), FKPConfig{N: n, Alpha: RegimeAlpha(RegimeExponential, n), Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestFKPIntermediateAlphaSkewed(t *testing.T) {
 }
 
 func TestFKPDeterministic(t *testing.T) {
-	a, err := FKP(FKPConfig{N: 200, Alpha: 6, Seed: 7})
+	a, err := FKPContext(context.Background(), FKPConfig{N: 200, Alpha: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FKP(FKPConfig{N: 200, Alpha: 6, Seed: 7})
+	b, err := FKPContext(context.Background(), FKPConfig{N: 200, Alpha: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestFKPDeterministic(t *testing.T) {
 }
 
 func TestFKPMaxDegreeRespected(t *testing.T) {
-	g, err := FKP(FKPConfig{N: 400, Alpha: 0.3, Seed: 8, MaxDegree: 16})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 400, Alpha: 0.3, Seed: 8, MaxDegree: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFKPMaxDegreeRespected(t *testing.T) {
 
 func TestFKPRootPlacement(t *testing.T) {
 	at := geom.Point{X: 0.1, Y: 0.9}
-	g, err := FKP(FKPConfig{N: 10, Alpha: 1, Seed: 9, RootAt: &at})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 10, Alpha: 1, Seed: 9, RootAt: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestFKPRootPlacement(t *testing.T) {
 }
 
 func TestFKPSingleNode(t *testing.T) {
-	g, err := FKP(FKPConfig{N: 1, Alpha: 1, Seed: 1})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 1, Alpha: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestFKPSingleNode(t *testing.T) {
 }
 
 func TestFKPEdgeWeightsEuclidean(t *testing.T) {
-	g, err := FKP(FKPConfig{N: 50, Alpha: 5, Seed: 10})
+	g, err := FKPContext(context.Background(), FKPConfig{N: 50, Alpha: 5, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +172,11 @@ func TestGrowHOTEquivalentToFKP(t *testing.T) {
 	// With the FKP-equivalent configuration, GrowHOT must produce the
 	// identical topology for the same seed.
 	alpha := 7.0
-	gf, err := FKP(FKPConfig{N: 150, Alpha: alpha, Seed: 11})
+	gf, err := FKPContext(context.Background(), FKPConfig{N: 150, Alpha: alpha, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gh, _, err := GrowHOT(HOTConfig{
+	gh, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:     150,
 		Seed:  11,
 		Terms: []ObjectiveTerm{DistanceTerm{alpha}, CentralityTerm{1}},
@@ -195,19 +196,19 @@ func TestGrowHOTEquivalentToFKP(t *testing.T) {
 }
 
 func TestGrowHOTValidate(t *testing.T) {
-	if _, _, err := GrowHOT(HOTConfig{N: 0}); err == nil {
+	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 0}); err == nil {
 		t.Fatal("N=0 should fail")
 	}
-	if _, _, err := GrowHOT(HOTConfig{N: 5}); err == nil {
+	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 5}); err == nil {
 		t.Fatal("no terms should fail")
 	}
-	if _, _, err := GrowHOT(HOTConfig{N: 5, Terms: []ObjectiveTerm{DistanceTerm{1}}, LinksPerArrival: -1}); err == nil {
+	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 5, Terms: []ObjectiveTerm{DistanceTerm{1}}, LinksPerArrival: -1}); err == nil {
 		t.Fatal("negative links should fail")
 	}
 }
 
 func TestGrowHOTMultiLink(t *testing.T) {
-	g, _, err := GrowHOT(HOTConfig{
+	g, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:               200,
 		Seed:            12,
 		Terms:           []ObjectiveTerm{DistanceTerm{5}, CentralityTerm{1}},
@@ -230,7 +231,7 @@ func TestGrowHOTMultiLink(t *testing.T) {
 }
 
 func TestGrowHOTDegreeConstraint(t *testing.T) {
-	g, st, err := GrowHOT(HOTConfig{
+	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:           300,
 		Seed:        13,
 		Terms:       []ObjectiveTerm{CentralityTerm{1}}, // prefers root always
@@ -249,7 +250,7 @@ func TestGrowHOTDegreeConstraint(t *testing.T) {
 
 func TestGrowHOTInfeasibleFallsBack(t *testing.T) {
 	// Impossible length cap: every arrival falls back to unconstrained.
-	g, st, err := GrowHOT(HOTConfig{
+	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:           50,
 		Seed:        14,
 		Terms:       []ObjectiveTerm{DistanceTerm{1}},
@@ -268,7 +269,7 @@ func TestGrowHOTInfeasibleFallsBack(t *testing.T) {
 
 func TestGrowHOTLoadTermSpreadsDegree(t *testing.T) {
 	// Pure centrality gives a star; adding load must spread attachments.
-	star, _, err := GrowHOT(HOTConfig{
+	star, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:     200,
 		Seed:  15,
 		Terms: []ObjectiveTerm{CentralityTerm{1}},
@@ -276,7 +277,7 @@ func TestGrowHOTLoadTermSpreadsDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spread, _, err := GrowHOT(HOTConfig{
+	spread, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:     200,
 		Seed:  15,
 		Terms: []ObjectiveTerm{CentralityTerm{1}, LoadTerm{10}},

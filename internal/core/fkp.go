@@ -69,10 +69,6 @@ type FKPConfig struct {
 	Centrality CentralityMode // centrality definition
 	MaxDegree  int            // router port cap; 0 = unconstrained
 	RootAt     *geom.Point    // fixed root placement; nil = region center
-	// Search selects the candidate-scan implementation; see GrowthSearch.
-	// Every FKP configuration is grid-eligible, and the grown tree is
-	// bit-identical either way.
-	Search GrowthSearch
 }
 
 func (c *FKPConfig) withDefaults() FKPConfig {
@@ -95,23 +91,26 @@ func (c *FKPConfig) Validate() error {
 	if c.MaxDegree < 0 {
 		return errs.BadParamf("core: FKP MaxDegree = %d, need >= 0", c.MaxDegree)
 	}
-	if c.Search > SearchGrid {
-		return errs.BadParamf("core: unknown GrowthSearch %d", c.Search)
-	}
 	return nil
 }
 
-// FKP grows a tree per the FKP model and returns it. Node 0 is the root.
-// The result is always a spanning tree of the arrived nodes (each arrival
-// adds exactly one edge), with edge weights set to Euclidean length.
-func FKP(cfg FKPConfig) (*graph.Graph, error) {
-	return FKPContext(context.Background(), cfg)
+// FKPContext grows a tree per the FKP model and returns it. Node 0 is
+// the root. The result is always a spanning tree of the arrived nodes
+// (each arrival adds exactly one edge), with edge weights set to
+// Euclidean length. The growth loop checks ctx at every arrival and
+// returns an errs.ErrCanceled-wrapping error when the context is done.
+//
+// Every FKP configuration is eligible for the grid index, which runs
+// from gridMinNodes arrivals up; the grown tree is bit-identical to the
+// exhaustive scan's either way.
+func FKPContext(ctx context.Context, cfg FKPConfig) (*graph.Graph, error) {
+	return fkp(ctx, cfg, gridMinNodes)
 }
 
-// FKPContext is FKP with cancellation: the growth loop checks ctx at
-// every arrival and returns an errs.ErrCanceled-wrapping error when the
-// context is done.
-func FKPContext(ctx context.Context, cfg FKPConfig) (*graph.Graph, error) {
+// fkp is FKPContext with the candidate scan exposed: the grid index runs
+// when cfg.N >= gridMin, so 0 forces it and math.MaxInt forces the
+// exhaustive reference scan the parity tests pin it against.
+func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,14 +136,6 @@ func FKPContext(ctx context.Context, cfg FKPConfig) (*graph.Graph, error) {
 	// the stored stat is the raw pairwise hop sum and the per-arrival
 	// weight 1/i turns its regional minimums into valid bounds on
 	// sumHops[j]/i.
-	useGrid := false
-	switch c.Search {
-	case SearchGrid:
-		useGrid = true
-	case SearchExhaustive:
-	default:
-		useGrid = c.N >= gridMinNodes
-	}
 	var track [numStat]bool
 	var statW [numStat]float64
 	centStat := statHops
@@ -156,7 +147,7 @@ func FKPContext(ctx context.Context, cfg FKPConfig) (*graph.Graph, error) {
 	}
 	track[centStat] = true
 	var ix *growthIndex
-	if useGrid {
+	if c.N >= gridMin {
 		ix = newGrowthIndex(growthBound(c.Region, nil, rootPt), c.N, track)
 		vals := [numStat]float64{}
 		ix.add(0, rootPt, &vals)

@@ -1,12 +1,20 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
+)
+
+// The gridMin values that force each candidate scan of fkp and growHOT.
+const (
+	forceGrid       = 0
+	forceExhaustive = math.MaxInt
 )
 
 // checkSameGraph pins two grown graphs bit-for-bit: node coordinates and
@@ -37,7 +45,7 @@ func checkSameGraph(t *testing.T, label string, ref, got *graph.Graph) {
 // TestFKPGridMatchesExhaustive pins the grid-index FKP growth
 // bit-identical to the exhaustive scan for every centrality mode, with
 // and without a binding MaxDegree cap, across seeds. N is far below the
-// SearchAuto threshold, so the two Search values genuinely select the
+// gridMinNodes threshold, so the forced gridMin values genuinely select the
 // two implementations.
 func TestFKPGridMatchesExhaustive(t *testing.T) {
 	root := geom.Point{X: 0.9, Y: 0.1}
@@ -45,13 +53,11 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 		for _, maxDeg := range []int{0, 3} {
 			for _, seed := range []int64{1, 2, 3} {
 				cfg := FKPConfig{N: 220, Alpha: 8, Seed: seed, Centrality: mode, MaxDegree: maxDeg, RootAt: &root}
-				cfg.Search = SearchExhaustive
-				ref, err := FKP(cfg)
+				ref, err := fkp(context.Background(), cfg, forceExhaustive)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Search = SearchGrid
-				got, err := FKP(cfg)
+				got, err := fkp(context.Background(), cfg, forceGrid)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,10 +71,8 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 	// bounds must keep the result identical.
 	for _, alpha := range []float64{0.1, 0.5} {
 		cfg := FKPConfig{N: 220, Alpha: alpha, Seed: 5}
-		cfg.Search = SearchExhaustive
-		ref, _ := FKP(cfg)
-		cfg.Search = SearchGrid
-		got, _ := FKP(cfg)
+		ref, _ := fkp(context.Background(), cfg, forceExhaustive)
+		got, _ := fkp(context.Background(), cfg, forceGrid)
 		checkSameGraph(t, "star-regime", ref, got)
 	}
 }
@@ -78,10 +82,8 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 // errs.ErrInfeasible from both scan implementations.
 func TestFKPGridInfeasibleMatches(t *testing.T) {
 	cfg := FKPConfig{N: 5, Alpha: 1, Seed: 1, MaxDegree: 1}
-	cfg.Search = SearchExhaustive
-	_, errRef := FKP(cfg)
-	cfg.Search = SearchGrid
-	_, errGrid := FKP(cfg)
+	_, errRef := fkp(context.Background(), cfg, forceExhaustive)
+	_, errGrid := fkp(context.Background(), cfg, forceGrid)
 	if errRef == nil || errGrid == nil {
 		t.Fatalf("expected infeasible errors, got %v / %v", errRef, errGrid)
 	}
@@ -151,13 +153,11 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 
 	for _, tc := range cases {
 		cfg := tc.cfg
-		cfg.Search = SearchExhaustive
-		ref, refStats, err := GrowHOT(cfg)
+		ref, refStats, err := growHOT(context.Background(), cfg, forceExhaustive)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		cfg.Search = SearchGrid
-		got, gotStats, err := GrowHOT(cfg)
+		got, gotStats, err := growHOT(context.Background(), cfg, forceGrid)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -173,7 +173,7 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 
 // TestGrowHOTGridIneligibleFallsBack pins the eligibility gate: a custom
 // term the index cannot lower-bound must silently keep the exhaustive
-// scan (identical output) even under SearchGrid, as must a negative
+// scan (identical output) even when the grid is forced, as must a negative
 // weight, which breaks the cost monotonicity the bounds rely on.
 func TestGrowHOTGridIneligibleFallsBack(t *testing.T) {
 	for _, terms := range [][]ObjectiveTerm{
@@ -181,13 +181,11 @@ func TestGrowHOTGridIneligibleFallsBack(t *testing.T) {
 		{DistanceTerm{8}, CentralityTerm{-1}},
 	} {
 		cfg := HOTConfig{N: 120, Seed: 9, Terms: terms}
-		cfg.Search = SearchExhaustive
-		ref, _, err := GrowHOT(cfg)
+		ref, _, err := growHOT(context.Background(), cfg, forceExhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Search = SearchGrid
-		got, _, err := GrowHOT(cfg)
+		got, _, err := growHOT(context.Background(), cfg, forceGrid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,21 +201,9 @@ func (customTerm) Cost(s *GrowthState, p geom.Point, j int) float64 {
 }
 func (customTerm) Name() string { return "custom" }
 
-// TestGrowthSearchValidate pins the new config validation.
-func TestGrowthSearchValidate(t *testing.T) {
-	h := HOTConfig{N: 5, Terms: []ObjectiveTerm{DistanceTerm{1}}, Search: GrowthSearch(99)}
-	if err := h.Validate(); err == nil {
-		t.Fatal("HOT: unknown GrowthSearch accepted")
-	}
-	f := FKPConfig{N: 5, Search: GrowthSearch(99)}
-	if err := f.Validate(); err == nil {
-		t.Fatal("FKP: unknown GrowthSearch accepted")
-	}
-}
-
-// TestGrowHOTAutoMatchesForced pins SearchAuto at a size above the
-// engagement threshold against both forced implementations — the
-// three-way bit-identity users actually rely on.
+// TestGrowHOTAutoMatchesForced pins GrowHOTContext's own scan choice at
+// a size above gridMinNodes against both forced scans — the three-way
+// bit-identity users actually rely on.
 func TestGrowHOTAutoMatchesForced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grows three 1500-node topologies")
@@ -227,16 +213,18 @@ func TestGrowHOTAutoMatchesForced(t *testing.T) {
 		Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
 		Constraints: []Constraint{MaxDegreeConstraint{6}},
 	}
-	run := func(s GrowthSearch) *graph.Graph {
-		cfg := base
-		cfg.Search = s
-		g, _, err := GrowHOT(cfg)
+	run := func(gridMin int) *graph.Graph {
+		g, _, err := growHOT(context.Background(), base, gridMin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	ref := run(SearchExhaustive)
-	checkSameGraph(t, "auto", ref, run(SearchAuto))
-	checkSameGraph(t, "grid", ref, run(SearchGrid))
+	auto, _, err := GrowHOTContext(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := run(forceExhaustive)
+	checkSameGraph(t, "auto", ref, auto)
+	checkSameGraph(t, "grid", ref, run(forceGrid))
 }

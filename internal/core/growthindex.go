@@ -6,25 +6,8 @@ import (
 	"repro/internal/geom"
 )
 
-// GrowthSearch selects the candidate-scan implementation of the
-// optimization growth loops (GrowHOT, FKP).
-type GrowthSearch uint8
-
-const (
-	// SearchAuto (the zero value) uses the grid index when the
-	// configuration is eligible and large enough to amortize it, and the
-	// exhaustive scan otherwise. Results are identical either way.
-	SearchAuto GrowthSearch = iota
-	// SearchExhaustive forces the O(n) per-arrival reference scan.
-	SearchExhaustive
-	// SearchGrid forces the grid index where eligible (ineligible
-	// configurations — custom terms or constraints the index cannot
-	// bound — silently keep the exhaustive scan).
-	SearchGrid
-)
-
-// gridMinNodes is the SearchAuto engagement threshold: below it the
-// exhaustive scan wins on constant factors.
+// gridMinNodes is the size from which the growth loops engage the grid
+// index: below it the exhaustive scan wins on constant factors.
 const gridMinNodes = 1024
 
 // The candidate stats the growth index maintains lower bounds for. Each

@@ -135,12 +135,6 @@ type HOTConfig struct {
 	// When non-nil it must hold at least N-1 points; arrival i uses
 	// Arrivals[i-1] and Region is ignored for placement.
 	Arrivals []geom.Point
-	// Search selects the candidate-scan implementation; see GrowthSearch.
-	// The grid index requires every term and constraint to be one of the
-	// built-in types with non-negative weight (so regional cost lower
-	// bounds exist); other configurations keep the exhaustive scan.
-	// Either way the grown graph is bit-identical.
-	Search GrowthSearch
 }
 
 // Validate reports a configuration error (wrapping errs.ErrBadParam), or
@@ -157,9 +151,6 @@ func (c *HOTConfig) Validate() error {
 	}
 	if c.Arrivals != nil && len(c.Arrivals) < c.N-1 {
 		return errs.BadParamf("core: Arrivals holds %d points, need >= N-1 = %d", len(c.Arrivals), c.N-1)
-	}
-	if c.Search > SearchGrid {
-		return errs.BadParamf("core: unknown GrowthSearch %d", c.Search)
 	}
 	return nil
 }
@@ -225,9 +216,9 @@ func planHOT(terms []ObjectiveTerm, cons []Constraint) searchPlan {
 	return pl
 }
 
-// GrowHOT runs the generalized incremental optimization growth: each
-// arriving node attaches to the LinksPerArrival feasible existing nodes
-// with the lowest total objective cost (ties resolved toward the
+// GrowHOTContext runs the generalized incremental optimization growth:
+// each arriving node attaches to the LinksPerArrival feasible existing
+// nodes with the lowest total objective cost (ties resolved toward the
 // smallest candidate id; links are added in ascending (cost, id) order).
 // With LinksPerArrival == 1 and Terms = {DistanceTerm{alpha},
 // CentralityTerm{1}} this reduces exactly to the FKP model.
@@ -237,18 +228,21 @@ func planHOT(terms []ObjectiveTerm, cons []Constraint) searchPlan {
 // Stats.ConstraintViolations counts such arrivals. (A real ISP must
 // connect the customer somehow — it deploys a bigger router.)
 //
-// The candidate scan is O(n) per arrival by reference; eligible
-// configurations on SearchAuto/SearchGrid run the uniform-grid index
-// instead (~O(log n) per arrival in practice), which is pinned
-// bit-identical by the growth parity tests.
-func GrowHOT(cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
-	return GrowHOTContext(context.Background(), cfg)
+// The candidate scan is O(n) per arrival by reference. From
+// gridMinNodes arrivals up, configurations whose terms and constraints
+// are all built-in types with non-negative weight (so regional cost
+// lower bounds exist) run the uniform-grid index instead (~O(log n) per
+// arrival in practice), which the growth parity tests pin bit-identical.
+// The growth loop checks ctx at every arrival and returns an
+// errs.ErrCanceled-wrapping error when the context is done.
+func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
+	return growHOT(ctx, cfg, gridMinNodes)
 }
 
-// GrowHOTContext is GrowHOT with cancellation: the growth loop checks
-// ctx at every arrival and returns an errs.ErrCanceled-wrapping error
-// when the context is done.
-func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
+// growHOT is GrowHOTContext with the candidate scan exposed: eligible
+// configurations run the grid index when cfg.N >= gridMin, so 0 forces
+// it and math.MaxInt forces the exhaustive reference scan.
+func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *GrowthStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -273,16 +267,8 @@ func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthSt
 	stats := &GrowthStats{TermNames: termNames(cfg.Terms)}
 
 	plan := planHOT(cfg.Terms, cfg.Constraints)
-	useGrid := false
-	switch cfg.Search {
-	case SearchGrid:
-		useGrid = plan.ok
-	case SearchExhaustive:
-	default:
-		useGrid = plan.ok && cfg.N >= gridMinNodes
-	}
 	var ix *growthIndex
-	if useGrid {
+	if plan.ok && cfg.N >= gridMin {
 		ix = newGrowthIndex(growthBound(region, cfg.Arrivals, rootPt), cfg.N, plan.track)
 		vals := [numStat]float64{statRootDist: 0}
 		ix.add(0, rootPt, &vals)
@@ -366,7 +352,7 @@ func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthSt
 	return g, stats, nil
 }
 
-// GrowthStats reports aggregate facts about a GrowHOT run.
+// GrowthStats reports aggregate facts about a GrowHOTContext run.
 type GrowthStats struct {
 	TermNames            []string
 	TotalLinkLength      float64

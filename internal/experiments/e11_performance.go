@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -38,7 +37,7 @@ func E11Performance(opts Options) (*Table, error) {
 	// The national demand matrix comes from the traffic registry's
 	// canonical gravity model (numerically identical to the former
 	// hardcoded GravityConfig{Scale: 1, Exponent: 1}).
-	dm, err := trafficreg.GenerateDemand(context.Background(), geo, trafficreg.Selection{}, opts.Seed)
+	dm, err := trafficreg.GenerateDemand(opts.ctx(), geo, trafficreg.Selection{}, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +74,7 @@ func E11Performance(opts Options) (*Table, error) {
 			cfg.PerfWeight = 400
 			cfg.MaxExtraBackboneLinks = 6
 		}
-		des, err := isp.Build(cfg)
+		des, err := isp.BuildContext(opts.ctx(), cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -96,14 +95,14 @@ func E11Performance(opts Options) (*Table, error) {
 				}
 			}
 		}
-		if _, err := isp.ProvisionBackbone(des, geo, access.DefaultCatalog(), 0); err != nil {
+		if _, err := isp.ProvisionBackboneContext(opts.ctx(), des, geo, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0); err != nil {
 			return nil, err
 		}
-		mm, err := routing.MaxMinFair(des.Graph, demands)
+		mm, err := routing.MaxMinFairContext(opts.ctx(), des.Graph, nil, demands)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := routing.RouteShortestPaths(des.Graph, demands)
+		sp, err := routing.RouteShortestPathsContext(opts.ctx(), des.Graph, nil, demands)
 		if err != nil {
 			return nil, err
 		}

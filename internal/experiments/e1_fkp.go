@@ -50,7 +50,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 	}
 	repStats, err := mapUnits(opts, len(points)*reps, func(u int) (repStat, error) {
 		pt, rep := points[u/reps], u%reps
-		g, err := core.FKP(core.FKPConfig{
+		g, err := core.FKPContext(opts.ctx(), core.FKPConfig{
 			N: n, Alpha: pt.alpha, Seed: rng.Derive(opts.Seed, rep),
 		})
 		if err != nil {
@@ -96,7 +96,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 	// Ablation: centrality definition at the power-law alpha.
 	modes := []core.CentralityMode{core.HopsToRoot, core.DistToRoot}
 	modeNotes, err := mapUnits(opts, len(modes), func(mi int) (string, error) {
-		g, err := core.FKP(core.FKPConfig{
+		g, err := core.FKPContext(opts.ctx(), core.FKPConfig{
 			N: n, Alpha: 8, Seed: opts.Seed, Centrality: modes[mi],
 		})
 		if err != nil {
@@ -112,7 +112,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, modeNotes...)
 	// Ablation: router port cap (technology constraint, §2.1).
-	g, err := core.FKP(core.FKPConfig{N: n, Alpha: 0.3, Seed: opts.Seed, MaxDegree: 32})
+	g, err := core.FKPContext(opts.ctx(), core.FKPConfig{N: n, Alpha: 0.3, Seed: opts.Seed, MaxDegree: 32})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/access"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/metricreg"
 	"repro/internal/params"
 	"repro/internal/traffic"
+	"repro/internal/trafficreg"
 )
 
 func standardGeography(opts Options, cities int) (*traffic.Geography, error) {
@@ -60,7 +60,7 @@ func E4CostVsProfit(opts Options) (*Table, error) {
 			cfg.Formulation = isp.ProfitBased
 			cfg.PricePerDemand = prices[u-1]
 		}
-		return isp.Build(cfg)
+		return isp.BuildContext(opts.ctx(), cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -115,12 +115,12 @@ func E5NationalISP(opts Options) (*Table, error) {
 			DemandMax:             8,
 			MaxPorts:              64,
 		}
-		des, err := isp.Build(cfg)
+		des, err := isp.BuildContext(opts.ctx(), cfg)
 		if err != nil {
 			return nil, err
 		}
 		g := des.Graph
-		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), []metricreg.Selection{
+		vals, err := metricreg.Evaluate(opts.ctx(), metricreg.NewSource(g, nil), []metricreg.Selection{
 			{Name: "hierarchy-depth", Params: params.Params{"root": float64(des.POPs[0])}},
 			{Name: "distortion", Params: params.Params{"sample": 2000}},
 		}, metricreg.Options{Seed: opts.Seed})
@@ -141,7 +141,7 @@ func E5NationalISP(opts Options) (*Table, error) {
 
 		// Provision the WAN for the routed inter-metro demand (footnote
 		// 1: topology = connectivity + capacity).
-		rep, err := isp.ProvisionBackbone(des, geo, access.DefaultCatalog(), 0)
+		rep, err := isp.ProvisionBackboneContext(opts.ctx(), des, geo, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,7 @@ func E6Peering(opts Options) (*Table, error) {
 	}
 	nISPs := 10
 	custPerISP := opts.scale(300)
-	inet, err := peering.Assemble(peering.Config{
+	inet, err := peering.AssembleContext(opts.ctx(), peering.Config{
 		Geography:          geo,
 		NumISPs:            nISPs,
 		Seed:               opts.Seed,
@@ -81,7 +81,7 @@ func E6Peering(opts Options) (*Table, error) {
 	// sizes plus transit relationships — the §2.3 business structure that
 	// makes the AS graph hub-dominated (the Faloutsos-style observation
 	// of §3.2 emerging from economics).
-	big, err := peering.Assemble(peering.Config{
+	big, err := peering.AssembleContext(opts.ctx(), peering.Config{
 		Geography:        geo,
 		NumISPs:          24,
 		Seed:             opts.Seed,

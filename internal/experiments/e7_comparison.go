@@ -1,12 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metricreg"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -30,7 +30,7 @@ func E7GeneratorComparison(opts Options) (*Table, error) {
 	}
 	// HOT reference: FKP in the power-law regime, 2 links per arrival so
 	// edge counts are comparable with m=2 degree-based models.
-	hot, _, err := core.GrowHOT(core.HOTConfig{
+	hot, _, err := core.GrowHOTContext(opts.ctx(), core.HOTConfig{
 		N:               n,
 		Seed:            opts.Seed,
 		Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
@@ -47,34 +47,34 @@ func E7GeneratorComparison(opts Options) (*Table, error) {
 	}
 	entries := []entry{{"hot(fkp,m=2)", hot}}
 
-	if ba, err := gen.BarabasiAlbert(n, 2, opts.Seed); err == nil {
+	if ba, err := gen.BarabasiAlbertContext(opts.ctx(), n, 2, opts.Seed); err == nil {
 		entries = append(entries, entry{"ba(m=2)", ba})
 	} else {
 		return nil, err
 	}
-	if glp, err := gen.GLP(n, 2, 0.3, 0.6, opts.Seed); err == nil {
+	if glp, err := gen.GLPContext(opts.ctx(), n, 2, 0.3, 0.6, opts.Seed); err == nil {
 		entries = append(entries, entry{"glp", glp})
 	} else {
 		return nil, err
 	}
-	if er, err := gen.ErdosRenyiGNM(n, m, opts.Seed); err == nil {
+	if er, err := gen.ErdosRenyiGNMContext(opts.ctx(), n, m, opts.Seed); err == nil {
 		entries = append(entries, entry{"er(gnm)", er})
 	} else {
 		return nil, err
 	}
-	if wax, err := gen.Waxman(n, 0.04, 0.35, opts.Seed); err == nil {
+	if wax, err := gen.WaxmanContext(opts.ctx(), n, 0.04, 0.35, opts.Seed); err == nil {
 		entries = append(entries, entry{"waxman", wax})
 	} else {
 		return nil, err
 	}
 	// The sharpest descriptive generator: the HOT topology's own degree
 	// sequence re-wired at random (configuration model).
-	if cm, _, err := gen.ConfigurationModel(hot.Degrees(), opts.Seed); err == nil {
+	if cm, _, err := gen.ConfigurationModelContext(opts.ctx(), hot.Degrees(), opts.Seed); err == nil {
 		entries = append(entries, entry{"config(hot degs)", cm})
 	} else {
 		return nil, err
 	}
-	ts, err := gen.TransitStub(gen.TransitStubConfig{
+	ts, err := gen.TransitStubContext(opts.ctx(), gen.TransitStubConfig{
 		TransitDomains:  4,
 		TransitSize:     4,
 		StubsPerTransit: 3,
@@ -96,11 +96,17 @@ func E7GeneratorComparison(opts Options) (*Table, error) {
 	}
 	profs, err := mapUnits(opts, len(entries), func(i int) (profiled, error) {
 		g := entries[i].g
-		prof, err := metrics.ProfileContext(context.Background(), g, nil, opts.Seed, opts.Workers)
+		c := g.Freeze()
+		prof, err := metrics.ProfileContext(opts.ctx(), g, c, opts.Seed, opts.Workers)
+		if err != nil {
+			return profiled{}, err
+		}
+		vals, err := metricreg.Evaluate(opts.ctx(), metricreg.NewSource(g, c),
+			[]metricreg.Selection{{Name: "clustering"}}, metricreg.Options{Workers: 1})
 		return profiled{
 			prof:  prof,
 			tail:  stats.ClassifyTail(g.Degrees()).Kind.String(),
-			clust: stats.ClusteringCoefficient(g),
+			clust: vals["clustering"].Scalar,
 		}, err
 	})
 	if err != nil {

@@ -35,7 +35,7 @@ func E8Robustness(opts Options) (*Table, error) {
 		g    *graph.Graph
 	}
 	var entries []entry
-	fkp, err := core.FKP(core.FKPConfig{N: n, Alpha: 8, Seed: opts.Seed})
+	fkp, err := core.FKPContext(opts.ctx(), core.FKPConfig{N: n, Alpha: 8, Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -51,12 +51,12 @@ func E8Robustness(opts Options) (*Table, error) {
 		return nil, err
 	}
 	entries = append(entries, entry{"buy-at-bulk(mmp)", bab.Graph})
-	ba, err := gen.BarabasiAlbert(n, 1, opts.Seed) // tree like the HOT outputs
+	ba, err := gen.BarabasiAlbertContext(opts.ctx(), n, 1, opts.Seed) // tree like the HOT outputs
 	if err != nil {
 		return nil, err
 	}
 	entries = append(entries, entry{"ba(m=1,tree)", ba})
-	er, err := gen.ErdosRenyiGNM(n, fkp.NumEdges(), opts.Seed)
+	er, err := gen.ErdosRenyiGNMContext(opts.ctx(), n, fkp.NumEdges(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}

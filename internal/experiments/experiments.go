@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/par"
+	"repro/internal/table"
 )
 
 // Options tune experiment scale. Scale 1.0 is the published size; tests
@@ -101,35 +102,7 @@ func (t *Table) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", t.ID, t.Title)
 	fmt.Fprintf(&b, "Claim: %s\n", t.Claim)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
+	table.Write(&b, t.Header, t.Rows)
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestConfigurationModelMatchesDegrees(t *testing.T) {
 	for i := range degrees {
 		degrees[i] = 4
 	}
-	g, dropped, err := ConfigurationModel(degrees, 1)
+	g, dropped, err := ConfigurationModelContext(context.Background(), degrees, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestConfigurationModelSimpleGraph(t *testing.T) {
 	for i := range degrees {
 		degrees[i] = 1 + i%6
 	}
-	g, _, err := ConfigurationModel(degrees, 2)
+	g, _, err := ConfigurationModelContext(context.Background(), degrees, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestConfigurationModelSimpleGraph(t *testing.T) {
 func TestConfigurationModelReplicatesBATail(t *testing.T) {
 	// The descriptive-generator pipeline the paper criticizes: read off
 	// a topology's degree sequence, regenerate "a topology like it".
-	ba, err := BarabasiAlbert(1500, 2, 3)
+	ba, err := BarabasiAlbertContext(context.Background(), 1500, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := ConfigurationModel(ba.Degrees(), 4)
+	g, _, err := ConfigurationModelContext(context.Background(), ba.Degrees(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestConfigurationModelReplicatesBATail(t *testing.T) {
 }
 
 func TestConfigurationModelOddSumHandled(t *testing.T) {
-	g, dropped, err := ConfigurationModel([]int{3, 2, 2, 2}, 5) // sum 9, odd
+	g, dropped, err := ConfigurationModelContext(context.Background(), []int{3, 2, 2, 2}, 5) // sum 9, odd
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +108,27 @@ func TestConfigurationModelOddSumHandled(t *testing.T) {
 }
 
 func TestConfigurationModelErrors(t *testing.T) {
-	if _, _, err := ConfigurationModel(nil, 1); err == nil {
+	if _, _, err := ConfigurationModelContext(context.Background(), nil, 1); err == nil {
 		t.Fatal("empty sequence should error")
 	}
-	if _, _, err := ConfigurationModel([]int{-1, 1}, 1); err == nil {
+	if _, _, err := ConfigurationModelContext(context.Background(), []int{-1, 1}, 1); err == nil {
 		t.Fatal("negative degree should error")
 	}
-	if _, _, err := ConfigurationModel([]int{3, 1, 1, 1}, 1); err != nil {
+	if _, _, err := ConfigurationModelContext(context.Background(), []int{3, 1, 1, 1}, 1); err != nil {
 		t.Fatalf("valid sequence rejected: %v", err)
 	}
-	if _, _, err := ConfigurationModel([]int{5, 1, 1, 1}, 1); err == nil {
+	if _, _, err := ConfigurationModelContext(context.Background(), []int{5, 1, 1, 1}, 1); err == nil {
 		t.Fatal("degree >= n should error")
 	}
 }
 
 func TestConfigurationModelDeterministic(t *testing.T) {
 	degrees := []int{1, 2, 3, 2, 1, 3, 2, 2}
-	a, _, err := ConfigurationModel(degrees, 7)
+	a, _, err := ConfigurationModelContext(context.Background(), degrees, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ConfigurationModel(degrees, 7)
+	b, _, err := ConfigurationModelContext(context.Background(), degrees, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

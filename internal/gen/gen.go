@@ -22,14 +22,9 @@ import (
 	"repro/internal/rng"
 )
 
-// ErdosRenyiGNP samples G(n, p): each of the C(n,2) edges present
+// ErdosRenyiGNPContext samples G(n, p): each of the C(n,2) edges present
 // independently with probability p.
-func ErdosRenyiGNP(n int, p float64, seed int64) (*graph.Graph, error) {
-	return ErdosRenyiGNPContext(context.Background(), n, p, seed)
-}
-
-// ErdosRenyiGNPContext is ErdosRenyiGNP with cancellation, checked once
-// per source row of the pair loop.
+// Cancellation is checked once per source row of the pair loop.
 func ErdosRenyiGNPContext(ctx context.Context, n int, p float64, seed int64) (*graph.Graph, error) {
 	if n < 0 || p < 0 || p > 1 {
 		return nil, errs.BadParamf("gen: bad G(n,p) parameters n=%d p=%v", n, p)
@@ -53,14 +48,9 @@ func ErdosRenyiGNPContext(ctx context.Context, n int, p float64, seed int64) (*g
 	return g, nil
 }
 
-// ErdosRenyiGNM samples G(n, m): exactly m distinct edges uniformly at
+// ErdosRenyiGNMContext samples G(n, m): exactly m distinct edges uniformly at
 // random. m is clamped to C(n,2).
-func ErdosRenyiGNM(n, m int, seed int64) (*graph.Graph, error) {
-	return ErdosRenyiGNMContext(context.Background(), n, m, seed)
-}
-
-// ErdosRenyiGNMContext is ErdosRenyiGNM with cancellation, checked
-// periodically while drawing edges.
+// Cancellation is checked periodically while drawing edges.
 func ErdosRenyiGNMContext(ctx context.Context, n, m int, seed int64) (*graph.Graph, error) {
 	if n < 0 || m < 0 {
 		return nil, errs.BadParamf("gen: bad G(n,m) parameters n=%d m=%d", n, m)
@@ -99,15 +89,10 @@ func ErdosRenyiGNMContext(ctx context.Context, n, m int, seed int64) (*graph.Gra
 	return g, nil
 }
 
-// Waxman samples the classic Waxman geographic random graph: nodes are
+// WaxmanContext samples the classic Waxman geographic random graph: nodes are
 // uniform in the unit square and edge (u,v) appears with probability
 // beta * exp(-d(u,v) / (alpha * L)), L the maximum possible distance.
-func Waxman(n int, alpha, beta float64, seed int64) (*graph.Graph, error) {
-	return WaxmanContext(context.Background(), n, alpha, beta, seed)
-}
-
-// WaxmanContext is Waxman with cancellation, checked once per source row
-// of the pair loop.
+// Cancellation is checked once per source row of the pair loop.
 func WaxmanContext(ctx context.Context, n int, alpha, beta float64, seed int64) (*graph.Graph, error) {
 	if n < 0 || alpha <= 0 || beta <= 0 || beta > 1 {
 		return nil, errs.BadParamf("gen: bad Waxman parameters n=%d alpha=%v beta=%v", n, alpha, beta)
@@ -133,16 +118,11 @@ func WaxmanContext(ctx context.Context, n int, alpha, beta float64, seed int64) 
 	return g, nil
 }
 
-// BarabasiAlbert grows a preferential-attachment graph: each arriving
+// BarabasiAlbertContext grows a preferential-attachment graph: each arriving
 // node connects to m existing nodes chosen with probability proportional
 // to their current degree. The seed graph is a star on m+1 nodes, so
 // every arrival can find m distinct targets.
-func BarabasiAlbert(n, m int, seed int64) (*graph.Graph, error) {
-	return BarabasiAlbertContext(context.Background(), n, m, seed)
-}
-
-// BarabasiAlbertContext is BarabasiAlbert with cancellation, checked at
-// every arrival.
+// Cancellation is checked at every arrival.
 func BarabasiAlbertContext(ctx context.Context, n, m int, seed int64) (*graph.Graph, error) {
 	if m < 1 || n < m+1 {
 		return nil, errs.BadParamf("gen: BA requires m >= 1 and n >= m+1 (n=%d m=%d)", n, m)
@@ -181,16 +161,12 @@ func BarabasiAlbertContext(ctx context.Context, n, m int, seed int64) (*graph.Gr
 	return g, nil
 }
 
-// GLP grows a Generalized Linear Preference graph (Bu & Towsley, the
+// GLPContext grows a Generalized Linear Preference graph (Bu & Towsley, the
 // paper's reference [8]): with probability p an arriving step adds m new
 // links between existing nodes, otherwise it adds a new node with m
 // links; targets are chosen with probability proportional to
 // (degree - beta), beta < 1 tuning the preference strength.
-func GLP(n, m int, p, beta float64, seed int64) (*graph.Graph, error) {
-	return GLPContext(context.Background(), n, m, p, beta, seed)
-}
-
-// GLPContext is GLP with cancellation, checked at every growth step.
+// Cancellation is checked at every growth step.
 func GLPContext(ctx context.Context, n, m int, p, beta float64, seed int64) (*graph.Graph, error) {
 	if m < 1 || n < m+1 || p < 0 || p >= 1 || beta >= 1 {
 		return nil, errs.BadParamf("gen: bad GLP parameters n=%d m=%d p=%v beta=%v", n, m, p, beta)
@@ -258,16 +234,12 @@ type TransitStubConfig struct {
 	Seed            int64
 }
 
-// TransitStub generates a GT-ITM style transit-stub topology ([33]): a
+// TransitStubContext generates a GT-ITM style transit-stub topology ([33]): a
 // connected random mesh of transit domains; each transit router sponsors
 // StubsPerTransit stub domains; domains are internally connected (random
 // spanning tree + extra random edges with EdgeProb).
-func TransitStub(cfg TransitStubConfig) (*graph.Graph, error) {
-	return TransitStubContext(context.Background(), cfg)
-}
-
-// TransitStubContext is TransitStub with cancellation, checked per
-// transit router while sponsoring stub domains.
+// Cancellation is checked per transit router while sponsoring stub
+// domains.
 func TransitStubContext(ctx context.Context, cfg TransitStubConfig) (*graph.Graph, error) {
 	if cfg.TransitDomains < 1 || cfg.TransitSize < 1 || cfg.StubsPerTransit < 0 || cfg.StubSize < 1 {
 		return nil, errs.BadParamf("gen: bad transit-stub config %+v", cfg)
@@ -336,7 +308,7 @@ func TransitStubContext(ctx context.Context, cfg TransitStubConfig) (*graph.Grap
 	return g, nil
 }
 
-// ConfigurationModel samples a simple graph whose degree sequence
+// ConfigurationModelContext samples a simple graph whose degree sequence
 // matches the target as closely as possible: stub matching with
 // rejection of self-loops and duplicate edges, followed by edge-swap
 // repair for leftover stubs. This is the purest "descriptive" generator
@@ -347,12 +319,7 @@ func TransitStubContext(ctx context.Context, cfg TransitStubConfig) (*graph.Grap
 // Stats.DroppedStubs reporting it); the realized sequence may differ
 // from the target by a few stubs when the sequence is hard to realize
 // simply (counted in DroppedStubs).
-func ConfigurationModel(degrees []int, seed int64) (*graph.Graph, int, error) {
-	return ConfigurationModelContext(context.Background(), degrees, seed)
-}
-
-// ConfigurationModelContext is ConfigurationModel with cancellation,
-// checked between the matching and repair phases.
+// Cancellation is checked between the matching and repair phases.
 func ConfigurationModelContext(ctx context.Context, degrees []int, seed int64) (*graph.Graph, int, error) {
 	n := len(degrees)
 	if n == 0 {
@@ -469,18 +436,14 @@ func ordered(a, b int) (int, int) {
 	return a, b
 }
 
-// InetLike generates a topology the way Inet (the paper's reference
+// InetLikeContext generates a topology the way Inet (the paper's reference
 // [21]) does: draw a degree sequence from a truncated discrete power law
 // with exponent alpha and minimum degree 1, realize it with the
 // configuration model, then patch connectivity by linking smaller
 // components to the largest one (attaching at their highest-degree
 // nodes, as Inet's spanning-tree phase effectively does).
-func InetLike(n int, alpha float64, seed int64) (*graph.Graph, error) {
-	return InetLikeContext(context.Background(), n, alpha, seed)
-}
-
-// InetLikeContext is InetLike with cancellation, threaded through the
-// underlying configuration-model realization.
+// Cancellation is threaded through the underlying configuration-model
+// realization.
 func InetLikeContext(ctx context.Context, n int, alpha float64, seed int64) (*graph.Graph, error) {
 	if n < 3 {
 		return nil, errs.BadParamf("gen: InetLike needs n >= 3 (n=%d)", n)
@@ -559,14 +522,9 @@ func InetLikeContext(ctx context.Context, n int, alpha float64, seed int64) (*gr
 	return g, nil
 }
 
-// RandomGeometric connects all pairs of n uniform points within the given
+// RandomGeometricContext connects all pairs of n uniform points within the given
 // radius — the simplest "technology reach" null model.
-func RandomGeometric(n int, radius float64, seed int64) (*graph.Graph, error) {
-	return RandomGeometricContext(context.Background(), n, radius, seed)
-}
-
-// RandomGeometricContext is RandomGeometric with cancellation, checked
-// once per source node.
+// Cancellation is checked once per source node.
 func RandomGeometricContext(ctx context.Context, n int, radius float64, seed int64) (*graph.Graph, error) {
 	if n < 0 || radius < 0 {
 		return nil, errs.BadParamf("gen: bad RGG parameters n=%d radius=%v", n, radius)

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestGNPEdgeCount(t *testing.T) {
 	n, p := 200, 0.05
-	g, err := ErdosRenyiGNP(n, p, 1)
+	g, err := ErdosRenyiGNPContext(context.Background(), n, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,24 +22,24 @@ func TestGNPEdgeCount(t *testing.T) {
 }
 
 func TestGNPExtremes(t *testing.T) {
-	g, err := ErdosRenyiGNP(20, 0, 1)
+	g, err := ErdosRenyiGNPContext(context.Background(), 20, 0, 1)
 	if err != nil || g.NumEdges() != 0 {
 		t.Fatalf("p=0 should give empty graph (err=%v edges=%d)", err, g.NumEdges())
 	}
-	g, err = ErdosRenyiGNP(20, 1, 1)
+	g, err = ErdosRenyiGNPContext(context.Background(), 20, 1, 1)
 	if err != nil || g.NumEdges() != 190 {
 		t.Fatalf("p=1 should give complete graph (err=%v edges=%d)", err, g.NumEdges())
 	}
-	if _, err := ErdosRenyiGNP(10, 1.5, 1); err == nil {
+	if _, err := ErdosRenyiGNPContext(context.Background(), 10, 1.5, 1); err == nil {
 		t.Fatal("p>1 should error")
 	}
-	if _, err := ErdosRenyiGNP(-1, 0.5, 1); err == nil {
+	if _, err := ErdosRenyiGNPContext(context.Background(), -1, 0.5, 1); err == nil {
 		t.Fatal("n<0 should error")
 	}
 }
 
 func TestGNMExactEdges(t *testing.T) {
-	g, err := ErdosRenyiGNM(50, 100, 2)
+	g, err := ErdosRenyiGNMContext(context.Background(), 50, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestGNMExactEdges(t *testing.T) {
 }
 
 func TestGNMClampsToComplete(t *testing.T) {
-	g, err := ErdosRenyiGNM(5, 1000, 3)
+	g, err := ErdosRenyiGNMContext(context.Background(), 5, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestGNMClampsToComplete(t *testing.T) {
 }
 
 func TestWaxmanDistanceBias(t *testing.T) {
-	g, err := Waxman(300, 0.1, 0.5, 4)
+	g, err := WaxmanContext(context.Background(), 300, 0.1, 0.5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestWaxmanDistanceBias(t *testing.T) {
 
 func TestWaxmanBadParams(t *testing.T) {
 	for _, c := range [][3]float64{{-1, 0.1, 0.5}, {10, 0, 0.5}, {10, 0.1, 0}, {10, 0.1, 1.5}} {
-		if _, err := Waxman(int(c[0]), c[1], c[2], 1); err == nil {
+		if _, err := WaxmanContext(context.Background(), int(c[0]), c[1], c[2], 1); err == nil {
 			t.Fatalf("params %v should error", c)
 		}
 	}
@@ -99,7 +100,7 @@ func TestWaxmanBadParams(t *testing.T) {
 
 func TestBAEdgeCountAndConnectivity(t *testing.T) {
 	n, m := 500, 2
-	g, err := BarabasiAlbert(n, m, 5)
+	g, err := BarabasiAlbertContext(context.Background(), n, m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestBAEdgeCountAndConnectivity(t *testing.T) {
 }
 
 func TestBAPowerLawTail(t *testing.T) {
-	g, err := BarabasiAlbert(3000, 2, 6)
+	g, err := BarabasiAlbertContext(context.Background(), 3000, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestBAPowerLawTail(t *testing.T) {
 }
 
 func TestBAWithM1IsTree(t *testing.T) {
-	g, err := BarabasiAlbert(400, 1, 7)
+	g, err := BarabasiAlbertContext(context.Background(), 400, 1, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,16 +139,16 @@ func TestBAWithM1IsTree(t *testing.T) {
 }
 
 func TestBABadParams(t *testing.T) {
-	if _, err := BarabasiAlbert(2, 2, 1); err == nil {
+	if _, err := BarabasiAlbertContext(context.Background(), 2, 2, 1); err == nil {
 		t.Fatal("n <= m should error")
 	}
-	if _, err := BarabasiAlbert(10, 0, 1); err == nil {
+	if _, err := BarabasiAlbertContext(context.Background(), 10, 0, 1); err == nil {
 		t.Fatal("m=0 should error")
 	}
 }
 
 func TestGLPGrowsToN(t *testing.T) {
-	g, err := GLP(400, 1, 0.4, 0.6, 8)
+	g, err := GLPContext(context.Background(), 400, 1, 0.4, 0.6, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestGLPGrowsToN(t *testing.T) {
 }
 
 func TestGLPHeavyTail(t *testing.T) {
-	g, err := GLP(2500, 1, 0.3, 0.7, 9)
+	g, err := GLPContext(context.Background(), 2500, 1, 0.3, 0.7, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestGLPBadParams(t *testing.T) {
 		{10, 1, 0.5, 1.0},
 	}
 	for i, b := range bad {
-		if _, err := GLP(b.n, b.m, b.p, b.beta, 1); err == nil {
+		if _, err := GLPContext(context.Background(), b.n, b.m, b.p, b.beta, 1); err == nil {
 			t.Fatalf("bad GLP config %d accepted", i)
 		}
 	}
@@ -199,7 +200,7 @@ func TestTransitStubStructure(t *testing.T) {
 		EdgeProb:        0.3,
 		Seed:            10,
 	}
-	g, err := TransitStub(cfg)
+	g, err := TransitStubContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestTransitStubStructure(t *testing.T) {
 }
 
 func TestTransitStubNoStubs(t *testing.T) {
-	g, err := TransitStub(TransitStubConfig{
+	g, err := TransitStubContext(context.Background(), TransitStubConfig{
 		TransitDomains: 2, TransitSize: 3, StubsPerTransit: 0, StubSize: 1, Seed: 11,
 	})
 	if err != nil {
@@ -225,16 +226,16 @@ func TestTransitStubNoStubs(t *testing.T) {
 }
 
 func TestTransitStubBadConfig(t *testing.T) {
-	if _, err := TransitStub(TransitStubConfig{}); err == nil {
+	if _, err := TransitStubContext(context.Background(), TransitStubConfig{}); err == nil {
 		t.Fatal("zero config should error")
 	}
-	if _, err := TransitStub(TransitStubConfig{TransitDomains: 1, TransitSize: 1, StubSize: 1, EdgeProb: 2}); err == nil {
+	if _, err := TransitStubContext(context.Background(), TransitStubConfig{TransitDomains: 1, TransitSize: 1, StubSize: 1, EdgeProb: 2}); err == nil {
 		t.Fatal("EdgeProb > 1 should error")
 	}
 }
 
 func TestRandomGeometricRadius(t *testing.T) {
-	g, err := RandomGeometric(200, 0.15, 12)
+	g, err := RandomGeometricContext(context.Background(), 200, 0.15, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestRandomGeometricRadius(t *testing.T) {
 }
 
 func TestRandomGeometricZeroRadius(t *testing.T) {
-	g, err := RandomGeometric(50, 0, 13)
+	g, err := RandomGeometricContext(context.Background(), 50, 0, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +257,8 @@ func TestRandomGeometricZeroRadius(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	a, _ := BarabasiAlbert(300, 2, 42)
-	b, _ := BarabasiAlbert(300, 2, 42)
+	a, _ := BarabasiAlbertContext(context.Background(), 300, 2, 42)
+	b, _ := BarabasiAlbertContext(context.Background(), 300, 2, 42)
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("BA not deterministic")
 	}

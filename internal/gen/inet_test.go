@@ -1,13 +1,14 @@
 package gen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/stats"
 )
 
 func TestInetLikeConnected(t *testing.T) {
-	g, err := InetLike(800, 2.2, 1)
+	g, err := InetLikeContext(context.Background(), 800, 2.2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,7 @@ func TestInetLikeConnected(t *testing.T) {
 }
 
 func TestInetLikeHeavyTail(t *testing.T) {
-	g, err := InetLike(3000, 2.1, 2)
+	g, err := InetLikeContext(context.Background(), 3000, 2.1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,20 +32,20 @@ func TestInetLikeHeavyTail(t *testing.T) {
 }
 
 func TestInetLikeErrors(t *testing.T) {
-	if _, err := InetLike(2, 2.1, 1); err == nil {
+	if _, err := InetLikeContext(context.Background(), 2, 2.1, 1); err == nil {
 		t.Fatal("tiny n should error")
 	}
-	if _, err := InetLike(100, 1.0, 1); err == nil {
+	if _, err := InetLikeContext(context.Background(), 100, 1.0, 1); err == nil {
 		t.Fatal("alpha <= 1 should error")
 	}
 }
 
 func TestInetLikeDeterministic(t *testing.T) {
-	a, err := InetLike(300, 2.3, 7)
+	a, err := InetLikeContext(context.Background(), 300, 2.3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := InetLike(300, 2.3, 7)
+	b, err := InetLikeContext(context.Background(), 300, 2.3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

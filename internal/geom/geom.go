@@ -27,12 +27,6 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// Manhattan returns the L1 distance, used by the access-design cost model
-// variant that approximates street-grid cable runs.
-func (p Point) Manhattan(q Point) float64 {
-	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
-}
-
 // Rect is an axis-aligned rectangle [MinX,MaxX] x [MinY,MaxY].
 type Rect struct {
 	MinX, MinY, MaxX, MaxY float64
@@ -105,35 +99,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Centroid returns the mean of the given points. It panics on an empty
-// slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		panic("geom: Centroid of empty point set")
-	}
-	var sx, sy float64
-	for _, p := range pts {
-		sx += p.X
-		sy += p.Y
-	}
-	n := float64(len(pts))
-	return Point{sx / n, sy / n}
-}
-
-// BoundingRect returns the tightest rectangle containing all points.
-// It panics on an empty slice.
-func BoundingRect(pts []Point) Rect {
-	if len(pts) == 0 {
-		panic("geom: BoundingRect of empty point set")
-	}
-	r := Rect{pts[0].X, pts[0].Y, pts[0].X, pts[0].Y}
-	for _, p := range pts[1:] {
-		r.MinX = math.Min(r.MinX, p.X)
-		r.MinY = math.Min(r.MinY, p.Y)
-		r.MaxX = math.Max(r.MaxX, p.X)
-		r.MaxY = math.Max(r.MaxY, p.Y)
-	}
-	return r
 }

@@ -17,9 +17,6 @@ func TestDist(t *testing.T) {
 	if got := p.Dist2(q); got != 25 {
 		t.Fatalf("Dist2 = %v, want 25", got)
 	}
-	if got := p.Manhattan(q); got != 7 {
-		t.Fatalf("Manhattan = %v, want 7", got)
-	}
 }
 
 func TestDistSymmetry(t *testing.T) {
@@ -93,21 +90,6 @@ func TestGaussianClusterClamped(t *testing.T) {
 	}
 }
 
-func TestCentroid(t *testing.T) {
-	c := Centroid([]Point{{0, 0}, {2, 0}, {2, 2}, {0, 2}})
-	if c.X != 1 || c.Y != 1 {
-		t.Fatalf("Centroid = %v, want (1,1)", c)
-	}
-}
-
-func TestBoundingRect(t *testing.T) {
-	r := BoundingRect([]Point{{1, 5}, {-2, 3}, {4, -1}})
-	want := Rect{-2, -1, 4, 5}
-	if r != want {
-		t.Fatalf("BoundingRect = %v, want %v", r, want)
-	}
-}
-
 func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 	r := rng.New(4)
 	pts := UnitSquare.RandomPoints(r, 500)
@@ -124,55 +106,6 @@ func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 		if math.Abs(gotD-bestD) > 1e-12 {
 			t.Fatalf("Nearest dist %v (idx %d), brute force %v (idx %d)", gotD, gotIdx, bestD, bestIdx)
 		}
-	}
-}
-
-func TestKDTreeKNearestMatchesBruteForce(t *testing.T) {
-	r := rng.New(5)
-	pts := UnitSquare.RandomPoints(r, 300)
-	tree := NewKDTree(pts)
-	for trial := 0; trial < 50; trial++ {
-		q := UnitSquare.RandomPoint(r)
-		k := 1 + trial%10
-		got := tree.KNearest(q, k)
-		if len(got) != k {
-			t.Fatalf("KNearest returned %d, want %d", len(got), k)
-		}
-		// Verify sorted ascending.
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatal("KNearest results not sorted by distance")
-			}
-		}
-		// Brute-force the k-th distance.
-		ds := make([]float64, len(pts))
-		for i, p := range pts {
-			ds[i] = p.Dist(q)
-		}
-		for i := 0; i < k; i++ {
-			min := i
-			for j := i + 1; j < len(ds); j++ {
-				if ds[j] < ds[min] {
-					min = j
-				}
-			}
-			ds[i], ds[min] = ds[min], ds[i]
-			if math.Abs(got[i].Dist-ds[i]) > 1e-12 {
-				t.Fatalf("k=%d neighbor %d: dist %v, brute force %v", k, i, got[i].Dist, ds[i])
-			}
-		}
-	}
-}
-
-func TestKDTreeKNearestOverK(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}}
-	tree := NewKDTree(pts)
-	got := tree.KNearest(Point{0, 0}, 10)
-	if len(got) != 2 {
-		t.Fatalf("KNearest with k>n returned %d, want 2", len(got))
-	}
-	if got := tree.KNearest(Point{0, 0}, 0); got != nil {
-		t.Fatal("KNearest with k=0 should return nil")
 	}
 }
 

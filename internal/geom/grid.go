@@ -19,7 +19,6 @@ type Grid struct {
 	nx, ny int
 	cw, ch float64 // cell width/height; 0 when the rect is degenerate
 	cells  [][]int32
-	n      int
 }
 
 // NewGrid builds an empty grid over rect sized for about `expected`
@@ -42,20 +41,8 @@ func NewGrid(rect Rect, expected int) *Grid {
 	return g
 }
 
-// Len returns the number of stored points.
-func (g *Grid) Len() int { return g.n }
-
 // Dims returns the cell-grid dimensions (columns, rows).
 func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
-
-// MinCellSide returns the smaller cell dimension — the per-ring distance
-// unit of ring lower bounds.
-func (g *Grid) MinCellSide() float64 {
-	if g.cw < g.ch {
-		return g.cw
-	}
-	return g.ch
-}
 
 // CellAt returns the (column, row) of the cell containing p, clamped to
 // the grid. Points inside the rect (the Add contract) always land in the
@@ -79,7 +66,6 @@ func (g *Grid) Add(id int32, p Point) {
 	cx, cy := g.CellAt(p)
 	ci := g.CellIndex(cx, cy)
 	g.cells[ci] = append(g.cells[ci], id)
-	g.n++
 }
 
 // CellIDs returns the ids stored in cell index ci, in insertion order.

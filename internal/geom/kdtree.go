@@ -1,13 +1,12 @@
 package geom
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 )
 
 // KDTree is a static 2-d tree over a fixed point set, built once and then
-// queried for nearest and k-nearest neighbours. The incremental generators
+// queried for nearest neighbours and radius ranges. The incremental generators
 // (FKP, buy-at-bulk) query it heavily, so Nearest avoids allocation.
 type KDTree struct {
 	pts  []Point // points in tree order
@@ -31,9 +30,6 @@ func NewKDTree(pts []Point) *KDTree {
 	t.build(0, n, 0)
 	return t
 }
-
-// Len returns the number of points in the tree.
-func (t *KDTree) Len() int { return len(t.pts) }
 
 // build arranges pts[lo:hi] into an implicit kd-tree: the median element
 // (by the splitting axis) is placed at position mid, with the left subtree
@@ -145,64 +141,6 @@ func (t *KDTree) nearest(lo, hi int, q Point, best *int, bestD2 *float64) {
 	}
 }
 
-// Neighbor is a point index with its distance from the query.
-type Neighbor struct {
-	Index int
-	Dist  float64
-}
-
-// KNearest returns the k points closest to q, ordered by increasing
-// distance. If k exceeds the tree size, all points are returned.
-func (t *KDTree) KNearest(q Point, k int) []Neighbor {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(t.pts) {
-		k = len(t.pts)
-	}
-	h := &neighborHeap{}
-	t.knearest(0, len(t.pts), q, k, h)
-	out := make([]Neighbor, h.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		n := heap.Pop(h).(Neighbor)
-		out[i] = Neighbor{Index: t.idx[n.Index], Dist: sqrt(n.Dist)}
-	}
-	return out
-}
-
-func (t *KDTree) knearest(lo, hi int, q Point, k int, h *neighborHeap) {
-	if hi-lo <= 0 {
-		return
-	}
-	mid := (lo + hi) / 2
-	d2 := t.pts[mid].Dist2(q)
-	if h.Len() < k {
-		heap.Push(h, Neighbor{Index: mid, Dist: d2})
-	} else if d2 < (*h)[0].Dist {
-		(*h)[0] = Neighbor{Index: mid, Dist: d2}
-		heap.Fix(h, 0)
-	}
-	ax := t.axis[mid]
-	var delta float64
-	if ax == 0 {
-		delta = q.X - t.pts[mid].X
-	} else {
-		delta = q.Y - t.pts[mid].Y
-	}
-	first, second := lo, mid // ranges [lo,mid) and (mid,hi]
-	if delta >= 0 {
-		t.knearest(mid+1, hi, q, k, h)
-		if h.Len() < k || delta*delta < (*h)[0].Dist {
-			t.knearest(first, second, q, k, h)
-		}
-		return
-	}
-	t.knearest(lo, mid, q, k, h)
-	if h.Len() < k || delta*delta < (*h)[0].Dist {
-		t.knearest(mid+1, hi, q, k, h)
-	}
-}
-
 // RangeSearch returns the original indices of all points within radius of
 // q, in ascending index order.
 func (t *KDTree) RangeSearch(q Point, radius float64) []int {
@@ -242,22 +180,6 @@ func (t *KDTree) rangeSearch(lo, hi int, q Point, r2 float64, out *[]int) {
 			t.rangeSearch(lo, mid, q, r2, out)
 		}
 	}
-}
-
-// neighborHeap is a max-heap on squared distance, used to keep the k best
-// candidates during KNearest.
-type neighborHeap []Neighbor
-
-func (h neighborHeap) Len() int            { return len(h) }
-func (h neighborHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h neighborHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *neighborHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *neighborHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 func sqrt(x float64) float64 {

@@ -1055,68 +1055,40 @@ func (c *CSR) Eccentricity(ws *Workspace, src int) int {
 }
 
 // LargestComponentMasked returns the size of the largest connected
-// component of the snapshot restricted to nodes with removed[u] == false.
-// It is the kernel under the robustness failure/attack sweeps: instead of
-// materializing a RemoveNodes copy per removal fraction, callers flip
-// bits in one removed mask and re-measure. Visited bookkeeping uses ws
-// epochs, so repeated calls do not re-clear an O(n) array.
-func (c *CSR) LargestComponentMasked(ws *Workspace, removed []bool) int {
-	ws.Reserve(c.n)
-	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
-	epoch := ws.nextEpoch()
-	visited := ws.visited
-	best := 0
-	for s := 0; s < c.n; s++ {
-		if removed[s] || visited[s] == epoch {
-			continue
-		}
-		visited[s] = epoch
-		queue := ws.queue[:0]
-		queue = append(queue, int32(s))
-		size := 0
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			size++
-			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
-				v := c.nbr[j]
-				if visited[v] != epoch && !removed[v] {
-					visited[v] = epoch
-					queue = append(queue, v)
-				}
-			}
-		}
-		ws.queue = queue
-		if size > best {
-			best = size
-		}
-	}
-	return best
-}
-
-// LargestComponentMixedMasked returns the size of the largest connected
 // component of the snapshot with nodes whose removedNode[u] is true and
-// edges whose removedEdge[edgeID] is true both treated as absent — the
-// combined-mask kernel under failure/repair timelines, which interleave
-// node and edge outages in one schedule. Either mask may be shorter than
-// its id space (the missing tail is present) or nil.
-func (c *CSR) LargestComponentMixedMasked(ws *Workspace, removedNode, removedEdge []bool) int {
+// edges whose removedEdge[edgeID] is true treated as absent. It is the
+// kernel under the robustness sweeps and failure/repair timelines:
+// instead of materializing a RemoveNodes copy per removal fraction,
+// callers flip bits in the masks and re-measure. Either mask may be nil
+// or shorter than its id space (the missing tail is present); without
+// an edge mask the traversal reads no edge ids. Visited bookkeeping uses
+// ws epochs, so repeated calls do not re-clear an O(n) array.
+func (c *CSR) LargestComponentMasked(ws *Workspace, removedNode, removedEdge []bool) int {
 	ws.Reserve(c.n)
 	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
 	epoch := ws.nextEpoch()
 	visited := ws.visited
 	best := 0
 	for s := 0; s < c.n; s++ {
-		if visited[s] == epoch || (s < len(removedNode) && removedNode[s]) {
+		if (s < len(removedNode) && removedNode[s]) || visited[s] == epoch {
 			continue
 		}
 		visited[s] = epoch
 		queue := ws.queue[:0]
 		queue = append(queue, int32(s))
-		size := 0
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			size++
-			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
+			lo, hi := c.rowStart[u], c.rowStart[u+1]
+			if len(removedEdge) == 0 {
+				for _, v := range c.nbr[lo:hi] {
+					if visited[v] != epoch && !(int(v) < len(removedNode) && removedNode[v]) {
+						visited[v] = epoch
+						queue = append(queue, v)
+					}
+				}
+				continue
+			}
+			for j := lo; j < hi; j++ {
 				if e := int(c.edgeID[j]); e < len(removedEdge) && removedEdge[e] {
 					continue
 				}
@@ -1128,50 +1100,8 @@ func (c *CSR) LargestComponentMixedMasked(ws *Workspace, removedNode, removedEdg
 			}
 		}
 		ws.queue = queue
-		if size > best {
-			best = size
-		}
-	}
-	return best
-}
-
-// LargestComponentEdgeMasked returns the size of the largest connected
-// component of the snapshot with edges whose removedEdge[edgeID] is true
-// treated as absent (all nodes stay present). It is the edge-removal
-// analogue of LargestComponentMasked, under edge-targeted robustness
-// sweeps. A removedEdge slice shorter than the edge count treats the
-// missing tail as present.
-func (c *CSR) LargestComponentEdgeMasked(ws *Workspace, removedEdge []bool) int {
-	ws.Reserve(c.n)
-	ws.labelsN = -1 // queue no longer lists the Dijkstra labels
-	epoch := ws.nextEpoch()
-	visited := ws.visited
-	best := 0
-	for s := 0; s < c.n; s++ {
-		if visited[s] == epoch {
-			continue
-		}
-		visited[s] = epoch
-		queue := ws.queue[:0]
-		queue = append(queue, int32(s))
-		size := 0
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			size++
-			for j := c.rowStart[u]; j < c.rowStart[u+1]; j++ {
-				if e := int(c.edgeID[j]); e < len(removedEdge) && removedEdge[e] {
-					continue
-				}
-				v := c.nbr[j]
-				if visited[v] != epoch {
-					visited[v] = epoch
-					queue = append(queue, v)
-				}
-			}
-		}
-		ws.queue = queue
-		if size > best {
-			best = size
+		if len(queue) > best {
+			best = len(queue)
 		}
 	}
 	return best

@@ -161,7 +161,7 @@ func TestLargestComponentMaskedMatchesRemoveNodes(t *testing.T) {
 		removedIDs = append(removedIDs, u)
 		sub, _ := g.RemoveNodes(removedIDs)
 		want := largestComponent(sub)
-		if got := c.LargestComponentMasked(ws, removed); got != want {
+		if got := c.LargestComponentMasked(ws, removed, nil); got != want {
 			t.Fatalf("after removing %d nodes: masked LCC %d vs subgraph LCC %d", len(removedIDs), got, want)
 		}
 	}
@@ -169,7 +169,7 @@ func TestLargestComponentMaskedMatchesRemoveNodes(t *testing.T) {
 	for u := range removed {
 		removed[u] = true
 	}
-	if got := c.LargestComponentMasked(ws, removed); got != 0 {
+	if got := c.LargestComponentMasked(ws, removed, nil); got != 0 {
 		t.Fatalf("all-removed LCC = %d, want 0", got)
 	}
 }
@@ -199,12 +199,12 @@ func TestLargestComponentEdgeMaskedMatchesSubgraph(t *testing.T) {
 				sub.AddEdge(edge)
 			}
 		}
-		if got, want := c.LargestComponentEdgeMasked(ws, removedEdge), largestComponent(sub); got != want {
+		if got, want := c.LargestComponentMasked(ws, nil, removedEdge), largestComponent(sub); got != want {
 			t.Fatalf("after removing %d edges: edge-masked LCC %d vs subgraph LCC %d", removedCount, got, want)
 		}
 	}
 	// A short (or nil) mask treats the tail as present.
-	if got, want := c.LargestComponentEdgeMasked(ws, nil), largestComponent(g); got != want {
+	if got, want := c.LargestComponentMasked(ws, nil, nil), largestComponent(g); got != want {
 		t.Fatalf("nil edge mask LCC = %d, want %d", got, want)
 	}
 }
@@ -218,7 +218,7 @@ func TestCSREmptyGraph(t *testing.T) {
 	ws := NewWorkspace(0)
 	c.Dijkstra(ws, 0)
 	c.BFS(ws, 0)
-	if got := c.LargestComponentMasked(ws, nil); got != 0 {
+	if got := c.LargestComponentMasked(ws, nil, nil); got != 0 {
 		t.Fatalf("empty LCC = %d", got)
 	}
 }
@@ -257,9 +257,9 @@ func TestWorkspaceEpochWraparound(t *testing.T) {
 	ws := NewWorkspace(g.NumNodes())
 	ws.epoch = ^uint32(0) - 1 // force a wraparound within two calls
 	removed := make([]bool, g.NumNodes())
-	a := c.LargestComponentMasked(ws, removed)
-	b := c.LargestComponentMasked(ws, removed)
-	d := c.LargestComponentMasked(ws, removed)
+	a := c.LargestComponentMasked(ws, removed, nil)
+	b := c.LargestComponentMasked(ws, removed, nil)
+	d := c.LargestComponentMasked(ws, removed, nil)
 	if a != b || b != d {
 		t.Fatalf("LCC unstable across epoch wraparound: %d %d %d", a, b, d)
 	}
@@ -341,19 +341,23 @@ func TestLargestComponentMixedMaskedMatchesSubgraph(t *testing.T) {
 			}
 		}
 		want := largestComponent(sub)
-		if got := c.LargestComponentMixedMasked(ws, removedNode, removedEdge); got != want {
-			t.Fatalf("step %d: mixed-masked LCC %d vs subgraph LCC %d", step, got, want)
+		if got := c.LargestComponentMasked(ws, removedNode, removedEdge); got != want {
+			t.Fatalf("step %d: masked LCC %d vs subgraph LCC %d", step, got, want)
 		}
-		// The combined kernel must agree with the single-mask kernels when
-		// one mask is nil.
-		if got, want := c.LargestComponentMixedMasked(ws, removedNode, nil), c.LargestComponentMasked(ws, removedNode); got != want {
-			t.Fatalf("step %d: nil edge mask: %d vs node-masked %d", step, got, want)
+		// A nil mask, and the missing tail of a short one, read as
+		// present: the traversal that skips edge ids must agree with an
+		// all-present edge mask, and a halved edge mask with its
+		// full-length copy whose second half is cleared.
+		m := g.NumEdges()
+		if got, want := c.LargestComponentMasked(ws, removedNode, nil), c.LargestComponentMasked(ws, removedNode, make([]bool, m)); got != want {
+			t.Fatalf("step %d: nil edge mask %d vs all-present mask %d", step, got, want)
 		}
-		if got, want := c.LargestComponentMixedMasked(ws, nil, removedEdge), c.LargestComponentEdgeMasked(ws, removedEdge); got != want {
-			t.Fatalf("step %d: nil node mask: %d vs edge-masked %d", step, got, want)
+		half := append(append([]bool(nil), removedEdge[:m/2]...), make([]bool, m-m/2)...)
+		if got, want := c.LargestComponentMasked(ws, removedNode, removedEdge[:m/2]), c.LargestComponentMasked(ws, removedNode, half); got != want {
+			t.Fatalf("step %d: short edge mask %d vs cleared tail %d", step, got, want)
 		}
 	}
-	if got, want := c.LargestComponentMixedMasked(ws, nil, nil), largestComponent(g); got != want {
+	if got, want := c.LargestComponentMasked(ws, nil, nil), largestComponent(g); got != want {
 		t.Fatalf("nil masks LCC = %d, want %d", got, want)
 	}
 }

@@ -335,7 +335,7 @@ func TestWorkspaceLabelReset(t *testing.T) {
 			c.DijkstraHeap(ws, src)
 			continue
 		case 5:
-			c.LargestComponentMasked(ws, make([]bool, n))
+			c.LargestComponentMasked(ws, make([]bool, n), nil)
 			continue
 		case 2: // full run
 		case 3:

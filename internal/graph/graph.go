@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // NodeKind annotates a node's role in an ISP topology. Kinds are advisory:
@@ -212,35 +211,6 @@ func (g *Graph) findEdge(u, v int) int {
 	return -1
 }
 
-// InducedSubgraph returns the subgraph on the given nodes (deduplicated)
-// plus a mapping from new ids to original ids. Edges with both endpoints
-// in the set are kept.
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	keep := make(map[int]bool, len(nodes))
-	for _, u := range nodes {
-		keep[u] = true
-	}
-	orig := make([]int, 0, len(keep))
-	for u := range keep {
-		orig = append(orig, u)
-	}
-	sort.Ints(orig)
-	newID := make(map[int]int, len(orig))
-	sub := New(len(orig))
-	for i, u := range orig {
-		newID[u] = i
-		sub.AddNode(g.nodes[u])
-	}
-	for _, e := range g.edges {
-		if keep[e.U] && keep[e.V] {
-			ne := e
-			ne.U, ne.V = newID[e.U], newID[e.V]
-			sub.AddEdge(ne)
-		}
-	}
-	return sub, orig
-}
-
 // RemoveNodes returns a copy of g with the given nodes (and their incident
 // edges) deleted, plus the mapping from new ids to original ids. Used by
 // the robustness harness, which removes nodes in failure/attack sweeps.
@@ -258,8 +228,9 @@ func (g *Graph) RemoveNodes(removed []int) (*Graph, []int) {
 	return g.InducedSubgraphFromSorted(keep)
 }
 
-// InducedSubgraphFromSorted is InducedSubgraph for an already-sorted,
-// duplicate-free node list, skipping the dedup pass.
+// InducedSubgraphFromSorted returns the subgraph on the given sorted,
+// duplicate-free node list plus a mapping from new ids to original ids.
+// Edges with both endpoints in the list are kept.
 func (g *Graph) InducedSubgraphFromSorted(nodes []int) (*Graph, []int) {
 	newID := make([]int, len(g.nodes))
 	for i := range newID {

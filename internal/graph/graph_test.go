@@ -579,7 +579,7 @@ func TestTwoEdgeConnected(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
-	sub, orig := g.InducedSubgraph([]int{0, 1, 2, 2}) // dup is deduped
+	sub, orig := g.InducedSubgraphFromSorted([]int{0, 1, 2})
 	if sub.NumNodes() != 3 {
 		t.Fatalf("subgraph nodes = %d, want 3", sub.NumNodes())
 	}

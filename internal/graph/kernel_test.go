@@ -410,9 +410,9 @@ func TestReserveIndependentCapacities(t *testing.T) {
 	g := randomTestGraph(40, 20, 12)
 	c := g.Freeze()
 	removed := make([]bool, 40)
-	a := c.LargestComponentMasked(ws, removed)
+	a := c.LargestComponentMasked(ws, removed, nil)
 	ws.Reserve(2048)
-	b := c.LargestComponentMasked(ws, removed)
+	b := c.LargestComponentMasked(ws, removed, nil)
 	if a != b {
 		t.Fatalf("LCC changed across Reserve growth: %d vs %d", a, b)
 	}

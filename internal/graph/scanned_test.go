@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,10 +26,10 @@ func TestDijkstraScanned(t *testing.T) {
 		build func() (*graph.Graph, error)
 		rows  int // single-target rows over the 50 pairs
 	}{
-		{"ba", func() (*graph.Graph, error) { return gen.BarabasiAlbert(10000, 2, 1) }, 5314},
-		{"er", func() (*graph.Graph, error) { return gen.ErdosRenyiGNM(10000, 20000, 1) }, 8645},
+		{"ba", func() (*graph.Graph, error) { return gen.BarabasiAlbertContext(context.Background(), 10000, 2, 1) }, 5314},
+		{"er", func() (*graph.Graph, error) { return gen.ErdosRenyiGNMContext(context.Background(), 10000, 20000, 1) }, 8645},
 		{"hot", func() (*graph.Graph, error) {
-			g, _, err := core.GrowHOT(core.HOTConfig{
+			g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 				N: 10000, Seed: 1, LinksPerArrival: 2,
 				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
 			})

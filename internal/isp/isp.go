@@ -178,14 +178,9 @@ type Design struct {
 // TotalCost is access plus backbone cost.
 func (d *Design) TotalCost() float64 { return d.AccessCost + d.BackboneCost }
 
-// Build designs the ISP.
-func Build(cfg Config) (*Design, error) {
-	return BuildContext(context.Background(), cfg)
-}
-
-// BuildContext is Build with cancellation: the context is checked
-// between design stages and before each metro buildout, returning an
-// errs.ErrCanceled-wrapping error when it is done.
+// BuildContext designs the ISP. The context is checked between design
+// stages, before each metro buildout and while routing the backbone
+// demand, returning an errs.ErrCanceled-wrapping error when it is done.
 func BuildContext(ctx context.Context, cfg Config) (*Design, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -320,7 +315,7 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 		return nil
 	}
 	avgPath := func() (float64, error) {
-		res, err := routing.RouteShortestPaths(g, demands)
+		res, err := routing.RouteShortestPathsContext(ctx, g, nil, demands)
 		if err != nil {
 			return 0, err
 		}
@@ -343,7 +338,7 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 				// no edge removal; evaluate on a clone.
 				clone := g.Clone()
 				clone.AddEdge(graph.Edge{U: des.POPs[i], V: des.POPs[j], Weight: d})
-				res, err := routing.RouteShortestPaths(clone, demands)
+				res, err := routing.RouteShortestPathsContext(ctx, clone, nil, demands)
 				if err != nil {
 					return err
 				}

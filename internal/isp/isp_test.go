@@ -1,6 +1,7 @@
 package isp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,7 +44,7 @@ func baseConfig(t *testing.T, seed int64) Config {
 }
 
 func TestBuildCostBased(t *testing.T) {
-	d, err := Build(baseConfig(t, 1))
+	d, err := BuildContext(context.Background(), baseConfig(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestBuildCostBased(t *testing.T) {
 }
 
 func TestBuildHierarchyKinds(t *testing.T) {
-	d, err := Build(baseConfig(t, 2))
+	d, err := BuildContext(context.Background(), baseConfig(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestBuildHierarchyKinds(t *testing.T) {
 
 func TestBackboneMeshAndRedundancy(t *testing.T) {
 	cfg := baseConfig(t, 3)
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestBackboneMeshAndRedundancy(t *testing.T) {
 	// Higher perf weight must never yield fewer backbone links.
 	cfg2 := cfg
 	cfg2.PerfWeight = 5000
-	d2, err := Build(cfg2)
+	d2, err := BuildContext(context.Background(), cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestBackboneMeshAndRedundancy(t *testing.T) {
 func TestNoPerfWeightMeansTreeBackbone(t *testing.T) {
 	cfg := baseConfig(t, 4)
 	cfg.PerfWeight = 0
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestProfitBasedServesSubset(t *testing.T) {
 	cfg := baseConfig(t, 5)
 	cfg.Formulation = ProfitBased
 	cfg.PricePerDemand = 0.05 // low price: many customers unprofitable
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestProfitIncreasingInPrice(t *testing.T) {
 	for _, price := range []float64{0.05, 0.3, 3.0} {
 		c := cfg
 		c.PricePerDemand = price
-		d, err := Build(c)
+		d, err := BuildContext(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +155,7 @@ func TestProfitIncreasingInPrice(t *testing.T) {
 }
 
 func TestProfitAccountedOnlyInProfitMode(t *testing.T) {
-	d, err := Build(baseConfig(t, 7))
+	d, err := BuildContext(context.Background(), baseConfig(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestProfitAccountedOnlyInProfitMode(t *testing.T) {
 func TestMaxPortsRespectedInMetros(t *testing.T) {
 	cfg := baseConfig(t, 8)
 	cfg.MaxPorts = 8
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestMaxPortsRespectedInMetros(t *testing.T) {
 func TestKMedianPlacement(t *testing.T) {
 	cfg := baseConfig(t, 9)
 	cfg.Placement = KMedian
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestKMedianPlacement(t *testing.T) {
 }
 
 func TestTopCitiesGetPOPs(t *testing.T) {
-	d, err := Build(baseConfig(t, 10))
+	d, err := BuildContext(context.Background(), baseConfig(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,24 +211,24 @@ func TestTopCitiesGetPOPs(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Build(Config{}); err == nil {
+	if _, err := BuildContext(context.Background(), Config{}); err == nil {
 		t.Fatal("empty config should error")
 	}
 	geo := testGeo(t, 5, 11)
-	if _, err := Build(Config{Geography: geo, NumPOPs: 0}); err == nil {
+	if _, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 0}); err == nil {
 		t.Fatal("0 POPs should error")
 	}
-	if _, err := Build(Config{Geography: geo, NumPOPs: 2, Customers: -1}); err == nil {
+	if _, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 2, Customers: -1}); err == nil {
 		t.Fatal("negative customers should error")
 	}
-	if _, err := Build(Config{Geography: geo, NumPOPs: 2, Formulation: ProfitBased}); err == nil {
+	if _, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 2, Formulation: ProfitBased}); err == nil {
 		t.Fatal("profit formulation without price should error")
 	}
 }
 
 func TestNumPOPsClamped(t *testing.T) {
 	geo := testGeo(t, 4, 12)
-	d, err := Build(Config{Geography: geo, NumPOPs: 10, Customers: 50, Seed: 1, DemandMin: 1})
+	d, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 10, Customers: 50, Seed: 1, DemandMin: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestNumPOPsClamped(t *testing.T) {
 
 func TestSinglePOP(t *testing.T) {
 	geo := testGeo(t, 3, 13)
-	d, err := Build(Config{Geography: geo, NumPOPs: 1, Customers: 100, Seed: 2, DemandMin: 1})
+	d, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 1, Customers: 100, Seed: 2, DemandMin: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +252,11 @@ func TestSinglePOP(t *testing.T) {
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	a, err := Build(baseConfig(t, 14))
+	a, err := BuildContext(context.Background(), baseConfig(t, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(baseConfig(t, 14))
+	b, err := BuildContext(context.Background(), baseConfig(t, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestDeterministicBuild(t *testing.T) {
 func TestCustomerConcentrationFollowsPopulation(t *testing.T) {
 	// §2.1: "most customers reside in the big cities". The biggest POP
 	// city must serve more customers than the smallest POP city.
-	d, err := Build(baseConfig(t, 15))
+	d, err := BuildContext(context.Background(), baseConfig(t, 15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,24 +32,20 @@ type BackboneReport struct {
 	AvgPathWeight float64
 }
 
-// ProvisionBackbone routes the inter-metro demand between the design's
-// POP metros over the built topology and installs the cheapest adequate
-// cable configuration on every backbone link, using the canonical
-// gravity demand model with its defaults (the paper's §2.2 input).
+// ProvisionBackboneContext routes the inter-metro demand between the
+// design's POP metros over the built topology and installs the cheapest
+// adequate cable configuration on every backbone link, with
+// cancellation. The demand comes from any registered demand model
+// (internal/trafficreg; the zero Selection is the canonical gravity
+// model with its defaults, the paper's §2.2 input), so the "resource
+// capacity" half of topology the paper's footnote 1 insists on
+// (topology = connectivity + capacity annotations) is provisioned
+// against a first-class, parameterized traffic input instead of a
+// hardcoded one. Backbone edge capacities and cable kinds in the design
+// graph are updated in place.
 //
 // demandScale converts demand units into cable-capacity units; <= 0
 // picks the scale that puts the busiest link at one top-tier cable.
-func ProvisionBackbone(des *Design, geo *traffic.Geography, cat access.Catalog, demandScale float64) (*BackboneReport, error) {
-	return ProvisionBackboneContext(context.Background(), des, geo, cat, demandScale, trafficreg.Selection{}, 0)
-}
-
-// ProvisionBackboneContext is ProvisionBackbone under any registered
-// demand model (internal/trafficreg; the zero Selection is gravity with
-// its defaults), with cancellation — the "resource capacity" half of
-// topology the paper's footnote 1 insists on (topology = connectivity +
-// capacity annotations) is provisioned against a first-class,
-// parameterized traffic input instead of a hardcoded one. Backbone edge
-// capacities and cable kinds in the design graph are updated in place.
 // seed feeds seed-dependent demand models; pass the Config.Seed the
 // design was built with so capacities are sized for the same matrix
 // that drove the backbone augmentation (built-ins ignore it).
@@ -78,7 +74,7 @@ func ProvisionBackboneContext(ctx context.Context, des *Design, geo *traffic.Geo
 			}
 		}
 	}
-	res, err := routing.RouteShortestPaths(des.Graph, demands)
+	res, err := routing.RouteShortestPathsContext(ctx, des.Graph, nil, demands)
 	if err != nil {
 		return nil, err
 	}

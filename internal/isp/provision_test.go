@@ -11,11 +11,11 @@ import (
 )
 
 func TestProvisionBackboneBasics(t *testing.T) {
-	d, err := Build(baseConfig(t, 41))
+	d, err := BuildContext(context.Background(), baseConfig(t, 41))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ProvisionBackbone(d, testGeo(t, 20, 41), access.DefaultCatalog(), 0)
+	rep, err := ProvisionBackboneContext(context.Background(), d, testGeo(t, 20, 41), access.DefaultCatalog(), 0, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestProvisionBackboneBasics(t *testing.T) {
 }
 
 func TestProvisionBackboneCapacityCoversLoad(t *testing.T) {
-	d, err := Build(baseConfig(t, 42))
+	d, err := BuildContext(context.Background(), baseConfig(t, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ProvisionBackbone(d, testGeo(t, 20, 42), access.DefaultCatalog(), 0)
+	rep, err := ProvisionBackboneContext(context.Background(), d, testGeo(t, 20, 42), access.DefaultCatalog(), 0, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestProvisionBackboneCapacityCoversLoad(t *testing.T) {
 
 func TestProvisionBackboneSinglePOP(t *testing.T) {
 	geo := testGeo(t, 3, 43)
-	d, err := Build(Config{Geography: geo, NumPOPs: 1, Customers: 20, Seed: 1, DemandMin: 1})
+	d, err := BuildContext(context.Background(), Config{Geography: geo, NumPOPs: 1, Customers: 20, Seed: 1, DemandMin: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ProvisionBackbone(d, geo, access.DefaultCatalog(), 0)
+	rep, err := ProvisionBackboneContext(context.Background(), d, geo, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func TestProvisionBackboneSinglePOP(t *testing.T) {
 }
 
 func TestProvisionBackboneErrors(t *testing.T) {
-	d, err := Build(baseConfig(t, 44))
+	d, err := BuildContext(context.Background(), baseConfig(t, 44))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProvisionBackbone(d, nil, access.DefaultCatalog(), 0); err == nil {
+	if _, err := ProvisionBackboneContext(context.Background(), d, nil, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0); err == nil {
 		t.Fatal("nil geography should error")
 	}
-	if _, err := ProvisionBackbone(d, testGeo(t, 20, 44), access.Catalog{}, 0); err == nil {
+	if _, err := ProvisionBackboneContext(context.Background(), d, testGeo(t, 20, 44), access.Catalog{}, 0, trafficreg.Selection{}, 0); err == nil {
 		t.Fatal("empty catalog should error")
 	}
 }
@@ -95,14 +95,14 @@ func TestProvisionBackboneDemandModels(t *testing.T) {
 	geo := testGeo(t, 20, 46)
 	buildOne := func() *Design {
 		t.Helper()
-		d, err := Build(baseConfig(t, 46))
+		d, err := BuildContext(context.Background(), baseConfig(t, 46))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
 	ctx := context.Background()
-	def, err := ProvisionBackbone(buildOne(), geo, access.DefaultCatalog(), 0)
+	def, err := ProvisionBackboneContext(ctx, buildOne(), geo, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,20 +132,20 @@ func TestProvisionBackboneDemandModels(t *testing.T) {
 }
 
 func TestProvisionBackboneExplicitScale(t *testing.T) {
-	d, err := Build(baseConfig(t, 45))
+	d, err := BuildContext(context.Background(), baseConfig(t, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
 	geo := testGeo(t, 20, 45)
-	small, err := ProvisionBackbone(d, geo, access.DefaultCatalog(), 1e-9)
+	small, err := ProvisionBackboneContext(context.Background(), d, geo, access.DefaultCatalog(), 1e-9, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Build(baseConfig(t, 45))
+	d2, err := BuildContext(context.Background(), baseConfig(t, 45))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := ProvisionBackbone(d2, geo, access.DefaultCatalog(), 1e3)
+	big, err := ProvisionBackboneContext(context.Background(), d2, geo, access.DefaultCatalog(), 1e3, trafficreg.Selection{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

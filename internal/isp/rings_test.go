@@ -1,6 +1,7 @@
 package isp
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,7 +10,7 @@ import (
 func TestMetroRingsBuild(t *testing.T) {
 	cfg := baseConfig(t, 51)
 	cfg.MetroRingSize = 6
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +30,12 @@ func TestMetroRingsBuild(t *testing.T) {
 
 func TestMetroRingsCostMoreThanTrees(t *testing.T) {
 	cfg := baseConfig(t, 52)
-	tree, err := Build(cfg)
+	tree, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MetroRingSize = 8
-	ring, err := Build(cfg)
+	ring, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +48,14 @@ func TestMetroRingsCostMoreThanTrees(t *testing.T) {
 func TestMetroRingsValidation(t *testing.T) {
 	cfg := baseConfig(t, 53)
 	cfg.MetroRingSize = 1
-	if _, err := Build(cfg); err == nil {
+	if _, err := BuildContext(context.Background(), cfg); err == nil {
 		t.Fatal("ring size 1 should error")
 	}
 	cfg = baseConfig(t, 53)
 	cfg.MetroRingSize = 4
 	cfg.Formulation = ProfitBased
 	cfg.PricePerDemand = 1
-	if _, err := Build(cfg); err == nil {
+	if _, err := BuildContext(context.Background(), cfg); err == nil {
 		t.Fatal("rings + profit formulation should error")
 	}
 }
@@ -65,7 +66,7 @@ func TestMetroRingsSurviveSingleCut(t *testing.T) {
 	// perf optimizer bought no redundancy) are bridges.
 	cfg := baseConfig(t, 54)
 	cfg.MetroRingSize = 5
-	d, err := Build(cfg)
+	d, err := BuildContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

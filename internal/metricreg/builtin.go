@@ -290,7 +290,7 @@ func (a *hopStatsAcc) Finalize() Value {
 // connected component as a fraction of the original node count. The
 // resilience metric and every robustness sweep go through it.
 func lccFrac(ws *graph.Workspace, c *graph.CSR, removed []bool) float64 {
-	return float64(c.LargestComponentMasked(ws, removed)) / float64(c.NumNodes())
+	return float64(c.LargestComponentMasked(ws, removed, nil)) / float64(c.NumNodes())
 }
 
 // lccAcc reports the largest-component fraction; masked evaluation is

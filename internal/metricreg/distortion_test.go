@@ -101,10 +101,18 @@ func TestDistortionMatchesPerSourceBFS(t *testing.T) {
 		name  string
 		build func(seed int64) (*graph.Graph, error)
 	}{
-		{"ba", func(seed int64) (*graph.Graph, error) { return gen.BarabasiAlbert(400, 2, seed) }},
-		{"er-gnm", func(seed int64) (*graph.Graph, error) { return gen.ErdosRenyiGNM(400, 900, seed) }},
-		{"waxman", func(seed int64) (*graph.Graph, error) { return gen.Waxman(300, 0.1, 0.5, seed) }},
-		{"fkp", func(seed int64) (*graph.Graph, error) { return core.FKP(core.FKPConfig{N: 300, Alpha: 8, Seed: seed}) }},
+		{"ba", func(seed int64) (*graph.Graph, error) {
+			return gen.BarabasiAlbertContext(context.Background(), 400, 2, seed)
+		}},
+		{"er-gnm", func(seed int64) (*graph.Graph, error) {
+			return gen.ErdosRenyiGNMContext(context.Background(), 400, 900, seed)
+		}},
+		{"waxman", func(seed int64) (*graph.Graph, error) {
+			return gen.WaxmanContext(context.Background(), 300, 0.1, 0.5, seed)
+		}},
+		{"fkp", func(seed int64) (*graph.Graph, error) {
+			return core.FKPContext(context.Background(), core.FKPConfig{N: 300, Alpha: 8, Seed: seed})
+		}},
 	}
 	for _, mdl := range models {
 		for _, seed := range []int64{1, 2} {

@@ -330,16 +330,3 @@ func (r *Registry) Evaluate(ctx context.Context, src *Source, set []Selection, o
 func Evaluate(ctx context.Context, src *Source, set []Selection, opt Options) (map[string]Value, error) {
 	return defaultRegistry.Evaluate(ctx, src, set, opt)
 }
-
-// Scalar evaluates one parameterless metric of the default registry on
-// g, sequentially with seed 0 — the convenience path under the thin
-// internal/stats wrappers. Metrics whose evaluation can fail should use
-// Evaluate; Scalar returns 0 on error.
-func Scalar(name string, g *graph.Graph) float64 {
-	vals, err := defaultRegistry.Evaluate(context.Background(), NewSource(g, nil),
-		[]Selection{{Name: name}}, Options{Workers: 1})
-	if err != nil {
-		return 0
-	}
-	return vals[name].Scalar
-}

@@ -135,11 +135,11 @@ func clusteringHashSets(c *graph.CSR) (float64, bool) {
 // rejects self-loops, so no snapshot holds one.
 func rowOracleGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
-	ba, err := gen.BarabasiAlbert(400, 3, 2)
+	ba, err := gen.BarabasiAlbertContext(context.Background(), 400, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := gen.ErdosRenyiGNM(300, 900, 3)
+	er, err := gen.ErdosRenyiGNMContext(context.Background(), 300, 900, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

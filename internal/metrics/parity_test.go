@@ -72,7 +72,7 @@ func legacyResilience(c *graph.CSR, steps, trials int, seed int64) float64 {
 			for ; prev < k; prev++ {
 				removed[perm[prev]] = true
 			}
-			sum += float64(c.LargestComponentMasked(ws, removed)) / float64(n)
+			sum += float64(c.LargestComponentMasked(ws, removed, nil)) / float64(n)
 		}
 		perTrial[trial] = sum
 		ws.Release()
@@ -283,17 +283,17 @@ func parityGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	out := map[string]*graph.Graph{}
 	for _, seed := range []int64{1, 7} {
-		ba, err := gen.BarabasiAlbert(300, 2, seed)
+		ba, err := gen.BarabasiAlbertContext(context.Background(), 300, 2, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[fmt.Sprintf("ba/%d", seed)] = ba
-		er, err := gen.ErdosRenyiGNM(300, 600, seed)
+		er, err := gen.ErdosRenyiGNMContext(context.Background(), 300, 600, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[fmt.Sprintf("er-gnm/%d", seed)] = er
-		wx, err := gen.Waxman(250, 0.15, 0.5, seed)
+		wx, err := gen.WaxmanContext(context.Background(), 250, 0.15, 0.5, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestProfileRegistryParity(t *testing.T) {
 // TestFreeFunctionRegistryParity pins each metric, evaluated alone
 // through the registry, to the legacy free function's value too.
 func TestFreeFunctionRegistryParity(t *testing.T) {
-	g, err := gen.BarabasiAlbert(250, 2, 3)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 250, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,10 +139,3 @@ func ForEachWorkerErr(workers, n int, fn func(w, i int) error) error {
 	}
 	return firstE
 }
-
-// Do runs each fn concurrently on its own goroutine (bounded by the
-// worker normalization) and waits for all of them. Use it for a fixed
-// set of heterogeneous tasks, e.g. the metric families of a profile.
-func Do(workers int, fns ...func()) {
-	ForEach(workers, len(fns), func(i int) { fns[i]() })
-}

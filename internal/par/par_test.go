@@ -108,14 +108,6 @@ func TestSplitBudget(t *testing.T) {
 	}
 }
 
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Bool
-	Do(0, func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do skipped a task")
-	}
-}
-
 func TestForEachWorkerErrWorkerIndexBounds(t *testing.T) {
 	const workers, n = 4, 100
 	var hits [workers]atomic.Int64

@@ -147,20 +147,6 @@ func ParseKV(s string) (string, float64, error) {
 	return name, v, nil
 }
 
-// ParseKVs folds a list of "name=value" pairs into a Params map; later
-// pairs override earlier ones.
-func ParseKVs(pairs []string) (Params, error) {
-	out := Params{}
-	for _, s := range pairs {
-		name, v, err := ParseKV(s)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = v
-	}
-	return out, nil
-}
-
 // Selection names one registered component with optional parameters —
 // the unit Registry.Resolve validates and Registry.ParseSelections
 // builds from CLI flags. It round-trips through JSON.

@@ -109,19 +109,6 @@ func TestParseKV(t *testing.T) {
 	}
 }
 
-func TestParseKVs(t *testing.T) {
-	p, err := ParseKVs([]string{"a=1", "b=2", "a=3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p["a"] != 3 || p["b"] != 2 {
-		t.Fatalf("ParseKVs = %v", p)
-	}
-	if _, err := ParseKVs([]string{"a=1", "junk"}); !errors.Is(err, errs.ErrBadParam) {
-		t.Fatalf("ParseKVs with junk gave %v", err)
-	}
-}
-
 func TestNamesSorted(t *testing.T) {
 	if got := Names(specs()); got != "alpha, n" {
 		t.Fatalf("Names = %q", got)

@@ -75,12 +75,7 @@ type Internet struct {
 	AS *graph.Graph
 }
 
-// Assemble builds the internet model.
-func Assemble(cfg Config) (*Internet, error) {
-	return AssembleContext(context.Background(), cfg)
-}
-
-// AssembleContext is Assemble with cancellation: the context is checked
+// AssembleContext builds the internet model. The context is checked
 // before each member ISP buildout (the dominant cost) and threaded into
 // the single-ISP designer, returning an errs.ErrCanceled-wrapping error
 // when it is done.

@@ -1,6 +1,7 @@
 package peering
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -33,7 +34,7 @@ func baseCfg(t *testing.T, seed int64) Config {
 }
 
 func TestAssembleBasics(t *testing.T) {
-	inet, err := Assemble(baseCfg(t, 1))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func TestAssembleBasics(t *testing.T) {
 // bit-for-bit, another model still assembles, and a bad selection fails
 // as ErrBadParam.
 func TestAssembleDemandModels(t *testing.T) {
-	def, err := Assemble(baseCfg(t, 9))
+	def, err := AssembleContext(context.Background(), baseCfg(t, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := baseCfg(t, 9)
 	cfg.Demand = trafficreg.Selection{Name: "gravity"}
-	grav, err := Assemble(cfg)
+	grav, err := AssembleContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestAssembleDemandModels(t *testing.T) {
 	}
 	cfg = baseCfg(t, 9)
 	cfg.Demand = trafficreg.Selection{Name: "zipf-hotspot", Params: trafficreg.Params{"exponent": 2}}
-	hot, err := Assemble(cfg)
+	hot, err := AssembleContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,13 +91,13 @@ func TestAssembleDemandModels(t *testing.T) {
 	}
 	cfg = baseCfg(t, 9)
 	cfg.Demand = trafficreg.Selection{Name: "nope"}
-	if _, err := Assemble(cfg); !errors.Is(err, errs.ErrBadParam) {
+	if _, err := AssembleContext(context.Background(), cfg); !errors.Is(err, errs.ErrBadParam) {
 		t.Fatalf("unknown demand model gave %v, want ErrBadParam", err)
 	}
 }
 
 func TestPeeringsAtSharedCitiesOnly(t *testing.T) {
-	inet, err := Assemble(baseCfg(t, 2))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPeeringsAtSharedCitiesOnly(t *testing.T) {
 }
 
 func TestASEdgesMatchPeerings(t *testing.T) {
-	inet, err := Assemble(baseCfg(t, 3))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +137,12 @@ func TestASEdgesMatchPeerings(t *testing.T) {
 
 func TestHighSetupCostSuppressesPeering(t *testing.T) {
 	cfg := baseCfg(t, 4)
-	cheap, err := Assemble(cfg)
+	cheap, err := AssembleContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PeeringSetupCost = 1e12
-	pricey, err := Assemble(cfg)
+	pricey, err := AssembleContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestBigCitiesHostMorePeerings(t *testing.T) {
 	// §2.1: "most national or global ISPs peer for interconnection in the
 	// big cities". City 0 is the biggest; its peering count should be at
 	// least that of the smallest city.
-	inet, err := Assemble(baseCfg(t, 5))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestBigCitiesHostMorePeerings(t *testing.T) {
 func TestMaxPeeringsPerPair(t *testing.T) {
 	cfg := baseCfg(t, 6)
 	cfg.MaxPeeringsPerPair = 1
-	inet, err := Assemble(cfg)
+	inet, err := AssembleContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestMaxPeeringsPerPair(t *testing.T) {
 }
 
 func TestRouterGraphHasPeeringEdges(t *testing.T) {
-	inet, err := Assemble(baseCfg(t, 7))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,20 +208,20 @@ func TestRouterGraphHasPeeringEdges(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Assemble(Config{}); err == nil {
+	if _, err := AssembleContext(context.Background(), Config{}); err == nil {
 		t.Fatal("empty config should error")
 	}
 	geo := testGeo(t, 8)
-	if _, err := Assemble(Config{Geography: geo, NumISPs: 0, POPsPerISP: 2}); err == nil {
+	if _, err := AssembleContext(context.Background(), Config{Geography: geo, NumISPs: 0, POPsPerISP: 2}); err == nil {
 		t.Fatal("0 ISPs should error")
 	}
-	if _, err := Assemble(Config{Geography: geo, NumISPs: 2, POPsPerISP: 0}); err == nil {
+	if _, err := AssembleContext(context.Background(), Config{Geography: geo, NumISPs: 2, POPsPerISP: 0}); err == nil {
 		t.Fatal("0 POPs should error")
 	}
 }
 
 func TestRouterOffsetsIndexISPs(t *testing.T) {
-	inet, err := Assemble(baseCfg(t, 9))
+	inet, err := AssembleContext(context.Background(), baseCfg(t, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +235,11 @@ func TestRouterOffsetsIndexISPs(t *testing.T) {
 }
 
 func TestDeterministicAssembly(t *testing.T) {
-	a, err := Assemble(baseCfg(t, 10))
+	a, err := AssembleContext(context.Background(), baseCfg(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Assemble(baseCfg(t, 10))
+	b, err := AssembleContext(context.Background(), baseCfg(t, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,13 @@
 package peering
 
 import (
+	"context"
 	"testing"
 )
 
 func skewedInternet(t *testing.T, seed int64, nISPs int) *Internet {
 	t.Helper()
-	inet, err := Assemble(Config{
+	inet, err := AssembleContext(context.Background(), Config{
 		Geography:        testGeo(t, seed),
 		NumISPs:          nISPs,
 		Seed:             seed,
@@ -97,7 +98,7 @@ func TestTransitSkewMakesHubs(t *testing.T) {
 	// The §3.2 connection: skewed ISP sizes + transit economics make a
 	// hub-dominated AS graph. Suppress peering entirely (prohibitive
 	// setup cost) so the business hierarchy alone shapes degrees.
-	inet, err := Assemble(Config{
+	inet, err := AssembleContext(context.Background(), Config{
 		Geography:        testGeo(t, 34),
 		NumISPs:          16,
 		Seed:             34,

@@ -35,28 +35,6 @@ func Derive(seed int64, i int) int64 {
 	return int64(SplitMix64(SplitMix64(uint64(seed)) + uint64(i)*0x9e3779b97f4a7c15))
 }
 
-// Exponential samples an exponential random variable with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func Exponential(r *rand.Rand, rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential rate must be positive")
-	}
-	return r.ExpFloat64() / rate
-}
-
-// Pareto samples a Pareto random variable with scale xmin > 0 and shape
-// alpha > 0. The density is alpha*xmin^alpha / x^(alpha+1) for x >= xmin.
-func Pareto(r *rand.Rand, xmin, alpha float64) float64 {
-	if xmin <= 0 || alpha <= 0 {
-		panic("rng: Pareto parameters must be positive")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xmin * math.Pow(u, -1/alpha)
-}
-
 // BoundedPareto samples a Pareto(xmin, alpha) truncated to [xmin, xmax]
 // by inverse transform, so no rejection loop is needed.
 func BoundedPareto(r *rand.Rand, xmin, xmax, alpha float64) float64 {
@@ -67,36 +45,6 @@ func BoundedPareto(r *rand.Rand, xmin, xmax, alpha float64) float64 {
 	la := math.Pow(xmin, -alpha)
 	ha := math.Pow(xmax, -alpha)
 	return math.Pow(la-u*(la-ha), -1/alpha)
-}
-
-// Poisson samples a Poisson random variable with the given mean using
-// Knuth's method for small means and a normal approximation with
-// continuity correction for large means.
-func Poisson(r *rand.Rand, mean float64) int {
-	if mean < 0 {
-		panic("rng: Poisson mean must be non-negative")
-	}
-	if mean == 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	// Normal approximation: Poisson(m) ~ N(m, m) for large m.
-	n := r.NormFloat64()*math.Sqrt(mean) + mean + 0.5
-	if n < 0 {
-		return 0
-	}
-	return int(n)
 }
 
 // Zipf holds precomputed state for sampling ranks 1..N with probability

@@ -56,56 +56,6 @@ func TestSplitMix64KnownValues(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(3)
-	const rate = 2.5
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += Exponential(r, rate)
-	}
-	mean := sum / n
-	want := 1 / rate
-	if math.Abs(mean-want) > 0.01 {
-		t.Fatalf("Exponential mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestExponentialPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for rate=0")
-		}
-	}()
-	Exponential(New(1), 0)
-}
-
-func TestParetoSupport(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 10000; i++ {
-		v := Pareto(r, 2.0, 1.5)
-		if v < 2.0 {
-			t.Fatalf("Pareto sample %v below xmin", v)
-		}
-	}
-}
-
-func TestParetoMean(t *testing.T) {
-	// For alpha > 1, E[X] = alpha*xmin/(alpha-1).
-	r := New(5)
-	const xmin, alpha = 1.0, 3.0
-	const n = 300000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += Pareto(r, xmin, alpha)
-	}
-	mean := sum / n
-	want := alpha * xmin / (alpha - 1)
-	if math.Abs(mean-want)/want > 0.02 {
-		t.Fatalf("Pareto mean = %v, want ~%v", mean, want)
-	}
-}
-
 func TestBoundedParetoSupport(t *testing.T) {
 	r := New(6)
 	for i := 0; i < 10000; i++ {
@@ -113,40 +63,6 @@ func TestBoundedParetoSupport(t *testing.T) {
 		if v < 1 || v > 100 {
 			t.Fatalf("BoundedPareto sample %v outside [1,100]", v)
 		}
-	}
-}
-
-func TestPoissonMeanSmall(t *testing.T) {
-	r := New(7)
-	const mean = 4.2
-	const n = 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += Poisson(r, mean)
-	}
-	got := float64(sum) / n
-	if math.Abs(got-mean) > 0.05 {
-		t.Fatalf("Poisson mean = %v, want ~%v", got, mean)
-	}
-}
-
-func TestPoissonMeanLarge(t *testing.T) {
-	r := New(8)
-	const mean = 200.0
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += Poisson(r, mean)
-	}
-	got := float64(sum) / n
-	if math.Abs(got-mean)/mean > 0.01 {
-		t.Fatalf("Poisson(large) mean = %v, want ~%v", got, mean)
-	}
-}
-
-func TestPoissonZero(t *testing.T) {
-	if got := Poisson(New(1), 0); got != 0 {
-		t.Fatalf("Poisson(0) = %d, want 0", got)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestAdaptiveAttackAtLeastAsDeadly(t *testing.T) {
 	// On a scale-free graph the adaptive degree attack is at least as
 	// destructive as the static one at every removal fraction.
-	g, err := gen.BarabasiAlbert(500, 2, 9)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 500, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestAdaptiveAttackAtLeastAsDeadly(t *testing.T) {
 }
 
 func TestAdaptiveAttackOrderIsPermutation(t *testing.T) {
-	g, err := gen.BarabasiAlbert(100, 2, 10)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 100, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestAdaptiveDegreeCertificate(t *testing.T) {
 // schedule to the O(n²) scan on 10k-node preferential-attachment and
 // Erdős–Rényi graphs.
 func TestAdaptiveDegreeMatchesScan(t *testing.T) {
-	ba, err := gen.BarabasiAlbert(10000, 2, 1)
+	ba, err := gen.BarabasiAlbertContext(context.Background(), 10000, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := gen.ErdosRenyiGNM(10000, 20000, 1)
+	er, err := gen.ErdosRenyiGNMContext(context.Background(), 10000, 20000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

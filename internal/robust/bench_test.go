@@ -17,7 +17,7 @@ import (
 
 func benchSweepInputs(b *testing.B) (*graph.Graph, *graph.CSR, []float64) {
 	b.Helper()
-	g, err := gen.BarabasiAlbert(10000, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 10000, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func BenchmarkSweepRandomFailure10k(b *testing.B) {
 // whose cost is the attack's schedule: the union-find replay after it
 // is one near-linear pass.
 func BenchmarkSweepAdaptiveDegree10k(b *testing.B) {
-	g, err := gen.BarabasiAlbert(10000, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 10000, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func BenchmarkSweepAdaptiveDegree10k(b *testing.B) {
 
 func benchTimelineInputs(tb testing.TB) (*graph.CSR, []TimelineEvent) {
 	tb.Helper()
-	g, err := gen.BarabasiAlbert(10000, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 10000, 2, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -23,17 +23,17 @@ func parityModels(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	out := map[string]*graph.Graph{}
 	for _, seed := range []int64{1, 2} {
-		ba, err := gen.BarabasiAlbert(250, 2, seed)
+		ba, err := gen.BarabasiAlbertContext(context.Background(), 250, 2, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[fmt.Sprintf("ba/seed=%d", seed)] = ba
-		er, err := gen.ErdosRenyiGNM(250, ba.NumEdges(), seed)
+		er, err := gen.ErdosRenyiGNMContext(context.Background(), 250, ba.NumEdges(), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out[fmt.Sprintf("er/seed=%d", seed)] = er
-		wx, err := gen.Waxman(250, 0.6, 0.15, seed)
+		wx, err := gen.WaxmanContext(context.Background(), 250, 0.6, 0.15, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +210,8 @@ func certSchedules(g *graph.Graph) map[string][]TimelineEvent {
 
 // certifyTrajectory returns the certificate side of a timeline: row k
 // is lccByDFS after events[:k], divided by n. At every row it also
-// certifies the three masked-LCC kernels on the same masks: the node
-// mask alone, the edge mask alone, and both together.
+// certifies the masked-LCC kernel on the same masks: the node mask
+// alone, the edge mask alone, and both together.
 func certifyTrajectory(t *testing.T, g *graph.Graph, c *graph.CSR, events []TimelineEvent) []float64 {
 	t.Helper()
 	n, m := g.NumNodes(), g.NumEdges()
@@ -223,14 +223,14 @@ func certifyTrajectory(t *testing.T, g *graph.Graph, c *graph.CSR, events []Time
 	for k := 0; ; k++ {
 		both := lccByDFS(g, removedNode, removedEdge)
 		rows[k] = float64(both) / float64(n)
-		if got := c.LargestComponentMixedMasked(ws, removedNode, removedEdge); got != both {
-			t.Fatalf("row %d: LargestComponentMixedMasked %d, DFS %d", k, got, both)
+		if got := c.LargestComponentMasked(ws, removedNode, removedEdge); got != both {
+			t.Fatalf("row %d: both masks: LargestComponentMasked %d, DFS %d", k, got, both)
 		}
-		if got, want := c.LargestComponentMasked(ws, removedNode), lccByDFS(g, removedNode, noEdge); got != want {
-			t.Fatalf("row %d: LargestComponentMasked %d, DFS %d", k, got, want)
+		if got, want := c.LargestComponentMasked(ws, removedNode, nil), lccByDFS(g, removedNode, noEdge); got != want {
+			t.Fatalf("row %d: node mask: LargestComponentMasked %d, DFS %d", k, got, want)
 		}
-		if got, want := c.LargestComponentEdgeMasked(ws, removedEdge), lccByDFS(g, noNode, removedEdge); got != want {
-			t.Fatalf("row %d: LargestComponentEdgeMasked %d, DFS %d", k, got, want)
+		if got, want := c.LargestComponentMasked(ws, nil, removedEdge), lccByDFS(g, noNode, removedEdge); got != want {
+			t.Fatalf("row %d: edge mask: LargestComponentMasked %d, DFS %d", k, got, want)
 		}
 		if k == len(events) {
 			return rows
@@ -302,7 +302,7 @@ func TestTimelineComponentCertificate(t *testing.T) {
 // picks for the plain LCC curve (the union-find replay) reproduces the
 // masked path's curve exactly.
 func TestAutoModeMatchesLegacySweep(t *testing.T) {
-	g, err := gen.BarabasiAlbert(180, 2, 9)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 180, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestSweepEdgeCasesBothPaths(t *testing.T) {
 // exactly zero — which fails if an edge attack were compared against
 // node-removal random failure.
 func TestAttackGapBaselineMatchesTarget(t *testing.T) {
-	g, err := gen.BarabasiAlbert(200, 2, 4)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 200, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestAttackGapBaselineMatchesTarget(t *testing.T) {
 }
 
 func TestRunSweepSpecValidation(t *testing.T) {
-	g, err := gen.BarabasiAlbert(30, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 30, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

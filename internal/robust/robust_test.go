@@ -118,7 +118,7 @@ func TestBetweennessAttack(t *testing.T) {
 }
 
 func TestSweepMonotoneNonIncreasing(t *testing.T) {
-	g, err := gen.BarabasiAlbert(300, 2, 3)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 300, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestScaleFreeMoreFragileThanRandomGraph(t *testing.T) {
 	// scale-free graph loses connectivity much faster than an ER graph
 	// of the same density.
 	n := 400
-	ba, err := gen.BarabasiAlbert(n, 2, 5)
+	ba, err := gen.BarabasiAlbertContext(context.Background(), n, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	er, err := gen.ErdosRenyiGNM(n, ba.NumEdges(), 5)
+	er, err := gen.ErdosRenyiGNMContext(context.Background(), n, ba.NumEdges(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestScaleFreeMoreFragileThanRandomGraph(t *testing.T) {
 }
 
 func TestMetricSweepMultiMetric(t *testing.T) {
-	g, err := gen.BarabasiAlbert(150, 2, 4)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 150, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestMetricSweepMultiMetric(t *testing.T) {
 func TestMetricSweepMatchesSweep(t *testing.T) {
 	// The plain LCC sweep replays through union-find; the masked
 	// metric sweep of {"lcc"} must agree with it exactly.
-	g, err := gen.BarabasiAlbert(120, 2, 9)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 120, 2, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestMetricSweepRejections(t *testing.T) {
 }
 
 func TestMetricSweepWorkerDeterminism(t *testing.T) {
-	g, err := gen.BarabasiAlbert(140, 2, 2)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 140, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

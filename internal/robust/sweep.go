@@ -170,7 +170,7 @@ func sweep(ctx context.Context, g *graph.Graph, c *graph.CSR, spec SweepSpec, se
 				for ; prev < k; prev++ {
 					removedEdge[order[prev]] = true
 				}
-				vals[0][i] = float64(c.LargestComponentEdgeMasked(ws, removedEdge)) / float64(n)
+				vals[0][i] = float64(c.LargestComponentMasked(ws, nil, removedEdge)) / float64(n)
 			}
 		}
 		perTrial[trial] = vals

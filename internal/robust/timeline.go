@@ -448,7 +448,7 @@ func maskedTimeline(ctx context.Context, c *graph.CSR, events []TimelineEvent, s
 	}
 	evaluate := func(row int) {
 		if onlyLCC {
-			curves[0].Values[row] = float64(c.LargestComponentMixedMasked(ws, nodeFailed, edgeFailed)) / float64(n)
+			curves[0].Values[row] = float64(c.LargestComponentMasked(ws, nodeFailed, edgeFailed)) / float64(n)
 			return
 		}
 		for i, acc := range accs {

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -90,9 +91,15 @@ func TestRouteCapacitatedMatchesLegacy(t *testing.T) {
 		name string
 		gen  func(seed int64) (*graph.Graph, error)
 	}{
-		{"ba", func(seed int64) (*graph.Graph, error) { return gen.BarabasiAlbert(300, 2, seed) }},
-		{"er-gnm", func(seed int64) (*graph.Graph, error) { return gen.ErdosRenyiGNM(300, 700, seed) }},
-		{"waxman", func(seed int64) (*graph.Graph, error) { return gen.Waxman(300, 0.15, 0.6, seed) }},
+		{"ba", func(seed int64) (*graph.Graph, error) {
+			return gen.BarabasiAlbertContext(context.Background(), 300, 2, seed)
+		}},
+		{"er-gnm", func(seed int64) (*graph.Graph, error) {
+			return gen.ErdosRenyiGNMContext(context.Background(), 300, 700, seed)
+		}},
+		{"waxman", func(seed int64) (*graph.Graph, error) {
+			return gen.WaxmanContext(context.Background(), 300, 0.15, 0.6, seed)
+		}},
 	}
 	for _, m := range models {
 		for _, seed := range []int64{1, 2} {
@@ -122,7 +129,7 @@ func TestRouteCapacitatedMatchesLegacy(t *testing.T) {
 				}
 				demands = append(demands, Demand{Src: s, Dst: d, Volume: vol})
 			}
-			got, err := RouteCapacitated(g, demands)
+			got, err := RouteCapacitatedContext(context.Background(), g, nil, demands)
 			if err != nil {
 				t.Fatal(err)
 			}

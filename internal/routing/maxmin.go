@@ -24,10 +24,10 @@ type MaxMinResult struct {
 	BottleneckEdges int
 }
 
-// MaxMinFair computes the volume-aware max-min fair ("water-filling")
-// rate allocation for the demand set, with each demand pinned to its
-// shortest path and rates constrained by edge capacities and by each
-// flow's offered Volume. Demands are elastic up to their volume
+// MaxMinFairContext computes the volume-aware max-min fair
+// ("water-filling") rate allocation for the demand set, with each demand
+// pinned to its shortest path and rates constrained by edge capacities
+// and by each flow's offered Volume. Demands are elastic up to their volume
 // (TCP-like with a finite backlog): the paper's performance analyses
 // care about what throughput the topology's provisioning actually
 // supports under the offered demand, not just whether volumes fit.
@@ -44,14 +44,11 @@ type MaxMinResult struct {
 // charging the edges it crosses, so its unconsumed capacity is
 // redistributed to the still-rising flows in later rounds. O(E * F) in
 // the worst case.
-func MaxMinFair(g *graph.Graph, demands []Demand) (*MaxMinResult, error) {
-	return MaxMinFairContext(context.Background(), g, nil, demands)
-}
-
-// MaxMinFairContext is MaxMinFair with cancellation and an optional
-// pre-frozen snapshot (nil freezes internally). Cancellation is checked
-// during the parallel path-pinning phase; the filling loop itself is
-// bounded by the flow count and runs to completion.
+//
+// c is an optional pre-frozen snapshot (nil freezes internally).
+// Cancellation is checked during the parallel path-pinning phase; the
+// filling loop itself is bounded by the flow count and runs to
+// completion.
 func MaxMinFairContext(ctx context.Context, g *graph.Graph, c *graph.CSR, demands []Demand) (*MaxMinResult, error) {
 	if err := checkDemands(g, demands); err != nil {
 		return nil, err

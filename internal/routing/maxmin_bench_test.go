@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,7 +13,7 @@ import (
 // redistribution rounds actually run.
 func maxMinBenchInstance(b *testing.B) (*graph.Graph, []Demand) {
 	b.Helper()
-	g, err := gen.BarabasiAlbert(400, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 400, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func BenchmarkMaxMinFairVolumeAware(b *testing.B) {
 	g, demands := maxMinBenchInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaxMinFair(g, demands); err != nil {
+		if _, err := MaxMinFairContext(context.Background(), g, nil, demands); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,7 @@ func TestMaxMinFairSingleBottleneckSplit(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 6})
 	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 1, Capacity: 100})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 100},
 		{Src: 0, Dst: 2, Volume: 100},
 	})
@@ -42,7 +42,7 @@ func TestMaxMinFairUnevenBottlenecks(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 2})
 	g.AddEdge(graph.Edge{U: 2, V: 3, Weight: 1, Capacity: 10})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 100},
 		{Src: 2, Dst: 3, Volume: 100},
 	})
@@ -68,7 +68,7 @@ func TestMaxMinFairWaterFilling(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 2})
 	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 1, Capacity: 6})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 2, Volume: 100}, // A
 		{Src: 1, Dst: 2, Volume: 100}, // B
 	})
@@ -88,7 +88,7 @@ func TestMaxMinFairRespectsOfferedVolume(t *testing.T) {
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 100})
-	res, err := MaxMinFair(g, []Demand{{Src: 0, Dst: 1, Volume: 5}})
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 1, Volume: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestMaxMinFairUnroutableFlow(t *testing.T) {
 		g.AddNode(graph.Node{})
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 4})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 10},
 		{Src: 0, Dst: 2, Volume: 10}, // unreachable
 	})
@@ -134,7 +134,7 @@ func TestMaxMinFairNoCapacityExceeded(t *testing.T) {
 		{Src: 0, Dst: 2, Volume: 100},
 		{Src: 2, Dst: 4, Volume: 100},
 	}
-	res, err := MaxMinFair(g, demands)
+	res, err := MaxMinFairContext(context.Background(), g, nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +163,11 @@ func TestMaxMinFairValidation(t *testing.T) {
 	g := graph.New(2)
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
-	if _, err := MaxMinFair(g, []Demand{{Src: 0, Dst: 0, Volume: 1}}); err == nil {
+	if _, err := MaxMinFairContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 0, Volume: 1}}); err == nil {
 		t.Fatal("self demand should error")
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 1})
-	if _, err := MaxMinFair(g, []Demand{{Src: 0, Dst: 1, Volume: math.NaN()}}); err == nil {
+	if _, err := MaxMinFairContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 1, Volume: math.NaN()}}); err == nil {
 		t.Fatal("NaN volume should error (it would freeze at rate NaN)")
 	}
 }
@@ -192,7 +192,7 @@ func TestMaxMinFairVolumeFreesCapacity(t *testing.T) {
 		{Src: 0, Dst: 1, Volume: 1},   // A: ceiling below its fair share
 		{Src: 0, Dst: 2, Volume: 100}, // B: effectively elastic
 	}
-	res, err := MaxMinFair(build(), demands)
+	res, err := MaxMinFairContext(context.Background(), build(), nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMaxMinFairJainOverAllocatedRates(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 6})
 	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 1, Capacity: 100})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 1},
 		{Src: 0, Dst: 2, Volume: 100},
 	})
@@ -247,9 +247,15 @@ func TestMaxMinFairVolumeAwareParity(t *testing.T) {
 		name string
 		gen  func(seed int64) (*graph.Graph, error)
 	}{
-		{"ba", func(seed int64) (*graph.Graph, error) { return gen.BarabasiAlbert(300, 2, seed) }},
-		{"er-gnm", func(seed int64) (*graph.Graph, error) { return gen.ErdosRenyiGNM(300, 700, seed) }},
-		{"waxman", func(seed int64) (*graph.Graph, error) { return gen.Waxman(300, 0.15, 0.6, seed) }},
+		{"ba", func(seed int64) (*graph.Graph, error) {
+			return gen.BarabasiAlbertContext(context.Background(), 300, 2, seed)
+		}},
+		{"er-gnm", func(seed int64) (*graph.Graph, error) {
+			return gen.ErdosRenyiGNMContext(context.Background(), 300, 700, seed)
+		}},
+		{"waxman", func(seed int64) (*graph.Graph, error) {
+			return gen.WaxmanContext(context.Background(), 300, 0.15, 0.6, seed)
+		}},
 	}
 	for _, m := range models {
 		for _, seed := range []int64{1, 2} {
@@ -270,7 +276,7 @@ func TestMaxMinFairVolumeAwareParity(t *testing.T) {
 				}
 				demands = append(demands, Demand{Src: s, Dst: d, Volume: 0.1 + 4*r.Float64()})
 			}
-			vol, err := MaxMinFair(g, demands)
+			vol, err := MaxMinFairContext(context.Background(), g, nil, demands)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +305,7 @@ func TestMaxMinFairVolumeAwareParity(t *testing.T) {
 // TestRouteAndAllocateMatchesSeparateCalls pins the one-pinning-pass
 // combined evaluation to the two standalone entry points.
 func TestRouteAndAllocateMatchesSeparateCalls(t *testing.T) {
-	g, err := gen.BarabasiAlbert(200, 2, 5)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 200, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +325,11 @@ func TestRouteAndAllocateMatchesSeparateCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSP, err := RouteShortestPaths(g, demands)
+	wantSP, err := RouteShortestPathsContext(context.Background(), g, nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMM, err := MaxMinFair(g, demands)
+	wantMM, err := MaxMinFairContext(context.Background(), g, nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +365,7 @@ func TestMaxMinFairNoCapacityExceededVolumes(t *testing.T) {
 		{Src: 0, Dst: 2, Volume: 4},
 		{Src: 2, Dst: 4, Volume: 8},
 	}
-	res, err := MaxMinFair(g, demands)
+	res, err := MaxMinFairContext(context.Background(), g, nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +395,7 @@ func TestMaxMinFairZeroCapacityEdge(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 0})
 	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 1, Capacity: 10})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 2, Volume: 5}, // crosses the dead edge: rate 0
 		{Src: 1, Dst: 2, Volume: 5}, // unaffected: full bottleneck after A freezes at 0
 	})
@@ -409,7 +415,7 @@ func TestMaxMinFairZeroVolumeDemand(t *testing.T) {
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 10})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 0},
 		{Src: 0, Dst: 1, Volume: 3},
 	})
@@ -436,7 +442,7 @@ func TestMaxMinFairAllUnroutable(t *testing.T) {
 	}
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 5})
 	g.AddEdge(graph.Edge{U: 2, V: 3, Weight: 1, Capacity: 5})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 2, Volume: 1},
 		{Src: 1, Dst: 3, Volume: 1},
 	})
@@ -463,7 +469,7 @@ func TestMaxMinFairSharedEdgeWaterfillingExact(t *testing.T) {
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 12})
-	res, err := MaxMinFair(g, []Demand{
+	res, err := MaxMinFairContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 1, Volume: 2},
 		{Src: 0, Dst: 1, Volume: 5},
 		{Src: 0, Dst: 1, Volume: 100},

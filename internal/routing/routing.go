@@ -137,20 +137,15 @@ func pinPaths(ctx context.Context, c *graph.CSR, demands []Demand) (*pathSet, er
 	return ps, nil
 }
 
-// RouteShortestPaths routes every demand on the (weight-)shortest path,
+// RouteShortestPathsContext routes every demand on the (weight-)shortest path,
 // ignoring capacities: loads may exceed capacity, and the resulting
 // utilization says how well the topology was provisioned. Demands whose
 // endpoints are disconnected are dropped.
 //
 // Shortest-path trees are computed once per distinct source, in parallel
-// across sources.
-func RouteShortestPaths(g *graph.Graph, demands []Demand) (*Result, error) {
-	return RouteShortestPathsContext(context.Background(), g, nil, demands)
-}
-
-// RouteShortestPathsContext is RouteShortestPaths with cancellation and
-// an optional pre-frozen snapshot (nil freezes internally). The
-// per-source fan-out checks ctx before each shortest-path tree.
+// across sources, on the pre-frozen snapshot c (nil freezes
+// internally). The per-source fan-out checks ctx before each
+// shortest-path tree.
 func RouteShortestPathsContext(ctx context.Context, g *graph.Graph, c *graph.CSR, demands []Demand) (*Result, error) {
 	if err := checkDemands(g, demands); err != nil {
 		return nil, err
@@ -216,19 +211,14 @@ func RouteAndAllocateContext(ctx context.Context, g *graph.Graph, c *graph.CSR, 
 	return shortestFromPaths(g, demands, ps), maxminFromPaths(g, demands, ps), nil
 }
 
-// RouteCapacitated routes demands in the given order on shortest paths,
-// admitting each demand only up to the remaining bottleneck capacity
-// along its path (partial delivery allowed). It is a greedy online
-// admission model: earlier demands grab capacity first — inherently
-// sequential, so only the path pinning runs in parallel.
-func RouteCapacitated(g *graph.Graph, demands []Demand) (*Result, error) {
-	return RouteCapacitatedContext(context.Background(), g, nil, demands)
-}
-
-// RouteCapacitatedContext is RouteCapacitated with cancellation and an
-// optional pre-frozen snapshot (nil freezes internally). Cancellation is
-// checked during the parallel path-pinning phase; the admission pass
-// over the pinned paths runs to completion.
+// RouteCapacitatedContext routes demands in the given order on shortest
+// paths, admitting each demand only up to the remaining bottleneck
+// capacity along its path (partial delivery allowed). It is a greedy
+// online admission model: earlier demands grab capacity first —
+// inherently sequential, so only the path pinning runs in parallel, on
+// the pre-frozen snapshot c (nil freezes internally). Cancellation is
+// checked during the path-pinning phase; the admission pass over the
+// pinned paths runs to completion.
 func RouteCapacitatedContext(ctx context.Context, g *graph.Graph, c *graph.CSR, demands []Demand) (*Result, error) {
 	if err := checkDemands(g, demands); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -29,7 +30,7 @@ func diamond() *graph.Graph {
 
 func TestRouteShortestPathsPicksShortRoute(t *testing.T) {
 	g := diamond()
-	res, err := RouteShortestPaths(g, []Demand{{Src: 0, Dst: 3, Volume: 10}})
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 3, Volume: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRouteShortestPathsDisconnected(t *testing.T) {
 	g := graph.New(2)
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
-	res, err := RouteShortestPaths(g, []Demand{{Src: 0, Dst: 1, Volume: 3}})
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 1, Volume: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestRouteShortestPathsZeroCapacityUtilization(t *testing.T) {
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 0})
-	res, err := RouteShortestPaths(g, []Demand{{Src: 0, Dst: 1, Volume: 1}})
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 1, Volume: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRouteShortestPathsZeroCapacityUtilization(t *testing.T) {
 
 func TestRouteCapacitatedAdmitsUpToBottleneck(t *testing.T) {
 	g := diamond()
-	res, err := RouteCapacitated(g, []Demand{{Src: 0, Dst: 3, Volume: 10}})
+	res, err := RouteCapacitatedContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 3, Volume: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestRouteCapacitatedOrderMatters(t *testing.T) {
 		{Src: 0, Dst: 3, Volume: 5},
 		{Src: 0, Dst: 1, Volume: 5},
 	}
-	res, err := RouteCapacitated(g, demands)
+	res, err := RouteCapacitatedContext(context.Background(), g, nil, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestRouteCapacitatedPartialDelivery(t *testing.T) {
 	g.AddNode(graph.Node{})
 	g.AddNode(graph.Node{})
 	g.AddEdge(graph.Edge{U: 0, V: 1, Weight: 1, Capacity: 3})
-	res, err := RouteCapacitated(g, []Demand{{Src: 0, Dst: 1, Volume: 10}})
+	res, err := RouteCapacitatedContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 1, Volume: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +134,10 @@ func TestDemandValidation(t *testing.T) {
 		{{Src: 0, Dst: 1, Volume: -1}},
 	}
 	for i, ds := range cases {
-		if _, err := RouteShortestPaths(g, ds); err == nil {
+		if _, err := RouteShortestPathsContext(context.Background(), g, nil, ds); err == nil {
 			t.Fatalf("case %d should error", i)
 		}
-		if _, err := RouteCapacitated(g, ds); err == nil {
+		if _, err := RouteCapacitatedContext(context.Background(), g, nil, ds); err == nil {
 			t.Fatalf("capacitated case %d should error", i)
 		}
 	}
@@ -144,7 +145,7 @@ func TestDemandValidation(t *testing.T) {
 
 func TestZeroVolumeIgnored(t *testing.T) {
 	g := diamond()
-	res, err := RouteShortestPaths(g, []Demand{{Src: 0, Dst: 3, Volume: 0}})
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{{Src: 0, Dst: 3, Volume: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestZeroVolumeIgnored(t *testing.T) {
 
 func TestMultiSourceLoadsAccumulate(t *testing.T) {
 	g := diamond()
-	res, err := RouteShortestPaths(g, []Demand{
+	res, err := RouteShortestPathsContext(context.Background(), g, nil, []Demand{
 		{Src: 0, Dst: 3, Volume: 2},
 		{Src: 3, Dst: 0, Volume: 3},
 		{Src: 1, Dst: 0, Volume: 1},
@@ -202,9 +203,9 @@ func TestParentCycleIsAnError(t *testing.T) {
 	}
 	demands := []Demand{{Src: 3, Dst: 2, Volume: 1}}
 	entries := map[string]func() error{
-		"shortest":    func() error { _, err := RouteShortestPaths(g, demands); return err },
-		"capacitated": func() error { _, err := RouteCapacitated(g, demands); return err },
-		"maxmin":      func() error { _, err := MaxMinFair(g, demands); return err },
+		"shortest":    func() error { _, err := RouteShortestPathsContext(context.Background(), g, nil, demands); return err },
+		"capacitated": func() error { _, err := RouteCapacitatedContext(context.Background(), g, nil, demands); return err },
+		"maxmin":      func() error { _, err := MaxMinFairContext(context.Background(), g, nil, demands); return err },
 	}
 	for name, run := range entries {
 		done := make(chan error, 1)

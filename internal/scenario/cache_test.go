@@ -19,7 +19,7 @@ import (
 // graph; every call with the same n yields the same byte footprint.
 func testEntry(t *testing.T, key string, n int) (*topoEntry, int64) {
 	t.Helper()
-	g, err := gen.BarabasiAlbert(n, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), n, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,12 @@ func TestEngineCacheBudgetEviction(t *testing.T) {
 		GenParams: []ParamSpec{{Name: "n", Kind: Int, Default: 50}, seedSpec},
 		Fn: func(ctx context.Context, p Params) (*graph.Graph, error) {
 			calls.Add(1)
-			return gen.BarabasiAlbert(p.Int("n"), 2, p.Seed())
+			return gen.BarabasiAlbertContext(context.Background(), p.Int("n"), 2, p.Seed())
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := gen.BarabasiAlbert(50, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 50, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestConcurrentSharedEngineSingleGeneration(t *testing.T) {
 		GenParams: []ParamSpec{{Name: "n", Kind: Int, Default: 60}, seedSpec},
 		Fn: func(ctx context.Context, p Params) (*graph.Graph, error) {
 			calls.Add(1)
-			return gen.BarabasiAlbert(p.Int("n"), 2, p.Seed())
+			return gen.BarabasiAlbertContext(context.Background(), p.Int("n"), 2, p.Seed())
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestRunBatchPartialResultsOnCancel(t *testing.T) {
 		GenName:   "fast",
 		GenParams: []ParamSpec{seedSpec},
 		Fn: func(ctx context.Context, p Params) (*graph.Graph, error) {
-			g, err := gen.BarabasiAlbert(40, 2, p.Seed())
+			g, err := gen.BarabasiAlbertContext(context.Background(), 40, 2, p.Seed())
 			return g, err
 		},
 	}); err != nil {

@@ -174,7 +174,7 @@ func TestSnapshotCacheSharesTopologies(t *testing.T) {
 		},
 		Fn: func(ctx context.Context, p Params) (*graph.Graph, error) {
 			calls.Add(1)
-			return gen.BarabasiAlbert(p.Int("n"), 2, p.Seed())
+			return gen.BarabasiAlbertContext(context.Background(), p.Int("n"), 2, p.Seed())
 		},
 	})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/params"
 	"repro/internal/rng"
 	"repro/internal/robust"
+	"repro/internal/table"
 	"repro/internal/trafficreg"
 )
 
@@ -707,7 +708,7 @@ func (r *Result) Format() string {
 		}
 		rows = append(rows, row)
 	}
-	writeAligned(&b, header, rows)
+	table.Write(&b, header, rows)
 	// The trailer mirrors the batch-level "# PARTIAL:" line the CLI
 	// emits, so a single scenario's table carries the marker on its own
 	// — a cancelled run rendered in isolation is never mistaken for a
@@ -719,35 +720,3 @@ func (r *Result) Format() string {
 }
 
 func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
-
-func writeAligned(b *strings.Builder, header []string, rows [][]string) {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range rows {
-		line(row)
-	}
-}

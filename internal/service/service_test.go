@@ -144,7 +144,7 @@ func TestConcurrentSubmissionsSingleGeneration(t *testing.T) {
 		},
 		Fn: func(ctx context.Context, p scenario.Params) (*graph.Graph, error) {
 			calls.Add(1)
-			return gen.BarabasiAlbert(p.Int("n"), 2, p.Seed())
+			return gen.BarabasiAlbertContext(context.Background(), p.Int("n"), 2, p.Seed())
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func blockingRegistry(t *testing.T, started chan<- struct{}) *scenario.Registry 
 		GenName:   "fast",
 		GenParams: []scenario.ParamSpec{seed},
 		Fn: func(ctx context.Context, p scenario.Params) (*graph.Graph, error) {
-			return gen.BarabasiAlbert(40, 2, p.Seed())
+			return gen.BarabasiAlbertContext(context.Background(), 40, 2, p.Seed())
 		},
 	}); err != nil {
 		t.Fatal(err)

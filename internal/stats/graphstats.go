@@ -1,30 +1,6 @@
 package stats
 
-import (
-	"repro/internal/graph"
-	"repro/internal/metricreg"
-)
-
-// ClusteringCoefficient returns the average local clustering coefficient:
-// for each node with degree >= 2, the fraction of neighbour pairs that are
-// themselves adjacent, averaged over such nodes. Returns 0 when no node
-// has degree >= 2. Parallel edges are collapsed for the purpose of
-// counting distinct neighbours.
-//
-// Thin composition over the metric registry: the implementation is the
-// registered "clustering" metric (internal/metricreg), so scenario
-// metric sets and this free function share one code path.
-func ClusteringCoefficient(g *graph.Graph) float64 {
-	return metricreg.Scalar("clustering", g)
-}
-
-// DegreeAssortativity returns the Pearson correlation of degrees at edge
-// endpoints (Newman's r). Returns 0 for graphs where it is undefined
-// (fewer than 2 edges or zero variance). It is the registered
-// "assortativity" metric of internal/metricreg.
-func DegreeAssortativity(g *graph.Graph) float64 {
-	return metricreg.Scalar("assortativity", g)
-}
+import "repro/internal/graph"
 
 // GraphDegreeStats bundles the degree-tail characterization of a graph.
 type GraphDegreeStats struct {

@@ -189,13 +189,6 @@ func (rm RevenueModel) Revenue(delivered float64) float64 {
 	return rm.PricePerUnit * delivered
 }
 
-// CustomersFromCity scatters n customer locations around a city center
-// with the given spread, clamped to the region.
-func CustomersFromCity(g *Geography, cityIdx, n int, spread float64, seed int64) []geom.Point {
-	r := rng.New(seed)
-	return g.Region.GaussianCluster(r, g.Cities[cityIdx].Loc, spread, n)
-}
-
 // AllocateCustomers distributes total customers across cities in
 // proportion to population (largest remainder method, deterministic).
 // An all-zero-population geography has no proportions to honor and

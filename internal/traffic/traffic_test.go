@@ -253,24 +253,3 @@ func TestGravityDemandZeroPopulation(t *testing.T) {
 		}
 	}
 }
-
-func TestCustomersFromCity(t *testing.T) {
-	g := testGeo(t, 5, 9)
-	pts := CustomersFromCity(g, 0, 50, 0.03, 10)
-	if len(pts) != 50 {
-		t.Fatalf("got %d customers", len(pts))
-	}
-	center := g.Cities[0].Loc
-	far := 0
-	for _, p := range pts {
-		if !g.Region.Contains(p) {
-			t.Fatal("customer outside region")
-		}
-		if p.Dist(center) > 0.15 {
-			far++
-		}
-	}
-	if far > 5 {
-		t.Fatalf("%d of 50 customers implausibly far from city center", far)
-	}
-}

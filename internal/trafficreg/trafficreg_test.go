@@ -264,7 +264,7 @@ func TestParseSelections(t *testing.T) {
 }
 
 func TestGraphDemandsDeterministicAndRoutable(t *testing.T) {
-	g, err := gen.BarabasiAlbert(60, 2, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 60, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestGraphDemandsDeterministicAndRoutable(t *testing.T) {
 		t.Fatalf("%d demands from 10 sites, want <= 45", len(a))
 	}
 	// Tiny graphs yield no demands rather than errors.
-	g1, err := gen.BarabasiAlbert(2, 1, 1)
+	g1, err := gen.BarabasiAlbertContext(context.Background(), 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestGraphDemandsDeterministicAndRoutable(t *testing.T) {
 }
 
 func TestSiteGeographyRanksByDegree(t *testing.T) {
-	g, err := gen.BarabasiAlbert(80, 2, 3)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 80, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestSiteGeographyRanksByDegree(t *testing.T) {
 // star with equal leaves, BA, an edgeless graph) for every k from 1 to
 // n.
 func TestTopDegreeMatchesSort(t *testing.T) {
-	ba, err := gen.BarabasiAlbert(60, 2, 5)
+	ba, err := gen.BarabasiAlbertContext(context.Background(), 60, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,13 +56,7 @@ func (v MetricVector) Values() []float64 {
 	}
 }
 
-// Measure computes the metric vector of a topology.
-func Measure(g *graph.Graph, seed int64) MetricVector {
-	v, _ := measure(context.Background(), g, seed)
-	return v
-}
-
-// MeasureContext is Measure with validation and cancellation: a nil or
+// MeasureContext computes the metric vector of a topology. A nil or
 // empty topology wraps errs.ErrBadParam, and a canceled context
 // surfaces as an errs.ErrCanceled-wrapping error from the underlying
 // metric evaluation.
@@ -70,10 +64,6 @@ func MeasureContext(ctx context.Context, g *graph.Graph, seed int64) (MetricVect
 	if g == nil || g.NumNodes() == 0 {
 		return MetricVector{}, errs.BadParamf("validate: empty topology")
 	}
-	return measure(ctx, g, seed)
-}
-
-func measure(ctx context.Context, g *graph.Graph, seed int64) (MetricVector, error) {
 	// One fused registry evaluation: the profile battery plus the
 	// clustering/assortativity statistics share a single Source (one
 	// freeze) and one parallel schedule.
@@ -128,15 +118,9 @@ type Comparison struct {
 	DegreeKS float64
 }
 
-// Compare measures both graphs and scores their dissimilarity.
-func Compare(ref, cand *graph.Graph, seed int64) Comparison {
-	c, _ := compare(Measure(ref, seed), Measure(cand, seed), ref, cand)
-	return c
-}
-
-// CompareContext is Compare with validation and cancellation: either
-// topology nil or empty wraps errs.ErrBadParam; a canceled context
-// surfaces as errs.ErrCanceled.
+// CompareContext measures both graphs and scores their dissimilarity.
+// Either topology nil or empty wraps errs.ErrBadParam; a canceled
+// context surfaces as errs.ErrCanceled.
 func CompareContext(ctx context.Context, ref, cand *graph.Graph, seed int64) (Comparison, error) {
 	rv, err := MeasureContext(ctx, ref, seed)
 	if err != nil {
@@ -146,10 +130,6 @@ func CompareContext(ctx context.Context, ref, cand *graph.Graph, seed int64) (Co
 	if err != nil {
 		return Comparison{}, fmt.Errorf("validate: candidate: %w", err)
 	}
-	return compare(rv, cv, ref, cand)
-}
-
-func compare(rv, cv MetricVector, ref, cand *graph.Graph) (Comparison, error) {
 	const eps = 1e-6
 	rvs, cvs := rv.Values(), cv.Values()
 	out := Comparison{Reference: rv, Candidate: cv, RelDiff: make([]float64, len(rvs))}

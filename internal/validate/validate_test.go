@@ -10,20 +10,40 @@ import (
 	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/metricreg"
+	"repro/internal/metrics"
 )
 
 func ba(t *testing.T, n, m int, seed int64) *graph.Graph {
 	t.Helper()
-	g, err := gen.BarabasiAlbert(n, m, seed)
+	g, err := gen.BarabasiAlbertContext(context.Background(), n, m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
 
+func measure(t *testing.T, g *graph.Graph, seed int64) MetricVector {
+	t.Helper()
+	v, err := MeasureContext(context.Background(), g, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func compare(t *testing.T, ref, cand *graph.Graph, seed int64) Comparison {
+	t.Helper()
+	c, err := CompareContext(context.Background(), ref, cand, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestMeasureSane(t *testing.T) {
 	g := ba(t, 300, 2, 1)
-	v := Measure(g, 1)
+	v := measure(t, g, 1)
 	if v.MeanDegree <= 0 || v.MeanDegree > 10 {
 		t.Fatalf("mean degree %v implausible", v.MeanDegree)
 	}
@@ -37,7 +57,7 @@ func TestMeasureSane(t *testing.T) {
 
 func TestCompareSelfIsNearZero(t *testing.T) {
 	g := ba(t, 300, 2, 2)
-	c := Compare(g, g, 7)
+	c := compare(t, g, g, 7)
 	if c.Distance > 1e-9 {
 		t.Fatalf("self-comparison distance = %v, want ~0", c.Distance)
 	}
@@ -49,11 +69,11 @@ func TestCompareSelfIsNearZero(t *testing.T) {
 func TestCompareDetectsStructureDifference(t *testing.T) {
 	// Same degree-ish density, different structure: BA vs ER.
 	baG := ba(t, 400, 2, 3)
-	erG, err := gen.ErdosRenyiGNM(400, baG.NumEdges(), 3)
+	erG, err := gen.ErdosRenyiGNMContext(context.Background(), 400, baG.NumEdges(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Compare(baG, erG, 7)
+	c := compare(t, baG, erG, 7)
 	if c.Distance < 0.1 {
 		t.Fatalf("BA vs ER distance = %v, expected substantial", c.Distance)
 	}
@@ -67,12 +87,12 @@ func TestCompareTwoBASeedsCloserThanBAvsER(t *testing.T) {
 	// should be closer than instances of different mechanisms.
 	a := ba(t, 400, 2, 4)
 	b := ba(t, 400, 2, 5)
-	er, err := gen.ErdosRenyiGNM(400, a.NumEdges(), 4)
+	er, err := gen.ErdosRenyiGNMContext(context.Background(), 400, a.NumEdges(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same := Compare(a, b, 9).Distance
-	diff := Compare(a, er, 9).Distance
+	same := compare(t, a, b, 9).Distance
+	diff := compare(t, a, er, 9).Distance
 	if same >= diff {
 		t.Fatalf("same-mechanism distance %v not below cross-mechanism %v", same, diff)
 	}
@@ -80,7 +100,7 @@ func TestCompareTwoBASeedsCloserThanBAvsER(t *testing.T) {
 
 func TestComparisonFormat(t *testing.T) {
 	g := ba(t, 100, 2, 6)
-	out := Compare(g, g, 1).Format()
+	out := compare(t, g, g, 1).Format()
 	for _, want := range []string{"metric", "distance", "degreeKS", "clustering"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Format missing %q:\n%s", want, out)
@@ -163,14 +183,40 @@ func TestCompareContextErrorPaths(t *testing.T) {
 	}
 }
 
-func TestMeasureContextMatchesMeasure(t *testing.T) {
+// TestMeasureContextMatchesSingleMetrics pins the fused evaluation
+// behind MeasureContext to each registry metric evaluated alone on its
+// own snapshot.
+func TestMeasureContextMatchesSingleMetrics(t *testing.T) {
 	g := ba(t, 150, 2, 12)
-	want := Measure(g, 5)
-	got, err := MeasureContext(context.Background(), g, 5)
-	if err != nil {
-		t.Fatal(err)
+	got := measure(t, g, 5)
+	alone := func(sel metricreg.Selection) metricreg.Value {
+		t.Helper()
+		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil),
+			[]metricreg.Selection{sel}, metricreg.Options{Seed: 5, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals[sel.Name]
 	}
-	if got != want {
-		t.Fatalf("MeasureContext diverged from Measure:\n%+v\nvs\n%+v", got, want)
+	field := map[string]float64{
+		"clustering":      got.Clustering,
+		"assortativity":   got.Assortativity,
+		"resilience":      got.Resilience,
+		"distortion":      got.Distortion,
+		"hierarchy-depth": got.HierDepth,
+		"spectral-gap":    got.SpectralGap,
+	}
+	set := append(metrics.ProfileSet(), metricreg.Selection{Name: "clustering"}, metricreg.Selection{Name: "assortativity"})
+	for _, sel := range set {
+		v := alone(sel)
+		if sel.Name == "expansion" {
+			if v.Series[3] != got.ExpansionAt3 {
+				t.Fatalf("expansion@3 = %v, alone %v", got.ExpansionAt3, v.Series[3])
+			}
+			continue
+		}
+		if v.Scalar != field[sel.Name] {
+			t.Fatalf("%s = %v, alone %v", sel.Name, field[sel.Name], v.Scalar)
+		}
 	}
 }

@@ -27,10 +27,18 @@ type parityModel struct {
 
 func parityModels() []parityModel {
 	return []parityModel{
-		{"ba", func(seed int64) (*graph.Graph, error) { return gen.BarabasiAlbert(400, 2, seed) }},
-		{"er-gnm", func(seed int64) (*graph.Graph, error) { return gen.ErdosRenyiGNM(400, 900, seed) }},
-		{"waxman", func(seed int64) (*graph.Graph, error) { return gen.Waxman(300, 0.1, 0.5, seed) }},
-		{"fkp", func(seed int64) (*graph.Graph, error) { return core.FKP(core.FKPConfig{N: 300, Alpha: 8, Seed: seed}) }},
+		{"ba", func(seed int64) (*graph.Graph, error) {
+			return gen.BarabasiAlbertContext(context.Background(), 400, 2, seed)
+		}},
+		{"er-gnm", func(seed int64) (*graph.Graph, error) {
+			return gen.ErdosRenyiGNMContext(context.Background(), 400, 900, seed)
+		}},
+		{"waxman", func(seed int64) (*graph.Graph, error) {
+			return gen.WaxmanContext(context.Background(), 300, 0.1, 0.5, seed)
+		}},
+		{"fkp", func(seed int64) (*graph.Graph, error) {
+			return core.FKPContext(context.Background(), core.FKPConfig{N: 300, Alpha: 8, Seed: seed})
+		}},
 	}
 }
 
@@ -153,7 +161,7 @@ func TestKernelParityAcrossModels(t *testing.T) {
 	}
 	// One larger graph, so each Dijkstra bucket window holds hundreds of
 	// nodes rather than a handful.
-	g, err := gen.BarabasiAlbert(30_000, 3, 1)
+	g, err := gen.BarabasiAlbertContext(context.Background(), 30_000, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +436,7 @@ func TestMaskedLCCTrajectoryMatchesSubgraphs(t *testing.T) {
 				removed[u] = true
 			}
 			sub, _ := g.RemoveNodes(ids)
-			if got, want := c.LargestComponentMasked(ws, removed), largestComponent(sub); got != want {
+			if got, want := c.LargestComponentMasked(ws, removed, nil), largestComponent(sub); got != want {
 				t.Fatalf("%s frac %v: masked LCC %d vs subgraph %d", m.name, frac, got, want)
 			}
 		}
