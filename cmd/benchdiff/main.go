@@ -7,9 +7,10 @@
 //     now allocates — gated exactly, any alloc is a regression;
 //   - a work counter rises above its baseline — gated exactly, like the
 //     allocation gate. A counter is any per-op column a benchmark adds
-//     with b.ReportMetric (`scanned/op`, `bu-levels/op`, `dsu-ops/op`):
-//     rows scanned, levels run or union-find operations, which are the
-//     same on every machine;
+//     with b.ReportMetric (`scanned/op`, `bu-levels/op`, `dsu-ops/op`,
+//     `evals/op`, `ks-terms/op`): rows scanned, levels run, union-find
+//     operations, attachment candidates evaluated or model-CDF terms,
+//     which are the same on every machine;
 //   - a benchmark's ns/op exceeds baseline * (1 + tolerance).
 //
 // Improvements and new benchmarks never fail. Benchmarks present in the

@@ -156,6 +156,10 @@ type Network struct {
 	// InstallCost + UsageCost = TotalCost().
 	InstallCost float64
 	UsageCost   float64
+
+	// evals counts the candidates MMPIncremental's attachment index
+	// evaluated; the package benchmarks report it.
+	evals int
 }
 
 // TotalCost returns installation plus usage cost.

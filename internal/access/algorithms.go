@@ -33,38 +33,59 @@ func MMPIncremental(in *Instance, seed int64) (*Network, error) {
 	g := newNetworkSkeleton(in)
 	n := len(in.Customers)
 
-	// usageToRoot[v] is the per-unit-flow cost of carrying demand from v
-	// to the root along current tree edges, priced at the *cheapest* per
-	// unit usage rate (δ_K) — the incremental algorithm's optimistic
-	// estimate of bulk transport cost once cables are upgraded.
+	// usage[s] is the per-unit-flow cost of carrying demand from the node
+	// in attach slot s (0 the root, s the s-th attached customer) to the
+	// root along current tree edges, priced at the *cheapest* per unit
+	// usage rate (δ_K) — the incremental algorithm's optimistic estimate
+	// of bulk transport cost once cables are upgraded. The attachment
+	// index keys candidates by slot, so ties go to the node attached
+	// first.
 	deltaBulk := in.Catalog[len(in.Catalog)-1].Usage
 	sigmaThin := in.Catalog[0].Install
-	usageToRoot := make([]float64, n+1)
-	attached := make([]int, 0, n+1)
-	attached = append(attached, 0)
+	locs := customerPoints(in)
+	ix := geom.NewIndex(geom.Bounds(in.Root, locs), n+1, usageTrack)
+	ix.Add(0, in.Root, &[geom.IndexStats]float64{})
+	slotNode := append(make([]int, 0, n+1), 0)
+	slotPt := append(make([]geom.Point, 0, n+1), in.Root)
+	usage := append(make([]float64, 0, n+1), 0)
+	best := geom.NewCandList(1)
+	var loc geom.Point
+	var dem float64
+	eval := func(slot int32) {
+		d := loc.Dist(slotPt[slot])
+		best.Consider(int(slot), sigmaThin*d+(usage[slot]+deltaBulk*d)*dem)
+	}
 
 	order := rng.Shuffle(r, n)
 	for _, ci := range order {
 		v := ci + 1 // graph id of customer ci
-		loc := in.Customers[ci].Loc
-		dem := in.Customers[ci].Demand
-		bestJ, bestCost := -1, math.Inf(1)
-		for _, j := range attached {
-			nj := g.Node(j)
-			d := loc.Dist(geom.Point{X: nj.X, Y: nj.Y})
-			cost := sigmaThin*d + (usageToRoot[j]+deltaBulk*d)*dem
-			if cost < bestCost {
-				bestJ, bestCost = j, cost
-			}
-		}
-		nj := g.Node(bestJ)
-		d := loc.Dist(geom.Point{X: nj.X, Y: nj.Y})
-		g.AddEdge(graph.Edge{U: bestJ, V: v, Weight: d, Cable: -1})
-		usageToRoot[v] = usageToRoot[bestJ] + deltaBulk*d
-		attached = append(attached, v)
+		loc, dem = locs[ci], in.Customers[ci].Demand
+		best.Reset()
+		statW := [geom.IndexStats]float64{slotUsage: dem}
+		ix.Search(loc, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), best, eval)
+		s := best.Best()[0].ID
+		d := loc.Dist(slotPt[s])
+		g.AddEdge(graph.Edge{U: slotNode[s], V: v, Weight: d, Cable: -1})
+		u := usage[s] + deltaBulk*d
+		ix.Add(int32(len(slotNode)), loc, &[geom.IndexStats]float64{slotUsage: u})
+		slotNode = append(slotNode, v)
+		slotPt = append(slotPt, loc)
+		usage = append(usage, u)
 	}
-	return finishTree(in, g)
+	net, err := finishTree(in, g)
+	if err != nil {
+		return nil, err
+	}
+	net.evals = ix.Evals()
+	return net, nil
 }
+
+// slotUsage is the attachment-index stat slot holding a node's usage cost
+// to the root, fixed once the node attaches.
+const slotUsage = 0
+
+// usageTrack tracks slotUsage only.
+var usageTrack = [geom.IndexStats]bool{slotUsage: true}
 
 // SampleAndAugment solves the instance with the stage-based randomized
 // sample-and-augment scheme (the constant-factor single-sink buy-at-bulk

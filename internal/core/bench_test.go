@@ -28,3 +28,38 @@ func BenchmarkScaleHOTGrow25kExhaustive(b *testing.B) {
 		}
 	}
 }
+
+// benchHOTEvals grows cfg per iteration and reports the candidates the
+// attachment index evaluated as evals/op, an exact work count that
+// cmd/benchdiff gates.
+func benchHOTEvals(b *testing.B, cfg HOTConfig) {
+	b.ReportAllocs()
+	evals := 0
+	for i := 0; i < b.N; i++ {
+		_, st, err := GrowHOTContext(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		evals = st.evals
+	}
+	b.ReportMetric(float64(evals), "evals/op")
+}
+
+// BenchmarkHOTGrow16kLinks2 grows the design benchmark's 16k-node HOT
+// topology with two links per arrival.
+func BenchmarkHOTGrow16kLinks2(b *testing.B) {
+	benchHOTEvals(b, HOTConfig{
+		N: 16_000, Seed: 1, LinksPerArrival: 2,
+		Terms: []ObjectiveTerm{DistanceTerm{Weight: 8}, CentralityTerm{Weight: 1}},
+	})
+}
+
+// BenchmarkHOTGrow8kPorts8 grows the design benchmark's 8k-node HOT
+// topology under an 8-port router cap.
+func BenchmarkHOTGrow8kPorts8(b *testing.B) {
+	benchHOTEvals(b, HOTConfig{
+		N: 8_000, Seed: 1,
+		Terms:       []ObjectiveTerm{DistanceTerm{Weight: 8}, CentralityTerm{Weight: 1}},
+		Constraints: []Constraint{MaxDegreeConstraint{Max: 8}},
+	})
+}

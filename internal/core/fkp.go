@@ -136,8 +136,8 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 	// the stored stat is the raw pairwise hop sum and the per-arrival
 	// weight 1/i turns its regional minimums into valid bounds on
 	// sumHops[j]/i.
-	var track [numStat]bool
-	var statW [numStat]float64
+	var track [geom.IndexStats]bool
+	var statW [geom.IndexStats]float64
 	centStat := statHops
 	switch c.Centrality {
 	case DistToRoot:
@@ -146,11 +146,11 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 		centStat = statSumHops
 	}
 	track[centStat] = true
-	var ix *growthIndex
+	var ix *geom.Index
 	if c.N >= gridMin {
-		ix = newGrowthIndex(growthBound(c.Region, nil, rootPt), c.N, track)
-		vals := [numStat]float64{}
-		ix.add(0, rootPt, &vals)
+		ix = geom.NewIndex(c.Region.Union(geom.Bounds(rootPt, nil)), c.N, track)
+		vals := [geom.IndexStats]float64{}
+		ix.Add(0, rootPt, &vals)
 	}
 
 	// Shared by both search paths so the cost arithmetic compiles once
@@ -158,7 +158,7 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 	// loop's first-wins rule) is bit-identical.
 	var p geom.Point
 	arrival := 0
-	best := candList{k: 1}
+	best := geom.NewCandList(1)
 	eval := func(j int) {
 		if c.MaxDegree > 0 && g.Degree(j) >= c.MaxDegree {
 			return
@@ -174,7 +174,7 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 		case AvgHops:
 			cent = sumHops[j] / float64(arrival)
 		}
-		best.consider(j, c.Alpha*d+cent)
+		best.Consider(j, c.Alpha*d+cent)
 	}
 	eval32 := func(j int32) { eval(int(j)) }
 	noLen := math.Inf(1)
@@ -185,23 +185,23 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 		}
 		p = c.Region.RandomPoint(r)
 		arrival = i
-		best.reset()
+		best.Reset()
 		if ix != nil {
 			if c.Centrality == AvgHops {
 				statW[statSumHops] = 1 / float64(i)
 			} else {
 				statW[centStat] = 1
 			}
-			ix.search(p, c.Alpha, &statW, noLen, best.full, best.worstCost, eval32)
+			ix.Search(p, c.Alpha, &statW, noLen, best, eval32)
 		} else {
 			for j := 0; j < i; j++ {
 				eval(j)
 			}
 		}
-		if best.empty() {
+		if best.Empty() {
 			return nil, errs.Infeasiblef("core: no feasible attachment for node %d (MaxDegree=%d too tight)", i, c.MaxDegree)
 		}
-		bestJ := best.c[0].j
+		bestJ := best.Best()[0].ID
 		id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y})
 		w := p.Dist(geom.Point{X: g.Node(bestJ).X, Y: g.Node(bestJ).Y})
 		g.AddEdge(graph.Edge{U: bestJ, V: id, Weight: w})
@@ -223,12 +223,12 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 			sumHops = append(sumHops, 0)
 		}
 		if ix != nil {
-			vals := [numStat]float64{
+			vals := [geom.IndexStats]float64{
 				statHops:     hops[id],
 				statRootDist: p.Dist(rootPt),
 				statSumHops:  sumHops[id],
 			}
-			ix.add(int32(id), p, &vals)
+			ix.Add(int32(id), p, &vals)
 		}
 	}
 	return g, nil

@@ -162,8 +162,8 @@ func (c *HOTConfig) Validate() error {
 type searchPlan struct {
 	ok     bool
 	distW  float64
-	statW  [numStat]float64
-	track  [numStat]bool
+	statW  [geom.IndexStats]float64
+	track  [geom.IndexStats]bool
 	maxLen float64
 }
 
@@ -231,8 +231,9 @@ func planHOT(terms []ObjectiveTerm, cons []Constraint) searchPlan {
 // The candidate scan is O(n) per arrival by reference. From
 // gridMinNodes arrivals up, configurations whose terms and constraints
 // are all built-in types with non-negative weight (so regional cost
-// lower bounds exist) run the uniform-grid index instead (~O(log n) per
-// arrival in practice), which the growth parity tests pin bit-identical.
+// lower bounds exist) search the attachment index (geom.Index) instead,
+// which the growth parity tests pin bit-identical. Its work per arrival
+// still grows with n (see geom.Index for measured figures).
 // The growth loop checks ctx at every arrival and returns an
 // errs.ErrCanceled-wrapping error when the context is done.
 func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
@@ -267,18 +268,18 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 	stats := &GrowthStats{TermNames: termNames(cfg.Terms)}
 
 	plan := planHOT(cfg.Terms, cfg.Constraints)
-	var ix *growthIndex
+	var ix *geom.Index
 	if plan.ok && cfg.N >= gridMin {
-		ix = newGrowthIndex(growthBound(region, cfg.Arrivals, rootPt), cfg.N, plan.track)
-		vals := [numStat]float64{statRootDist: 0}
-		ix.add(0, rootPt, &vals)
+		ix = geom.NewIndex(region.Union(geom.Bounds(rootPt, cfg.Arrivals)), cfg.N, plan.track)
+		vals := [geom.IndexStats]float64{statRootDist: 0}
+		ix.Add(0, rootPt, &vals)
 	}
 
 	// Both search paths funnel every surviving candidate through the same
 	// two closures (defined once, reading the per-arrival vars), so the
 	// cost arithmetic compiles once and the selections are bit-identical.
 	var p geom.Point
-	best := candList{k: links}
+	best := geom.NewCandList(links)
 	costOf := func(j int) float64 {
 		cost := 0.0
 		for _, t := range cfg.Terms {
@@ -292,9 +293,9 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 				return
 			}
 		}
-		best.consider(j, costOf(j))
+		best.Consider(j, costOf(j))
 	}
-	evalAny := func(j int) { best.consider(j, costOf(j)) }
+	evalAny := func(j int) { best.Consider(j, costOf(j)) }
 	evalFeasible32 := func(j int32) { evalFeasible(int(j)) }
 	evalAny32 := func(j int32) { evalAny(int(j)) }
 	noLen := math.Inf(1)
@@ -309,18 +310,18 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 			p = region.RandomPoint(r)
 		}
 		st.Arrival = i
-		best.reset()
+		best.Reset()
 		if ix != nil {
-			ix.search(p, plan.distW, &plan.statW, plan.maxLen, best.full, best.worstCost, evalFeasible32)
-			if best.empty() {
+			ix.Search(p, plan.distW, &plan.statW, plan.maxLen, best, evalFeasible32)
+			if best.Empty() {
 				stats.ConstraintViolations++
-				ix.search(p, plan.distW, &plan.statW, noLen, best.full, best.worstCost, evalAny32)
+				ix.Search(p, plan.distW, &plan.statW, noLen, best, evalAny32)
 			}
 		} else {
 			for j := 0; j < i; j++ {
 				evalFeasible(j)
 			}
-			if best.empty() {
+			if best.Empty() {
 				stats.ConstraintViolations++
 				for j := 0; j < i; j++ {
 					evalAny(j)
@@ -329,25 +330,28 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 		}
 		id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y})
 		minHops := 0.0
-		for k, c := range best.c {
-			nj := g.Node(c.j)
+		for k, c := range best.Best() {
+			nj := g.Node(c.ID)
 			w := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
-			g.AddEdge(graph.Edge{U: c.j, V: id, Weight: w})
+			g.AddEdge(graph.Edge{U: c.ID, V: id, Weight: w})
 			stats.TotalLinkLength += w
-			h := st.Hops[c.j] + 1
+			h := st.Hops[c.ID] + 1
 			if k == 0 || h < minHops {
 				minHops = h
 			}
 		}
 		st.Hops = append(st.Hops, minHops)
 		if ix != nil {
-			vals := [numStat]float64{
+			vals := [geom.IndexStats]float64{
 				statHops:     minHops,
 				statRootDist: p.Dist(rootPt),
 				statDeg:      float64(g.Degree(id)),
 			}
-			ix.add(int32(id), p, &vals)
+			ix.Add(int32(id), p, &vals)
 		}
+	}
+	if ix != nil {
+		stats.evals = ix.Evals()
 	}
 	return g, stats, nil
 }
@@ -357,6 +361,9 @@ type GrowthStats struct {
 	TermNames            []string
 	TotalLinkLength      float64
 	ConstraintViolations int
+	// evals counts the candidates the attachment index evaluated, 0 on
+	// the exhaustive scan; the package benchmarks report it.
+	evals int
 }
 
 func termNames(terms []ObjectiveTerm) []string {

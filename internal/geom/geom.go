@@ -1,6 +1,8 @@
 // Package geom provides the planar geometry used by the geographic
 // topology models: points in the unit square (or any rectangle), distance
-// kernels, and a kd-tree for nearest-neighbour queries.
+// kernels, a kd-tree for nearest-neighbour queries, and the attachment
+// index (Index) the incremental designers search for each arrival's
+// cheapest attachment.
 package geom
 
 import (
@@ -55,6 +57,25 @@ func (r Rect) Diagonal() float64 {
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}
+}
+
+// Bounds returns the smallest rectangle containing p and every point of
+// pts: the region an Index must cover for a designer that attaches pts
+// to a network rooted at p.
+func Bounds(p Point, pts []Point) Rect {
+	r := Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+	for _, q := range pts {
+		r = r.Union(Rect{MinX: q.X, MinY: q.Y, MaxX: q.X, MaxY: q.Y})
+	}
+	return r
+}
+
+// Union returns the smallest rectangle containing r and s.
+func (r Rect) Union(s Rect) Rect {
+	return Rect{
+		MinX: math.Min(r.MinX, s.MinX), MinY: math.Min(r.MinY, s.MinY),
+		MaxX: math.Max(r.MaxX, s.MaxX), MaxY: math.Max(r.MaxY, s.MaxY),
+	}
 }
 
 // RandomPoint samples a point uniformly at random inside r.

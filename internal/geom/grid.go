@@ -10,14 +10,18 @@ import "math"
 //
 // The contract that makes the lower bounds sound: every added point must
 // lie inside the grid rectangle (callers build the rect as a bounding box
-// of all points they will ever insert). A point is stored in the cell
-// that geometrically contains it, so the distance from a query point to a
-// cell's rectangle never exceeds the distance to any point stored in that
-// cell.
+// of all points they will ever insert). A point is stored in a cell whose
+// computed edges enclose its coordinates (see CellAt), so the distance
+// from a query point to a cell's computed rectangle never exceeds the
+// distance to any point stored in that cell.
 type Grid struct {
 	rect   Rect
 	nx, ny int
 	cw, ch float64 // cell width/height; 0 when the rect is degenerate
+	// xs[c] and ys[c] are the computed cell edges: column c spans
+	// [xs[c], xs[c+1]]. The outer edges are the rect's own, so a point on
+	// the rect border lies inside its cell's computed edges too.
+	xs, ys []float64
 	cells  [][]int32
 }
 
@@ -37,16 +41,32 @@ func NewGrid(rect Rect, expected int) *Grid {
 	}
 	g.cw = rect.Width() / float64(g.nx)
 	g.ch = rect.Height() / float64(g.ny)
+	g.xs = cellEdges(rect.MinX, rect.MaxX, g.cw, g.nx)
+	g.ys = cellEdges(rect.MinY, rect.MaxY, g.ch, g.ny)
 	g.cells = make([][]int32, g.nx*g.ny)
 	return g
+}
+
+// cellEdges returns the n+1 computed edges of n cells of width w
+// spanning [lo, hi]: lo + c*w, capped at hi, with hi as the last edge.
+// Rounding is monotone, so the edges never decrease.
+func cellEdges(lo, hi, w float64, n int) []float64 {
+	e := make([]float64, n+1)
+	for c := range n {
+		e[c] = math.Min(lo+float64(c)*w, hi)
+	}
+	e[n] = hi
+	return e
 }
 
 // Dims returns the cell-grid dimensions (columns, rows).
 func (g *Grid) Dims() (nx, ny int) { return g.nx, g.ny }
 
 // CellAt returns the (column, row) of the cell containing p, clamped to
-// the grid. Points inside the rect (the Add contract) always land in the
-// cell that geometrically contains them.
+// the grid. For a point inside the rect (the Add contract) the cell's
+// computed edges enclose p: the division can land a point within a few
+// ulps of an edge in the neighbouring cell, so CellAt steps back across
+// the edge it lies outside of.
 func (g *Grid) CellAt(p Point) (cx, cy int) {
 	if g.cw > 0 {
 		cx = int((p.X - g.rect.MinX) / g.cw)
@@ -54,7 +74,20 @@ func (g *Grid) CellAt(p Point) (cx, cy int) {
 	if g.ch > 0 {
 		cy = int((p.Y - g.rect.MinY) / g.ch)
 	}
-	return clampInt(cx, 0, g.nx-1), clampInt(cy, 0, g.ny-1)
+	return enclosingCell(g.xs, clampInt(cx, 0, g.nx-1), p.X),
+		enclosingCell(g.ys, clampInt(cy, 0, g.ny-1), p.Y)
+}
+
+// enclosingCell moves c to the neighbouring cell while v lies outside
+// [edges[c], edges[c+1]].
+func enclosingCell(edges []float64, c int, v float64) int {
+	for c > 0 && v < edges[c] {
+		c--
+	}
+	for c < len(edges)-2 && v > edges[c+1] {
+		c++
+	}
+	return c
 }
 
 // CellIndex flattens (cx, cy) into an index into the cell array.
@@ -68,44 +101,50 @@ func (g *Grid) Add(id int32, p Point) {
 	g.cells[ci] = append(g.cells[ci], id)
 }
 
-// CellIDs returns the ids stored in cell index ci, in insertion order.
-// Callers must not mutate the returned slice.
-func (g *Grid) CellIDs(ci int) []int32 { return g.cells[ci] }
-
-// CellDistLB returns the exact distance from p to cell (cx, cy)'s
-// rectangle — a proven lower bound on the distance from p to any point
-// stored in that cell (0 when p lies inside it).
-func (g *Grid) CellDistLB(p Point, cx, cy int) float64 {
-	return g.RangeDistLB(p, cx, cy, cx, cy)
-}
-
-// RangeDistLB returns the distance from p to the rectangle covered by the
-// inclusive cell range [cx0, cx1] x [cy0, cy1] — a proven lower bound on
-// the distance from p to any point stored in any cell of the range. The
-// growth index uses it for coarse blocks of cells.
+// RangeDistLB returns the distance from p to the computed rectangle
+// covered by the inclusive cell range [cx0, cx1] x [cy0, cy1] — a proven
+// lower bound on the distance from p to any point stored in any cell of
+// the range.
 func (g *Grid) RangeDistLB(p Point, cx0, cy0, cx1, cy1 int) float64 {
-	minX := g.rect.MinX + float64(cx0)*g.cw
-	maxX := g.rect.MinX + float64(cx1+1)*g.cw
-	minY := g.rect.MinY + float64(cy0)*g.ch
-	maxY := g.rect.MinY + float64(cy1+1)*g.ch
-	dx := math.Max(0, math.Max(minX-p.X, p.X-maxX))
-	dy := math.Max(0, math.Max(minY-p.Y, p.Y-maxY))
+	dx := edgeGap(g.xs[cx0], g.xs[cx1+1], p.X)
+	dy := edgeGap(g.ys[cy0], g.ys[cy1+1], p.Y)
 	return math.Sqrt(dx*dx + dy*dy)
 }
 
+// edgeGap is the distance from v to the interval [lo, hi], 0 inside it.
+func edgeGap(lo, hi, v float64) float64 {
+	if v < lo {
+		return lo - v
+	}
+	if v > hi {
+		return v - hi
+	}
+	return 0
+}
+
 // ComplementDistLB returns the distance from p to the complement of the
-// axis-aligned rectangle covering the inclusive cell range
+// computed rectangle covering the inclusive cell range
 // [cx0, cx1] x [cy0, cy1] — the margin between p and the nearest edge of
-// that rect, or 0 when p lies on or outside it. The range may extend
-// beyond the grid (ring enumeration passes unclipped bands); every point
-// stored in a cell outside the range lies outside the rect, so the
-// margin lower-bounds p's distance to all of them.
+// that rect, or 0 when p lies on or outside it. Every point stored in a
+// cell outside the range lies outside the rect, so the margin
+// lower-bounds p's distance to all of them. The range may extend beyond
+// the grid (ring enumeration passes unclipped bands); a side that reaches
+// the grid border has no cells beyond it and does not bound the margin,
+// so a range covering the whole grid returns +Inf.
 func (g *Grid) ComplementDistLB(p Point, cx0, cy0, cx1, cy1 int) float64 {
-	minX := g.rect.MinX + float64(cx0)*g.cw
-	maxX := g.rect.MinX + float64(cx1+1)*g.cw
-	minY := g.rect.MinY + float64(cy0)*g.ch
-	maxY := g.rect.MinY + float64(cy1+1)*g.ch
-	m := math.Min(math.Min(p.X-minX, maxX-p.X), math.Min(p.Y-minY, maxY-p.Y))
+	m := math.Inf(1)
+	if cx0 > 0 {
+		m = math.Min(m, p.X-g.xs[min(cx0, g.nx)])
+	}
+	if cx1 < g.nx-1 {
+		m = math.Min(m, g.xs[max(cx1+1, 0)]-p.X)
+	}
+	if cy0 > 0 {
+		m = math.Min(m, p.Y-g.ys[min(cy0, g.ny)])
+	}
+	if cy1 < g.ny-1 {
+		m = math.Min(m, g.ys[max(cy1+1, 0)]-p.Y)
+	}
 	if m < 0 {
 		return 0
 	}

@@ -173,6 +173,10 @@ type Design struct {
 	// Profit-formulation accounting.
 	Revenue float64
 	Profit  float64
+
+	// evals counts the candidates the metro attachment indexes
+	// evaluated; the package benchmarks report it.
+	evals int
 }
 
 // TotalCost is access plus backbone cost.
@@ -359,6 +363,13 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 	return nil
 }
 
+// slotUsage is the attachment-index stat slot holding a metro node's
+// usage cost to its POP, fixed once the node attaches.
+const slotUsage = 0
+
+// usageTrack tracks slotUsage only.
+var usageTrack = [geom.IndexStats]bool{slotUsage: true}
+
 // buildMetros runs buy-at-bulk access design per POP metro and merges the
 // results into the design graph.
 func buildMetros(ctx context.Context, c *Config, des *Design) error {
@@ -373,6 +384,7 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 
 	deltaBulk := c.Catalog[len(c.Catalog)-1].Usage
 	sigmaThin := c.Catalog[0].Install
+	best := geom.NewCandList(1)
 
 	for pi, popID := range des.POPs {
 		if err := errs.Ctx(ctx); err != nil {
@@ -396,11 +408,26 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 		// Incremental cost-distance attachment (same rule as
 		// access.MMPIncremental) directly into the shared graph, with an
 		// optional port cap and — under the profit formulation — an
-		// admission test "marginal revenue >= marginal cost".
-		attached := []int{popID}
-		usageToRoot := map[int]float64{popID: 0}
-		for _, p := range pts {
-			dem := c.DemandMin
+		// admission test "marginal revenue >= marginal cost". Slot 0 is
+		// the POP, slot s the s-th attached customer; the attachment
+		// index returns the cheapest by (cost, slot), the first-wins
+		// minimum in attach order.
+		ix := geom.NewIndex(geom.Bounds(popLoc, pts), len(pts)+1, usageTrack)
+		slotNode := append(make([]int, 0, len(pts)+1), popID)
+		slotPt := append(make([]geom.Point, 0, len(pts)+1), popLoc)
+		usageToRoot := append(make([]float64, 0, len(pts)+1), 0)
+		ix.Add(0, popLoc, &[geom.IndexStats]float64{})
+		var p geom.Point
+		var dem float64
+		eval := func(slot int32) {
+			if c.MaxPorts > 0 && g.Degree(slotNode[slot]) >= c.MaxPorts {
+				return
+			}
+			d := p.Dist(slotPt[slot])
+			best.Consider(int(slot), sigmaThin*d+(usageToRoot[slot]+deltaBulk*d)*dem)
+		}
+		for _, p = range pts {
+			dem = c.DemandMin
 			if c.DemandMax > c.DemandMin {
 				shape := c.DemandShape
 				if shape <= 0 {
@@ -411,23 +438,17 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 			des.CustomersOffered++
 			des.DemandOffered += dem
 
-			bestJ, bestCost := -1, math.Inf(1)
-			for _, j := range attached {
-				if c.MaxPorts > 0 && g.Degree(j) >= c.MaxPorts {
-					continue
-				}
-				nj := g.Node(j)
-				d := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
-				cost := sigmaThin*d + (usageToRoot[j]+deltaBulk*d)*dem
-				if cost < bestCost {
-					bestJ, bestCost = j, cost
-				}
-			}
-			if bestJ < 0 {
+			best.Reset()
+			statW := [geom.IndexStats]float64{slotUsage: dem}
+			ix.Search(p, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), best, eval)
+			var bestSlot int
+			var bestCost float64
+			if best.Empty() {
 				// All ports exhausted: fall back to the POP itself.
-				bestJ = popID
 				d := p.Dist(popLoc)
 				bestCost = sigmaThin*d + deltaBulk*d*dem
+			} else {
+				bestSlot, bestCost = best.Best()[0].ID, best.Best()[0].Cost
 			}
 			if c.Formulation == ProfitBased {
 				rev := c.PricePerDemand * dem
@@ -436,16 +457,19 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 				}
 				des.Revenue += rev
 			}
-			nj := g.Node(bestJ)
-			d := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
+			d := p.Dist(slotPt[bestSlot])
 			id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y, Capacity: dem})
-			g.AddEdge(graph.Edge{U: bestJ, V: id, Weight: d, Cable: -1})
-			attached = append(attached, id)
-			usageToRoot[id] = usageToRoot[bestJ] + deltaBulk*d
+			g.AddEdge(graph.Edge{U: slotNode[bestSlot], V: id, Weight: d, Cable: -1})
+			u := usageToRoot[bestSlot] + deltaBulk*d
+			ix.Add(int32(len(slotNode)), p, &[geom.IndexStats]float64{slotUsage: u})
+			slotNode = append(slotNode, id)
+			slotPt = append(slotPt, p)
+			usageToRoot = append(usageToRoot, u)
 			des.AccessCost += bestCost
 			des.CustomersServed++
 			des.DemandServed += dem
 		}
+		des.evals += ix.Evals()
 	}
 	if c.Formulation == ProfitBased {
 		des.Profit = des.Revenue - des.TotalCost()

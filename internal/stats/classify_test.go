@@ -44,6 +44,14 @@ func TestFitExponentialAutoDegenerate(t *testing.T) {
 	}
 }
 
+// hasTwoDistinctAtLeast reports, from a tail fitter's suffix count of
+// distinct values, whether the sample's values >= xmin hold at least two
+// distinct values — a tail a distribution fit can actually be tested on.
+func hasTwoDistinctAtLeast(degrees []int, xmin int) bool {
+	f := newTailFitter(degrees)
+	return xmin < len(f.distinct) && f.distinct[xmin] >= 2
+}
+
 func TestHasTwoDistinctAtLeast(t *testing.T) {
 	if hasTwoDistinctAtLeast([]int{5, 5, 5}, 1) {
 		t.Fatal("all-equal should be false")

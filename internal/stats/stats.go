@@ -15,6 +15,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -140,103 +141,18 @@ type PowerLawFit struct {
 // alpha = 1 + n / sum(ln(k / (xmin - 0.5))). Returns a zero fit when fewer
 // than 2 tail samples exist.
 func FitPowerLaw(degrees []int, xmin int) PowerLawFit {
-	if xmin < 1 {
-		xmin = 1
-	}
-	var tail []int
-	for _, d := range degrees {
-		if d >= xmin {
-			tail = append(tail, d)
-		}
-	}
-	if len(tail) < 2 {
-		return PowerLawFit{XMin: xmin, NTail: len(tail)}
-	}
-	s := 0.0
-	for _, d := range tail {
-		s += math.Log(float64(d) / (float64(xmin) - 0.5))
-	}
-	alpha := 1 + float64(len(tail))/s
-	fit := PowerLawFit{Alpha: alpha, XMin: xmin, NTail: len(tail)}
-	fit.KS = ksDistancePowerLaw(tail, xmin, alpha)
-	return fit
+	xmin = max(xmin, 1)
+	f := newTailFitter(degrees)
+	f.cut(xmin)
+	return f.powerLaw(xmin, math.Inf(1))
 }
 
 // FitPowerLawAuto selects xmin in [1, maxXMin] minimizing the KS distance
 // (Clauset-style) and returns the corresponding fit. maxXMin <= 0 uses a
 // default that keeps at least 10 samples in the tail.
 func FitPowerLawAuto(degrees []int, maxXMin int) PowerLawFit {
-	if len(degrees) == 0 {
-		return PowerLawFit{}
-	}
-	maxDeg := 0
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxXMin <= 0 || maxXMin > maxDeg {
-		maxXMin = maxDeg
-	}
-	best := PowerLawFit{KS: math.Inf(1)}
-	for xmin := 1; xmin <= maxXMin; xmin++ {
-		f := FitPowerLaw(degrees, xmin)
-		if f.NTail < 10 {
-			break // tails only shrink as xmin grows
-		}
-		if !hasTwoDistinctAtLeast(degrees, xmin) {
-			continue // single-support-point tail fits anything perfectly
-		}
-		if f.KS < best.KS {
-			best = f
-		}
-	}
-	if math.IsInf(best.KS, 1) {
-		return FitPowerLaw(degrees, 1)
-	}
-	return best
-}
-
-// ksDistancePowerLaw computes the KS distance between the empirical tail
-// CDF and the fitted discrete power law (normalized over observed support
-// range, a standard practical approximation using the Hurwitz zeta
-// truncated at a generous cap).
-func ksDistancePowerLaw(tail []int, xmin int, alpha float64) float64 {
-	maxDeg := 0
-	for _, d := range tail {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	// Model CDF over [xmin, maxDeg] (truncated zeta normalization).
-	weights := make([]float64, maxDeg-xmin+1)
-	total := 0.0
-	for k := xmin; k <= maxDeg; k++ {
-		w := math.Pow(float64(k), -alpha)
-		weights[k-xmin] = w
-		total += w
-	}
-	modelCDF := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		modelCDF[i] = acc
-	}
-	// Empirical CDF.
-	counts := make([]int, maxDeg-xmin+1)
-	for _, d := range tail {
-		counts[d-xmin]++
-	}
-	n := float64(len(tail))
-	ks := 0.0
-	accEmp := 0.0
-	for i := range counts {
-		accEmp += float64(counts[i]) / n
-		if d := math.Abs(accEmp - modelCDF[i]); d > ks {
-			ks = d
-		}
-	}
-	return ks
+	pl, _ := newTailFitter(degrees).walk(degrees, maxXMin)
+	return pl
 }
 
 // ExponentialFit is the result of a geometric (discrete exponential) MLE
@@ -252,58 +168,220 @@ type ExponentialFit struct {
 // with support {xmin, xmin+1, ...}, the MLE is
 // lambda = ln(1 + 1/(mean(k) - xmin)).
 func FitExponential(degrees []int, xmin int) ExponentialFit {
-	if xmin < 1 {
-		xmin = 1
-	}
-	var tail []int
-	for _, d := range degrees {
-		if d >= xmin {
-			tail = append(tail, d)
-		}
-	}
-	if len(tail) < 2 {
-		return ExponentialFit{XMin: xmin, NTail: len(tail)}
-	}
-	mean := 0.0
-	for _, d := range tail {
-		mean += float64(d)
-	}
-	mean /= float64(len(tail))
-	excess := mean - float64(xmin)
-	if excess <= 0 {
-		// Degenerate: all mass at xmin.
-		return ExponentialFit{Lambda: math.Inf(1), XMin: xmin, NTail: len(tail)}
-	}
-	lambda := math.Log(1 + 1/excess)
-	fit := ExponentialFit{Lambda: lambda, XMin: xmin, NTail: len(tail)}
-	fit.KS = ksDistanceGeometric(tail, xmin, lambda)
-	return fit
+	xmin = max(xmin, 1)
+	f := newTailFitter(degrees)
+	f.cut(xmin)
+	return f.exponential(xmin, math.Inf(1))
 }
 
-func ksDistanceGeometric(tail []int, xmin int, lambda float64) float64 {
+// FitExponentialAuto selects xmin in [1, maxXMin] minimizing the KS
+// distance of the geometric tail fit (the same scan FitPowerLawAuto uses
+// for the power law) and returns the corresponding fit.
+func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
+	_, exp := newTailFitter(degrees).walk(degrees, maxXMin)
+	return exp
+}
+
+// tailFitter fits the tail of one degree sample at ascending xmin. It
+// keeps a histogram of the sample with suffix counts of samples and of
+// distinct values, and the samples >= the current xmin compacted in
+// sample order, so each fit sums the same values in the same order a
+// fresh filter of the sample would, and no xmin allocates. Samples below
+// 1 belong to no tail.
+type tailFitter struct {
+	hist     []int     // hist[k]: samples equal to k, for 1 <= k <= maxDeg
+	atLeast  []int     // atLeast[k]: samples >= k
+	distinct []int     // distinct[k]: distinct values >= k
+	tail     []int     // the samples >= the last cut, in sample order
+	weights  []float64 // the power-law KS's unnormalized model masses
+	terms    int       // model-CDF terms the KS distances evaluated
+}
+
+func newTailFitter(degrees []int) *tailFitter {
 	maxDeg := 0
-	for _, d := range tail {
-		if d > maxDeg {
-			maxDeg = d
+	for _, d := range degrees {
+		maxDeg = max(maxDeg, d)
+	}
+	f := &tailFitter{
+		hist:     make([]int, maxDeg+2),
+		atLeast:  make([]int, maxDeg+2),
+		distinct: make([]int, maxDeg+2),
+		tail:     make([]int, 0, len(degrees)),
+		weights:  make([]float64, maxDeg+1),
+	}
+	for _, d := range degrees {
+		if d >= 1 {
+			f.hist[d]++
+			f.tail = append(f.tail, d)
 		}
 	}
-	q := math.Exp(-lambda)
-	counts := make([]int, maxDeg-xmin+1)
-	for _, d := range tail {
-		counts[d-xmin]++
+	for k := maxDeg; k >= 1; k-- {
+		f.atLeast[k] = f.atLeast[k+1] + f.hist[k]
+		f.distinct[k] = f.distinct[k+1]
+		if f.hist[k] > 0 {
+			f.distinct[k]++
+		}
 	}
-	n := float64(len(tail))
-	ks := 0.0
-	accEmp := 0.0
-	// Geometric CDF on shifted support: P(K <= k) = 1 - q^(k-xmin+1).
-	for i := range counts {
-		accEmp += float64(counts[i]) / n
-		model := 1 - math.Pow(q, float64(i+1))
-		if d := math.Abs(accEmp - model); d > ks {
-			ks = d
+	return f
+}
+
+// maxDeg is the largest sample (0 when none is positive).
+func (f *tailFitter) maxDeg() int { return len(f.hist) - 2 }
+
+// cut drops the samples below xmin from the tail. Cuts must not
+// decrease.
+func (f *tailFitter) cut(xmin int) {
+	n := 0
+	if xmin < len(f.atLeast) {
+		n = f.atLeast[xmin]
+	}
+	if len(f.tail) == n {
+		return
+	}
+	kept := f.tail[:0]
+	for _, d := range f.tail {
+		if d >= xmin {
+			kept = append(kept, d)
+		}
+	}
+	f.tail = kept
+}
+
+// powerLaw fits the tail cut at xmin. A fit whose KS distance reaches
+// stopKS cannot beat a fit with that distance under a strict <, so its
+// KS is abandoned at the first term that reaches it.
+func (f *tailFitter) powerLaw(xmin int, stopKS float64) PowerLawFit {
+	n := len(f.tail)
+	if n < 2 {
+		return PowerLawFit{XMin: xmin, NTail: n}
+	}
+	alpha := f.alpha(xmin)
+	return PowerLawFit{Alpha: alpha, XMin: xmin, NTail: n, KS: f.ksPowerLaw(xmin, alpha, stopKS)}
+}
+
+// alpha is the power-law MLE of a tail of at least 2 samples cut at
+// xmin.
+func (f *tailFitter) alpha(xmin int) float64 {
+	s := 0.0
+	for _, d := range f.tail {
+		s += math.Log(float64(d) / (float64(xmin) - 0.5))
+	}
+	return 1 + float64(len(f.tail))/s
+}
+
+// ksPowerLaw is the KS distance between the tail's empirical CDF and the
+// fitted discrete power law, normalized over the observed support range
+// [xmin, maxDeg] (a truncated zeta, the standard practical
+// approximation), or its running maximum once that reaches stopKS.
+func (f *tailFitter) ksPowerLaw(xmin int, alpha, stopKS float64) float64 {
+	w := f.weights[:f.maxDeg()-xmin+1]
+	total := 0.0
+	for i := range w {
+		w[i] = math.Pow(float64(xmin+i), -alpha)
+		total += w[i]
+	}
+	f.terms += len(w)
+	n := float64(len(f.tail))
+	ks, model, emp := 0.0, 0.0, 0.0
+	for i, wi := range w {
+		model += wi / total
+		emp += float64(f.hist[xmin+i]) / n
+		if d := math.Abs(emp - model); d > ks {
+			if ks = d; ks >= stopKS {
+				break
+			}
 		}
 	}
 	return ks
+}
+
+// exponential fits the tail cut at xmin, abandoning the KS distance at
+// stopKS as powerLaw does.
+func (f *tailFitter) exponential(xmin int, stopKS float64) ExponentialFit {
+	n := len(f.tail)
+	if n < 2 {
+		return ExponentialFit{XMin: xmin, NTail: n}
+	}
+	lambda := f.lambda(xmin)
+	if math.IsInf(lambda, 1) {
+		return ExponentialFit{Lambda: lambda, XMin: xmin, NTail: n}
+	}
+	return ExponentialFit{Lambda: lambda, XMin: xmin, NTail: n, KS: f.ksGeometric(xmin, lambda, stopKS)}
+}
+
+// lambda is the geometric MLE of a tail of at least 2 samples cut at
+// xmin, +Inf when all its mass sits at xmin.
+func (f *tailFitter) lambda(xmin int) float64 {
+	mean := 0.0
+	for _, d := range f.tail {
+		mean += float64(d)
+	}
+	mean /= float64(len(f.tail))
+	excess := mean - float64(xmin)
+	if excess <= 0 {
+		return math.Inf(1)
+	}
+	return math.Log(1 + 1/excess)
+}
+
+// ksGeometric is the KS distance between the tail's empirical CDF and the
+// shifted geometric P(K <= k) = 1 - q^(k-xmin+1), q = exp(-lambda), or its
+// running maximum once that reaches stopKS.
+func (f *tailFitter) ksGeometric(xmin int, lambda, stopKS float64) float64 {
+	q := math.Exp(-lambda)
+	n := float64(len(f.tail))
+	ks, emp := 0.0, 0.0
+	for i := range f.maxDeg() - xmin + 1 {
+		f.terms++
+		emp += float64(f.hist[xmin+i]) / n
+		model := 1 - math.Pow(q, float64(i+1))
+		if d := math.Abs(emp - model); d > ks {
+			if ks = d; ks >= stopKS {
+				break
+			}
+		}
+	}
+	return ks
+}
+
+// walk runs the Clauset-style xmin scan for both models at once: xmin
+// rises from 1 while at least 10 samples remain in the tail, tails with
+// a single support point are skipped (they fit anything perfectly), and
+// each model keeps its fit of smallest KS distance, the first one on
+// ties. A model no xmin fits falls back to its fit at xmin 1. degrees
+// must be the sample f was built from.
+func (f *tailFitter) walk(degrees []int, maxXMin int) (PowerLawFit, ExponentialFit) {
+	if len(degrees) == 0 {
+		return PowerLawFit{}, ExponentialFit{}
+	}
+	if maxXMin <= 0 || maxXMin > f.maxDeg() {
+		maxXMin = f.maxDeg()
+	}
+	pl := PowerLawFit{KS: math.Inf(1)}
+	exp := ExponentialFit{KS: math.Inf(1)}
+	for xmin := 1; xmin <= maxXMin && f.atLeast[xmin] >= 10; xmin++ {
+		if f.distinct[xmin] < 2 {
+			continue
+		}
+		f.cut(xmin)
+		if fit := f.powerLaw(xmin, pl.KS); fit.KS < pl.KS {
+			pl = fit
+		}
+		if fit := f.exponential(xmin, exp.KS); !math.IsInf(fit.Lambda, 1) && fit.KS < exp.KS {
+			exp = fit
+		}
+	}
+	if math.IsInf(pl.KS, 1) || math.IsInf(exp.KS, 1) {
+		g := newTailFitter(degrees)
+		if math.IsInf(pl.KS, 1) {
+			pl = g.powerLaw(1, math.Inf(1))
+		}
+		if math.IsInf(exp.KS, 1) {
+			exp = g.exponential(1, math.Inf(1))
+		}
+		f.terms += g.terms
+	}
+	return pl, exp
 }
 
 // TailClassification is the outcome of comparing power-law and exponential
@@ -315,41 +393,6 @@ type TailClassification struct {
 	// LogLikRatio is sum log pPL - sum log pExp over the common tail.
 	// Positive favours the power law.
 	LogLikRatio float64
-}
-
-// FitExponentialAuto selects xmin in [1, maxXMin] minimizing the KS
-// distance of the geometric tail fit (the same scan FitPowerLawAuto uses
-// for the power law) and returns the corresponding fit.
-func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
-	if len(degrees) == 0 {
-		return ExponentialFit{}
-	}
-	maxDeg := 0
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxXMin <= 0 || maxXMin > maxDeg {
-		maxXMin = maxDeg
-	}
-	best := ExponentialFit{KS: math.Inf(1)}
-	for xmin := 1; xmin <= maxXMin; xmin++ {
-		f := FitExponential(degrees, xmin)
-		if f.NTail < 10 {
-			break // tails only shrink as xmin grows
-		}
-		if math.IsInf(f.Lambda, 1) || !hasTwoDistinctAtLeast(degrees, xmin) {
-			continue // degenerate point mass
-		}
-		if f.KS < best.KS {
-			best = f
-		}
-	}
-	if math.IsInf(best.KS, 1) {
-		return FitExponential(degrees, 1)
-	}
-	return best
 }
 
 // ClassifyTail decides whether the degree distribution looks more like a
@@ -367,70 +410,58 @@ func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
 // positive favouring the power law; it is diagnostic output, not the
 // decision criterion. Small or degenerate samples are TailUndetermined.
 func ClassifyTail(degrees []int) TailClassification {
-	pl := FitPowerLawAuto(degrees, 0)
-	exp := FitExponentialAuto(degrees, 0)
+	c, _ := classifyTail(degrees)
+	return c
+}
+
+// classifyTail is ClassifyTail that also returns the number of model-CDF
+// terms its KS distances evaluated, the exact work count the package
+// benchmark reports.
+func classifyTail(degrees []int) (TailClassification, int) {
+	f := newTailFitter(degrees)
+	// The floor fits: every sample >= 1 is >= the support floor, so the
+	// uncut tail is the floor's tail.
+	minDeg := 1
+	if len(degrees) > 0 {
+		minDeg = max(slices.Min(degrees), 1)
+	}
+	floorN := len(f.tail)
+	var floorAlpha, floorLambda float64
+	if floorN >= 2 {
+		floorAlpha, floorLambda = f.alpha(minDeg), f.lambda(minDeg)
+	}
+	pl, exp := f.walk(degrees, 0)
 	out := TailClassification{PowerLaw: pl, Exponential: exp}
 	if pl.NTail < 10 || exp.NTail < 10 {
 		out.Kind = TailUndetermined
-		return out
+		return out, f.terms
 	}
 	// Diagnostic likelihood ratio at the common support floor.
-	minDeg, maxDeg := degrees[0], degrees[0]
-	for _, d := range degrees {
-		if d < minDeg {
-			minDeg = d
-		}
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if minDeg < 1 {
-		minDeg = 1
-	}
-	plFloor := FitPowerLaw(degrees, minDeg)
-	expFloor := FitExponential(degrees, minDeg)
-	if plFloor.NTail >= 10 && !math.IsInf(expFloor.Lambda, 1) && plFloor.Alpha > 1 {
+	maxDeg := f.maxDeg()
+	if floorN >= 10 && !math.IsInf(floorLambda, 1) && floorAlpha > 1 {
 		zPL, zExp := 0.0, 0.0
 		for k := minDeg; k <= maxDeg; k++ {
-			zPL += math.Pow(float64(k), -plFloor.Alpha)
-			zExp += math.Exp(-expFloor.Lambda * float64(k-minDeg))
+			zPL += math.Pow(float64(k), -floorAlpha)
+			zExp += math.Exp(-floorLambda * float64(k-minDeg))
 		}
 		for _, d := range degrees {
 			if d < minDeg {
 				continue
 			}
-			lpPL := -plFloor.Alpha*math.Log(float64(d)) - math.Log(zPL)
-			lpExp := -expFloor.Lambda*float64(d-minDeg) - math.Log(zExp)
+			lpPL := -floorAlpha*math.Log(float64(d)) - math.Log(zPL)
+			lpExp := -floorLambda*float64(d-minDeg) - math.Log(zExp)
 			out.LogLikRatio += lpPL - lpExp
 		}
 	}
 	if math.IsInf(exp.Lambda, 1) {
 		// Degenerate point mass: certainly not a power law.
 		out.Kind = TailExponential
-		return out
+		return out, f.terms
 	}
 	if pl.KS < exp.KS {
 		out.Kind = TailPowerLaw
 	} else {
 		out.Kind = TailExponential
 	}
-	return out
-}
-
-// hasTwoDistinctAtLeast reports whether the sample restricted to values
-// >= xmin contains at least two distinct values — i.e. a tail a
-// distribution fit can actually be tested on.
-func hasTwoDistinctAtLeast(degrees []int, xmin int) bool {
-	first := -1
-	for _, d := range degrees {
-		if d < xmin {
-			continue
-		}
-		if first == -1 {
-			first = d
-		} else if d != first {
-			return true
-		}
-	}
-	return false
+	return out, f.terms
 }
