@@ -49,7 +49,8 @@ func hot25k(b *testing.B) *scaleTopo {
 		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               25_000,
 			Seed:            1,
-			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+			Distance:        8,
+			Centrality:      1,
 			LinksPerArrival: 2,
 		})
 		return g, err
@@ -61,7 +62,8 @@ func hot1m(b *testing.B) *scaleTopo {
 		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               1_000_000,
 			Seed:            1,
-			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+			Distance:        8,
+			Centrality:      1,
 			LinksPerArrival: 2,
 		})
 		return g, err

@@ -79,7 +79,8 @@ func hot100k(b *testing.B) *scaleTopo {
 		g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 			N:               100_000,
 			Seed:            1,
-			Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+			Distance:        8,
+			Centrality:      1,
 			LinksPerArrival: 2,
 		})
 		return g, err
@@ -150,7 +151,8 @@ func benchHOTGrow(b *testing.B, n int) {
 	cfg := core.HOTConfig{
 		N:               n,
 		Seed:            1,
-		Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+		Distance:        8,
+		Centrality:      1,
 		LinksPerArrival: 2,
 	}
 	b.ReportAllocs()

@@ -247,7 +247,8 @@ func BenchmarkDijkstraToSingleTarget(b *testing.B) {
 		{"hot20k", func() (*graph.Graph, error) {
 			g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 				N: 20000, Seed: 1, LinksPerArrival: 2,
-				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+				Distance:   8,
+				Centrality: 1,
 			})
 			return g, err
 		}},

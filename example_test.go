@@ -52,18 +52,14 @@ func Example_buyAtBulk() {
 	// beats thin-MST: true
 }
 
-// The generalized HOT framework: objectives + constraints ⇒ topology.
+// The generalized HOT framework: cost weights + caps ⇒ topology.
 func Example_hotFramework() {
 	g, _, err := hotgen.GrowHOTContext(context.Background(), hotgen.HOTConfig{
-		N:    1000,
-		Seed: 3,
-		Terms: []hotgen.ObjectiveTerm{
-			hotgen.DistanceTerm{Weight: 0.3}, // star-inducing tradeoff...
-			hotgen.CentralityTerm{Weight: 1},
-		},
-		Constraints: []hotgen.Constraint{
-			hotgen.MaxDegreeConstraint{Max: 16}, // ...vetoed by router ports
-		},
+		N:          1000,
+		Seed:       3,
+		Distance:   0.3, // star-inducing tradeoff...
+		Centrality: 1,
+		MaxDegree:  16, // ...vetoed by router ports
 	})
 	if err != nil {
 		log.Fatal(err)

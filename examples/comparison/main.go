@@ -18,12 +18,10 @@ func main() {
 	const n = 1000
 	ctx := context.Background()
 	hot, _, err := hotgen.GrowHOTContext(ctx, hotgen.HOTConfig{
-		N:    n,
-		Seed: 11,
-		Terms: []hotgen.ObjectiveTerm{
-			hotgen.DistanceTerm{Weight: 8},
-			hotgen.CentralityTerm{Weight: 1},
-		},
+		N:               n,
+		Seed:            11,
+		Distance:        8,
+		Centrality:      1,
 		LinksPerArrival: 2,
 	})
 	if err != nil {

@@ -36,13 +36,11 @@ func main() {
 	// port constraint (§2.1 technology limit): the star regime is now
 	// impossible and the optimizer spreads the hub.
 	g, stats, err := hotgen.GrowHOTContext(ctx, hotgen.HOTConfig{
-		N:    n,
-		Seed: 1,
-		Terms: []hotgen.ObjectiveTerm{
-			hotgen.DistanceTerm{Weight: 0.3},
-			hotgen.CentralityTerm{Weight: 1},
-		},
-		Constraints: []hotgen.Constraint{hotgen.MaxDegreeConstraint{Max: 32}},
+		N:          n,
+		Seed:       1,
+		Distance:   0.3,
+		Centrality: 1,
+		MaxDegree:  32,
 	})
 	if err != nil {
 		log.Fatal(err)

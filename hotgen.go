@@ -39,7 +39,7 @@
 //
 //   - FKP and the generalized HOT growth framework (the paper's §3.1
 //     theoretical support and the core modeling idea) — see FKPContext,
-//     GrowHOTContext, ObjectiveTerm, Constraint.
+//     GrowHOTContext, and HOTConfig's four cost weights and two caps.
 //   - Buy-at-bulk access network design with a randomized incremental
 //     approximation and baselines (§4) — see AccessInstance,
 //     MMPIncremental, SampleAndAugment.
@@ -344,12 +344,11 @@ type (
 	// FKPConfig parameterizes the Fabrikant–Koutsoupias–Papadimitriou
 	// incremental tradeoff model.
 	FKPConfig = core.FKPConfig
-	// HOTConfig parameterizes the generalized optimization-driven growth.
+	// HOTConfig parameterizes the generalized optimization-driven
+	// growth: the attachment cost weighs cable length, hops to the core,
+	// candidate degree and candidate distance to the root, under a port
+	// cap and a link reach cap.
 	HOTConfig = core.HOTConfig
-	// ObjectiveTerm is one weighted component of the attachment cost.
-	ObjectiveTerm = core.ObjectiveTerm
-	// Constraint filters infeasible attachments.
-	Constraint = core.Constraint
 	// GrowthStats summarizes a GrowHOTContext run.
 	GrowthStats = core.GrowthStats
 	// TopologyClass is the star / power-law tree / exponential tree
@@ -357,16 +356,6 @@ type (
 	TopologyClass = core.TopologyClass
 	// CentralityMode selects the FKP centrality definition.
 	CentralityMode = core.CentralityMode
-	// DistanceTerm prices last-mile distance.
-	DistanceTerm = core.DistanceTerm
-	// CentralityTerm prices hops to the network core.
-	CentralityTerm = core.CentralityTerm
-	// LoadTerm prices attachment-target congestion.
-	LoadTerm = core.LoadTerm
-	// MaxDegreeConstraint is the router port limit.
-	MaxDegreeConstraint = core.MaxDegreeConstraint
-	// MaxLengthConstraint is the link reach limit.
-	MaxLengthConstraint = core.MaxLengthConstraint
 )
 
 // FKPContext grows a tree per the FKP model, checking ctx at every

@@ -159,14 +159,12 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 
 func TestFacadeHOTConstraints(t *testing.T) {
 	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:    200,
-		Seed: 9,
-		Terms: []ObjectiveTerm{
-			DistanceTerm{Weight: 4},
-			CentralityTerm{Weight: 1},
-			LoadTerm{Weight: 0.1},
-		},
-		Constraints: []Constraint{MaxDegreeConstraint{Max: 10}},
+		N:          200,
+		Seed:       9,
+		Distance:   4,
+		Centrality: 1,
+		Load:       0.1,
+		MaxDegree:  10,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@ func TestGrowHOTFixedArrivals(t *testing.T) {
 		arrivals = append(arrivals, geom.Point{X: c.X + float64(i)*1e-4, Y: c.Y})
 	}
 	g, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:        100,
-		Seed:     1,
-		Terms:    []ObjectiveTerm{DistanceTerm{Weight: 100}, CentralityTerm{Weight: 1}},
-		Arrivals: arrivals,
+		N:          100,
+		Seed:       1,
+		Distance:   100,
+		Centrality: 1,
+		Arrivals:   arrivals,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func TestGrowHOTFixedArrivals(t *testing.T) {
 func TestGrowHOTArrivalsTooShort(t *testing.T) {
 	_, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:        10,
-		Terms:    []ObjectiveTerm{DistanceTerm{Weight: 1}},
+		Distance: 1,
 		Arrivals: make([]geom.Point, 3),
 	})
 	if err == nil {
@@ -56,15 +57,13 @@ func TestGrowHOTArrivalsDeterministicVsUniform(t *testing.T) {
 		arrivals[i] = geom.Point{X: float64(i+1) / 51.0, Y: 0.3}
 	}
 	a, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N: 50, Seed: 1, Arrivals: arrivals,
-		Terms: []ObjectiveTerm{DistanceTerm{Weight: 1}},
+		N: 50, Seed: 1, Arrivals: arrivals, Distance: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N: 50, Seed: 99, Arrivals: arrivals,
-		Terms: []ObjectiveTerm{DistanceTerm{Weight: 1}},
+		N: 50, Seed: 99, Arrivals: arrivals, Distance: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

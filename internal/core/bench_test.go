@@ -17,7 +17,8 @@ func BenchmarkScaleHOTGrow25kExhaustive(b *testing.B) {
 	cfg := HOTConfig{
 		N:               25_000,
 		Seed:            1,
-		Terms:           []ObjectiveTerm{DistanceTerm{Weight: 8}, CentralityTerm{Weight: 1}},
+		Distance:        8,
+		Centrality:      1,
 		LinksPerArrival: 2,
 	}
 	b.ReportAllocs()
@@ -49,8 +50,7 @@ func benchHOTEvals(b *testing.B, cfg HOTConfig) {
 // topology with two links per arrival.
 func BenchmarkHOTGrow16kLinks2(b *testing.B) {
 	benchHOTEvals(b, HOTConfig{
-		N: 16_000, Seed: 1, LinksPerArrival: 2,
-		Terms: []ObjectiveTerm{DistanceTerm{Weight: 8}, CentralityTerm{Weight: 1}},
+		N: 16_000, Seed: 1, LinksPerArrival: 2, Distance: 8, Centrality: 1,
 	})
 }
 
@@ -58,8 +58,6 @@ func BenchmarkHOTGrow16kLinks2(b *testing.B) {
 // topology under an 8-port router cap.
 func BenchmarkHOTGrow8kPorts8(b *testing.B) {
 	benchHOTEvals(b, HOTConfig{
-		N: 8_000, Seed: 1,
-		Terms:       []ObjectiveTerm{DistanceTerm{Weight: 8}, CentralityTerm{Weight: 1}},
-		Constraints: []Constraint{MaxDegreeConstraint{Max: 8}},
+		N: 8_000, Seed: 1, Distance: 8, Centrality: 1, MaxDegree: 8,
 	})
 }

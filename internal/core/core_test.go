@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -15,6 +18,8 @@ func TestFKPValidate(t *testing.T) {
 		{N: 0, Alpha: 1},
 		{N: 10, Alpha: -1},
 		{N: 10, Alpha: 1, MaxDegree: -2},
+		{N: 10, Alpha: math.NaN()},
+		{N: 10, Alpha: 1, Centrality: CentralityMode(2)},
 	}
 	for i, cfg := range bad {
 		if _, err := FKPContext(context.Background(), cfg); err == nil {
@@ -35,16 +40,6 @@ func TestFKPProducesSpanningTree(t *testing.T) {
 		if g.NumNodes() != 300 {
 			t.Fatalf("got %d nodes", g.NumNodes())
 		}
-	}
-}
-
-func TestFKPAvgHopsMode(t *testing.T) {
-	g, err := FKPContext(context.Background(), FKPConfig{N: 120, Alpha: 5, Seed: 2, Centrality: AvgHops})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsTree() {
-		t.Fatal("AvgHops FKP output is not a tree")
 	}
 }
 
@@ -134,13 +129,18 @@ func TestFKPMaxDegreeRespected(t *testing.T) {
 }
 
 func TestFKPRootPlacement(t *testing.T) {
-	at := geom.Point{X: 0.1, Y: 0.9}
-	g, err := FKPContext(context.Background(), FKPConfig{N: 10, Alpha: 1, Seed: 9, RootAt: &at})
+	region := geom.Rect{MinX: 0, MinY: 2, MaxX: 4, MaxY: 3}
+	g, err := FKPContext(context.Background(), FKPConfig{N: 10, Alpha: 1, Seed: 9, Region: region})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Node(0).X != 0.1 || g.Node(0).Y != 0.9 {
-		t.Fatal("RootAt ignored")
+	if c := region.Center(); g.Node(0).X != c.X || g.Node(0).Y != c.Y {
+		t.Fatalf("root at (%v,%v), want the region's center %v", g.Node(0).X, g.Node(0).Y, c)
+	}
+	for i := 1; i < g.NumNodes(); i++ {
+		if nd := g.Node(i); !region.Contains(geom.Point{X: nd.X, Y: nd.Y}) {
+			t.Fatalf("node %d at (%v,%v) lies outside the region", i, nd.X, nd.Y)
+		}
 	}
 }
 
@@ -177,9 +177,10 @@ func TestGrowHOTEquivalentToFKP(t *testing.T) {
 		t.Fatal(err)
 	}
 	gh, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:     150,
-		Seed:  11,
-		Terms: []ObjectiveTerm{DistanceTerm{alpha}, CentralityTerm{1}},
+		N:          150,
+		Seed:       11,
+		Distance:   alpha,
+		Centrality: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +200,23 @@ func TestGrowHOTValidate(t *testing.T) {
 	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 0}); err == nil {
 		t.Fatal("N=0 should fail")
 	}
-	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 5}); err == nil {
-		t.Fatal("no terms should fail")
+	bad := map[string]HOTConfig{
+		"no terms":          {N: 5},
+		"zero weights":      {N: 5, Distance: 0, Load: 0},
+		"negative links":    {N: 5, Distance: 1, LinksPerArrival: -1},
+		"negative distance": {N: 5, Distance: -1, Centrality: 2},
+		"negative weight":   {N: 5, Distance: 1, Centrality: -1},
+		"negative load":     {N: 5, Distance: 1, Load: -0.5},
+		"negative rootdist": {N: 5, Distance: 1, RootDist: -1},
+		"NaN weight":        {N: 5, Distance: math.NaN()},
+		"negative degree":   {N: 5, Distance: 1, MaxDegree: -1},
+		"negative length":   {N: 5, Distance: 1, MaxLength: -0.5},
 	}
-	if _, _, err := GrowHOTContext(context.Background(), HOTConfig{N: 5, Terms: []ObjectiveTerm{DistanceTerm{1}}, LinksPerArrival: -1}); err == nil {
-		t.Fatal("negative links should fail")
+	for name, cfg := range bad {
+		_, _, err := GrowHOTContext(context.Background(), cfg)
+		if !errors.Is(err, errs.ErrBadParam) {
+			t.Fatalf("%s: err = %v, want ErrBadParam", name, err)
+		}
 	}
 }
 
@@ -211,7 +224,8 @@ func TestGrowHOTMultiLink(t *testing.T) {
 	g, _, err := GrowHOTContext(context.Background(), HOTConfig{
 		N:               200,
 		Seed:            12,
-		Terms:           []ObjectiveTerm{DistanceTerm{5}, CentralityTerm{1}},
+		Distance:        5,
+		Centrality:      1,
 		LinksPerArrival: 2,
 	})
 	if err != nil {
@@ -230,12 +244,37 @@ func TestGrowHOTMultiLink(t *testing.T) {
 	}
 }
 
+// TestGrowHOTLinksDoNotSizeAllocations grows 10 nodes claiming 2^40
+// links per arrival: every arrival links to every earlier node, which
+// is K10, and the claim must not size an allocation.
+func TestGrowHOTLinksDoNotSizeAllocations(t *testing.T) {
+	cfg := HOTConfig{N: 10, Seed: 16, Distance: 1, Centrality: 1, LinksPerArrival: 1 << 40}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, _, err := GrowHOTContext(context.Background(), cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("growing 10 nodes allocated %d bytes", got)
+	}
+	if g.NumEdges() != 45 {
+		t.Fatalf("edges = %d, want K10's 45", g.NumEdges())
+	}
+	for _, e := range g.Edges() {
+		if e.U == e.V || g.Degree(e.U) != 9 {
+			t.Fatalf("edge %d-%d: not K10", e.U, e.V)
+		}
+	}
+}
+
 func TestGrowHOTDegreeConstraint(t *testing.T) {
 	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:           300,
-		Seed:        13,
-		Terms:       []ObjectiveTerm{CentralityTerm{1}}, // prefers root always
-		Constraints: []Constraint{MaxDegreeConstraint{Max: 4}},
+		N:          300,
+		Seed:       13,
+		Centrality: 1, // prefers root always
+		MaxDegree:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,12 +288,13 @@ func TestGrowHOTDegreeConstraint(t *testing.T) {
 }
 
 func TestGrowHOTInfeasibleFallsBack(t *testing.T) {
-	// Impossible length cap: every arrival falls back to unconstrained.
+	// A length cap no link meets (0 would mean no cap): every arrival
+	// falls back to the uncapped search.
 	g, st, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:           50,
-		Seed:        14,
-		Terms:       []ObjectiveTerm{DistanceTerm{1}},
-		Constraints: []Constraint{MaxLengthConstraint{Max: 0}},
+		N:         50,
+		Seed:      14,
+		Distance:  1,
+		MaxLength: 1e-9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,17 +310,18 @@ func TestGrowHOTInfeasibleFallsBack(t *testing.T) {
 func TestGrowHOTLoadTermSpreadsDegree(t *testing.T) {
 	// Pure centrality gives a star; adding load must spread attachments.
 	star, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:     200,
-		Seed:  15,
-		Terms: []ObjectiveTerm{CentralityTerm{1}},
+		N:          200,
+		Seed:       15,
+		Centrality: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spread, _, err := GrowHOTContext(context.Background(), HOTConfig{
-		N:     200,
-		Seed:  15,
-		Terms: []ObjectiveTerm{CentralityTerm{1}, LoadTerm{10}},
+		N:          200,
+		Seed:       15,
+		Centrality: 1,
+		Load:       10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,21 +329,6 @@ func TestGrowHOTLoadTermSpreadsDegree(t *testing.T) {
 	if spread.MaxDegree() >= star.MaxDegree() {
 		t.Fatalf("load term did not reduce hub degree: %d vs %d",
 			spread.MaxDegree(), star.MaxDegree())
-	}
-}
-
-func TestObjectiveTermNames(t *testing.T) {
-	terms := []ObjectiveTerm{DistanceTerm{1}, CentralityTerm{1}, LoadTerm{1}, RootDistTerm{1}}
-	seen := map[string]bool{}
-	for _, tm := range terms {
-		n := tm.Name()
-		if n == "" || seen[n] {
-			t.Fatalf("bad/duplicate term name %q", n)
-		}
-		seen[n] = true
-	}
-	if (MaxDegreeConstraint{3}).Name() == "" || (MaxLengthConstraint{1}).Name() == "" {
-		t.Fatal("constraint names empty")
 	}
 }
 

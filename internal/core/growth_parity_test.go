@@ -44,15 +44,16 @@ func checkSameGraph(t *testing.T, label string, ref, got *graph.Graph) {
 
 // TestFKPGridMatchesExhaustive pins the grid-index FKP growth
 // bit-identical to the exhaustive scan for every centrality mode, with
-// and without a binding MaxDegree cap, across seeds. N is far below the
-// gridMinNodes threshold, so the forced gridMin values genuinely select the
-// two implementations.
+// and without a binding MaxDegree cap, across seeds, on a region whose
+// root is off the unit square's center. N is far below the gridMinNodes
+// threshold, so the forced gridMin values genuinely select the two
+// implementations.
 func TestFKPGridMatchesExhaustive(t *testing.T) {
-	root := geom.Point{X: 0.9, Y: 0.1}
-	for _, mode := range []CentralityMode{HopsToRoot, DistToRoot, AvgHops} {
+	region := geom.Rect{MinX: 0.3, MinY: -0.8, MaxX: 1.5, MaxY: 1}
+	for _, mode := range []CentralityMode{HopsToRoot, DistToRoot} {
 		for _, maxDeg := range []int{0, 3} {
 			for _, seed := range []int64{1, 2, 3} {
-				cfg := FKPConfig{N: 220, Alpha: 8, Seed: seed, Centrality: mode, MaxDegree: maxDeg, RootAt: &root}
+				cfg := FKPConfig{N: 220, Alpha: 8, Seed: seed, Centrality: mode, MaxDegree: maxDeg, Region: region}
 				ref, err := fkp(context.Background(), cfg, forceExhaustive)
 				if err != nil {
 					t.Fatal(err)
@@ -78,8 +79,8 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 }
 
 // TestFKPGridInfeasibleMatches pins the infeasible path: a MaxDegree so
-// tight no candidate is ever feasible must produce the same
-// errs.ErrInfeasible from both scan implementations.
+// tight that an arrival finds every earlier node full must produce the
+// same errs.ErrInfeasible, naming the same arrival, from both scans.
 func TestFKPGridInfeasibleMatches(t *testing.T) {
 	cfg := FKPConfig{N: 5, Alpha: 1, Seed: 1, MaxDegree: 1}
 	_, errRef := fkp(context.Background(), cfg, forceExhaustive)
@@ -90,51 +91,48 @@ func TestFKPGridInfeasibleMatches(t *testing.T) {
 	if !errors.Is(errRef, errs.ErrInfeasible) || !errors.Is(errGrid, errs.ErrInfeasible) {
 		t.Fatalf("errors not ErrInfeasible: %v / %v", errRef, errGrid)
 	}
+	if errRef.Error() != errGrid.Error() {
+		t.Fatalf("errors differ: %v / %v", errRef, errGrid)
+	}
 }
 
 // TestGrowHOTGridMatchesExhaustive pins grid-index HOT growth
-// bit-identical to the exhaustive scan across term mixes, multi-link
-// arrivals, constraints, fixed arrival locations outside the region, and
-// the constraint-violation fallback.
+// bit-identical to the exhaustive scan across weight mixes, multi-link
+// arrivals, caps, fixed arrival locations outside the region, and the
+// constraint-violation fallback.
 func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  HOTConfig
 	}{
 		{"fkp-like", HOTConfig{
-			N: 220, Seed: 1,
-			Terms: []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
+			N: 220, Seed: 1, Distance: 8, Centrality: 1,
 		}},
 		{"multilink", HOTConfig{
-			N: 220, Seed: 2, LinksPerArrival: 3,
-			Terms: []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
+			N: 220, Seed: 2, LinksPerArrival: 3, Distance: 8, Centrality: 1,
 		}},
 		{"load-and-rootdist", HOTConfig{
-			N: 220, Seed: 3, LinksPerArrival: 2,
-			Terms: []ObjectiveTerm{DistanceTerm{2}, LoadTerm{0.5}, RootDistTerm{1.5}},
+			N: 220, Seed: 3, LinksPerArrival: 2, Distance: 2, Load: 0.5, RootDist: 1.5,
 		}},
 		{"centrality-only", HOTConfig{
-			// No distance term at all: geometric pruning contributes
+			// No distance weight at all: geometric pruning contributes
 			// nothing and the stat bounds carry the whole search.
-			N: 160, Seed: 4,
-			Terms: []ObjectiveTerm{CentralityTerm{1}, LoadTerm{0.25}},
+			N: 160, Seed: 4, Centrality: 1, Load: 0.25,
+		}},
+		{"all-four-weights", HOTConfig{
+			N: 220, Seed: 9, LinksPerArrival: 2, Distance: 3, Centrality: 0.5, Load: 0.2, RootDist: 0.7,
 		}},
 		{"degree-capped", HOTConfig{
-			N: 220, Seed: 5, LinksPerArrival: 2,
-			Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
-			Constraints: []Constraint{MaxDegreeConstraint{4}},
+			N: 220, Seed: 5, LinksPerArrival: 2, Distance: 8, Centrality: 1, MaxDegree: 4,
 		}},
 		{"length-capped-with-fallback", HOTConfig{
-			// A tight length cap forces the unconstrained fallback on
-			// many arrivals, exercising the second search pass.
-			N: 220, Seed: 6,
-			Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
-			Constraints: []Constraint{MaxLengthConstraint{0.05}},
+			// A tight length cap forces the uncapped fallback on many
+			// arrivals, exercising the second search pass.
+			N: 220, Seed: 6, Distance: 8, Centrality: 1, MaxLength: 0.05,
 		}},
-		{"both-constraints", HOTConfig{
-			N: 220, Seed: 7, LinksPerArrival: 2,
-			Terms:       []ObjectiveTerm{DistanceTerm{4}, CentralityTerm{1}, LoadTerm{0.1}},
-			Constraints: []Constraint{MaxDegreeConstraint{5}, MaxLengthConstraint{0.3}},
+		{"both-caps", HOTConfig{
+			N: 220, Seed: 7, LinksPerArrival: 2, Distance: 4, Centrality: 1, Load: 0.1,
+			MaxDegree: 5, MaxLength: 0.3,
 		}},
 	}
 	// One case with fixed arrivals straddling the region boundary: the
@@ -147,8 +145,7 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 		name string
 		cfg  HOTConfig
 	}{"fixed-arrivals", HOTConfig{
-		N: 220, Seed: 8, Arrivals: arr,
-		Terms: []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
+		N: 220, Seed: 8, Arrivals: arr, Distance: 8, Centrality: 1,
 	}})
 
 	for _, tc := range cases {
@@ -171,36 +168,6 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestGrowHOTGridIneligibleFallsBack pins the eligibility gate: a custom
-// term the index cannot lower-bound must silently keep the exhaustive
-// scan (identical output) even when the grid is forced, as must a negative
-// weight, which breaks the cost monotonicity the bounds rely on.
-func TestGrowHOTGridIneligibleFallsBack(t *testing.T) {
-	for _, terms := range [][]ObjectiveTerm{
-		{DistanceTerm{8}, customTerm{}},
-		{DistanceTerm{8}, CentralityTerm{-1}},
-	} {
-		cfg := HOTConfig{N: 120, Seed: 9, Terms: terms}
-		ref, _, err := growHOT(context.Background(), cfg, forceExhaustive)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := growHOT(context.Background(), cfg, forceGrid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSameGraph(t, "ineligible", ref, got)
-	}
-}
-
-type customTerm struct{}
-
-func (customTerm) Cost(s *GrowthState, p geom.Point, j int) float64 {
-	// Deliberately not expressible as a tracked stat: depends on parity.
-	return float64(j % 2)
-}
-func (customTerm) Name() string { return "custom" }
-
 // TestGrowHOTAutoMatchesForced pins GrowHOTContext's own scan choice at
 // a size above gridMinNodes against both forced scans — the three-way
 // bit-identity users actually rely on.
@@ -209,9 +176,7 @@ func TestGrowHOTAutoMatchesForced(t *testing.T) {
 		t.Skip("grows three 1500-node topologies")
 	}
 	base := HOTConfig{
-		N: 1500, Seed: 10, LinksPerArrival: 2,
-		Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
-		Constraints: []Constraint{MaxDegreeConstraint{6}},
+		N: 1500, Seed: 10, LinksPerArrival: 2, Distance: 8, Centrality: 1, MaxDegree: 6,
 	}
 	run := func(gridMin int) *graph.Graph {
 		g, _, err := growHOT(context.Background(), base, gridMin)

@@ -11,121 +11,37 @@ import (
 	"repro/internal/rng"
 )
 
-// GrowthState is the read-only view of the network an objective term or
-// constraint sees when a new node arrives.
-type GrowthState struct {
-	Graph *graph.Graph
-	// Hops holds tree hop distance to the root for every existing node.
-	Hops []float64
-	// Root is the root's location.
-	Root geom.Point
-	// Arrival is the index the new node will receive.
-	Arrival int
-}
-
-// ObjectiveTerm contributes one weighted component of the attachment cost
-// for connecting the arriving point to candidate node j. Lower is better.
-type ObjectiveTerm interface {
-	// Cost evaluates the term for attaching `p` to candidate `j`.
-	Cost(s *GrowthState, p geom.Point, j int) float64
-	// Name identifies the term in reports.
-	Name() string
-}
-
-// Constraint filters attachment candidates; infeasible candidates are
-// never selected.
-type Constraint interface {
-	// Feasible reports whether the arriving point may attach to j.
-	Feasible(s *GrowthState, p geom.Point, j int) bool
-	// Name identifies the constraint in reports.
-	Name() string
-}
-
-// DistanceTerm is the last-mile cost: Weight * Euclidean distance.
-// It models per-mile cable installation cost (the paper's §2.1 economic
-// driver).
-type DistanceTerm struct{ Weight float64 }
-
-// Cost implements ObjectiveTerm.
-func (t DistanceTerm) Cost(s *GrowthState, p geom.Point, j int) float64 {
-	nj := s.Graph.Node(j)
-	return t.Weight * p.Dist(geom.Point{X: nj.X, Y: nj.Y})
-}
-
-// Name implements ObjectiveTerm.
-func (t DistanceTerm) Name() string { return "distance" }
-
-// CentralityTerm is the performance cost: Weight * hop distance from the
-// candidate to the root, penalizing attachment far from the network core
-// (the paper's performance driver).
-type CentralityTerm struct{ Weight float64 }
-
-// Cost implements ObjectiveTerm.
-func (t CentralityTerm) Cost(s *GrowthState, _ geom.Point, j int) float64 {
-	return t.Weight * s.Hops[j]
-}
-
-// Name implements ObjectiveTerm.
-func (t CentralityTerm) Name() string { return "centrality" }
-
-// LoadTerm penalizes attaching to already-busy nodes: Weight * degree(j).
-// It models congestion / router utilization cost and acts as a soft port
-// constraint.
-type LoadTerm struct{ Weight float64 }
-
-// Cost implements ObjectiveTerm.
-func (t LoadTerm) Cost(s *GrowthState, _ geom.Point, j int) float64 {
-	return t.Weight * float64(s.Graph.Degree(j))
-}
-
-// Name implements ObjectiveTerm.
-func (t LoadTerm) Name() string { return "load" }
-
-// RootDistTerm penalizes candidates geographically far from the root,
-// a geometric centrality alternative.
-type RootDistTerm struct{ Weight float64 }
-
-// Cost implements ObjectiveTerm.
-func (t RootDistTerm) Cost(s *GrowthState, _ geom.Point, j int) float64 {
-	nj := s.Graph.Node(j)
-	return t.Weight * geom.Point{X: nj.X, Y: nj.Y}.Dist(s.Root)
-}
-
-// Name implements ObjectiveTerm.
-func (t RootDistTerm) Name() string { return "root-dist" }
-
-// MaxDegreeConstraint is the hard router port limit the paper's §2.1
-// names as the canonical technology constraint.
-type MaxDegreeConstraint struct{ Max int }
-
-// Feasible implements Constraint.
-func (c MaxDegreeConstraint) Feasible(s *GrowthState, _ geom.Point, j int) bool {
-	return s.Graph.Degree(j) < c.Max
-}
-
-// Name implements Constraint.
-func (c MaxDegreeConstraint) Name() string { return fmt.Sprintf("max-degree(%d)", c.Max) }
-
-// MaxLengthConstraint forbids links longer than Max (models reach limits
-// of the underlying Level-2 technology, §2.1/§2.4).
-type MaxLengthConstraint struct{ Max float64 }
-
-// Feasible implements Constraint.
-func (c MaxLengthConstraint) Feasible(s *GrowthState, p geom.Point, j int) bool {
-	nj := s.Graph.Node(j)
-	return p.Dist(geom.Point{X: nj.X, Y: nj.Y}) <= c.Max
-}
-
-// Name implements Constraint.
-func (c MaxLengthConstraint) Name() string { return fmt.Sprintf("max-length(%g)", c.Max) }
-
 // HOTConfig parameterizes the generalized optimization-driven growth.
+// An arrival at p prices attaching to an earlier node j at
+//
+//	Distance·|p−j| + Centrality·hops(j) + Load·deg(j) + RootDist·|j−root|
+//
+// where hops(j) is j's tree hop distance to the root and deg(j) its
+// current degree. Every weight is >= 0 and at least one is positive.
 type HOTConfig struct {
-	N           int
-	Seed        int64
-	Region      geom.Rect // zero value = unit square
-	Terms       []ObjectiveTerm
-	Constraints []Constraint
+	N      int
+	Seed   int64
+	Region geom.Rect // zero value = unit square
+	// Distance is the last-mile cost per unit of cable length: per-mile
+	// installation cost, the paper's §2.1 economic driver.
+	Distance float64
+	// Centrality prices the candidate's hop distance to the root,
+	// penalizing attachment far from the network core (the performance
+	// driver).
+	Centrality float64
+	// Load prices the candidate's degree: congestion or router
+	// utilization cost, a soft port constraint.
+	Load float64
+	// RootDist prices the candidate's Euclidean distance to the root, a
+	// geometric centrality.
+	RootDist float64
+	// MaxDegree is the hard router port limit the paper's §2.1 names as
+	// the canonical technology constraint: a candidate already holding
+	// MaxDegree links is infeasible. 0 means no cap.
+	MaxDegree int
+	// MaxLength forbids links longer than it, the reach limit of the
+	// underlying Level-2 technology (§2.1/§2.4). 0 means no cap.
+	MaxLength float64
 	// LinksPerArrival is how many (distinct, feasible) attachment targets
 	// each arriving node connects to; 1 grows a tree, 2+ grows a
 	// redundantly-connected graph. Arrivals connect to as many as exist.
@@ -143,8 +59,24 @@ func (c *HOTConfig) Validate() error {
 	if c.N < 1 {
 		return errs.BadParamf("core: HOT N = %d, need >= 1", c.N)
 	}
-	if len(c.Terms) == 0 {
-		return errs.BadParamf("core: HOT needs at least one objective term")
+	positive := false
+	for _, w := range []struct {
+		name string
+		v    float64
+	}{{"Distance", c.Distance}, {"Centrality", c.Centrality}, {"Load", c.Load}, {"RootDist", c.RootDist}} {
+		if !(w.v >= 0) {
+			return errs.BadParamf("core: HOT %s = %v, need >= 0", w.name, w.v)
+		}
+		positive = positive || w.v > 0
+	}
+	if !positive {
+		return errs.BadParamf("core: HOT needs a positive cost weight")
+	}
+	if c.MaxDegree < 0 {
+		return errs.BadParamf("core: HOT MaxDegree = %d, need >= 0", c.MaxDegree)
+	}
+	if !(c.MaxLength >= 0) {
+		return errs.BadParamf("core: HOT MaxLength = %v, need >= 0", c.MaxLength)
 	}
 	if c.LinksPerArrival < 0 {
 		return errs.BadParamf("core: LinksPerArrival = %d, need >= 0", c.LinksPerArrival)
@@ -155,94 +87,33 @@ func (c *HOTConfig) Validate() error {
 	return nil
 }
 
-// searchPlan is the grid index's view of a term/constraint set: the
-// summed weight multiplying candidate distance, the summed weight per
-// bounded stat, the tightest length cap, and whether every component is
-// one of the built-in types the index can lower-bound.
-type searchPlan struct {
-	ok     bool
-	distW  float64
-	statW  [geom.IndexStats]float64
-	track  [geom.IndexStats]bool
-	maxLen float64
-}
-
-// planHOT classifies a HOT term/constraint set for the grid index.
-// Negative weights invert a term's monotonicity (regional minimums stop
-// lower-bounding the cost contribution), so they disqualify the index.
-func planHOT(terms []ObjectiveTerm, cons []Constraint) searchPlan {
-	pl := searchPlan{ok: true, maxLen: math.Inf(1)}
-	addStat := func(s int, w float64) bool {
-		if w < 0 {
-			return false
-		}
-		pl.statW[s] += w
-		pl.track[s] = true
-		return true
-	}
-	for _, t := range terms {
-		ok := false
-		switch tt := t.(type) {
-		case DistanceTerm:
-			if tt.Weight >= 0 {
-				pl.distW += tt.Weight
-				ok = true
-			}
-		case CentralityTerm:
-			ok = addStat(statHops, tt.Weight)
-		case LoadTerm:
-			ok = addStat(statDeg, tt.Weight)
-		case RootDistTerm:
-			ok = addStat(statRootDist, tt.Weight)
-		}
-		if !ok {
-			pl.ok = false
-			return pl
-		}
-	}
-	for _, c := range cons {
-		switch cc := c.(type) {
-		case MaxDegreeConstraint:
-			// Checked per candidate by the shared feasibility closure.
-		case MaxLengthConstraint:
-			if cc.Max < pl.maxLen {
-				pl.maxLen = cc.Max
-			}
-		default:
-			pl.ok = false
-			return pl
-		}
-	}
-	return pl
-}
-
 // GrowHOTContext runs the generalized incremental optimization growth:
 // each arriving node attaches to the LinksPerArrival feasible existing
-// nodes with the lowest total objective cost (ties resolved toward the
-// smallest candidate id; links are added in ascending (cost, id) order).
-// With LinksPerArrival == 1 and Terms = {DistanceTerm{alpha},
-// CentralityTerm{1}} this reduces exactly to the FKP model.
+// nodes with the lowest cost (ties resolved toward the smallest
+// candidate id; links are added in ascending (cost, id) order). With
+// LinksPerArrival == 1, Distance = alpha and Centrality = 1 this is
+// exactly the FKP model, and FKPContext grows through it.
 //
-// If no candidate is feasible for an arrival, the constraint set is
-// ignored for that arrival and the best unconstrained candidate is used;
+// If no candidate is feasible for an arrival, the caps are ignored for
+// that arrival and the best uncapped candidate is used;
 // Stats.ConstraintViolations counts such arrivals. (A real ISP must
 // connect the customer somehow — it deploys a bigger router.)
 //
 // The candidate scan is O(n) per arrival by reference. From
-// gridMinNodes arrivals up, configurations whose terms and constraints
-// are all built-in types with non-negative weight (so regional cost
-// lower bounds exist) search the attachment index (geom.Index) instead,
-// which the growth parity tests pin bit-identical. Its work per arrival
-// still grows with n (see geom.Index for measured figures).
-// The growth loop checks ctx at every arrival and returns an
-// errs.ErrCanceled-wrapping error when the context is done.
+// gridMinNodes arrivals up the growth searches the attachment index
+// (geom.Index) instead, which the growth parity tests pin
+// bit-identical; the weights are non-negative, so regional cost lower
+// bounds always exist. Its work per arrival still grows with n (see
+// geom.Index for measured figures). The growth loop checks ctx at every
+// arrival and returns an errs.ErrCanceled-wrapping error when the
+// context is done.
 func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
 	return growHOT(ctx, cfg, gridMinNodes)
 }
 
-// growHOT is GrowHOTContext with the candidate scan exposed: eligible
-// configurations run the grid index when cfg.N >= gridMin, so 0 forces
-// it and math.MaxInt forces the exhaustive reference scan.
+// growHOT is GrowHOTContext with the candidate scan exposed: the grid
+// index runs when cfg.N >= gridMin, so 0 forces it and math.MaxInt
+// forces the exhaustive reference scan.
 func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *GrowthStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -251,54 +122,57 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 	if region == (geom.Rect{}) {
 		region = geom.UnitSquare
 	}
-	links := cfg.LinksPerArrival
-	if links == 0 {
-		links = 1
-	}
 	r := rng.New(cfg.Seed)
 	g := graph.New(cfg.N)
 	rootPt := region.Center()
 	g.AddNode(graph.Node{Kind: graph.KindCore, X: rootPt.X, Y: rootPt.Y})
+	hops := make([]float64, 1, cfg.N)     // tree hop distance to the root
+	rootDist := make([]float64, 1, cfg.N) // Euclidean distance to the root
+	stats := &GrowthStats{}
 
-	st := &GrowthState{
-		Graph: g,
-		Hops:  make([]float64, 1, cfg.N),
-		Root:  rootPt,
-	}
-	stats := &GrowthStats{TermNames: termNames(cfg.Terms)}
-
-	plan := planHOT(cfg.Terms, cfg.Constraints)
-	var ix *geom.Index
-	if plan.ok && cfg.N >= gridMin {
-		ix = geom.NewIndex(region.Union(geom.Bounds(rootPt, cfg.Arrivals)), cfg.N, plan.track)
-		vals := [geom.IndexStats]float64{statRootDist: 0}
-		ix.Add(0, rootPt, &vals)
-	}
-
-	// Both search paths funnel every surviving candidate through the same
-	// two closures (defined once, reading the per-arrival vars), so the
-	// cost arithmetic compiles once and the selections are bit-identical.
-	var p geom.Point
-	best := geom.NewCandList(links)
-	costOf := func(j int) float64 {
-		cost := 0.0
-		for _, t := range cfg.Terms {
-			cost += t.Cost(st, p, j)
-		}
-		return cost
-	}
-	evalFeasible := func(j int) {
-		for _, c := range cfg.Constraints {
-			if !c.Feasible(st, p, j) {
-				return
-			}
-		}
-		best.Consider(j, costOf(j))
-	}
-	evalAny := func(j int) { best.Consider(j, costOf(j)) }
-	evalFeasible32 := func(j int32) { evalFeasible(int(j)) }
-	evalAny32 := func(j int32) { evalAny(int(j)) }
+	statW := [geom.IndexStats]float64{statHops: cfg.Centrality, statRootDist: cfg.RootDist, statDeg: cfg.Load}
 	noLen := math.Inf(1)
+	maxLen := noLen
+	if cfg.MaxLength > 0 {
+		maxLen = cfg.MaxLength
+	}
+	var ix *geom.Index
+	if cfg.N >= gridMin {
+		var track [geom.IndexStats]bool
+		for s, w := range statW {
+			track[s] = w > 0
+		}
+		ix = geom.NewIndex(region.Union(geom.Bounds(rootPt, cfg.Arrivals)), cfg.N, track)
+		ix.Add(0, rootPt, &[geom.IndexStats]float64{})
+	}
+
+	// Both scans hand every candidate to eval, which reads the arrival's
+	// p and whether the caps apply, so the cost arithmetic compiles once
+	// and the selections are bit-identical; its one call site lets the
+	// exhaustive scan inline it. Each product is rounded on its own, so
+	// no platform fuses it into the sum, and a zero weight, whose product
+	// would add an exact +0, is skipped. At most N-1 earlier nodes exist,
+	// so a list of N holds every selection and LinksPerArrival never
+	// sizes an allocation.
+	var p geom.Point
+	capped := true
+	best := geom.NewCandList(min(max(cfg.LinksPerArrival, 1), cfg.N))
+	eval := func(id int32) {
+		j := int(id)
+		nj := g.Node(j)
+		d := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
+		if capped && (d > maxLen || cfg.MaxDegree > 0 && g.Degree(j) >= cfg.MaxDegree) {
+			return
+		}
+		cost := float64(cfg.Distance*d) + float64(cfg.Centrality*hops[j])
+		if cfg.Load != 0 {
+			cost += float64(cfg.Load * float64(g.Degree(j)))
+		}
+		if cfg.RootDist != 0 {
+			cost += float64(cfg.RootDist * rootDist[j])
+		}
+		best.Consider(j, cost)
+	}
 
 	for i := 1; i < cfg.N; i++ {
 		if err := errs.Ctx(ctx); err != nil {
@@ -309,24 +183,25 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 		} else {
 			p = region.RandomPoint(r)
 		}
-		st.Arrival = i
+		// The capped scan, then an uncapped one if it found no candidate:
+		// the index search, or every earlier node in id order.
 		best.Reset()
-		if ix != nil {
-			ix.Search(p, plan.distW, &plan.statW, plan.maxLen, best, evalFeasible32)
-			if best.Empty() {
-				stats.ConstraintViolations++
-				ix.Search(p, plan.distW, &plan.statW, noLen, best, evalAny32)
-			}
-		} else {
-			for j := 0; j < i; j++ {
-				evalFeasible(j)
-			}
-			if best.Empty() {
-				stats.ConstraintViolations++
-				for j := 0; j < i; j++ {
-					evalAny(j)
+		for _, capped = range [2]bool{true, false} {
+			if ix == nil {
+				for j := range i {
+					eval(int32(j))
 				}
+			} else {
+				lim := noLen
+				if capped {
+					lim = maxLen
+				}
+				ix.Search(p, cfg.Distance, &statW, lim, best, eval)
 			}
+			if !best.Empty() {
+				break
+			}
+			stats.ConstraintViolations++
 		}
 		id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y})
 		minHops := 0.0
@@ -335,16 +210,17 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 			w := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
 			g.AddEdge(graph.Edge{U: c.ID, V: id, Weight: w})
 			stats.TotalLinkLength += w
-			h := st.Hops[c.ID] + 1
+			h := hops[c.ID] + 1
 			if k == 0 || h < minHops {
 				minHops = h
 			}
 		}
-		st.Hops = append(st.Hops, minHops)
+		hops = append(hops, minHops)
+		rootDist = append(rootDist, p.Dist(rootPt))
 		if ix != nil {
 			vals := [geom.IndexStats]float64{
 				statHops:     minHops,
-				statRootDist: p.Dist(rootPt),
+				statRootDist: rootDist[id],
 				statDeg:      float64(g.Degree(id)),
 			}
 			ix.Add(int32(id), p, &vals)
@@ -358,18 +234,9 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 
 // GrowthStats reports aggregate facts about a GrowHOTContext run.
 type GrowthStats struct {
-	TermNames            []string
 	TotalLinkLength      float64
 	ConstraintViolations int
 	// evals counts the candidates the attachment index evaluated, 0 on
 	// the exhaustive scan; the package benchmarks report it.
 	evals int
-}
-
-func termNames(terms []ObjectiveTerm) []string {
-	out := make([]string, len(terms))
-	for i, t := range terms {
-		out[i] = t.Name()
-	}
-	return out
 }

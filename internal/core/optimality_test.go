@@ -15,7 +15,7 @@ import (
 // The growth optimality oracle: every arrival must attach where its
 // objective is smallest. The oracle re-derives each earlier node's cost
 // from the grown graph alone — node coordinates and the edge list in
-// insertion order — and shares no state with the growth loops or the
+// insertion order — and shares no state with the growth loop or the
 // grid index: a node's hop count is the minimum over its attachment
 // parents plus one, its degree is counted over earlier arrivals' edges,
 // and lengths are Euclidean distances between coordinates.
@@ -110,95 +110,28 @@ func dist(g *graph.Graph, a, b int) float64 {
 	return math.Hypot(u.X-v.X, u.Y-v.Y)
 }
 
-// hotPrice prices an attachment the way cfg's terms and constraints
-// define it, term by term in cfg's order.
-func hotPrice(t *testing.T, g *graph.Graph, cfg HOTConfig) func(i, j int, hops []float64, deg []int) (float64, bool) {
+// hotPrice prices an attachment the way cfg's weights and caps define
+// it.
+func hotPrice(g *graph.Graph, cfg HOTConfig) func(i, j int, hops []float64, deg []int) (float64, bool) {
 	return func(i, j int, hops []float64, deg []int) (float64, bool) {
 		d := dist(g, i, j)
-		cost := 0.0
-		for _, term := range cfg.Terms {
-			switch tt := term.(type) {
-			case DistanceTerm:
-				cost += tt.Weight * d
-			case CentralityTerm:
-				cost += tt.Weight * hops[j]
-			case LoadTerm:
-				cost += tt.Weight * float64(deg[j])
-			case RootDistTerm:
-				cost += tt.Weight * dist(g, j, 0)
-			default:
-				t.Fatalf("no oracle for term %s", term.Name())
-			}
-		}
-		ok := true
-		for _, c := range cfg.Constraints {
-			switch cc := c.(type) {
-			case MaxDegreeConstraint:
-				ok = ok && deg[j] < cc.Max
-			case MaxLengthConstraint:
-				ok = ok && d <= cc.Max
-			default:
-				t.Fatalf("no oracle for constraint %s", c.Name())
-			}
-		}
+		cost := float64(cfg.Distance*d) + float64(cfg.Centrality*hops[j]) +
+			float64(cfg.Load*float64(deg[j])) + float64(cfg.RootDist*dist(g, j, 0))
+		ok := (cfg.MaxDegree == 0 || deg[j] < cfg.MaxDegree) && (cfg.MaxLength == 0 || d <= cfg.MaxLength)
 		return cost, ok
 	}
 }
 
 // fkpPrice prices an FKP attachment: Alpha times the length plus the
-// configured centrality, with AvgHops recounting every pairwise hop
-// distance among the earlier nodes by breadth-first search.
+// configured centrality.
 func fkpPrice(g *graph.Graph, cfg FKPConfig) func(i, j int, hops []float64, deg []int) (float64, bool) {
-	var sumHops []int
-	sumsAt := -1
 	return func(i, j int, hops []float64, deg []int) (float64, bool) {
-		var cent float64
-		switch cfg.Centrality {
-		case HopsToRoot:
-			cent = hops[j]
-		case DistToRoot:
+		cent := hops[j]
+		if cfg.Centrality == DistToRoot {
 			cent = dist(g, j, 0)
-		case AvgHops:
-			if sumsAt != i {
-				sumHops, sumsAt = pairwiseHopSums(g, i), i
-			}
-			cent = float64(sumHops[j]) / float64(i)
 		}
-		return cfg.Alpha*dist(g, i, j) + cent, cfg.MaxDegree == 0 || deg[j] < cfg.MaxDegree
+		return float64(cfg.Alpha*dist(g, i, j)) + cent, cfg.MaxDegree == 0 || deg[j] < cfg.MaxDegree
 	}
-}
-
-// pairwiseHopSums returns, for each node below i, the sum of its hop
-// distances to every node below i, over the edges among those nodes.
-func pairwiseHopSums(g *graph.Graph, i int) []int {
-	adj := make([][]int, i)
-	for _, e := range g.Edges() {
-		if e.U < i && e.V < i {
-			adj[e.U] = append(adj[e.U], e.V)
-			adj[e.V] = append(adj[e.V], e.U)
-		}
-	}
-	sums := make([]int, i)
-	hop := make([]int, i)
-	for s := range sums {
-		for v := range hop {
-			hop[v] = -1
-		}
-		hop[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			sums[s] += hop[u]
-			for _, v := range adj[u] {
-				if hop[v] < 0 {
-					hop[v] = hop[u] + 1
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return sums
 }
 
 // TestGrowHOTOptimalAttachment checks every arrival of HOT growth,
@@ -209,23 +142,20 @@ func TestGrowHOTOptimalAttachment(t *testing.T) {
 		cfg       HOTConfig
 		fallbacks bool // the constraints must force unconstrained arrivals
 	}{
-		{"distance-centrality", HOTConfig{N: 250, Seed: 21,
-			Terms: []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}}}, false},
-		{"multilink", HOTConfig{N: 250, Seed: 22, LinksPerArrival: 3,
-			Terms: []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}}}, false},
+		{"distance-centrality", HOTConfig{N: 250, Seed: 21, Distance: 8, Centrality: 1}, false},
+		{"multilink", HOTConfig{N: 250, Seed: 22, LinksPerArrival: 3, Distance: 8, Centrality: 1}, false},
 		{"load-rootdist", HOTConfig{N: 250, Seed: 23, LinksPerArrival: 2,
-			Terms: []ObjectiveTerm{DistanceTerm{2}, LoadTerm{0.5}, RootDistTerm{1.5}}}, false},
+			Distance: 2, Load: 0.5, RootDist: 1.5}, false},
 		{"centrality-load-ties", HOTConfig{N: 200, Seed: 24, LinksPerArrival: 2,
-			Terms: []ObjectiveTerm{CentralityTerm{1}, LoadTerm{0.25}}}, false},
+			Centrality: 1, Load: 0.25}, false},
+		{"all-four-weights", HOTConfig{N: 250, Seed: 28, LinksPerArrival: 2,
+			Distance: 3, Centrality: 0.5, Load: 0.2, RootDist: 0.7}, false},
 		{"degree-capped", HOTConfig{N: 250, Seed: 25, LinksPerArrival: 2,
-			Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
-			Constraints: []Constraint{MaxDegreeConstraint{4}}}, false},
+			Distance: 8, Centrality: 1, MaxDegree: 4}, false},
 		{"length-capped-fallback", HOTConfig{N: 250, Seed: 26,
-			Terms:       []ObjectiveTerm{DistanceTerm{8}, CentralityTerm{1}},
-			Constraints: []Constraint{MaxLengthConstraint{0.05}}}, true},
-		{"both-constraints-fallback", HOTConfig{N: 250, Seed: 27, LinksPerArrival: 2,
-			Terms:       []ObjectiveTerm{DistanceTerm{4}, CentralityTerm{1}, LoadTerm{0.1}},
-			Constraints: []Constraint{MaxDegreeConstraint{2}, MaxLengthConstraint{0.08}}}, true},
+			Distance: 8, Centrality: 1, MaxLength: 0.05}, true},
+		{"both-caps-fallback", HOTConfig{N: 250, Seed: 27, LinksPerArrival: 2,
+			Distance: 4, Centrality: 1, Load: 0.1, MaxDegree: 2, MaxLength: 0.08}, true},
 	}
 	for _, tc := range cases {
 		for _, scan := range []struct {
@@ -238,7 +168,7 @@ func TestGrowHOTOptimalAttachment(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			links := max(tc.cfg.LinksPerArrival, 1)
-			fallbacks := checkOptimal(t, label, g, links, hotPrice(t, g, tc.cfg))
+			fallbacks := checkOptimal(t, label, g, links, hotPrice(g, tc.cfg))
 			if fallbacks != st.ConstraintViolations {
 				t.Fatalf("%s: %d arrivals had no feasible candidate, stats report %d", label, fallbacks, st.ConstraintViolations)
 			}
@@ -261,8 +191,9 @@ func TestFKPOptimalAttachment(t *testing.T) {
 		{"hops", FKPConfig{N: 250, Alpha: 8, Seed: 31}},
 		{"hops-alpha0-ties", FKPConfig{N: 200, Alpha: 0, Seed: 32}},
 		{"root-dist", FKPConfig{N: 250, Alpha: 8, Seed: 33, Centrality: DistToRoot}},
-		{"avg-hops", FKPConfig{N: 150, Alpha: 5, Seed: 34, Centrality: AvgHops}},
+		{"root-dist-capped", FKPConfig{N: 250, Alpha: 2, Seed: 34, Centrality: DistToRoot, MaxDegree: 3}},
 		{"star-regime-capped", FKPConfig{N: 250, Alpha: 0.3, Seed: 35, MaxDegree: 3}},
+		{"star-regime-two-ports", FKPConfig{N: 250, Alpha: 0.3, Seed: 37, MaxDegree: 2}},
 	}
 	for _, scan := range []struct {
 		name    string
@@ -293,7 +224,10 @@ func TestFKPOptimalAttachment(t *testing.T) {
 				}
 				break
 			}
-			checkOptimal(t, fmt.Sprintf("infeasible-prefix/%s/N=%d", scan.name, cfg.N), g, 1, fkpPrice(g, cfg))
+			label := fmt.Sprintf("infeasible-prefix/%s/N=%d", scan.name, cfg.N)
+			if f := checkOptimal(t, label, g, 1, fkpPrice(g, cfg)); f != 0 {
+				t.Fatalf("%s: %d arrivals had no feasible candidate yet FKP grew", label, f)
+			}
 			last = g
 		}
 		for v := 0; v < last.NumNodes(); v++ {

@@ -33,7 +33,8 @@ func E7GeneratorComparison(opts Options) (*Table, error) {
 	hot, _, err := core.GrowHOTContext(opts.ctx(), core.HOTConfig{
 		N:               n,
 		Seed:            opts.Seed,
-		Terms:           []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+		Distance:        8,
+		Centrality:      1,
 		LinksPerArrival: 2,
 	})
 	if err != nil {

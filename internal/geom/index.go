@@ -7,7 +7,7 @@ import "math"
 // that a point's value in a slot is fixed once the point is added, or
 // only grows afterwards, so a minimum recorded at insertion time stays a
 // valid lower bound on the current value forever.
-const IndexStats = 4
+const IndexStats = 3
 
 // Cand is one candidate of a CandList: an index id and its cost.
 type Cand struct {

@@ -31,7 +31,8 @@ func TestDijkstraScanned(t *testing.T) {
 		{"hot", func() (*graph.Graph, error) {
 			g, _, err := core.GrowHOTContext(context.Background(), core.HOTConfig{
 				N: 10000, Seed: 1, LinksPerArrival: 2,
-				Terms: []core.ObjectiveTerm{core.DistanceTerm{Weight: 8}, core.CentralityTerm{Weight: 1}},
+				Distance:   8,
+				Centrality: 1,
 			})
 			return g, err
 		}, 15303},

@@ -135,10 +135,14 @@ func (e *Engine) Run(ctx context.Context, sc Scenario, opt Options) (*Result, er
 // Result is marked Partial and its Reps trimmed to the contiguous
 // prefix of replications that completed, so a cut-short run is
 // distinguishable from a complete one. Errors before any unit runs
-// (spec validation) return a nil slice.
+// (spec validation, a replication total over MaxBatchReps) return a
+// nil slice.
 func (e *Engine) RunBatch(ctx context.Context, scs []Scenario, opt Options) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if _, err := BatchReps(scs); err != nil {
+		return nil, err
 	}
 	type unitRef struct {
 		si, rep int

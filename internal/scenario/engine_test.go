@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -431,5 +433,34 @@ func TestParamsSeedHonored(t *testing.T) {
 	if res.Reps[0].Edges != want.NumEdges() {
 		t.Fatalf("scenario topology differs from direct generation: %d vs %d edges",
 			res.Reps[0].Edges, want.NumEdges())
+	}
+}
+
+// TestRunBatchBoundsReplications: a batch over MaxBatchReps fails with
+// ErrBadParam before any result storage is allocated, and the bound
+// counts replications across the whole batch, Seeds included.
+func TestRunBatchBoundsReplications(t *testing.T) {
+	ba := GenerateSpec{Model: "ba", Params: Params{"n": 10}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := NewEngine(nil).RunBatch(context.Background(), []Scenario{{Generate: ba, Reps: 2_000_000}}, Options{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errs.ErrBadParam) || res != nil {
+		t.Fatalf("2,000,000 reps: results %v, err %v; want nil, ErrBadParam", res, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refusing 2,000,000 reps allocated %d bytes", alloc)
+	}
+	atBound := []Scenario{{Generate: ba, Reps: MaxBatchReps - 2}, {Generate: ba, Seeds: []int64{1, 2}}}
+	if total, err := BatchReps(atBound); err != nil || total != MaxBatchReps {
+		t.Fatalf("BatchReps at the bound = %d, %v; want %d, nil", total, err, MaxBatchReps)
+	}
+	for _, over := range [][]Scenario{
+		append(atBound, Scenario{Generate: ba}),
+		{{Generate: ba, Reps: 1}, {Generate: ba, Reps: math.MaxInt}},
+	} {
+		if _, err := BatchReps(over); !errors.Is(err, errs.ErrBadParam) {
+			t.Fatalf("BatchReps over the bound: %v, want ErrBadParam", err)
+		}
 	}
 }

@@ -44,19 +44,14 @@ func init() {
 		{Name: "links", Kind: Int, Default: 1, Min: bound(0), Help: "links per arrival"},
 		{Name: "ports", Kind: Int, Default: 0, Min: bound(0), Help: "max router degree (0 = unlimited)"},
 	}, func(ctx context.Context, p Params) (*graph.Graph, error) {
-		cfg := core.HOTConfig{
-			N:    p.Int("n"),
-			Seed: p.Seed(),
-			Terms: []core.ObjectiveTerm{
-				core.DistanceTerm{Weight: p.Float("alpha")},
-				core.CentralityTerm{Weight: 1},
-			},
+		g, _, err := core.GrowHOTContext(ctx, core.HOTConfig{
+			N:               p.Int("n"),
+			Seed:            p.Seed(),
+			Distance:        p.Float("alpha"),
+			Centrality:      1,
+			MaxDegree:       p.Int("ports"),
 			LinksPerArrival: p.Int("links"),
-		}
-		if ports := p.Int("ports"); ports > 0 {
-			cfg.Constraints = []core.Constraint{core.MaxDegreeConstraint{Max: ports}}
-		}
-		g, _, err := core.GrowHOTContext(ctx, cfg)
+		})
 		return g, err
 	})
 

@@ -223,6 +223,25 @@ func (s *Scenario) NumReps() int {
 	return n
 }
 
+// MaxBatchReps bounds the replications one batch may request. Every
+// replication claims result storage before any runs, so a larger total
+// is refused before anything is allocated.
+const MaxBatchReps = 1 << 16
+
+// BatchReps returns the total replication count of a batch, or an
+// errs.ErrBadParam-wrapping error when it exceeds MaxBatchReps.
+func BatchReps(scs []Scenario) (int, error) {
+	total := 0
+	for i := range scs {
+		n := scs[i].NumReps()
+		if n > MaxBatchReps-total {
+			return 0, errs.BadParamf("scenario: batch requests more than %d replications", MaxBatchReps)
+		}
+		total += n
+	}
+	return total, nil
+}
+
 // SeedFor returns replication rep's seed: the explicit Seeds entry when
 // one exists, otherwise a deterministic derivation from the last
 // explicit seed. Without any Seeds, the base is the generator's "seed"

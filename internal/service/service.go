@@ -365,20 +365,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	total := 0
-	for i := range specs {
-		total += specs[i].NumReps()
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, errors.New("service: draining, not accepting jobs"))
+	total, err := scenario.BatchReps(specs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.nextID++
+	// The per-rep storage is built before s.mu is taken, so no other
+	// request waits on these allocations.
 	j := &job{
-		id:    fmt.Sprintf("job-%d", s.nextID),
 		specs: specs,
 		state: StateQueued,
 		total: total,
@@ -389,6 +383,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		j.reps[i] = make([]scenario.RepResult, specs[i].NumReps())
 		j.done[i] = make([]bool, specs[i].NumReps())
 	}
+
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, errors.New("service: draining, not accepting jobs"))
+		return
+	}
+	s.nextID++
+	j.id = fmt.Sprintf("job-%d", s.nextID)
 	// Render the reply before the enqueue: an executor may pick the job
 	// up at once and finish it before this handler writes, and the 202
 	// must report the state the job was accepted in.

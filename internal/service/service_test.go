@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -604,5 +606,51 @@ func TestGeneratorPanicFailsJob(t *testing.T) {
 	}
 	if final.State != StateDone {
 		t.Fatalf("ba job after the panics ended %s (%q), want done", final.State, final.Error)
+	}
+}
+
+// TestSubmitBoundsReplications: a spec claiming more replications than
+// scenario.MaxBatchReps is a 400 that allocates nothing in proportion to
+// the claim, while a batch at the bound is still accepted.
+func TestSubmitBoundsReplications(t *testing.T) {
+	s, c := newTestServer(t, Config{Executors: -1})
+	submit := func(spec string) (*httptest.ResponseRecorder, time.Duration, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		start := time.Now()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(spec)))
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		return rec, elapsed, after.TotalAlloc - before.TotalAlloc
+	}
+	for _, spec := range []string{
+		`{"generate":{"model":"ba","params":{"n":10}},"reps":2000000}`,
+		`{"generate":{"model":"ba","params":{"n":10}},"reps":65537}`,
+		`{"generate":{"model":"ba","params":{"n":10}},"reps":9223372036854775807}`,
+		`[{"generate":{"model":"ba","params":{"n":10}},"reps":40000},{"generate":{"model":"ba","params":{"n":10}},"reps":30000}]`,
+	} {
+		best := time.Hour
+		for range 3 {
+			rec, elapsed, alloc := submit(spec)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("spec %s: status %d, want 400", spec, rec.Code)
+			}
+			if alloc > 1<<20 {
+				t.Fatalf("spec %s: rejecting it allocated %d bytes", spec, alloc)
+			}
+			best = min(best, elapsed)
+		}
+		if best > 10*time.Millisecond {
+			t.Fatalf("spec %s: rejected after %v", spec, best)
+		}
+	}
+	spec := fmt.Sprintf(`{"generate":{"model":"ba","params":{"n":10}},"reps":%d}`, scenario.MaxBatchReps)
+	st, err := c.SubmitSpec(context.Background(), []byte(spec))
+	if err != nil {
+		t.Fatalf("a batch of exactly %d replications: %v", scenario.MaxBatchReps, err)
+	}
+	if st.State != StateQueued || st.Reps != scenario.MaxBatchReps {
+		t.Fatalf("accepted job %+v, want queued with %d reps", st, scenario.MaxBatchReps)
 	}
 }
