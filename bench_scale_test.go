@@ -143,7 +143,7 @@ func benchBFSParallel(b *testing.B, t *scaleTopo, workers int) {
 }
 
 // benchHOTGrow measures whole-topology growth (the generator hot path),
-// which runs on the grid index at these sizes; with
+// which runs on the grid index; with
 // BenchmarkScaleHOTGrow25kExhaustive in internal/core, which forces the
 // exhaustive scan, the 25k slice records the grid index's measured
 // speedup.

@@ -117,6 +117,18 @@ func BenchmarkBarabasiAlbert10k(b *testing.B) {
 	}
 }
 
+// BenchmarkRandomGeometric10k generates the random geometric graph at
+// 10k nodes and radius 0.02, about 12 neighbours per node: one grid
+// radius query per node.
+func BenchmarkRandomGeometric10k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := gen.RandomGeometricContext(context.Background(), 10000, 0.02, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTailClassification(b *testing.B) {
 	g, err := gen.BarabasiAlbertContext(context.Background(), 5000, 2, 1)
 	if err != nil {

@@ -169,3 +169,16 @@ func TestListGolden(t *testing.T) {
 		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
+
+// TestHOTPortCapInfeasible runs `topogen -model hot -n 1000 -links 3
+// -param ports=3`, whose arrivals fill every router's ports from the
+// fourth arrival on: it must fail with errs.ErrInfeasible instead of
+// growing routers past the cap.
+func TestHOTPortCapInfeasible(t *testing.T) {
+	gp := smallParams()
+	gp.n, gp.links = 1000, 3
+	gp.overrides = scenario.Params{"ports": 3}
+	if _, err := generate("hot", gp); !errors.Is(err, errs.ErrInfeasible) {
+		t.Fatalf("hot with 3 links on 3-port routers gave %v, want ErrInfeasible", err)
+	}
+}

@@ -144,8 +144,8 @@ func (in *Instance) TotalDemand() float64 {
 }
 
 // Network is a solved access design: a graph whose node 0 is the root and
-// nodes 1..n are the customers in instance order (plus any Steiner/
-// concentrator nodes after them), with per-edge flow and cable config.
+// nodes 1..n are the customers in instance order, with per-edge flow and
+// cable config.
 type Network struct {
 	Graph *graph.Graph
 	// Flow[i] is the traffic on edge i (toward the root).

@@ -311,24 +311,6 @@ func TestEconomiesOfScaleMakeSharingWin(t *testing.T) {
 	}
 }
 
-func TestGreedyConcentrator(t *testing.T) {
-	in := testInstance(t, 200, 12)
-	net, err := GreedyConcentrator(in, 8, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.Graph.IsTree() {
-		t.Fatal("concentrator solution not a tree")
-	}
-	// 1 root + 200 customers + 8 concentrators.
-	if net.Graph.NumNodes() != 209 {
-		t.Fatalf("nodes = %d, want 209", net.Graph.NumNodes())
-	}
-	if _, err := GreedyConcentrator(in, 0, 1); err == nil {
-		t.Fatal("k=0 should error")
-	}
-}
-
 func TestKMeansBasic(t *testing.T) {
 	pts := []geom.Point{{X: 0, Y: 0}, {X: 0.1, Y: 0}, {X: 1, Y: 1}, {X: 0.9, Y: 1}}
 	centers := KMeans(pts, nil, 2, 1, 20)

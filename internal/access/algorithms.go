@@ -107,6 +107,7 @@ func SampleAndAugment(in *Instance, seed int64, p float64) (*Network, error) {
 	r := rng.New(seed)
 	g := newNetworkSkeleton(in)
 	n := len(in.Customers)
+	region := geom.Bounds(in.Root, customerPoints(in))
 
 	level := make([]int, n+1) // 0 for customers initially
 	survivors := make([]int, 0, n)
@@ -128,23 +129,23 @@ func SampleAndAugment(in *Instance, seed int64, p float64) (*Network, error) {
 			next = append(next, keep)
 			level[keep] = l
 		}
-		// Attach the non-promoted to their nearest promoted hub (or root,
-		// whichever is closer).
+		// Attach the non-promoted to their nearest promoted hub (ties to
+		// the hub promoted first) or to the root, whichever is closer.
 		pts := make([]geom.Point, len(next))
+		hubs := geom.NewGrid(region, len(next))
 		for i, v := range next {
-			nd := g.Node(v)
-			pts[i] = geom.Point{X: nd.X, Y: nd.Y}
+			pts[i] = in.Customers[v-1].Loc
+			hubs.Add(int32(i), pts[i])
 		}
-		tree := geom.NewKDTree(pts)
+		var loc geom.Point
+		dist2 := func(i int32) float64 { return loc.Dist2(pts[i]) }
 		for _, v := range survivors {
 			if level[v] >= l {
 				continue
 			}
-			nd := g.Node(v)
-			loc := geom.Point{X: nd.X, Y: nd.Y}
-			hi, hd := tree.Nearest(loc)
-			target := next[hi]
-			td := hd
+			loc = in.Customers[v-1].Loc
+			hi, hd2 := hubs.Nearest(loc, dist2)
+			target, td := next[hi], math.Sqrt(hd2)
 			if rd := loc.Dist(in.Root); rd < td {
 				target, td = 0, rd
 			}
@@ -208,48 +209,6 @@ func DirectStar(in *Instance) (*Network, error) {
 	g := newNetworkSkeleton(in)
 	for i, c := range in.Customers {
 		g.AddEdge(graph.Edge{U: 0, V: i + 1, Weight: c.Loc.Dist(in.Root), Cable: -1})
-	}
-	return finishTree(in, g)
-}
-
-// GreedyConcentrator is the classic local-access heuristic (paper
-// references [6,18]): place k concentrators by weighted k-means over
-// customer locations, home each customer onto its nearest concentrator,
-// and connect concentrators to the root by an MST. Concentrator nodes are
-// appended to the graph after the customers.
-func GreedyConcentrator(in *Instance, k int, seed int64) (*Network, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	n := len(in.Customers)
-	if k < 1 {
-		return nil, fmt.Errorf("access: need k >= 1 concentrators")
-	}
-	if k > n {
-		k = n
-	}
-	centers := KMeans(customerPoints(in), customerWeights(in), k, seed, 30)
-	g := newNetworkSkeleton(in)
-	concIDs := make([]int, k)
-	for i, c := range centers {
-		concIDs[i] = g.AddNode(graph.Node{Kind: graph.KindConc, X: c.X, Y: c.Y})
-	}
-	tree := geom.NewKDTree(centers)
-	for i, c := range in.Customers {
-		hi, hd := tree.Nearest(c.Loc)
-		g.AddEdge(graph.Edge{U: concIDs[hi], V: i + 1, Weight: hd, Cable: -1})
-	}
-	// Root + concentrators MST.
-	xs := make([]float64, k+1)
-	ys := make([]float64, k+1)
-	ids := make([]int, k+1)
-	xs[0], ys[0], ids[0] = in.Root.X, in.Root.Y, 0
-	for i, c := range centers {
-		xs[i+1], ys[i+1], ids[i+1] = c.X, c.Y, concIDs[i]
-	}
-	for _, pr := range graph.EuclideanMST(xs, ys) {
-		d := math.Hypot(xs[pr[0]]-xs[pr[1]], ys[pr[0]]-ys[pr[1]])
-		g.AddEdge(graph.Edge{U: ids[pr[0]], V: ids[pr[1]], Weight: d, Cable: -1})
 	}
 	return finishTree(in, g)
 }
@@ -347,14 +306,6 @@ func customerPoints(in *Instance) []geom.Point {
 		pts[i] = c.Loc
 	}
 	return pts
-}
-
-func customerWeights(in *Instance) []float64 {
-	ws := make([]float64, len(in.Customers))
-	for i, c := range in.Customers {
-		ws[i] = c.Demand
-	}
-	return ws
 }
 
 // AugmentTwoEdgeConnected adds straight-line edges to a solved tree

@@ -93,3 +93,79 @@ func TestMMPOptimalAttachment(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleAndAugmentNearestHub replays SampleAndAugment's promotions
+// and requires each level's edge for every customer not promoted to run
+// to the hub of smallest (squared distance, promotion order), weighted
+// with the square root of that squared distance, or to the root when the
+// root is strictly closer. Customers sit on the points of a dyadic
+// lattice, several to a point, so hub choices tie between co-located
+// hubs and between hubs at equal distances in different directions.
+func TestSampleAndAugmentNearestHub(t *testing.T) {
+	r := rng.New(5)
+	var locs []geom.Point
+	for i := 0; i <= 8; i++ {
+		for j := 0; j <= 8; j++ {
+			locs = append(locs, geom.Point{X: float64(i) / 8, Y: float64(j) / 8})
+		}
+	}
+	in := &Instance{Root: geom.Point{X: 0.5, Y: 0.5}, Catalog: DefaultCatalog()}
+	for range 300 {
+		in.Customers = append(in.Customers, Customer{Loc: locs[r.Intn(len(locs))], Demand: 1})
+	}
+	const seed, p = 3, 0.3
+	net, err := SampleAndAugment(in, seed, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(in.Customers)
+	r = rng.New(seed)
+	level := make([]int, n+1)
+	var survivors []int
+	for v := 1; v <= n; v++ {
+		survivors = append(survivors, v)
+	}
+	e, ties := 0, 0
+	for l := 1; l < len(in.Catalog) && len(survivors) > 1; l++ {
+		var next []int
+		for _, v := range survivors {
+			if r.Float64() < p {
+				next = append(next, v)
+				level[v] = l
+			}
+		}
+		if len(next) == 0 {
+			keep := survivors[r.Intn(len(survivors))]
+			next = append(next, keep)
+			level[keep] = l
+		}
+		for _, v := range survivors {
+			if level[v] >= l {
+				continue
+			}
+			loc := in.Customers[v-1].Loc
+			want, wantD2, tied := -1, math.Inf(1), false
+			for _, h := range next {
+				d2 := loc.Dist2(in.Customers[h-1].Loc)
+				tied = tied || d2 == wantD2
+				if d2 < wantD2 {
+					want, wantD2, tied = h, d2, false
+				}
+			}
+			w := math.Sqrt(wantD2)
+			if rd := loc.Dist(in.Root); rd < w {
+				want, w = 0, rd
+			} else if tied {
+				ties++
+			}
+			if got := net.Graph.Edge(e); got.U != want || got.V != v || got.Weight != w {
+				t.Fatalf("level %d: edge %d = (%d, %d, %v), want (%d, %d, %v)", l, e, got.U, got.V, got.Weight, want, v, w)
+			}
+			e++
+		}
+		survivors = next
+	}
+	if ties < 100 {
+		t.Fatalf("only %d tied hub choices", ties)
+	}
+}

@@ -24,7 +24,7 @@ func BenchmarkScaleHOTGrow25kExhaustive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := growHOT(context.Background(), cfg, forceExhaustive); err != nil {
+		if _, _, err := growHOT(context.Background(), cfg, true); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -94,11 +94,11 @@ func (c *FKPConfig) Validate() error {
 // growth it never ignores the port cap: a MaxDegree that leaves an
 // arrival no feasible candidate is an errs.ErrInfeasible error.
 func FKPContext(ctx context.Context, cfg FKPConfig) (*graph.Graph, error) {
-	return fkp(ctx, cfg, gridMinNodes)
+	return fkp(ctx, cfg, false)
 }
 
-// fkp is FKPContext with growHOT's candidate scan exposed (gridMin).
-func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) {
+// fkp is FKPContext with growHOT's candidate scan exposed (exhaustive).
+func fkp(ctx context.Context, cfg FKPConfig, exhaustive bool) (*graph.Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func fkp(ctx context.Context, cfg FKPConfig, gridMin int) (*graph.Graph, error) 
 	} else {
 		h.Centrality = 1
 	}
-	g, _, err := growHOT(ctx, h, gridMin)
+	g, _, err := growHOT(ctx, h, exhaustive)
 	return g, err
 }
 

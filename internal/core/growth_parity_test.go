@@ -3,18 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
-)
-
-// The gridMin values that force each candidate scan of fkp and growHOT.
-const (
-	forceGrid       = 0
-	forceExhaustive = math.MaxInt
 )
 
 // checkSameGraph pins two grown graphs bit-for-bit: node coordinates and
@@ -45,20 +38,18 @@ func checkSameGraph(t *testing.T, label string, ref, got *graph.Graph) {
 // TestFKPGridMatchesExhaustive pins the grid-index FKP growth
 // bit-identical to the exhaustive scan for every centrality mode, with
 // and without a binding MaxDegree cap, across seeds, on a region whose
-// root is off the unit square's center. N is far below the gridMinNodes
-// threshold, so the forced gridMin values genuinely select the two
-// implementations.
+// root is off the unit square's center.
 func TestFKPGridMatchesExhaustive(t *testing.T) {
 	region := geom.Rect{MinX: 0.3, MinY: -0.8, MaxX: 1.5, MaxY: 1}
 	for _, mode := range []CentralityMode{HopsToRoot, DistToRoot} {
 		for _, maxDeg := range []int{0, 3} {
 			for _, seed := range []int64{1, 2, 3} {
 				cfg := FKPConfig{N: 220, Alpha: 8, Seed: seed, Centrality: mode, MaxDegree: maxDeg, Region: region}
-				ref, err := fkp(context.Background(), cfg, forceExhaustive)
+				ref, err := fkp(context.Background(), cfg, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := fkp(context.Background(), cfg, forceGrid)
+				got, err := fkp(context.Background(), cfg, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,8 +63,8 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 	// bounds must keep the result identical.
 	for _, alpha := range []float64{0.1, 0.5} {
 		cfg := FKPConfig{N: 220, Alpha: alpha, Seed: 5}
-		ref, _ := fkp(context.Background(), cfg, forceExhaustive)
-		got, _ := fkp(context.Background(), cfg, forceGrid)
+		ref, _ := fkp(context.Background(), cfg, true)
+		got, _ := fkp(context.Background(), cfg, false)
 		checkSameGraph(t, "star-regime", ref, got)
 	}
 }
@@ -83,8 +74,8 @@ func TestFKPGridMatchesExhaustive(t *testing.T) {
 // same errs.ErrInfeasible, naming the same arrival, from both scans.
 func TestFKPGridInfeasibleMatches(t *testing.T) {
 	cfg := FKPConfig{N: 5, Alpha: 1, Seed: 1, MaxDegree: 1}
-	_, errRef := fkp(context.Background(), cfg, forceExhaustive)
-	_, errGrid := fkp(context.Background(), cfg, forceGrid)
+	_, errRef := fkp(context.Background(), cfg, true)
+	_, errGrid := fkp(context.Background(), cfg, false)
 	if errRef == nil || errGrid == nil {
 		t.Fatalf("expected infeasible errors, got %v / %v", errRef, errGrid)
 	}
@@ -150,11 +141,11 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 
 	for _, tc := range cases {
 		cfg := tc.cfg
-		ref, refStats, err := growHOT(context.Background(), cfg, forceExhaustive)
+		ref, refStats, err := growHOT(context.Background(), cfg, true)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		got, gotStats, err := growHOT(context.Background(), cfg, forceGrid)
+		got, gotStats, err := growHOT(context.Background(), cfg, false)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -168,28 +159,22 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestGrowHOTAutoMatchesForced pins GrowHOTContext's own scan choice at
-// a size above gridMinNodes against both forced scans — the three-way
-// bit-identity users actually rely on.
+// TestGrowHOTAutoMatchesForced pins GrowHOTContext itself against the
+// exhaustive reference scan at 1,500 nodes under a port cap.
 func TestGrowHOTAutoMatchesForced(t *testing.T) {
 	if testing.Short() {
-		t.Skip("grows three 1500-node topologies")
+		t.Skip("grows two 1500-node topologies")
 	}
 	base := HOTConfig{
 		N: 1500, Seed: 10, LinksPerArrival: 2, Distance: 8, Centrality: 1, MaxDegree: 6,
-	}
-	run := func(gridMin int) *graph.Graph {
-		g, _, err := growHOT(context.Background(), base, gridMin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
 	}
 	auto, _, err := GrowHOTContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := run(forceExhaustive)
+	ref, _, err := growHOT(context.Background(), base, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkSameGraph(t, "auto", ref, auto)
-	checkSameGraph(t, "grid", ref, run(forceGrid))
 }

@@ -99,22 +99,21 @@ func (c *HOTConfig) Validate() error {
 // Stats.ConstraintViolations counts such arrivals. (A real ISP must
 // connect the customer somehow — it deploys a bigger router.)
 //
-// The candidate scan is O(n) per arrival by reference. From
-// gridMinNodes arrivals up the growth searches the attachment index
-// (geom.Index) instead, which the growth parity tests pin
-// bit-identical; the weights are non-negative, so regional cost lower
-// bounds always exist. Its work per arrival still grows with n (see
-// geom.Index for measured figures). The growth loop checks ctx at every
-// arrival and returns an errs.ErrCanceled-wrapping error when the
-// context is done.
+// Each arrival searches the attachment index (geom.Index), at every N;
+// the weights are non-negative, so regional cost lower bounds always
+// exist, and the growth parity tests pin its selections bit-identical
+// to an O(n) scan of every earlier node. Its work per arrival still
+// grows with n (see geom.Index for measured figures). The growth loop
+// checks ctx at every arrival and returns an errs.ErrCanceled-wrapping
+// error when the context is done.
 func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*graph.Graph, *GrowthStats, error) {
-	return growHOT(ctx, cfg, gridMinNodes)
+	return growHOT(ctx, cfg, false)
 }
 
-// growHOT is GrowHOTContext with the candidate scan exposed: the grid
-// index runs when cfg.N >= gridMin, so 0 forces it and math.MaxInt
-// forces the exhaustive reference scan.
-func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *GrowthStats, error) {
+// growHOT is GrowHOTContext with the candidate scan exposed: exhaustive
+// scans every earlier node in id order instead of searching the index,
+// the reference the package's tests hold the index to.
+func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph, *GrowthStats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -137,7 +136,7 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 		maxLen = cfg.MaxLength
 	}
 	var ix *geom.Index
-	if cfg.N >= gridMin {
+	if !exhaustive {
 		var track [geom.IndexStats]bool
 		for s, w := range statW {
 			track[s] = w > 0
@@ -231,6 +230,16 @@ func growHOT(ctx context.Context, cfg HOTConfig, gridMin int) (*graph.Graph, *Gr
 	}
 	return g, stats, nil
 }
+
+// The index stat slots the growth loop fills. Each stat is either
+// immutable once a node arrives (its tree hop count, its distance to the
+// root) or monotone non-decreasing over the run (degree), as geom.Index
+// requires.
+const (
+	statHops     = iota // tree hop distance to root (immutable)
+	statRootDist        // Euclidean distance to root (immutable)
+	statDeg             // degree at insertion (monotone under growth)
+)
 
 // GrowthStats reports aggregate facts about a GrowHOTContext run.
 type GrowthStats struct {

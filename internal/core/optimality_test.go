@@ -159,11 +159,11 @@ func TestGrowHOTOptimalAttachment(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, scan := range []struct {
-			name    string
-			gridMin int
-		}{{"exhaustive", forceExhaustive}, {"grid", forceGrid}} {
+			name       string
+			exhaustive bool
+		}{{"exhaustive", true}, {"grid", false}} {
 			label := tc.name + "/" + scan.name
-			g, st, err := growHOT(context.Background(), tc.cfg, scan.gridMin)
+			g, st, err := growHOT(context.Background(), tc.cfg, scan.exhaustive)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -196,12 +196,12 @@ func TestFKPOptimalAttachment(t *testing.T) {
 		{"star-regime-two-ports", FKPConfig{N: 250, Alpha: 0.3, Seed: 37, MaxDegree: 2}},
 	}
 	for _, scan := range []struct {
-		name    string
-		gridMin int
-	}{{"exhaustive", forceExhaustive}, {"grid", forceGrid}} {
+		name       string
+		exhaustive bool
+	}{{"exhaustive", true}, {"grid", false}} {
 		for _, tc := range cases {
 			label := tc.name + "/" + scan.name
-			g, err := fkp(context.Background(), tc.cfg, scan.gridMin)
+			g, err := fkp(context.Background(), tc.cfg, scan.exhaustive)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -217,7 +217,7 @@ func TestFKPOptimalAttachment(t *testing.T) {
 			if cfg.N > 10 {
 				t.Fatalf("%s: FKP with MaxDegree 1 never became infeasible", scan.name)
 			}
-			g, err := fkp(context.Background(), cfg, scan.gridMin)
+			g, err := fkp(context.Background(), cfg, scan.exhaustive)
 			if err != nil {
 				if !errors.Is(err, errs.ErrInfeasible) {
 					t.Fatalf("%s: N=%d: %v, want ErrInfeasible", scan.name, cfg.N, err)

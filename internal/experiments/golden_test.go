@@ -8,9 +8,8 @@ import (
 )
 
 // goldenOptions is the configuration the experiments golden is recorded
-// at. Scale 0.4 makes E1 grow 1,200-node FKP trees, above the size at
-// which growth switches to the attachment index, so the golden pins the
-// index's selections as well as the exhaustive scan's.
+// at. Scale 0.4 makes E1 grow 1,200-node FKP trees on the attachment
+// index.
 var goldenOptions = Options{Seed: 42, Scale: 0.4, Reps: 2}
 
 // TestAllTablesGolden pins every experiment's table, byte for byte, to

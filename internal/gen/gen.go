@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/errs"
@@ -535,15 +536,25 @@ func RandomGeometricContext(ctx context.Context, n int, radius float64, seed int
 	for _, p := range pts {
 		g.AddNode(graph.Node{X: p.X, Y: p.Y})
 	}
-	tree := geom.NewKDTree(pts)
-	for u := 0; u < n; u++ {
+	grid := geom.NewGrid(geom.UnitSquare, n)
+	for u, p := range pts {
+		grid.Add(int32(u), p)
+	}
+	r2 := radius * radius
+	var nbrs []int32
+	for u, p := range pts {
 		if err := errs.Ctx(ctx); err != nil {
 			return nil, fmt.Errorf("gen: RGG: %w", err)
 		}
-		for _, v := range tree.RangeSearch(pts[u], radius) {
-			if v > u {
-				g.AddEdge(graph.Edge{U: u, V: v, Weight: pts[u].Dist(pts[v])})
+		nbrs = nbrs[:0]
+		grid.Near(p, radius, func(v int32) {
+			if int(v) > u && p.Dist2(pts[v]) <= r2 {
+				nbrs = append(nbrs, v)
 			}
+		})
+		slices.Sort(nbrs)
+		for _, v := range nbrs {
+			g.AddEdge(graph.Edge{U: u, V: int(v), Weight: p.Dist(pts[v])})
 		}
 	}
 	return g, nil

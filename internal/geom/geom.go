@@ -1,8 +1,9 @@
 // Package geom provides the planar geometry used by the geographic
 // topology models: points in the unit square (or any rectangle), distance
-// kernels, a kd-tree for nearest-neighbour queries, and the attachment
-// index (Index) the incremental designers search for each arrival's
-// cheapest attachment.
+// kernels, and one spatial structure, the uniform Grid. The grid answers
+// nearest-point and radius queries directly, and the attachment index
+// (Index) the incremental designers search for each arrival's cheapest
+// attachment is built on it.
 package geom
 
 import (

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -87,90 +86,5 @@ func TestGaussianClusterClamped(t *testing.T) {
 		if !UnitSquare.Contains(p) {
 			t.Fatalf("cluster point %v escaped region", p)
 		}
-	}
-}
-
-func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
-	r := rng.New(4)
-	pts := UnitSquare.RandomPoints(r, 500)
-	tree := NewKDTree(pts)
-	for trial := 0; trial < 200; trial++ {
-		q := UnitSquare.RandomPoint(r)
-		gotIdx, gotD := tree.Nearest(q)
-		bestIdx, bestD := -1, math.Inf(1)
-		for i, p := range pts {
-			if d := p.Dist(q); d < bestD {
-				bestIdx, bestD = i, d
-			}
-		}
-		if math.Abs(gotD-bestD) > 1e-12 {
-			t.Fatalf("Nearest dist %v (idx %d), brute force %v (idx %d)", gotD, gotIdx, bestD, bestIdx)
-		}
-	}
-}
-
-func TestKDTreeRangeSearchMatchesBruteForce(t *testing.T) {
-	r := rng.New(6)
-	pts := UnitSquare.RandomPoints(r, 400)
-	tree := NewKDTree(pts)
-	for trial := 0; trial < 50; trial++ {
-		q := UnitSquare.RandomPoint(r)
-		radius := r.Float64() * 0.3
-		got := tree.RangeSearch(q, radius)
-		want := map[int]bool{}
-		for i, p := range pts {
-			if p.Dist(q) <= radius {
-				want[i] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("RangeSearch size %d, want %d", len(got), len(want))
-		}
-		for _, idx := range got {
-			if !want[idx] {
-				t.Fatalf("RangeSearch returned %d outside radius", idx)
-			}
-		}
-	}
-}
-
-func TestKDTreeNegativeRadius(t *testing.T) {
-	tree := NewKDTree([]Point{{0, 0}})
-	if got := tree.RangeSearch(Point{0, 0}, -1); got != nil {
-		t.Fatal("negative radius should return nil")
-	}
-}
-
-func TestKDTreeDuplicatePoints(t *testing.T) {
-	pts := []Point{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}, {0.1, 0.1}}
-	tree := NewKDTree(pts)
-	idx, d := tree.Nearest(Point{0.5, 0.5})
-	if d != 0 {
-		t.Fatalf("Nearest to duplicate point: dist %v, want 0", d)
-	}
-	if idx < 0 || idx > 2 {
-		t.Fatalf("Nearest returned index %d, want one of the duplicates", idx)
-	}
-	all := tree.RangeSearch(Point{0.5, 0.5}, 0)
-	if len(all) != 3 {
-		t.Fatalf("RangeSearch(0) over duplicates found %d, want 3", len(all))
-	}
-}
-
-func TestKDTreeEmptyPanics(t *testing.T) {
-	tree := NewKDTree(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Nearest on empty tree should panic")
-		}
-	}()
-	tree.Nearest(Point{0, 0})
-}
-
-func TestKDTreeSinglePoint(t *testing.T) {
-	tree := NewKDTree([]Point{{0.3, 0.7}})
-	idx, d := tree.Nearest(Point{0.3, 0.7})
-	if idx != 0 || d != 0 {
-		t.Fatalf("Nearest = (%d, %v), want (0, 0)", idx, d)
 	}
 }

@@ -151,6 +151,92 @@ func (g *Grid) ComplementDistLB(p Point, cx0, cy0, cx1, cy1 int) float64 {
 	return m
 }
 
+// Nearest returns the stored id whose squared distance dist2(id) from p
+// is smallest, ties going to the smaller id, and that squared distance;
+// it returns (-1, +Inf) on an empty grid. It scans cell rings outward
+// from p's cell and stops once the margin around the rings scanned so
+// far exceeds the best distance by more than pruneSlack, so no unscanned
+// point can tie it.
+func (g *Grid) Nearest(p Point, dist2 func(id int32) float64) (int32, float64) {
+	pcx, pcy := g.CellAt(p)
+	maxRing := max(pcx, g.nx-1-pcx, pcy, g.ny-1-pcy)
+	best, bestD2 := int32(-1), math.Inf(1)
+	visit := func(cx, cy int) {
+		for _, id := range g.cells[cy*g.nx+cx] {
+			if d2 := dist2(id); best < 0 || d2 < bestD2 || d2 == bestD2 && id < best {
+				best, bestD2 = id, d2
+			}
+		}
+	}
+	for k := 0; k <= maxRing; k++ {
+		if best >= 0 && k > 0 {
+			m := g.ComplementDistLB(p, pcx-k+1, pcy-k+1, pcx+k-1, pcy+k-1)
+			if d := math.Sqrt(bestD2); m > d+d*pruneSlack {
+				break
+			}
+		}
+		forRing(pcx, pcy, k, g.nx, g.ny, visit)
+	}
+	return best, bestD2
+}
+
+// Near calls fn for every id stored in a cell that meets the square of
+// half-side r centred on p, widened by one cell on each side so that a
+// point within r of p is never lost to rounding at a computed cell edge.
+// The caller applies its own distance test. A negative or NaN r visits
+// nothing.
+func (g *Grid) Near(p Point, r float64, fn func(id int32)) {
+	if !(r >= 0) {
+		return
+	}
+	cx0, cx1 := cellSpan(p.X-r, p.X+r, g.rect.MinX, g.cw, g.nx)
+	cy0, cy1 := cellSpan(p.Y-r, p.Y+r, g.rect.MinY, g.ch, g.ny)
+	for cy := cy0; cy <= cy1; cy++ {
+		for _, ids := range g.cells[cy*g.nx+cx0 : cy*g.nx+cx1+1] {
+			for _, id := range ids {
+				fn(id)
+			}
+		}
+	}
+}
+
+// cellSpan returns the first and last of n cells of width w starting at
+// lo that meet [a, b], widened by one cell and clipped to the grid; the
+// span is empty (first > last) when [a, b] misses the grid.
+func cellSpan(a, b, lo, w float64, n int) (int, int) {
+	if w <= 0 {
+		return 0, n - 1
+	}
+	c0 := max(math.Floor((a-lo)/w)-1, 0)
+	c1 := min(math.Floor((b-lo)/w)+1, float64(n-1))
+	return int(min(c0, float64(n))), int(max(c1, -1))
+}
+
+// forRing calls visit for every cell of an nx × ny array at Chebyshev
+// distance exactly k from (cx, cy), skipping cells outside the array.
+func forRing(cx, cy, k, nx, ny int, visit func(x, y int)) {
+	if k == 0 {
+		visit(cx, cy)
+		return
+	}
+	for _, y := range [2]int{cy - k, cy + k} {
+		if y < 0 || y >= ny {
+			continue
+		}
+		for x := max(cx-k, 0); x <= min(cx+k, nx-1); x++ {
+			visit(x, y)
+		}
+	}
+	for _, x := range [2]int{cx - k, cx + k} {
+		if x < 0 || x >= nx {
+			continue
+		}
+		for y := max(cy-k+1, 0); y <= min(cy+k-1, ny-1); y++ {
+			visit(x, y)
+		}
+	}
+}
+
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo

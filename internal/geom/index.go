@@ -198,7 +198,7 @@ func (ix *Index) Search(p Point, distW float64, statW *[IndexStats]float64, maxL
 				return
 			}
 		}
-		q.ring(pbx, pby, k)
+		forRing(pbx, pby, k, ix.bnx, ix.bny, q.block)
 	}
 }
 
@@ -211,32 +211,6 @@ type query struct {
 	maxLen float64
 	best   *CandList
 	eval   func(id int32)
-}
-
-// ring visits the in-range coarse blocks at exactly Chebyshev distance k
-// from (pbx, pby).
-func (q *query) ring(pbx, pby, k int) {
-	ix := q.ix
-	if k == 0 {
-		q.block(pbx, pby)
-		return
-	}
-	for _, by := range [2]int{pby - k, pby + k} {
-		if by < 0 || by >= ix.bny {
-			continue
-		}
-		for bx := max(pbx-k, 0); bx <= min(pbx+k, ix.bnx-1); bx++ {
-			q.block(bx, by)
-		}
-	}
-	for _, bx := range [2]int{pbx - k, pbx + k} {
-		if bx < 0 || bx >= ix.bnx {
-			continue
-		}
-		for by := max(pby-k+1, 0); by <= min(pby+k-1, ix.bny-1); by++ {
-			q.block(bx, by)
-		}
-	}
 }
 
 // block searches coarse block (bx, by): one bound for the whole block,

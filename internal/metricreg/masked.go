@@ -54,12 +54,6 @@ func ResolveMasked(names []string, seed int64) (*MaskedSet, error) {
 	return defaultRegistry.ResolveMasked(names, seed)
 }
 
-// Names returns the set's metric names in selection order.
-func (s *MaskedSet) Names() []string { return append([]string(nil), s.names...) }
-
-// Len returns the number of metrics in the set.
-func (s *MaskedSet) Len() int { return len(s.names) }
-
 // NewAccumulators builds one fresh accumulator per metric, in set
 // order.
 func (s *MaskedSet) NewAccumulators() ([]MaskedAccumulator, error) {

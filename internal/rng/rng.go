@@ -75,9 +75,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Weight returns the normalized probability of rank k (1-based).
 func (z *Zipf) Weight(k int) float64 {
 	if k < 1 || k > len(z.cdf) {

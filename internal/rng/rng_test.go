@@ -69,7 +69,7 @@ func TestBoundedParetoSupport(t *testing.T) {
 func TestZipfWeightsSumToOne(t *testing.T) {
 	z := NewZipf(50, 1.0)
 	sum := 0.0
-	for k := 1; k <= z.N(); k++ {
+	for k := 1; k <= len(z.cdf); k++ {
 		sum += z.Weight(k)
 	}
 	if math.Abs(sum-1) > 1e-9 {
@@ -79,7 +79,7 @@ func TestZipfWeightsSumToOne(t *testing.T) {
 
 func TestZipfRankOrdering(t *testing.T) {
 	z := NewZipf(20, 1.3)
-	for k := 1; k < z.N(); k++ {
+	for k := 1; k < len(z.cdf); k++ {
 		if z.Weight(k) < z.Weight(k+1) {
 			t.Fatalf("Zipf weight not monotone at rank %d", k)
 		}

@@ -44,6 +44,14 @@ func init() {
 		{Name: "links", Kind: Int, Default: 1, Min: bound(0), Help: "links per arrival"},
 		{Name: "ports", Kind: Int, Default: 0, Min: bound(0), Help: "max router degree (0 = unlimited)"},
 	}, func(ctx context.Context, p Params) (*graph.Graph, error) {
+		// With links >= ports > 0, arrivals 1..ports build K_{ports+1},
+		// every node at the cap, so arrival ports+1 and every later one
+		// find no free port; GrowHOTContext would ignore the cap for
+		// them. With fewer links than ports each node is born with a free
+		// port, so the capped search never comes up empty.
+		if links, ports := max(p.Int("links"), 1), p.Int("ports"); ports > 0 && links >= ports && p.Int("n") >= ports+2 {
+			return nil, errs.Infeasiblef("scenario: hot: no feasible attachment for node %d (links=%d fill every router's %d ports)", ports+1, links, ports)
+		}
 		g, _, err := core.GrowHOTContext(ctx, core.HOTConfig{
 			N:               p.Int("n"),
 			Seed:            p.Seed(),

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/graph"
 )
@@ -150,5 +151,37 @@ func TestInfeasibleGenerationIsClassified(t *testing.T) {
 	_, err := Default().GenerateByName(context.Background(), "fkp", Params{"n": 10, "ports": 1})
 	if !errors.Is(err, errs.ErrInfeasible) {
 		t.Fatalf("over-constrained fkp gave %v, want ErrInfeasible", err)
+	}
+}
+
+// TestHOTPortCapRule checks the hot generator's up-front infeasibility
+// rule against growth itself: for every links and ports pair it rejects
+// the model with errs.ErrInfeasible exactly when GrowHOTContext would
+// have had to ignore the port cap for some arrival.
+func TestHOTPortCapRule(t *testing.T) {
+	ctx := context.Background()
+	for links := 0; links <= 4; links++ {
+		for ports := 1; ports <= 5; ports++ {
+			for _, n := range []int{ports + 1, ports + 2, 300} {
+				p := Params{"n": float64(n), "links": float64(links), "ports": float64(ports)}
+				_, err := Default().GenerateByName(ctx, "hot", p)
+				if err != nil && !errors.Is(err, errs.ErrInfeasible) {
+					t.Fatalf("%v: %v", p, err)
+				}
+				_, st, gerr := core.GrowHOTContext(ctx, core.HOTConfig{
+					N: n, Seed: 1, Distance: 8, Centrality: 1, MaxDegree: ports, LinksPerArrival: links,
+				})
+				if gerr != nil {
+					t.Fatal(gerr)
+				}
+				if (err != nil) != (st.ConstraintViolations > 0) {
+					t.Fatalf("%v: generator error %v, growth ignored the cap for %d arrivals", p, err, st.ConstraintViolations)
+				}
+			}
+		}
+	}
+	_, err := Default().GenerateByName(ctx, "hot", Params{"n": 1000, "links": 3, "ports": 3})
+	if !errors.Is(err, errs.ErrInfeasible) {
+		t.Fatalf("hot with 3 links on 3-port routers gave %v, want ErrInfeasible", err)
 	}
 }

@@ -178,17 +178,6 @@ func GravityDemand(g *Geography, cfg GravityConfig) DemandMatrix {
 	return m
 }
 
-// RevenueModel prices delivered traffic.
-type RevenueModel struct {
-	// PricePerUnit is revenue per delivered demand unit.
-	PricePerUnit float64
-}
-
-// Revenue returns revenue for the given delivered demand volume.
-func (rm RevenueModel) Revenue(delivered float64) float64 {
-	return rm.PricePerUnit * delivered
-}
-
 // AllocateCustomers distributes total customers across cities in
 // proportion to population (largest remainder method, deterministic).
 // An all-zero-population geography has no proportions to honor and

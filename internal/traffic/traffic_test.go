@@ -183,13 +183,6 @@ func TestGravityEpsilonFloorsDistance(t *testing.T) {
 	}
 }
 
-func TestRevenueModel(t *testing.T) {
-	rm := RevenueModel{PricePerUnit: 2.5}
-	if rm.Revenue(10) != 25 {
-		t.Fatalf("revenue = %v", rm.Revenue(10))
-	}
-}
-
 func TestAllocateCustomersSumsToTotal(t *testing.T) {
 	g := testGeo(t, 9, 7)
 	alloc := AllocateCustomers(g, 1000)
