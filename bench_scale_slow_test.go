@@ -81,11 +81,6 @@ func BenchmarkScaleBFSTopDownHOT25k(b *testing.B) {
 func BenchmarkScaleBFSDirOptHOT1M(b *testing.B)  { benchBFS(b, hot1m(b), false) }
 func BenchmarkScaleBFSTopDownHOT1M(b *testing.B) { benchBFS(b, hot1m(b), true) }
 
-// BenchmarkScaleBFSParallelBA1M pairs with BenchmarkScaleBFSDirOptBA1M:
-// the same traversal with the bottom-up levels sharded over GOMAXPROCS
-// workers (the width CSR.BFS auto-engages at this size).
-func BenchmarkScaleBFSParallelBA1M(b *testing.B) { benchBFSParallel(b, ba1m(b), 0) }
-
 // BenchmarkScaleHOTGrow1M grows a million-node HOT topology per
 // iteration on the grid-index path — infeasible on the O(n^2)
 // exhaustive scan, which is exactly the point.
@@ -96,7 +91,6 @@ func BenchmarkScaleDijkstraHeapBA1M(b *testing.B)   { benchDijkstra(b, ba1m(b), 
 
 // The 10M slices: both kernels at the top of the int32 CSR range.
 func BenchmarkScaleBFSDirOptBA10M(b *testing.B)      { benchBFS(b, ba10m(b), false) }
-func BenchmarkScaleBFSParallelBA10M(b *testing.B)    { benchBFSParallel(b, ba10m(b), 0) }
 func BenchmarkScaleDijkstraBucketBA10M(b *testing.B) { benchDijkstra(b, ba10m(b), false) }
 
 func BenchmarkScaleRoutingFanoutBA1M(b *testing.B) {

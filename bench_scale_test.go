@@ -123,25 +123,6 @@ func benchBFS(b *testing.B, t *scaleTopo, topDown bool) {
 	}
 }
 
-// benchBFSParallel measures the sharded parallel bottom-up BFS on the
-// same source rotation as benchBFS. workers = 0 uses GOMAXPROCS, so a
-// `-cpu 1,4` run produces one serial and one 4-worker leg; the output
-// is bit-identical to the serial traversal either way.
-func benchBFSParallel(b *testing.B, t *scaleTopo, workers int) {
-	srcs := benchSources(t.c.NumNodes(), 42)
-	ws := graph.GetWorkspace(t.c.NumNodes())
-	defer ws.Release()
-	t.c.BFSParallel(ws, srcs[0], workers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	bottomUp := 0
-	for i := 0; i < b.N; i++ {
-		t.c.BFSParallel(ws, srcs[i%len(srcs)], workers)
-		bottomUp += ws.BFSBottomUpLevels
-	}
-	b.ReportMetric(float64(bottomUp)/float64(b.N), "bu-levels/op")
-}
-
 // benchHOTGrow measures whole-topology growth (the generator hot path),
 // which runs on the grid index; with
 // BenchmarkScaleHOTGrow25kExhaustive in internal/core, which forces the
@@ -199,11 +180,6 @@ func BenchmarkScaleBFSDirOptER100k(b *testing.B) {
 func BenchmarkScaleBFSTopDownER100k(b *testing.B) {
 	skipUnlessScale(b)
 	benchBFS(b, er100k(b), true)
-}
-
-func BenchmarkScaleBFSParallelBA100k(b *testing.B) {
-	skipUnlessScale(b)
-	benchBFSParallel(b, ba100k(b), 0)
 }
 
 func BenchmarkScaleBFSDirOptHOT100k(b *testing.B) {

@@ -148,7 +148,9 @@ func BenchmarkBetweenness500(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Betweenness()
+		if _, _, err := g.Betweenness(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

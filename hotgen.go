@@ -54,17 +54,14 @@
 // Under all of it sits a high-performance graph kernel: Freeze snapshots
 // a Graph into an immutable CSR (compressed sparse row) layout, and
 // pooled Workspace buffers make the Dijkstra/BFS/eccentricity kernels
-// allocation-free and safe to fan out across goroutines. BFS also
-// parallelizes inside a single source above 2^18 nodes, sharding its
-// bottom-up levels (CSR.BFSParallel forces a width), and the metric
-// engine's per-source fan-out splits the worker budget with those
-// shards so the two levels compose without oversubscription.
-// CSR.DijkstraTo stops a traversal once a target list is settled, which
-// is how routing pins each source's paths; a single target is found by a
-// bidirectional search that meets in the middle, steered by the
-// remaining Euclidean distance on geographic designs whose edges are
-// short (HOT, FKP, ISP, internet, ring, Waxman), and the next search
-// resets only the labels it touched. The routing, metric,
+// allocation-free and safe to fan out across goroutines: each traversal
+// runs on one goroutine, and many-source sweeps spread their sources
+// over the workers. CSR.DijkstraTo stops a traversal once a target list
+// is settled, which is how routing pins each source's paths; a single
+// target is found by a bidirectional search that meets in the middle,
+// steered by the remaining Euclidean distance on geographic designs
+// whose edges are short (HOT, FKP, ISP, internet, ring, Waxman), and the
+// next search resets only the labels it touched. The routing, metric,
 // robustness and experiment layers all run on this kernel, with every
 // parallel reduction performed in a fixed order and deterministic
 // tie-breaks inside each traversal, so results are byte-identical at

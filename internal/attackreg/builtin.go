@@ -56,10 +56,10 @@ func builtins() []Attack {
 			AttackName:   "betweenness",
 			AttackTarget: Nodes,
 			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
-				if err := errs.Ctx(ctx); err != nil {
+				bc, _, err := g.Betweenness(ctx)
+				if err != nil {
 					return nil, err
 				}
-				bc := g.Betweenness()
 				return orderByScoreDesc(len(bc), func(v int) float64 { return bc[v] }), nil
 			},
 		},
@@ -78,7 +78,7 @@ func builtins() []Attack {
 			AttackName:   "bottleneck-edge",
 			AttackTarget: Edges,
 			Fn: func(ctx context.Context, g *graph.Graph, _ params.Params, _ int64) ([]int, error) {
-				bc, err := edgeBetweenness(ctx, g)
+				_, bc, err := g.Betweenness(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -247,67 +247,4 @@ func preferentialOrder(g *graph.Graph, alpha float64, seed int64) []int {
 		key[v] = math.Log(u) / w
 	}
 	return orderByScoreDesc(n, func(v int) float64 { return key[v] })
-}
-
-// edgeBetweenness computes exact edge betweenness centrality on the
-// unweighted graph with Brandes' algorithm (each unordered pair counted
-// once), the edge analogue of graph.Betweenness. Cancellation is
-// checked between source expansions.
-func edgeBetweenness(ctx context.Context, g *graph.Graph) ([]float64, error) {
-	n := g.NumNodes()
-	bc := make([]float64, g.NumEdges())
-	sigma := make([]float64, n)
-	dist := make([]int, n)
-	delta := make([]float64, n)
-	type pred struct{ v, e int }
-	preds := make([][]pred, n)
-	stack := make([]int, 0, n)
-	queue := make([]int, 0, n)
-
-	for s := 0; s < n; s++ {
-		if s%64 == 0 {
-			if err := errs.Ctx(ctx); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < n; i++ {
-			sigma[i] = 0
-			dist[i] = -1
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-		}
-		stack = stack[:0]
-		queue = queue[:0]
-		sigma[s] = 1
-		dist[s] = 0
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			stack = append(stack, u)
-			g.Neighbors(u, func(v, e int) {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
-					queue = append(queue, v)
-				}
-				if dist[v] == dist[u]+1 {
-					sigma[v] += sigma[u]
-					preds[v] = append(preds[v], pred{u, e})
-				}
-			})
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, pr := range preds[w] {
-				c := sigma[pr.v] / sigma[w] * (1 + delta[w])
-				bc[pr.e] += c
-				delta[pr.v] += c
-			}
-		}
-	}
-	// Each unordered pair was counted twice (once per endpoint as source).
-	for i := range bc {
-		bc[i] /= 2
-	}
-	return bc, nil
 }

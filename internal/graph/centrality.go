@@ -1,62 +1,83 @@
 package graph
 
-// Betweenness computes exact node betweenness centrality on the unweighted
-// graph using Brandes' algorithm. The returned values are unnormalized
-// pair-dependency sums (each unordered pair counted once).
-func (g *Graph) Betweenness() []float64 {
+import (
+	"context"
+
+	"repro/internal/errs"
+)
+
+// Betweenness computes exact node and edge betweenness centrality on the
+// unweighted graph with Brandes' algorithm, as unnormalized
+// pair-dependency sums with each unordered pair counted once: node[u]
+// over the pairs whose shortest paths pass through u, edge[e] over those
+// whose paths use edge e (parallel edges share a pair's paths). The
+// context is checked before each source; a canceled pass returns an
+// errs.ErrCanceled-wrapping error and no sums.
+func (g *Graph) Betweenness(ctx context.Context) (node, edge []float64, err error) {
 	n := g.NumNodes()
-	bc := make([]float64, n)
-	// Reusable buffers across sources.
+	node = make([]float64, n)
+	edge = make([]float64, g.NumEdges())
+	// Reusable buffers across sources. order is the BFS queue, walked by
+	// index, and read backwards it is the stack of the dependency pass;
+	// preds[v] holds the half-edges from v back to its predecessors.
 	sigma := make([]float64, n)
 	dist := make([]int, n)
 	delta := make([]float64, n)
-	preds := make([][]int, n)
-	stack := make([]int, 0, n)
-	queue := make([]int, 0, n)
+	preds := make([][]halfEdge, n)
+	order := make([]int, 0, n)
+	for i := range dist {
+		dist[i] = -1
+	}
 
 	for s := 0; s < n; s++ {
-		for i := 0; i < n; i++ {
-			sigma[i] = 0
-			dist[i] = -1
-			delta[i] = 0
-			preds[i] = preds[i][:0]
+		if err := errs.Ctx(ctx); err != nil {
+			return nil, nil, err
 		}
-		stack = stack[:0]
-		queue = queue[:0]
 		sigma[s] = 1
 		dist[s] = 0
-		queue = append(queue, s)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			stack = append(stack, u)
+		order = append(order[:0], s)
+		for head := 0; head < len(order); head++ {
+			u := order[head]
 			for _, h := range g.adj[u] {
 				v := h.to
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					queue = append(queue, v)
+					order = append(order, v)
 				}
 				if dist[v] == dist[u]+1 {
 					sigma[v] += sigma[u]
-					preds[v] = append(preds[v], u)
+					preds[v] = append(preds[v], halfEdge{to: u, edge: h.edge})
 				}
 			}
 		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, v := range preds[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
+		for i := len(order) - 1; i >= 0; i-- {
+			w := order[i]
+			for _, p := range preds[w] {
+				// Rounded once, so the node and edge sums add the same value.
+				c := float64(sigma[p.to] / sigma[w] * (1 + delta[w]))
+				edge[p.edge] += c
+				delta[p.to] += c
 			}
 			if w != s {
-				bc[w] += delta[w]
+				node[w] += delta[w]
 			}
+		}
+		// Only the nodes this source reached hold state.
+		for _, v := range order {
+			sigma[v] = 0
+			dist[v] = -1
+			delta[v] = 0
+			preds[v] = preds[v][:0]
 		}
 	}
 	// Each unordered pair was counted twice (once per endpoint as source).
-	for i := range bc {
-		bc[i] /= 2
+	for i := range node {
+		node[i] /= 2
 	}
-	return bc
+	for i := range edge {
+		edge[i] /= 2
+	}
+	return node, edge, nil
 }
 
 // BridgeEdges returns the indices of all bridge edges (edges whose removal

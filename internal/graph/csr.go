@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"repro/internal/par"
 )
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph: every
@@ -814,19 +812,6 @@ func (bs *bucketState) tie(u, v, e int32) {
 	}
 }
 
-// IntraWorkers clamps a per-traversal inner worker width for this
-// snapshot: below the parallel BFS's auto-engagement threshold one
-// traversal is too small for the fan-out overhead to pay, so a caller
-// composing an outer per-source fan-out with BFSParallel
-// (internal/metricreg) gets 1 back and stays on the allocation-free
-// serial kernel.
-func (c *CSR) IntraWorkers(inner int) int {
-	if inner < 1 || c.n < bfsParallelMinNodes {
-		return 1
-	}
-	return inner
-}
-
 // Direction-optimizing BFS switching thresholds (Beamer et al.): switch
 // top-down -> bottom-up when the frontier's half-edges exceed the
 // unexplored half-edges / bfsAlpha, and bottom-up -> top-down when the
@@ -834,17 +819,6 @@ func (c *CSR) IntraWorkers(inner int) int {
 const (
 	bfsAlpha = 14
 	bfsBeta  = 24
-)
-
-// Parallel bottom-up BFS tuning. Levels shard the node range into
-// bfsShardSpan-node chunks — a multiple of 64, so every shard owns a
-// disjoint range of next-frontier bitset words and workers never touch
-// the same word. BFS auto-engages the parallel path at
-// bfsParallelMinNodes nodes; below that the fan-out overhead outweighs a
-// dense level's work and the serial path is kept (BFSParallel overrides).
-const (
-	bfsShardSpan        = 4096
-	bfsParallelMinNodes = 1 << 18
 )
 
 // BFS computes hop distances from src into ws.Hop (-1 if unreachable) and
@@ -857,33 +831,10 @@ const (
 // bitset frontier in ws (each unvisited node scans its own sorted row and
 // claims its first in-frontier neighbour), switching back when the
 // frontier thins. On low-diameter power-law graphs the bottom-up levels
-// examine a small fraction of the edges a top-down sweep would.
-//
-// On snapshots of at least bfsParallelMinNodes nodes the bottom-up levels
-// additionally run parallel across GOMAXPROCS workers (see BFSParallel);
-// results are bit-identical either way, but the parallel fan-out
-// machinery allocates a little per call, so small graphs keep the
-// allocation-free serial path.
+// examine a small fraction of the edges a top-down sweep would. One call
+// runs on one goroutine; many-source sweeps parallelize across sources.
 func (c *CSR) BFS(ws *Workspace, src int) {
-	workers := 1
-	if c.n >= bfsParallelMinNodes {
-		workers = par.Workers(0, c.n)
-	}
-	c.bfs(ws, src, bfsAlpha, bfsBeta, workers)
-}
-
-// BFSParallel is BFS with an explicit worker count for the bottom-up
-// levels (workers <= 0 means GOMAXPROCS), engaged regardless of graph
-// size. Each unvisited node independently scans its own sorted row and
-// claims its smallest-id in-frontier neighbour, so node outcomes do not
-// depend on scheduling and the result is bit-identical to BFS with
-// workers == 1. Top-down levels stay serial — they are a small fraction
-// of traversal work on the graphs where parallelism pays.
-func (c *CSR) BFSParallel(ws *Workspace, src, workers int) {
-	if workers <= 0 {
-		workers = par.Workers(0, c.n)
-	}
-	c.bfs(ws, src, bfsAlpha, bfsBeta, workers)
+	c.bfs(ws, src, bfsAlpha, bfsBeta)
 }
 
 // BFSTopDown is the reference BFS kernel: plain level-synchronous
@@ -891,13 +842,12 @@ func (c *CSR) BFSParallel(ws *Workspace, src, workers int) {
 // bit-identical results to BFS and is kept exported for parity tests and
 // benchmarks.
 func (c *CSR) BFSTopDown(ws *Workspace, src int) {
-	c.bfs(ws, src, 0, 0, 1)
+	c.bfs(ws, src, 0, 0)
 }
 
 // bfs is the shared level-synchronous traversal over the sorted bfsNbr
-// mirror; alpha <= 0 disables direction switching (pure top-down),
-// workers > 1 parallelizes the bottom-up levels.
-func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
+// mirror; alpha <= 0 disables direction switching (pure top-down).
+func (c *CSR) bfs(ws *Workspace, src, alpha, beta int) {
 	ws.Reserve(c.n)
 	ws.labelsN = -1 // BFS overwrites Parent and queue
 	rowStart, nbrs := c.rowStart, c.bfsNbr
@@ -952,12 +902,7 @@ func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 			for i := range next {
 				next[i] = 0
 			}
-			if workers > 1 {
-				nfNext, mfNext = c.bottomUpParallel(ws, hop, parent, front, next, level, workers)
-			} else {
-				snf, smf := c.bottomUpRange(hop, parent, front, next, level, 0, c.n)
-				nfNext, mfNext = int(snf), int(smf)
-			}
+			nfNext, mfNext = c.bottomUp(hop, parent, front, next, level)
 			front, next = next, front
 		} else {
 			for i := lo; i < hi; i++ {
@@ -983,61 +928,29 @@ func (c *CSR) bfs(ws *Workspace, src int, alpha, beta, workers int) {
 	ws.queue = queue
 }
 
-// bottomUpRange runs one bottom-up level over nodes [vlo, vhi): every
-// still-unvisited node scans its sorted row and claims its first (hence
-// smallest-id) in-frontier neighbour. The outcome per node depends only
-// on front and the row — never on other nodes of the level — which is
-// what makes the sharded parallel variant bit-identical. Returns the
-// nodes and out-half-edges added to the next frontier.
-func (c *CSR) bottomUpRange(hop, parent []int32, front, next []uint64, level int32, vlo, vhi int) (int32, int64) {
+// bottomUp runs one bottom-up level: every still-unvisited node scans
+// its sorted row and claims its first (hence smallest-id) in-frontier
+// neighbour. Returns the nodes and out-half-edges added to the next
+// frontier. It stays a function of its own: inlined into bfs, the same
+// loop made BA-100k traversals 30–50% slower (three alternating runs
+// on a 2-vCPU VM).
+func (c *CSR) bottomUp(hop, parent []int32, front, next []uint64, level int32) (nf, mf int) {
 	rowStart, nbrs := c.rowStart, c.bfsNbr
-	var nf int32
-	var mf int64
-	for v := vlo; v < vhi; v++ {
+	for v := range hop {
 		if hop[v] >= 0 {
 			continue
 		}
 		for j := rowStart[v]; j < rowStart[v+1]; j++ {
 			u := nbrs[j]
 			if front[u>>6]&(1<<(uint(u)&63)) != 0 {
-				// Sorted row: the first in-frontier neighbour is
-				// the smallest-id one, honouring the contract.
 				hop[v] = level + 1
 				parent[v] = u
 				next[v>>6] |= 1 << (uint(v) & 63)
 				nf++
-				mf += int64(rowStart[v+1] - rowStart[v])
+				mf += int(rowStart[v+1] - rowStart[v])
 				break
 			}
 		}
-	}
-	return nf, mf
-}
-
-// bottomUpParallel fans one bottom-up level out over word-aligned
-// bfsShardSpan-node shards. Shards write disjoint hop/parent entries and
-// disjoint next-bitset words (the span is a multiple of 64) while front
-// is read-only, so there are no write conflicts; per-shard frontier
-// counters are summed in shard order, keeping the level's results and
-// the direction-switch inputs bit-identical to the serial loop.
-func (c *CSR) bottomUpParallel(ws *Workspace, hop, parent []int32, front, next []uint64, level int32, workers int) (int, int) {
-	shards := (c.n + bfsShardSpan - 1) / bfsShardSpan
-	ws.reserveShards(shards)
-	snf := ws.shardNF[:shards]
-	smf := ws.shardMF[:shards]
-	par.ForEachWorkerErr(workers, shards, func(_, s int) error {
-		vlo := s * bfsShardSpan
-		vhi := vlo + bfsShardSpan
-		if vhi > c.n {
-			vhi = c.n
-		}
-		snf[s], smf[s] = c.bottomUpRange(hop, parent, front, next, level, vlo, vhi)
-		return nil
-	})
-	nf, mf := 0, 0
-	for s := range snf {
-		nf += int(snf[s])
-		mf += int(smf[s])
 	}
 	return nf, mf
 }

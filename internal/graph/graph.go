@@ -67,18 +67,6 @@ type Edge struct {
 	Cable    int
 }
 
-// Other returns the endpoint of e that is not x. It panics if x is not an
-// endpoint of e.
-func (e Edge) Other(x int) int {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d is not an endpoint of edge (%d,%d)", x, e.U, e.V))
-}
-
 // halfEdge is the adjacency entry: the neighbour and the edge index.
 type halfEdge struct {
 	to   int

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -120,19 +121,6 @@ func TestParallelEdgesAllowed(t *testing.T) {
 	}
 }
 
-func TestEdgeOther(t *testing.T) {
-	e := Edge{U: 3, V: 7}
-	if e.Other(3) != 7 || e.Other(7) != 3 {
-		t.Fatal("Other endpoint wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other with non-endpoint should panic")
-		}
-	}()
-	e.Other(5)
-}
-
 func TestCloneIndependent(t *testing.T) {
 	g := pathGraph(5)
 	c := g.Clone()
@@ -234,7 +222,8 @@ func TestHopDiameterAndEccentricity(t *testing.T) {
 	if d := g.HopDiameter(); d != 6 {
 		t.Fatalf("path diameter = %d, want 6", d)
 	}
-	if e := g.Eccentricity(3); e != 3 {
+	c := g.Freeze()
+	if e := c.Eccentricity(NewWorkspace(c.NumNodes()), 3); e != 3 {
 		t.Fatalf("center eccentricity = %d, want 3", e)
 	}
 	if d := starGraph(10).HopDiameter(); d != 2 {
@@ -374,15 +363,13 @@ func TestMSTIsSpanningTree(t *testing.T) {
 	if len(ids) != g.NumNodes()-1 {
 		t.Fatalf("MST has %d edges, want %d", len(ids), g.NumNodes()-1)
 	}
+	// n-1 edges that close no cycle join all n nodes into one tree.
 	uf := NewUnionFind(g.NumNodes())
 	for _, id := range ids {
 		e := g.Edge(id)
 		if !uf.Union(e.U, e.V) {
 			t.Fatal("MST contains a cycle")
 		}
-	}
-	if uf.Sets() != 1 {
-		t.Fatal("MST does not span")
 	}
 }
 
@@ -417,7 +404,7 @@ func TestMSTMinimalityOnSmallGraphs(t *testing.T) {
 					}
 					cost += e.Weight
 				}
-				if uf.Sets() == 1 && cost < minCost {
+				if cost < minCost { // n-1 acyclic edges span the n nodes
 					minCost = cost
 				}
 				return
@@ -490,7 +477,7 @@ func TestUnionFindProperties(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if uf.Connected(i, j) != (naiveFind(i) == naiveFind(j)) {
+				if (uf.Find(i) == uf.Find(j)) != (naiveFind(i) == naiveFind(j)) {
 					return false
 				}
 			}
@@ -504,7 +491,10 @@ func TestUnionFindProperties(t *testing.T) {
 
 func TestBetweennessStar(t *testing.T) {
 	g := starGraph(6) // hub 0, 5 spokes
-	bc := g.Betweenness()
+	bc, ebc, err := g.Betweenness(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Hub lies on all C(5,2)=10 spoke pairs.
 	if math.Abs(bc[0]-10) > 1e-9 {
 		t.Fatalf("hub betweenness = %v, want 10", bc[0])
@@ -514,17 +504,34 @@ func TestBetweennessStar(t *testing.T) {
 			t.Fatalf("spoke %d betweenness = %v, want 0", i, bc[i])
 		}
 	}
+	// A spoke edge carries its spoke's pairs with the hub and the 4
+	// other spokes.
+	for e, b := range ebc {
+		if math.Abs(b-5) > 1e-9 {
+			t.Fatalf("spoke edge %d betweenness = %v, want 5", e, b)
+		}
+	}
 }
 
 func TestBetweennessPath(t *testing.T) {
 	g := pathGraph(5)
-	bc := g.Betweenness()
+	bc, ebc, err := g.Betweenness(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Middle node 2 is on pairs (0,3),(0,4),(1,3),(1,4) = 4.
 	if math.Abs(bc[2]-4) > 1e-9 {
 		t.Fatalf("middle betweenness = %v, want 4", bc[2])
 	}
 	if bc[0] != 0 || bc[4] != 0 {
 		t.Fatal("endpoints should have zero betweenness")
+	}
+	// Edge i joins nodes i and i+1: every pair with one end at or below
+	// i and the other above it crosses it.
+	for i, b := range ebc {
+		if want := float64((i + 1) * (4 - i)); math.Abs(b-want) > 1e-9 {
+			t.Fatalf("edge %d betweenness = %v, want %v", i, b, want)
+		}
 	}
 }
 

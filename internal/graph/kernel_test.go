@@ -72,7 +72,7 @@ func TestBFSDirectionSwitchingParity(t *testing.T) {
 				t.Fatalf("BFSTopDown reports %d bottom-up levels", ref.BFSBottomUpLevels)
 			}
 			for _, reg := range regimes {
-				c.bfs(ws, src, reg.alpha, reg.beta, 1)
+				c.bfs(ws, src, reg.alpha, reg.beta)
 				if reg.wantBottom && ws.BFSBottomUpLevels == 0 {
 					t.Fatalf("seed %d src %d regime %s: no bottom-up level ran", seed, src, reg.name)
 				}
@@ -80,35 +80,6 @@ func TestBFSDirectionSwitchingParity(t *testing.T) {
 			}
 			c.BFS(ws, src)
 			checkBFSEqual(t, "exported", c.NumNodes(), ref, ws)
-		}
-	}
-}
-
-// TestParallelBottomUpParity pins the sharded parallel bottom-up level
-// bit-identical to the serial kernel across worker counts, with the
-// bottom-up regime forced so every level exercises the parallel path.
-func TestParallelBottomUpParity(t *testing.T) {
-	for _, seed := range []int64{1, 2} {
-		g := randomTestGraph(400, 900, seed)
-		c := g.Freeze()
-		ref := NewWorkspace(c.NumNodes())
-		ws := NewWorkspace(c.NumNodes())
-		for src := 0; src < c.NumNodes(); src += 13 {
-			c.bfs(ref, src, forceBottomUp, forceBottomUp, 1)
-			if ref.BFSBottomUpLevels == 0 {
-				t.Fatalf("seed %d src %d: forced regime ran no bottom-up level", seed, src)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				c.bfs(ws, src, forceBottomUp, forceBottomUp, workers)
-				checkBFSEqual(t, "parallel", c.NumNodes(), ref, ws)
-				if ws.BFSBottomUpLevels != ref.BFSBottomUpLevels {
-					t.Fatalf("seed %d src %d workers %d: %d bottom-up levels, serial %d",
-						seed, src, workers, ws.BFSBottomUpLevels, ref.BFSBottomUpLevels)
-				}
-			}
-			c.BFSParallel(ws, src, 4)
-			c.BFS(ref, src)
-			checkBFSEqual(t, "exported-parallel", c.NumNodes(), ref, ws)
 		}
 	}
 }
@@ -126,7 +97,7 @@ func TestBFSParentMinIDContract(t *testing.T) {
 		run  func(src int)
 	}{
 		{"top-down", func(src int) { c.BFSTopDown(ws, src) }},
-		{"bottom-up", func(src int) { c.bfs(ws, src, forceBottomUp, forceBottomUp, 1) }},
+		{"bottom-up", func(src int) { c.bfs(ws, src, forceBottomUp, forceBottomUp) }},
 		{"dir-opt", func(src int) { c.BFS(ws, src) }},
 	} {
 		for src := 0; src < n; src += 17 {
@@ -454,7 +425,7 @@ func TestBFSSmallShapes(t *testing.T) {
 		ref := NewWorkspace(n)
 		for src := 0; src < n; src++ {
 			c.BFSTopDown(ref, src)
-			c.bfs(ws, src, forceBottomUp, forceBottomUp, 1)
+			c.bfs(ws, src, forceBottomUp, forceBottomUp)
 			checkBFSEqual(t, "small", n, ref, ws)
 			c.Dijkstra(ws, src)
 			c.DijkstraHeap(ref, src)

@@ -25,9 +25,8 @@ func (g *Graph) MemBytes() int64 {
 // float64 weights and, on a goal-directed snapshot, coordinates. Freeze
 // allocates every array at its final length, so for a graph of n nodes
 // and m edges this is exactly 4(n+1) + 40m, plus 16n with coordinates.
-// Pooled per-workspace scratch (including the parallel BFS shard
-// counters) is deliberately not charged — it is shared across
-// snapshots, not retained per snapshot.
+// Pooled per-workspace scratch is deliberately not charged — it is
+// shared across snapshots, not retained per snapshot.
 func (c *CSR) MemBytes() int64 {
 	const i32, f64 = 4, 8
 	n := cap(c.rowStart) + cap(c.nbr) + cap(c.edgeID) + cap(c.bfsNbr)

@@ -7,7 +7,6 @@ import "sort"
 type UnionFind struct {
 	parent []int
 	rank   []int
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets {0}..{n-1}.
@@ -15,7 +14,6 @@ func NewUnionFind(n int) *UnionFind {
 	uf := &UnionFind{
 		parent: make([]int, n),
 		rank:   make([]int, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = i
@@ -45,15 +43,8 @@ func (uf *UnionFind) Union(x, y int) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Connected reports whether x and y are in the same set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 
 // KruskalMST returns the edge indices of a minimum spanning forest of g by
 // weight, and the total weight. For a connected graph this is a spanning

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -88,7 +89,7 @@ func TestPropertyMSTWeightLEQAnySpanningSubset(t *testing.T) {
 func TestPropertyBetweennessNonNegativeAndBounded(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		g := randomGraphFromSeed(seed, 30, 40)
-		bc := g.Betweenness()
+		bc, _, _ := g.Betweenness(context.Background())
 		n := float64(g.NumNodes())
 		bound := (n - 1) * (n - 2) / 2
 		for _, b := range bc {
@@ -115,7 +116,10 @@ func TestPropertyBetweennessSumPath(t *testing.T) {
 		for i := 0; i+1 < n; i++ {
 			g.AddEdge(Edge{U: i, V: i + 1, Weight: 1})
 		}
-		bc := g.Betweenness()
+		bc, _, err := g.Betweenness(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		total := 0.0
 		for _, b := range bc {
 			total += b

@@ -105,16 +105,6 @@ func (g *Graph) IsForest() bool {
 	return true
 }
 
-// Eccentricity returns the maximum hop distance from src to any reachable
-// node. It runs on a freshly frozen snapshot with a pooled workspace; for
-// many-source loops freeze once and call CSR.Eccentricity directly.
-func (g *Graph) Eccentricity(src int) int {
-	c := g.Freeze()
-	ws := GetWorkspace(c.NumNodes())
-	defer ws.Release()
-	return c.Eccentricity(ws, src)
-}
-
 // HopDiameter returns the largest hop eccentricity across nodes, computed
 // exactly: one freeze, then n pooled-workspace BFS sweeps — O(n * (n + m))
 // time with O(n) scratch, no per-source allocation. Disconnected pairs

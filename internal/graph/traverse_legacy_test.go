@@ -53,8 +53,10 @@ func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 		if got, want := g.HopDiameter(), legacyHopDiameter(g); got != want {
 			t.Fatalf("%s: HopDiameter = %d, legacy %d", name, got, want)
 		}
+		c := g.Freeze()
+		ws := NewWorkspace(c.NumNodes())
 		for src := 0; src < g.NumNodes(); src++ {
-			if got, want := g.Eccentricity(src), legacyEccentricity(g, src); got != want {
+			if got, want := c.Eccentricity(ws, src), legacyEccentricity(g, src); got != want {
 				t.Fatalf("%s: Eccentricity(%d) = %d, legacy %d", name, src, got, want)
 			}
 		}

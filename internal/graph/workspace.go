@@ -4,10 +4,10 @@ import "sync"
 
 // Workspace owns every scratch buffer a traversal kernel needs: weighted
 // and hop distances, shortest-path-tree parents, the Dijkstra heap and
-// distance buckets, the BFS queue, dense bitset frontiers and per-shard
-// counters, and an epoch-stamped visited array. One Workspace serves one
-// traversal at a time; a sync.Pool (GetWorkspace / Release) recycles
-// them so multi-source sweeps run allocation-free after warmup.
+// distance buckets, the BFS queue, dense bitset frontiers, and an
+// epoch-stamped visited array. One Workspace serves one traversal at a
+// time; a sync.Pool (GetWorkspace / Release) recycles them so
+// multi-source sweeps run allocation-free after warmup.
 //
 // The exported slices hold kernel outputs. After CSR.Dijkstra: Dist,
 // Parent, ParentEdge. After a bounded CSR.DijkstraTo the same entries
@@ -61,12 +61,6 @@ type Workspace struct {
 	// direction-optimizing BFS, one bit per node.
 	front []uint64
 	next  []uint64
-
-	// shardNF/shardMF hold the per-shard frontier counters of a parallel
-	// bottom-up BFS level; they are summed in shard order after the
-	// fan-out so the direction-switch decisions stay deterministic.
-	shardNF []int32
-	shardMF []int64
 
 	// bktNext/bktPrev/bktOf plus bktHead form the bucketed Dijkstra's
 	// circular monotone priority queue as intrusive doubly-linked lists:
@@ -168,18 +162,6 @@ func (ws *Workspace) reserveBackward(n int) {
 		ws.distB = make([]float64, n)
 	}
 	ws.distB = ws.distB[:n]
-}
-
-// reserveShards grows the parallel bottom-up counter arrays to k shards.
-func (ws *Workspace) reserveShards(k int) {
-	if cap(ws.shardNF) < k {
-		ws.shardNF = make([]int32, k)
-	}
-	ws.shardNF = ws.shardNF[:k]
-	if cap(ws.shardMF) < k {
-		ws.shardMF = make([]int64, k)
-	}
-	ws.shardMF = ws.shardMF[:k]
 }
 
 // nextEpoch bumps the visited stamp, clearing the visited array only on

@@ -77,7 +77,10 @@ type Config struct {
 	MaxExtraBackboneLinks int
 
 	// MaxPorts caps router degree in metro access trees (technology
-	// constraint, §2.1). 0 = unconstrained.
+	// constraint, §2.1). 0 = unconstrained. A POP's backbone links count
+	// toward its cap. A customer that finds no router with a free port
+	// attaches to its POP anyway, over the cap; Design.PortViolations
+	// counts those customers.
 	MaxPorts int
 
 	// MetroRingSize >= 2 builds each metro as SONET-style protected
@@ -173,6 +176,10 @@ type Design struct {
 	// Profit-formulation accounting.
 	Revenue float64
 	Profit  float64
+
+	// PortViolations counts the customers attached to their POP over
+	// the MaxPorts cap because no router in the metro had a free port.
+	PortViolations int
 
 	// evals counts the candidates the metro attachment indexes
 	// evaluated; the package benchmarks report it.
@@ -443,7 +450,8 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 			ix.Search(p, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), best, eval)
 			var bestSlot int
 			var bestCost float64
-			if best.Empty() {
+			overCap := best.Empty()
+			if overCap {
 				// All ports exhausted: fall back to the POP itself.
 				d := p.Dist(popLoc)
 				bestCost = sigmaThin*d + deltaBulk*d*dem
@@ -456,6 +464,9 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 					continue // unprofitable: do not build
 				}
 				des.Revenue += rev
+			}
+			if overCap {
+				des.PortViolations++
 			}
 			d := p.Dist(slotPt[bestSlot])
 			id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y, Capacity: dem})

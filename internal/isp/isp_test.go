@@ -178,6 +178,61 @@ func TestMaxPortsRespectedInMetros(t *testing.T) {
 	}
 }
 
+// TestPortViolationsRecount replays each design's edges in insertion
+// order and counts the access links added to a router already at the
+// port cap; the count must equal Design.PortViolations. The config is
+// the scenario isp model's at cities 25, pops 8, customers 2,000 and
+// seed 1, where ports 1, 2 and 3 leave 8, 5 and 1 POPs over the cap
+// and ports 0, 4 and 6 leave none.
+func TestPortViolationsRecount(t *testing.T) {
+	geo, err := traffic.GenerateGeography(traffic.GeographyConfig{
+		NumCities: 25, Seed: 1, ZipfExponent: 1, MinSeparation: 0.03,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ ports, popsOver int }{
+		{0, 0}, {1, 8}, {2, 5}, {3, 1}, {4, 0}, {6, 0},
+	} {
+		d, err := BuildContext(context.Background(), Config{
+			Geography: geo, NumPOPs: 8, Customers: 2000, Seed: 1,
+			PerfWeight: 50, MaxExtraBackboneLinks: 4, MaxPorts: tc.ports,
+			DemandMin: 1, DemandMax: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := d.Graph
+		backbone := map[int]bool{}
+		for _, e := range d.BackboneEdges {
+			backbone[e] = true
+		}
+		deg := make([]int, g.NumNodes())
+		violations := 0
+		for id, e := range g.Edges() {
+			// An access link runs from the router a customer attached
+			// to (U) to the new customer (V).
+			if !backbone[id] && tc.ports > 0 && deg[e.U] >= tc.ports {
+				violations++
+			}
+			deg[e.U]++
+			deg[e.V]++
+		}
+		if violations != d.PortViolations {
+			t.Fatalf("ports %d: replay counts %d links over the cap, PortViolations %d", tc.ports, violations, d.PortViolations)
+		}
+		popsOver := 0
+		for _, u := range d.POPs {
+			if tc.ports > 0 && g.Degree(u) > tc.ports {
+				popsOver++
+			}
+		}
+		if popsOver != tc.popsOver {
+			t.Fatalf("ports %d: %d POPs over the cap, want %d", tc.ports, popsOver, tc.popsOver)
+		}
+	}
+}
+
 func TestKMedianPlacement(t *testing.T) {
 	cfg := baseConfig(t, 9)
 	cfg.Placement = KMedian

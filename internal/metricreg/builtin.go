@@ -508,7 +508,10 @@ func (a *hierarchyAcc) Run(ctx context.Context, src *Source, _ int) error {
 		return errs.BadParamf("metricreg: hierarchy-depth root %d out of range (n=%d)", root, n)
 	}
 	if root < 0 {
-		bc := g.Betweenness()
+		bc, _, err := g.Betweenness(ctx)
+		if err != nil {
+			return err
+		}
 		root = 0
 		for i, b := range bc {
 			if b > bc[root] {

@@ -282,12 +282,8 @@ func (r *Registry) Evaluate(ctx context.Context, src *Source, set []Selection, o
 		tasks = append(tasks, func() error {
 			c := src.CSR()
 			// One pooled workspace per sweep worker: the fused sweep then
-			// runs allocation-free at any node count. The worker budget is
-			// split between the source fan-out and each traversal's
-			// bottom-up shards (outer*inner <= budget), so a sweep with few
-			// sources over a large snapshot still saturates the machine.
-			workers, inner := par.Split(opt.Workers, len(union))
-			inner = c.IntraWorkers(inner)
+			// runs allocation-free at any node count.
+			workers := par.Workers(opt.Workers, len(union))
 			wss := make([]*graph.Workspace, workers)
 			for w := range wss {
 				wss[w] = graph.GetWorkspace(n)
@@ -299,7 +295,7 @@ func (r *Registry) Evaluate(ctx context.Context, src *Source, set []Selection, o
 				}
 				u := union[i]
 				ws := wss[w]
-				c.BFSParallel(ws, u, inner)
+				c.BFS(ws, u)
 				for _, sb := range bySrc[u] {
 					sb.acc.Observe(sb.slot, u, ws)
 				}

@@ -144,7 +144,7 @@ func legacyHierarchyDepth(g *graph.Graph, root int) float64 {
 		return 0
 	}
 	if root < 0 {
-		bc := g.Betweenness()
+		bc, _, _ := g.Betweenness(context.Background())
 		root = 0
 		for i, b := range bc {
 			if b > bc[root] {

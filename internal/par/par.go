@@ -30,29 +30,6 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// Split divides a worker budget between an outer fan-out over n
-// independent items and an inner per-item parallel kernel, so the two
-// levels compose without oversubscription: outer*inner never exceeds
-// max(budget, 1) (budget <= 0 means GOMAXPROCS). The outer level is
-// saturated first — outer = Workers(budget, n) — because independent
-// items scale perfectly while intra-kernel sharding pays
-// synchronization per level; the remainder budget/outer goes inward.
-// With n >= budget this is (budget, 1): the classic flat fan-out. With
-// few items and many cores — e.g. 4 sources on 32 cores — it yields
-// (4, 8) so the leftover cores help inside each traversal instead of
-// idling.
-func Split(budget, n int) (outer, inner int) {
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	outer = Workers(budget, n)
-	inner = budget / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
-}
-
 // ForEach runs fn(i) for every i in [0, n), fanning the indices out
 // across at most `workers` goroutines (<= 0 means GOMAXPROCS). Indices
 // are claimed dynamically, so uneven item costs balance. A panic in any

@@ -76,38 +76,6 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-func TestSplitBudget(t *testing.T) {
-	cases := []struct {
-		budget, n    int
-		outer, inner int
-	}{
-		{8, 100, 8, 1}, // plenty of items: flat fan-out
-		{8, 8, 8, 1},
-		{8, 4, 4, 2}, // few items: leftover budget goes inward
-		{8, 3, 3, 2}, // remainder floors: 3*2 <= 8
-		{8, 1, 1, 8}, // single item: all budget inside the kernel
-		{1, 100, 1, 1},
-		{4, 0, 1, 4}, // no items: degenerate but bounded
-		{7, 2, 2, 3}, // 2*3 <= 7
-	}
-	for _, tc := range cases {
-		outer, inner := Split(tc.budget, tc.n)
-		if outer != tc.outer || inner != tc.inner {
-			t.Errorf("Split(%d,%d) = (%d,%d), want (%d,%d)",
-				tc.budget, tc.n, outer, inner, tc.outer, tc.inner)
-		}
-		if outer*inner > tc.budget && tc.budget >= 1 {
-			t.Errorf("Split(%d,%d) oversubscribes: %d*%d > budget",
-				tc.budget, tc.n, outer, inner)
-		}
-	}
-	// budget <= 0 resolves to GOMAXPROCS; just pin the invariants.
-	outer, inner := Split(0, 3)
-	if outer < 1 || inner < 1 {
-		t.Fatalf("Split(0,3) = (%d,%d)", outer, inner)
-	}
-}
-
 func TestForEachWorkerErrWorkerIndexBounds(t *testing.T) {
 	const workers, n = 4, 100
 	var hits [workers]atomic.Int64

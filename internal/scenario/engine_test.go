@@ -163,6 +163,44 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
+// TestBrandesPassCancellation cancels the two scenario stages that run
+// a Brandes betweenness pass on BA-20k — the betweenness attack's
+// ordering and the profile's hierarchy-depth root — about 100 ms in,
+// long before a pass over 20,000 sources could finish, and requires an
+// ErrCanceled-wrapping error within 2 s of the cancel. The topology is
+// generated and cached first, so the cancel lands in the pass.
+func TestBrandesPassCancellation(t *testing.T) {
+	ba := GenerateSpec{Model: "ba", Params: Params{"n": 20000}}
+	eng := NewEngine(nil)
+	if _, err := eng.Run(context.Background(), Scenario{Generate: ba, Measure: &MeasureSpec{Degrees: true}}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range []Scenario{
+		{Name: "betweenness-attack", Generate: ba, Attack: &AttackSpec{Strategy: "betweenness"}},
+		{Name: "profile", Generate: ba, Measure: &MeasureSpec{Profile: true}},
+	} {
+		t.Run(sc.Name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := eng.Run(ctx, sc, Options{Workers: 2})
+				done <- err
+			}()
+			time.Sleep(100 * time.Millisecond)
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errs.ErrCanceled) {
+					t.Fatalf("canceled run gave %v, want ErrCanceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("canceled run did not return within 2s")
+			}
+		})
+	}
+}
+
 // TestSnapshotCacheSharesTopologies asserts scenarios with the same
 // generate identity (model + params + seed) generate exactly once.
 func TestSnapshotCacheSharesTopologies(t *testing.T) {

@@ -218,6 +218,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
+		if des.PortViolations > 0 {
+			return nil, errs.Infeasiblef("scenario: isp: customers with no free port would break their POP's %d-port cap (%d of them)", cfg.MaxPorts, des.PortViolations)
+		}
 		return des.Graph, nil
 	})
 

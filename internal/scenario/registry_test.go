@@ -185,3 +185,16 @@ func TestHOTPortCapRule(t *testing.T) {
 		t.Fatalf("hot with 3 links on 3-port routers gave %v, want ErrInfeasible", err)
 	}
 }
+
+// TestISPPortCapInfeasible checks that the isp model refuses a port cap
+// it would have to break: at its default 25 cities, 8 POPs and 2,000
+// customers, ports 1-3 leave customers no free port (ErrInfeasible),
+// while ports 0 and 4-6 build the design.
+func TestISPPortCapInfeasible(t *testing.T) {
+	for ports := 0; ports <= 6; ports++ {
+		_, err := Default().GenerateByName(context.Background(), "isp", Params{"ports": float64(ports)})
+		if want := ports >= 1 && ports <= 3; errors.Is(err, errs.ErrInfeasible) != want || (!want && err != nil) {
+			t.Fatalf("isp with ports=%d gave %v, want infeasible %v", ports, err, want)
+		}
+	}
+}

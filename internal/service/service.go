@@ -263,10 +263,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Engine returns the shared engine (the daemon uses it to set the cache
-// budget).
-func (s *Server) Engine() *scenario.Engine { return s.eng }
-
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }

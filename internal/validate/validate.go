@@ -202,9 +202,6 @@ type Interval struct {
 	Mean, Low, High float64
 }
 
-// Contains reports whether x lies in [Low, High].
-func (iv Interval) Contains(x float64) bool { return x >= iv.Low && x <= iv.High }
-
 // BootstrapMetric estimates a (1-2*alphaTail) CI for a graph metric that
 // depends on sampling seeds (expansion, resilience, distortion are
 // seed-sampled in this repo) by re-evaluating it under `reps` derived

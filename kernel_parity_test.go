@@ -168,54 +168,6 @@ func TestKernelParityAcrossModels(t *testing.T) {
 	checkKernelParity(t, "ba-30k", g)
 }
 
-// checkBFSVariantsParity pins the sharded parallel bottom-up BFS at
-// worker counts 1/2/8 to the serial direction-optimizing traversal:
-// hops, parents, and the bottom-up level count, bit for bit.
-func checkBFSVariantsParity(t *testing.T, label string, g *graph.Graph) {
-	t.Helper()
-	c := g.Freeze()
-	n := c.NumNodes()
-	if n == 0 {
-		return
-	}
-	ref := graph.GetWorkspace(n)
-	defer ref.Release()
-	ws := graph.GetWorkspace(n)
-	defer ws.Release()
-
-	stride := n/10 + 1
-	for src := 0; src < n; src += stride {
-		c.BFS(ref, src)
-		for _, w := range []int{1, 2, 8} {
-			c.BFSParallel(ws, src, w)
-			if ws.BFSBottomUpLevels != ref.BFSBottomUpLevels {
-				t.Fatalf("%s/par%d src %d: %d bottom-up levels, serial dir-opt %d",
-					label, w, src, ws.BFSBottomUpLevels, ref.BFSBottomUpLevels)
-			}
-			for u := 0; u < n; u++ {
-				if ref.Hop[u] != ws.Hop[u] || ref.Parent[u] != ws.Parent[u] {
-					t.Fatalf("%s/par%d src %d: node %d = (hop %d, parent %d), serial dir-opt (%d, %d)",
-						label, w, src, u, ws.Hop[u], ws.Parent[u], ref.Hop[u], ref.Parent[u])
-				}
-			}
-		}
-	}
-}
-
-func TestParallelBFSParityAcrossModels(t *testing.T) {
-	for _, m := range parityModels() {
-		for _, seed := range []int64{1, 2} {
-			g, err := m.build(seed)
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", m.name, seed, err)
-			}
-			checkBFSVariantsParity(t, m.name, g)
-			sub, _ := g.RemoveNodes(degreeMask(g, 0.10))
-			checkBFSVariantsParity(t, m.name+"/masked", sub)
-		}
-	}
-}
-
 // checkBFSCertificate verifies one BFS result from src against the
 // graph alone, reading only CSR.Neighbors: hop[src] = 0 with no parent;
 // no edge joins a reached node to an unreached one; the ends of every
@@ -263,8 +215,6 @@ func TestBFSCertificateAcrossModels(t *testing.T) {
 	}{
 		{"BFS", (*graph.CSR).BFS},
 		{"BFSTopDown", (*graph.CSR).BFSTopDown},
-		{"BFSParallel/2", func(c *graph.CSR, ws *graph.Workspace, src int) { c.BFSParallel(ws, src, 2) }},
-		{"BFSParallel/8", func(c *graph.CSR, ws *graph.Workspace, src int) { c.BFSParallel(ws, src, 8) }},
 	}
 	for _, m := range parityModels() {
 		for _, seed := range []int64{1, 2} {
