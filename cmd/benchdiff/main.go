@@ -8,15 +8,17 @@
 //   - a work counter rises above its baseline — gated exactly, like the
 //     allocation gate. A counter is any per-op column a benchmark adds
 //     with b.ReportMetric (`scanned/op`, `bu-levels/op`, `dsu-ops/op`,
-//     `evals/op`, `ks-terms/op`): rows scanned, levels run, union-find
-//     operations, attachment candidates evaluated or model-CDF terms,
-//     which are the same on every machine;
+//     `evals/op`, `cells/op`, `ks-terms/op`): rows scanned, levels run,
+//     union-find operations, attachment candidates evaluated, index cells
+//     tested or model-CDF terms, which are the same on every machine;
 //   - a benchmark's ns/op exceeds baseline * (1 + tolerance).
 //
 // Improvements and new benchmarks never fail. Benchmarks present in the
 // baseline but missing from the fresh run only warn (the per-commit CI
 // run skips the scaling tier that the recorded baseline includes) unless
-// -require-all is set.
+// -require-all is set. A counter the fresh run reports for a baseline
+// benchmark that the baseline lacks has nothing to be gated against, so
+// it warns once per benchmark and unit until the baseline is re-recorded.
 //
 // Baselines recorded by scripts/bench.sh carry a meta stamp (commit, go
 // version, GOMAXPROCS, platform). When it disagrees with the fresh
@@ -270,6 +272,18 @@ func compare(baseline, fresh map[string]benchResult, tolerance float64, requireA
 					fail: true,
 				})
 			}
+		}
+		units = units[:0]
+		for unit := range got.Counters {
+			if _, ok := base.Counters[unit]; !ok {
+				units = append(units, unit)
+			}
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			out = append(out, diffLine{
+				text: fmt.Sprintf("WARN    %s: %s %g is not in the baseline (ungated until it is re-recorded)", name, unit, got.Counters[unit]),
+			})
 		}
 		limit := base.NsPerOp * (1 + tolerance)
 		switch {

@@ -317,3 +317,43 @@ func TestCompareCounterGate(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareWarnsOnUngatedCounters: a counter the fresh run reports for
+// a baseline benchmark that the baseline lacks cannot be gated, so it
+// warns once per benchmark and unit without failing; counters of a new
+// benchmark are covered by its NEW line.
+func TestCompareWarnsOnUngatedCounters(t *testing.T) {
+	baseline := map[string]benchResult{
+		"BenchmarkGrow": {Name: "BenchmarkGrow", NsPerOp: 1000, Counters: map[string]float64{"evals/op": 500}},
+		"BenchmarkFit":  {Name: "BenchmarkFit", NsPerOp: 1000},
+	}
+	fresh := map[string]benchResult{
+		"BenchmarkGrow": {Name: "BenchmarkGrow", NsPerOp: 1000,
+			Counters: map[string]float64{"evals/op": 500, "cells/op": 900, "blocks/op": 30}},
+		"BenchmarkFit": {Name: "BenchmarkFit", NsPerOp: 1000, Counters: map[string]float64{"ks-terms/op": 7}},
+		"BenchmarkNew": {Name: "BenchmarkNew", NsPerOp: 10, Counters: map[string]float64{"cells/op": 1}},
+	}
+	lines := compare(baseline, fresh, 0.25, true)
+	if fails := failures(lines); len(fails) != 0 {
+		t.Fatalf("ungated counters failed the gate: %q", fails)
+	}
+	var warns []string
+	for _, l := range lines {
+		if strings.HasPrefix(l.text, "WARN") {
+			warns = append(warns, l.text)
+		}
+	}
+	want := []string{
+		"WARN    BenchmarkFit: ks-terms/op 7 is not in the baseline",
+		"WARN    BenchmarkGrow: blocks/op 30 is not in the baseline",
+		"WARN    BenchmarkGrow: cells/op 900 is not in the baseline",
+	}
+	if len(warns) != len(want) {
+		t.Fatalf("warnings %q, want %d", warns, len(want))
+	}
+	for i := range want {
+		if !strings.HasPrefix(warns[i], want[i]) {
+			t.Fatalf("warning %d = %q, want prefix %q", i, warns[i], want[i])
+		}
+	}
+}

@@ -157,9 +157,10 @@ type Network struct {
 	InstallCost float64
 	UsageCost   float64
 
-	// evals counts the candidates MMPIncremental's attachment index
-	// evaluated; the package benchmarks report it.
-	evals int
+	// evals and cells count the candidates MMPIncremental's attachment
+	// index evaluated and the cells whose bound it tested; the package
+	// benchmarks report them.
+	evals, cells int
 }
 
 // TotalCost returns installation plus usage cost.

@@ -76,7 +76,7 @@ func MMPIncremental(in *Instance, seed int64) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net.evals = ix.Evals()
+	net.evals, net.cells = ix.Evals(), ix.Cells()
 	return net, nil
 }
 

@@ -31,19 +31,19 @@ func BenchmarkScaleHOTGrow25kExhaustive(b *testing.B) {
 }
 
 // benchHOTEvals grows cfg per iteration and reports the candidates the
-// attachment index evaluated as evals/op, an exact work count that
-// cmd/benchdiff gates.
+// attachment index evaluated as evals/op and the cells whose bound it
+// tested as cells/op, exact work counts that cmd/benchdiff gates.
 func benchHOTEvals(b *testing.B, cfg HOTConfig) {
 	b.ReportAllocs()
-	evals := 0
+	var st *GrowthStats
 	for i := 0; i < b.N; i++ {
-		_, st, err := GrowHOTContext(context.Background(), cfg)
-		if err != nil {
+		var err error
+		if _, st, err = GrowHOTContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
-		evals = st.evals
 	}
-	b.ReportMetric(float64(evals), "evals/op")
+	b.ReportMetric(float64(st.evals), "evals/op")
+	b.ReportMetric(float64(st.cells), "cells/op")
 }
 
 // BenchmarkHOTGrow16kLinks2 grows the design benchmark's 16k-node HOT

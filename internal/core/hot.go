@@ -226,7 +226,7 @@ func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph,
 		}
 	}
 	if ix != nil {
-		stats.evals = ix.Evals()
+		stats.evals, stats.cells = ix.Evals(), ix.Cells()
 	}
 	return g, stats, nil
 }
@@ -245,7 +245,8 @@ const (
 type GrowthStats struct {
 	TotalLinkLength      float64
 	ConstraintViolations int
-	// evals counts the candidates the attachment index evaluated, 0 on
-	// the exhaustive scan; the package benchmarks report it.
-	evals int
+	// evals and cells count the candidates the attachment index
+	// evaluated and the cells whose bound it tested, 0 on the exhaustive
+	// scan; the package benchmarks report them.
+	evals, cells int
 }

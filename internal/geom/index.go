@@ -64,16 +64,16 @@ func (b *CandList) Consider(id int, cost float64) {
 // such a candidate, which may tie the k-th best, from being dropped.
 const pruneSlack = 0x1p-40
 
-// admits reports whether a region whose costs are at least lb may still
-// hold one of the k best: always while the list is short, and otherwise
-// unless lb exceeds the k-th best cost by more than pruneSlack. A NaN
-// bound admits.
-func (b *CandList) admits(lb float64) bool {
+// threshold is the largest cost lower bound a region may have and still
+// hold one of the k best: +Inf while the list is short, and otherwise the
+// k-th best cost plus pruneSlack of its magnitude. A region is skipped
+// when its bound exceeds the threshold, so a NaN bound never is.
+func (b *CandList) threshold() float64 {
 	if len(b.c) < b.k {
-		return true
+		return math.Inf(1)
 	}
 	w := b.c[len(b.c)-1].Cost
-	return !(lb > w+math.Abs(w)*pruneSlack)
+	return w + math.Abs(w)*pruneSlack
 }
 
 // Index is the attachment index every incremental designer searches: a
@@ -83,7 +83,9 @@ func (b *CandList) admits(lb float64) bool {
 // expanding Chebyshev rings around the query point and prunes any ring,
 // block or cell whose cost lower bound (distance weight times the
 // point-to-rect distance, plus each stat weight times the region's stat
-// min) exceeds the current k-th best cost. Pruning only drops regions
+// min) exceeds the current k-th best cost; an admitted block is first
+// trimmed to the columns and rows whose own gap can still pass, so only
+// the cells left test their own bound. Pruning only drops regions
 // that provably hold no candidate tied with or better than the k-th
 // best, and the kept-candidate ordering is canonical, so the selection —
 // every tie-break included — is the exhaustive scan's.
@@ -91,9 +93,10 @@ func (b *CandList) admits(lb float64) bool {
 // The work per query is not logarithmic: the blocks a search visits grow
 // with the number of points stored. Growing HOT with two links per
 // arrival and distance weight 8, a search visits 13.0 blocks at 4k nodes
-// (7 cells a side there), 28.4 at 16k and 66.6 at 50k (8 cells a side)
-// while it evaluates 27, 35 and 38 candidates; an arrival takes 5–7,
-// 11–12 and 16 µs on a 2-vCPU Xeon VM.
+// (7 cells a side there), 28.4 at 16k and 66.6 at 50k (8 cells a side),
+// tests the bounds of 56, 104 and 128 non-empty cells and evaluates 27,
+// 35 and 38 candidates; an arrival takes 3.6–3.9, 5.2 and 6.0–6.9 µs on
+// a 2-vCPU Xeon VM.
 type Index struct {
 	grid      *Grid
 	blk       int // cells per coarse block side
@@ -103,6 +106,7 @@ type Index struct {
 	blockMin  [IndexStats][]float64
 	globalMin [IndexStats]float64
 	evals     int
+	cells     int
 }
 
 // maxBlock caps the coarse-block side in fine cells. Ring enumeration and
@@ -164,6 +168,11 @@ func (ix *Index) Add(id int32, p Point, vals *[IndexStats]float64) {
 // to eval: the exact work count of the index.
 func (ix *Index) Evals() int { return ix.evals }
 
+// Cells returns the number of non-empty cells whose own bound all
+// searches so far have tested: the index's pruning work, counted exactly
+// like Evals.
+func (ix *Index) Cells() int { return ix.cells }
+
 // Search enumerates candidates for a query at p, calling eval exactly
 // once for every stored id it cannot prove is outside best's k best. eval
 // must apply feasibility, compute the exact cost, and call
@@ -179,13 +188,19 @@ func (ix *Index) Search(p Point, distW float64, statW *[IndexStats]float64, maxL
 	b := ix.blk
 	pbx, pby := pcx/b, pcy/b
 	maxRing := max(pbx, ix.bnx-1-pbx, pby, ix.bny-1-pby)
+	q := query{ix: ix, p: p, distW: distW, maxLen: maxLen, best: best, eval: eval, thr: best.threshold()}
 	statFloor := 0.0
 	for s := range IndexStats {
-		if statW[s] != 0 && ix.track[s] && !math.IsInf(ix.globalMin[s], 1) {
+		if statW[s] == 0 || !ix.track[s] {
+			continue
+		}
+		q.statW[q.nstat] = statW[s]
+		q.cellMin[q.nstat], q.blockMin[q.nstat] = ix.cellMin[s], ix.blockMin[s]
+		q.nstat++
+		if !math.IsInf(ix.globalMin[s], 1) {
 			statFloor += statW[s] * ix.globalMin[s]
 		}
 	}
-	q := query{ix: ix, p: p, distW: distW, statW: statW, maxLen: maxLen, best: best, eval: eval}
 	for k := 0; k <= maxRing; k++ {
 		if k > 0 {
 			// All candidates at block rings >= k lie outside the band of
@@ -194,7 +209,7 @@ func (ix *Index) Search(p Point, distW float64, statW *[IndexStats]float64, maxL
 			band := k - 1
 			ringD := g.ComplementDistLB(p,
 				(pbx-band)*b, (pby-band)*b, (pbx+band)*b+b-1, (pby+band)*b+b-1)
-			if ringD > maxLen || !best.admits(distW*ringD+statFloor) {
+			if q.prunes(ringD, statFloor) {
 				return
 			}
 		}
@@ -202,27 +217,58 @@ func (ix *Index) Search(p Point, distW float64, statW *[IndexStats]float64, maxL
 	}
 }
 
-// query is one Search in progress.
+// query is one Search in progress. It holds the search's active stat
+// slots (non-zero weight, tracked) compacted in slot order, so a floor
+// sums the same terms in the same order wherever it is taken, and the
+// list's threshold, which only eval can lower and which is re-read after
+// every cell eval runs on.
 type query struct {
-	ix     *Index
-	p      Point
-	distW  float64
-	statW  *[IndexStats]float64
-	maxLen float64
-	best   *CandList
-	eval   func(id int32)
+	ix       *Index
+	p        Point
+	distW    float64
+	maxLen   float64
+	best     *CandList
+	eval     func(id int32)
+	thr      float64
+	nstat    int
+	statW    [IndexStats]float64
+	cellMin  [IndexStats][]float64
+	blockMin [IndexStats][]float64
+}
+
+// prunes reports whether a region at distance at least d from p whose
+// weighted stat floor is floor provably holds no candidate: it lies
+// beyond maxLen, or its cost lower bound exceeds the threshold.
+func (q *query) prunes(d, floor float64) bool {
+	return d > q.maxLen || q.distW*d+floor > q.thr
+}
+
+// floor sums the weighted stat minimums of region i of mins (cells or
+// blocks); +Inf mins (region holds no tracked value yet) propagate so an
+// empty region prunes immediately once the list is full.
+func (q *query) floor(mins *[IndexStats][]float64, i int) float64 {
+	f := 0.0
+	for s := range q.nstat {
+		f += q.statW[s] * mins[s][i]
+	}
+	return f
 }
 
 // block searches coarse block (bx, by): one bound for the whole block,
-// then one per non-empty cell from the block's column and row gaps,
-// which are computed once per block.
+// then a trim to the columns and rows whose own gap passes with the
+// block's floor, then one bound per non-empty cell left. The trim is
+// exact with respect to the cell bounds: a cell's gap is at least its
+// column's and its row's (sqrt is monotone and the other squared gap is
+// non-negative), its floor at least the block's (each cell min is at
+// least the block min and the weights are non-negative), and the
+// threshold only falls, so every trimmed cell would fail its own bound.
 func (q *query) block(bx, by int) {
 	ix, g := q.ix, q.ix.grid
 	nx, ny := g.Dims()
 	cx0, cy0 := bx*ix.blk, by*ix.blk
 	cx1, cy1 := min(cx0+ix.blk-1, nx-1), min(cy0+ix.blk-1, ny-1)
-	d := g.RangeDistLB(q.p, cx0, cy0, cx1, cy1)
-	if d > q.maxLen || !q.best.admits(q.distW*d+ix.statFloorAt(q.statW, &ix.blockMin, by*ix.bnx+bx)) {
+	floor := q.floor(&q.blockMin, by*ix.bnx+bx)
+	if q.prunes(g.RangeDistLB(q.p, cx0, cy0, cx1, cy1), floor) {
 		return
 	}
 	var gx2, gy2 [maxBlock]float64 // squared column and row gaps
@@ -234,34 +280,39 @@ func (q *query) block(bx, by int) {
 		dy := edgeGap(g.ys[cy], g.ys[cy+1], q.p.Y)
 		gy2[cy-cy0] = dy * dy
 	}
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
+	xa, xb := q.band(gx2[:cx1-cx0+1], floor)
+	ya, yb := q.band(gy2[:cy1-cy0+1], floor)
+	for cy := cy0 + ya; cy <= cy0+yb; cy++ {
+		for cx := cx0 + xa; cx <= cx0+xb; cx++ {
 			ci := cy*nx + cx
 			ids := g.cells[ci]
 			if len(ids) == 0 {
 				continue
 			}
-			cd := math.Sqrt(gx2[cx-cx0] + gy2[cy-cy0])
-			if cd > q.maxLen || !q.best.admits(q.distW*cd+ix.statFloorAt(q.statW, &ix.cellMin, ci)) {
+			ix.cells++
+			if q.prunes(math.Sqrt(gx2[cx-cx0]+gy2[cy-cy0]), q.floor(&q.cellMin, ci)) {
 				continue
 			}
 			ix.evals += len(ids)
 			for _, id := range ids {
 				q.eval(id)
 			}
+			q.thr = q.best.threshold()
 		}
 	}
 }
 
-// statFloorAt sums the weighted stat minimums of one region (cell or
-// block); +Inf mins (region holds no tracked value yet) propagate so an
-// empty region prunes immediately once the list is full.
-func (ix *Index) statFloorAt(statW *[IndexStats]float64, mins *[IndexStats][]float64, i int) float64 {
-	f := 0.0
-	for s := range IndexStats {
-		if statW[s] != 0 && mins[s] != nil {
-			f += statW[s] * mins[s][i]
-		}
+// band returns the first and last index of the squared gaps gap2 (one
+// block's columns or rows) whose gap does not prune with the block's
+// floor; first > last when every one prunes. Gaps fall towards p and
+// rise past it, so the ones that pass are contiguous.
+func (q *query) band(gap2 []float64, floor float64) (int, int) {
+	lo, hi := 0, len(gap2)-1
+	for lo <= hi && q.prunes(math.Sqrt(gap2[lo]), floor) {
+		lo++
 	}
-	return f
+	for hi > lo && q.prunes(math.Sqrt(gap2[hi]), floor) {
+		hi--
+	}
+	return lo, hi
 }

@@ -181,9 +181,10 @@ type Design struct {
 	// the MaxPorts cap because no router in the metro had a free port.
 	PortViolations int
 
-	// evals counts the candidates the metro attachment indexes
-	// evaluated; the package benchmarks report it.
-	evals int
+	// evals and cells count the candidates the metro attachment indexes
+	// evaluated and the cells whose bound they tested; the package
+	// benchmarks report them.
+	evals, cells int
 }
 
 // TotalCost is access plus backbone cost.
@@ -481,6 +482,7 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 			des.DemandServed += dem
 		}
 		des.evals += ix.Evals()
+		des.cells += ix.Cells()
 	}
 	if c.Formulation == ProfitBased {
 		des.Profit = des.Revenue - des.TotalCost()

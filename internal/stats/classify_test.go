@@ -112,3 +112,30 @@ func TestClassifyTailDeterministic(t *testing.T) {
 		t.Fatal("classification not deterministic")
 	}
 }
+
+// TestZetaBoundsBracketSum holds zetaBounds to the sum it bounds, summed
+// smallest term first: the trapezoid bound must not exceed it nor the
+// midpoint bound fall below it, and both must be close, across short and
+// long ranges, exponents just above 1 and steep ones.
+func TestZetaBoundsBracketSum(t *testing.T) {
+	for _, a := range []int{2, 3, 9, 40, 700} {
+		for _, span := range []int{1, 2, 10, 300, 10000} {
+			m := a + span
+			for _, alpha := range []float64{1 + 1e-12, 1 + 1e-6, 1.05, 1.8, 2.5, 4, 12} {
+				sum := 0.0
+				for k := m; k >= a; k-- {
+					sum += math.Pow(float64(k), -alpha)
+				}
+				lo, hi := zetaBounds(float64(a), float64(m), alpha)
+				if lo > sum*(1+1e-12) || hi < sum*(1-1e-12) {
+					t.Fatalf("a %d m %d alpha %v: bounds [%v, %v] miss the sum %v", a, m, alpha, lo, hi, sum)
+				}
+				// The rules' errors are about f''(a)/12 and f''(a)/24,
+				// with f'' = alpha(alpha+1)a^(-alpha-2).
+				if width := (hi - lo) / sum; width > alpha*(alpha+1)/float64(a*a) {
+					t.Fatalf("a %d m %d alpha %v: bounds [%v, %v] are %v wide", a, m, alpha, lo, hi, width)
+				}
+			}
+		}
+	}
+}

