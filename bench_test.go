@@ -306,15 +306,6 @@ func BenchmarkDijkstraToSingleTarget(b *testing.B) {
 	}
 }
 
-func BenchmarkBFSAdjacencyAlloc(b *testing.B) {
-	g := benchGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.BFS(i % g.NumNodes())
-	}
-}
-
 func BenchmarkBFSCSRPooled(b *testing.B) {
 	g := benchGraph(b)
 	c := g.Freeze()

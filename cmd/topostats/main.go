@@ -198,8 +198,15 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 		ds.Classification.LogLikRatio)
 	fmt.Fprintf(w, "classification: %s\n", core.Classify(g))
 	c := g.Freeze()
-	vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c),
-		[]metricreg.Selection{{Name: "clustering"}, {Name: "assortativity"}}, metricreg.Options{Workers: 1})
+	report := []metricreg.Selection{{Name: "clustering"}, {Name: "assortativity"}}
+	// The exact hop diameter (the registry's diameter over every source)
+	// costs one BFS per node, so the report skips it above 2,000 nodes.
+	hopDiameter := g.NumNodes() <= 2000
+	if hopDiameter {
+		report = append(report, metricreg.Selection{Name: "diameter"})
+	}
+	vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c), report,
+		metricreg.Options{Workers: 1})
 	if err != nil {
 		return err
 	}
@@ -211,8 +218,8 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "expansion@3: %.4f\nresilience: %.4f\ndistortion: %.3f\nhierarchy depth: %.3f\nspectral gap: %.4f\n",
 		prof.ExpansionAt3, prof.Resilience, prof.Distortion, prof.HierarchyDepth, prof.SpectralGap)
-	if g.NumNodes() <= 2000 {
-		fmt.Fprintf(w, "hop diameter: %d\n", g.HopDiameter())
+	if hopDiameter {
+		fmt.Fprintf(w, "hop diameter: %d\n", int(vals["diameter"].Scalar))
 	}
 	if ccdf {
 		fmt.Fprintln(w, "degree CCDF (k  P[D>=k]):")

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/export"
+	"repro/internal/scenario"
 )
 
 func write(t *testing.T, name, content string) string {
@@ -283,5 +288,50 @@ func TestListGolden(t *testing.T) {
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("-list output differs from testdata/list.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// reportCases are the topologies TestReportGolden reports on: a
+// connected mesh, a disconnected random graph, a disconnected geometric
+// graph, a tree, and one graph above the 2,000-node hop-diameter guard.
+var reportCases = []struct {
+	name   string
+	model  string
+	params scenario.Params
+}{
+	{"hot-400", "hot", scenario.Params{"n": 400, "links": 2, "seed": 3}},
+	{"er-600-disconnected", "er-gnp", scenario.Params{"n": 600, "p": 0.004, "seed": 3}},
+	{"rgg-400-disconnected", "rgg", scenario.Params{"n": 400, "radius": 0.05, "seed": 3}},
+	{"mmp-400-tree", "mmp", scenario.Params{"n": 400, "seed": 3}},
+	{"ba-2500", "ba", scenario.Params{"n": 2500, "m": 2, "seed": 3}},
+}
+
+// TestReportGolden pins the default report (no -metrics) byte for byte
+// on reportCases, each generated, written as JSON and read back the way
+// `topogen | topostats` does. An intended output change is recorded by
+// copying the new output over testdata/report.golden.
+func TestReportGolden(t *testing.T) {
+	var b strings.Builder
+	for _, tc := range reportCases {
+		g, err := scenario.Default().GenerateByName(context.Background(), tc.model, tc.params)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var doc bytes.Buffer
+		if err := export.WriteJSON(&doc, g, tc.name); err != nil {
+			t.Fatal(err)
+		}
+		p := write(t, tc.name+".json", doc.String())
+		if err := run(defaults(p), nil, &b); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		b.WriteString("\n")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "report.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("report differs from testdata/report.golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

@@ -179,21 +179,26 @@ func newNetworkSkeleton(in *Instance) *graph.Graph {
 
 // finishTree computes flows, cable assignment and costs for a tree
 // network rooted at node 0, where node i>0's demand is the node's
-// Capacity annotation. The graph must be a tree spanning all nodes.
+// Capacity annotation. The graph must be a tree spanning all nodes: it
+// has n-1 edges, and the BFS below checks that the root reaches every
+// node.
 func finishTree(in *Instance, g *graph.Graph) (*Network, error) {
-	if !g.IsTree() {
-		return nil, fmt.Errorf("access: solution graph is not a tree (%d nodes, %d edges)", g.NumNodes(), g.NumEdges())
-	}
 	n := g.NumNodes()
+	if g.NumEdges() != n-1 {
+		return nil, fmt.Errorf("access: solution graph is not a tree (%d nodes, %d edges)", n, g.NumEdges())
+	}
 	// Order nodes by decreasing BFS depth so child flows are ready before
 	// their parents.
-	depth, parent := g.BFS(0)
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
+	g.Freeze().BFS(ws, 0)
+	depth, parent := ws.Hop[:n], ws.Parent[:n]
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
 	// Counting sort by depth, deepest first.
-	maxD := 0
+	maxD := int32(0)
 	for _, d := range depth {
 		if d > maxD {
 			maxD = d
@@ -228,7 +233,7 @@ func finishTree(in *Instance, g *graph.Graph) (*Network, error) {
 		if v == 0 {
 			continue
 		}
-		p := parent[v]
+		p := int(parent[v])
 		eid := g.FindEdge(v, p)
 		if eid < 0 {
 			return nil, fmt.Errorf("access: missing parent edge for node %d", v)

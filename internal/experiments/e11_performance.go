@@ -98,11 +98,7 @@ func E11Performance(opts Options) (*Table, error) {
 		if _, err := isp.ProvisionBackboneContext(opts.ctx(), des, geo, access.DefaultCatalog(), 0, trafficreg.Selection{}, 0); err != nil {
 			return nil, err
 		}
-		mm, err := routing.MaxMinFairContext(opts.ctx(), des.Graph, nil, demands)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := routing.RouteShortestPathsContext(opts.ctx(), des.Graph, nil, demands)
+		sp, mm, err := routing.RouteAndAllocateContext(opts.ctx(), des.Graph, nil, demands)
 		if err != nil {
 			return nil, err
 		}

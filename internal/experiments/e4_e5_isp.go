@@ -178,10 +178,13 @@ func topMetroShare(des *isp.Design, k int) float64 {
 			acc.AddEdge(e)
 		}
 	}
+	c := acc.Freeze()
+	ws := graph.GetWorkspace(c.NumNodes())
+	defer ws.Release()
 	total, top := 0, 0
 	for pi, pop := range des.POPs {
-		dist, _ := acc.BFS(pop)
-		for v, dd := range dist {
+		c.BFS(ws, pop)
+		for v, dd := range ws.Hop[:c.NumNodes()] {
 			if dd > 0 && acc.Node(v).Kind == graph.KindCustomer {
 				total++
 				if pi < k {

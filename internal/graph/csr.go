@@ -20,9 +20,9 @@ import (
 // guards with a documented panic. That bounds a 10^7-node, 3x10^7-edge
 // snapshot to ~1 GB and keeps the hot arrays half the width of int64.
 //
-// Freeze a graph once, then fan any number of Dijkstra/BFS/eccentricity
-// calls out across goroutines, each with its own pooled Workspace. This is
-// the compute substrate under internal/routing, internal/metrics and
+// Freeze a graph once, then fan any number of Dijkstra/BFS calls out
+// across goroutines, each with its own pooled Workspace. This is the
+// compute substrate under internal/routing, internal/metrics and
 // internal/robust.
 //
 // Shortest-path-tree determinism contract: for both BFS and Dijkstra,
@@ -955,24 +955,12 @@ func (c *CSR) bottomUp(hop, parent []int32, front, next []uint64, level int32) (
 	return nf, mf
 }
 
-// Eccentricity returns the maximum finite hop distance from src.
-func (c *CSR) Eccentricity(ws *Workspace, src int) int {
-	c.BFS(ws, src)
-	max := int32(0)
-	for _, d := range ws.Hop[:c.n] {
-		if d > max {
-			max = d
-		}
-	}
-	return int(max)
-}
-
 // LargestComponentMasked returns the size of the largest connected
 // component of the snapshot with nodes whose removedNode[u] is true and
 // edges whose removedEdge[edgeID] is true treated as absent. It is the
 // kernel under the robustness sweeps and failure/repair timelines:
-// instead of materializing a RemoveNodes copy per removal fraction,
-// callers flip bits in the masks and re-measure. Either mask may be nil
+// instead of materializing a subgraph per removal fraction, callers flip
+// bits in the masks and re-measure. Either mask may be nil
 // or shorter than its id space (the missing tail is present); without
 // an edge mask the traversal reads no edge ids. Visited bookkeeping uses
 // ws epochs, so repeated calls do not re-clear an O(n) array.

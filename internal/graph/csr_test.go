@@ -122,7 +122,7 @@ func TestCSRBFSMatchesGraph(t *testing.T) {
 	c := g.Freeze()
 	ws := NewWorkspace(g.NumNodes())
 	for src := 0; src < g.NumNodes(); src += 11 {
-		dist, _ := g.BFS(src)
+		dist := adjacencyBFS(g, src)
 		c.BFS(ws, src)
 		for v, d := range dist {
 			if int32(d) != ws.Hop[v] {
@@ -137,7 +137,7 @@ func TestCSREccentricityMatchesGraph(t *testing.T) {
 	c := g.Freeze()
 	ws := NewWorkspace(g.NumNodes())
 	for src := 0; src < g.NumNodes(); src += 9 {
-		if got, want := c.Eccentricity(ws, src), legacyEccentricity(g, src); got != want {
+		if got, want := hopEccentricity(c, ws, src), legacyEccentricity(g, src); got != want {
 			t.Fatalf("src %d: hop eccentricity %d vs %d", src, got, want)
 		}
 	}
@@ -159,7 +159,7 @@ func TestLargestComponentMaskedMatchesRemoveNodes(t *testing.T) {
 		}
 		removed[u] = true
 		removedIDs = append(removedIDs, u)
-		sub, _ := g.RemoveNodes(removedIDs)
+		sub, _ := removeNodes(g, removedIDs)
 		want := largestComponent(sub)
 		if got := c.LargestComponentMasked(ws, removed, nil); got != want {
 			t.Fatalf("after removing %d nodes: masked LCC %d vs subgraph LCC %d", len(removedIDs), got, want)

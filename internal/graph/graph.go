@@ -1,8 +1,11 @@
 // Package graph provides the undirected weighted graph substrate shared by
-// every topology model in this repository: adjacency storage with node and
-// edge attributes, the frozen CSR snapshot with its BFS, Dijkstra and
-// masked-component kernels, minimum spanning trees, betweenness, and
-// structural predicates (tree, forest, connected, 2-edge-connected).
+// every topology model in this repository. A Graph is the builder:
+// adjacency storage with node and edge attributes, edited while a model
+// grows. Its one reachability walk is ConnectedComponents, which the
+// connected, tree and forest predicates read; bridges, betweenness and
+// minimum spanning trees also run on it. Every other traversal runs on
+// the frozen CSR snapshot (Freeze): its BFS, Dijkstra and
+// masked-component kernels.
 //
 // Graphs are node-indexed: nodes are dense integers [0, N). This matches
 // how the generators work (nodes arrive incrementally and never leave) and
@@ -197,46 +200,6 @@ func (g *Graph) findEdge(u, v int) int {
 		}
 	}
 	return -1
-}
-
-// RemoveNodes returns a copy of g with the given nodes (and their incident
-// edges) deleted, plus the mapping from new ids to original ids. Used by
-// the robustness harness, which removes nodes in failure/attack sweeps.
-func (g *Graph) RemoveNodes(removed []int) (*Graph, []int) {
-	drop := make(map[int]bool, len(removed))
-	for _, u := range removed {
-		drop[u] = true
-	}
-	keep := make([]int, 0, len(g.nodes)-len(drop))
-	for u := range g.nodes {
-		if !drop[u] {
-			keep = append(keep, u)
-		}
-	}
-	return g.InducedSubgraphFromSorted(keep)
-}
-
-// InducedSubgraphFromSorted returns the subgraph on the given sorted,
-// duplicate-free node list plus a mapping from new ids to original ids.
-// Edges with both endpoints in the list are kept.
-func (g *Graph) InducedSubgraphFromSorted(nodes []int) (*Graph, []int) {
-	newID := make([]int, len(g.nodes))
-	for i := range newID {
-		newID[i] = -1
-	}
-	sub := New(len(nodes))
-	for i, u := range nodes {
-		newID[u] = i
-		sub.AddNode(g.nodes[u])
-	}
-	for _, e := range g.edges {
-		if newID[e.U] >= 0 && newID[e.V] >= 0 {
-			ne := e
-			ne.U, ne.V = newID[e.U], newID[e.V]
-			sub.AddEdge(ne)
-		}
-	}
-	return sub, append([]int(nil), nodes...)
 }
 
 // EuclideanWeights sets every edge's weight to the Euclidean distance

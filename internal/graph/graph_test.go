@@ -136,14 +136,15 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestBFSDistances(t *testing.T) {
-	g := pathGraph(5)
-	dist, parent := g.BFS(0)
+	c := pathGraph(5).Freeze()
+	ws := NewWorkspace(c.NumNodes())
+	c.BFS(ws, 0)
 	for i := 0; i < 5; i++ {
-		if dist[i] != i {
-			t.Fatalf("dist[%d] = %d, want %d", i, dist[i], i)
+		if ws.Hop[i] != int32(i) {
+			t.Fatalf("dist[%d] = %d, want %d", i, ws.Hop[i], i)
 		}
 	}
-	if parent[0] != -1 || parent[4] != 3 {
+	if ws.Parent[0] != -1 || ws.Parent[4] != 3 {
 		t.Fatal("BFS parents wrong")
 	}
 }
@@ -154,8 +155,9 @@ func TestBFSDisconnected(t *testing.T) {
 	g.AddNode(Node{})
 	g.AddNode(Node{})
 	g.AddEdge(Edge{U: 0, V: 1})
-	dist, _ := g.BFS(0)
-	if dist[2] != -1 {
+	ws := NewWorkspace(3)
+	g.Freeze().BFS(ws, 0)
+	if ws.Hop[2] != -1 {
 		t.Fatal("unreachable node should have dist -1")
 	}
 }
@@ -219,14 +221,14 @@ func TestIsTreeForest(t *testing.T) {
 
 func TestHopDiameterAndEccentricity(t *testing.T) {
 	g := pathGraph(7)
-	if d := g.HopDiameter(); d != 6 {
+	if d := hopDiameter(g); d != 6 {
 		t.Fatalf("path diameter = %d, want 6", d)
 	}
 	c := g.Freeze()
-	if e := c.Eccentricity(NewWorkspace(c.NumNodes()), 3); e != 3 {
+	if e := hopEccentricity(c, NewWorkspace(c.NumNodes()), 3); e != 3 {
 		t.Fatalf("center eccentricity = %d, want 3", e)
 	}
-	if d := starGraph(10).HopDiameter(); d != 2 {
+	if d := hopDiameter(starGraph(10)); d != 2 {
 		t.Fatalf("star diameter = %d, want 2", d)
 	}
 }
@@ -293,7 +295,7 @@ func TestDijkstraMatchesBFSOnUnitWeights(t *testing.T) {
 	for i := range g.Edges() {
 		g.Edge(i).Weight = 1
 	}
-	hop, _ := g.BFS(0)
+	hop := adjacencyBFS(g, 0)
 	dist, _, _ := csrDijkstra(g, 0)
 	for v := range hop {
 		if float64(hop[v]) != dist[v] {
@@ -586,7 +588,7 @@ func TestTwoEdgeConnected(t *testing.T) {
 
 func TestInducedSubgraph(t *testing.T) {
 	g := cycleGraph(6)
-	sub, orig := g.InducedSubgraphFromSorted([]int{0, 1, 2})
+	sub, orig := inducedSubgraphFromSorted(g, []int{0, 1, 2})
 	if sub.NumNodes() != 3 {
 		t.Fatalf("subgraph nodes = %d, want 3", sub.NumNodes())
 	}
@@ -600,7 +602,7 @@ func TestInducedSubgraph(t *testing.T) {
 
 func TestRemoveNodes(t *testing.T) {
 	g := starGraph(6)
-	sub, _ := g.RemoveNodes([]int{0}) // remove hub
+	sub, _ := removeNodes(g, []int{0}) // remove hub
 	if sub.NumNodes() != 5 || sub.NumEdges() != 0 {
 		t.Fatalf("after hub removal: %d nodes %d edges", sub.NumNodes(), sub.NumEdges())
 	}

@@ -196,7 +196,7 @@ func TestPropertyComponentsPartition(t *testing.T) {
 
 func TestInducedSubgraphFromSorted(t *testing.T) {
 	g := randomGraphFromSeed(2, 12, 20)
-	sub, orig := g.InducedSubgraphFromSorted([]int{0, 3, 5, 9})
+	sub, orig := inducedSubgraphFromSorted(g, []int{0, 3, 5, 9})
 	if sub.NumNodes() != 4 || len(orig) != 4 {
 		t.Fatalf("subgraph size %d", sub.NumNodes())
 	}

@@ -2,36 +2,81 @@ package graph
 
 import "testing"
 
-// Verbatim copies of the pre-kernelization traversal helpers (one
-// allocating BFS per source, no CSR, no workspace pooling).
-// The exported methods now freeze once and sweep pooled kernels; these
-// references pin their results.
+// The adjacency-list traversals that the CSR kernels replaced, kept as
+// the tests' oracles: a FIFO BFS over the builder's adjacency lists
+// (once Graph.BFS) with the eccentricity and hop diameter read off it
+// (once Graph.HopDiameter), and the subgraph copies the masked component
+// kernel is checked against (once Graph.RemoveNodes and
+// Graph.InducedSubgraphFromSorted, verbatim).
 
-func legacyEccentricity(g *Graph, src int) int {
-	dist, _ := g.BFS(src)
-	max := 0
-	for _, d := range dist {
-		if d > max {
-			max = d
+// adjacencyBFS runs a FIFO breadth-first search from src over g's
+// adjacency lists and returns the hop distance to every node (-1 for
+// unreachable).
+func adjacencyBFS(g *Graph, src int) []int {
+	dist := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, h := range g.adj[u] {
+			if dist[h.to] == -1 {
+				dist[h.to] = dist[u] + 1
+				queue = append(queue, h.to)
+			}
 		}
 	}
-	return max
+	return dist
+}
+
+// legacyEccentricity returns the maximum finite hop distance from src
+// over the adjacency lists.
+func legacyEccentricity(g *Graph, src int) int {
+	e := 0
+	for _, d := range adjacencyBFS(g, src) {
+		e = max(e, d)
+	}
+	return e
 }
 
 func legacyHopDiameter(g *Graph) int {
-	max := 0
+	d := 0
 	for u := 0; u < g.NumNodes(); u++ {
-		if e := legacyEccentricity(g, u); e > max {
-			max = e
-		}
+		d = max(d, legacyEccentricity(g, u))
 	}
-	return max
+	return d
 }
 
-// TestKernelizedTraversalsMatchLegacy pins the freeze-once pooled
-// implementations of Eccentricity and HopDiameter to the original
-// per-source allocating versions, on connected, disconnected, and
-// degenerate graphs.
+// hopEccentricity returns the maximum finite hop distance CSR.BFS
+// reaches from src (once CSR.Eccentricity): the per-source maximum that
+// the metric registry's diameter takes over every node.
+func hopEccentricity(c *CSR, ws *Workspace, src int) int {
+	c.BFS(ws, src)
+	e := int32(0)
+	for _, d := range ws.Hop[:c.NumNodes()] {
+		e = max(e, d)
+	}
+	return int(e)
+}
+
+// hopDiameter is hopEccentricity maximized over every source of g's
+// snapshot.
+func hopDiameter(g *Graph) int {
+	c := g.Freeze()
+	ws := NewWorkspace(c.NumNodes())
+	d := 0
+	for src := 0; src < c.NumNodes(); src++ {
+		d = max(d, hopEccentricity(c, ws, src))
+	}
+	return d
+}
+
+// TestKernelizedTraversalsMatchLegacy pins CSR.BFS's hop distances,
+// eccentricities and hop diameter to the adjacency-list BFS from every
+// source, on connected, disconnected, and degenerate graphs.
 func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 	graphs := map[string]*Graph{
 		"connected":    randomTestGraph(90, 150, 21),
@@ -50,15 +95,59 @@ func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 	}
 
 	for name, g := range graphs {
-		if got, want := g.HopDiameter(), legacyHopDiameter(g); got != want {
-			t.Fatalf("%s: HopDiameter = %d, legacy %d", name, got, want)
+		if got, want := hopDiameter(g), legacyHopDiameter(g); got != want {
+			t.Fatalf("%s: hop diameter = %d, legacy %d", name, got, want)
 		}
 		c := g.Freeze()
 		ws := NewWorkspace(c.NumNodes())
 		for src := 0; src < g.NumNodes(); src++ {
-			if got, want := c.Eccentricity(ws, src), legacyEccentricity(g, src); got != want {
-				t.Fatalf("%s: Eccentricity(%d) = %d, legacy %d", name, src, got, want)
+			if got, want := hopEccentricity(c, ws, src), legacyEccentricity(g, src); got != want {
+				t.Fatalf("%s: eccentricity(%d) = %d, legacy %d", name, src, got, want)
+			}
+			for v, d := range adjacencyBFS(g, src) {
+				if int32(d) != ws.Hop[v] {
+					t.Fatalf("%s: src %d: hop[%d] = %d, legacy %d", name, src, v, ws.Hop[v], d)
+				}
 			}
 		}
 	}
+}
+
+// removeNodes returns a copy of g with the given nodes (and their incident
+// edges) deleted, plus the mapping from new ids to original ids.
+func removeNodes(g *Graph, removed []int) (*Graph, []int) {
+	drop := make(map[int]bool, len(removed))
+	for _, u := range removed {
+		drop[u] = true
+	}
+	keep := make([]int, 0, len(g.nodes)-len(drop))
+	for u := range g.nodes {
+		if !drop[u] {
+			keep = append(keep, u)
+		}
+	}
+	return inducedSubgraphFromSorted(g, keep)
+}
+
+// inducedSubgraphFromSorted returns the subgraph on the given sorted,
+// duplicate-free node list plus a mapping from new ids to original ids.
+// Edges with both endpoints in the list are kept.
+func inducedSubgraphFromSorted(g *Graph, nodes []int) (*Graph, []int) {
+	newID := make([]int, len(g.nodes))
+	for i := range newID {
+		newID[i] = -1
+	}
+	sub := New(len(nodes))
+	for i, u := range nodes {
+		newID[u] = i
+		sub.AddNode(g.nodes[u])
+	}
+	for _, e := range g.edges {
+		if newID[e.U] >= 0 && newID[e.V] >= 0 {
+			ne := e
+			ne.U, ne.V = newID[e.U], newID[e.V]
+			sub.AddEdge(ne)
+		}
+	}
+	return sub, append([]int(nil), nodes...)
 }

@@ -345,9 +345,11 @@ func TestCustomerConcentrationFollowsPopulation(t *testing.T) {
 			acc.AddEdge(e)
 		}
 	}
+	c := acc.Freeze()
+	ws := graph.NewWorkspace(c.NumNodes())
 	for pi, pop := range d.POPs {
-		dist, _ := acc.BFS(pop)
-		for v, dd := range dist {
+		c.BFS(ws, pop)
+		for v, dd := range ws.Hop[:c.NumNodes()] {
 			if dd > 0 && acc.Node(v).Kind == graph.KindCustomer {
 				counts[pi]++
 			}

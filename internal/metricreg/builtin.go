@@ -519,11 +519,13 @@ func (a *hierarchyAcc) Run(ctx context.Context, src *Source, _ int) error {
 			}
 		}
 	}
-	dist, _ := g.BFS(root)
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
+	src.CSR().BFS(ws, root)
 	total, count := 0, 0
-	for _, d := range dist {
+	for _, d := range ws.Hop[:n] {
 		if d > 0 {
-			total += d
+			total += int(d)
 			count++
 		}
 	}
@@ -806,7 +808,7 @@ func (a *degreeAcc) Run(ctx context.Context, src *Source, _ int) error {
 			a.val = Value{Scalar: float64(max) / float64(n-1)}
 		}
 	case degCV:
-		// Matches stats.Summarize: mean over n, sample variance over n-1.
+		// Mean over n, sample variance over n-1.
 		mean := float64(sum) / float64(n)
 		ss := 0.0
 		for i := 0; i < n; i++ {

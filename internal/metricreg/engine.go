@@ -147,31 +147,16 @@ func (s *Source) traffic(ctx context.Context) (*trafficEval, error) {
 	return s.alloc, s.trafficErr
 }
 
-// Connected reports whether the topology is connected (the empty
-// topology counts as connected, matching graph.IsConnected). The bit is
-// computed once per Source and shared by every metric that declares
-// CapConnected.
+// Connected reports whether the topology is connected, i.e. whether the
+// snapshot's largest component holds every node (the empty topology
+// counts as connected, matching graph.IsConnected). The bit is computed
+// once per Source and shared by every metric that declares CapConnected.
 func (s *Source) Connected() bool {
 	s.connOnce.Do(func() {
-		if s.g != nil {
-			s.conn = s.g.IsConnected()
-			return
-		}
-		n := s.CSR().NumNodes()
-		if n == 0 {
-			s.conn = true
-			return
-		}
-		ws := graph.GetWorkspace(n)
+		c := s.CSR()
+		ws := graph.GetWorkspace(c.NumNodes())
 		defer ws.Release()
-		s.c.BFS(ws, 0)
-		s.conn = true
-		for _, d := range ws.Hop[:n] {
-			if d < 0 {
-				s.conn = false
-				break
-			}
-		}
+		s.conn = c.LargestComponentMasked(ws, nil, nil) == c.NumNodes()
 	})
 	return s.conn
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/params"
+	"repro/internal/rng"
 )
 
 // ladder builds a connected test graph: a path 0-1-...-n-1 plus chords
@@ -255,6 +256,113 @@ func TestSourceConnectedCSROnly(t *testing.T) {
 	}
 	if NewSource(nil, graph.New(0).Freeze()).Connected() != true {
 		t.Fatal("empty graph should count as connected (matching graph.IsConnected)")
+	}
+}
+
+// oracleGraphs are the shapes the diameter and connectivity oracles run
+// on: a path, a star, a random connected graph, two components beside
+// an isolated node, a single node and the empty graph.
+func oracleGraphs() map[string]*graph.Graph {
+	build := func(n int, edges [][2]int) *graph.Graph {
+		g := graph.New(n)
+		for i := 0; i < n; i++ {
+			g.AddNode(graph.Node{})
+		}
+		for _, e := range edges {
+			g.AddEdge(graph.Edge{U: e[0], V: e[1], Weight: float64(e[0]) + 0.5, Cable: -1})
+		}
+		return g
+	}
+	var path, star, random [][2]int
+	for i := 1; i < 7; i++ {
+		path = append(path, [2]int{i - 1, i})
+	}
+	for i := 1; i < 10; i++ {
+		star = append(star, [2]int{0, i})
+	}
+	r := rng.New(21)
+	for i := 1; i < 90; i++ {
+		random = append(random, [2]int{r.Intn(i), i})
+	}
+	for len(random) < 89+150 {
+		if u, v := r.Intn(90), r.Intn(90); u != v {
+			random = append(random, [2]int{u, v})
+		}
+	}
+	return map[string]*graph.Graph{
+		"path-7":  build(7, path),
+		"star-10": build(10, star),
+		"random":  build(90, random),
+		"two-components+isolated": build(9, [][2]int{
+			{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7},
+		}),
+		"single": build(1, nil),
+		"empty":  build(0, nil),
+	}
+}
+
+// adjacencyDiameter is the all-sources oracle for the diameter metric: a
+// FIFO BFS from every node over g's adjacency lists, keeping the largest
+// finite hop distance. Unreachable pairs are ignored, so a graph below
+// two nodes has diameter 0.
+func adjacencyDiameter(g *graph.Graph) int {
+	best := 0
+	dist := make([]int, g.NumNodes())
+	for s := range dist {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[s] = 0
+		queue := []int{s}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			best = max(best, dist[u])
+			g.Neighbors(u, func(v, _ int) {
+				if dist[v] < 0 {
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			})
+		}
+	}
+	return best
+}
+
+// TestDiameterMatchesAllSourcesBFS holds the registry's diameter at its
+// default sources 0 (every node) to the adjacency BFS from every node.
+func TestDiameterMatchesAllSourcesBFS(t *testing.T) {
+	fixed := map[string]int{"path-7": 6, "star-10": 2, "two-components+isolated": 3, "single": 0, "empty": 0}
+	for name, g := range oracleGraphs() {
+		want := adjacencyDiameter(g)
+		if w, ok := fixed[name]; ok && w != want {
+			t.Fatalf("%s: oracle diameter %d, want %d", name, want, w)
+		}
+		vals, err := Evaluate(context.Background(), NewSource(g, nil), []Selection{{Name: "diameter"}}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := vals["diameter"].Scalar; got != float64(want) {
+			t.Errorf("%s: diameter = %v, all-sources BFS %d", name, got, want)
+		}
+	}
+}
+
+// TestSourceConnectedMatchesIsConnected holds the Source's connectivity
+// bit, on graph-plus-CSR, CSR-only and graph-only sources, to the
+// builder graph's component count.
+func TestSourceConnectedMatchesIsConnected(t *testing.T) {
+	for name, g := range oracleGraphs() {
+		want := g.IsConnected()
+		for kind, src := range map[string]*Source{
+			"graph+csr":  NewSource(g, g.Freeze()),
+			"csr-only":   NewSource(nil, g.Freeze()),
+			"graph-only": NewSource(g, nil),
+		} {
+			if got := src.Connected(); got != want {
+				t.Errorf("%s %s: Connected = %v, IsConnected %v", name, kind, got, want)
+			}
+		}
 	}
 }
 

@@ -138,6 +138,28 @@ func legacyDistortion(g *graph.Graph, sampleEdges int, seed int64) float64 {
 	return total / float64(count)
 }
 
+// adjacencyHops is a FIFO BFS over g's adjacency lists: the hop
+// distance from src to every node, -1 where unreachable.
+func adjacencyHops(g *graph.Graph, src int) []int {
+	dist := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		g.Neighbors(u, func(v, _ int) {
+			if dist[v] == -1 {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		})
+	}
+	return dist
+}
+
 func legacyHierarchyDepth(g *graph.Graph, root int) float64 {
 	n := g.NumNodes()
 	if n < 2 {
@@ -152,9 +174,8 @@ func legacyHierarchyDepth(g *graph.Graph, root int) float64 {
 			}
 		}
 	}
-	dist, _ := g.BFS(root)
 	total, count := 0, 0
-	for _, d := range dist {
+	for _, d := range adjacencyHops(g, root) {
 		if d > 0 {
 			total += d
 			count++

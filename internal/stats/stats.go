@@ -16,52 +16,7 @@ package stats
 import (
 	"math"
 	"slices"
-	"sort"
 )
-
-// Summary holds basic moments of a sample.
-type Summary struct {
-	N              int
-	Mean, Variance float64
-	Min, Max       float64
-	Median         float64
-}
-
-// Summarize computes summary statistics of xs. Zero value for empty input.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Variance = ss / float64(s.N-1)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if s.N%2 == 1 {
-		s.Median = sorted[s.N/2]
-	} else {
-		s.Median = (sorted[s.N/2-1] + sorted[s.N/2]) / 2
-	}
-	return s
-}
 
 // DegreeHistogram counts occurrences of each degree value. Index k holds
 // the number of nodes with degree k.

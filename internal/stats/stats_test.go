@@ -8,30 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if math.Abs(s.Variance-2.5) > 1e-12 {
-		t.Fatalf("variance = %v, want 2.5", s.Variance)
-	}
-}
-
-func TestSummarizeEvenMedian(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.Median != 2.5 {
-		t.Fatalf("median = %v, want 2.5", s.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("empty summary should be zero: %+v", s)
-	}
-}
-
 func TestDegreeHistogram(t *testing.T) {
 	h := DegreeHistogram([]int{1, 1, 2, 3, 3, 3})
 	want := []int{0, 2, 1, 3}

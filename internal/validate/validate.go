@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/params"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // MetricVector is the standardized characterization used for topology
@@ -64,10 +63,13 @@ func MeasureContext(ctx context.Context, g *graph.Graph, seed int64) (MetricVect
 	if g == nil || g.NumNodes() == 0 {
 		return MetricVector{}, errs.BadParamf("validate: empty topology")
 	}
-	// One fused registry evaluation: the profile battery plus the
-	// clustering/assortativity statistics share a single Source (one
+	// One fused registry evaluation: the profile battery plus the degree,
+	// clustering and assortativity statistics share a single Source (one
 	// freeze) and one parallel schedule.
 	set := append(metrics.ProfileSet(),
+		metricreg.Selection{Name: "mean-degree"},
+		metricreg.Selection{Name: "degree-cv"},
+		metricreg.Selection{Name: "top-degree-frac"},
 		metricreg.Selection{Name: "clustering"},
 		metricreg.Selection{Name: "assortativity"})
 	vals, err := metricreg.Evaluate(ctx, metricreg.NewSource(g, nil), set,
@@ -75,21 +77,10 @@ func MeasureContext(ctx context.Context, g *graph.Graph, seed int64) (MetricVect
 	if err != nil {
 		return MetricVector{}, err
 	}
-	deg := g.Degrees()
-	fdeg := make([]float64, len(deg))
-	for i, d := range deg {
-		fdeg[i] = float64(d)
-	}
-	sum := stats.Summarize(fdeg)
-	cv := 0.0
-	if sum.Mean > 0 {
-		cv = math.Sqrt(sum.Variance) / sum.Mean
-	}
-	ds := stats.AnalyzeDegrees(g)
 	out := MetricVector{
-		MeanDegree:    ds.MeanDegree,
-		DegreeCV:      cv,
-		TopDegreeFrac: ds.TopDegreeFrac,
+		MeanDegree:    vals["mean-degree"].Scalar,
+		DegreeCV:      vals["degree-cv"].Scalar,
+		TopDegreeFrac: vals["top-degree-frac"].Scalar,
 		Clustering:    vals["clustering"].Scalar,
 		Assortativity: vals["assortativity"].Scalar,
 		Resilience:    vals["resilience"].Scalar,
@@ -229,11 +220,13 @@ func BootstrapMetric(g *graph.Graph, metric func(*graph.Graph, int64) float64, r
 	}
 }
 
-// ResilienceCI is a convenience bootstrap for the resilience metric.
+// ResilienceCI is a convenience bootstrap for the resilience metric. It
+// freezes g once and evaluates every rep on that snapshot.
 func ResilienceCI(g *graph.Graph, reps int, seed int64) Interval {
 	set := []metricreg.Selection{{Name: "resilience", Params: params.Params{"steps": 10, "trials": 3}}}
+	c := g.Freeze()
 	return BootstrapMetric(g, func(g *graph.Graph, s int64) float64 {
-		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), set, metricreg.Options{Seed: s})
+		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c), set, metricreg.Options{Seed: s})
 		if err != nil {
 			return 0
 		}

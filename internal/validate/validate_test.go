@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +13,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
+	"repro/internal/params"
+	"repro/internal/scenario"
+	"repro/internal/stats"
 )
 
 func ba(t *testing.T, n, m int, seed int64) *graph.Graph {
@@ -196,6 +200,9 @@ func TestMeasureContextMatchesSingleMetrics(t *testing.T) {
 		return vals[sel.Name]
 	}
 	field := map[string]float64{
+		"mean-degree":     got.MeanDegree,
+		"degree-cv":       got.DegreeCV,
+		"top-degree-frac": got.TopDegreeFrac,
 		"clustering":      got.Clustering,
 		"assortativity":   got.Assortativity,
 		"resilience":      got.Resilience,
@@ -203,7 +210,10 @@ func TestMeasureContextMatchesSingleMetrics(t *testing.T) {
 		"hierarchy-depth": got.HierDepth,
 		"spectral-gap":    got.SpectralGap,
 	}
-	set := append(metrics.ProfileSet(), metricreg.Selection{Name: "clustering"}, metricreg.Selection{Name: "assortativity"})
+	set := metrics.ProfileSet()
+	for _, name := range []string{"mean-degree", "degree-cv", "top-degree-frac", "clustering", "assortativity"} {
+		set = append(set, metricreg.Selection{Name: name})
+	}
 	for _, sel := range set {
 		v := alone(sel)
 		if sel.Name == "expansion" {
@@ -215,5 +225,149 @@ func TestMeasureContextMatchesSingleMetrics(t *testing.T) {
 		if v.Scalar != field[sel.Name] {
 			t.Fatalf("%s = %v, alone %v", sel.Name, field[sel.Name], v.Scalar)
 		}
+	}
+}
+
+// legacySummary and legacySummarize are the deleted stats.Summary and
+// stats.Summarize, kept verbatim as the oracle for MeasureContext's
+// degree entries, which the registry's degree metrics now compute.
+type legacySummary struct {
+	N              int
+	Mean, Variance float64
+	Min, Max       float64
+	Median         float64
+}
+
+func legacySummarize(xs []float64) legacySummary {
+	s := legacySummary{N: len(xs)}
+	if s.N == 0 {
+		return s
+	}
+	s.Min, s.Max = xs[0], xs[0]
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+		if x < s.Min {
+			s.Min = x
+		}
+		if x > s.Max {
+			s.Max = x
+		}
+	}
+	s.Mean = sum / float64(s.N)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - s.Mean
+		ss += d * d
+	}
+	if s.N > 1 {
+		s.Variance = ss / float64(s.N-1)
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if s.N%2 == 1 {
+		s.Median = sorted[s.N/2]
+	} else {
+		s.Median = (sorted[s.N/2-1] + sorted[s.N/2]) / 2
+	}
+	return s
+}
+
+// TestSummarize, TestSummarizeEvenMedian and TestSummarizeEmpty moved
+// here from internal/stats with the oracle: they check its moments,
+// median and empty case on hand-computed samples.
+func TestSummarize(t *testing.T) {
+	s := legacySummarize([]float64{1, 2, 3, 4, 5})
+	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
+		t.Fatalf("bad summary: %+v", s)
+	}
+	if math.Abs(s.Variance-2.5) > 1e-12 {
+		t.Fatalf("variance = %v, want 2.5", s.Variance)
+	}
+}
+
+func TestSummarizeEvenMedian(t *testing.T) {
+	s := legacySummarize([]float64{4, 1, 3, 2})
+	if s.Median != 2.5 {
+		t.Fatalf("median = %v, want 2.5", s.Median)
+	}
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	s := legacySummarize(nil)
+	if s.N != 0 || s.Mean != 0 {
+		t.Fatalf("empty summary should be zero: %+v", s)
+	}
+}
+
+// TestDegreeEntriesMatchSummarize pins MeasureContext's three degree
+// entries, bit for bit, to the computation they replaced: the
+// coefficient of variation from Summarize over a float copy of the
+// degrees, the mean and the top-degree fraction from AnalyzeDegrees.
+func TestDegreeEntriesMatchSummarize(t *testing.T) {
+	models := []struct {
+		name   string
+		params scenario.Params
+	}{
+		{"ba", scenario.Params{"n": 200, "m": 2}},
+		{"fkp", scenario.Params{"n": 200}},
+		{"hot", scenario.Params{"n": 200, "links": 2}},
+		{"waxman", scenario.Params{"n": 200}},
+		{"glp", scenario.Params{"n": 200}},
+		{"isp", scenario.Params{"cities": 10, "pops": 4, "customers": 150}},
+		{"mmp", scenario.Params{"n": 200}},
+	}
+	for _, m := range models {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := scenario.Params{"seed": float64(seed)}
+			for k, v := range m.params {
+				p[k] = v
+			}
+			g, err := scenario.Default().GenerateByName(context.Background(), m.name, p)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", m.name, seed, err)
+			}
+			deg := g.Degrees()
+			fdeg := make([]float64, len(deg))
+			for i, d := range deg {
+				fdeg[i] = float64(d)
+			}
+			sum := legacySummarize(fdeg)
+			cv := 0.0
+			if sum.Mean > 0 {
+				cv = math.Sqrt(sum.Variance) / sum.Mean
+			}
+			ds := stats.AnalyzeDegrees(g)
+			v := measure(t, g, seed)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"meanDegree", v.MeanDegree, ds.MeanDegree},
+				{"degreeCV", v.DegreeCV, cv},
+				{"topDegreeFrac", v.TopDegreeFrac, ds.TopDegreeFrac},
+			} {
+				if math.Float64bits(c.got) != math.Float64bits(c.want) {
+					t.Errorf("%s seed %d: %s = %v, Summarize/AnalyzeDegrees %v", m.name, seed, c.name, c.got, c.want)
+				}
+			}
+		}
+	}
+}
+
+// TestResilienceCIMatchesPerRepFreeze pins ResilienceCI, which freezes
+// once, to the same bootstrap with every rep freezing its own snapshot.
+func TestResilienceCIMatchesPerRepFreeze(t *testing.T) {
+	g := ba(t, 200, 2, 7)
+	set := []metricreg.Selection{{Name: "resilience", Params: params.Params{"steps": 10, "trials": 3}}}
+	want := BootstrapMetric(g, func(g *graph.Graph, s int64) float64 {
+		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), set, metricreg.Options{Seed: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vals["resilience"].Scalar
+	}, 20, 0.05, 11)
+	if got := ResilienceCI(g, 20, 11); got != want {
+		t.Fatalf("ResilienceCI = %+v, per-rep freeze %+v", got, want)
 	}
 }
