@@ -154,6 +154,22 @@ func BenchmarkBetweenness500(b *testing.B) {
 	}
 }
 
+// BenchmarkBetweennessTree runs the pass on FKP-2k at α 8, the tree the
+// analysis-warm profile and bottleneck-edge units measure, which takes
+// the forest path.
+func BenchmarkBetweennessTree(b *testing.B) {
+	g, err := core.FKPContext(context.Background(), core.FKPConfig{N: 2000, Alpha: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := g.Betweenness(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMetricProfile(b *testing.B) {
 	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {

@@ -13,12 +13,15 @@
 //     tested or model-CDF terms, which are the same on every machine;
 //   - a benchmark's ns/op exceeds baseline * (1 + tolerance).
 //
-// Improvements and new benchmarks never fail. Benchmarks present in the
-// baseline but missing from the fresh run only warn (the per-commit CI
-// run skips the scaling tier that the recorded baseline includes) unless
-// -require-all is set. A counter the fresh run reports for a baseline
-// benchmark that the baseline lacks has nothing to be gated against, so
-// it warns once per benchmark and unit until the baseline is re-recorded.
+// Improvements and new benchmarks never fail. A baseline benchmark that
+// the fresh run skipped (the `--- SKIP: BenchmarkX` line `go test -v`
+// prints for b.Skip, as the per-commit run's -short does for the scaling
+// tier the recorded baseline includes) is reported as skipped and never
+// fails. One absent from the fresh run altogether only warns unless
+// -require-all is set, as scripts/benchdiff.sh sets it. A counter the
+// fresh run reports for a baseline benchmark that the baseline lacks has
+// nothing to be gated against, so it warns once per benchmark and unit
+// until the baseline is re-recorded.
 //
 // Baselines recorded by scripts/bench.sh carry a meta stamp (commit, go
 // version, GOMAXPROCS, platform). When it disagrees with the fresh
@@ -56,6 +59,9 @@ type benchResult struct {
 	BytesOp   *float64 `json:"bytes_per_op"`
 	AllocsOp  *float64 `json:"allocs_per_op"`
 	Iteration int64    `json:"iterations"`
+	// Skipped marks a benchmark the fresh run skipped: it has no
+	// measurement. bench.sh never records one.
+	Skipped bool `json:"-"`
 	// Counters holds the b.ReportMetric work counters by unit, e.g.
 	// {"scanned/op": 1234}.
 	Counters map[string]float64 `json:"counters,omitempty"`
@@ -130,13 +136,17 @@ func parseFile(path string) (map[string]benchResult, *benchMeta, error) {
 // name; the gate keeps the WORST measurement of the set (max ns/op, max
 // allocations, max of each counter), so a single-thread regression
 // cannot hide behind a faster parallel leg and an allocation or extra
-// work picked up at any width still trips the exact gates.
+// work picked up at any width still trips the exact gates. A measured
+// leg outranks a skipped one.
 func keep(out map[string]benchResult, r benchResult) {
 	name := normalizeName(r.Name)
 	r.Name = name
 	prev, ok := out[name]
-	if !ok {
+	if !ok || prev.Skipped {
 		out[name] = r
+		return
+	}
+	if r.Skipped {
 		return
 	}
 	if r.NsPerOp > prev.NsPerOp {
@@ -170,12 +180,19 @@ func maxPtr(a, b *float64) *float64 {
 // the form:
 //
 //	BenchmarkX-8   100   12345 ns/op   64 B/op   2 allocs/op   4500 scanned/op
+//
+// and, from a -v run, the `--- SKIP: BenchmarkX` lines of benchmarks
+// that called b.Skip, which it records as skipped.
 func parseBenchText(data []byte) (map[string]benchResult, error) {
 	out := map[string]benchResult{}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
+		if len(fields) >= 3 && fields[0] == "---" && fields[1] == "SKIP:" && strings.HasPrefix(fields[2], "Benchmark") {
+			keep(out, benchResult{Name: fields[2], Skipped: true})
+			continue
+		}
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
@@ -246,6 +263,10 @@ func compare(baseline, fresh map[string]benchResult, tolerance float64, requireA
 	for _, name := range names {
 		base := baseline[name]
 		got, ok := fresh[name]
+		if got.Skipped {
+			out = append(out, diffLine{text: fmt.Sprintf("SKIP    %s (skipped in fresh run)", name)})
+			continue
+		}
 		if !ok {
 			out = append(out, diffLine{
 				text: fmt.Sprintf("MISSING %s (in baseline, not in fresh run)", name),
@@ -299,8 +320,8 @@ func compare(baseline, fresh map[string]benchResult, tolerance float64, requireA
 			})
 		}
 	}
-	for name := range fresh {
-		if _, ok := baseline[name]; !ok {
+	for name, r := range fresh {
+		if _, ok := baseline[name]; !ok && !r.Skipped {
 			out = append(out, diffLine{text: fmt.Sprintf("NEW     %s (not in baseline)", name)})
 		}
 	}

@@ -357,3 +357,44 @@ func TestCompareWarnsOnUngatedCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareSkippedVsMissing holds -require-all to a -v fresh run: a
+// baseline benchmark the run skipped is reported as skipped and passes,
+// one the run never mentions fails.
+func TestCompareSkippedVsMissing(t *testing.T) {
+	raw := `BenchmarkKept
+BenchmarkKept-2   	      20	       900 ns/op
+BenchmarkScaleX
+    bench_scale_test.go:60: scale tier skipped in -short mode
+--- SKIP: BenchmarkScaleX
+`
+	fresh, err := parseBenchText([]byte(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := fresh["BenchmarkScaleX"]; !r.Skipped || fresh["BenchmarkKept"].Skipped || len(fresh) != 2 {
+		t.Fatalf("parsed %+v, want BenchmarkKept measured and BenchmarkScaleX skipped", fresh)
+	}
+	baseline := map[string]benchResult{
+		"BenchmarkKept":   {Name: "BenchmarkKept", NsPerOp: 1000},
+		"BenchmarkScaleX": {Name: "BenchmarkScaleX", NsPerOp: 1000},
+		"BenchmarkGone":   {Name: "BenchmarkGone", NsPerOp: 1000},
+	}
+	lines := compare(baseline, fresh, 0.25, true)
+	if fails := failures(lines); len(fails) != 1 || !strings.HasPrefix(fails[0], "MISSING BenchmarkGone") {
+		t.Fatalf("want only the vanished benchmark to fail, got %q", fails)
+	}
+	skipped := false
+	for _, l := range lines {
+		if strings.HasPrefix(l.text, "SKIP    BenchmarkScaleX") {
+			skipped = true
+		}
+	}
+	if !skipped {
+		t.Fatalf("skipped baseline row not reported as skipped: %+v", lines)
+	}
+	delete(baseline, "BenchmarkGone")
+	if fails := failures(compare(baseline, fresh, 0.25, true)); len(fails) != 0 {
+		t.Fatalf("a skipped baseline row failed -require-all: %q", fails)
+	}
+}

@@ -196,7 +196,7 @@ func run(cfg runConfig, stdin io.Reader, w io.Writer) error {
 		ds.Classification.PowerLaw.Alpha, ds.Classification.PowerLaw.XMin, ds.Classification.PowerLaw.KS,
 		ds.Classification.Exponential.Lambda, ds.Classification.Exponential.KS,
 		ds.Classification.LogLikRatio)
-	fmt.Fprintf(w, "classification: %s\n", core.Classify(g))
+	fmt.Fprintf(w, "classification: %s\n", core.Classify(g, ds))
 	c := g.Freeze()
 	report := []metricreg.Selection{{Name: "clustering"}, {Name: "assortativity"}}
 	// The exact hop diameter (the registry's diameter over every source)

@@ -368,7 +368,7 @@ func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*Graph, *GrowthStats, e
 }
 
 // Classify assigns a TopologyClass to a generated graph.
-func Classify(g *Graph) TopologyClass { return core.Classify(g) }
+func Classify(g *Graph) TopologyClass { return core.Classify(g, stats.AnalyzeDegrees(g)) }
 
 // Buy-at-bulk access design (§4).
 type (

@@ -35,12 +35,13 @@ func (c TopologyClass) String() string {
 // own for the topology to be called a star.
 const StarThreshold = 0.5
 
-// Classify assigns a TopologyClass to g using the degree-tail classifier.
-// A graph whose top hub touches >= StarThreshold of the other nodes is a
-// star; otherwise trees are split by their degree-tail kind. Non-trees
-// are classified by tail only (reported as Other when undetermined).
-func Classify(g *graph.Graph) TopologyClass {
-	ds := stats.AnalyzeDegrees(g)
+// Classify assigns a TopologyClass to g from ds, its degree statistics
+// (stats.AnalyzeDegrees(g)), so a caller that already holds them does
+// not fit the degree tail again. A graph whose top hub touches >=
+// StarThreshold of the other nodes is a star; otherwise trees are split
+// by their degree-tail kind. Non-trees are classified by tail only
+// (reported as Other when undetermined).
+func Classify(g *graph.Graph, ds stats.GraphDegreeStats) TopologyClass {
 	if ds.TopDegreeFrac >= StarThreshold {
 		return ClassStar
 	}

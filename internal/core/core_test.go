@@ -50,7 +50,7 @@ func TestFKPSmallAlphaIsStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Classify(g); got != ClassStar {
+	if got := Classify(g, stats.AnalyzeDegrees(g)); got != ClassStar {
 		t.Fatalf("alpha=0.3 classified as %v, want star", got)
 	}
 	if g.Degree(0) != 499 {
@@ -340,7 +340,7 @@ func TestClassifyStarDirect(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		g.AddEdge(graph.Edge{U: 0, V: i})
 	}
-	if got := Classify(g); got != ClassStar {
+	if got := Classify(g, stats.AnalyzeDegrees(g)); got != ClassStar {
 		t.Fatalf("star classified as %v", got)
 	}
 }

@@ -59,7 +59,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 		ds := stats.AnalyzeDegrees(g)
 		return repStat{
 			isTree:   g.IsTree(),
-			class:    core.Classify(g),
+			class:    core.Classify(g, ds),
 			starFrac: ds.TopDegreeFrac,
 			maxDeg:   float64(ds.MaxDegree),
 			plAlpha:  ds.Classification.PowerLaw.Alpha,
@@ -105,7 +105,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 		ds := stats.AnalyzeDegrees(g)
 		return fmt.Sprintf(
 			"ablation centrality=%s @ alpha=8: class=%s maxDeg=%d tail=%s",
-			modes[mi], core.Classify(g), ds.MaxDegree, ds.Classification.Kind), nil
+			modes[mi], core.Classify(g, ds), ds.MaxDegree, ds.Classification.Kind), nil
 	})
 	if err != nil {
 		return nil, err
@@ -118,7 +118,7 @@ func E1FKPSweep(opts Options) (*Table, error) {
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"ablation maxDegree=32 @ alpha=0.3 (would-be star): class=%s maxDeg=%d — port limits forbid the star the pure optimization wants",
-		core.Classify(g), g.MaxDegree()))
+		core.Classify(g, stats.AnalyzeDegrees(g)), g.MaxDegree()))
 	return t, nil
 }
 

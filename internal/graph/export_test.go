@@ -64,3 +64,12 @@ func (g *Graph) LegacyBetweenness() []float64 {
 	}
 	return bc
 }
+
+// ForestBetweenness exposes the forest path of Betweenness to the
+// external tests, which check the graphs it accepts and refuses.
+func (g *Graph) ForestBetweenness() (node, edge []float64, ok bool) {
+	return g.forestBetweenness()
+}
+
+// RaceEnabled reports whether the tests run under the race detector.
+func RaceEnabled() bool { return raceEnabled }
