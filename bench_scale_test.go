@@ -149,7 +149,7 @@ func benchDijkstra(b *testing.B, t *scaleTopo, heap bool) {
 	srcs := benchSources(t.c.NumNodes(), 43)
 	ws := graph.GetWorkspace(t.c.NumNodes())
 	defer ws.Release()
-	t.c.Dijkstra(ws, srcs[0])
+	t.c.DijkstraTo(ws, srcs[0], nil)
 	t.c.DijkstraHeap(ws, srcs[0])
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,7 +157,7 @@ func benchDijkstra(b *testing.B, t *scaleTopo, heap bool) {
 		if heap {
 			t.c.DijkstraHeap(ws, srcs[i%len(srcs)])
 		} else {
-			t.c.Dijkstra(ws, srcs[i%len(srcs)])
+			t.c.DijkstraTo(ws, srcs[i%len(srcs)], nil)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package hotgen
 
-// Benchmark harness: one benchmark per experiment table in DESIGN.md §4
-// (BenchmarkE1... through BenchmarkE11...), each regenerating the
-// corresponding paper claim at reduced-but-representative scale, plus
-// micro-benchmarks of the algorithmic hot paths.
+// Benchmark harness: one benchmark per experiment table that
+// experiments.All returns (BenchmarkE1... through BenchmarkE11...), each
+// regenerating the corresponding paper claim at reduced-but-representative
+// scale, plus micro-benchmarks of the algorithmic hot paths.
 //
 // Run everything with:
 //
@@ -201,21 +201,6 @@ func BenchmarkMaxMinFair(b *testing.B) {
 	}
 }
 
-func BenchmarkExactAccessOPT(b *testing.B) {
-	in, err := access.RandomInstance(access.InstanceConfig{
-		N: 6, Seed: 1, DemandMin: 1, DemandMax: 8, RootAtCenter: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := access.ExactTreeOPT(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRobustnessSweep(b *testing.B) {
 	g, err := gen.BarabasiAlbertContext(context.Background(), 800, 2, 1)
 	if err != nil {
@@ -254,11 +239,11 @@ func BenchmarkDijkstraCSRPooled(b *testing.B) {
 	c := g.Freeze()
 	ws := graph.GetWorkspace(c.NumNodes())
 	defer ws.Release()
-	c.Dijkstra(ws, 0) // warm the heap buffers before measuring
+	c.DijkstraTo(ws, 0, nil) // warm the heap buffers before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Dijkstra(ws, i%c.NumNodes())
+		c.DijkstraTo(ws, i%c.NumNodes(), nil)
 	}
 }
 

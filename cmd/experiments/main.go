@@ -1,6 +1,6 @@
-// Command experiments runs the paper-reproduction experiments E1–E9 from
-// DESIGN.md and prints their tables. EXPERIMENTS.md records a
-// representative full-scale run.
+// Command experiments runs the paper-reproduction experiments E1–E11
+// and prints their tables. An -only list that names an unknown id prints
+// the valid ids and exits 2 before anything runs.
 //
 // Usage:
 //
@@ -14,7 +14,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -31,18 +33,14 @@ func main() {
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
+	runners, err := selectRunners(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
 	}
 	opts := experiments.Options{Seed: *seed, Scale: *scale, Reps: *reps, Workers: *workers}
 	failed := false
-	for _, r := range experiments.All() {
-		if len(want) > 0 && !want[r.ID] {
-			continue
-		}
+	for _, r := range runners {
 		start := time.Now()
 		tbl, err := r.Run(opts)
 		if err != nil {
@@ -56,4 +54,33 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// selectRunners resolves a comma-separated -only list against
+// experiments.All, ignoring case and spaces, and returns the named
+// runners in All's order; an empty list selects every runner. An id that
+// names no experiment is an error that lists the valid ids.
+func selectRunners(only string) ([]experiments.Runner, error) {
+	all := experiments.All()
+	if strings.TrimSpace(only) == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		want[strings.ToUpper(strings.TrimSpace(id))] = true
+	}
+	var out []experiments.Runner
+	ids := make([]string, len(all))
+	for i, r := range all {
+		ids[i] = r.ID
+		if want[r.ID] {
+			out = append(out, r)
+			delete(want, r.ID)
+		}
+	}
+	if len(want) > 0 {
+		return nil, fmt.Errorf("unknown experiment id(s) %q; valid ids: %s",
+			slices.Sorted(maps.Keys(want)), strings.Join(ids, ","))
+	}
+	return out, nil
 }

@@ -56,9 +56,15 @@ func main() {
 		out     = flag.String("o", "-", "output file ('-' = stdout)")
 		list    = flag.Bool("list", false, "list registered attacks with their parameters and exit")
 	)
-	var gparams, aparams stringList
-	flag.Var(&gparams, "gparam", "generator parameter as name=value (repeatable)")
-	flag.Var(&aparams, "param", "attack parameter as attack.name=value (repeatable)")
+	var gparams, aparams []string
+	flag.Func("gparam", "generator parameter as name=value (repeatable)", func(v string) error {
+		gparams = append(gparams, v)
+		return nil
+	})
+	flag.Func("param", "attack parameter as attack.name=value (repeatable)", func(v string) error {
+		aparams = append(aparams, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *list {
@@ -83,16 +89,6 @@ func main() {
 // listAttacks prints every registered attack with its traits and
 // parameters, sorted by name.
 func listAttacks(w io.Writer) { attackreg.Default().Format(w, "-param ", true) }
-
-// stringList collects a repeatable flag.
-type stringList []string
-
-func (s *stringList) String() string { return strings.Join(*s, ",") }
-
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
 
 type config struct {
 	model            string

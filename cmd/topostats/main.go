@@ -60,9 +60,15 @@ func main() {
 		sites    = flag.Int("sites", 16, "top-degree traffic sites for -traffic demand generation")
 		capacity = flag.Float64("capacity", 1, "capacity substituted on unprovisioned edges before allocating (-traffic; <= 0 keeps raw zeros)")
 	)
-	var mparams, tparams stringList
-	flag.Var(&mparams, "param", "metric parameter as metric.name=value (repeatable; requires -metrics)")
-	flag.Var(&tparams, "tparam", "traffic-model parameter as model.name=value (repeatable; requires -traffic)")
+	var mparams, tparams []string
+	flag.Func("param", "metric parameter as metric.name=value (repeatable; requires -metrics)", func(v string) error {
+		mparams = append(mparams, v)
+		return nil
+	})
+	flag.Func("tparam", "traffic-model parameter as model.name=value (repeatable; requires -traffic)", func(v string) error {
+		tparams = append(tparams, v)
+		return nil
+	})
 	flag.Parse()
 
 	if *list {
@@ -77,16 +83,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "topostats: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// stringList collects a repeatable string flag.
-type stringList []string
-
-func (l *stringList) String() string { return fmt.Sprintf("%v", []string(*l)) }
-
-func (l *stringList) Set(s string) error {
-	*l = append(*l, s)
-	return nil
 }
 
 // listMetrics prints the metric registry and the traffic-model

@@ -15,7 +15,8 @@ func Example_fkpRegimes() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("alpha=%-6g %s\n", alpha, hotgen.Classify(g))
+		class, _ := hotgen.Classify(g)
+		fmt.Printf("alpha=%-6g %s\n", alpha, class)
 	}
 	// Output:
 	// alpha=0.3    star

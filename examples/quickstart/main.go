@@ -27,9 +27,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tail := hotgen.ClassifyTail(g.Degrees())
+		class, tail := hotgen.Classify(g)
 		fmt.Printf("%-36s alpha=%-8.1f class=%-16s maxDeg=%-4d tail=%s\n",
-			c.label, c.alpha, hotgen.Classify(g), g.MaxDegree(), tail.Kind)
+			c.label, c.alpha, class, g.MaxDegree(), tail.Kind)
 	}
 
 	// The same model through the generalized HOT framework, with a router
@@ -45,6 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	class, _ := hotgen.Classify(g)
 	fmt.Printf("\nport-capped would-be star:           class=%-16s maxDeg=%-4d totalCable=%.1f\n",
-		hotgen.Classify(g), g.MaxDegree(), stats.TotalLinkLength)
+		class, g.MaxDegree(), stats.TotalLinkLength)
 }

@@ -237,7 +237,7 @@ const (
 )
 
 // MetricNames lists every registered metric name, sorted.
-func MetricNames() []string { return metricreg.Names() }
+func MetricNames() []string { return metricreg.Default().Names() }
 
 // RegisterMetric adds a custom metric to the default registry.
 func RegisterMetric(m Metric) error { return metricreg.Register(m) }
@@ -266,7 +266,7 @@ func ProfileMetricSet() []MetricSelection { return metrics.ProfileSet() }
 func NewEngine(reg *GeneratorRegistry) *Engine { return scenario.NewEngine(reg) }
 
 // Generators lists every registered model name, sorted.
-func Generators() []string { return scenario.Names() }
+func Generators() []string { return scenario.Default().Names() }
 
 // RegisterGenerator adds a custom model to the default registry.
 func RegisterGenerator(g Generator) error { return scenario.Register(g) }
@@ -330,9 +330,6 @@ type (
 // with its Release method.
 func GetWorkspace(n int) *Workspace { return graph.GetWorkspace(n) }
 
-// NewWorkspace returns an unpooled Workspace sized for n-node graphs.
-func NewWorkspace(n int) *Workspace { return graph.NewWorkspace(n) }
-
 // UnitSquare is the canonical generation region.
 var UnitSquare = geom.UnitSquare
 
@@ -367,8 +364,12 @@ func GrowHOTContext(ctx context.Context, cfg HOTConfig) (*Graph, *GrowthStats, e
 	return core.GrowHOTContext(ctx, cfg)
 }
 
-// Classify assigns a TopologyClass to a generated graph.
-func Classify(g *Graph) TopologyClass { return core.Classify(g, stats.AnalyzeDegrees(g)) }
+// Classify assigns a TopologyClass to a generated graph and returns the
+// degree-tail classification the class rests on, from one tail fit.
+func Classify(g *Graph) (TopologyClass, TailClassification) {
+	ds := stats.AnalyzeDegrees(g)
+	return core.Classify(g, ds), ds.Classification
+}
 
 // Buy-at-bulk access design (§4).
 type (
@@ -484,7 +485,7 @@ func RegisterDemandModel(m DemandModel) error { return trafficreg.Register(m) }
 
 // LookupDemandModel resolves a demand-model name ("" is gravity) in the
 // default registry.
-func LookupDemandModel(name string) (DemandModel, error) { return trafficreg.Lookup(name) }
+func LookupDemandModel(name string) (DemandModel, error) { return trafficreg.Default().Lookup(name) }
 
 // GenerateDemandMatrix validates sel against the named model's specs
 // and generates the city-to-city demand matrix for geo, honoring ctx.
@@ -508,13 +509,6 @@ func GenerateGeography(cfg GeographyConfig) (*Geography, error) {
 // GravityDemand builds the gravity-model demand matrix.
 func GravityDemand(g *Geography, cfg GravityConfig) DemandMatrix {
 	return traffic.GravityDemand(g, cfg)
-}
-
-// ArrivalPoints draws population-weighted arrival locations from a
-// geography, for use as HOTConfig.Arrivals (§2.1: customers concentrate
-// in the big cities).
-func ArrivalPoints(g *Geography, n int, spread float64, seed int64) []Point {
-	return traffic.ArrivalPoints(g, n, spread, seed)
 }
 
 // ISP design (§2.2).
@@ -785,19 +779,11 @@ func MaxMinFairContext(ctx context.Context, g *Graph, c *CSR, demands []Demand) 
 	return routing.MaxMinFairContext(ctx, g, c, demands)
 }
 
-// ExactAccessOPT computes the exact optimal buy-at-bulk tree cost for a
-// tiny instance (<= access.MaxExactCustomers customers) by exhaustive
-// Prüfer enumeration — the ground truth the heuristics are validated
-// against.
-func ExactAccessOPT(in *AccessInstance) (float64, []int, error) {
-	return access.ExactTreeOPT(in)
-}
-
 // RobustnessMetricCurve is one masked metric's values across a sweep's
 // removal fractions.
 type RobustnessMetricCurve = robust.MetricCurve
 
-// Experiments: the E1–E9 harness used by cmd/experiments and the benches.
+// Experiments: the E1–E11 harness used by cmd/experiments and the benches.
 type (
 	// ExperimentOptions tunes experiment scale and seeds.
 	ExperimentOptions = experiments.Options
@@ -807,7 +793,7 @@ type (
 	ExperimentRunner = experiments.Runner
 )
 
-// Experiments returns all experiment runners E1–E10 in order.
+// Experiments returns all experiment runners E1–E11 in order.
 func Experiments() []ExperimentRunner { return experiments.All() }
 
 // Anonymization (§5 research agenda).
@@ -833,8 +819,6 @@ type (
 	MetricVector = validate.MetricVector
 	// TopologyComparison scores a candidate against a reference.
 	TopologyComparison = validate.Comparison
-	// Interval is a bootstrap confidence interval.
-	Interval = validate.Interval
 )
 
 // MeasureTopology computes the validation metric vector; an empty
@@ -848,10 +832,4 @@ func MeasureTopology(ctx context.Context, g *Graph, seed int64) (MetricVector, e
 // empty topology wraps ErrBadParam.
 func CompareTopologies(ctx context.Context, ref, cand *Graph, seed int64) (TopologyComparison, error) {
 	return validate.CompareContext(ctx, ref, cand, seed)
-}
-
-// ResilienceCI bootstraps a confidence interval for the resilience
-// metric, so comparisons can be judged against sampling noise.
-func ResilienceCI(g *Graph, reps int, seed int64) Interval {
-	return validate.ResilienceCI(g, reps, seed)
 }

@@ -18,7 +18,7 @@ func TestFacadeFKPPipeline(t *testing.T) {
 	if g.NumNodes() != 400 || !g.IsTree() {
 		t.Fatal("facade FKP broken")
 	}
-	if c := Classify(g); c.String() == "" {
+	if c, tail := Classify(g); c.String() == "" || tail.Kind.String() == "" {
 		t.Fatal("classification missing")
 	}
 	prof, err := ComputeProfileContext(context.Background(), g, nil, 1, 0)
@@ -194,10 +194,6 @@ func TestFacadeValidationAndAnonymization(t *testing.T) {
 	if self, err := CompareTopologies(ctx, a, a, 1); err != nil || self.Distance > 1e-9 {
 		t.Fatalf("self comparison should be ~0: %v, %v", self.Distance, err)
 	}
-	iv := ResilienceCI(a, 10, 2)
-	if iv.Low > iv.High {
-		t.Fatal("bad interval")
-	}
 	scrubbed := Anonymize(a, AnonymizeOptions{Seed: 3, PermuteIDs: true})
 	if SummarizeTopology(scrubbed, 4).MaxDegree != SummarizeTopology(a, 4).MaxDegree {
 		t.Fatal("anonymization changed structure")
@@ -239,10 +235,6 @@ func TestFacadeTransitAndRings(t *testing.T) {
 	}
 	if !rep.Ring2EdgeConn {
 		t.Fatal("ring should be 2-edge-connected")
-	}
-	arr := ArrivalPoints(geo, 30, 0.02, 10)
-	if len(arr) != 30 {
-		t.Fatal("arrival points wrong count")
 	}
 }
 

@@ -22,3 +22,20 @@ func BenchmarkMMP3k(b *testing.B) {
 	b.ReportMetric(float64(net.evals), "evals/op")
 	b.ReportMetric(float64(net.cells), "cells/op")
 }
+
+// BenchmarkExactAccessOPT enumerates every spanning tree of a six-customer
+// instance with the exact oracle the heuristics are tested against.
+func BenchmarkExactAccessOPT(b *testing.B) {
+	in, err := RandomInstance(InstanceConfig{
+		N: 6, Seed: 1, DemandMin: 1, DemandMax: 8, RootAtCenter: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := exactTreeOPT(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,27 +8,26 @@ import (
 	"repro/internal/graph"
 )
 
-// MaxExactCustomers bounds ExactTreeOPT's instance size: the enumeration
+// maxExactCustomers bounds exactTreeOPT's instance size: the enumeration
 // visits (n+1)^(n-1) spanning trees.
-const MaxExactCustomers = 7
+const maxExactCustomers = 7
 
-// ExactTreeOPT computes the exact optimal cost over all spanning trees of
+// exactTreeOPT computes the exact optimal cost over all spanning trees of
 // root + customers (no Steiner points — the same solution class the
 // incremental heuristics search), by enumerating every labelled tree via
 // Prüfer sequences and pricing each with the optimal cable assignment.
 // It returns the optimal cost and the optimal tree as parent ids
 // (parent[i] for customer i, with 0 the root; parent[root] is -1).
 //
-// This is the ground truth the heuristics are validated against in tests
-// and in the E3 notes: exponential in n, so n is capped at
-// MaxExactCustomers.
-func ExactTreeOPT(in *Instance) (float64, []int, error) {
+// This is the ground truth the heuristics are validated against:
+// exponential in n, so n is capped at maxExactCustomers.
+func exactTreeOPT(in *Instance) (float64, []int, error) {
 	if err := in.Validate(); err != nil {
 		return 0, nil, err
 	}
 	n := len(in.Customers)
-	if n > MaxExactCustomers {
-		return 0, nil, fmt.Errorf("access: exact solver capped at %d customers (got %d)", MaxExactCustomers, n)
+	if n > maxExactCustomers {
+		return 0, nil, fmt.Errorf("access: exact solver capped at %d customers (got %d)", maxExactCustomers, n)
 	}
 	m := n + 1 // tree nodes: 0 = root, 1..n = customers
 	if m == 1 {
@@ -158,9 +157,9 @@ func ExactTreeOPT(in *Instance) (float64, []int, error) {
 	return best, append([]int(nil), bestParent...), nil
 }
 
-// BuildTreeFromParents materializes a Network from a parent array as
-// returned by ExactTreeOPT.
-func BuildTreeFromParents(in *Instance, parent []int) (*Network, error) {
+// buildTreeFromParents materializes a Network from a parent array as
+// returned by exactTreeOPT.
+func buildTreeFromParents(in *Instance, parent []int) (*Network, error) {
 	g := newNetworkSkeleton(in)
 	for v := 1; v < len(parent); v++ {
 		p := parent[v]

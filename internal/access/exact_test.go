@@ -21,7 +21,7 @@ func tinyInstance(t *testing.T, n int, seed int64) *Instance {
 func TestExactOPTAboveLowerBound(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		in := tinyInstance(t, 6, seed)
-		opt, parent, err := ExactTreeOPT(in)
+		opt, parent, err := exactTreeOPT(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestExactOPTAboveLowerBound(t *testing.T) {
 func TestHeuristicsNeverBeatExact(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		in := tinyInstance(t, 6, seed)
-		opt, _, err := ExactTreeOPT(in)
+		opt, _, err := exactTreeOPT(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestMMPNearOptimalOnTinyInstances(t *testing.T) {
 	worst := 0.0
 	for seed := int64(0); seed < 10; seed++ {
 		in := tinyInstance(t, 6, seed)
-		opt, _, err := ExactTreeOPT(in)
+		opt, _, err := exactTreeOPT(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,12 +88,12 @@ func TestExactOPTMatchesBruteCheckOnTwoCustomers(t *testing.T) {
 	// With 2 customers there are exactly 3 labelled trees; verify by
 	// hand pricing.
 	in := tinyInstance(t, 2, 3)
-	opt, parent, err := ExactTreeOPT(in)
+	opt, parent, err := exactTreeOPT(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	price := func(parent []int) float64 {
-		net, err := BuildTreeFromParents(in, parent)
+		net, err := buildTreeFromParents(in, parent)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,18 +116,18 @@ func TestExactOPTMatchesBruteCheckOnTwoCustomers(t *testing.T) {
 }
 
 func TestExactOPTCapEnforced(t *testing.T) {
-	in := tinyInstance(t, MaxExactCustomers+1, 4)
-	if _, _, err := ExactTreeOPT(in); err == nil {
+	in := tinyInstance(t, maxExactCustomers+1, 4)
+	if _, _, err := exactTreeOPT(in); err == nil {
 		t.Fatal("oversized instance should be rejected")
 	}
 }
 
 func TestBuildTreeFromParentsValidates(t *testing.T) {
 	in := tinyInstance(t, 3, 5)
-	if _, err := BuildTreeFromParents(in, []int{-1, 0, 99, 0}); err == nil {
+	if _, err := buildTreeFromParents(in, []int{-1, 0, 99, 0}); err == nil {
 		t.Fatal("bad parent id should error")
 	}
-	net, err := BuildTreeFromParents(in, []int{-1, 0, 0, 0})
+	net, err := buildTreeFromParents(in, []int{-1, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBuildTreeFromParentsValidates(t *testing.T) {
 
 func TestExactSingleCustomer(t *testing.T) {
 	in := tinyInstance(t, 1, 6)
-	opt, parent, err := ExactTreeOPT(in)
+	opt, parent, err := exactTreeOPT(in)
 	if err != nil {
 		t.Fatal(err)
 	}

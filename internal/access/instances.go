@@ -15,10 +15,9 @@ type InstanceConfig struct {
 	Region  geom.Rect // zero value = unit square
 	Catalog Catalog   // nil = DefaultCatalog
 	// Demand distribution: bounded Pareto on [DemandMin, DemandMax] with
-	// shape DemandShape. DemandMax <= DemandMin gives constant DemandMin.
-	DemandMin   float64
-	DemandMax   float64
-	DemandShape float64
+	// shape 1.2. DemandMax <= DemandMin gives constant DemandMin.
+	DemandMin float64
+	DemandMax float64
 	// Clusters > 0 scatters customers around that many Gaussian metro
 	// clusters instead of uniformly (paper §2.1: "most customers reside
 	// in the big cities").
@@ -76,11 +75,7 @@ func RandomInstance(cfg InstanceConfig) (*Instance, error) {
 	for _, p := range pts {
 		d := dmin
 		if cfg.DemandMax > dmin {
-			shape := cfg.DemandShape
-			if shape <= 0 {
-				shape = 1.2
-			}
-			d = rng.BoundedPareto(r, dmin, cfg.DemandMax, shape)
+			d = rng.BoundedPareto(r, dmin, cfg.DemandMax, 1.2)
 		}
 		in.Customers = append(in.Customers, Customer{Loc: p, Demand: d})
 	}

@@ -1,7 +1,7 @@
-// Package experiments contains one runner per experiment E1–E9 from
-// DESIGN.md. Each runner regenerates one quantitative claim of the paper
-// and returns a formatted table; cmd/experiments prints them and
-// EXPERIMENTS.md records representative output.
+// Package experiments contains one runner per experiment, E1–E11 in the
+// order All returns them. Each runner regenerates one quantitative claim
+// of the paper and returns a formatted table; cmd/experiments prints
+// them, and testdata/all.golden pins every table at a reduced scale.
 package experiments
 
 import (

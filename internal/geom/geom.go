@@ -38,11 +38,6 @@ type Rect struct {
 // UnitSquare is the canonical region used by the paper-style models.
 var UnitSquare = Rect{0, 0, 1, 1}
 
-// Contains reports whether p lies inside r (inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

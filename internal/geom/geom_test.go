@@ -40,16 +40,31 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
+// inside reports whether p lies in r, boundary included.
+func inside(r Rect, p Point) bool {
+	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
+}
+
+// TestRectContains checks that Bounds and Union contain every point and
+// rectangle they were built from, with the extreme points on the
+// boundary, and nothing beyond it.
 func TestRectContains(t *testing.T) {
-	r := Rect{0, 0, 2, 1}
-	if !r.Contains(Point{1, 0.5}) {
-		t.Fatal("interior point not contained")
+	p := Point{1, 0.5}
+	pts := []Point{{0, 1}, {2, 0}, {1.5, 0.75}}
+	b := Bounds(p, pts)
+	if b != (Rect{0, 0, 2, 1}) {
+		t.Fatalf("Bounds = %v, want {0 0 2 1}", b)
 	}
-	if !r.Contains(Point{0, 0}) || !r.Contains(Point{2, 1}) {
-		t.Fatal("boundary points must be contained")
+	for _, q := range append(pts, p) {
+		if !inside(b, q) {
+			t.Fatalf("Bounds %v does not contain %v", b, q)
+		}
 	}
-	if r.Contains(Point{2.1, 0.5}) {
+	if inside(b, Point{2.1, 0.5}) {
 		t.Fatal("exterior point contained")
+	}
+	if u := b.Union(Rect{-1, 0.5, 0.5, 3}); u != (Rect{-1, 0, 2, 3}) {
+		t.Fatalf("Union = %v, want {-1 0 2 3}", u)
 	}
 }
 
@@ -73,7 +88,7 @@ func TestRandomPointsInside(t *testing.T) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for _, p := range pts {
-		if !UnitSquare.Contains(p) {
+		if !inside(UnitSquare, p) {
 			t.Fatalf("point %v outside unit square", p)
 		}
 	}
@@ -83,7 +98,7 @@ func TestGaussianClusterClamped(t *testing.T) {
 	r := rng.New(3)
 	pts := UnitSquare.GaussianCluster(r, Point{0.01, 0.01}, 0.5, 500)
 	for _, p := range pts {
-		if !UnitSquare.Contains(p) {
+		if !inside(UnitSquare, p) {
 			t.Fatalf("cluster point %v escaped region", p)
 		}
 	}

@@ -255,10 +255,11 @@ func (c *CSR) Neighbors(u int, fn func(v, edgeID int, w float64)) {
 // modified.
 func (c *CSR) SortedRow(u int) []int32 { return c.bfsNbr[c.rowStart[u]:c.rowStart[u+1]] }
 
-// Dijkstra computes single-source shortest paths by edge weight from src
-// into ws.Dist (Inf if unreachable), ws.Parent and ws.ParentEdge (-1 for
-// src/unreachable), resolving ties by the smallest-id parent contract
-// documented on CSR. It allocates nothing once ws has warmed up.
+// DijkstraTo computes single-source shortest paths by edge weight from
+// src into ws.Dist (Inf if unreachable), ws.Parent and ws.ParentEdge (-1
+// for src/unreachable), resolving ties by the smallest-id parent
+// contract documented on CSR, and may stop before the whole graph is
+// settled. It allocates nothing once ws has warmed up.
 //
 // When the snapshot's weights are finite and non-negative the kernel is
 // a bucketed (delta-stepping style) monotone priority queue — the
@@ -266,23 +267,18 @@ func (c *CSR) SortedRow(u int) []int32 { return c.bfsNbr[c.rowStart[u]:c.rowStar
 // with no per-relaxation log factor; otherwise it falls back to
 // DijkstraHeap, which preserves the historical lazy panic on reaching a
 // negative edge.
-func (c *CSR) Dijkstra(ws *Workspace, src int) {
-	c.DijkstraTo(ws, src, nil)
-}
-
-// DijkstraTo is Dijkstra that may stop before the whole graph is
-// settled, and like it allocates nothing once ws has warmed up. With a
-// non-empty targets list the bucketed kernel stops after the bucket
-// window in which the last distinct target was dequeued has drained.
-// Every later relaxation starts from a node in a later bucket, hence at
-// a strictly larger distance, so at that point each target's Dist,
-// Parent and ParentEdge — and those of every node on its parent chain,
-// which sit at no larger distance — are final and bit-identical to a
-// full run, zero-weight ties included. Entries of other nodes the run
-// reached may be tentative; every node it did not reach, an unreachable
-// target included, reads Inf and -1. Empty targets is a full run, and
-// snapshots that take the heap fallback always run in full. Targets
-// must be valid node ids; duplicates are allowed.
+//
+// With a non-empty targets list the bucketed kernel stops after the
+// bucket window in which the last distinct target was dequeued has
+// drained. Every later relaxation starts from a node in a later bucket,
+// hence at a strictly larger distance, so at that point each target's
+// Dist, Parent and ParentEdge — and those of every node on its parent
+// chain, which sit at no larger distance — are final and bit-identical
+// to a full run, zero-weight ties included. Entries of other nodes the
+// run reached may be tentative; every node it did not reach, an
+// unreachable target included, reads Inf and -1. Empty targets is a full
+// run, and snapshots that take the heap fallback always run in full.
+// Targets must be valid node ids; duplicates are allowed.
 //
 // When targets names exactly one node other than src, the bidirectional
 // kernel runs instead: a backward search from the target meets the
@@ -327,7 +323,7 @@ func singleTarget(src int, targets []int) int {
 
 // DijkstraHeap is the reference shortest-path kernel: a lazy binary heap
 // over ws-owned parallel arrays. It produces bit-identical results to
-// the bucketed kernel behind Dijkstra and is kept exported for parity
+// the bucketed kernel behind DijkstraTo and is kept exported for parity
 // tests and for snapshots whose weights disqualify bucketing. Negative
 // edge weights panic when reached.
 func (c *CSR) DijkstraHeap(ws *Workspace, src int) {
@@ -392,7 +388,7 @@ const (
 )
 
 // dijkstraBucket is the bucketed monotone-priority-queue kernel behind
-// Dijkstra. Tentative distances are binned into delta-width buckets
+// DijkstraTo. Tentative distances are binned into delta-width buckets
 // processed in increasing order. Buckets are intrusive doubly-linked
 // lists over ws-owned arrays, so each node holds at most one live entry:
 // a distance improvement moves the node to its new bucket (a decrease-key)

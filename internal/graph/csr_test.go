@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// newWorkspace returns a fresh, unpooled Workspace sized for n-node
+// graphs.
+func newWorkspace(n int) *Workspace {
+	ws := &Workspace{}
+	ws.Reserve(n)
+	return ws
+}
+
 // randomTestGraph builds a connected-ish weighted graph with some parallel
 // edges, exercising every CSR code path.
 func randomTestGraph(n, extraEdges int, seed int64) *Graph {
@@ -88,10 +96,10 @@ func TestCSRDijkstraMatchesGraph(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := randomTestGraph(120, 200, seed)
 		c := g.Freeze()
-		ws := NewWorkspace(g.NumNodes())
+		ws := newWorkspace(g.NumNodes())
 		for src := 0; src < g.NumNodes(); src += 7 {
 			dist := heapDijkstra(g, src)
-			c.Dijkstra(ws, src)
+			c.DijkstraTo(ws, src, nil)
 			for v := range dist {
 				if dist[v] != ws.Dist[v] {
 					t.Fatalf("seed %d src %d: dist[%d] = %v (graph) vs %v (csr)", seed, src, v, dist[v], ws.Dist[v])
@@ -120,7 +128,7 @@ func TestCSRDijkstraMatchesGraph(t *testing.T) {
 func TestCSRBFSMatchesGraph(t *testing.T) {
 	g := randomTestGraph(150, 100, 4)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	for src := 0; src < g.NumNodes(); src += 11 {
 		dist := adjacencyBFS(g, src)
 		c.BFS(ws, src)
@@ -135,7 +143,7 @@ func TestCSRBFSMatchesGraph(t *testing.T) {
 func TestCSREccentricityMatchesGraph(t *testing.T) {
 	g := randomTestGraph(80, 60, 5)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	for src := 0; src < g.NumNodes(); src += 9 {
 		if got, want := hopEccentricity(c, ws, src), legacyEccentricity(g, src); got != want {
 			t.Fatalf("src %d: hop eccentricity %d vs %d", src, got, want)
@@ -146,7 +154,7 @@ func TestCSREccentricityMatchesGraph(t *testing.T) {
 func TestLargestComponentMaskedMatchesRemoveNodes(t *testing.T) {
 	g := randomTestGraph(100, 40, 6)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	r := rand.New(rand.NewSource(7))
 	removed := make([]bool, g.NumNodes())
 	var removedIDs []int
@@ -177,7 +185,7 @@ func TestLargestComponentMaskedMatchesRemoveNodes(t *testing.T) {
 func TestLargestComponentEdgeMaskedMatchesSubgraph(t *testing.T) {
 	g := randomTestGraph(80, 30, 9)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	r := rand.New(rand.NewSource(11))
 	removedEdge := make([]bool, g.NumEdges())
 	removedCount := 0
@@ -215,8 +223,8 @@ func TestCSREmptyGraph(t *testing.T) {
 	if c.NumNodes() != 0 || c.NumEdges() != 0 {
 		t.Fatalf("empty CSR has %d nodes %d edges", c.NumNodes(), c.NumEdges())
 	}
-	ws := NewWorkspace(0)
-	c.Dijkstra(ws, 0)
+	ws := newWorkspace(0)
+	c.DijkstraTo(ws, 0, nil)
 	c.BFS(ws, 0)
 	if got := c.LargestComponentMasked(ws, nil, nil); got != 0 {
 		t.Fatalf("empty LCC = %d", got)
@@ -227,11 +235,11 @@ func TestWorkspacePoolReuse(t *testing.T) {
 	g := randomTestGraph(60, 30, 8)
 	c := g.Freeze()
 	ws := GetWorkspace(g.NumNodes())
-	c.Dijkstra(ws, 0)
+	c.DijkstraTo(ws, 0, nil)
 	d0 := ws.Dist[5]
 	ws.Release()
 	ws2 := GetWorkspace(g.NumNodes())
-	c.Dijkstra(ws2, 0)
+	c.DijkstraTo(ws2, 0, nil)
 	if ws2.Dist[5] != d0 {
 		t.Fatalf("pooled workspace result differs: %v vs %v", ws2.Dist[5], d0)
 	}
@@ -254,7 +262,7 @@ func TestWorkspacePoolReuse(t *testing.T) {
 func TestWorkspaceEpochWraparound(t *testing.T) {
 	g := randomTestGraph(20, 10, 10)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	ws.epoch = ^uint32(0) - 1 // force a wraparound within two calls
 	removed := make([]bool, g.NumNodes())
 	a := c.LargestComponentMasked(ws, removed, nil)
@@ -297,19 +305,19 @@ func TestCSRDijkstraNegativeWeightPanics(t *testing.T) {
 	g.AddNode(Node{})
 	g.AddEdge(Edge{U: 0, V: 1, Weight: -1})
 	c := g.Freeze()
-	ws := NewWorkspace(2)
+	ws := newWorkspace(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative weight did not panic")
 		}
 	}()
-	c.Dijkstra(ws, 0)
+	c.DijkstraTo(ws, 0, nil)
 }
 
 func TestLargestComponentMixedMaskedMatchesSubgraph(t *testing.T) {
 	g := randomTestGraph(90, 50, 13)
 	c := g.Freeze()
-	ws := NewWorkspace(g.NumNodes())
+	ws := newWorkspace(g.NumNodes())
 	r := rand.New(rand.NewSource(17))
 	removedNode := make([]bool, g.NumNodes())
 	removedEdge := make([]bool, g.NumEdges())

@@ -42,8 +42,8 @@ func TestDijkstraToMatchesHeap(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			ref := NewWorkspace(n)
-			ws := NewWorkspace(n)
+			ref := newWorkspace(n)
+			ws := newWorkspace(n)
 			for src := 0; src < n-1; src += 13 {
 				c.DijkstraHeap(ref, src)
 				adjacent := int(c.nbr[c.rowStart[src]])
@@ -202,8 +202,8 @@ func TestDijkstraToSingleTargetAllPairs(t *testing.T) {
 			t.Fatalf("%s: goal-directed %v, want %v", snap.name, goal, snap.wantGoal)
 		}
 		n := c.NumNodes()
-		ref := NewWorkspace(n)
-		ws := NewWorkspace(n)
+		ref := newWorkspace(n)
+		ws := newWorkspace(n)
 		targets := make([]int, 1)
 		for src := 0; src < n-1; src += stride {
 			c.DijkstraHeap(ref, src)
@@ -226,7 +226,7 @@ func TestDijkstraToSingleTargetAllPairs(t *testing.T) {
 func TestDijkstraToStopsAtTarget(t *testing.T) {
 	const n = 100
 	c := pathGraph(n).Freeze()
-	ws := NewWorkspace(n)
+	ws := newWorkspace(n)
 	runs := map[string]func(targets []int){
 		"bucket":     func(tg []int) { c.dijkstraBucket(ws, 0, tg) },
 		"DijkstraTo": func(tg []int) { c.DijkstraTo(ws, 0, tg) },
@@ -252,7 +252,7 @@ func TestDijkstraToStopsAtTarget(t *testing.T) {
 func TestDijkstraToZeroAllocs(t *testing.T) {
 	for _, g := range []*Graph{randomTestGraph(500, 1500, 7), geoSnapshots()[0].g} {
 		c := g.Freeze()
-		ws := NewWorkspace(c.NumNodes())
+		ws := newWorkspace(c.NumNodes())
 		for _, targets := range [][]int{{3, 100, 143}, {100}} {
 			c.DijkstraTo(ws, 0, targets)
 			if allocs := testing.AllocsPerRun(50, func() { c.DijkstraTo(ws, 0, targets) }); allocs != 0 {
@@ -289,7 +289,7 @@ func TestGoalBoundBelowDistances(t *testing.T) {
 			t.Fatalf("graph %d: expected a goal-directed snapshot", gi)
 		}
 		n := c.NumNodes()
-		ws := NewWorkspace(n)
+		ws := newWorkspace(n)
 		for tgt := 0; tgt < n; tgt++ {
 			c.DijkstraHeap(ws, tgt)
 			pot := c.potential(tgt, tgt)
@@ -317,7 +317,7 @@ func TestWorkspaceLabelReset(t *testing.T) {
 	big.AddNode(Node{}) // isolated: never reached
 	small := geoSnapshots()[0].g
 	cb, cs := big.Freeze(), small.Freeze()
-	ws := NewWorkspace(0)
+	ws := newWorkspace(0)
 	r := rand.New(rand.NewSource(5))
 	for step := 0; step < 400; step++ {
 		c := cb
@@ -344,7 +344,7 @@ func TestWorkspaceLabelReset(t *testing.T) {
 			targets = []int{r.Intn(n), r.Intn(n), n - 1}
 		}
 		c.DijkstraTo(ws, src, targets)
-		fresh := NewWorkspace(n)
+		fresh := newWorkspace(n)
 		c.DijkstraHeap(fresh, src)
 		if len(targets) == 0 {
 			targets = make([]int, n)

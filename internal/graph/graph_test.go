@@ -137,7 +137,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestBFSDistances(t *testing.T) {
 	c := pathGraph(5).Freeze()
-	ws := NewWorkspace(c.NumNodes())
+	ws := newWorkspace(c.NumNodes())
 	c.BFS(ws, 0)
 	for i := 0; i < 5; i++ {
 		if ws.Hop[i] != int32(i) {
@@ -155,7 +155,7 @@ func TestBFSDisconnected(t *testing.T) {
 	g.AddNode(Node{})
 	g.AddNode(Node{})
 	g.AddEdge(Edge{U: 0, V: 1})
-	ws := NewWorkspace(3)
+	ws := newWorkspace(3)
 	g.Freeze().BFS(ws, 0)
 	if ws.Hop[2] != -1 {
 		t.Fatal("unreachable node should have dist -1")
@@ -225,7 +225,7 @@ func TestHopDiameterAndEccentricity(t *testing.T) {
 		t.Fatalf("path diameter = %d, want 6", d)
 	}
 	c := g.Freeze()
-	if e := hopEccentricity(c, NewWorkspace(c.NumNodes()), 3); e != 3 {
+	if e := hopEccentricity(c, newWorkspace(c.NumNodes()), 3); e != 3 {
 		t.Fatalf("center eccentricity = %d, want 3", e)
 	}
 	if d := hopDiameter(starGraph(10)); d != 2 {
@@ -241,13 +241,13 @@ func TestLeaves(t *testing.T) {
 	}
 }
 
-// csrDijkstra freezes g and returns CSR.Dijkstra's distances and
-// shortest-path tree from src.
+// csrDijkstra freezes g and returns a full CSR.DijkstraTo's distances
+// and shortest-path tree from src.
 func csrDijkstra(g *Graph, src int) (dist []float64, parent, parentEdge []int32) {
 	c := g.Freeze()
 	n := c.NumNodes()
-	ws := NewWorkspace(n)
-	c.Dijkstra(ws, src)
+	ws := newWorkspace(n)
+	c.DijkstraTo(ws, src, nil)
 	return ws.Dist[:n], ws.Parent[:n], ws.ParentEdge[:n]
 }
 
@@ -315,7 +315,7 @@ func TestDijkstraNegativeWeightPanics(t *testing.T) {
 	g.AddEdge(Edge{U: 0, V: 1, Weight: -1})
 	g.AddEdge(Edge{U: 1, V: 2, Weight: 1})
 	c := g.Freeze()
-	ws := NewWorkspace(3)
+	ws := newWorkspace(3)
 	for _, targets := range [][]int{{2}, {1, 2}} {
 		func() {
 			defer func() {

@@ -64,8 +64,8 @@ func TestBFSDirectionSwitchingParity(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		g := randomTestGraph(300, 700, seed)
 		c := g.Freeze()
-		ref := NewWorkspace(c.NumNodes())
-		ws := NewWorkspace(c.NumNodes())
+		ref := newWorkspace(c.NumNodes())
+		ws := newWorkspace(c.NumNodes())
 		for src := 0; src < c.NumNodes(); src += 13 {
 			c.BFSTopDown(ref, src)
 			if ref.BFSBottomUpLevels != 0 {
@@ -91,7 +91,7 @@ func TestBFSParentMinIDContract(t *testing.T) {
 	g := randomTestGraph(200, 500, 3)
 	c := g.Freeze()
 	n := c.NumNodes()
-	ws := NewWorkspace(n)
+	ws := newWorkspace(n)
 	for _, kernel := range []struct {
 		name string
 		run  func(src int)
@@ -170,8 +170,8 @@ func TestDijkstraBucketMatchesHeap(t *testing.T) {
 			if !c.bucketOK {
 				t.Fatalf("regime %s: expected bucketOK snapshot", reg.name)
 			}
-			ref := NewWorkspace(c.NumNodes())
-			ws := NewWorkspace(c.NumNodes())
+			ref := newWorkspace(c.NumNodes())
+			ws := newWorkspace(c.NumNodes())
 			for src := 0; src < c.NumNodes(); src += 11 {
 				c.DijkstraHeap(ref, src)
 				c.dijkstraBucket(ws, src, nil)
@@ -237,8 +237,8 @@ func TestDijkstraBucketGate(t *testing.T) {
 			continue
 		}
 		n := tc.c.NumNodes()
-		ws := NewWorkspace(n)
-		ref := NewWorkspace(n)
+		ws := newWorkspace(n)
+		ref := newWorkspace(n)
 		tc.c.DijkstraHeap(ref, 0)
 		for _, targets := range [][]int{nil, {n - 1}, {0, n - 1}} {
 			tc.c.DijkstraTo(ws, 0, targets)
@@ -320,11 +320,11 @@ func FuzzDijkstraBucketGate(f *testing.F) {
 			return
 		}
 		n := c.NumNodes()
-		ws := NewWorkspace(n)
-		ref := NewWorkspace(n)
+		ws := newWorkspace(n)
+		ref := newWorkspace(n)
 		for src := 0; src < n; src += 1 + n/4 {
 			c.DijkstraHeap(ref, src)
-			c.Dijkstra(ws, src)
+			c.DijkstraTo(ws, src, nil)
 			for v := 0; v < n; v++ {
 				if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] || ws.ParentEdge[v] != ref.ParentEdge[v] {
 					t.Fatalf("Dijkstra src %d node %d: (%v,%d,%d) vs heap (%v,%d,%d)",
@@ -421,13 +421,13 @@ func TestBFSSmallShapes(t *testing.T) {
 			g.AddEdge(Edge{U: 2, V: 3, Weight: 1, Cable: -1})
 		}
 		c := g.Freeze()
-		ws := NewWorkspace(n)
-		ref := NewWorkspace(n)
+		ws := newWorkspace(n)
+		ref := newWorkspace(n)
 		for src := 0; src < n; src++ {
 			c.BFSTopDown(ref, src)
 			c.bfs(ws, src, forceBottomUp, forceBottomUp)
 			checkBFSEqual(t, "small", n, ref, ws)
-			c.Dijkstra(ws, src)
+			c.DijkstraTo(ws, src, nil)
 			c.DijkstraHeap(ref, src)
 			for v := 0; v < n; v++ {
 				if ws.Dist[v] != ref.Dist[v] || ws.Parent[v] != ref.Parent[v] {

@@ -55,10 +55,10 @@ func TestPropertyDijkstraSymmetry(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		g := randomGraphFromSeed(seed, 40, 60)
 		c := g.Freeze()
-		ref, ws := NewWorkspace(c.NumNodes()), NewWorkspace(c.NumNodes())
-		c.Dijkstra(ref, 0)
+		ref, ws := newWorkspace(c.NumNodes()), newWorkspace(c.NumNodes())
+		c.DijkstraTo(ref, 0, nil)
 		for v := 1; v < c.NumNodes(); v++ {
-			c.Dijkstra(ws, v)
+			c.DijkstraTo(ws, v, nil)
 			if math.Abs(ref.Dist[v]-ws.Dist[0]) > 1e-9 {
 				return false
 			}

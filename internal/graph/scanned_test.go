@@ -44,7 +44,7 @@ func TestDijkstraScanned(t *testing.T) {
 		}
 		c := g.Freeze()
 		n := c.NumNodes()
-		ws := graph.NewWorkspace(n)
+		ws := graph.GetWorkspace(n)
 
 		c.DijkstraHeap(ws, 0)
 		reached := 0
@@ -56,7 +56,7 @@ func TestDijkstraScanned(t *testing.T) {
 		if ws.DijkstraScanned != reached {
 			t.Fatalf("%s: heap run scanned %d rows, want the %d reachable", gr.name, ws.DijkstraScanned, reached)
 		}
-		c.Dijkstra(ws, 0)
+		c.DijkstraTo(ws, 0, nil)
 		if ws.DijkstraScanned < reached {
 			t.Fatalf("%s: bucketed run scanned %d rows, fewer than the %d reachable", gr.name, ws.DijkstraScanned, reached)
 		}
@@ -87,5 +87,6 @@ func TestDijkstraScanned(t *testing.T) {
 		if bidir != gr.rows {
 			t.Fatalf("%s: single-target DijkstraTo scanned %d rows over 50 pairs, pinned at %d", gr.name, bidir, gr.rows)
 		}
+		ws.Release()
 	}
 }

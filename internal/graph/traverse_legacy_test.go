@@ -66,7 +66,7 @@ func hopEccentricity(c *CSR, ws *Workspace, src int) int {
 // snapshot.
 func hopDiameter(g *Graph) int {
 	c := g.Freeze()
-	ws := NewWorkspace(c.NumNodes())
+	ws := newWorkspace(c.NumNodes())
 	d := 0
 	for src := 0; src < c.NumNodes(); src++ {
 		d = max(d, hopEccentricity(c, ws, src))
@@ -99,7 +99,7 @@ func TestKernelizedTraversalsMatchLegacy(t *testing.T) {
 			t.Fatalf("%s: hop diameter = %d, legacy %d", name, got, want)
 		}
 		c := g.Freeze()
-		ws := NewWorkspace(c.NumNodes())
+		ws := newWorkspace(c.NumNodes())
 		for src := 0; src < g.NumNodes(); src++ {
 			if got, want := hopEccentricity(c, ws, src), legacyEccentricity(g, src); got != want {
 				t.Fatalf("%s: eccentricity(%d) = %d, legacy %d", name, src, got, want)

@@ -9,18 +9,18 @@ import "sync"
 // time; a sync.Pool (GetWorkspace / Release) recycles them so
 // multi-source sweeps run allocation-free after warmup.
 //
-// The exported slices hold kernel outputs. After CSR.Dijkstra: Dist,
-// Parent, ParentEdge. After a bounded CSR.DijkstraTo the same entries
-// are final at the targets and along their parent chains, tentative at
-// other nodes the run reached, and Inf and -1 at every node it did not
-// reach. After CSR.BFS: Hop, Parent. Their contents are valid until the
-// next kernel call on the same Workspace, and callers must not write
-// them: after a single-target CSR.DijkstraTo, the next bucketed run
-// resets only the labels that one set, trusting every other entry to
+// The exported slices hold kernel outputs. After a CSR.DijkstraTo with
+// no targets: Dist, Parent, ParentEdge. After a bounded one the same
+// entries are final at the targets and along their parent chains,
+// tentative at other nodes the run reached, and Inf and -1 at every node
+// it did not reach. After CSR.BFS: Hop, Parent. Their contents are valid
+// until the next kernel call on the same Workspace, and callers must not
+// write them: after a single-target CSR.DijkstraTo, the next bucketed
+// run resets only the labels that one set, trusting every other entry to
 // still hold Inf and -1 (after any other kernel, or buffer growth, it
-// resets all n). A
-// single-target CSR.DijkstraTo also keeps its backward search's
-// distances here, in one more float64 per node grown on its first run.
+// resets all n). A single-target CSR.DijkstraTo also keeps its backward
+// search's distances here, in one more float64 per node grown on its
+// first run.
 type Workspace struct {
 	// Dist is the weighted distance per node (Inf when unreachable).
 	Dist []float64
@@ -83,13 +83,6 @@ type Workspace struct {
 	// kernel and the multi-target bucketed kernel write labels they do
 	// not list.
 	labelsN int
-}
-
-// NewWorkspace returns a Workspace sized for n-node graphs.
-func NewWorkspace(n int) *Workspace {
-	ws := &Workspace{}
-	ws.Reserve(n)
-	return ws
 }
 
 // Reserve grows the buffers to hold n nodes. Shrinking never happens, so

@@ -3,14 +3,15 @@
 // decomposes into a backbone (WAN) over points of presence, metro
 // distribution networks (MAN) built by buy-at-bulk access design, and
 // customers (LAN attachment points); the buildout is driven by population
-// centers and a cost- or profit-based optimization formulation.
+// centers and a cost- or profit-based optimization formulation. Metros
+// are buy-at-bulk trees; the §2.4 SONET ring alternative is
+// access.RingMetro, which the E10 ablation and the ring model run.
 package isp
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"repro/internal/errs"
@@ -36,14 +37,6 @@ const (
 	// buildout stops "where marginal revenue meets marginal cost".
 	ProfitBased
 )
-
-// String names the formulation.
-func (f Formulation) String() string {
-	if f == ProfitBased {
-		return "profit-based"
-	}
-	return "cost-based"
-}
 
 // POPPlacement selects how POP cities are chosen (the E5 ablation).
 type POPPlacement int
@@ -83,12 +76,6 @@ type Config struct {
 	// counts those customers.
 	MaxPorts int
 
-	// MetroRingSize >= 2 builds each metro as SONET-style protected
-	// rings of at most that many customers (§2.4 Level-2 technology)
-	// instead of buy-at-bulk trees. Incompatible with the profit
-	// formulation (ring admission is all-or-nothing).
-	MetroRingSize int
-
 	Formulation Formulation
 	// PricePerDemand is revenue per unit of customer demand (profit
 	// formulation only).
@@ -103,9 +90,9 @@ type Config struct {
 	// MetroSpread is the Gaussian scatter of customers around their city
 	// center (default 0.03).
 	MetroSpread float64
-	// DemandMin/DemandMax/DemandShape parameterize per-customer demand
-	// (bounded Pareto; constant DemandMin if DemandMax <= DemandMin).
-	DemandMin, DemandMax, DemandShape float64
+	// DemandMin/DemandMax bound per-customer demand (bounded Pareto of
+	// shape 1.2; constant DemandMin if DemandMax <= DemandMin).
+	DemandMin, DemandMax float64
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -139,12 +126,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Formulation == ProfitBased && out.PricePerDemand <= 0 {
 		return out, fmt.Errorf("isp: profit formulation needs a positive price")
-	}
-	if out.MetroRingSize == 1 || out.MetroRingSize < 0 {
-		return out, fmt.Errorf("isp: MetroRingSize must be 0 (trees) or >= 2")
-	}
-	if out.MetroRingSize >= 2 && out.Formulation == ProfitBased {
-		return out, fmt.Errorf("isp: metro rings are incompatible with the profit formulation")
 	}
 	// Validate the demand model up front so a bad selection fails before
 	// any buildout.
@@ -408,11 +389,6 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 		popLoc := geom.Point{X: popNode.X, Y: popNode.Y}
 		pts := geo.Region.GaussianCluster(r, popLoc, c.MetroSpread, nCust)
 
-		if c.MetroRingSize >= 2 {
-			buildRingMetro(c, des, popID, popLoc, pts, r)
-			continue
-		}
-
 		// Incremental cost-distance attachment (same rule as
 		// access.MMPIncremental) directly into the shared graph, with an
 		// optional port cap and — under the profit formulation — an
@@ -437,11 +413,7 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 		for _, p = range pts {
 			dem = c.DemandMin
 			if c.DemandMax > c.DemandMin {
-				shape := c.DemandShape
-				if shape <= 0 {
-					shape = 1.2
-				}
-				dem = rng.BoundedPareto(r, c.DemandMin, c.DemandMax, shape)
+				dem = rng.BoundedPareto(r, c.DemandMin, c.DemandMax, 1.2)
 			}
 			des.CustomersOffered++
 			des.DemandOffered += dem
@@ -488,66 +460,4 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 		des.Profit = des.Revenue - des.TotalCost()
 	}
 	return nil
-}
-
-// buildRingMetro wires one metro as angular-sweep SONET rings through the
-// POP (§2.4), mirroring access.RingMetro inside the shared design graph.
-func buildRingMetro(c *Config, des *Design, popID int, popLoc geom.Point, pts []geom.Point, r *rand.Rand) {
-	g := des.Graph
-	demands := make([]float64, len(pts))
-	for i := range demands {
-		demands[i] = c.DemandMin
-		if c.DemandMax > c.DemandMin {
-			shape := c.DemandShape
-			if shape <= 0 {
-				shape = 1.2
-			}
-			demands[i] = rng.BoundedPareto(r, c.DemandMin, c.DemandMax, shape)
-		}
-	}
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return math.Atan2(pts[order[a]].Y-popLoc.Y, pts[order[a]].X-popLoc.X) <
-			math.Atan2(pts[order[b]].Y-popLoc.Y, pts[order[b]].X-popLoc.X)
-	})
-	addEdge := func(u, v int, ringDemand float64) {
-		nu, nv := g.Node(u), g.Node(v)
-		d := geom.Point{X: nu.X, Y: nu.Y}.Dist(geom.Point{X: nv.X, Y: nv.Y})
-		kind, count, unit := c.Catalog.BestCableConfig(ringDemand)
-		g.AddEdge(graph.Edge{
-			U: u, V: v, Weight: d,
-			Capacity: float64(count) * c.Catalog[kind].Capacity,
-			Cable:    kind,
-		})
-		des.AccessCost += unit * d
-	}
-	for start := 0; start < len(order); start += c.MetroRingSize {
-		end := start + c.MetroRingSize
-		if end > len(order) {
-			end = len(order)
-		}
-		members := order[start:end]
-		ringDemand := 0.0
-		for _, ci := range members {
-			ringDemand += demands[ci]
-		}
-		prev := popID
-		for _, ci := range members {
-			id := g.AddNode(graph.Node{
-				Kind: graph.KindCustomer,
-				X:    pts[ci].X, Y: pts[ci].Y,
-				Capacity: demands[ci],
-			})
-			addEdge(prev, id, ringDemand)
-			prev = id
-			des.CustomersOffered++
-			des.CustomersServed++
-			des.DemandOffered += demands[ci]
-			des.DemandServed += demands[ci]
-		}
-		addEdge(prev, popID, ringDemand)
-	}
 }

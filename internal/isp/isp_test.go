@@ -346,7 +346,8 @@ func TestCustomerConcentrationFollowsPopulation(t *testing.T) {
 		}
 	}
 	c := acc.Freeze()
-	ws := graph.NewWorkspace(c.NumNodes())
+	ws := graph.GetWorkspace(c.NumNodes())
+	defer ws.Release()
 	for pi, pop := range d.POPs {
 		c.BFS(ws, pop)
 		for v, dd := range ws.Hop[:c.NumNodes()] {

@@ -53,7 +53,8 @@ func distortionPerSourceBFS(g *graph.Graph, sample int, seed int64) float64 {
 	}
 	sort.Ints(srcs)
 	tc := tree.Freeze()
-	ws := graph.NewWorkspace(n)
+	ws := graph.GetWorkspace(n)
+	defer ws.Release()
 	total := 0.0
 	count := 0
 	for _, s := range srcs {

@@ -102,9 +102,6 @@ func Register(m Metric) error { return defaultRegistry.Register(m) }
 // Lookup resolves a name in the default registry.
 func Lookup(name string) (Metric, error) { return defaultRegistry.Lookup(name) }
 
-// Names lists the default registry, sorted.
-func Names() []string { return defaultRegistry.Names() }
-
 // FuncMetric adapts a parameter-spec list plus an accumulator factory
 // into a Metric; it is how every built-in metric is registered and the
 // easiest way to add external ones.

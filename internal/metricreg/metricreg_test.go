@@ -31,12 +31,12 @@ func ladder(n, k int) *graph.Graph {
 }
 
 func TestNamesSorted(t *testing.T) {
-	names := Names()
+	names := Default().Names()
 	if len(names) < 10 {
 		t.Fatalf("suspiciously few built-in metrics: %v", names)
 	}
 	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
+		t.Fatalf("Default().Names() not sorted: %v", names)
 	}
 	for _, want := range []string{"expansion", "resilience", "distortion", "hierarchy-depth",
 		"spectral-gap", "clustering", "assortativity", "lcc", "mean-degree", "diameter"} {

@@ -24,9 +24,6 @@ type TransitConfig struct {
 	// ProvidersPerCustomer is how many upstreams each non-tier-1 ISP
 	// buys (default 1; 2 models multihoming).
 	ProvidersPerCustomer int
-	// Tier1Count is how many of the largest ISPs form the provider-free
-	// top tier (default: a quarter of the ISPs, at least 2).
-	Tier1Count int
 }
 
 // TransitResult is the customer-provider structure layered onto an
@@ -60,16 +57,8 @@ func AssignTransit(inet *Internet, cfg TransitConfig) (*TransitResult, error) {
 	if per <= 0 {
 		per = 1
 	}
-	tier1 := cfg.Tier1Count
-	if tier1 <= 0 {
-		tier1 = n / 4
-		if tier1 < 2 {
-			tier1 = 2
-		}
-	}
-	if tier1 > n {
-		tier1 = n
-	}
+	// A quarter of the ISPs, at least 2, form the provider-free top tier.
+	tier1 := min(max(n/4, 2), n)
 
 	// Rank ISPs by footprint size (POP count, then total city count as a
 	// proxy for population served).

@@ -39,7 +39,7 @@ func routeCapacitatedLegacy(g *graph.Graph, demands []Demand) (*Result, error) {
 		}
 		tr, ok := cache[d.Src]
 		if !ok {
-			c.Dijkstra(ws, d.Src)
+			c.DijkstraTo(ws, d.Src, nil)
 			tr = spt{
 				dist:       append([]float64(nil), ws.Dist...),
 				parent:     append([]int32(nil), ws.Parent...),

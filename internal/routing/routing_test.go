@@ -191,10 +191,11 @@ func TestParentCycleIsAnError(t *testing.T) {
 	g.AddEdge(graph.Edge{U: 1, V: 2, Weight: 0, Capacity: 1})
 	g.AddEdge(graph.Edge{U: 0, V: 2, Weight: 0, Capacity: 1})
 	c := g.Freeze()
-	ws := graph.NewWorkspace(4)
+	ws := graph.GetWorkspace(4)
+	defer ws.Release()
 	for name, kernel := range map[string]func(){
 		"heap":     func() { c.DijkstraHeap(ws, 3) },
-		"bucketed": func() { c.Dijkstra(ws, 3) },
+		"bucketed": func() { c.DijkstraTo(ws, 3, nil) },
 	} {
 		kernel()
 		if got := fmt.Sprint(ws.Parent); got != "[1 0 0 -1]" {

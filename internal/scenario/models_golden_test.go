@@ -98,7 +98,7 @@ func formatParams(p Params) string {
 // recorded by copying the new listing over the golden.
 func TestModelsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, name := range Names() {
+	for _, name := range Default().Names() {
 		sets, ok := goldenModels[name]
 		if !ok {
 			t.Errorf("model %q has no golden parameter set", name)

@@ -96,9 +96,6 @@ func Register(g Generator) error { return defaultRegistry.Register(g) }
 // Lookup resolves a name in the default registry.
 func Lookup(name string) (Generator, error) { return defaultRegistry.Lookup(name) }
 
-// Names lists the default registry, sorted.
-func Names() []string { return defaultRegistry.Names() }
-
 // FuncGenerator adapts a plain function plus a spec list into a
 // Generator; it is how every built-in model is registered and the
 // easiest way to add external ones.

@@ -36,21 +36,21 @@ func TestRegistryHasAllModels(t *testing.T) {
 		"waxman", "transitstub", "rgg", "configmodel", "inet", "isp", "internet",
 	}
 	names := map[string]bool{}
-	for _, n := range Names() {
+	for _, n := range Default().Names() {
 		names[n] = true
 	}
 	for _, w := range want {
 		if !names[w] {
-			t.Errorf("model %q missing from registry (have %v)", w, Names())
+			t.Errorf("model %q missing from registry (have %v)", w, Default().Names())
 		}
 	}
-	if len(Names()) < 14 {
-		t.Fatalf("registry holds %d models, want >= 14", len(Names()))
+	if len(Default().Names()) < 14 {
+		t.Fatalf("registry holds %d models, want >= 14", len(Default().Names()))
 	}
 }
 
 func TestAllGeneratorsGenerate(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range Default().Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -60,15 +60,6 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// Jobs lists every job's status (without results), in submission order.
-func (c *Client) Jobs(ctx context.Context) ([]*JobStatus, error) {
-	var out []*JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Cancel asks the server to cancel a job and returns its status. A
 // queued job cancels immediately; a running one cancels through the
 // engine's context, so poll (or Wait) for the terminal state.
@@ -118,15 +109,6 @@ func (c *Client) Statusz(ctx context.Context) (*Statusz, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// Registry fetches the component listing.
-func (c *Client) Registry(ctx context.Context) (*RegistryInfo, error) {
-	var info RegistryInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/registry", nil, &info); err != nil {
-		return nil, err
-	}
-	return &info, nil
 }
 
 // do issues one request and decodes the JSON response into out. Non-2xx

@@ -378,8 +378,8 @@ func TestSubmitValidation(t *testing.T) {
 // parameter specs.
 func TestRegistryEndpoint(t *testing.T) {
 	_, c := newTestServer(t, Config{Executors: -1})
-	info, err := c.Registry(context.Background())
-	if err != nil {
+	var info RegistryInfo
+	if err := c.do(context.Background(), http.MethodGet, "/v1/registry", nil, &info); err != nil {
 		t.Fatal(err)
 	}
 	find := func(list []ComponentInfo, name string) *ComponentInfo {
@@ -447,8 +447,8 @@ func TestStatuszCountsJobsAndCache(t *testing.T) {
 	if z.Cache.Misses == 0 || z.Cache.Budget <= 0 {
 		t.Fatalf("cache stats %+v", z.Cache)
 	}
-	list, err := c.Jobs(ctx)
-	if err != nil {
+	var list []*JobStatus
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &list); err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 1 || list[0].ID != st.ID || list[0].Results != nil {

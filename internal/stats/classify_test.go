@@ -9,7 +9,7 @@ import (
 
 func TestFitExponentialAutoRecovers(t *testing.T) {
 	deg := sampleGeometric(11, 10000, 1, 0.4)
-	fit := FitExponentialAuto(deg, 0)
+	_, fit := TailWalk(deg, 0)
 	if fit.NTail < 10 {
 		t.Fatalf("auto fit tail too small: %d", fit.NTail)
 	}
@@ -22,7 +22,7 @@ func TestFitExponentialAutoRecovers(t *testing.T) {
 }
 
 func TestFitExponentialAutoEmpty(t *testing.T) {
-	fit := FitExponentialAuto(nil, 0)
+	_, fit := TailWalk(nil, 0)
 	if fit.NTail != 0 {
 		t.Fatalf("empty input fit = %+v", fit)
 	}
@@ -33,7 +33,7 @@ func TestFitExponentialAutoDegenerate(t *testing.T) {
 	for i := range deg {
 		deg[i] = 3
 	}
-	fit := FitExponentialAuto(deg, 0)
+	_, fit := TailWalk(deg, 0)
 	// Every scanned xmin is degenerate (single support point), so the
 	// fallback xmin=1 fit is returned; it must still be well-formed.
 	if fit.XMin != 1 || fit.NTail != 50 {

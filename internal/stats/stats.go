@@ -91,25 +91,6 @@ type PowerLawFit struct {
 	NTail int     // number of samples in the tail
 }
 
-// FitPowerLaw fits a discrete power law to the tail of the degree sample
-// for a fixed xmin, using the standard MLE approximation
-// alpha = 1 + n / sum(ln(k / (xmin - 0.5))). Returns a zero fit when fewer
-// than 2 tail samples exist.
-func FitPowerLaw(degrees []int, xmin int) PowerLawFit {
-	xmin = max(xmin, 1)
-	f := newTailFitter(degrees)
-	f.cut(xmin)
-	return f.powerLaw(xmin, math.Inf(1))
-}
-
-// FitPowerLawAuto selects xmin in [1, maxXMin] minimizing the KS distance
-// (Clauset-style) and returns the corresponding fit. maxXMin <= 0 uses a
-// default that keeps at least 10 samples in the tail.
-func FitPowerLawAuto(degrees []int, maxXMin int) PowerLawFit {
-	pl, _ := newTailFitter(degrees).walk(degrees, maxXMin)
-	return pl
-}
-
 // ExponentialFit is the result of a geometric (discrete exponential) MLE
 // on a degree tail: P(k) ~ exp(-lambda * k) for k >= XMin.
 type ExponentialFit struct {
@@ -127,14 +108,6 @@ func FitExponential(degrees []int, xmin int) ExponentialFit {
 	f := newTailFitter(degrees)
 	f.cut(xmin)
 	return f.exponential(xmin, math.Inf(1))
-}
-
-// FitExponentialAuto selects xmin in [1, maxXMin] minimizing the KS
-// distance of the geometric tail fit (the same scan FitPowerLawAuto uses
-// for the power law) and returns the corresponding fit.
-func FitExponentialAuto(degrees []int, maxXMin int) ExponentialFit {
-	_, exp := newTailFitter(degrees).walk(degrees, maxXMin)
-	return exp
 }
 
 // tailFitter fits the tail of one degree sample at ascending xmin. It
@@ -226,7 +199,8 @@ func (f *tailFitter) powerLaw(xmin int, stopKS float64) PowerLawFit {
 }
 
 // alpha is the power-law MLE of a tail of at least 2 samples cut at
-// xmin.
+// xmin, by the standard approximation
+// alpha = 1 + n / sum(ln(k / (xmin - 0.5))).
 func (f *tailFitter) alpha(xmin int) float64 {
 	s := 0.0
 	for _, d := range f.tail {
@@ -437,8 +411,9 @@ func (f *tailFitter) geoReaches(xmin int, q, stopKS float64) bool {
 // rises from 1 while at least 10 samples remain in the tail, tails with
 // a single support point are skipped (they fit anything perfectly), and
 // each model keeps its fit of smallest KS distance, the first one on
-// ties. A model no xmin fits falls back to its fit at xmin 1. degrees
-// must be the sample f was built from.
+// ties; xmin stops at maxXMin unless that is <= 0. A model no xmin fits
+// falls back to its fit at xmin 1. degrees must be the sample f was
+// built from.
 func (f *tailFitter) walk(degrees []int, maxXMin int) (PowerLawFit, ExponentialFit) {
 	if len(degrees) == 0 {
 		return PowerLawFit{}, ExponentialFit{}

@@ -127,7 +127,7 @@ func TestFitPowerLawRecoversAlpha(t *testing.T) {
 	deg := samplePowerLaw(1, 20000, 2, 2.5)
 	// The MLE uses the standard continuous approximation, which together
 	// with the truncated sampler biases alpha slightly low; 0.2 tolerance.
-	fit := FitPowerLaw(deg, 2)
+	fit := PowerLawAt(deg, 2)
 	if math.Abs(fit.Alpha-2.5) > 0.2 {
 		t.Fatalf("recovered alpha = %v, want ~2.5", fit.Alpha)
 	}
@@ -181,7 +181,7 @@ func TestClassifyTailDegenerate(t *testing.T) {
 }
 
 func TestFitPowerLawTinyTail(t *testing.T) {
-	fit := FitPowerLaw([]int{5}, 1)
+	fit := PowerLawAt([]int{5}, 1)
 	if fit.NTail != 1 || fit.Alpha != 0 {
 		t.Fatalf("tiny tail fit = %+v", fit)
 	}
@@ -191,7 +191,7 @@ func TestFitPowerLawAutoPrefersTrueXMin(t *testing.T) {
 	// Power law starting at 4 with noise below.
 	deg := samplePowerLaw(5, 8000, 4, 2.3)
 	deg = append(deg, 1, 1, 1, 2, 2, 3, 3, 3, 2, 1, 2, 3, 1, 2, 3)
-	fit := FitPowerLawAuto(deg, 0)
+	fit, _ := TailWalk(deg, 0)
 	if fit.XMin < 2 || fit.XMin > 8 {
 		t.Fatalf("auto xmin = %d, want near 4", fit.XMin)
 	}
@@ -209,7 +209,7 @@ func TestTailKindString(t *testing.T) {
 func TestKSDistanceBounds(t *testing.T) {
 	err := quick.Check(func(seed int64) bool {
 		deg := samplePowerLaw(seed, 200, 1, 2.0)
-		fit := FitPowerLaw(deg, 1)
+		fit := PowerLawAt(deg, 1)
 		return fit.KS >= 0 && fit.KS <= 1
 	}, &quick.Config{MaxCount: 30})
 	if err != nil {

@@ -417,11 +417,12 @@ func TestTailFitsMatchPerXMinScan(t *testing.T) {
 			t.Fatalf("%s: ClassifyTail\n got %s\nwant %s", s.name, got, want)
 		}
 		for _, cap := range []int{0, 3} {
-			if got, want := plString(stats.FitPowerLawAuto(s.deg, cap)), plString(oracleFitPowerLawAuto(s.deg, cap)); got != want {
-				t.Fatalf("%s: FitPowerLawAuto(%d) = %s, want %s", s.name, cap, got, want)
+			pl, exp := stats.TailWalk(s.deg, cap)
+			if got, want := plString(pl), plString(oracleFitPowerLawAuto(s.deg, cap)); got != want {
+				t.Fatalf("%s: power law walked to %d = %s, want %s", s.name, cap, got, want)
 			}
-			if got, want := expString(stats.FitExponentialAuto(s.deg, cap)), expString(oracleFitExponentialAuto(s.deg, cap)); got != want {
-				t.Fatalf("%s: FitExponentialAuto(%d) = %s, want %s", s.name, cap, got, want)
+			if got, want := expString(exp), expString(oracleFitExponentialAuto(s.deg, cap)); got != want {
+				t.Fatalf("%s: geometric walked to %d = %s, want %s", s.name, cap, got, want)
 			}
 		}
 		maxDeg := 0
@@ -429,8 +430,8 @@ func TestTailFitsMatchPerXMinScan(t *testing.T) {
 			maxDeg = max(maxDeg, d)
 		}
 		for _, xmin := range []int{0, 1, 2, 3, maxDeg / 2, maxDeg, maxDeg + 1} {
-			if got, want := plString(stats.FitPowerLaw(s.deg, xmin)), plString(oracleFitPowerLaw(s.deg, xmin)); got != want {
-				t.Fatalf("%s: FitPowerLaw(%d) = %s, want %s", s.name, xmin, got, want)
+			if got, want := plString(stats.PowerLawAt(s.deg, xmin)), plString(oracleFitPowerLaw(s.deg, xmin)); got != want {
+				t.Fatalf("%s: power law at %d = %s, want %s", s.name, xmin, got, want)
 			}
 			if got, want := expString(stats.FitExponential(s.deg, xmin)), expString(oracleFitExponential(s.deg, xmin)); got != want {
 				t.Fatalf("%s: FitExponential(%d) = %s, want %s", s.name, xmin, got, want)

@@ -44,14 +44,13 @@ type GeographyConfig struct {
 	// ZipfExponent controls population skew across city ranks (1.0 is the
 	// classic Zipf law for cities). 0 gives equal populations.
 	ZipfExponent float64
-	// TotalPopulation is distributed across cities; default 1e6.
-	TotalPopulation float64
 	// MinSeparation rejects city placements closer than this to an
 	// existing city (0 disables).
 	MinSeparation float64
 }
 
-// GenerateGeography draws a synthetic national geography.
+// GenerateGeography draws a synthetic national geography whose city
+// populations sum to 1e6.
 func GenerateGeography(cfg GeographyConfig) (*Geography, error) {
 	if cfg.NumCities < 1 {
 		return nil, fmt.Errorf("traffic: need at least one city")
@@ -59,10 +58,6 @@ func GenerateGeography(cfg GeographyConfig) (*Geography, error) {
 	region := cfg.Region
 	if region == (geom.Rect{}) {
 		region = geom.UnitSquare
-	}
-	total := cfg.TotalPopulation
-	if total <= 0 {
-		total = 1e6
 	}
 	r := rng.New(cfg.Seed)
 	z := rng.NewZipf(cfg.NumCities, cfg.ZipfExponent)
@@ -95,7 +90,7 @@ func GenerateGeography(cfg GeographyConfig) (*Geography, error) {
 		g.Cities = append(g.Cities, City{
 			Name:       fmt.Sprintf("city-%02d", i),
 			Loc:        p,
-			Population: total * z.Weight(i+1),
+			Population: 1e6 * z.Weight(i+1),
 		})
 	}
 	// Rank 1 (largest) first is convenient for POP placement; Zipf

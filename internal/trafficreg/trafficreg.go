@@ -80,12 +80,9 @@ func Default() *Registry { return defaultRegistry }
 // Register adds a model to the default registry.
 func Register(m DemandModel) error { return defaultRegistry.Register(m) }
 
-// Lookup resolves a name (aliases included) in the default registry.
-func Lookup(name string) (DemandModel, error) { return defaultRegistry.Lookup(name) }
-
 // Canonical maps a possibly-aliased model name to its default-registry
-// key ("" is gravity). Unknown names pass through unchanged (Lookup
-// reports them).
+// key ("" is gravity). Unknown names pass through unchanged
+// (Registry.Lookup reports them).
 func Canonical(name string) string { return defaultRegistry.Canonical(name) }
 
 // Names lists the default registry, sorted.

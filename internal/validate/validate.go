@@ -2,23 +2,19 @@
 // metrics and measurements will be required to validate or invalidate
 // the resulting class of explanatory models?" It provides tools to
 // compare a generated topology against a reference (measured) topology
-// across the full metric suite, and bootstrap confidence intervals for
-// the sampled metrics so differences can be judged against noise.
+// across the full metric suite.
 package validate
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/errs"
 	"repro/internal/graph"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
-	"repro/internal/params"
-	"repro/internal/rng"
 )
 
 // MetricVector is the standardized characterization used for topology
@@ -186,50 +182,4 @@ func DegreeKS(a, b []int) float64 {
 		}
 	}
 	return ks
-}
-
-// Interval is a bootstrap confidence interval.
-type Interval struct {
-	Mean, Low, High float64
-}
-
-// BootstrapMetric estimates a (1-2*alphaTail) CI for a graph metric that
-// depends on sampling seeds (expansion, resilience, distortion are
-// seed-sampled in this repo) by re-evaluating it under `reps` derived
-// seeds and taking empirical quantiles.
-func BootstrapMetric(g *graph.Graph, metric func(*graph.Graph, int64) float64, reps int, alphaTail float64, seed int64) Interval {
-	if reps < 2 {
-		reps = 2
-	}
-	if alphaTail <= 0 || alphaTail >= 0.5 {
-		alphaTail = 0.05
-	}
-	vals := make([]float64, reps)
-	total := 0.0
-	for i := range vals {
-		vals[i] = metric(g, rng.Derive(seed, i))
-		total += vals[i]
-	}
-	sort.Float64s(vals)
-	lo := int(alphaTail * float64(reps))
-	hi := reps - 1 - lo
-	return Interval{
-		Mean: total / float64(reps),
-		Low:  vals[lo],
-		High: vals[hi],
-	}
-}
-
-// ResilienceCI is a convenience bootstrap for the resilience metric. It
-// freezes g once and evaluates every rep on that snapshot.
-func ResilienceCI(g *graph.Graph, reps int, seed int64) Interval {
-	set := []metricreg.Selection{{Name: "resilience", Params: params.Params{"steps": 10, "trials": 3}}}
-	c := g.Freeze()
-	return BootstrapMetric(g, func(g *graph.Graph, s int64) float64 {
-		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, c), set, metricreg.Options{Seed: s})
-		if err != nil {
-			return 0
-		}
-		return vals["resilience"].Scalar
-	}, reps, 0.05, seed)
 }

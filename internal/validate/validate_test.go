@@ -13,7 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metricreg"
 	"repro/internal/metrics"
-	"repro/internal/params"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -122,25 +121,6 @@ func TestDegreeKSBounds(t *testing.T) {
 	ks := DegreeKS([]int{1, 1, 1}, []int{10, 10, 10})
 	if math.Abs(ks-1) > 1e-12 {
 		t.Fatalf("disjoint KS = %v, want 1", ks)
-	}
-}
-
-func TestBootstrapMetricInterval(t *testing.T) {
-	g := ba(t, 200, 2, 7)
-	iv := ResilienceCI(g, 20, 11)
-	if iv.Low > iv.Mean || iv.Mean > iv.High {
-		t.Fatalf("interval ordering broken: %+v", iv)
-	}
-	if iv.Low < 0 || iv.High > 1 {
-		t.Fatalf("resilience CI out of [0,1]: %+v", iv)
-	}
-}
-
-func TestBootstrapDegenerateParams(t *testing.T) {
-	g := ba(t, 100, 1, 8)
-	iv := BootstrapMetric(g, func(_ *graph.Graph, _ int64) float64 { return 0.5 }, 1, 2.0, 1)
-	if iv.Mean != 0.5 || iv.Low != 0.5 || iv.High != 0.5 {
-		t.Fatalf("constant metric CI = %+v", iv)
 	}
 }
 
@@ -352,22 +332,5 @@ func TestDegreeEntriesMatchSummarize(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestResilienceCIMatchesPerRepFreeze pins ResilienceCI, which freezes
-// once, to the same bootstrap with every rep freezing its own snapshot.
-func TestResilienceCIMatchesPerRepFreeze(t *testing.T) {
-	g := ba(t, 200, 2, 7)
-	set := []metricreg.Selection{{Name: "resilience", Params: params.Params{"steps": 10, "trials": 3}}}
-	want := BootstrapMetric(g, func(g *graph.Graph, s int64) float64 {
-		vals, err := metricreg.Evaluate(context.Background(), metricreg.NewSource(g, nil), set, metricreg.Options{Seed: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vals["resilience"].Scalar
-	}, 20, 0.05, 11)
-	if got := ResilienceCI(g, 20, 11); got != want {
-		t.Fatalf("ResilienceCI = %+v, per-rep freeze %+v", got, want)
 	}
 }

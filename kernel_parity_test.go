@@ -155,7 +155,7 @@ func checkKernelParity(t *testing.T, label string, g *graph.Graph) {
 		}
 
 		c.DijkstraHeap(ref, src)
-		c.Dijkstra(ws, src)
+		c.DijkstraTo(ws, src, nil)
 		for v := 0; v < n; v++ {
 			if ref.Dist[v] != ws.Dist[v] {
 				t.Fatalf("%s src %d: dist[%d] = %v bucketed vs %v heap", label, src, v, ws.Dist[v], ref.Dist[v])
@@ -348,7 +348,7 @@ func TestSPCertificateAcrossModels(t *testing.T) {
 		name string
 		run  func(c *graph.CSR, ws *graph.Workspace, src int)
 	}{
-		{"Dijkstra", (*graph.CSR).Dijkstra},
+		{"DijkstraTo", func(c *graph.CSR, ws *graph.Workspace, src int) { c.DijkstraTo(ws, src, nil) }},
 		{"DijkstraHeap", (*graph.CSR).DijkstraHeap},
 	}
 	for _, m := range parityModels() {
