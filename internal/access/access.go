@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
 )
@@ -42,24 +43,24 @@ type Catalog []CableType
 // Validate checks the economies-of-scale ordering required by §4.1.
 func (c Catalog) Validate() error {
 	if len(c) == 0 {
-		return fmt.Errorf("access: empty cable catalog")
+		return errs.BadParamf("access: empty cable catalog")
 	}
 	for i, t := range c {
 		if t.Capacity <= 0 || t.Install <= 0 || t.Usage <= 0 {
-			return fmt.Errorf("access: cable %d (%s) has non-positive parameters", i, t.Name)
+			return errs.BadParamf("access: cable %d (%s) has non-positive parameters", i, t.Name)
 		}
 		if i == 0 {
 			continue
 		}
 		p := c[i-1]
 		if t.Capacity < p.Capacity {
-			return fmt.Errorf("access: capacities not non-decreasing at %d", i)
+			return errs.BadParamf("access: capacities not non-decreasing at %d", i)
 		}
 		if t.Install < p.Install {
-			return fmt.Errorf("access: install costs not non-decreasing at %d", i)
+			return errs.BadParamf("access: install costs not non-decreasing at %d", i)
 		}
 		if t.Usage >= p.Usage {
-			return fmt.Errorf("access: usage costs not strictly decreasing at %d", i)
+			return errs.BadParamf("access: usage costs not strictly decreasing at %d", i)
 		}
 	}
 	return nil
@@ -124,11 +125,11 @@ func (in *Instance) Validate() error {
 		return err
 	}
 	if len(in.Customers) == 0 {
-		return fmt.Errorf("access: no customers")
+		return errs.BadParamf("access: no customers")
 	}
 	for i, c := range in.Customers {
 		if c.Demand < 0 {
-			return fmt.Errorf("access: customer %d has negative demand", i)
+			return errs.BadParamf("access: customer %d has negative demand", i)
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -62,7 +63,7 @@ func MMPIncremental(in *Instance, seed int64) (*Network, error) {
 		loc, dem = locs[ci], in.Customers[ci].Demand
 		best.Reset()
 		statW := [geom.IndexStats]float64{slotUsage: dem}
-		ix.Search(loc, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), best, eval)
+		ix.Search(loc, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), false, best, eval)
 		s := best.Best()[0].ID
 		d := loc.Dist(slotPt[s])
 		g.AddEdge(graph.Edge{U: slotNode[s], V: v, Weight: d, Cable: -1})
@@ -102,7 +103,7 @@ func SampleAndAugment(in *Instance, seed int64, p float64) (*Network, error) {
 		return nil, err
 	}
 	if p <= 0 || p >= 1 {
-		return nil, fmt.Errorf("access: sampling probability %v out of (0,1)", p)
+		return nil, errs.BadParamf("access: sampling probability %v out of (0,1)", p)
 	}
 	r := rng.New(seed)
 	g := newNetworkSkeleton(in)

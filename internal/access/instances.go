@@ -1,8 +1,7 @@
 package access
 
 import (
-	"fmt"
-
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/rng"
 )
@@ -29,7 +28,7 @@ type InstanceConfig struct {
 // RandomInstance draws an instance per the configuration.
 func RandomInstance(cfg InstanceConfig) (*Instance, error) {
 	if cfg.N < 1 {
-		return nil, fmt.Errorf("access: instance needs N >= 1")
+		return nil, errs.BadParamf("access: instance needs N >= 1")
 	}
 	region := cfg.Region
 	if region == (geom.Rect{}) {

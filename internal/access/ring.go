@@ -1,10 +1,10 @@
 package access
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/graph"
 )
@@ -30,7 +30,7 @@ func RingMetro(in *Instance, ringSize int) (*Network, error) {
 		return nil, err
 	}
 	if ringSize < 2 {
-		return nil, fmt.Errorf("access: ring size must be >= 2")
+		return nil, errs.BadParamf("access: ring size must be >= 2")
 	}
 	g := newNetworkSkeleton(in)
 	n := len(in.Customers)

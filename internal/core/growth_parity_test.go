@@ -125,6 +125,35 @@ func TestGrowHOTGridMatchesExhaustive(t *testing.T) {
 			N: 220, Seed: 7, LinksPerArrival: 2, Distance: 4, Centrality: 1, Load: 0.1,
 			MaxDegree: 5, MaxLength: 0.3,
 		}},
+		// Port-capped rows: routers at the cap leave the index's live
+		// view, which only the capped search walks.
+		{"ports8-links1", HOTConfig{
+			N: 600, Seed: 11, LinksPerArrival: 1, Distance: 8, Centrality: 1, MaxDegree: 8,
+		}},
+		{"ports3-links1-load", HOTConfig{
+			N: 400, Seed: 12, LinksPerArrival: 1, Distance: 8, Centrality: 1, Load: 0.3, MaxDegree: 3,
+		}},
+		{"ports4-links2", HOTConfig{
+			N: 400, Seed: 13, LinksPerArrival: 2, Distance: 8, Centrality: 1, MaxDegree: 4,
+		}},
+		{"ports3-links2-load-rootdist", HOTConfig{
+			N: 400, Seed: 14, LinksPerArrival: 2, Distance: 2, Load: 0.3, RootDist: 1, MaxDegree: 3,
+		}},
+		{"ports4-links3-load", HOTConfig{
+			N: 400, Seed: 15, LinksPerArrival: 3, Distance: 8, Centrality: 1, Load: 0.3, MaxDegree: 4,
+		}},
+		{"ports3-links3", HOTConfig{
+			// links = ports: once the first ports+1 nodes fill up, every
+			// node is born full and every capped search is empty.
+			N: 300, Seed: 16, LinksPerArrival: 3, Distance: 8, Centrality: 1, MaxDegree: 3,
+		}},
+		{"ports2-links3-load", HOTConfig{
+			// links > ports, with the degree slot tracked.
+			N: 300, Seed: 17, LinksPerArrival: 3, Distance: 8, Centrality: 1, Load: 0.3, MaxDegree: 2,
+		}},
+		{"ports3-links2-maxlen", HOTConfig{
+			N: 400, Seed: 18, LinksPerArrival: 2, Distance: 8, Centrality: 1, MaxDegree: 3, MaxLength: 0.06,
+		}},
 	}
 	// One case with fixed arrivals straddling the region boundary: the
 	// index's bounding rect must cover them.

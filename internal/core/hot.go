@@ -37,7 +37,10 @@ type HOTConfig struct {
 	RootDist float64
 	// MaxDegree is the hard router port limit the paper's §2.1 names as
 	// the canonical technology constraint: a candidate already holding
-	// MaxDegree links is infeasible. 0 means no cap.
+	// MaxDegree links is infeasible. 0 means no cap. A node that reaches
+	// the cap leaves the attachment index's live view, so later capped
+	// searches neither evaluate it nor let it hold a region's bound down
+	// (geom.Index.Retire).
 	MaxDegree int
 	// MaxLength forbids links longer than it, the reach limit of the
 	// underlying Level-2 technology (§2.1/§2.4). 0 means no cap.
@@ -144,6 +147,14 @@ func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph,
 		ix = geom.NewIndex(region.Union(geom.Bounds(rootPt, cfg.Arrivals)), cfg.N, track)
 		ix.Add(0, rootPt, &[geom.IndexStats]float64{})
 	}
+	// A node that reaches MaxDegree is retired from the index's live
+	// view, which the capped search walks: its degree never falls, so it
+	// stays infeasible there. statsOf gives the index a live node's
+	// current stat values when it re-takes a floor.
+	retire := ix != nil && cfg.MaxDegree > 0
+	statsOf := func(id int32, v *[geom.IndexStats]float64) {
+		*v = [geom.IndexStats]float64{statHops: hops[id], statRootDist: rootDist[id], statDeg: float64(g.Degree(int(id)))}
+	}
 
 	// Both scans hand every candidate to eval, which reads the arrival's
 	// p and whether the caps apply, so the cost arithmetic compiles once
@@ -195,7 +206,7 @@ func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph,
 				if capped {
 					lim = maxLen
 				}
-				ix.Search(p, cfg.Distance, &statW, lim, best, eval)
+				ix.Search(p, cfg.Distance, &statW, lim, capped, best, eval)
 			}
 			if !best.Empty() {
 				break
@@ -208,6 +219,9 @@ func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph,
 			nj := g.Node(c.ID)
 			w := p.Dist(geom.Point{X: nj.X, Y: nj.Y})
 			g.AddEdge(graph.Edge{U: c.ID, V: id, Weight: w})
+			if retire && g.Degree(c.ID) == cfg.MaxDegree {
+				ix.Retire(int32(c.ID), geom.Point{X: nj.X, Y: nj.Y}, statsOf)
+			}
 			stats.TotalLinkLength += w
 			h := hops[c.ID] + 1
 			if k == 0 || h < minHops {
@@ -223,6 +237,9 @@ func growHOT(ctx context.Context, cfg HOTConfig, exhaustive bool) (*graph.Graph,
 				statDeg:      float64(g.Degree(id)),
 			}
 			ix.Add(int32(id), p, &vals)
+			if retire && g.Degree(id) >= cfg.MaxDegree {
+				ix.Retire(int32(id), p, statsOf)
+			}
 		}
 	}
 	if ix != nil {

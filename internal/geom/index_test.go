@@ -21,7 +21,7 @@ func (ix *Index) oracleSearch(p Point, distW float64, statW *[IndexStats]float64
 	maxRing := max(pbx, ix.bnx-1-pbx, pby, ix.bny-1-pby)
 	statFloor := 0.0
 	for s := range IndexStats {
-		if statW[s] != 0 && ix.track[s] && !math.IsInf(ix.globalMin[s], 1) {
+		if statW[s] != 0 && ix.cellMin[s] != nil && !math.IsInf(ix.globalMin[s], 1) {
 			statFloor += statW[s] * ix.globalMin[s]
 		}
 	}
@@ -162,7 +162,7 @@ func checkIndexRun(t *testing.T, run indexRun, k int) {
 		oBest.Reset()
 		seq, oSeq = seq[:0], oSeq[:0]
 		for _, maxLen = range [2]float64{run.maxLen, math.Inf(1)} {
-			ix.Search(p, distW, &statW, maxLen, best, eval)
+			ix.Search(p, distW, &statW, maxLen, false, best, eval)
 			ox.oracleSearch(p, distW, &statW, maxLen, oBest, oEval)
 			if !best.Empty() || !oBest.Empty() {
 				break
@@ -247,5 +247,117 @@ func TestIndexSearchMatchesOracle(t *testing.T) {
 		for _, k := range []int{1, 2, 5} {
 			t.Run(fmt.Sprintf("%s/k%d", run.name, k), func(t *testing.T) { checkIndexRun(t, run, k) })
 		}
+	}
+}
+
+// TestIndexRetireMatchesBruteForce interleaves Add, Retire, stat growth
+// and searches at random. Every live search must return the canonical
+// k best over the ids not retired, computed by brute force, and hand
+// eval no retired id; every all-ids search must return the k best over
+// every id, retired ones included. Stat values only grow, as the
+// IndexStats contract allows, and Retire is asked for them when it
+// re-takes a floor. The runs cover HOT's fixed weights, a stat-dominated
+// mix, a length cap, a single-cell grid and a lattice whose points sit
+// on cell edges, and each ends by retiring every id.
+func TestIndexRetireMatchesBruteForce(t *testing.T) {
+	all := [IndexStats]bool{true, true, true}
+	lattice := func(r *rand.Rand) Point { return Point{float64(r.IntN(5)) / 4, float64(r.IntN(5)) / 4} }
+	uniform := func(r *rand.Rand) Point { return Point{r.Float64(), r.Float64()} }
+	runs := []struct {
+		name     string
+		expected int
+		point    func(*rand.Rand) Point
+		track    [IndexStats]bool
+		distW    float64
+		statW    [IndexStats]float64
+		maxLen   float64
+	}{
+		{"hot", 1200, uniform, all, 8, [IndexStats]float64{1, 0.3, 0.1}, math.Inf(1)},
+		{"stat-heavy", 1200, uniform, all, 0.5, [IndexStats]float64{2, 1, 0.7}, math.Inf(1)},
+		{"one-slot", 1200, uniform, [IndexStats]bool{true}, 1, [IndexStats]float64{3}, math.Inf(1)},
+		{"maxlen", 1200, uniform, all, 8, [IndexStats]float64{1, 0.3, 0.1}, 0.08},
+		{"single-cell", 3, uniform, all, 8, [IndexStats]float64{1, 0.3, 0.1}, math.Inf(1)},
+		{"lattice", 48, lattice, all, 1, [IndexStats]float64{0.2, 0.3, 0.7}, math.Inf(1)},
+	}
+	for ri, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			r := rand.New(rand.NewPCG(uint64(ri), 29))
+			ix := NewIndex(UnitSquare, run.expected, run.track)
+			var pts []Point
+			var vals [][IndexStats]float64
+			var retired []bool
+			statsOf := func(id int32, v *[IndexStats]float64) { *v = vals[id] }
+			add := func() {
+				p := run.point(r)
+				v := [IndexStats]float64{float64(r.IntN(8)), r.Float64() * 4, float64(r.IntN(3))}
+				ix.Add(int32(len(pts)), p, &v)
+				pts, vals, retired = append(pts, p), append(vals, v), append(retired, false)
+			}
+			cost := func(p Point, id int) float64 {
+				v := &vals[id]
+				return float64(run.distW*p.Dist(pts[id])) + float64(run.statW[0]*v[0]) + float64(run.statW[2]*v[2]) + float64(run.statW[1]*v[1])
+			}
+			retiredBest := 0
+			search := func(step int) {
+				p := run.point(r)
+				k := []int{1, 2, 5}[r.IntN(3)]
+				for _, live := range []bool{true, false} {
+					best, want := NewCandList(k), NewCandList(k)
+					ix.Search(p, run.distW, &run.statW, run.maxLen, live, best, func(id int32) {
+						if live && retired[id] {
+							t.Fatalf("step %d: live search evaluated retired id %d", step, id)
+						}
+						if p.Dist(pts[id]) <= run.maxLen {
+							best.Consider(int(id), cost(p, int(id)))
+						}
+					})
+					for id := range pts {
+						if !(live && retired[id]) && p.Dist(pts[id]) <= run.maxLen {
+							want.Consider(id, cost(p, id))
+						}
+					}
+					if !slices.Equal(best.Best(), want.Best()) {
+						t.Fatalf("step %d live=%v k=%d: best %v, brute force %v", step, live, k, best.Best(), want.Best())
+					}
+					for _, c := range best.Best() {
+						if !live && retired[c.ID] {
+							retiredBest++
+						}
+					}
+				}
+			}
+			add()
+			for step := 0; step < 2500; step++ {
+				switch x := r.IntN(20); {
+				case x < 6:
+					add()
+				case x < 11:
+					// Retire a random id, live or not: retiring an id
+					// that is not live must change nothing.
+					id := r.IntN(len(pts))
+					ix.Retire(int32(id), pts[id], statsOf)
+					retired[id] = true
+				case x < 13:
+					vals[r.IntN(len(pts))][2]++ // a degree grows
+				default:
+					search(step)
+				}
+			}
+			for id := range pts {
+				ix.Retire(int32(id), pts[id], statsOf)
+				retired[id] = true
+			}
+			evals := ix.Evals()
+			ix.Search(run.point(r), run.distW, &run.statW, run.maxLen, true, NewCandList(3), func(id int32) {
+				t.Fatalf("live search with every id retired evaluated %d", id)
+			})
+			if ix.Evals() != evals {
+				t.Fatalf("live search with every id retired counted %d evals", ix.Evals()-evals)
+			}
+			search(-1)
+			if retiredBest == 0 {
+				t.Fatal("no all-ids search returned a retired id")
+			}
+		})
 	}
 }

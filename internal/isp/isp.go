@@ -20,7 +20,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/routing"
 	"repro/internal/traffic"
 	"repro/internal/trafficreg"
 )
@@ -98,16 +97,16 @@ type Config struct {
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
 	if out.Geography == nil || len(out.Geography.Cities) == 0 {
-		return out, fmt.Errorf("isp: missing geography")
+		return out, errs.BadParamf("isp: missing geography")
 	}
 	if out.NumPOPs < 1 {
-		return out, fmt.Errorf("isp: need at least one POP")
+		return out, errs.BadParamf("isp: need at least one POP")
 	}
 	if out.NumPOPs > len(out.Geography.Cities) {
 		out.NumPOPs = len(out.Geography.Cities)
 	}
 	if out.Customers < 0 {
-		return out, fmt.Errorf("isp: negative customer count")
+		return out, errs.BadParamf("isp: negative customer count")
 	}
 	if out.Catalog == nil {
 		out.Catalog = access.DefaultCatalog()
@@ -125,7 +124,7 @@ func (c *Config) withDefaults() (Config, error) {
 		out.DemandMin = 1
 	}
 	if out.Formulation == ProfitBased && out.PricePerDemand <= 0 {
-		return out, fmt.Errorf("isp: profit formulation needs a positive price")
+		return out, errs.BadParamf("isp: profit formulation needs a positive price")
 	}
 	// Validate the demand model up front so a bad selection fails before
 	// any buildout.
@@ -172,8 +171,9 @@ type Design struct {
 func (d *Design) TotalCost() float64 { return d.AccessCost + d.BackboneCost }
 
 // BuildContext designs the ISP. The context is checked between design
-// stages, before each metro buildout and while routing the backbone
-// demand, returning an errs.ErrCanceled-wrapping error when it is done.
+// stages, before each candidate backbone link is priced and before each
+// metro buildout, returning an errs.ErrCanceled-wrapping error when it
+// is done.
 func BuildContext(ctx context.Context, cfg Config) (*Design, error) {
 	c, err := cfg.withDefaults()
 	if err != nil {
@@ -253,7 +253,9 @@ func placePOPs(c *Config) []int {
 
 // buildBackbone connects POPs: MST first (cost-minimal spanning), then
 // greedy cost/performance augmentation against the configured demand
-// model's inter-POP traffic.
+// model's inter-POP traffic. Each round prices every missing link by
+// the demand-weighted average path length of the backbone holding it
+// (pathLabels), checking ctx before each candidate link.
 func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 	g := des.Graph
 	k := len(des.POPs)
@@ -266,8 +268,9 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 		xs[i] = g.Node(id).X
 		ys[i] = g.Node(id).Y
 	}
-	addBackbone := func(i, j int) int {
-		d := math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
+	length := func(i, j int) float64 { return math.Hypot(xs[i]-xs[j], ys[i]-ys[j]) }
+	addBackbone := func(i, j int) {
+		d := length(i, j)
 		eid := g.AddEdge(graph.Edge{
 			U: des.POPs[i], V: des.POPs[j], Weight: d,
 			Capacity: c.Catalog[len(c.Catalog)-1].Capacity,
@@ -275,10 +278,10 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 		})
 		des.BackboneEdges = append(des.BackboneEdges, eid)
 		des.BackboneCost += c.BackboneCostPerLength * d
-		return eid
 	}
 	inTree := map[[2]int]bool{}
-	for _, pr := range graph.EuclideanMST(xs, ys) {
+	mst := graph.EuclideanMST(xs, ys)
+	for _, pr := range mst {
 		addBackbone(pr[0], pr[1])
 		a, b := pr[0], pr[1]
 		if a > b {
@@ -295,29 +298,22 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 	if err != nil {
 		return fmt.Errorf("isp: backbone demand: %w", err)
 	}
-	var demands []routing.Demand
+	var demands []popDemand
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			v := dm[des.POPCity[i]][des.POPCity[j]]
-			if v > 0 {
-				demands = append(demands, routing.Demand{Src: des.POPs[i], Dst: des.POPs[j], Volume: v})
+			if v := dm[des.POPCity[i]][des.POPCity[j]]; v > 0 {
+				demands = append(demands, popDemand{src: i, dst: j, vol: v})
 			}
 		}
 	}
 	if len(demands) == 0 {
 		return nil
 	}
-	avgPath := func() (float64, error) {
-		res, err := routing.RouteShortestPathsContext(ctx, g, nil, demands)
-		if err != nil {
-			return 0, err
-		}
-		return res.AvgPathWeight, nil
+	labels := newPathLabels(k, demands)
+	for _, pr := range mst {
+		labels.add(pr[0], pr[1], length(pr[0], pr[1]))
 	}
-	cur, err := avgPath()
-	if err != nil {
-		return err
-	}
+	cur := labels.avgPath(-1, -1, 0)
 	for added := 0; added < c.MaxExtraBackboneLinks; added++ {
 		bestI, bestJ, bestGain := -1, -1, 0.0
 		var bestNew float64
@@ -326,19 +322,15 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 				if inTree[[2]int{i, j}] {
 					continue
 				}
-				d := math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
-				// Tentatively add, measure, remove by rebuilding? Graph has
-				// no edge removal; evaluate on a clone.
-				clone := g.Clone()
-				clone.AddEdge(graph.Edge{U: des.POPs[i], V: des.POPs[j], Weight: d})
-				res, err := routing.RouteShortestPathsContext(ctx, clone, nil, demands)
-				if err != nil {
-					return err
+				if err := errs.Ctx(ctx); err != nil {
+					return fmt.Errorf("isp: backbone link %d-%d: %w", i, j, err)
 				}
-				gain := c.PerfWeight*(cur-res.AvgPathWeight) - c.BackboneCostPerLength*d
+				d := length(i, j)
+				avg := labels.avgPath(i, j, d)
+				gain := c.PerfWeight*(cur-avg) - c.BackboneCostPerLength*d
 				if gain > bestGain {
 					bestI, bestJ, bestGain = i, j, gain
-					bestNew = res.AvgPathWeight
+					bestNew = avg
 				}
 			}
 		}
@@ -346,10 +338,136 @@ func buildBackbone(ctx context.Context, c *Config, des *Design) error {
 			break // no profitable augmentation remains
 		}
 		addBackbone(bestI, bestJ)
+		labels.add(bestI, bestJ, length(bestI, bestJ))
 		inTree[[2]int{bestI, bestJ}] = true
 		cur = bestNew
 	}
 	return nil
+}
+
+// popDemand is one inter-POP demand, its ends numbered by POP.
+type popDemand struct {
+	src, dst int
+	vol      float64
+}
+
+// pathLabels prices backbone links against the inter-POP demand. For
+// each source POP it keeps the shortest backbone distance to every POP:
+// the least fixed point of d(v) = min over links u–v of d(u) + w, with
+// each sum rounded as it is formed. That is the smallest left-to-right
+// path sum, which every label-setting or label-correcting search
+// reaches, the routing package's Dijkstra kernels included, because
+// rounding x + w is monotone in x. Relaxing one more link into a fixed
+// point and propagating the decreases reaches the fixed point of the
+// backbone that holds the link, so a candidate is priced from labels
+// alone: same labels, same sums in the same order, same bits as routing
+// every demand on a copy of the backbone with the link added. No parent
+// chain is walked, so the zero-weight parent cycles routing must reject
+// cannot arise; POPs sit at distinct cities, so no backbone link weighs
+// zero anyway.
+type pathLabels struct {
+	adj     [][]arc // backbone links per POP, both directions
+	sources []labelSource
+	dist    []float64 // one source's labels with a candidate link
+	queue   []int
+}
+
+type arc struct {
+	to int
+	w  float64
+}
+
+// labelSource is one source POP: its labels and its demands, in demand
+// order.
+type labelSource struct {
+	dist []float64
+	dems []popDemand
+}
+
+// newPathLabels returns the labels of k POPs with no backbone link yet,
+// for demands grouped by source in demand order.
+func newPathLabels(k int, demands []popDemand) *pathLabels {
+	pl := &pathLabels{adj: make([][]arc, k), dist: make([]float64, k)}
+	for lo := 0; lo < len(demands); {
+		hi := lo + 1
+		for hi < len(demands) && demands[hi].src == demands[lo].src {
+			hi++
+		}
+		dist := make([]float64, k)
+		for v := range dist {
+			dist[v] = math.Inf(1)
+		}
+		dist[demands[lo].src] = 0
+		pl.sources = append(pl.sources, labelSource{dist: dist, dems: demands[lo:hi]})
+		lo = hi
+	}
+	return pl
+}
+
+// add puts the link i–j of weight w into the backbone and every
+// source's labels.
+func (pl *pathLabels) add(i, j int, w float64) {
+	for _, s := range pl.sources {
+		pl.relax(s.dist, i, j, w)
+	}
+	pl.adj[i] = append(pl.adj[i], arc{j, w})
+	pl.adj[j] = append(pl.adj[j], arc{i, w})
+}
+
+// avgPath returns the demand-weighted average shortest-path length of
+// the backbone with the link i–j of weight w added (i < 0: as it
+// stands), summed as routing.RouteShortestPathsContext sums it: volume
+// times distance over the reachable demands, in demand order, divided
+// by their volume. A source whose labels the link cannot lower keeps
+// them as they are.
+func (pl *pathLabels) avgPath(i, j int, w float64) float64 {
+	var totalW, delivered float64
+	for _, s := range pl.sources {
+		dist := s.dist
+		if i >= 0 && (dist[i]+w < dist[j] || dist[j]+w < dist[i]) {
+			dist = append(pl.dist[:0], dist...)
+			pl.relax(dist, i, j, w)
+		}
+		for _, d := range s.dems {
+			if math.IsInf(dist[d.dst], 1) {
+				continue
+			}
+			delivered += d.vol
+			totalW += d.vol * dist[d.dst]
+		}
+	}
+	if delivered == 0 {
+		return 0
+	}
+	return totalW / delivered
+}
+
+// relax lowers dist, one source's fixed point over the backbone, to the
+// fixed point over the backbone plus the link i–j of weight w: it
+// relaxes the link both ways, then propagates every decrease over the
+// backbone until no label falls. At most one way lowers a label, and no
+// decrease comes back across the link: a path that crossed it twice
+// would hold a cycle, and each rounded sum of a non-negative weight is
+// at least the label it starts from.
+func (pl *pathLabels) relax(dist []float64, i, j int, w float64) {
+	q := pl.queue[:0]
+	if d := dist[i] + w; d < dist[j] {
+		dist[j] = d
+		q = append(q, j)
+	} else if d := dist[j] + w; d < dist[i] {
+		dist[i] = d
+		q = append(q, i)
+	}
+	for h := 0; h < len(q); h++ {
+		u := q[h]
+		for _, a := range pl.adj[u] {
+			if d := dist[u] + a.w; d < dist[a.to] {
+				dist[a.to] = d
+				q = append(q, a.to)
+			}
+		}
+	}
+	pl.queue = q
 }
 
 // slotUsage is the attachment-index stat slot holding a metro node's
@@ -395,12 +513,18 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 		// admission test "marginal revenue >= marginal cost". Slot 0 is
 		// the POP, slot s the s-th attached customer; the attachment
 		// index returns the cheapest by (cost, slot), the first-wins
-		// minimum in attach order.
+		// minimum in attach order. A slot whose router reaches MaxPorts
+		// is retired from the index's live view, which the search walks;
+		// the POP can start full from its backbone links.
 		ix := geom.NewIndex(geom.Bounds(popLoc, pts), len(pts)+1, usageTrack)
 		slotNode := append(make([]int, 0, len(pts)+1), popID)
 		slotPt := append(make([]geom.Point, 0, len(pts)+1), popLoc)
 		usageToRoot := append(make([]float64, 0, len(pts)+1), 0)
+		usageOf := func(slot int32, v *[geom.IndexStats]float64) { v[slotUsage] = usageToRoot[slot] }
 		ix.Add(0, popLoc, &[geom.IndexStats]float64{})
+		if c.MaxPorts > 0 && g.Degree(popID) >= c.MaxPorts {
+			ix.Retire(0, popLoc, usageOf)
+		}
 		var p geom.Point
 		var dem float64
 		eval := func(slot int32) {
@@ -420,7 +544,7 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 
 			best.Reset()
 			statW := [geom.IndexStats]float64{slotUsage: dem}
-			ix.Search(p, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), best, eval)
+			ix.Search(p, sigmaThin+deltaBulk*dem, &statW, math.Inf(1), true, best, eval)
 			var bestSlot int
 			var bestCost float64
 			overCap := best.Empty()
@@ -444,11 +568,18 @@ func buildMetros(ctx context.Context, c *Config, des *Design) error {
 			d := p.Dist(slotPt[bestSlot])
 			id := g.AddNode(graph.Node{Kind: graph.KindCustomer, X: p.X, Y: p.Y, Capacity: dem})
 			g.AddEdge(graph.Edge{U: slotNode[bestSlot], V: id, Weight: d, Cable: -1})
+			if c.MaxPorts > 0 && g.Degree(slotNode[bestSlot]) == c.MaxPorts {
+				ix.Retire(int32(bestSlot), slotPt[bestSlot], usageOf)
+			}
 			u := usageToRoot[bestSlot] + deltaBulk*d
-			ix.Add(int32(len(slotNode)), p, &[geom.IndexStats]float64{slotUsage: u})
+			slot := int32(len(slotNode))
+			ix.Add(slot, p, &[geom.IndexStats]float64{slotUsage: u})
 			slotNode = append(slotNode, id)
 			slotPt = append(slotPt, p)
 			usageToRoot = append(usageToRoot, u)
+			if c.MaxPorts > 0 && g.Degree(id) >= c.MaxPorts {
+				ix.Retire(slot, p, usageOf)
+			}
 			des.AccessCost += bestCost
 			des.CustomersServed++
 			des.DemandServed += dem

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/access"
+	"repro/internal/errs"
 	"repro/internal/routing"
 	"repro/internal/traffic"
 	"repro/internal/trafficreg"
@@ -57,7 +58,7 @@ func ProvisionBackboneContext(ctx context.Context, des *Design, geo *traffic.Geo
 		return &BackboneReport{}, nil
 	}
 	if geo == nil {
-		return nil, fmt.Errorf("isp: missing geography")
+		return nil, errs.BadParamf("isp: missing geography")
 	}
 	dm, err := trafficreg.GenerateDemand(ctx, geo, model, seed)
 	if err != nil {

@@ -1,10 +1,10 @@
 package peering
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/errs"
 	"repro/internal/graph"
 )
 
@@ -51,7 +51,7 @@ type TransitResult struct {
 func AssignTransit(inet *Internet, cfg TransitConfig) (*TransitResult, error) {
 	n := len(inet.ISPs)
 	if n == 0 {
-		return nil, fmt.Errorf("peering: empty internet")
+		return nil, errs.BadParamf("peering: empty internet")
 	}
 	per := cfg.ProvidersPerCustomer
 	if per <= 0 {

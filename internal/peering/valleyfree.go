@@ -1,8 +1,6 @@
 package peering
 
-import (
-	"fmt"
-)
+import "repro/internal/errs"
 
 // Valley-free routing (Gao–Rexford): a BGP path may climb
 // customer→provider edges, cross at most one peer–peer edge, and then
@@ -43,7 +41,7 @@ type ValleyFreeResult struct {
 // Cable == 0 are settlement-free peering.
 func ValleyFree(tr *TransitResult) (*ValleyFreeResult, error) {
 	if tr == nil || tr.ASAll == nil {
-		return nil, fmt.Errorf("peering: nil transit result")
+		return nil, errs.BadParamf("peering: nil transit result")
 	}
 	n := tr.ASAll.NumNodes()
 	// Relationship lookup: provider[c][p] = true when p is c's provider.

@@ -14,6 +14,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/errs"
 	"repro/internal/geom"
 	"repro/internal/rng"
 )
@@ -53,7 +54,7 @@ type GeographyConfig struct {
 // populations sum to 1e6.
 func GenerateGeography(cfg GeographyConfig) (*Geography, error) {
 	if cfg.NumCities < 1 {
-		return nil, fmt.Errorf("traffic: need at least one city")
+		return nil, errs.BadParamf("traffic: need at least one city")
 	}
 	region := cfg.Region
 	if region == (geom.Rect{}) {
